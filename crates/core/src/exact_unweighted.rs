@@ -31,7 +31,7 @@ use crate::types::ShapleyValues;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::distance::Metric;
 use knnshap_knn::graph::KnnGraph;
-use knnshap_knn::neighbors::{argsort_by_distance, Neighbor};
+use knnshap_knn::neighbors::{argsort_by_distance, Neighbor, Ranker};
 use knnshap_numerics::exact::ExactVec;
 
 /// Exact SVs w.r.t. a single test point (Theorem 1).
@@ -188,10 +188,18 @@ fn shard_sums(
     // Dense fill: the recursion assigns every training point exactly one
     // contribution per test point, so each item overwrites the scratch
     // completely and the fold deposits it linearly (same bits, see
-    // `exact_sums_over_dense`).
-    crate::sharding::exact_sums_over_dense(train.len(), range, threads, |j, scratch| {
-        accumulate_single(train, test.x.row(j), test.y[j], k, |i, s| scratch[i] = s);
-    })
+    // `exact_sums_over_dense`). Each fold block ranks into one reused
+    // ranking scratch and list instead of allocating per test point.
+    crate::sharding::exact_sums_over_dense(
+        train.len(),
+        range,
+        threads,
+        || (Ranker::new(), Vec::new()),
+        |j, (ranker, ranked), scratch| {
+            ranker.argsort(&train.x, test.x.row(j), Metric::SquaredL2, ranked);
+            accumulate_ranked(train, ranked, test.y[j], k, |i, s| scratch[i] = s);
+        },
+    )
 }
 
 /// [`knn_class_shapley_shard`] fed by a precomputed graph instead of a
@@ -240,9 +248,15 @@ fn graph_shard_sums(
     range: std::ops::Range<usize>,
     threads: usize,
 ) -> ExactVec {
-    crate::sharding::exact_sums_over_dense(train.len(), range, threads, |j, scratch| {
-        accumulate_ranked(train, graph.list(j), test.y[j], k, |i, s| scratch[i] = s);
-    })
+    crate::sharding::exact_sums_over_dense(
+        train.len(),
+        range,
+        threads,
+        || (),
+        |j, _, scratch| {
+            accumulate_ranked(train, graph.list(j), test.y[j], k, |i, s| scratch[i] = s);
+        },
+    )
 }
 
 /// [`knn_class_shapley_with_threads`] fed by a precomputed graph: skips the

@@ -10,7 +10,7 @@
 //! the O(N) Theorem 1 recursion per test point, with no distance
 //! computation and no sorting. An M-mutation replay therefore costs
 //! M · O(N_test · N) cheap arithmetic instead of M cold
-//! O(N_test · (N·d + N log N)) rebuilds (`bench_serve_incremental`
+//! O(N_test · (N·d + N)) rebuilds (`bench_serve_incremental`
 //! quantifies the gap).
 //!
 //! ### Determinism contract
@@ -448,7 +448,8 @@ impl ResidentValuator {
             n,
             0..self.test.len(),
             self.threads,
-            |j, scratch| {
+            || (),
+            |j, _, scratch| {
                 let (list, y) = (&self.ranked[j], self.test.y[j]);
                 theorem1_recurrence(
                     list.len(),

@@ -610,7 +610,9 @@ where
 /// per item — the exact recursions do, one contribution per rank: `fill`
 /// writes item `j`'s contributions into a zeroed dense `f64` scratch
 /// (`scratch[i] = contribution of train point i`), and the fold deposits
-/// the scratch with [`ExactVec::add_dense`].
+/// the scratch with [`ExactVec::add_dense`]. `fill` also gets a per-block
+/// state from `state` (one per serial fold) to reuse across the block's
+/// items, e.g. ranking buffers.
 ///
 /// Identical bits to the sink-per-contribution shape — the deposited
 /// values are the same `f64`s and exact accumulation is order-invariant —
@@ -619,14 +621,17 @@ where
 /// serving engine (and the cold batch path it must match) cache-friendly:
 /// the rank-ordered sink is a random walk over `n_train` heap-backed
 /// accumulators, the dense pass a linear one.
-pub(crate) fn exact_sums_over_dense<F>(
+pub(crate) fn exact_sums_over_dense<T, M, F>(
     n_train: usize,
     range: std::ops::Range<usize>,
     threads: usize,
+    state: M,
     fill: F,
 ) -> ExactVec
 where
-    F: Fn(usize, &mut [f64]) + Sync,
+    T: Send,
+    M: Fn() -> T + Sync,
+    F: Fn(usize, &mut T, &mut [f64]) + Sync,
 {
     if threads <= 1 {
         // Serial fast path: deposit each item's scratch straight into the
@@ -634,9 +639,10 @@ where
         // merge. Exactness makes the grouping invisible in the bits.
         let mut total = ExactVec::zeros(n_train);
         let mut scratch = vec![0.0f64; n_train];
+        let mut st = state();
         for j in range {
             scratch.fill(0.0);
-            fill(j, &mut scratch);
+            fill(j, &mut st, &mut scratch);
             total.add_dense(&scratch);
         }
         return total;
@@ -645,13 +651,13 @@ where
     exact_block_fold(
         range.len(),
         threads,
-        || (ExactVec::zeros(n_train), vec![0.0f64; n_train]),
-        |(acc, scratch), j| {
+        || (ExactVec::zeros(n_train), vec![0.0f64; n_train], state()),
+        |(acc, scratch, st), j| {
             scratch.fill(0.0);
-            fill(range.start + j, scratch);
+            fill(range.start + j, st, scratch);
             acc.add_dense(scratch);
         },
-        |(acc, _)| total.lock().expect("fold poisoned").merge(&acc),
+        |(acc, _, _)| total.lock().expect("fold poisoned").merge(&acc),
     );
     total.into_inner().expect("fold poisoned")
 }

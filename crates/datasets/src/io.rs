@@ -123,8 +123,9 @@ pub fn save_class_csv(path: &Path, d: &ClassDataset) -> Result<(), IoError> {
 /// `f32` features followed by one task-specific final column, parsed by
 /// `last` (integer label vs float target — the files are otherwise
 /// indistinguishable). Empty lines and lines starting with `#` are
-/// skipped; ragged rows and unparsable cells are format errors naming the
-/// 1-based line.
+/// skipped; ragged rows, unparsable cells and non-finite features (NaN,
+/// ±inf, or a literal that overflows `f32`, all of which would reach the
+/// distance ranking as a NaN) are format errors naming the 1-based line.
 fn load_rows_csv<T>(
     path: &Path,
     what: &str,
@@ -159,9 +160,16 @@ fn load_rows_csv<T>(
             _ => {}
         }
         for c in &cells[..row_dim] {
-            feats.push(c.parse::<f32>().map_err(|e| {
+            let v = c.parse::<f32>().map_err(|e| {
                 IoError::Format(format!("line {}: bad float '{c}': {e}", lineno + 1))
-            })?);
+            })?;
+            if !v.is_finite() {
+                return Err(IoError::Format(format!(
+                    "line {}: non-finite feature '{c}'",
+                    lineno + 1
+                )));
+            }
+            feats.push(v);
         }
         finals.push(
             last(cells[row_dim])
@@ -312,6 +320,23 @@ mod tests {
         std::fs::write(&path, "1.0,2.0,0\n1.0,1\n").unwrap();
         let err = load_class_csv(&path).unwrap_err();
         assert!(matches!(err, IoError::Format(_)), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn csv_rejects_non_finite_features_naming_the_line() {
+        let path = tmp("non-finite.csv");
+        for cell in ["NaN", "inf", "-inf", "1e39"] {
+            std::fs::write(&path, format!("1.0,2.0,0\n# note\n3.0,{cell},1\n")).unwrap();
+            for err in [
+                load_class_csv(&path).unwrap_err(),
+                load_reg_csv(&path).unwrap_err(),
+            ] {
+                assert!(matches!(err, IoError::Format(_)), "{err}");
+                let msg = err.to_string();
+                assert!(msg.contains("line 3") && msg.contains(cell), "{msg}");
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -38,7 +38,7 @@
 //! families × shard counts × thread counts.
 
 use crate::block::blocked_squared_l2;
-use crate::neighbors::{cmp_dist_idx, Neighbor};
+use crate::neighbors::{cmp_dist_idx, rank_distances, Neighbor};
 use knnshap_datasets::Features;
 use knnshap_numerics::fingerprint::Fingerprint;
 
@@ -176,28 +176,19 @@ pub struct KnnGraph {
 }
 
 impl KnnGraph {
-    /// Build the graph with the blocked kernel ([`blocked_squared_l2`]) and a
-    /// per-row `(distance, index)` sort.
+    /// Build the graph with the blocked kernel ([`blocked_squared_l2`]) and
+    /// the shared ranking ([`Ranker`](crate::neighbors::Ranker)) of each
+    /// distance row.
     ///
-    /// The comparator is a total order (ties broken by index), so any correct
-    /// sort of the bitwise-identical distance rows reproduces exactly the
-    /// ranking of [`argsort_by_distance`](crate::neighbors::argsort_by_distance):
-    /// the result is bitwise-independent of tiles and `threads`.
+    /// The kernel's rows are bitwise-identical to the per-pair distances and
+    /// the ranking is a total order, so every list is exactly the ranking of
+    /// [`argsort_by_distance`](crate::neighbors::argsort_by_distance): the
+    /// result is bitwise-independent of tiles and `threads`.
     pub fn build(train: &Features, test: &Features, threads: usize) -> KnnGraph {
         assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
         let rows = blocked_squared_l2(train, test, threads);
-        let lists: Vec<Vec<Neighbor>> = knnshap_parallel::par_map(rows.len(), threads, |j| {
-            let mut list: Vec<Neighbor> = rows[j]
-                .iter()
-                .enumerate()
-                .map(|(i, &dist)| Neighbor {
-                    index: i as u32,
-                    dist,
-                })
-                .collect();
-            list.sort_unstable_by(cmp_dist_idx);
-            list
-        });
+        let lists: Vec<Vec<Neighbor>> =
+            knnshap_parallel::par_map(rows.len(), threads, |j| rank_distances(&rows[j]));
         KnnGraph {
             dim: train.dim() as u32,
             n_train: train.len() as u64,
