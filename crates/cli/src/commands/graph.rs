@@ -19,6 +19,7 @@
 
 use crate::args::Args;
 use crate::CliError;
+use knnshap_datasets::io::{load_class_csv_with_threads, load_reg_csv_with_threads};
 use knnshap_knn::graph::KnnGraph;
 use std::path::Path;
 
@@ -32,14 +33,15 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
 
     // The artifact only involves features; --task picks the CSV parser.
+    let (train_path, test_path) = (Path::new(train_path), Path::new(test_path));
     let (train_x, test_x) = match args.str("task").unwrap_or("class") {
         "class" => (
-            knnshap_datasets::io::load_class_csv(Path::new(train_path))?.x,
-            knnshap_datasets::io::load_class_csv(Path::new(test_path))?.x,
+            load_class_csv_with_threads(train_path, threads)?.x,
+            load_class_csv_with_threads(test_path, threads)?.x,
         ),
         "reg" => (
-            knnshap_datasets::io::load_reg_csv(Path::new(train_path))?.x,
-            knnshap_datasets::io::load_reg_csv(Path::new(test_path))?.x,
+            load_reg_csv_with_threads(train_path, threads)?.x,
+            load_reg_csv_with_threads(test_path, threads)?.x,
         ),
         other => {
             return Err(CliError::Invalid(format!(

@@ -21,6 +21,7 @@
 use crate::args::Args;
 use crate::commands::parse_weight;
 use crate::CliError;
+use knnshap_datasets::io::{load_class_csv_with_threads, load_reg_csv_with_threads};
 use knnshap_runtime::layout::JobDirs;
 use knnshap_runtime::spec::{absolutize, plan_job, JobMethod, JobPlan, JobSpec, TaskKind};
 use knnshap_runtime::supervisor::{run_job, Launcher, SupervisorOptions};
@@ -99,6 +100,8 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
         args.require("shards")?;
     }
     let requested = args.usize_or("shards", 0)?;
+    // shard-plan takes no --threads: it parses on the default budget.
+    let threads = knnshap_parallel::current_threads();
     let mut spec = JobSpec {
         task: parse_task(args)?,
         train: absolutize(Path::new(args.require("train")?)),
@@ -112,17 +115,17 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
     };
     let mut auto_line = None;
     if auto {
-        let probe = plan_job(&spec).map_err(CliError::Runtime)?;
+        let probe = plan_job(&spec, threads).map_err(CliError::Runtime)?;
         let cap = if requested > 0 {
             requested
         } else {
             AUTO_SHARD_CAP
         };
-        let (suggested, line) = probe_shard_count(probe, cap)?;
+        let (suggested, line) = probe_shard_count(probe, cap, threads)?;
         spec.shards = suggested;
         auto_line = Some(line);
     }
-    let plan = plan_job(&spec).map_err(CliError::Runtime)?;
+    let plan = plan_job(&spec, threads).map_err(CliError::Runtime)?;
     let dirs = JobDirs::new(&job);
     plan.save(&dirs).map_err(CliError::Runtime)?;
 
@@ -161,12 +164,16 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
 /// shard count plus a report line. The probes are ordinary one-item chunk
 /// computations whose partials are discarded — nothing is written, so the
 /// measurement cannot perturb the job the final plan describes.
-fn probe_shard_count(probe: JobPlan, max_shards: usize) -> Result<(usize, String), CliError> {
+fn probe_shard_count(
+    probe: JobPlan,
+    max_shards: usize,
+    threads: usize,
+) -> Result<(usize, String), CliError> {
     use knnshap_core::sharding::ShardSpec;
     use knnshap_runtime::dispatch::PreparedJob;
     let total = probe.total_items as usize;
     let t0 = std::time::Instant::now();
-    let prepared = PreparedJob::from_plan(probe).map_err(CliError::Runtime)?;
+    let prepared = PreparedJob::from_plan(probe, threads).map_err(CliError::Runtime)?;
     let load_secs = t0.elapsed().as_secs_f64();
     // The first one-item chunk pays the lazy utility build (distance
     // matrices) — a cost every shard-owning worker process repeats. The
@@ -272,6 +279,7 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
     let plan = JobPlan::load(&dirs).map_err(CliError::Runtime)?;
     let workers = args.usize_or("workers", 2)?;
     let threads = args.usize_or("threads", 0)?;
+    let parse_threads = knnshap_runtime::resolve_threads(threads);
     let lease_ttl = Duration::from_secs_f64(args.f64_or("lease-ttl", 30.0)?.max(0.0));
     let max_spawns = args.usize_or("max-spawns", workers.saturating_mul(8).max(8))?;
 
@@ -350,8 +358,8 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
             // tail and the --out CSV are byte-identical to the unsharded run
             // (for the deterministic methods; MC reports differ only in the
             // wall-clock throughput line `value` prints).
-            let train = knnshap_datasets::io::load_class_csv(&plan.spec.train)?;
-            let test = knnshap_datasets::io::load_class_csv(&plan.spec.test)?;
+            let train = load_class_csv_with_threads(&plan.spec.train, parse_threads)?;
+            let test = load_class_csv_with_threads(&plan.spec.test, parse_threads)?;
             if let Some(path) = args.str("out") {
                 super::value::write_csv(Path::new(path), &train, &sv, payout.as_deref())
                     .map_err(knnshap_datasets::io::IoError::Io)?;
@@ -369,7 +377,7 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
             ));
         }
         TaskKind::Reg => {
-            let train = knnshap_datasets::io::load_reg_csv(&plan.spec.train)?;
+            let train = load_reg_csv_with_threads(&plan.spec.train, parse_threads)?;
             out.push_str(&format!(
                 "Valued {} training points against {} test points (K = {}, method = \
                  exact-reg).\ntotal value: {}\n",

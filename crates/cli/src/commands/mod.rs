@@ -19,10 +19,16 @@ use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::weights::WeightFn;
 use std::path::Path;
 
-/// Loads the `--train`/`--test` CSV pair shared by value/audit/contrast.
+/// Loads the `--train`/`--test` CSV pair shared by value/audit/serve/shard/
+/// contrast, parsing on the command's `--threads` budget (the default
+/// thread count where the command takes no `--threads`).
 pub(crate) fn load_pair(args: &Args) -> Result<(ClassDataset, ClassDataset), CliError> {
-    let train = knnshap_datasets::io::load_class_csv(Path::new(args.require("train")?))?;
-    let test = knnshap_datasets::io::load_class_csv(Path::new(args.require("test")?))?;
+    let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
+    let load = |key| {
+        knnshap_datasets::io::load_class_csv_with_threads(Path::new(args.require(key)?), threads)
+            .map_err(CliError::from)
+    };
+    let (train, test) = (load("train")?, load("test")?);
     if train.dim() != test.dim() {
         return Err(CliError::Invalid(format!(
             "train has {} features but test has {}",

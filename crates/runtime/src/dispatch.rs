@@ -35,22 +35,22 @@ impl JobData {
     }
 }
 
-/// Load the CSVs a spec names, with the structural checks every consumer
-/// needs (matching dimensions, non-empty test set).
-pub fn load_data(spec: &JobSpec) -> Result<JobData, JobError> {
+/// Load the CSVs a spec names on `threads` parse workers, with the
+/// structural checks every consumer needs (matching dimensions, non-empty
+/// test set).
+pub fn load_data(spec: &JobSpec, threads: usize) -> Result<JobData, JobError> {
+    use knnshap_datasets::io::{load_class_csv_with_threads, load_reg_csv_with_threads};
     let ds = |m: String| JobError::Dataset(m);
+    let at = |path: &std::path::Path, e| ds(format!("{}: {e}", path.display()));
+    let (train, test) = (&spec.train, &spec.test);
     let data = match spec.task {
         TaskKind::Class => JobData::Class {
-            train: knnshap_datasets::io::load_class_csv(&spec.train)
-                .map_err(|e| ds(format!("{}: {e}", spec.train.display())))?,
-            test: knnshap_datasets::io::load_class_csv(&spec.test)
-                .map_err(|e| ds(format!("{}: {e}", spec.test.display())))?,
+            train: load_class_csv_with_threads(train, threads).map_err(|e| at(train, e))?,
+            test: load_class_csv_with_threads(test, threads).map_err(|e| at(test, e))?,
         },
         TaskKind::Reg => JobData::Reg {
-            train: knnshap_datasets::io::load_reg_csv(&spec.train)
-                .map_err(|e| ds(format!("{}: {e}", spec.train.display())))?,
-            test: knnshap_datasets::io::load_reg_csv(&spec.test)
-                .map_err(|e| ds(format!("{}: {e}", spec.test.display())))?,
+            train: load_reg_csv_with_threads(train, threads).map_err(|e| at(train, e))?,
+            test: load_reg_csv_with_threads(test, threads).map_err(|e| at(test, e))?,
         },
     };
     let (train_dim, test_dim, n_test) = match &data {
@@ -151,10 +151,11 @@ pub struct PreparedJob {
 }
 
 impl PreparedJob {
-    /// Bind `plan` to its datasets, verifying the fingerprint.
-    pub fn from_plan(plan: JobPlan) -> Result<Self, JobError> {
+    /// Bind `plan` to its datasets (parsed on `threads` workers), verifying
+    /// the fingerprint.
+    pub fn from_plan(plan: JobPlan, threads: usize) -> Result<Self, JobError> {
         plan.spec.validate()?;
-        let data = load_data(&plan.spec)?;
+        let data = load_data(&plan.spec, threads)?;
         // Re-derive the identity from the files actually read; comparing the
         // whole identity also catches a hand-edited plan file.
         let (kind, fingerprint) = job_identity(&plan.spec, &data);
@@ -195,8 +196,8 @@ impl PreparedJob {
     }
 
     /// Load the plan from a job directory and bind it.
-    pub fn load(dirs: &crate::layout::JobDirs) -> Result<Self, JobError> {
-        Self::from_plan(JobPlan::load(dirs)?)
+    pub fn load(dirs: &crate::layout::JobDirs, threads: usize) -> Result<Self, JobError> {
+        Self::from_plan(JobPlan::load(dirs)?, threads)
     }
 
     /// Attach a precomputed KNN graph. The graph's dataset-content

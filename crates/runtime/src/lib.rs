@@ -79,7 +79,7 @@
 //!     checkpoint_chunks: 4,
 //! };
 //! let dirs = JobDirs::new("job");
-//! knnshap_runtime::spec::plan_job(&spec)?.save(&dirs)?;
+//! knnshap_runtime::spec::plan_job(&spec, knnshap_parallel::current_threads())?.save(&dirs)?;
 //! let outcome = run_job(&dirs, SupervisorOptions::default())?;
 //! println!("total value {}", outcome.values.total());
 //! # Ok::<(), knnshap_runtime::JobError>(())
@@ -95,6 +95,16 @@ pub mod supervisor;
 pub mod worker;
 
 use knnshap_core::sharding::ShardError;
+
+/// A worker/supervisor thread option: `0` means
+/// `knnshap_parallel::current_threads()`.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        knnshap_parallel::current_threads()
+    } else {
+        threads
+    }
+}
 
 /// Everything that can go wrong planning, executing, or merging a job.
 #[derive(Debug)]

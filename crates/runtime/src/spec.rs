@@ -393,9 +393,9 @@ impl JobPlan {
 /// the combination, and compute the job identity (kind, dataset-content
 /// fingerprint, item counts). This is the one place fingerprints enter the
 /// system; workers re-derive and compare (`dispatch::PreparedJob`).
-pub fn plan_job(spec: &JobSpec) -> Result<JobPlan, JobError> {
+pub fn plan_job(spec: &JobSpec, threads: usize) -> Result<JobPlan, JobError> {
     spec.validate()?;
-    let data = crate::dispatch::load_data(spec)?;
+    let data = crate::dispatch::load_data(spec, threads)?;
     let (kind, fingerprint) = crate::dispatch::job_identity(spec, &data);
     let (n_train, n_test) = data.sizes();
     if matches!(spec.method, JobMethod::GroupTesting { .. }) && n_train < 2 {

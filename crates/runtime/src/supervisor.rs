@@ -220,7 +220,7 @@ pub fn run_job(dirs: &JobDirs, opts: SupervisorOptions) -> Result<JobOutcome, Jo
         }
     }
 
-    let merged = merge_job(dirs, &plan)?;
+    let merged = merge_job(dirs, &plan, crate::resolve_threads(opts.threads))?;
     crate::progress::append_event(
         dirs,
         "job_done",
@@ -241,14 +241,19 @@ pub fn run_job(dirs: &JobDirs, opts: SupervisorOptions) -> Result<JobOutcome, Jo
 
 /// Validate and merge a completed job directory against its plan. Exposed
 /// separately so tests (and operators with remotely-computed shards) can
-/// merge without spawning anything.
-pub fn merge_job(dirs: &JobDirs, plan: &JobPlan) -> Result<MergedValuation, JobError> {
+/// merge without spawning anything. The datasets are parsed on `threads`
+/// workers.
+pub fn merge_job(
+    dirs: &JobDirs,
+    plan: &JobPlan,
+    threads: usize,
+) -> Result<MergedValuation, JobError> {
     // Re-verify the datasets' *contents* before finalizing: when every
     // shard is already published, a merge-only `run_job` spawns no worker,
     // so this is the only place that catches CSVs edited after planning —
     // without it the report would pair stale values with drifted labels.
     // Dataset-content fingerprints make this O(dataset), not O(N · N_test).
-    let data = crate::dispatch::load_data(&plan.spec)?;
+    let data = crate::dispatch::load_data(&plan.spec, threads)?;
     let (_, fingerprint) = crate::dispatch::job_identity(&plan.spec, &data);
     if fingerprint != plan.fingerprint {
         return Err(JobError::FingerprintMismatch {

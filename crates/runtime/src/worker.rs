@@ -50,7 +50,7 @@ pub type FaultHook = Box<dyn FnMut(FaultPoint) -> bool + Send>;
 pub struct WorkerOptions {
     /// Identity written into lease files (diagnostics only).
     pub worker_id: String,
-    /// Threads for the in-shard parallel folds (0 ⇒
+    /// Threads for CSV parsing and the in-shard parallel folds (0 ⇒
     /// `knnshap_parallel::current_threads()`, i.e. `KNNSHAP_THREADS`-aware).
     pub threads: usize,
     /// Fault-injection hook; `None` in production.
@@ -89,17 +89,13 @@ pub struct WorkerReport {
 /// was accomplished; stale-lease recovery is the supervisor's business, not
 /// the worker's.
 pub fn run_worker(dirs: &JobDirs, mut opts: WorkerOptions) -> Result<WorkerReport, JobError> {
-    let mut prepared = PreparedJob::load(dirs)?;
+    let threads = crate::resolve_threads(opts.threads);
+    let mut prepared = PreparedJob::load(dirs, threads)?;
     if let Some(path) = &opts.graph {
         let graph = knnshap_knn::graph::KnnGraph::load(path)
             .map_err(|e| JobError::Dataset(format!("{}: {e}", path.display())))?;
         prepared.attach_graph(graph)?;
     }
-    let threads = if opts.threads == 0 {
-        knnshap_parallel::current_threads()
-    } else {
-        opts.threads
-    };
     let shards = prepared.plan().spec.shards;
     let mut report = WorkerReport::default();
     loop {

@@ -216,7 +216,7 @@ fn all_seven_families_match_unsharded_at_every_worker_count() {
         let want = reference(&spec);
         for workers in [1usize, 2, 4] {
             let dirs = ws.job_dirs(&format!("job-{name}-{workers}"));
-            plan_job(&spec).unwrap().save(&dirs).unwrap();
+            plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
             let outcome = run_job(
                 &dirs,
                 SupervisorOptions {
@@ -262,7 +262,7 @@ fn crash_and_resume_at_every_kill_point_is_bitwise_clean() {
         checkpoint_chunks: 4,
     };
     let want = reference(&spec);
-    let plan = plan_job(&spec).unwrap();
+    let plan = plan_job(&spec, 1).unwrap();
 
     let kill_points: Vec<FaultPoint> = (0..spec.checkpoint_chunks)
         .flat_map(|c| {
@@ -321,7 +321,7 @@ fn crash_and_resume_at_every_kill_point_is_bitwise_clean() {
             );
         }
 
-        let merged = merge_job(&dirs, &plan).unwrap();
+        let merged = merge_job(&dirs, &plan, 3).unwrap();
         assert_bitwise(&merged.values, &want, &format!("kill point {kill:?}"));
     }
 }
@@ -346,7 +346,7 @@ fn supervisor_reassigns_after_crash_and_respawns() {
     };
     let want = reference(&spec);
     let dirs = ws.job_dirs("job");
-    plan_job(&spec).unwrap().save(&dirs).unwrap();
+    plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
 
     // The first spawned worker dies right after its first computed chunk
     // (one worker, so it deterministically gets work); every later spawn
@@ -394,7 +394,7 @@ fn corrupt_or_foreign_checkpoints_are_ignored() {
         checkpoint_chunks: 2,
     };
     let want = reference(&spec);
-    let plan = plan_job(&spec).unwrap();
+    let plan = plan_job(&spec, 1).unwrap();
 
     // Garbage bytes.
     let dirs = ws.job_dirs("garbage");
@@ -403,7 +403,7 @@ fn corrupt_or_foreign_checkpoints_are_ignored() {
     let report = run_worker(&dirs, WorkerOptions::default()).unwrap();
     assert_eq!(report.resumed, 0, "garbage must not count as a resume");
     assert_bitwise(
-        &merge_job(&dirs, &plan).unwrap().values,
+        &merge_job(&dirs, &plan, 3).unwrap().values,
         &want,
         "garbage ckpt",
     );
@@ -414,7 +414,7 @@ fn corrupt_or_foreign_checkpoints_are_ignored() {
         seed: SEED + 1,
         ..spec.clone()
     };
-    let foreign_plan = plan_job(&foreign_spec).unwrap();
+    let foreign_plan = plan_job(&foreign_spec, 1).unwrap();
     let fdirs = ws.job_dirs("foreign-src");
     foreign_plan.save(&fdirs).unwrap();
     run_worker(&fdirs, WorkerOptions::default()).unwrap();
@@ -425,7 +425,7 @@ fn corrupt_or_foreign_checkpoints_are_ignored() {
     let report = run_worker(&dirs, WorkerOptions::default()).unwrap();
     assert_eq!(report.resumed, 0, "foreign checkpoint must not resume");
     assert_bitwise(
-        &merge_job(&dirs, &plan).unwrap().values,
+        &merge_job(&dirs, &plan, 3).unwrap().values,
         &want,
         "foreign ckpt",
     );
@@ -449,7 +449,7 @@ fn dataset_drift_and_wrong_job_fail_loudly() {
         shards: 2,
         checkpoint_chunks: 1,
     };
-    let plan = plan_job(&spec).unwrap();
+    let plan = plan_job(&spec, 1).unwrap();
     let dirs = ws.job_dirs("job");
     plan.save(&dirs).unwrap();
 
@@ -475,18 +475,21 @@ fn dataset_drift_and_wrong_job_fail_loudly() {
     // check that runs when no worker needs to spawn).
     let mut wrong = plan.clone();
     wrong.fingerprint ^= 1;
-    let err = merge_job(&dirs, &wrong).unwrap_err();
+    let err = merge_job(&dirs, &wrong, 3).unwrap_err();
     assert!(matches!(err, JobError::FingerprintMismatch { .. }), "{err}");
 
     // A *consistent* plan for a different job (k = 3) over the same
     // datasets passes the content check but must reject this directory's
     // k = 2 shards.
-    let other_plan = plan_job(&JobSpec {
-        k: K + 1,
-        ..spec.clone()
-    })
+    let other_plan = plan_job(
+        &JobSpec {
+            k: K + 1,
+            ..spec.clone()
+        },
+        2,
+    )
     .unwrap();
-    let err = merge_job(&dirs, &other_plan).unwrap_err();
+    let err = merge_job(&dirs, &other_plan, 3).unwrap_err();
     assert!(err.to_string().contains("another job"), "{err}");
 }
 
@@ -509,7 +512,7 @@ fn oversharded_jobs_merge_identically() {
     };
     let want = reference(&spec);
     let dirs = ws.job_dirs("job");
-    plan_job(&spec).unwrap().save(&dirs).unwrap();
+    plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
     let outcome = run_job(
         &dirs,
         SupervisorOptions {
@@ -539,7 +542,7 @@ fn shard_files_are_canonical_across_runs_and_worker_counts() {
         shards: 3,
         checkpoint_chunks: 2,
     };
-    let plan = plan_job(&spec).unwrap();
+    let plan = plan_job(&spec, 1).unwrap();
     let (a, b) = (ws.job_dirs("a"), ws.job_dirs("b"));
     for (dirs, workers) in [(&a, 1usize), (&b, 4usize)] {
         plan.save(dirs).unwrap();
