@@ -385,8 +385,8 @@ impl ResidentValuator {
                         acks.push(Err(ResidentError::LastPoint));
                         continue;
                     }
-                    let keep: Vec<usize> = (0..self.train.len()).filter(|&i| i != index).collect();
-                    self.train = self.train.gather(&keep);
+                    self.train.x.remove_row(index);
+                    self.train.y.remove(index);
                     ops.push(ResolvedOp::Delete { index });
                     self.version += 1;
                     acks.push(Ok(Applied {
@@ -403,10 +403,9 @@ impl ResidentValuator {
         // in order on every rank list. Distances and splice positions are
         // computed by the same expressions the sequential path used, so
         // the lists come out entry-for-entry identical.
-        let old = std::mem::take(&mut self.ranked);
         let test = &self.test;
-        self.ranked = knnshap_parallel::par_map(test.len(), self.threads, |j| {
-            let mut list = old[j].clone();
+        knnshap_parallel::par_chunks(&mut self.ranked, 1, self.threads, |j, lists| {
+            let list = &mut lists[0];
             for op in &ops {
                 match op {
                     ResolvedOp::Insert { row, index } => {
@@ -421,14 +420,15 @@ impl ResidentValuator {
                         );
                     }
                     ResolvedOp::Delete { index } => {
-                        list.retain(|nb| nb.index as usize != *index);
-                        for nb in list.iter_mut() {
-                            nb.index -= u32::from(nb.index as usize > *index);
-                        }
+                        let index = u32::try_from(*index).expect("train indices fit u32");
+                        list.retain_mut(|nb| {
+                            let keep = nb.index != index;
+                            nb.index -= u32::from(nb.index > index);
+                            keep
+                        });
                     }
                 }
             }
-            list
         });
         acks
     }
@@ -443,7 +443,7 @@ impl ResidentValuator {
         // point per test point, deposited linearly (same bits — see
         // `exact_sums_over_dense`). This is what keeps per-mutation
         // revaluation fast: the recursion's rank order would otherwise do a
-        // random walk over `n` heap-backed exact accumulators.
+        // random walk over the `n` rows of the exact limb plane.
         let sums = crate::sharding::exact_sums_over_dense(
             n,
             0..self.test.len(),

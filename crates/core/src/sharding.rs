@@ -489,9 +489,10 @@ const FOLD_BLOCKS_PER_THREAD: usize = 4;
 /// block a fresh accumulator from `make`, `step` it over the block's items
 /// in order, and hand the finished accumulator to `fold` — which merges it
 /// into a shared total and **drops it immediately**, so live accumulators
-/// are bounded by the worker count rather than the block count (exact
-/// accumulators cost ~0.5 KiB per training point; 32 simultaneous partials
-/// of a million-point job would be ~18 GiB, while this shape stays at
+/// are bounded by the worker count rather than the block count (an exact
+/// vector's limb plane costs up to 64 bytes per training point, 32–40 at
+/// the 4–5-limb windows valuation sums need; 32 simultaneous partials of a
+/// million-point job would be 1–2 GiB, while this shape stays at
 /// `threads + 1` partials).
 ///
 /// ### Determinism contract
@@ -619,8 +620,8 @@ where
 /// but the deposits walk the accumulator array *sequentially* instead of
 /// in rank order, which is what makes per-mutation revaluation in the
 /// serving engine (and the cold batch path it must match) cache-friendly:
-/// the rank-ordered sink is a random walk over `n_train` heap-backed
-/// accumulators, the dense pass a linear one.
+/// the rank-ordered sink is a random walk over the `n_train` rows of the
+/// exact limb plane, the dense pass a linear one.
 pub(crate) fn exact_sums_over_dense<T, M, F>(
     n_train: usize,
     range: std::ops::Range<usize>,
@@ -1001,6 +1002,57 @@ mod tests {
             ShardPartial::from_bytes(&good[..20]).unwrap_err(),
             ShardError::Malformed(_)
         ));
+    }
+
+    #[test]
+    fn from_bytes_allocation_stays_bounded_for_hand_built_payloads() {
+        // `n` zero records plus one record spanning the whole 68-limb
+        // register: the flat accumulator keeps at most 8 limbs per point
+        // (its width cap) and spills the outlier into its own window.
+        const WIDTH_CAP: usize = 8;
+        const LIMBS: usize = 68;
+        let n = 4096;
+        let mut buf = parts(1)[0].to_bytes()[..64].to_vec();
+        buf[24..32].copy_from_slice(&(n as u64 + 1).to_le_bytes());
+        buf.resize(64 + 5 * n, 0);
+        let full = buf.len();
+        buf.extend_from_slice(&[1, 0, 0, LIMBS as u8, 0]);
+        for l in 0..LIMBS as u32 {
+            buf.extend_from_slice(&(l + 1).to_le_bytes());
+        }
+        let p = ShardPartial::from_bytes(&buf).expect("well-formed payload");
+        assert_eq!(p.sums.len(), n + 1);
+        assert!(
+            p.sums.window_limbs() <= (n + 1) * WIDTH_CAP + LIMBS,
+            "window_limbs = {}",
+            p.sums.window_limbs()
+        );
+        assert!((0..n).all(|i| p.sums.value(i) == 0.0));
+        assert!(p.sums.value(n) > 1e300);
+        assert_eq!(p.to_bytes(), buf, "re-encodes byte for byte");
+
+        // Every truncation of the outlier record, and a bad sign byte
+        // anywhere, is a typed error — never a panic.
+        for cut in full..buf.len() {
+            assert!(
+                matches!(
+                    ShardPartial::from_bytes(&buf[..cut]).unwrap_err(),
+                    ShardError::Malformed(_)
+                ),
+                "cut at {cut}"
+            );
+        }
+        for (at, byte) in [(64, 0x80u8), (64 + 5 * (n / 2), 0x03), (full, 0x7F)] {
+            let mut bad = buf.clone();
+            bad[at] = byte;
+            assert!(
+                matches!(
+                    ShardPartial::from_bytes(&bad).unwrap_err(),
+                    ShardError::Malformed(_)
+                ),
+                "sign byte {byte:#x} at {at}"
+            );
+        }
     }
 
     #[test]

@@ -32,17 +32,31 @@
 //!   boundaries.
 //!
 //! That is the determinism contract the `knnshap_core::sharding` module
-//! builds on. The register is stored as a **lazily-sized window**: a fresh
-//! accumulator holds no limbs at all (~56 bytes), and deposits grow the
-//! window only over the limb positions their magnitudes actually touch —
-//! summands of similar magnitude keep it at a handful of limbs, so a
-//! per-training-point vector ([`ExactVec`]) costs tens of bytes per point
-//! in practice instead of the full register's ~0.5 KiB (the worst case if
-//! a single accumulator really mixes 2⁻¹⁰⁷⁴ with 2¹⁰²³). Callers holding
-//! one accumulator per training point should still keep the number of
-//! simultaneous partial vectors bounded, as `knnshap_core::sharding`'s
-//! eager block fold does. The extra ALU ops per deposit are dwarfed by the
-//! valuation work producing each summand.
+//! builds on.
+//!
+//! ## Storage
+//!
+//! A scalar [`ExactSum`] stores a **lazily-sized window** of the register:
+//! a fresh accumulator holds no limbs (~56 bytes), and deposits grow the
+//! window only over the limb positions their magnitudes touch.
+//!
+//! The per-training-point vector [`ExactVec`] — the state every exact
+//! valuation ends in — stores one flat, point-major **limb plane**: a
+//! single `Vec<i64>` of `n × width` limbs over a window of register
+//! positions shared by every point, with no per-point header or heap
+//! allocation. The window is capped at
+//! `WIDTH_CAP` (= 8) limbs, so the plane costs at most 64 bytes per point
+//! (4–5 limbs, 32–40 bytes, for exact and Monte Carlo valuation sums). A
+//! deposit or merged row that falls outside the capped window goes to a
+//! sparse per-point spill (an ordinary `ExactSum`), and nonfinite summands
+//! to a sparse per-point `f64` table, so exactness never depends on the
+//! window: a point's state is its plane row plus its spill plus its
+//! special. Deposits, merges and the rounding in [`ExactVec::value`] walk
+//! the plane linearly; only spilled points and windows near the top of the
+//! register take the slower path through `ExactSum`. Callers holding one
+//! vector per training point should still keep the number of simultaneous
+//! partial vectors bounded, as `knnshap_core::sharding`'s eager block fold
+//! does.
 //!
 //! ```
 //! use knnshap_numerics::exact::ExactSum;
@@ -63,6 +77,8 @@
 //! assert_eq!(whole.value().to_bits(), left.value().to_bits());
 //! ```
 
+use std::collections::BTreeMap;
+
 /// Bits per limb window. Limbs are kept in `i64`s so up to
 /// [`PENDING_MAX`] deposits can accumulate before a carry sweep.
 const LIMB_BITS: u32 = 32;
@@ -80,6 +96,251 @@ const LIMBS: usize = 68;
 const PENDING_MAX: u32 = 1 << 29;
 
 const LIMB_MASK: i64 = 0xFFFF_FFFF;
+
+/// Widest shared window an [`ExactVec`] plane may hold, in limbs. A deposit
+/// site spans three limbs plus one headroom limb, so the capped window
+/// covers deposits across five consecutive limb positions (160 bits of
+/// exponent range) before anything spills. The valuation sums measured
+/// need 4 limbs (exact at N = 2·10⁴, Monte Carlo) to 5 (exact at
+/// N = 3·10⁵), so any cap ≥ 5 lays them out identically; 8 leaves room for
+/// skewed value ranges while keeping the plane at ≤ 64 bytes per point.
+const WIDTH_CAP: usize = 8;
+
+/// Signed residue of `v` modulo 2³² in `(−2³¹, 2³¹]`, and the carry out.
+#[inline]
+fn signed_residue(v: i64) -> (i64, i64) {
+    let mut r = v & LIMB_MASK;
+    if r >= 1 << 31 {
+        r -= 1 << LIMB_BITS;
+    }
+    (r, (v - r) >> LIMB_BITS)
+}
+
+/// Where a finite nonzero `x` lands in the register: its lowest limb index
+/// and the three signed limb contributions (53 significand bits shifted by
+/// < 32 span at most 85 bits = 3 limbs).
+#[inline]
+fn deposit_site(x: f64) -> (usize, [i64; 3]) {
+    let bits = x.to_bits();
+    let exp = ((bits >> 52) & 0x7FF) as u32;
+    let frac = bits & ((1u64 << 52) - 1);
+    // value = ±m · 2^(shift − 1074)
+    let (m, shift) = if exp == 0 {
+        (frac, 0u32)
+    } else {
+        (frac | (1u64 << 52), exp - 1)
+    };
+    let wide = (m as u128) << (shift % LIMB_BITS);
+    let c = [
+        (wide as u64 & LIMB_MASK as u64) as i64,
+        ((wide >> 32) as u64 & LIMB_MASK as u64) as i64,
+        (wide >> 64) as i64,
+    ];
+    // Branch-free negation: `(c ^ −1) − (−1) = −c`.
+    let neg = (bits as i64) >> 63;
+    ((shift / LIMB_BITS) as usize, c.map(|v| (v ^ neg) - neg))
+}
+
+/// Fold the nonfinite summand `x` into the side-channel sum `acc`. Kept
+/// out of line so every fold compiles to one operand order: when both
+/// operands are NaN the result's sign and payload follow that order, which
+/// the optimizer may otherwise commute differently at each inlined site.
+#[inline(never)]
+fn add_special(acc: f64, x: f64) -> f64 {
+    acc + x
+}
+
+/// Sign/magnitude form of the signed limb slice `limbs` plus a carry `top`
+/// one position above it, in place: on return every limb is a magnitude
+/// digit in `[0, 2³²)` and the result is `(sign, overflow)`, `sign = 0` iff
+/// the value is zero. `overflow` reports a magnitude that does not fit the
+/// slice (the digits are then meaningless).
+fn to_sign_magnitude(limbs: &mut [i64], top: i64) -> (i8, bool) {
+    // Strict sweep: every limb to [0, 2³²), signed residue to `top`.
+    let mut carry = 0i64;
+    for l in limbs.iter_mut() {
+        let v = *l + carry;
+        let r = v & LIMB_MASK;
+        carry = (v - r) >> LIMB_BITS;
+        *l = r;
+    }
+    let top = top + carry;
+    if top == 0 {
+        let zero = limbs.iter().all(|&l| l == 0);
+        return (if zero { 0 } else { 1 }, false);
+    }
+    if top > 0 {
+        return (1, true);
+    }
+    // Negative: magnitude = two's-complement negate over base-2³² digits.
+    let mut carry = 1i64;
+    for l in limbs.iter_mut() {
+        let v = (LIMB_MASK - *l) + carry;
+        *l = v & LIMB_MASK;
+        carry = v >> LIMB_BITS;
+    }
+    (-1, -top - 1 + carry != 0)
+}
+
+/// Round a sign/magnitude value to the nearest `f64` (ties to even).
+/// `mag[i]` is the magnitude digit at register limb `base + i`; digits
+/// outside the slice are zero.
+fn round_magnitude(sign: i8, mag: &[i64], base: usize) -> f64 {
+    if sign == 0 {
+        return 0.0;
+    }
+    // Highest nonzero limb and overall MSB position.
+    let h = match mag.iter().rposition(|&l| l != 0) {
+        Some(h) => base + h,
+        None => return 0.0,
+    };
+    let limb = |i: isize| -> u128 {
+        match usize::try_from(i - base as isize) {
+            Ok(j) if j < mag.len() => mag[j] as u128,
+            _ => 0,
+        }
+    };
+    let msb_in_limb = 127 - limb(h as isize).leading_zeros() as usize; // < 32
+    let p = h * LIMB_BITS as usize + msb_in_limb;
+    let signf = if sign > 0 { 1.0 } else { -1.0 };
+    if p <= 52 {
+        // The whole magnitude fits below bit 53: it is an exact
+        // subnormal or small normal, m · 2⁻¹⁰⁷⁴ with m < 2⁵³ — which is
+        // precisely `f64::from_bits(m)`.
+        let m = (limb(0) as u64) | ((limb(1) as u64) << 32);
+        return signf * f64::from_bits(m);
+    }
+    // General case: take the 53 bits below the MSB, round by guard +
+    // sticky. Gather a 96-bit window of the top three limbs.
+    let hi = h as isize;
+    let w: u128 = (limb(hi) << 64) | (limb(hi - 1) << 32) | limb(hi - 2);
+    // MSB of `w` sits at bit q = p − 32·(h−2); q ∈ [64, 95].
+    let q = (p as isize - 32 * (hi - 2)) as u32;
+    let m53 = (w >> (q - 52)) as u64; // 53 bits, MSB set
+    let guard = (w >> (q - 53)) & 1 == 1;
+    let mut sticky = w & ((1u128 << (q - 53)) - 1) != 0;
+    if !sticky {
+        let below = (hi - 2 - base as isize).clamp(0, mag.len() as isize) as usize;
+        sticky = mag[..below].iter().any(|&l| l != 0);
+    }
+    let mut mantissa = m53;
+    // Unbiased exponent of the MSB: p − 1074; biased: p − 51.
+    let mut biased = p as i64 - 51;
+    if guard && (sticky || mantissa & 1 == 1) {
+        mantissa += 1;
+        if mantissa == 1u64 << 53 {
+            mantissa >>= 1;
+            biased += 1;
+        }
+    }
+    if biased >= 0x7FF {
+        return signf * f64::INFINITY;
+    }
+    let bits = ((sign < 0) as u64) << 63 | (biased as u64) << 52 | (mantissa & ((1u64 << 52) - 1));
+    f64::from_bits(bits)
+}
+
+/// Append one canonical record (format in [`ExactSum::encode_into`]) for a
+/// sign/magnitude value whose digit `mag[i]` sits at register limb
+/// `base + i`, with an optional nonfinite special.
+fn write_record(out: &mut Vec<u8>, sign: i8, mag: &[i64], base: usize, special: Option<f64>) {
+    let (start, digits) = match mag.iter().position(|&l| l != 0) {
+        None => (0, &mag[..0]),
+        Some(f) => {
+            let last = mag.iter().rposition(|&l| l != 0).expect("nonzero digit");
+            (base + f, &mag[f..=last])
+        }
+    };
+    // A special always forces code ±2 (even over a zero finite part, so
+    // the decoder knows to read the special field); a negative-or-zero
+    // magnitude under code +2 is fine — the sign only scales the limbs.
+    let sign_code = match special {
+        Some(_) if sign < 0 => -2,
+        Some(_) => 2,
+        None => sign,
+    };
+    out.push(sign_code as u8);
+    if let Some(s) = special {
+        out.extend_from_slice(&s.to_bits().to_le_bytes());
+    }
+    out.extend_from_slice(&(start as u16).to_le_bytes());
+    out.extend_from_slice(&(digits.len() as u16).to_le_bytes());
+    for &l in digits {
+        out.extend_from_slice(&(l as u32).to_le_bytes());
+    }
+}
+
+/// One validated record, borrowed from the byte buffer.
+struct Record<'a> {
+    negative: bool,
+    special: Option<f64>,
+    /// Register limb of the first magnitude digit.
+    start: usize,
+    /// `4 × len` little-endian `u32` magnitude digits.
+    digits: &'a [u8],
+}
+
+impl Record<'_> {
+    fn len(&self) -> usize {
+        self.digits.len() / 4
+    }
+
+    /// The signed limbs, lowest first.
+    fn limbs(&self) -> impl Iterator<Item = i64> + '_ {
+        let neg = self.negative;
+        self.digits.chunks_exact(4).map(move |d| {
+            let l = u32::from_le_bytes(d.try_into().expect("4 bytes")) as i64;
+            if neg {
+                -l
+            } else {
+                l
+            }
+        })
+    }
+
+    /// Parse one record written by [`write_record`], advancing `pos`.
+    fn decode<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Record<'a>, DecodeError> {
+        let take = |pos: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
+            let s = buf
+                .get(*pos..*pos + n)
+                .ok_or(DecodeError("record truncated"))?;
+            *pos += n;
+            Ok(s)
+        };
+        // Validate the raw byte before any signed arithmetic (0x80 would
+        // overflow `i8::abs`): the only legal encodings are 0, ±1 and ±2
+        // (0xFE/0xFF as two's complement).
+        let (sign, has_special) = match take(pos, 1)?[0] {
+            0x00 => (0i8, false),
+            0x01 => (1, false),
+            0xFF => (-1, false),
+            0x02 => (1, true),
+            0xFE => (-1, true),
+            _ => return Err(DecodeError("bad sign byte")),
+        };
+        let special = if has_special {
+            Some(f64::from_bits(u64::from_le_bytes(
+                take(pos, 8)?.try_into().expect("8 bytes"),
+            )))
+        } else {
+            None
+        };
+        let start = u16::from_le_bytes(take(pos, 2)?.try_into().expect("2 bytes")) as usize;
+        let len = u16::from_le_bytes(take(pos, 2)?.try_into().expect("2 bytes")) as usize;
+        if start + len > LIMBS {
+            return Err(DecodeError("limb window out of range"));
+        }
+        if sign == 0 && len != 0 {
+            return Err(DecodeError("zero sign with nonzero limbs"));
+        }
+        Ok(Record {
+            negative: sign < 0,
+            special,
+            start,
+            digits: take(pos, 4 * len)?,
+        })
+    }
+}
 
 /// An exact accumulator for `f64` summands.
 ///
@@ -139,6 +400,17 @@ impl ExactSum {
         Self::default()
     }
 
+    /// The finite state `limbs · 2^(32·start − 1074)`, with `pending`
+    /// bounding the limbs as for a deposit count (see [`PENDING_MAX`]).
+    fn from_window(start: usize, limbs: &[i64], pending: u32) -> Self {
+        Self {
+            start,
+            limbs: limbs.to_vec(),
+            pending,
+            ..Self::default()
+        }
+    }
+
     /// Deposit one summand. Exact for finite `x` (including subnormals);
     /// `±0.0` is a no-op; nonfinite `x` folds into the special register.
     #[inline]
@@ -147,41 +419,24 @@ impl ExactSum {
             return;
         }
         if !x.is_finite() {
-            self.special = if self.has_special {
-                self.special + x
-            } else {
-                x
-            };
-            self.has_special = true;
+            self.fold_special(x);
             return;
         }
-        let bits = x.to_bits();
-        let exp = ((bits >> 52) & 0x7FF) as u32;
-        let frac = bits & ((1u64 << 52) - 1);
-        // value = ±m · 2^(shift − 1074)
-        let (m, shift) = if exp == 0 {
-            (frac, 0u32)
-        } else {
-            (frac | (1u64 << 52), exp - 1)
-        };
-        let li = (shift / LIMB_BITS) as usize;
-        let bo = shift % LIMB_BITS;
-        // 53 significand bits shifted by < 32 span at most 85 bits = 3 limbs.
-        let wide = (m as u128) << bo;
-        let c0 = (wide as u64 & LIMB_MASK as u64) as i64;
-        let c1 = ((wide >> 32) as u64 & LIMB_MASK as u64) as i64;
-        let c2 = (wide >> 64) as i64;
+        let (li, c) = deposit_site(x);
         let o = self.ensure_window(li, li + 3);
-        if bits >> 63 == 0 {
-            self.limbs[o] += c0;
-            self.limbs[o + 1] += c1;
-            self.limbs[o + 2] += c2;
-        } else {
-            self.limbs[o] -= c0;
-            self.limbs[o + 1] -= c1;
-            self.limbs[o + 2] -= c2;
+        for (l, c) in self.limbs[o..o + 3].iter_mut().zip(c) {
+            *l += c;
         }
         self.bump_pending(1);
+    }
+
+    fn fold_special(&mut self, x: f64) {
+        self.special = if self.has_special {
+            add_special(self.special, x)
+        } else {
+            x
+        };
+        self.has_special = true;
     }
 
     /// Grow the window (if needed) to cover limb positions `lo..hi` of the
@@ -218,18 +473,13 @@ impl ExactSum {
     pub fn merge(&mut self, other: &ExactSum) {
         if !other.limbs.is_empty() {
             let o = self.ensure_window(other.start, other.start + other.limbs.len());
-            for (i, &b) in other.limbs.iter().enumerate() {
-                self.limbs[o + i] += b;
+            for (a, &b) in self.limbs[o..].iter_mut().zip(&other.limbs) {
+                *a += b;
             }
         }
         self.top += other.top;
         if other.has_special {
-            self.special = if self.has_special {
-                self.special + other.special
-            } else {
-                other.special
-            };
-            self.has_special = true;
+            self.fold_special(other.special);
         }
         self.bump_pending(other.pending.saturating_add(1));
     }
@@ -243,7 +493,7 @@ impl ExactSum {
     }
 
     /// Bound the window's limbs again: each becomes a **signed** residue in
-    /// `(−2³¹, 2³¹)` with the quotient carried upward, so a negative sum
+    /// `(−2³¹, 2³¹]` with the quotient carried upward, so a negative sum
     /// stays local to its window instead of rippling borrow limbs across the
     /// whole register (the strict nonnegative form is only materialized
     /// transiently, in [`canonical`](Self::canonical)). A carry past the
@@ -253,22 +503,14 @@ impl ExactSum {
     fn sweep_carries(&mut self) {
         let mut carry = 0i64;
         for l in &mut self.limbs {
-            let v = *l + carry;
-            let mut r = v & LIMB_MASK;
-            if r >= 1 << 31 {
-                r -= 1 << LIMB_BITS;
-            }
-            carry = (v - r) >> LIMB_BITS;
+            let (r, c) = signed_residue(*l + carry);
             *l = r;
+            carry = c;
         }
         while carry != 0 && self.start + self.limbs.len() < LIMBS {
-            let v = carry;
-            let mut r = v & LIMB_MASK;
-            if r >= 1 << 31 {
-                r -= 1 << LIMB_BITS;
-            }
-            carry = (v - r) >> LIMB_BITS;
+            let (r, c) = signed_residue(carry);
             self.limbs.push(r);
+            carry = c;
         }
         self.top += carry;
         while let Some(0) = self.limbs.last() {
@@ -293,41 +535,9 @@ impl ExactSum {
     /// mapped to a saturated sign reported by the boolean.
     fn canonical(&self) -> (i8, [i64; LIMBS], bool) {
         let mut full = [0i64; LIMBS];
-        for (i, &l) in self.limbs.iter().enumerate() {
-            full[self.start + i] = l;
-        }
-        // Strict sweep: every limb to [0, 2³²), signed residue to `top`.
-        let mut top = self.top;
-        let mut carry = 0i64;
-        for l in &mut full {
-            let v = *l + carry;
-            let r = v & LIMB_MASK;
-            carry = (v - r) >> LIMB_BITS;
-            *l = r;
-        }
-        top += carry;
-        if top == 0 {
-            let zero = full.iter().all(|&l| l == 0);
-            return (if zero { 0 } else { 1 }, full, false);
-        }
-        if top > 0 {
-            // Beyond 2^1101: saturate positive (unreachable without ~2^78
-            // max-magnitude deposits, but defined behavior regardless).
-            return (1, full, true);
-        }
-        // Negative: magnitude = two's-complement negate over base-2³² digits.
-        let mut mag = [0i64; LIMBS];
-        let mut carry = 1i64;
-        for (m, &l) in mag.iter_mut().zip(&full) {
-            let v = (LIMB_MASK - l) + carry;
-            *m = v & LIMB_MASK;
-            carry = v >> LIMB_BITS;
-        }
-        let mag_top = -top - 1 + carry;
-        if mag_top != 0 {
-            return (-1, mag, true);
-        }
-        (-1, mag, false)
+        full[self.start..self.start + self.limbs.len()].copy_from_slice(&self.limbs);
+        let (sign, saturated) = to_sign_magnitude(&mut full, self.top);
+        (sign, full, saturated)
     }
 
     /// The exact sum rounded once to the nearest `f64` (ties to even), or
@@ -344,65 +554,15 @@ impl ExactSum {
     fn finite_value(&self) -> f64 {
         let (sign, mag, saturated) = self.canonical();
         if saturated {
+            // Beyond 2^1101: saturate (unreachable without ~2^78
+            // max-magnitude deposits, but defined behavior regardless).
             return if sign > 0 {
                 f64::INFINITY
             } else {
                 f64::NEG_INFINITY
             };
         }
-        if sign == 0 {
-            return 0.0;
-        }
-        // Highest nonzero limb and overall MSB position.
-        let h = match (0..LIMBS).rev().find(|&i| mag[i] != 0) {
-            Some(h) => h,
-            None => return 0.0,
-        };
-        let msb_in_limb = 63 - (mag[h] as u64).leading_zeros() as usize; // < 32
-        let p = h * LIMB_BITS as usize + msb_in_limb;
-        let signf = if sign > 0 { 1.0 } else { -1.0 };
-        if p <= 52 {
-            // The whole magnitude fits below bit 53: it is an exact
-            // subnormal or small normal, m · 2⁻¹⁰⁷⁴ with m < 2⁵³ — which is
-            // precisely `f64::from_bits(m)`.
-            let m = (mag[0] as u64) | ((mag[1] as u64) << 32);
-            return signf * f64::from_bits(m);
-        }
-        // General case: take the 53 bits below the MSB, round by guard +
-        // sticky. Gather a 96-bit window of the top three limbs.
-        let limb = |i: isize| -> u128 {
-            if i < 0 {
-                0
-            } else {
-                mag[i as usize] as u128
-            }
-        };
-        let hi = h as isize;
-        let w: u128 = (limb(hi) << 64) | (limb(hi - 1) << 32) | limb(hi - 2);
-        // MSB of `w` sits at bit q = p − 32·(h−2); q ∈ [64, 95].
-        let q = (p as isize - 32 * (hi - 2)) as u32;
-        let m53 = (w >> (q - 52)) as u64; // 53 bits, MSB set
-        let guard = (w >> (q - 53)) & 1 == 1;
-        let mut sticky = w & ((1u128 << (q - 53)) - 1) != 0;
-        if !sticky {
-            sticky = (0..(hi - 2).max(0) as usize).any(|i| mag[i] != 0);
-        }
-        let mut mantissa = m53;
-        // Unbiased exponent of the MSB: p − 1074; biased: p − 51.
-        let mut biased = p as i64 - 51;
-        if guard && (sticky || mantissa & 1 == 1) {
-            mantissa += 1;
-            if mantissa == 1u64 << 53 {
-                mantissa >>= 1;
-                biased += 1;
-            }
-        }
-        if biased >= 0x7FF {
-            return signf * f64::INFINITY;
-        }
-        let bits =
-            ((sign < 0) as u64) << 63 | (biased as u64) << 52 | (mantissa & ((1u64 << 52) - 1));
-        f64::from_bits(bits)
+        round_magnitude(sign, &mag, 0)
     }
 
     /// True iff no summand has ever been deposited (or they cancelled to an
@@ -427,184 +587,473 @@ impl ExactSum {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let (sign, mag, saturated) = self.canonical();
         debug_assert!(!saturated, "saturated ExactSum cannot be serialized");
-        let first = (0..LIMBS).find(|&i| mag[i] != 0);
-        let (start, len) = match first {
-            None => (0usize, 0usize),
-            Some(f) => {
-                let last = (0..LIMBS).rev().find(|&i| mag[i] != 0).unwrap();
-                (f, last - f + 1)
-            }
-        };
-        // A special always forces code ±2 (even over a zero finite part, so
-        // the decoder knows to read the special field); a negative-or-zero
-        // magnitude under code +2 is fine — the sign only scales the limbs.
-        let sign_code = if self.has_special {
-            if sign < 0 {
-                -2
-            } else {
-                2
-            }
-        } else {
-            sign
-        };
-        out.push(sign_code as u8);
-        if self.has_special {
-            out.extend_from_slice(&self.special.to_bits().to_le_bytes());
-        }
-        out.extend_from_slice(&(start as u16).to_le_bytes());
-        out.extend_from_slice(&(len as u16).to_le_bytes());
-        for &l in &mag[start..start + len] {
-            out.extend_from_slice(&(l as u32).to_le_bytes());
-        }
+        write_record(out, sign, &mag, 0, self.has_special.then_some(self.special));
     }
 
     /// Decode one record written by [`encode_into`](Self::encode_into),
     /// advancing `pos`.
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<ExactSum, DecodeError> {
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
-            let s = buf
-                .get(*pos..*pos + n)
-                .ok_or(DecodeError("record truncated"))?;
-            *pos += n;
-            Ok(s)
-        };
-        // Validate the raw byte before any signed arithmetic (0x80 would
-        // overflow `i8::abs`): the only legal encodings are 0, ±1 and ±2
-        // (0xFE/0xFF as two's complement).
-        let (sign, has_special) = match take(pos, 1)?[0] {
-            0x00 => (0i8, false),
-            0x01 => (1, false),
-            0xFF => (-1, false),
-            0x02 => (1, true),
-            0xFE => (-1, true),
-            _ => return Err(DecodeError("bad sign byte")),
-        };
-        let special = if has_special {
-            f64::from_bits(u64::from_le_bytes(
-                take(pos, 8)?.try_into().expect("8 bytes"),
-            ))
-        } else {
-            0.0
-        };
-        let start = u16::from_le_bytes(take(pos, 2)?.try_into().expect("2 bytes")) as usize;
-        let len = u16::from_le_bytes(take(pos, 2)?.try_into().expect("2 bytes")) as usize;
-        if start + len > LIMBS {
-            return Err(DecodeError("limb window out of range"));
+        let r = Record::decode(buf, pos)?;
+        let mut s = Self::from_record(&r);
+        if let Some(x) = r.special {
+            s.fold_special(x);
         }
-        if sign == 0 && len != 0 {
-            return Err(DecodeError("zero sign with nonzero limbs"));
-        }
+        Ok(s)
+    }
+
+    /// The finite part of a decoded record.
+    fn from_record(r: &Record<'_>) -> ExactSum {
         let mut s = ExactSum::new();
-        if len > 0 {
-            s.start = start;
-            s.limbs.reserve_exact(len);
-            for _ in 0..len {
-                let l = u32::from_le_bytes(take(pos, 4)?.try_into().expect("4 bytes")) as i64;
-                s.limbs.push(if sign < 0 { -l } else { l });
-            }
+        if r.len() > 0 {
+            s.start = r.start;
+            s.limbs = r.limbs().collect();
             // Decoded limbs reach 2³² − 1 in magnitude (two sweeps' worth of
             // the post-sweep bound), so account for them in the overflow
             // budget as two deposits.
             s.pending = 2;
         }
-        s.special = special;
-        s.has_special = has_special;
-        Ok(s)
+        s
     }
 }
 
-/// A vector of [`ExactSum`] accumulators — one per training point.
+/// A vector of exact accumulators — one per training point.
 ///
-/// Carries the same determinism contract as the scalar: the materialized
+/// Carries the same determinism contract as [`ExactSum`]: the materialized
 /// [`values`](Self::values) depend only on the multiset of `(index, summand)`
 /// deposits, never on their order or on how deposits were split across
 /// merged partial vectors. This is the state the sharded valuation runtime
-/// serializes into shard files.
+/// serializes into shard files; point `i`'s record is byte for byte the
+/// record an `ExactSum` holding the same deposits writes.
+///
+/// ### Flat storage
+///
+/// All points share one window of register limbs `start .. start + width`,
+/// and their limbs live in one point-major plane: `plane[i · width + c]`
+/// carries point `i`'s limb at register position `start + c`. Beside the
+/// plane sit two sparse per-point tables:
+///
+/// * the **spill** — an `ExactSum` for a point that received a deposit or
+///   merged row the window could not cover within `WIDTH_CAP` limbs;
+/// * the **specials** — the `f64`-folded nonfinite summands, with
+///   `ExactSum`'s side-channel semantics.
+///
+/// Point `i`'s exact state is the sum of its plane row, its spill and its
+/// special. `zeros(n)` allocates nothing; the first deposits set the window,
+/// which keeps one headroom limb above the highest deposit site so carry
+/// sweeps stay inside it, and grows (by re-laying the plane) only on the
+/// first deposits of a new magnitude. Memory is at most `8 · WIDTH_CAP` =
+/// 64 bytes per point, plus one scalar window (≤ 68 limbs, ~0.6 KiB) for
+/// each spilled point — about what a full-register `ExactSum` per point
+/// cost before, paid only by points whose summands lie more than ~2¹⁶⁰
+/// apart.
+///
+/// One `pending` counter bounds every plane limb, as in `ExactSum`: `add`
+/// and `add_dense` count 1, a merge counts the other side's count + 1, and
+/// reaching the threshold runs one in-place carry sweep over the whole
+/// plane.
 #[derive(Debug, Clone)]
 pub struct ExactVec {
-    sums: Vec<ExactSum>,
+    n: usize,
+    /// Register limb of plane column 0.
+    start: usize,
+    /// Limbs per point; 0 until the first deposit.
+    width: usize,
+    /// `n × width` signed limbs, point-major.
+    plane: Vec<i64>,
+    /// Deposits and merged rows the capped window could not cover.
+    spill: BTreeMap<usize, ExactSum>,
+    /// `f64`-folded nonfinite summands per point.
+    special: BTreeMap<usize, f64>,
+    /// Deposits/merges since the last carry sweep of the plane.
+    pending: u32,
+}
+
+/// Canonical sign/magnitude digits of one plane row, widened by three
+/// limbs so every carry out of the row fits.
+struct RowDigits {
+    sign: i8,
+    mag: [i64; WIDTH_CAP + 3],
+    len: usize,
 }
 
 impl ExactVec {
     /// `n` zeroed accumulators.
     pub fn zeros(n: usize) -> Self {
         Self {
-            sums: vec![ExactSum::default(); n],
+            n,
+            start: 0,
+            width: 0,
+            plane: Vec::new(),
+            spill: BTreeMap::new(),
+            special: BTreeMap::new(),
+            pending: 0,
         }
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.sums.len()
+        self.n
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.sums.is_empty()
+        self.n == 0
     }
 
     /// Deposit `x` into accumulator `i`.
     #[inline]
     pub fn add(&mut self, i: usize, x: f64) {
-        self.sums[i].add(x);
+        assert!(i < self.n, "index {i} out of range 0..{}", self.n);
+        self.deposit(i, x);
+        self.bump_pending(1);
     }
 
     /// Deposit a dense per-point vector (`xs[i]` into accumulator `i`);
     /// zero entries cost one branch. Panics on length mismatch.
     pub fn add_dense(&mut self, xs: &[f64]) {
         assert_eq!(self.len(), xs.len(), "length mismatch");
-        for (s, &x) in self.sums.iter_mut().zip(xs) {
-            s.add(x);
+        if self.width == 0 {
+            self.open_window_for(xs);
+        }
+        for (i, &x) in xs.iter().enumerate() {
+            self.deposit(i, x);
+        }
+        self.bump_pending(1);
+    }
+
+    /// Three-limb add of `x` into row `i` when the window covers its site
+    /// (with a headroom limb above); everything else takes the cold path.
+    #[inline(always)]
+    fn deposit(&mut self, i: usize, x: f64) {
+        if x == 0.0 {
+            return;
+        }
+        if x.is_finite() {
+            let (li, c) = deposit_site(x);
+            if li >= self.start && li + 4 <= self.start + self.width {
+                let o = i * self.width + (li - self.start);
+                for (l, c) in self.plane[o..o + 3].iter_mut().zip(c) {
+                    *l += c;
+                }
+                return;
+            }
+        }
+        self.deposit_outside(i, x);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn deposit_outside(&mut self, i: usize, x: f64) {
+        if !x.is_finite() {
+            self.fold_special(i, x);
+            return;
+        }
+        let li = deposit_site(x).0;
+        if self.cover(li, li + 4) {
+            self.deposit(i, x);
+        } else {
+            self.spill.entry(i).or_default().add(x);
+        }
+    }
+
+    /// Size a fresh window for a whole dense deposit at once, so its first
+    /// `add_dense` lays out the plane once instead of once per new
+    /// magnitude. A range wider than the cap keeps its largest magnitudes.
+    fn open_window_for(&mut self, xs: &[f64]) {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &x in xs {
+            if x != 0.0 && x.is_finite() {
+                let li = deposit_site(x).0;
+                lo = lo.min(li);
+                hi = hi.max(li + 4);
+            }
+        }
+        if lo < hi {
+            self.cover(lo.max(hi.saturating_sub(WIDTH_CAP)), hi);
+        }
+    }
+
+    /// Make the window cover register limbs `lo..hi`, growing it (and
+    /// re-laying the plane) if the capped width allows; `false` if not.
+    fn cover(&mut self, lo: usize, hi: usize) -> bool {
+        let (new_lo, new_hi) = if self.width == 0 {
+            (lo, hi)
+        } else {
+            (lo.min(self.start), hi.max(self.start + self.width))
+        };
+        if new_hi - new_lo > WIDTH_CAP || new_hi > LIMBS {
+            return false;
+        }
+        if new_lo != self.start || new_hi - new_lo != self.width {
+            let width = new_hi - new_lo;
+            let mut plane = vec![0i64; self.n * width];
+            if self.width > 0 {
+                let off = self.start - new_lo;
+                for (new, old) in plane
+                    .chunks_exact_mut(width)
+                    .zip(self.plane.chunks_exact(self.width))
+                {
+                    new[off..off + self.width].copy_from_slice(old);
+                }
+            }
+            self.plane = plane;
+            self.start = new_lo;
+            self.width = width;
+        }
+        true
+    }
+
+    fn fold_special(&mut self, i: usize, x: f64) {
+        self.special
+            .entry(i)
+            .and_modify(|s| *s = add_special(*s, x))
+            .or_insert(x);
+    }
+
+    /// Add the signed limbs `row` (register positions `start ..`) into
+    /// point `i`: into the plane when the window can cover their nonzero
+    /// span, else into the point's spill. `pending` bounds the limbs as in
+    /// [`ExactSum::from_window`].
+    fn merge_row(&mut self, i: usize, start: usize, row: &[i64], pending: u32) {
+        let Some(first) = row.iter().position(|&l| l != 0) else {
+            return;
+        };
+        let last = row.iter().rposition(|&l| l != 0).expect("nonzero limb");
+        let (lo, row) = (start + first, &row[first..=last]);
+        if self.cover(lo, lo + row.len()) {
+            let o = i * self.width + (lo - self.start);
+            for (a, &b) in self.plane[o..o + row.len()].iter_mut().zip(row) {
+                *a += b;
+            }
+        } else {
+            let s = ExactSum::from_window(lo, row, pending);
+            self.spill.entry(i).or_default().merge(&s);
         }
     }
 
     /// Fold one scalar accumulator into slot `i` (exact).
     pub fn merge_scalar(&mut self, i: usize, s: &ExactSum) {
-        self.sums[i].merge(s);
+        assert!(i < self.n, "index {i} out of range 0..{}", self.n);
+        if s.top == 0 {
+            self.merge_row(i, s.start, &s.limbs, s.pending);
+        } else {
+            // A carry past the register: only `ExactSum` can hold it.
+            let mut finite = s.clone();
+            finite.has_special = false;
+            self.spill.entry(i).or_default().merge(&finite);
+        }
+        if s.has_special {
+            self.fold_special(i, s.special);
+        }
+        self.bump_pending(s.pending.saturating_add(1));
     }
 
-    /// Element-wise exact [`ExactSum::merge`]. Panics on length mismatch.
+    /// Element-wise exact merge. Panics on length mismatch.
     pub fn merge(&mut self, other: &ExactVec) {
         assert_eq!(self.len(), other.len(), "length mismatch");
-        for (a, b) in self.sums.iter_mut().zip(&other.sums) {
-            a.merge(b);
+        if other.width > 0 {
+            let (lo, hi) = (other.start, other.start + other.width);
+            if self.width == 0 {
+                self.start = other.start;
+                self.width = other.width;
+                self.plane.clone_from(&other.plane);
+            } else if self.cover(lo, hi) {
+                let off = lo - self.start;
+                if off == 0 && self.width == other.width {
+                    for (a, &b) in self.plane.iter_mut().zip(&other.plane) {
+                        *a += b;
+                    }
+                } else {
+                    for (row, orow) in self
+                        .plane
+                        .chunks_exact_mut(self.width)
+                        .zip(other.plane.chunks_exact(other.width))
+                    {
+                        for (a, &b) in row[off..off + other.width].iter_mut().zip(orow) {
+                            *a += b;
+                        }
+                    }
+                }
+            } else {
+                for (i, orow) in other.plane.chunks_exact(other.width).enumerate() {
+                    self.merge_row(i, other.start, orow, other.pending);
+                }
+            }
         }
+        for (&i, s) in &other.spill {
+            self.spill.entry(i).or_default().merge(s);
+        }
+        for (&i, &x) in &other.special {
+            self.fold_special(i, x);
+        }
+        self.bump_pending(other.pending.saturating_add(1));
+    }
+
+    #[inline]
+    fn bump_pending(&mut self, by: u32) {
+        self.pending = self.pending.saturating_add(by);
+        if self.pending >= PENDING_MAX {
+            self.sweep_carries();
+        }
+    }
+
+    /// In-place carry sweep over the whole plane: every limb back to a
+    /// signed residue in `(−2³¹, 2³¹]`. A carry out of a row's top limb —
+    /// ~2³¹ deposits at the highest site, which the headroom limb absorbs
+    /// in practice — moves to the point's spill.
+    fn sweep_carries(&mut self) {
+        let (start, width) = (self.start, self.width);
+        if width > 0 {
+            for (i, row) in self.plane.chunks_exact_mut(width).enumerate() {
+                let mut carry = 0i64;
+                for l in row.iter_mut() {
+                    let (r, c) = signed_residue(*l + carry);
+                    *l = r;
+                    carry = c;
+                }
+                if carry != 0 {
+                    let mut s = ExactSum::new();
+                    if start + width < LIMBS {
+                        s.start = start + width;
+                        s.limbs.push(carry);
+                    } else {
+                        s.top = carry;
+                    }
+                    self.spill.entry(i).or_default().merge(&s);
+                }
+            }
+        }
+        self.pending = 0;
+    }
+
+    /// Point `i`'s canonical digits straight from its plane row, or `None`
+    /// when the point has a spill or the widened row would run past the
+    /// register — those round through [`point_sum`](Self::point_sum).
+    #[inline]
+    fn row_digits(&self, i: usize) -> Option<RowDigits> {
+        assert!(i < self.n, "index {i} out of range 0..{}", self.n);
+        if self.start + self.width + 3 > LIMBS || self.spill.contains_key(&i) {
+            return None;
+        }
+        let mut mag = [0i64; WIDTH_CAP + 3];
+        let len = self.width + 3;
+        if self.width > 0 {
+            mag[..self.width].copy_from_slice(&self.plane[i * self.width..(i + 1) * self.width]);
+        }
+        let (sign, overflow) = to_sign_magnitude(&mut mag[..len], 0);
+        debug_assert!(!overflow, "three extra limbs hold any row carry");
+        Some(RowDigits { sign, mag, len })
+    }
+
+    /// Point `i`'s whole state as one scalar accumulator: plane row, spill
+    /// and special.
+    fn point_sum(&self, i: usize) -> ExactSum {
+        let mut s = if self.width > 0 {
+            let row = &self.plane[i * self.width..(i + 1) * self.width];
+            ExactSum::from_window(self.start, row, self.pending)
+        } else {
+            ExactSum::new()
+        };
+        if let Some(spill) = self.spill.get(&i) {
+            s.merge(spill);
+        }
+        if let Some(&x) = self.special.get(&i) {
+            s.fold_special(x);
+        }
+        s
     }
 
     /// Rounded total of accumulator `i`.
     #[inline]
     pub fn value(&self, i: usize) -> f64 {
-        self.sums[i].value()
+        let Some(d) = self.row_digits(i) else {
+            return self.point_sum(i).value();
+        };
+        let finite = round_magnitude(d.sign, &d.mag[..d.len], self.start);
+        match self.special.get(&i) {
+            Some(&x) => finite + x,
+            None => finite,
+        }
     }
 
     /// Materialize every rounded total.
     pub fn values(&self) -> Vec<f64> {
-        self.sums.iter().map(ExactSum::value).collect()
+        (0..self.n).map(|i| self.value(i)).collect()
     }
 
-    /// Total materialized limbs across all accumulators — the footprint of
-    /// the lazily-sized windows (8 bytes per limb). `zeros(n)` reports 0.
+    /// Total materialized limbs — the plane plus every spilled window (8
+    /// bytes per limb). `zeros(n)` reports 0.
     pub fn window_limbs(&self) -> usize {
-        self.sums.iter().map(ExactSum::window_limbs).sum()
+        self.plane.len()
+            + self
+                .spill
+                .values()
+                .map(ExactSum::window_limbs)
+                .sum::<usize>()
     }
 
     /// Append every accumulator's canonical record (see
-    /// [`ExactSum::encode_into`]).
+    /// [`ExactSum::encode_into`]) — the bytes one `ExactSum` per point
+    /// holding the same deposits would write.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        for s in &self.sums {
-            s.encode_into(out);
+        for i in 0..self.n {
+            match self.row_digits(i) {
+                Some(d) => write_record(
+                    out,
+                    d.sign,
+                    &d.mag[..d.len],
+                    self.start,
+                    self.special.get(&i).copied(),
+                ),
+                None => self.point_sum(i).encode_into(out),
+            }
         }
     }
 
-    /// Decode `n` records, advancing `pos`.
+    /// Decode `n` records, advancing `pos`. The window is sized from the
+    /// records themselves (a first pass validates them and takes the union
+    /// of their limb spans), so the plane is laid out once; records outside
+    /// the capped window go to the spill. Allocation is bounded by `n` rows
+    /// of at most `WIDTH_CAP` limbs plus each spilled record's own limbs.
     pub fn decode_from(buf: &[u8], pos: &mut usize, n: usize) -> Result<ExactVec, DecodeError> {
-        let mut sums = Vec::with_capacity(n);
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        let mut scan = *pos;
         for _ in 0..n {
-            sums.push(ExactSum::decode_from(buf, pos)?);
+            let r = Record::decode(buf, &mut scan)?;
+            if r.len() > 0 {
+                lo = lo.min(r.start);
+                hi = hi.max(r.start + r.len());
+            }
         }
-        Ok(ExactVec { sums })
+        let mut v = ExactVec::zeros(n);
+        if lo < hi {
+            // One headroom limb above, like a deposit window; keep the
+            // largest magnitudes when the span exceeds the cap.
+            let hi = (hi + 1).min(LIMBS);
+            v.cover(lo.max(hi.saturating_sub(WIDTH_CAP)), hi);
+            v.pending = 2; // decoded limbs reach 2³² − 1, as in `ExactSum`
+        }
+        for i in 0..n {
+            let r = Record::decode(buf, pos).expect("validated by the first pass");
+            let (lo, len) = (r.start, r.len());
+            if len > 0 && v.width > 0 && lo >= v.start && lo + len <= v.start + v.width {
+                let o = i * v.width + (lo - v.start);
+                for (l, x) in v.plane[o..o + len].iter_mut().zip(r.limbs()) {
+                    *l = x;
+                }
+            } else if len > 0 {
+                v.spill.insert(i, ExactSum::from_record(&r));
+            }
+            if let Some(x) = r.special {
+                v.fold_special(i, x);
+            }
+        }
+        Ok(v)
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
