@@ -5,8 +5,8 @@
 //!    query-major loop, on the full train × test pair — the pass
 //!    `build-graph` runs once and every `--graph` consumer then skips.
 //! 2. **End to end**: brute-force `knn_class_shapley_with_threads` (distance
-//!    pass + argsort + recursion) against `KnnGraph::build` once plus
-//!    `knn_class_shapley_from_graph` per valuation — the amortization story:
+//!    pass + argsort + recursion) against `KnnGraph::build` once plus a
+//!    graph-backed `Estimator::run` per valuation — the amortization story:
 //!    one artifact, many graph-backed runs paying only the recursion.
 //!
 //! Both layers assert the bitwise contract on the real workload before any
@@ -20,12 +20,12 @@
 //! 8), `KNNSHAP_BENCH_THREADS` (kernel/valuation threads, default 1 so
 //! the kernel win is cache behavior, not parallelism).
 
-use knnshap_core::exact_unweighted::{
-    knn_class_shapley_from_graph, knn_class_shapley_with_threads,
-};
+use knnshap_core::estimator::{Data, Estimator, Family};
+use knnshap_core::exact_unweighted::knn_class_shapley_with_threads;
 use knnshap_datasets::synth::deepfeat::EmbeddingSpec;
 use knnshap_knn::block::{blocked_squared_l2, naive_squared_l2};
 use knnshap_knn::graph::KnnGraph;
+use knnshap_knn::weights::WeightFn;
 use std::time::Instant;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -85,7 +85,11 @@ fn main() {
     let build_secs = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let backed = knn_class_shapley_from_graph(&train, &test, k, &graph, threads);
+    let data = Data::class(&train, &test);
+    let backed = Estimator::new(data, k, WeightFn::Uniform, Family::Exact, Some(&graph))
+        .expect("graph matches")
+        .run(threads)
+        .values;
     let graph_secs = t0.elapsed().as_secs_f64();
 
     for (i, (a, b)) in reference

@@ -658,12 +658,7 @@ mod tests {
         assert_eq!(csv.lines().count(), 21);
 
         // Bitwise vs the library's unsharded regression estimator.
-        let want = knnshap_core::exact_regression::knn_reg_shapley_with_threads(
-            &train,
-            &test,
-            2,
-            knnshap_parallel::current_threads(),
-        );
+        let want = knnshap_core::exact_regression::knn_reg_shapley(&train, &test, 2);
         for (line, i) in csv.lines().skip(1).zip(0..) {
             let got: f64 = line.rsplit(',').next().unwrap().parse().unwrap();
             assert_eq!(got.to_bits(), want.get(i).to_bits(), "point {i}");

@@ -20,96 +20,54 @@
 use crate::args::Args;
 use crate::commands::{load_pair, parse_method, parse_weight};
 use crate::CliError;
-use knnshap_core::mc::{IncKnnUtility, StoppingRule};
-use knnshap_core::pipeline::{Method, PipelineError};
+use knnshap_core::estimator::{Data, Estimator, Family};
+use knnshap_core::mc::StoppingRule;
+use knnshap_core::pipeline::Method;
 use knnshap_core::sharding::{merge_partials, ShardKind, ShardPartial, ShardSpec};
-use knnshap_core::utility::KnnClassUtility;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::weights::WeightFn;
 use std::path::Path;
 
-/// Computes one shard's partial for a classification valuation job — the
-/// single dispatch used by `shard`, `value --shards` and `audit --shards`,
+/// Binds a classification valuation job to the estimator seam — the single
+/// dispatch behind `shard`, `merge`, `value --shards` and `audit --shards`,
 /// so in-process and multi-process sharding cannot diverge. When a
-/// precomputed `graph` is given the shard skips the distance pass; the
-/// partial's kind, fingerprint and bytes are identical either way, so
-/// graph-backed and brute-force shards of one job inter-merge freely.
-pub(crate) fn compute_partial(
-    train: &ClassDataset,
-    test: &ClassDataset,
+/// precomputed `graph` is given the shards skip the distance pass; their
+/// kind, fingerprint and bytes are identical either way, so graph-backed
+/// and brute-force shards of one job inter-merge freely.
+fn estimator<'a>(
+    train: &'a ClassDataset,
+    test: &'a ClassDataset,
     k: usize,
     method: Method,
     weight: WeightFn,
-    graph: Option<&KnnGraph>,
-    spec: ShardSpec,
-    threads: usize,
-) -> Result<ShardPartial, CliError> {
-    let uniform = matches!(weight, WeightFn::Uniform);
-    match method {
-        Method::Exact => {
-            if uniform {
-                Ok(match graph {
-                    Some(g) => knnshap_core::exact_unweighted::knn_class_shapley_graph_shard(
-                        train, test, k, g, spec, threads,
-                    ),
-                    None => knnshap_core::exact_unweighted::knn_class_shapley_shard(
-                        train, test, k, spec, threads,
-                    ),
-                })
-            } else {
-                Ok(match graph {
-                    Some(g) => {
-                        knnshap_core::exact_weighted::weighted_knn_class_shapley_graph_shard(
-                            train, test, k, weight, g, spec, threads,
-                        )
-                    }
-                    None => knnshap_core::exact_weighted::weighted_knn_class_shapley_shard(
-                        train, test, k, weight, spec, threads,
-                    ),
-                })
-            }
-        }
-        Method::Truncated { eps } => {
-            if !uniform {
-                return Err(CliError::Pipeline(PipelineError::WeightedUnsupported(
-                    "Truncated",
-                )));
-            }
-            Ok(match graph {
-                Some(g) => knnshap_core::truncated::truncated_class_shapley_graph_shard(
-                    train, test, k, eps, g, spec, threads,
-                ),
-                None => knnshap_core::truncated::truncated_class_shapley_shard(
-                    train, test, k, eps, spec, threads,
-                ),
-            })
-        }
-        Method::McBaseline { rule, seed } => {
-            let budget = fixed_budget(rule)?;
-            let u = match graph {
-                Some(g) => KnnClassUtility::from_graph(train, test, k, weight, g),
-                None => KnnClassUtility::new(train, test, k, weight),
-            };
-            Ok(knnshap_core::mc::mc_shapley_baseline_shard(
-                &u, budget, seed, spec, threads,
+    graph: Option<&'a KnnGraph>,
+) -> Result<Estimator<'a>, CliError> {
+    let family = match method {
+        Method::Exact => Family::Exact,
+        Method::Truncated { eps } => Family::Truncated { eps },
+        Method::McBaseline { rule, seed } => Family::McBaseline {
+            perms: fixed_budget(rule)?,
+            seed,
+        },
+        Method::McImproved { rule, seed } => Family::McImproved {
+            perms: fixed_budget(rule)?,
+            seed,
+        },
+        Method::Lsh { .. } => return Err(CliError::Invalid(LSH_UNSHARDABLE.into())),
+        Method::TruncatedTree { .. } => {
+            return Err(CliError::Invalid(
+                "sharding supports exact, truncated, mc-baseline and mc-improved".into(),
             ))
         }
-        Method::McImproved { rule, seed } => {
-            let budget = fixed_budget(rule)?;
-            let inc = match graph {
-                Some(g) => IncKnnUtility::classification_from_graph(train, test, k, weight, g),
-                None => IncKnnUtility::classification(train, test, k, weight),
-            };
-            Ok(knnshap_core::mc::mc_shapley_improved_shard(
-                &inc, budget, seed, spec, threads,
-            ))
-        }
-        Method::Lsh { .. } => Err(CliError::Invalid(LSH_UNSHARDABLE.into())),
-        Method::TruncatedTree { .. } => Err(CliError::Invalid(
-            "sharding supports exact, truncated, mc-baseline and mc-improved".into(),
-        )),
-    }
+    };
+    Ok(Estimator::new(
+        Data::class(train, test),
+        k,
+        weight,
+        family,
+        graph,
+    )?)
 }
 
 /// Why `--method lsh` is rejected by `shard`, `shard-plan` and the job
@@ -153,27 +111,15 @@ pub(crate) fn run_sharded(
     shards: usize,
     threads: usize,
 ) -> Result<(knnshap_core::ShapleyValues, Option<usize>), CliError> {
+    let est = estimator(train, test, k, method, weight, graph)?;
     let parts: Vec<ShardPartial> = (0..shards)
         .map(|i| {
-            let p = compute_partial(
-                train,
-                test,
-                k,
-                method,
-                weight,
-                graph,
-                ShardSpec::new(i, shards),
-                threads,
-            )?;
+            let p = est.compute(ShardSpec::new(i, shards), threads);
             ShardPartial::from_bytes(&p.to_bytes()).map_err(CliError::Shard)
         })
         .collect::<Result<_, _>>()?;
     let merged = merge_partials(&parts).map_err(CliError::Shard)?;
-    let perms = matches!(
-        parts[0].meta.kind,
-        ShardKind::McBaseline | ShardKind::McImproved
-    )
-    .then_some(merged.items as usize);
+    let perms = est.is_monte_carlo().then_some(merged.items as usize);
     Ok((merged.values, perms))
 }
 
@@ -215,16 +161,8 @@ pub fn run_shard(args: &Args) -> Result<String, CliError> {
     let weight = parse_weight(args)?;
     let graph = super::load_graph(args, &train.x, &test.x)?;
 
-    let partial = compute_partial(
-        &train,
-        &test,
-        k,
-        method,
-        weight,
-        graph.as_ref(),
-        ShardSpec::new(index, count),
-        threads,
-    )?;
+    let est = estimator(&train, &test, k, method, weight, graph.as_ref())?;
+    let partial = est.compute(ShardSpec::new(index, count), threads);
     let bytes = partial.to_bytes();
     std::fs::write(Path::new(&out), &bytes).map_err(knnshap_datasets::io::IoError::Io)?;
 
@@ -245,7 +183,9 @@ pub fn run_shard(args: &Args) -> Result<String, CliError> {
 /// The shard kind and job fingerprint the given datasets + arguments WOULD
 /// produce — `merge` compares this against what the shard files claim.
 /// `None` for methods that cannot shard (their kind check would already have
-/// failed at shard time).
+/// failed at shard time). The identity ignores the stream budget, so a
+/// Monte Carlo `merge` need not repeat `--perms`; it hashes dataset
+/// contents, never rebuilding the O(N · N_test) distance matrix.
 fn expected_job(
     train: &ClassDataset,
     test: &ClassDataset,
@@ -253,32 +193,16 @@ fn expected_job(
     method: Method,
     weight: WeightFn,
 ) -> Result<Option<(ShardKind, u64)>, CliError> {
-    Ok(match method {
-        Method::Exact => Some((
-            ShardKind::ExactClass,
-            if matches!(weight, WeightFn::Uniform) {
-                knnshap_core::exact_unweighted::class_fingerprint(train, test, k)
-            } else {
-                knnshap_core::exact_weighted::weighted_class_fingerprint(train, test, k, weight)
-            },
-        )),
-        Method::Truncated { eps } => Some((
-            ShardKind::Truncated,
-            knnshap_core::truncated::truncated_fingerprint(train, test, k, eps),
-        )),
-        // Dataset-content fingerprints: cross-checking an MC merge no longer
-        // rebuilds the O(N · N_test) distance matrix (the utilities hash the
-        // dataset contents the matrix is derived from).
-        Method::McBaseline { seed, .. } => Some((
-            ShardKind::McBaseline,
-            knnshap_core::mc::mc_baseline_class_fingerprint(train, test, k, weight, seed),
-        )),
-        Method::McImproved { seed, .. } => Some((
-            ShardKind::McImproved,
-            knnshap_core::mc::mc_improved_class_fingerprint(train, test, k, weight, seed),
-        )),
-        Method::TruncatedTree { .. } | Method::Lsh { .. } => None,
-    })
+    let fixed = StoppingRule::Fixed(0);
+    let method = match method {
+        Method::TruncatedTree { .. } | Method::Lsh { .. } => return Ok(None),
+        Method::McBaseline { seed, .. } => Method::McBaseline { rule: fixed, seed },
+        Method::McImproved { seed, .. } => Method::McImproved { rule: fixed, seed },
+        m => m,
+    };
+    Ok(Some(
+        estimator(train, test, k, method, weight, None)?.identity(),
+    ))
 }
 
 const MERGE_ALLOWED: &[&str] = &[

@@ -22,13 +22,12 @@
 //! `s_i = −(y_i/K)(y_i/K − 2 y_test + (1/K) Σ_{l≠i} y_l) − y_test²/N`
 //! (derived in the same way, validated against enumeration) is used instead.
 
-use crate::sharding::{Fingerprint, ShardKind, ShardPartial, ShardSpec};
+use crate::estimator::{Data, Estimator, Family};
 use crate::types::ShapleyValues;
 use knnshap_datasets::RegDataset;
 use knnshap_knn::distance::Metric;
-use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::neighbors::{argsort_by_distance, Neighbor};
-use knnshap_numerics::exact::ExactVec;
+use knnshap_knn::weights::WeightFn;
 
 /// Exact regression SVs w.r.t. a single test point (Theorem 6).
 pub fn knn_reg_shapley_single(
@@ -142,147 +141,33 @@ fn accumulate_ranked<S: FnMut(usize, f64)>(
     }
 }
 
-/// Exact partial sums over one canonical shard of the test range
-/// (regression analogue of
-/// [`crate::exact_unweighted::knn_class_shapley_shard`]; same determinism
-/// contract: merging a full shard set reproduces
-/// [`knn_reg_shapley_with_threads`] bit for bit, at every shard and thread
-/// count).
+/// One test point's Theorem 6 values over `ranked`, written densely into
+/// `out` — the per-test step of [`crate::estimator`]'s fold (every training
+/// point receives exactly one value).
+pub(crate) fn fill_ranked(
+    train: &RegDataset,
+    ranked: &[Neighbor],
+    test_target: f64,
+    k: usize,
+    out: &mut [f64],
+) {
+    accumulate_ranked(train, ranked, test_target, k, |i, s| out[i] = s);
+}
+
+/// Exact regression SVs w.r.t. a test set, averaged over test points on the
+/// workspace default worker count ([`knnshap_parallel::current_threads`]).
+/// Pick the worker count, shard the job or feed a precomputed graph through
+/// [`crate::estimator::Estimator`].
 ///
-/// ```
-/// use knnshap_core::exact_regression::{knn_reg_shapley, knn_reg_shapley_shard};
-/// use knnshap_core::sharding::{merge_partials, ShardSpec};
-/// use knnshap_datasets::synth::regression::{self, RegressionConfig};
+/// # Panics
 ///
-/// let cfg = RegressionConfig { n: 30, ..Default::default() };
-/// let (train, test) = (regression::generate(&cfg), regression::queries(&cfg, 5));
-/// let parts: Vec<_> = (0..2)
-///     .map(|i| knn_reg_shapley_shard(&train, &test, 2, ShardSpec::new(i, 2), 1))
-///     .collect();
-/// let merged = merge_partials(&parts).unwrap().values;
-/// let whole = knn_reg_shapley(&train, &test, 2);
-/// assert!(merged.as_slice().iter().zip(whole.as_slice()).all(|(a, b)| a == b));
-/// ```
-pub fn knn_reg_shapley_shard(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
-    let range = spec.range(test.len());
-    let sums = shard_sums(train, test, k, range.clone(), threads);
-    let fingerprint = reg_fingerprint(train, test, k);
-    ShardPartial::new(
-        ShardKind::ExactReg,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-/// The job fingerprint of the exact-regression family.
-pub fn reg_fingerprint(train: &RegDataset, test: &RegDataset, k: usize) -> u64 {
-    Fingerprint::new("exact-reg")
-        .u64(k as u64)
-        .u64(crate::sharding::hash_reg_dataset(train))
-        .u64(crate::sharding::hash_reg_dataset(test))
-        .finish()
-}
-
-fn shard_sums(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> ExactVec {
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        accumulate_single(train, test.x.row(j), test.y[j], k, |i, s| acc.add(i, s));
-    })
-}
-
-/// [`knn_reg_shapley_shard`] fed by a precomputed graph: same kind, same
-/// fingerprint, same bits as the brute-force shard (see
-/// [`crate::exact_unweighted::knn_class_shapley_graph_shard`] for the
-/// contract). Panics if the graph was not built from `(train.x, test.x)`.
-pub fn knn_reg_shapley_graph_shard(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
-    graph: &KnnGraph,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let range = spec.range(test.len());
-    let sums = graph_shard_sums(train, test, k, graph, range.clone(), threads);
-    let fingerprint = reg_fingerprint(train, test, k);
-    ShardPartial::new(
-        ShardKind::ExactReg,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-fn graph_shard_sums(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
-    graph: &KnnGraph,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> ExactVec {
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        accumulate_ranked(train, graph.list(j), test.y[j], k, |i, s| acc.add(i, s));
-    })
-}
-
-/// [`knn_reg_shapley_with_threads`] fed by a precomputed graph: skips the
-/// distance pass, returns the same bits.
-pub fn knn_reg_shapley_from_graph(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
-    graph: &KnnGraph,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let sums = graph_shard_sums(train, test, k, graph, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
-}
-
-/// Exact regression SVs w.r.t. a test set, averaged over test points with
-/// `threads` workers.
-pub fn knn_reg_shapley_with_threads(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
-    let sums = shard_sums(train, test, k, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
-}
-
-/// [`knn_reg_shapley_with_threads`] with the workspace default worker count
-/// ([`knnshap_parallel::current_threads`]).
+/// Panics on data [`crate::estimator::Estimator::new`] rejects.
 pub fn knn_reg_shapley(train: &RegDataset, test: &RegDataset, k: usize) -> ShapleyValues {
-    knn_reg_shapley_with_threads(train, test, k, knnshap_parallel::current_threads())
+    let data = Data::reg(train, test);
+    Estimator::new(data, k, WeightFn::Uniform, Family::Exact, None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .run(knnshap_parallel::current_threads())
+        .values
 }
 
 #[cfg(test)]
@@ -293,6 +178,17 @@ mod tests {
     use knnshap_datasets::Features;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn with_threads(
+        train: &RegDataset,
+        test: &RegDataset,
+        k: usize,
+        threads: usize,
+    ) -> ShapleyValues {
+        let data = Data::reg(train, test);
+        let est = Estimator::new(data, k, WeightFn::Uniform, Family::Exact, None).unwrap();
+        est.run(threads).values
+    }
 
     fn random_instance(seed: u64, n: usize) -> (RegDataset, RegDataset) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -327,7 +223,7 @@ mod tests {
     fn matches_enumeration_multi_test() {
         for seed in [2u64, 31] {
             let (train, test) = random_instance(seed, 7);
-            let fast = knn_reg_shapley_with_threads(&train, &test, 3, 1);
+            let fast = with_threads(&train, &test, 3, 1);
             let truth = shapley_enumeration(&KnnRegUtility::unweighted(&train, &test, 3));
             assert!(fast.max_abs_diff(&truth) < 1e-9, "seed={seed}");
         }
@@ -337,7 +233,7 @@ mod tests {
     fn group_rationality() {
         let (train, test) = random_instance(9, 30);
         for k in [1usize, 5, 29, 30, 50] {
-            let sv = knn_reg_shapley_with_threads(&train, &test, k, 2);
+            let sv = with_threads(&train, &test, k, 2);
             let u = KnnRegUtility::unweighted(&train, &test, k);
             assert!(
                 (sv.total() - u.grand()).abs() < 1e-8,
@@ -351,8 +247,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let (train, test) = random_instance(4, 50);
-        let a = knn_reg_shapley_with_threads(&train, &test, 4, 1);
-        let b = knn_reg_shapley_with_threads(&train, &test, 4, 4);
+        let a = with_threads(&train, &test, 4, 1);
+        let b = with_threads(&train, &test, 4, 4);
         assert!(a.max_abs_diff(&b) < 1e-12);
     }
 

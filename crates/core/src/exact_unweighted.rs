@@ -10,10 +10,10 @@
 //! ```
 //!
 //! The multi-test value (utility eq. 8) is the average of per-test values by
-//! the additivity axiom (Algorithm 1 lines 8–10). Test points run through
-//! `knnshap_parallel::par_map_reduce`: each fixed block of test points folds
-//! into a private accumulator (the hot recursion never touches shared
-//! state).
+//! the additivity axiom (Algorithm 1 lines 8–10). The multi-test drivers
+//! run through [`crate::estimator`], whose per-test fold hands each ranking
+//! to `fill_ranked`; each fixed block of test points folds into a private
+//! accumulator (the hot recursion never touches shared state).
 //!
 //! ### Determinism contract
 //!
@@ -26,13 +26,13 @@
 //! unit of work whose merged result reproduces the unsharded bits (see
 //! [`crate::sharding`]).
 
-use crate::sharding::{Fingerprint, ShardKind, ShardPartial, ShardSpec};
+use crate::estimator::{Data, Estimator, Family};
+use crate::sharding::{ShardPartial, ShardSpec};
 use crate::types::ShapleyValues;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::distance::Metric;
-use knnshap_knn::graph::KnnGraph;
-use knnshap_knn::neighbors::{argsort_by_distance, Neighbor, Ranker};
-use knnshap_numerics::exact::ExactVec;
+use knnshap_knn::neighbors::{argsort_by_distance, Neighbor};
+use knnshap_knn::weights::WeightFn;
 
 /// Exact SVs w.r.t. a single test point (Theorem 1).
 pub fn knn_class_shapley_single(
@@ -85,8 +85,7 @@ where
 }
 
 /// Runs the Theorem 1 recursion for one test point, handing each
-/// `(train index, value)` pair to `sink` (a plain slice for the single-test
-/// API, an exact accumulator for the multi-test/shard drivers).
+/// `(train index, value)` pair to `sink`.
 fn accumulate_single<S: FnMut(usize, f64)>(
     train: &ClassDataset,
     query: &[f32],
@@ -99,9 +98,10 @@ fn accumulate_single<S: FnMut(usize, f64)>(
     accumulate_ranked(train, &ranked, test_label, k, sink);
 }
 
-/// The recursion over an already-computed distance ranking — the seam the
-/// graph-backed path enters through. The brute-force path above funnels into
-/// this too, so both execute the identical float sequence.
+/// The recursion over an already-computed distance ranking — the seam both
+/// the single-test path above and the multi-test fold
+/// ([`fill_ranked`]) enter through, so they execute the identical float
+/// sequence whatever produced the ranking.
 fn accumulate_ranked<S: FnMut(usize, f64)>(
     train: &ClassDataset,
     ranked: &[Neighbor],
@@ -119,8 +119,21 @@ fn accumulate_ranked<S: FnMut(usize, f64)>(
     );
 }
 
+/// One test point's Theorem 1 values over `ranked`, written densely into
+/// `out` (the recursion assigns every training point exactly one value).
+pub(crate) fn fill_ranked(
+    train: &ClassDataset,
+    ranked: &[Neighbor],
+    test_label: u32,
+    k: usize,
+    out: &mut [f64],
+) {
+    accumulate_ranked(train, ranked, test_label, k, |i, s| out[i] = s);
+}
+
 /// Exact partial sums over one canonical shard of the test range, folded
-/// with `threads` workers into exact accumulators.
+/// with `threads` workers into exact accumulators — a one-line call into
+/// [`Estimator::compute`].
 ///
 /// ### Determinism contract
 ///
@@ -129,6 +142,11 @@ fn accumulate_ranked<S: FnMut(usize, f64)>(
 /// job is sharded. Merging the partials of any full shard set with
 /// [`crate::sharding::merge_partials`] reproduces
 /// [`knn_class_shapley_with_threads`] bit for bit.
+///
+/// # Panics
+///
+/// Panics on data [`Estimator::new`] rejects (an empty set, mismatched
+/// dimensions, a NaN/infinite feature).
 ///
 /// ```
 /// use knnshap_core::exact_unweighted::{knn_class_shapley, knn_class_shapley_shard};
@@ -151,143 +169,29 @@ pub fn knn_class_shapley_shard(
     spec: ShardSpec,
     threads: usize,
 ) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
-    let range = spec.range(test.len());
-    let sums = shard_sums(train, test, k, range.clone(), threads);
-    let fingerprint = class_fingerprint(train, test, k);
-    ShardPartial::new(
-        ShardKind::ExactClass,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
+    seam(train, test, k).compute(spec, threads)
 }
 
-/// The job fingerprint of the unweighted exact-classification family — also
-/// recomputed by the CLI `merge` to cross-check shard files against the
-/// datasets and parameters it was invoked with.
-pub fn class_fingerprint(train: &ClassDataset, test: &ClassDataset, k: usize) -> u64 {
-    Fingerprint::new("exact-class")
-        .u64(k as u64)
-        .u64(crate::sharding::hash_class_dataset(train))
-        .u64(crate::sharding::hash_class_dataset(test))
-        .finish()
-}
-
-/// The shared fold both the shard entry point and the unsharded driver use.
-fn shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> ExactVec {
-    // Dense fill: the recursion assigns every training point exactly one
-    // contribution per test point, so each item overwrites the scratch
-    // completely and the fold deposits it linearly (same bits, see
-    // `exact_sums_over_dense`). Each fold block ranks into one reused
-    // ranking scratch and list instead of allocating per test point.
-    crate::sharding::exact_sums_over_dense(
-        train.len(),
-        range,
-        threads,
-        || (Ranker::new(), Vec::new()),
-        |j, (ranker, ranked), scratch| {
-            ranker.argsort(&train.x, test.x.row(j), Metric::SquaredL2, ranked);
-            accumulate_ranked(train, ranked, test.y[j], k, |i, s| scratch[i] = s);
-        },
-    )
-}
-
-/// [`knn_class_shapley_shard`] fed by a precomputed graph instead of a
-/// fresh distance pass.
-///
-/// The graph stores exactly the ranking [`argsort_by_distance`] produces
-/// (same per-pair arithmetic, same tie-break), so the partial — and any
-/// merge it participates in — is bitwise-identical to the brute-force
-/// shard's, and carries the *same* kind and fingerprint: graph-backed and
-/// brute-force partials of one job inter-merge freely.
-///
-/// Panics if the graph was not built from exactly `(train.x, test.x)`; CLI
-/// entry points validate first and report a proper error.
-pub fn knn_class_shapley_graph_shard(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    graph: &KnnGraph,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let range = spec.range(test.len());
-    let sums = graph_shard_sums(train, test, k, graph, range.clone(), threads);
-    let fingerprint = class_fingerprint(train, test, k);
-    ShardPartial::new(
-        ShardKind::ExactClass,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-/// The graph-backed fold: identical to [`shard_sums`] except each test
-/// point's ranking comes from the artifact instead of an argsort.
-fn graph_shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    graph: &KnnGraph,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> ExactVec {
-    crate::sharding::exact_sums_over_dense(
-        train.len(),
-        range,
-        threads,
-        || (),
-        |j, _, scratch| {
-            accumulate_ranked(train, graph.list(j), test.y[j], k, |i, s| scratch[i] = s);
-        },
-    )
-}
-
-/// [`knn_class_shapley_with_threads`] fed by a precomputed graph: skips the
-/// O(N·N_test·d) distance pass, returns the same bits.
-pub fn knn_class_shapley_from_graph(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    graph: &KnnGraph,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let sums = graph_shard_sums(train, test, k, graph, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
+/// The uniform exact-classification job over `(train, test, k)`.
+fn seam<'a>(train: &'a ClassDataset, test: &'a ClassDataset, k: usize) -> Estimator<'a> {
+    let data = Data::class(train, test);
+    Estimator::new(data, k, WeightFn::Uniform, Family::Exact, None)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Exact SVs w.r.t. a whole test set (utility eq. 8): the average of the
 /// per-test-point SVs, computed with `threads` workers.
+///
+/// # Panics
+///
+/// Panics on data [`Estimator::new`] rejects.
 pub fn knn_class_shapley_with_threads(
     train: &ClassDataset,
     test: &ClassDataset,
     k: usize,
     threads: usize,
 ) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
-    let sums = shard_sums(train, test, k, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
+    seam(train, test, k).run(threads).values
 }
 
 /// [`knn_class_shapley_with_threads`] with the workspace default worker

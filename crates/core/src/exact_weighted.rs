@@ -30,10 +30,10 @@
 //! `s_{α_i} = s_{α_{i+1}} + Δ`, which is what we implement.
 
 use crate::composite::GameForm;
+use crate::estimator::Data;
 use crate::types::ShapleyValues;
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::distance::Metric;
-use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::neighbors::{argsort_by_distance, Neighbor};
 use knnshap_knn::weights::WeightFn;
 use knnshap_numerics::binom::{Combinations, LogFactorialTable};
@@ -357,10 +357,40 @@ pub fn weighted_knn_reg_shapley_single(
     weighted_reg_shapley_form(train, query, test_target, k, weight, GameForm::DataOnly).0
 }
 
+/// One test point's weighted classification values over `ranked`, written
+/// densely into `out` — the per-test step of [`crate::estimator`]'s fold.
+pub(crate) fn fill_class_ranked(
+    train: &ClassDataset,
+    ranked: &[Neighbor],
+    test_label: u32,
+    k: usize,
+    weight: WeightFn,
+    out: &mut [f64],
+) {
+    let form = GameForm::DataOnly;
+    let (values, _) =
+        weighted_class_shapley_ranked_form(train, ranked, test_label, k, weight, form);
+    out.copy_from_slice(values.as_slice());
+}
+
+/// Regression analogue of [`fill_class_ranked`].
+pub(crate) fn fill_reg_ranked(
+    train: &RegDataset,
+    ranked: &[Neighbor],
+    test_target: f64,
+    k: usize,
+    weight: WeightFn,
+    out: &mut [f64],
+) {
+    let form = GameForm::DataOnly;
+    let (values, _) = weighted_reg_shapley_ranked_form(train, ranked, test_target, k, weight, form);
+    out.copy_from_slice(values.as_slice());
+}
+
 /// Multi-test weighted classification SVs (average of per-test games),
 /// parallelized over test points into exact accumulators — bitwise-identical
-/// at every thread count and reproducible by any full shard set from
-/// [`weighted_knn_class_shapley_shard`].
+/// at every thread count and reproducible by any full shard set of the
+/// weighted [`crate::estimator::Estimator`].
 pub fn weighted_knn_class_shapley(
     train: &ClassDataset,
     test: &ClassDataset,
@@ -369,171 +399,13 @@ pub fn weighted_knn_class_shapley(
     threads: usize,
 ) -> ShapleyValues {
     assert!(!test.is_empty(), "need at least one test point");
-    let sums = class_shard_sums(train, test, k, weight, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
+    crate::estimator::weighted_values(&Data::class(train, test), k, weight, None, threads)
 }
 
-/// Weighted-classification partial sums over one canonical shard of the test
-/// range (Theorem 7 rides the same per-test additivity decomposition as
-/// Theorem 1, so the shard/merge determinism contract of
-/// [`crate::sharding`] applies unchanged).
-pub fn weighted_knn_class_shapley_shard(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    spec: crate::sharding::ShardSpec,
-    threads: usize,
-) -> crate::sharding::ShardPartial {
-    use crate::sharding::{ShardKind, ShardPartial};
-    assert!(!test.is_empty(), "need at least one test point");
-    let range = spec.range(test.len());
-    let sums = class_shard_sums(train, test, k, weight, range.clone(), threads);
-    let fingerprint = weighted_class_fingerprint(train, test, k, weight);
-    ShardPartial::new(
-        ShardKind::ExactClass,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-/// The job fingerprint of the weighted exact-classification family (shares
-/// the `ExactClass` kind with the unweighted algorithm; the weight function
-/// is part of the hash, so the two never merge together).
-pub fn weighted_class_fingerprint(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-) -> u64 {
-    let (wtag, wparam) = crate::sharding::weight_code(weight);
-    crate::sharding::Fingerprint::new("exact-class")
-        .u64(k as u64)
-        .u64(wtag)
-        .f64(wparam)
-        .u64(crate::sharding::hash_class_dataset(train))
-        .u64(crate::sharding::hash_class_dataset(test))
-        .finish()
-}
-
-fn class_shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> knnshap_numerics::exact::ExactVec {
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        let per_test =
-            weighted_knn_class_shapley_single(train, test.x.row(j), test.y[j], k, weight);
-        acc.add_dense(per_test.as_slice());
-    })
-}
-
-/// [`weighted_knn_class_shapley_shard`] fed by a precomputed graph: same
-/// kind, same fingerprint, same bits as the brute-force shard. Panics if
-/// the graph was not built from `(train.x, test.x)`.
-pub fn weighted_knn_class_shapley_graph_shard(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    graph: &KnnGraph,
-    spec: crate::sharding::ShardSpec,
-    threads: usize,
-) -> crate::sharding::ShardPartial {
-    use crate::sharding::{ShardKind, ShardPartial};
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let range = spec.range(test.len());
-    let sums = class_graph_shard_sums(train, test, k, weight, graph, range.clone(), threads);
-    let fingerprint = weighted_class_fingerprint(train, test, k, weight);
-    ShardPartial::new(
-        ShardKind::ExactClass,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-fn class_graph_shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    graph: &KnnGraph,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> knnshap_numerics::exact::ExactVec {
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        let (per_test, _) = weighted_class_shapley_ranked_form(
-            train,
-            graph.list(j),
-            test.y[j],
-            k,
-            weight,
-            GameForm::DataOnly,
-        );
-        acc.add_dense(per_test.as_slice());
-    })
-}
-
-/// [`weighted_knn_class_shapley`] fed by a precomputed graph: skips the
-/// distance pass, returns the same bits.
-pub fn weighted_knn_class_shapley_from_graph(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    graph: &KnnGraph,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let sums = class_graph_shard_sums(train, test, k, weight, graph, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
-}
-
-/// [`weighted_knn_reg_shapley`] fed by a precomputed graph.
-pub fn weighted_knn_reg_shapley_from_graph(
-    train: &RegDataset,
-    test: &RegDataset,
-    k: usize,
-    weight: WeightFn,
-    graph: &KnnGraph,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let n_test = test.len();
-    let sums = crate::sharding::exact_sums_over(train.len(), 0..n_test, threads, |j, acc| {
-        let (per_test, _) = weighted_reg_shapley_ranked_form(
-            train,
-            graph.list(j),
-            test.y[j],
-            k,
-            weight,
-            GameForm::DataOnly,
-        );
-        acc.add_dense(per_test.as_slice());
-    });
-    crate::sharding::finalize_mean(&sums, n_test as u64)
-}
-
-/// Multi-test weighted regression SVs (exact accumulation; same thread- and
-/// shard-invariance contract as [`weighted_knn_class_shapley`]).
+/// Multi-test weighted regression SVs (exact accumulation; same thread
+/// invariance as [`weighted_knn_class_shapley`]). Weighted regression does
+/// not shard; a precomputed graph reaches it through
+/// [`crate::pipeline::RegShapley::graph`].
 pub fn weighted_knn_reg_shapley(
     train: &RegDataset,
     test: &RegDataset,
@@ -542,12 +414,7 @@ pub fn weighted_knn_reg_shapley(
     threads: usize,
 ) -> ShapleyValues {
     assert!(!test.is_empty(), "need at least one test point");
-    let n_test = test.len();
-    let sums = crate::sharding::exact_sums_over(train.len(), 0..n_test, threads, |j, acc| {
-        let per_test = weighted_knn_reg_shapley_single(train, test.x.row(j), test.y[j], k, weight);
-        acc.add_dense(per_test.as_slice());
-    });
-    crate::sharding::finalize_mean(&sums, n_test as u64)
+    crate::estimator::weighted_values(&Data::reg(train, test), k, weight, None, threads)
 }
 
 #[cfg(test)]

@@ -27,11 +27,9 @@
 //! *relative*: its exact algorithm beats the best generic SV estimators.
 //! This module is that generic competitor, wired into the Fig. 6 harness.
 
-use crate::sharding::{Fingerprint, ShardKind, ShardMeta, ShardPartial, ShardSpec};
+use crate::sharding::{ShardKind, ShardPartial, ShardSpec};
 use crate::types::ShapleyValues;
-use crate::utility::{KnnClassUtility, Utility};
-use knnshap_datasets::ClassDataset;
-use knnshap_knn::weights::WeightFn;
+use crate::utility::Utility;
 use knnshap_numerics::exact::{ExactSum, ExactVec};
 use knnshap_numerics::sampling::{identity_shuffle, RngStreams};
 use rand::Rng;
@@ -219,13 +217,23 @@ pub fn group_testing_shapley_with_threads<U: Utility + ?Sized>(
     seed: u64,
     threads: usize,
 ) -> GroupTestingResult {
-    let n = u.n();
-    assert!(n >= 2, "need at least two players");
     assert!(tests >= 1, "need at least one test");
-    let streams = RngStreams::new(seed);
-    let (point, shared) = shard_sums(u, streams, 0..tests, threads, None);
+    let (point, shared) = gt_sums(u, seed, 0..tests, threads);
     let values = recover_values(u.grand(), tests, point.values(), shared.value());
     GroupTestingResult { values, tests }
+}
+
+/// The static-tiling fold over coalition-test streams `range` — shared by
+/// the fixed-budget estimator, its shard entry point and
+/// [`crate::estimator::Estimator`].
+pub(crate) fn gt_sums<U: Utility + ?Sized>(
+    u: &U,
+    seed: u64,
+    range: std::ops::Range<usize>,
+    threads: usize,
+) -> (ExactVec, ExactSum) {
+    assert!(u.n() >= 2, "need at least two players");
+    shard_sums(u, RngStreams::new(seed), range, threads, None)
 }
 
 /// [`group_testing_shapley_with_threads`] scheduled by the measured cost
@@ -295,27 +303,7 @@ fn measure_gt_model<U: Utility + ?Sized>(
 
 /// The job fingerprint of the group-testing family (utility content + seed).
 pub fn group_testing_fingerprint<U: Utility + ?Sized>(u: &U, seed: u64) -> u64 {
-    Fingerprint::new("group-testing")
-        .u64(seed)
-        .u64(u.fingerprint())
-        .finish()
-}
-
-/// [`group_testing_fingerprint`] for a KNN classification job, computed
-/// straight from the dataset contents — identical to building the
-/// [`KnnClassUtility`] and fingerprinting it, minus the `O(N · N_test)`
-/// distance matrix. Used by plan/merge cross-checks.
-pub fn group_testing_class_fingerprint(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    seed: u64,
-) -> u64 {
-    Fingerprint::new("group-testing")
-        .u64(seed)
-        .u64(KnnClassUtility::content_fingerprint(train, test, k, weight))
-        .finish()
+    crate::sharding::stream_fingerprint("group-testing", seed, u.fingerprint())
 }
 
 /// Group-testing partial sums over one canonical shard of the coalition-test
@@ -353,38 +341,25 @@ pub fn group_testing_shapley_shard<U: Utility + ?Sized>(
     spec: ShardSpec,
     threads: usize,
 ) -> ShardPartial {
-    let n = u.n();
-    assert!(n >= 2, "need at least two players");
     assert!(tests >= 1, "need at least one test");
-    let streams = RngStreams::new(seed);
     let range = spec.range(tests);
-    let (point, shared) = shard_sums(u, streams, range.clone(), threads, None);
-    let mut aux = ExactVec::zeros(1);
-    aux.merge_scalar(0, &shared);
+    let (point, shared) = gt_sums(u, seed, range.clone(), threads);
     let fingerprint = group_testing_fingerprint(u, seed);
-    ShardPartial {
-        meta: ShardMeta {
-            kind: ShardKind::GroupTesting,
-            fingerprint,
-            n_train: n as u64,
-            total_items: tests as u64,
-            item_lo: range.start as u64,
-            item_hi: range.end as u64,
-            extras: vec![u.grand()],
-        },
-        sums: point,
-        aux,
-    }
+    let n = u.n();
+    let partial = ShardPartial::new(ShardKind::GroupTesting, fingerprint, n, tests, range, point);
+    partial.with_shared(u.grand(), &shared)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::{Data, Estimator, Family};
     use crate::exact_enum::shapley_enumeration;
     use crate::exact_unweighted::knn_class_shapley_with_threads;
     use crate::utility::KnnClassUtility;
     use knnshap_datasets::synth::blobs::{self, BlobConfig};
     use knnshap_datasets::{ClassDataset, Features};
+    use knnshap_knn::weights::WeightFn;
 
     fn small_game() -> (ClassDataset, ClassDataset) {
         let cfg = BlobConfig {
@@ -401,14 +376,26 @@ mod tests {
     #[test]
     fn dataset_level_fingerprint_matches_utility_level() {
         let (train, test) = small_game();
+        // The dataset-level job fingerprint, as the estimator seam stamps it.
+        let group_testing_class_fingerprint = |seed| {
+            let family = Family::GroupTesting { tests: 1, seed };
+            let est = Estimator::new(
+                Data::class(&train, &test),
+                2,
+                WeightFn::Uniform,
+                family,
+                None,
+            );
+            est.unwrap().identity().1
+        };
         let u = KnnClassUtility::unweighted(&train, &test, 2);
         assert_eq!(
             group_testing_fingerprint(&u, 11),
-            group_testing_class_fingerprint(&train, &test, 2, WeightFn::Uniform, 11)
+            group_testing_class_fingerprint(11)
         );
         assert_ne!(
-            group_testing_class_fingerprint(&train, &test, 2, WeightFn::Uniform, 11),
-            group_testing_class_fingerprint(&train, &test, 2, WeightFn::Uniform, 12)
+            group_testing_class_fingerprint(11),
+            group_testing_class_fingerprint(12)
         );
     }
 

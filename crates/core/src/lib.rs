@@ -25,13 +25,18 @@
 //! streaming scenario ([`streaming`]: on-the-fly accumulation as test points
 //! arrive), and the [`sharding`] runtime (per-shard partial sums over exact
 //! accumulators with a merge that is bitwise-identical to the unsharded run
-//! at every shard and thread count — see `docs/sharding.md`).
+//! at every shard and thread count — see `docs/sharding.md`). Every
+//! shardable family is reached through one seam, [`estimator::Estimator`]:
+//! bind the datasets, `K`, weights, family and an optional precomputed
+//! graph once, then ask for the job identity, one shard's partial sums, or
+//! the whole run.
 
 pub mod analysis;
 pub mod axioms;
 pub mod bounds;
 pub mod composite;
 pub mod curator;
+pub mod estimator;
 pub mod exact_enum;
 pub mod exact_regression;
 pub mod exact_unweighted;

@@ -43,7 +43,7 @@
 
 use crate::sharding::{Fingerprint, ShardKind, ShardPartial, ShardSpec};
 use crate::types::ShapleyValues;
-use crate::utility::{DistMatrix, KnnClassUtility, Utility};
+use crate::utility::{DistMatrix, Utility};
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::heap::KnnHeap;
 use knnshap_knn::weights::WeightFn;
@@ -410,15 +410,16 @@ pub fn mc_shapley_baseline_with_threads<U: Utility + ?Sized>(
     threads: usize,
 ) -> McResult {
     let n = u.n();
-    let streams = RngStreams::new(seed);
-    let nu_empty = u.eval(&[]);
-    let make_worker = || baseline_worker(u, streams, nu_empty);
     if matches!(rule, StoppingRule::Heuristic { .. }) || snapshot_every.is_some() {
+        let streams = RngStreams::new(seed);
+        let nu_empty = u.eval(&[]);
         let plan = static_round_plan(rule.budget(n), threads);
-        return drive_rounds(n, rule, snapshot_every, plan, make_worker);
+        return drive_rounds(n, rule, snapshot_every, plan, || {
+            baseline_worker(u, streams, nu_empty)
+        });
     }
     let budget = rule.budget(n);
-    let sums = run_fanout(n, 0..budget, threads, make_worker);
+    let sums = baseline_sums(u, seed, 0..budget, threads);
     McResult {
         values: crate::sharding::finalize_mean(&sums, budget as u64),
         permutations: budget,
@@ -489,6 +490,22 @@ fn baseline_worker<'a, U: Utility + ?Sized>(
     }
 }
 
+/// Baseline-MC exact partial sums over permutation streams `range` — the
+/// one fold behind the fixed-budget estimator, its shard entry point and
+/// [`crate::estimator::Estimator`].
+pub(crate) fn baseline_sums<U: Utility + ?Sized>(
+    u: &U,
+    seed: u64,
+    range: std::ops::Range<usize>,
+    threads: usize,
+) -> ExactVec {
+    let streams = RngStreams::new(seed);
+    let nu_empty = u.eval(&[]);
+    run_fanout(u.n(), range, threads, || {
+        baseline_worker(u, streams, nu_empty)
+    })
+}
+
 /// Baseline-MC partial sums over one canonical shard of a fixed
 /// permutation-stream budget.
 ///
@@ -530,57 +547,15 @@ pub fn mc_shapley_baseline_shard<U: Utility + ?Sized>(
 ) -> ShardPartial {
     assert!(budget >= 1, "need at least one permutation");
     let n = u.n();
-    let streams = RngStreams::new(seed);
-    let nu_empty = u.eval(&[]);
     let range = spec.range(budget);
-    let sums = run_fanout(n, range.clone(), threads, || {
-        baseline_worker(u, streams, nu_empty)
-    });
+    let sums = baseline_sums(u, seed, range.clone(), threads);
     let fingerprint = mc_baseline_fingerprint(u, seed);
     ShardPartial::new(ShardKind::McBaseline, fingerprint, n, budget, range, sums)
 }
 
 /// The job fingerprint of the baseline-MC family (utility content + seed).
 pub fn mc_baseline_fingerprint<U: Utility + ?Sized>(u: &U, seed: u64) -> u64 {
-    Fingerprint::new("mc-baseline")
-        .u64(seed)
-        .u64(u.fingerprint())
-        .finish()
-}
-
-/// [`mc_baseline_fingerprint`] for a classification job, computed straight
-/// from the dataset contents — identical to building the
-/// [`KnnClassUtility`] and fingerprinting it, minus the `O(N · N_test)`
-/// distance matrix. This is what `knnshap merge` and the job-orchestration
-/// runtime use to cross-check shard headers cheaply.
-pub fn mc_baseline_class_fingerprint(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    seed: u64,
-) -> u64 {
-    Fingerprint::new("mc-baseline")
-        .u64(seed)
-        .u64(KnnClassUtility::content_fingerprint(train, test, k, weight))
-        .finish()
-}
-
-/// [`mc_improved_fingerprint`] for a classification job, computed straight
-/// from the dataset contents (see [`mc_baseline_class_fingerprint`]).
-pub fn mc_improved_class_fingerprint(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    weight: WeightFn,
-    seed: u64,
-) -> u64 {
-    Fingerprint::new("mc-improved")
-        .u64(seed)
-        .u64(IncKnnUtility::class_content_fingerprint(
-            train, test, k, weight,
-        ))
-        .finish()
+    crate::sharding::stream_fingerprint("mc-baseline", seed, u.fingerprint())
 }
 
 /// The immutable half of [`IncKnnUtility`], shared (via `Arc`) by every fork
@@ -653,101 +628,61 @@ impl IncKnnUtility {
         k: usize,
         weight: WeightFn,
     ) -> Self {
-        assert!(k >= 1 && !test.is_empty());
-        let n_test = test.len();
-        Self::from_shared(
-            Arc::new(IncShared {
-                dist: DistMatrix::build(&train.x, &test.x),
-                k,
-                weight,
-                task: IncTask::Class {
-                    labels: train.y.clone(),
-                    test_labels: test.y.clone(),
-                },
-                content: Self::class_content_fingerprint(train, test, k, weight),
-            }),
-            n_test,
-        )
+        Self::class_over(DistMatrix::build(&train.x, &test.x), train, test, k, weight)
     }
 
-    /// [`classification`](Self::classification) fed by a precomputed graph:
-    /// the shared distance matrix is reconstructed from the artifact's rank
-    /// lists (bitwise-identical entries) and the content fingerprint stays
-    /// the dataset-derived hash, so MC shards built on this utility
-    /// inter-merge with brute-force ones. Panics if the graph was not built
-    /// from `(train.x, test.x)`.
-    pub fn classification_from_graph(
+    /// [`classification`](Self::classification) over an already-built
+    /// distance matrix.
+    pub(crate) fn class_over(
+        dist: DistMatrix,
         train: &ClassDataset,
         test: &ClassDataset,
         k: usize,
         weight: WeightFn,
-        graph: &knnshap_knn::graph::KnnGraph,
     ) -> Self {
         assert!(k >= 1 && !test.is_empty());
-        graph
-            .validate_against(&train.x, &test.x)
-            .expect("graph/dataset mismatch");
-        let n_test = test.len();
-        Self::from_shared(
-            Arc::new(IncShared {
-                dist: DistMatrix::from_graph(graph),
-                k,
-                weight,
-                task: IncTask::Class {
-                    labels: train.y.clone(),
-                    test_labels: test.y.clone(),
-                },
-                content: Self::class_content_fingerprint(train, test, k, weight),
-            }),
-            n_test,
-        )
+        let task = IncTask::Class {
+            labels: train.y.clone(),
+            test_labels: test.y.clone(),
+        };
+        let content = Self::class_content_fingerprint(train, test, k, weight);
+        let shared = IncShared {
+            dist,
+            k,
+            weight,
+            task,
+            content,
+        };
+        Self::from_shared(Arc::new(shared), test.len())
     }
 
     pub fn regression(train: &RegDataset, test: &RegDataset, k: usize, weight: WeightFn) -> Self {
-        assert!(k >= 1 && !test.is_empty());
-        let n_test = test.len();
-        Self::from_shared(
-            Arc::new(IncShared {
-                dist: DistMatrix::build(&train.x, &test.x),
-                k,
-                weight,
-                task: IncTask::Reg {
-                    targets: train.y.clone(),
-                    test_targets: test.y.clone(),
-                },
-                content: Self::reg_content_fingerprint(train, test, k, weight),
-            }),
-            n_test,
-        )
+        Self::reg_over(DistMatrix::build(&train.x, &test.x), train, test, k, weight)
     }
 
-    /// [`regression`](Self::regression) fed by a precomputed graph (see
-    /// [`classification_from_graph`](Self::classification_from_graph)).
-    pub fn regression_from_graph(
+    /// [`regression`](Self::regression) over an already-built distance
+    /// matrix.
+    pub(crate) fn reg_over(
+        dist: DistMatrix,
         train: &RegDataset,
         test: &RegDataset,
         k: usize,
         weight: WeightFn,
-        graph: &knnshap_knn::graph::KnnGraph,
     ) -> Self {
         assert!(k >= 1 && !test.is_empty());
-        graph
-            .validate_against(&train.x, &test.x)
-            .expect("graph/dataset mismatch");
-        let n_test = test.len();
-        Self::from_shared(
-            Arc::new(IncShared {
-                dist: DistMatrix::from_graph(graph),
-                k,
-                weight,
-                task: IncTask::Reg {
-                    targets: train.y.clone(),
-                    test_targets: test.y.clone(),
-                },
-                content: Self::reg_content_fingerprint(train, test, k, weight),
-            }),
-            n_test,
-        )
+        let task = IncTask::Reg {
+            targets: train.y.clone(),
+            test_targets: test.y.clone(),
+        };
+        let content = Self::reg_content_fingerprint(train, test, k, weight);
+        let shared = IncShared {
+            dist,
+            k,
+            weight,
+            task,
+            content,
+        };
+        Self::from_shared(Arc::new(shared), test.len())
     }
 
     /// The dataset-content hash a [`classification`](Self::classification)
@@ -943,14 +878,15 @@ pub fn mc_shapley_improved_with_threads(
     threads: usize,
 ) -> McResult {
     let n = u.n();
-    let streams = RngStreams::new(seed);
-    let make_worker = || improved_worker(u, streams);
     if matches!(rule, StoppingRule::Heuristic { .. }) || snapshot_every.is_some() {
+        let streams = RngStreams::new(seed);
         let plan = static_round_plan(rule.budget(n), threads);
-        return drive_rounds(n, rule, snapshot_every, plan, make_worker);
+        return drive_rounds(n, rule, snapshot_every, plan, || {
+            improved_worker(u, streams)
+        });
     }
     let budget = rule.budget(n);
-    let sums = run_fanout(n, 0..budget, threads, make_worker);
+    let sums = improved_sums(u, seed, 0..budget, threads);
     McResult {
         values: crate::sharding::finalize_mean(&sums, budget as u64),
         permutations: budget,
@@ -1018,6 +954,18 @@ fn improved_worker<'a>(
     }
 }
 
+/// Improved-MC exact partial sums over permutation streams `range` (see
+/// [`baseline_sums`]).
+pub(crate) fn improved_sums(
+    u: &IncKnnUtility,
+    seed: u64,
+    range: std::ops::Range<usize>,
+    threads: usize,
+) -> ExactVec {
+    let streams = RngStreams::new(seed);
+    run_fanout(u.n(), range, threads, || improved_worker(u, streams))
+}
+
 /// Improved-MC (Algorithm 2) partial sums over one canonical shard of a
 /// fixed permutation-stream budget. Same determinism contract as
 /// [`mc_shapley_baseline_shard`]: merging a full shard set reproduces
@@ -1053,19 +1001,15 @@ pub fn mc_shapley_improved_shard(
 ) -> ShardPartial {
     assert!(budget >= 1, "need at least one permutation");
     let n = u.n();
-    let streams = RngStreams::new(seed);
     let range = spec.range(budget);
-    let sums = run_fanout(n, range.clone(), threads, || improved_worker(u, streams));
+    let sums = improved_sums(u, seed, range.clone(), threads);
     let fingerprint = mc_improved_fingerprint(u, seed);
     ShardPartial::new(ShardKind::McImproved, fingerprint, n, budget, range, sums)
 }
 
 /// The job fingerprint of the improved-MC family (utility content + seed).
 pub fn mc_improved_fingerprint(u: &IncKnnUtility, seed: u64) -> u64 {
-    Fingerprint::new("mc-improved")
-        .u64(seed)
-        .u64(u.fingerprint())
-        .finish()
+    crate::sharding::stream_fingerprint("mc-improved", seed, u.fingerprint())
 }
 
 /// Empirical "ground truth" permutation demand (Fig. 11): the first `t` at
@@ -1136,6 +1080,7 @@ pub fn incremental_matches_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::{Data, Estimator, Family};
     use crate::exact_unweighted::knn_class_shapley_with_threads;
     use crate::utility::{KnnClassUtility, KnnRegUtility};
     use knnshap_datasets::Features;
@@ -1155,27 +1100,36 @@ mod tests {
     #[test]
     fn dataset_level_mc_fingerprints_match_utility_level() {
         let (train, test) = small_class(5, 14);
+        // The dataset-level job fingerprints, as the estimator seam stamps them.
+        let seam = |weight, family| {
+            let est = Estimator::new(Data::class(&train, &test), 3, weight, family, None);
+            est.unwrap().identity().1
+        };
+        let mc_baseline_class_fingerprint =
+            |weight, seed| seam(weight, Family::McBaseline { perms: 1, seed });
+        let mc_improved_class_fingerprint =
+            |weight, seed| seam(weight, Family::McImproved { perms: 1, seed });
         for weight in [WeightFn::Uniform, WeightFn::InverseDistance { eps: 1e-3 }] {
             let u = KnnClassUtility::new(&train, &test, 3, weight);
             assert_eq!(
                 mc_baseline_fingerprint(&u, 7),
-                mc_baseline_class_fingerprint(&train, &test, 3, weight, 7)
+                mc_baseline_class_fingerprint(weight, 7)
             );
             let inc = IncKnnUtility::classification(&train, &test, 3, weight);
             assert_eq!(
                 mc_improved_fingerprint(&inc, 7),
-                mc_improved_class_fingerprint(&train, &test, 3, weight, 7)
+                mc_improved_class_fingerprint(weight, 7)
             );
         }
         // Seed is part of the job identity.
         assert_ne!(
-            mc_baseline_class_fingerprint(&train, &test, 3, WeightFn::Uniform, 7),
-            mc_baseline_class_fingerprint(&train, &test, 3, WeightFn::Uniform, 8)
+            mc_baseline_class_fingerprint(WeightFn::Uniform, 7),
+            mc_baseline_class_fingerprint(WeightFn::Uniform, 8)
         );
         // Baseline and improved never merge together.
         assert_ne!(
-            mc_baseline_class_fingerprint(&train, &test, 3, WeightFn::Uniform, 7),
-            mc_improved_class_fingerprint(&train, &test, 3, WeightFn::Uniform, 7)
+            mc_baseline_class_fingerprint(WeightFn::Uniform, 7),
+            mc_improved_class_fingerprint(WeightFn::Uniform, 7)
         );
     }
 

@@ -24,7 +24,8 @@
 
 use crate::composite::GameForm;
 use crate::curator::{curator_class_shapley, Ownership};
-use crate::mc::{IncKnnUtility, StoppingRule};
+use crate::estimator::{check_data, weighted_values, Data, Estimator, Family};
+use crate::mc::StoppingRule;
 use crate::types::ShapleyValues;
 use knnshap_datasets::{contrast, ClassDataset, RegDataset};
 use knnshap_knn::graph::KnnGraph;
@@ -81,6 +82,9 @@ pub enum PipelineError {
     /// The attached KNN graph was built from different datasets (shape or
     /// content fingerprint drift).
     GraphMismatch(String),
+    /// The selected method does not apply to this task (truncation is
+    /// classification-only).
+    TaskUnsupported(&'static str),
 }
 
 impl std::fmt::Display for PipelineError {
@@ -101,6 +105,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::GraphMismatch(detail) => {
                 write!(f, "graph does not match the datasets: {detail}")
             }
+            PipelineError::TaskUnsupported(m) => write!(f, "{m} supports classification only"),
         }
     }
 }
@@ -197,21 +202,7 @@ impl<'a> KnnShapley<'a> {
     }
 
     fn validate(&self) -> Result<(), PipelineError> {
-        if self.train.is_empty() {
-            return Err(PipelineError::EmptyTrainSet);
-        }
-        if self.test.is_empty() {
-            return Err(PipelineError::EmptyTestSet);
-        }
-        if self.train.dim() != self.test.dim() {
-            return Err(PipelineError::DimensionMismatch);
-        }
-        check_finite(&self.train.x, &self.test.x)?;
-        if let Some(g) = self.graph {
-            g.validate_against(&self.train.x, &self.test.x)
-                .map_err(|e| PipelineError::GraphMismatch(e.to_string()))?;
-        }
-        Ok(())
+        check_data(&self.train.x, &self.test.x, self.graph)
     }
 
     /// Execute the configured valuation.
@@ -222,77 +213,50 @@ impl<'a> KnnShapley<'a> {
     /// Execute the configured valuation and return it with run metadata
     /// (for the Monte Carlo methods, the permutation count actually
     /// consumed — what the CLI turns into a throughput line).
+    ///
+    /// Every method but kd-tree and LSH retrieval (and truncation on the
+    /// measured scheduler) binds an [`Estimator`]; Monte Carlo on the
+    /// measured scheduler or under the heuristic stop then drives the
+    /// estimator's game round by round instead of through its fold.
     pub fn run_report(&self) -> Result<Valuation, PipelineError> {
+        let n = self.train.len().max(1);
+        let (family, rule) = match self.method {
+            Method::Exact => (Family::Exact, None),
+            Method::Truncated { eps } if !self.adaptive || self.graph.is_some() => {
+                (Family::Truncated { eps }, None)
+            }
+            Method::McBaseline { rule, seed } => {
+                let perms = rule.budget(n);
+                (Family::McBaseline { perms, seed }, Some(rule))
+            }
+            Method::McImproved { rule, seed } => {
+                let perms = rule.budget(n);
+                (Family::McImproved { perms, seed }, Some(rule))
+            }
+            _ => return self.run_retrieval(),
+        };
+        let data = Data::class(self.train, self.test);
+        let est = Estimator::new(data, self.k, self.weight, family, self.graph)?;
+        Ok(run_bound(&est, family, rule, self.adaptive, self.threads))
+    }
+
+    /// The methods outside the seam: kd-tree and LSH retrieval, and the
+    /// measured scheduler for truncation.
+    fn run_retrieval(&self) -> Result<Valuation, PipelineError> {
         self.validate()?;
         let uniform = matches!(self.weight, WeightFn::Uniform);
         match self.method {
-            Method::Exact => {
-                if uniform {
-                    Ok(match self.graph {
-                        Some(g) => crate::exact_unweighted::knn_class_shapley_from_graph(
-                            self.train,
-                            self.test,
-                            self.k,
-                            g,
-                            self.threads,
-                        ),
-                        None => crate::exact_unweighted::knn_class_shapley_with_threads(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.threads,
-                        ),
-                    }
-                    .into())
-                } else {
-                    Ok(match self.graph {
-                        Some(g) => crate::exact_weighted::weighted_knn_class_shapley_from_graph(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.weight,
-                            g,
-                            self.threads,
-                        ),
-                        None => crate::exact_weighted::weighted_knn_class_shapley(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.weight,
-                            self.threads,
-                        ),
-                    }
-                    .into())
-                }
-            }
             Method::Truncated { eps } => {
                 if !uniform {
                     return Err(PipelineError::WeightedUnsupported("Truncated"));
                 }
-                Ok(match self.graph {
-                    Some(g) => crate::truncated::truncated_class_shapley_from_graph(
-                        self.train,
-                        self.test,
-                        self.k,
-                        eps,
-                        g,
-                        self.threads,
-                    ),
-                    None if self.adaptive => crate::truncated::truncated_class_shapley_adaptive(
-                        self.train,
-                        self.test,
-                        self.k,
-                        eps,
-                        self.threads,
-                    ),
-                    None => crate::truncated::truncated_class_shapley_with_threads(
-                        self.train,
-                        self.test,
-                        self.k,
-                        eps,
-                        self.threads,
-                    ),
-                }
+                Ok(crate::truncated::truncated_class_shapley_adaptive(
+                    self.train,
+                    self.test,
+                    self.k,
+                    eps,
+                    self.threads,
+                )
                 .into())
             }
             Method::TruncatedTree { eps } => {
@@ -361,60 +325,8 @@ impl<'a> KnnShapley<'a> {
                     .into(),
                 )
             }
-            Method::McBaseline { rule, seed } => {
-                let u = match self.graph {
-                    Some(g) => crate::utility::KnnClassUtility::from_graph(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                        g,
-                    ),
-                    None => crate::utility::KnnClassUtility::new(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                    ),
-                };
-                let res = if self.adaptive {
-                    crate::mc::mc_shapley_baseline_adaptive(&u, rule, seed, None, self.threads)
-                } else {
-                    crate::mc::mc_shapley_baseline_with_threads(&u, rule, seed, None, self.threads)
-                };
-                Ok(Valuation {
-                    values: res.values,
-                    permutations: Some(res.permutations),
-                })
-            }
-            Method::McImproved { rule, seed } => {
-                let inc = match self.graph {
-                    Some(g) => IncKnnUtility::classification_from_graph(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                        g,
-                    ),
-                    None => {
-                        IncKnnUtility::classification(self.train, self.test, self.k, self.weight)
-                    }
-                };
-                let res = if self.adaptive {
-                    crate::mc::mc_shapley_improved_adaptive(&inc, rule, seed, None, self.threads)
-                } else {
-                    crate::mc::mc_shapley_improved_with_threads(
-                        &inc,
-                        rule,
-                        seed,
-                        None,
-                        self.threads,
-                    )
-                };
-                Ok(Valuation {
-                    values: res.values,
-                    permutations: Some(res.permutations),
-                })
+            Method::Exact | Method::McBaseline { .. } | Method::McImproved { .. } => {
+                unreachable!("runs through the estimator seam")
             }
         }
     }
@@ -441,21 +353,46 @@ impl<'a> KnnShapley<'a> {
     }
 }
 
-/// Shared NaN/inf screening for both pipeline front doors.
-fn check_finite(
-    train: &knnshap_datasets::Features,
-    test: &knnshap_datasets::Features,
-) -> Result<(), PipelineError> {
-    if let Some(row) = train.first_non_finite_row() {
-        return Err(PipelineError::NonFiniteFeature {
-            which: "train",
-            row,
-        });
+/// Run a bound estimator: through the seam's fold, or — for Monte Carlo on
+/// the measured scheduler (`adaptive`) or under the sequential heuristic
+/// stop — on the estimator's game with the round-based drivers.
+fn run_bound(
+    est: &Estimator<'_>,
+    family: Family,
+    rule: Option<StoppingRule>,
+    adaptive: bool,
+    threads: usize,
+) -> Valuation {
+    let scheduled = adaptive || matches!(rule, Some(StoppingRule::Heuristic { .. }));
+    let res = match (family, rule) {
+        (Family::McBaseline { seed, .. }, Some(rule)) if scheduled => {
+            let u = est.utility();
+            if adaptive {
+                crate::mc::mc_shapley_baseline_adaptive(u, rule, seed, None, threads)
+            } else {
+                crate::mc::mc_shapley_baseline_with_threads(u, rule, seed, None, threads)
+            }
+        }
+        (Family::McImproved { seed, .. }, Some(rule)) if scheduled => {
+            let inc = est.inc();
+            if adaptive {
+                crate::mc::mc_shapley_improved_adaptive(inc, rule, seed, None, threads)
+            } else {
+                crate::mc::mc_shapley_improved_with_threads(inc, rule, seed, None, threads)
+            }
+        }
+        _ => {
+            let merged = est.run(threads);
+            return Valuation {
+                values: merged.values,
+                permutations: est.is_monte_carlo().then_some(merged.items as usize),
+            };
+        }
+    };
+    Valuation {
+        values: res.values,
+        permutations: Some(res.permutations),
     }
-    if let Some(row) = test.first_non_finite_row() {
-        return Err(PipelineError::NonFiniteFeature { which: "test", row });
-    }
-    Ok(())
 }
 
 /// Valuation algorithm selection for regression tasks.
@@ -553,21 +490,7 @@ impl<'a> RegShapley<'a> {
     }
 
     fn validate(&self) -> Result<(), PipelineError> {
-        if self.train.is_empty() {
-            return Err(PipelineError::EmptyTrainSet);
-        }
-        if self.test.is_empty() {
-            return Err(PipelineError::EmptyTestSet);
-        }
-        if self.train.dim() != self.test.dim() {
-            return Err(PipelineError::DimensionMismatch);
-        }
-        check_finite(&self.train.x, &self.test.x)?;
-        if let Some(g) = self.graph {
-            g.validate_against(&self.train.x, &self.test.x)
-                .map_err(|e| PipelineError::GraphMismatch(e.to_string()))?;
-        }
-        Ok(())
+        check_data(&self.train.x, &self.test.x, self.graph)
     }
 
     /// Execute the configured valuation.
@@ -576,104 +499,31 @@ impl<'a> RegShapley<'a> {
     }
 
     /// Execute the configured valuation and return it with run metadata
-    /// (permutation counts for the Monte Carlo methods).
+    /// (permutation counts for the Monte Carlo methods). Routed like
+    /// [`KnnShapley::run_report`]; weighted exact regression, which has no
+    /// shard identity, runs on the seam's fold without the seam.
     pub fn run_report(&self) -> Result<Valuation, PipelineError> {
-        self.validate()?;
-        let uniform = matches!(self.weight, WeightFn::Uniform);
-        match self.method {
-            RegMethod::Exact => {
-                if uniform {
-                    Ok(match self.graph {
-                        Some(g) => crate::exact_regression::knn_reg_shapley_from_graph(
-                            self.train,
-                            self.test,
-                            self.k,
-                            g,
-                            self.threads,
-                        ),
-                        None => crate::exact_regression::knn_reg_shapley_with_threads(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.threads,
-                        ),
-                    }
-                    .into())
-                } else {
-                    Ok(match self.graph {
-                        Some(g) => crate::exact_weighted::weighted_knn_reg_shapley_from_graph(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.weight,
-                            g,
-                            self.threads,
-                        ),
-                        None => crate::exact_weighted::weighted_knn_reg_shapley(
-                            self.train,
-                            self.test,
-                            self.k,
-                            self.weight,
-                            self.threads,
-                        ),
-                    }
-                    .into())
-                }
+        let n = self.train.len().max(1);
+        let (family, rule) = match self.method {
+            RegMethod::Exact if !matches!(self.weight, WeightFn::Uniform) => {
+                self.validate()?;
+                let data = Data::reg(self.train, self.test);
+                let values = weighted_values(&data, self.k, self.weight, self.graph, self.threads);
+                return Ok(values.into());
             }
+            RegMethod::Exact => (Family::Exact, None),
             RegMethod::McBaseline { rule, seed } => {
-                let u = match self.graph {
-                    Some(g) => crate::utility::KnnRegUtility::from_graph(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                        g,
-                    ),
-                    None => crate::utility::KnnRegUtility::new(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                    ),
-                };
-                let res = if self.adaptive {
-                    crate::mc::mc_shapley_baseline_adaptive(&u, rule, seed, None, self.threads)
-                } else {
-                    crate::mc::mc_shapley_baseline_with_threads(&u, rule, seed, None, self.threads)
-                };
-                Ok(Valuation {
-                    values: res.values,
-                    permutations: Some(res.permutations),
-                })
+                let perms = rule.budget(n);
+                (Family::McBaseline { perms, seed }, Some(rule))
             }
             RegMethod::McImproved { rule, seed } => {
-                let inc = match self.graph {
-                    Some(g) => IncKnnUtility::regression_from_graph(
-                        self.train,
-                        self.test,
-                        self.k,
-                        self.weight,
-                        g,
-                    ),
-                    None => IncKnnUtility::regression(self.train, self.test, self.k, self.weight),
-                };
-                let res = if self.adaptive {
-                    crate::mc::mc_shapley_improved_adaptive(&inc, rule, seed, None, self.threads)
-                } else {
-                    crate::mc::mc_shapley_improved_with_threads(
-                        &inc,
-                        rule,
-                        seed,
-                        None,
-                        self.threads,
-                    )
-                };
-                Ok(Valuation {
-                    values: res.values,
-                    permutations: Some(res.permutations),
-                })
+                let perms = rule.budget(n);
+                (Family::McImproved { perms, seed }, Some(rule))
             }
-        }
+        };
+        let data = Data::reg(self.train, self.test);
+        let est = Estimator::new(data, self.k, self.weight, family, self.graph)?;
+        Ok(run_bound(&est, family, rule, self.adaptive, self.threads))
     }
 }
 

@@ -70,7 +70,7 @@
 use crate::types::ShapleyValues;
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::weights::WeightFn;
-use knnshap_numerics::exact::ExactVec;
+use knnshap_numerics::exact::{ExactSum, ExactVec};
 
 /// On-disk format version written/required by
 /// [`ShardPartial::to_bytes`]/[`from_bytes`](ShardPartial::from_bytes).
@@ -298,6 +298,15 @@ impl ShardPartial {
         }
     }
 
+    /// Attach group testing's finalization state: `ν(I)` as the one
+    /// header constant, the shared term as the one `aux` accumulator.
+    pub(crate) fn with_shared(mut self, grand: f64, shared: &ExactSum) -> Self {
+        self.meta.extras = vec![grand];
+        self.aux = ExactVec::zeros(1);
+        self.aux.merge_scalar(0, shared);
+        self
+    }
+
     /// Serialize to the versioned on-disk format (fully specified in
     /// `docs/sharding.md`; all integers and float bit patterns
     /// little-endian). The payload is canonical: equal exact partial sums
@@ -470,6 +479,22 @@ impl ShardPartial {
 pub(crate) fn finalize_mean(sums: &ExactVec, total_items: u64) -> ShapleyValues {
     let d = (total_items.max(1)) as f64;
     ShapleyValues::new((0..sums.len()).map(|i| sums.value(i) / d).collect())
+}
+
+/// The job finalization [`merge_partials`] and
+/// [`crate::estimator::Estimator::run`] share: the per-item mean, or — given
+/// group testing's `(ν(I), shared term)` — its value recovery.
+pub(crate) fn finalize(
+    sums: &ExactVec,
+    total_items: u64,
+    group_testing: Option<(f64, f64)>,
+) -> ShapleyValues {
+    match group_testing {
+        None => finalize_mean(sums, total_items),
+        Some((grand, shared)) => {
+            crate::group_testing::recover_values(grand, total_items as usize, sums.values(), shared)
+        }
+    }
 }
 
 /// Block-granularity cap for the exact folds: enough scheduling units for
@@ -761,12 +786,7 @@ pub fn merge_partials(parts: &[ShardPartial]) -> Result<MergedValuation, ShardEr
         aux.merge(&parts[i].aux);
     }
 
-    let values = match m0.kind {
-        ShardKind::ExactClass
-        | ShardKind::ExactReg
-        | ShardKind::Truncated
-        | ShardKind::McBaseline
-        | ShardKind::McImproved => finalize_mean(&sums, m0.total_items),
+    let group_testing = match m0.kind {
         ShardKind::GroupTesting => {
             let grand = *m0.extras.first().ok_or_else(|| {
                 ShardError::Incompatible("group-testing shards missing ν(I)".into())
@@ -776,16 +796,12 @@ pub fn merge_partials(parts: &[ShardPartial]) -> Result<MergedValuation, ShardEr
                     "group-testing shards need exactly one shared accumulator".into(),
                 ));
             }
-            crate::group_testing::recover_values(
-                grand,
-                m0.total_items as usize,
-                sums.values(),
-                aux.value(0),
-            )
+            Some((grand, aux.value(0)))
         }
+        _ => None,
     };
     Ok(MergedValuation {
-        values,
+        values: finalize(&sums, m0.total_items, group_testing),
         items: m0.total_items,
     })
 }
@@ -816,6 +832,12 @@ pub fn hash_reg_dataset(d: &RegDataset) -> u64 {
         .f32s(d.x.as_slice())
         .f64s(&d.y)
         .finish()
+}
+
+/// The job fingerprint of a stream family (Monte Carlo, group testing): its
+/// domain, the seed, and the content hash of the game it samples.
+pub(crate) fn stream_fingerprint(domain: &str, seed: u64, content: u64) -> u64 {
+    Fingerprint::new(domain).u64(seed).u64(content).finish()
 }
 
 /// Stable encoding of a weight function for fingerprinting.

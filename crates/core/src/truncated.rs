@@ -20,12 +20,12 @@
 //! tighten ε or fall back to the exact algorithm when the estimate
 //! degenerates; see `all_zero_estimate_on_pure_clusters_is_still_valid`.
 
-use crate::sharding::{Fingerprint, ShardKind, ShardPartial, ShardSpec};
+use crate::estimator::{Data, Estimator, Family};
 use crate::types::ShapleyValues;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::distance::Metric;
-use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::neighbors::{partial_k_nearest, Neighbor};
+use knnshap_knn::weights::WeightFn;
 use knnshap_numerics::exact::ExactVec;
 
 /// `K* = max(K, ⌈1/ε⌉)` — the number of neighbors whose values must be
@@ -58,9 +58,24 @@ pub fn truncated_recursion(
     n: usize,
 ) -> ShapleyValues {
     let mut out = ShapleyValues::zeros(n);
+    fill_ranked(neighbors, labels, test_label, k, k_star, out.as_mut_slice());
+    out
+}
+
+/// [`truncated_recursion`] written into the zeroed `out` (length `n`):
+/// the ranks past `K*` (and the unretrieved points) keep their zeros.
+pub(crate) fn fill_ranked(
+    neighbors: &[Neighbor],
+    labels: &[u32],
+    test_label: u32,
+    k: usize,
+    k_star: usize,
+    out: &mut [f64],
+) {
     if neighbors.is_empty() {
-        return out;
+        return;
     }
+    let n = out.len();
     let correct =
         |rank: usize| -> f64 { f64::from(labels[neighbors[rank].index as usize] == test_label) };
     let len = neighbors.len().min(k_star);
@@ -72,13 +87,12 @@ pub fn truncated_recursion(
         // ŝ at rank K* is 0 by eq. (18).
         0.0
     };
-    out.as_mut_slice()[neighbors[len - 1].index as usize] = s;
+    out[neighbors[len - 1].index as usize] = s;
     for i in (0..len - 1).rev() {
         let rank1 = i + 1;
         s += (correct(i) - correct(i + 1)) / k as f64 * (k.min(rank1) as f64 / rank1 as f64);
-        out.as_mut_slice()[neighbors[i].index as usize] = s;
+        out[neighbors[i].index as usize] = s;
     }
-    out
 }
 
 /// Truncated SVs w.r.t. a single test point, using exact partial retrieval.
@@ -113,34 +127,30 @@ pub fn truncated_class_shapley_with_kdtree(
 }
 
 /// Truncated SVs w.r.t. a test set (average of per-test values), on the
-/// workspace default worker count.
+/// workspace default worker count. The per-test games fan across the pool
+/// into *exact* accumulators, so the average is bitwise-identical for every
+/// thread count — and for every sharding of the test range through
+/// [`crate::estimator::Estimator`], which also picks the worker count and
+/// takes a precomputed graph.
+///
+/// # Panics
+///
+/// Panics on data [`crate::estimator::Estimator::new`] rejects.
 pub fn truncated_class_shapley(
     train: &ClassDataset,
     test: &ClassDataset,
     k: usize,
     eps: f64,
 ) -> ShapleyValues {
-    truncated_class_shapley_with_threads(train, test, k, eps, knnshap_parallel::current_threads())
+    let data = Data::class(train, test);
+    Estimator::new(data, k, WeightFn::Uniform, Family::Truncated { eps }, None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .run(knnshap_parallel::current_threads())
+        .values
 }
 
-/// [`truncated_class_shapley`] with an explicit worker count: the per-test
-/// games fan across the pool into *exact* accumulators, so the average is
-/// bitwise-identical for every `threads` value — and for every sharding of
-/// the test range (see [`truncated_class_shapley_shard`]).
-pub fn truncated_class_shapley_with_threads(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    let sums = shard_sums(train, test, k, eps, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
-}
-
-/// [`truncated_class_shapley_with_threads`] scheduled by the measured cost
-/// model of [`crate::schedule`]: one warmup test-point game is timed (and
+/// [`truncated_class_shapley`] on `threads` workers, scheduled by the
+/// measured cost model of [`crate::schedule`]: one warmup test-point game is timed (and
 /// re-run by the real pass — it is a pure function of its index), a fan-out
 /// plan is derived (or pinned by the `KNNSHAP_SCHED_FORCE` test hook), and
 /// the per-test games fold on the scheduler's tiling. Bitwise-identical to
@@ -189,152 +199,24 @@ pub fn truncated_class_shapley_adaptive(
     crate::sharding::finalize_mean(&sums, n_test as u64)
 }
 
-/// Truncated partial sums over one canonical shard of the test range.
-///
-/// ### Determinism contract
-///
-/// Theorem 2's guarantee is per test point, so the shard split rides the
-/// same additivity decomposition as the exact algorithm: the partial state
-/// depends only on `(train, test, k, ε)` and the shard's range. Merging a
-/// full shard set with [`crate::sharding::merge_partials`] reproduces
-/// [`truncated_class_shapley_with_threads`] bit for bit at every shard and
-/// thread count.
-///
-/// ```
-/// use knnshap_core::sharding::{merge_partials, ShardSpec};
-/// use knnshap_core::truncated::{truncated_class_shapley, truncated_class_shapley_shard};
-/// use knnshap_datasets::synth::blobs::{self, BlobConfig};
-///
-/// let cfg = BlobConfig { n: 60, dim: 4, n_classes: 3, ..Default::default() };
-/// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 8, 2));
-/// let parts: Vec<_> = (0..3)
-///     .map(|i| truncated_class_shapley_shard(&train, &test, 2, 0.2, ShardSpec::new(i, 3), 1))
-///     .collect();
-/// let merged = merge_partials(&parts).unwrap().values;
-/// let whole = truncated_class_shapley(&train, &test, 2, 0.2);
-/// assert!(merged.as_slice().iter().zip(whole.as_slice()).all(|(a, b)| a == b));
-/// ```
-pub fn truncated_class_shapley_shard(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    let range = spec.range(test.len());
-    let sums = shard_sums(train, test, k, eps, range.clone(), threads);
-    let fingerprint = truncated_fingerprint(train, test, k, eps);
-    ShardPartial::new(
-        ShardKind::Truncated,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-/// The job fingerprint of the truncated family.
-pub fn truncated_fingerprint(train: &ClassDataset, test: &ClassDataset, k: usize, eps: f64) -> u64 {
-    Fingerprint::new("truncated")
-        .u64(k as u64)
-        .f64(eps)
-        .u64(crate::sharding::hash_class_dataset(train))
-        .u64(crate::sharding::hash_class_dataset(test))
-        .finish()
-}
-
-fn shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> ExactVec {
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        let per_test = truncated_class_shapley_single(train, test.x.row(j), test.y[j], k, eps);
-        acc.add_dense(per_test.as_slice());
-    })
-}
-
-/// [`truncated_class_shapley_shard`] fed by a precomputed graph.
-///
-/// The graph's full ranking prefix `[..K*]` is exactly what
-/// [`partial_k_nearest`] retrieves (both are ascending prefixes of the same
-/// total order over bitwise-identical distances), so the partial carries the
-/// same kind/fingerprint and merges bitwise-identically with brute-force
-/// shards. Panics if the graph was not built from `(train.x, test.x)`.
-pub fn truncated_class_shapley_graph_shard(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    graph: &KnnGraph,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let range = spec.range(test.len());
-    let sums = graph_shard_sums(train, test, k, eps, graph, range.clone(), threads);
-    let fingerprint = truncated_fingerprint(train, test, k, eps);
-    ShardPartial::new(
-        ShardKind::Truncated,
-        fingerprint,
-        train.len(),
-        test.len(),
-        range,
-        sums,
-    )
-}
-
-fn graph_shard_sums(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    graph: &KnnGraph,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> ExactVec {
-    let ks = k_star(k, eps);
-    crate::sharding::exact_sums_over(train.len(), range, threads, |j, acc| {
-        let list = graph.list(j);
-        let prefix = &list[..ks.min(list.len())];
-        let per_test = truncated_recursion(prefix, &train.y, test.y[j], k, ks, train.len());
-        acc.add_dense(per_test.as_slice());
-    })
-}
-
-/// [`truncated_class_shapley_with_threads`] fed by a precomputed graph:
-/// skips the distance pass, returns the same bits.
-pub fn truncated_class_shapley_from_graph(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    graph: &KnnGraph,
-    threads: usize,
-) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    graph
-        .validate_against(&train.x, &test.x)
-        .expect("graph/dataset mismatch");
-    let sums = graph_shard_sums(train, test, k, eps, graph, 0..test.len(), threads);
-    crate::sharding::finalize_mean(&sums, test.len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact_unweighted::{knn_class_shapley_single, knn_class_shapley_with_threads};
     use knnshap_datasets::synth::blobs::{self, BlobConfig};
     use knnshap_datasets::Features;
+
+    fn truncated_class_shapley_with_threads(
+        train: &ClassDataset,
+        test: &ClassDataset,
+        k: usize,
+        eps: f64,
+        threads: usize,
+    ) -> ShapleyValues {
+        let family = Family::Truncated { eps };
+        let est = Estimator::new(Data::class(train, test), k, WeightFn::Uniform, family, None);
+        est.unwrap().run(threads).values
+    }
 
     fn instance(n: usize) -> (ClassDataset, ClassDataset) {
         let cfg = BlobConfig {

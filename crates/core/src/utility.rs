@@ -137,10 +137,21 @@ pub struct KnnClassUtility {
 
 impl KnnClassUtility {
     pub fn new(train: &ClassDataset, test: &ClassDataset, k: usize, weight: WeightFn) -> Self {
+        Self::over(DistMatrix::build(&train.x, &test.x), train, test, k, weight)
+    }
+
+    /// [`KnnClassUtility::new`] over an already-built distance matrix.
+    pub(crate) fn over(
+        dist: DistMatrix,
+        train: &ClassDataset,
+        test: &ClassDataset,
+        k: usize,
+        weight: WeightFn,
+    ) -> Self {
         assert!(k >= 1, "K must be at least 1");
         assert!(!test.is_empty(), "need at least one test point");
         Self {
-            dist: DistMatrix::build(&train.x, &test.x),
+            dist,
             labels: train.y.clone(),
             test_labels: test.y.clone(),
             k,
@@ -170,35 +181,6 @@ impl KnnClassUtility {
             .u64(crate::sharding::hash_class_dataset(train))
             .u64(crate::sharding::hash_class_dataset(test))
             .finish()
-    }
-
-    /// [`KnnClassUtility::new`] fed by a precomputed graph: the distance
-    /// matrix is reconstructed from the artifact's rank lists
-    /// (`DistMatrix::from_graph`) instead of recomputed, and the content
-    /// fingerprint is the same dataset-derived hash — so Monte Carlo and
-    /// group-testing shards built on this utility inter-merge with
-    /// brute-force ones. Panics if the graph was not built from
-    /// `(train.x, test.x)`.
-    pub fn from_graph(
-        train: &ClassDataset,
-        test: &ClassDataset,
-        k: usize,
-        weight: WeightFn,
-        graph: &KnnGraph,
-    ) -> Self {
-        assert!(k >= 1, "K must be at least 1");
-        assert!(!test.is_empty(), "need at least one test point");
-        graph
-            .validate_against(&train.x, &test.x)
-            .expect("graph/dataset mismatch");
-        Self {
-            dist: DistMatrix::from_graph(graph),
-            labels: train.y.clone(),
-            test_labels: test.y.clone(),
-            k,
-            weight,
-            content: Self::content_fingerprint(train, test, k, weight),
-        }
     }
 
     pub fn unweighted(train: &ClassDataset, test: &ClassDataset, k: usize) -> Self {
@@ -262,10 +244,21 @@ pub struct KnnRegUtility {
 
 impl KnnRegUtility {
     pub fn new(train: &RegDataset, test: &RegDataset, k: usize, weight: WeightFn) -> Self {
+        Self::over(DistMatrix::build(&train.x, &test.x), train, test, k, weight)
+    }
+
+    /// [`KnnRegUtility::new`] over an already-built distance matrix.
+    pub(crate) fn over(
+        dist: DistMatrix,
+        train: &RegDataset,
+        test: &RegDataset,
+        k: usize,
+        weight: WeightFn,
+    ) -> Self {
         assert!(k >= 1, "K must be at least 1");
         assert!(!test.is_empty(), "need at least one test point");
         Self {
-            dist: DistMatrix::build(&train.x, &test.x),
+            dist,
             targets: train.y.clone(),
             test_targets: test.y.clone(),
             k,
@@ -291,30 +284,6 @@ impl KnnRegUtility {
             .u64(crate::sharding::hash_reg_dataset(train))
             .u64(crate::sharding::hash_reg_dataset(test))
             .finish()
-    }
-
-    /// [`KnnRegUtility::new`] fed by a precomputed graph (see
-    /// [`KnnClassUtility::from_graph`] for the contract).
-    pub fn from_graph(
-        train: &RegDataset,
-        test: &RegDataset,
-        k: usize,
-        weight: WeightFn,
-        graph: &KnnGraph,
-    ) -> Self {
-        assert!(k >= 1, "K must be at least 1");
-        assert!(!test.is_empty(), "need at least one test point");
-        graph
-            .validate_against(&train.x, &test.x)
-            .expect("graph/dataset mismatch");
-        Self {
-            dist: DistMatrix::from_graph(graph),
-            targets: train.y.clone(),
-            test_targets: test.y.clone(),
-            k,
-            weight,
-            content: Self::content_fingerprint(train, test, k, weight),
-        }
     }
 
     pub fn unweighted(train: &RegDataset, test: &RegDataset, k: usize) -> Self {

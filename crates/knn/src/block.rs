@@ -22,12 +22,6 @@
 //! what lets `KNNGRAPH` artifacts built by this kernel feed estimators that
 //! promise bitwise equality with the brute-force path
 //! (`tests/graph_determinism.rs` holds it to that).
-//!
-//! The optional `fast-accum` cargo feature swaps the per-pair arithmetic for
-//! a wider 8-lane accumulation. It is OFF by default and nothing in CI
-//! enables it: turning it on trades the bitwise contract for throughput, and
-//! the graph loaders will refuse artifacts whose distances no longer match
-//! the brute-force recompute fingerprints.
 
 use crate::distance::squared_l2;
 use knnshap_datasets::Features;
@@ -41,43 +35,11 @@ pub const QUERY_TILE: usize = 8;
 /// L1d on typical x86 parts, leaving room for the query rows and outputs.
 pub const TRAIN_TILE: usize = 256;
 
-/// Per-pair squared-L2 under the default (bitwise) accumulation.
-#[cfg(not(feature = "fast-accum"))]
-#[inline]
-fn pair_dist(a: &[f32], b: &[f32]) -> f32 {
-    squared_l2(a, b)
-}
-
-/// Per-pair squared-L2 with 8 independent accumulators (`fast-accum`):
-/// wider vectorization, different rounding order — NOT bitwise-equal to
-/// [`squared_l2`].
-#[cfg(feature = "fast-accum")]
-#[inline]
-fn pair_dist(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    for i in 0..chunks {
-        let j = i * 8;
-        for l in 0..8 {
-            let d = a[j + l] - b[j + l];
-            acc[l] += d * d;
-        }
-    }
-    let mut tail = 0.0f32;
-    for i in chunks * 8..a.len() {
-        let d = a[i] - b[i];
-        tail += d * d;
-    }
-    acc.iter().sum::<f32>() + tail
-}
-
 /// All pairwise squared-L2 distances, one `Vec` per query row (each of
 /// length `train.len()`), computed with the fixed [`QUERY_TILE`] ×
 /// [`TRAIN_TILE`] partition and fanned out over `threads` workers.
 ///
-/// Bitwise-identical to [`naive_squared_l2`] at every thread count (default
-/// build; see the module docs for the `fast-accum` caveat).
+/// Bitwise-identical to [`naive_squared_l2`] at every thread count.
 pub fn blocked_squared_l2(train: &Features, queries: &Features, threads: usize) -> Vec<Vec<f32>> {
     blocked_squared_l2_with_tiles(train, queries, QUERY_TILE, TRAIN_TILE, threads)
 }
@@ -120,7 +82,7 @@ pub fn blocked_squared_l2_with_tiles(
             for (row, q) in rows.iter_mut().zip(q_lo..q_hi) {
                 let qrow = queries.row(q);
                 for t in t_lo..t_hi {
-                    row[t] = pair_dist(qrow, train.row(t));
+                    row[t] = squared_l2(qrow, train.row(t));
                 }
             }
             t_lo = t_hi;
@@ -175,7 +137,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "fast-accum"))]
     #[test]
     fn fixed_partition_matches_naive_bitwise() {
         let train = features(523, 7, 1); // not divisible by TRAIN_TILE
@@ -187,7 +148,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "fast-accum"))]
     #[test]
     fn degenerate_tiles_match_naive_bitwise() {
         let train = features(37, 3, 3);

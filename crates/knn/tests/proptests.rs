@@ -201,7 +201,6 @@ proptest! {
         }
     }
 
-    #[cfg(not(feature = "fast-accum"))]
     #[test]
     fn blocked_kernel_bitwise_equals_naive_for_any_tiling(
         vals in prop::collection::vec(-10.0f32..10.0, 120),
@@ -227,7 +226,6 @@ proptest! {
         }
     }
 
-    #[cfg(not(feature = "fast-accum"))]
     #[test]
     fn graph_build_matches_argsort_and_survives_round_trip(
         vals in prop::collection::vec(-5.0f32..5.0, 48),

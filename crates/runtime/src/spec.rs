@@ -396,23 +396,20 @@ impl JobPlan {
 pub fn plan_job(spec: &JobSpec, threads: usize) -> Result<JobPlan, JobError> {
     spec.validate()?;
     let data = crate::dispatch::load_data(spec, threads)?;
-    let (kind, fingerprint) = crate::dispatch::job_identity(spec, &data);
-    let (n_train, n_test) = data.sizes();
+    let estimator = crate::dispatch::bind(spec, data)?;
+    let n_train = estimator.n_train();
     if matches!(spec.method, JobMethod::GroupTesting { .. }) && n_train < 2 {
         return Err(JobError::Spec(
             "group testing needs at least two training points".into(),
         ));
     }
-    let total_items = match spec.method {
-        JobMethod::Exact | JobMethod::Truncated { .. } => n_test,
-        m => m.perms(),
-    };
+    let (kind, fingerprint) = estimator.identity();
     Ok(JobPlan {
         spec: spec.clone(),
         kind,
         fingerprint,
         n_train: n_train as u64,
-        total_items: total_items as u64,
+        total_items: estimator.items() as u64,
     })
 }
 

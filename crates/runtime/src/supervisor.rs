@@ -254,7 +254,7 @@ pub fn merge_job(
     // without it the report would pair stale values with drifted labels.
     // Dataset-content fingerprints make this O(dataset), not O(N · N_test).
     let data = crate::dispatch::load_data(&plan.spec, threads)?;
-    let (_, fingerprint) = crate::dispatch::job_identity(&plan.spec, &data);
+    let (_, fingerprint) = crate::dispatch::bind(&plan.spec, data)?.identity();
     if fingerprint != plan.fingerprint {
         return Err(JobError::FingerprintMismatch {
             expected: plan.fingerprint,

@@ -142,9 +142,7 @@ fn reference(spec: &JobSpec) -> ShapleyValues {
         TaskKind::Reg => {
             let train = knnshap_datasets::io::load_reg_csv(&spec.train).unwrap();
             let test = knnshap_datasets::io::load_reg_csv(&spec.test).unwrap();
-            knnshap_core::exact_regression::knn_reg_shapley_with_threads(
-                &train, &test, spec.k, threads,
-            )
+            knnshap_core::exact_regression::knn_reg_shapley(&train, &test, spec.k)
         }
         TaskKind::Class => {
             let train = knnshap_datasets::io::load_class_csv(&spec.train).unwrap();
@@ -161,9 +159,7 @@ fn reference(spec: &JobSpec) -> ShapleyValues {
                     ),
                 },
                 JobMethod::Truncated { eps } => {
-                    knnshap_core::truncated::truncated_class_shapley_with_threads(
-                        &train, &test, spec.k, eps, threads,
-                    )
+                    knnshap_core::truncated::truncated_class_shapley(&train, &test, spec.k, eps)
                 }
                 JobMethod::McBaseline { perms } => {
                     let u = KnnClassUtility::new(&train, &test, spec.k, spec.weight);

@@ -7,6 +7,9 @@
 #![allow(dead_code)]
 
 use knnshap::datasets::{ClassDataset, Features, RegDataset};
+use knnshap::knn::graph::KnnGraph;
+use knnshap::knn::WeightFn;
+use knnshap::valuation::estimator::{Data, Estimator, Family};
 use knnshap::valuation::types::ShapleyValues;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -32,6 +35,40 @@ pub fn bitwise_ok(serial: &ShapleyValues, par: &ShapleyValues) -> bool {
             .iter()
             .zip(par.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits())
+}
+
+/// Bind a job through the estimator seam (the batteries only build valid
+/// ones).
+pub fn estimator<'a>(
+    data: Data<'a>,
+    k: usize,
+    weight: WeightFn,
+    family: Family,
+    graph: Option<&'a KnnGraph>,
+) -> Estimator<'a> {
+    Estimator::new(data, k, weight, family, graph).expect("valid job")
+}
+
+/// Unsharded uniform exact regression (Theorem 6) on `threads` workers.
+pub fn exact_reg(train: &RegDataset, test: &RegDataset, k: usize, threads: usize) -> ShapleyValues {
+    let data = Data::reg(train, test);
+    estimator(data, k, WeightFn::Uniform, Family::Exact, None)
+        .run(threads)
+        .values
+}
+
+/// Unsharded truncated classification (Theorem 2) on `threads` workers.
+pub fn truncated(
+    train: &ClassDataset,
+    test: &ClassDataset,
+    k: usize,
+    eps: f64,
+    threads: usize,
+) -> ShapleyValues {
+    let family = Family::Truncated { eps };
+    estimator(Data::class(train, test), k, WeightFn::Uniform, family, None)
+        .run(threads)
+        .values
 }
 
 pub fn random_class(

@@ -11,8 +11,9 @@ use knnshap::valuation::composite::{
     GameForm,
 };
 use knnshap::valuation::curator::{curator_class_shapley_single, Ownership, SellerUtility};
+use knnshap::valuation::estimator::{Data, Estimator, Family};
 use knnshap::valuation::exact_enum::shapley_enumeration;
-use knnshap::valuation::exact_regression::{knn_reg_shapley_single, knn_reg_shapley_with_threads};
+use knnshap::valuation::exact_regression::knn_reg_shapley_single;
 use knnshap::valuation::exact_unweighted::{
     knn_class_shapley_single, knn_class_shapley_with_threads,
 };
@@ -197,7 +198,8 @@ proptest! {
     ) {
         let train = RegDataset::new(Features::new(feats.clone(), 2), targets);
         let test = RegDataset::new(Features::new(qfeats.clone(), 2), qtargets);
-        let fast = knn_reg_shapley_with_threads(&train, &test, k, 4);
+        let est = Estimator::new(Data::reg(&train, &test), k, WeightFn::Uniform, Family::Exact, None);
+        let fast = est.unwrap().run(4).values;
         let truth = shapley_enumeration(&KnnRegUtility::unweighted(&train, &test, k));
         prop_assert!(fast.max_abs_diff(&truth) < 1e-8);
     }

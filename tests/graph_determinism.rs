@@ -15,38 +15,37 @@
 use knnshap::datasets::{ClassDataset, Features};
 use knnshap::knn::graph::KnnGraph;
 use knnshap::knn::WeightFn;
-use knnshap::valuation::exact_regression::{
-    knn_reg_shapley_from_graph, knn_reg_shapley_graph_shard, knn_reg_shapley_with_threads,
-};
+use knnshap::valuation::estimator::{Data, Estimator, Family};
 use knnshap::valuation::exact_unweighted::{
-    knn_class_shapley_from_graph, knn_class_shapley_graph_shard, knn_class_shapley_shard,
-    knn_class_shapley_with_threads,
+    knn_class_shapley_shard, knn_class_shapley_with_threads,
 };
-use knnshap::valuation::exact_weighted::{
-    weighted_knn_class_shapley, weighted_knn_class_shapley_from_graph,
-    weighted_knn_class_shapley_graph_shard, weighted_knn_reg_shapley,
-    weighted_knn_reg_shapley_from_graph,
-};
-use knnshap::valuation::group_testing::{
-    group_testing_shapley_shard, group_testing_shapley_with_threads,
-};
+use knnshap::valuation::exact_weighted::{weighted_knn_class_shapley, weighted_knn_reg_shapley};
+use knnshap::valuation::group_testing::group_testing_shapley_with_threads;
 use knnshap::valuation::mc::{
-    mc_shapley_baseline_shard, mc_shapley_baseline_with_threads, mc_shapley_improved_shard,
-    mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
+    mc_baseline_fingerprint, mc_shapley_baseline_with_threads, mc_shapley_improved_with_threads,
+    IncKnnUtility, StoppingRule,
 };
+use knnshap::valuation::pipeline::RegShapley;
 use knnshap::valuation::resident::ResidentValuator;
 use knnshap::valuation::sharding::{merge_partials, ShardPartial, ShardSpec};
-use knnshap::valuation::truncated::{
-    truncated_class_shapley_from_graph, truncated_class_shapley_graph_shard,
-    truncated_class_shapley_with_threads,
-};
 use knnshap::valuation::types::ShapleyValues;
-use knnshap::valuation::utility::{KnnClassUtility, Utility};
+use knnshap::valuation::utility::KnnClassUtility;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::{assert_bitwise, random_class, random_reg};
+use common::{assert_bitwise, estimator, exact_reg, random_class, random_reg, truncated};
+
+/// Uniform exact classification backed by `graph`.
+fn exact_class_on<'a>(
+    train: &'a ClassDataset,
+    test: &'a ClassDataset,
+    k: usize,
+    graph: &'a KnnGraph,
+) -> Estimator<'a> {
+    let data = Data::class(train, test);
+    estimator(data, k, WeightFn::Uniform, Family::Exact, Some(graph))
+}
 
 /// Shard counts every graph-backed family is checked at.
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -93,17 +92,18 @@ fn exact_classification_graph_shards_bitwise() {
     let graph = wire_graph(&train.x, &test.x);
     for k in [1usize, 3] {
         let reference = knn_class_shapley_with_threads(&train, &test, k, 1);
+        let est = exact_class_on(&train, &test, k, &graph);
         for threads in THREADS {
             assert_bitwise(
                 &reference,
-                &knn_class_shapley_from_graph(&train, &test, k, &graph, threads),
+                &est.run(threads).values,
                 &format!("exact class from_graph k={k} threads={threads}"),
             );
         }
         check_family(
             &reference,
             &format!("exact class k={k}"),
-            |spec, threads| knn_class_shapley_graph_shard(&train, &test, k, &graph, spec, threads),
+            |spec, threads| est.compute(spec, threads),
         );
     }
 }
@@ -112,16 +112,18 @@ fn exact_classification_graph_shards_bitwise() {
 fn exact_regression_graph_shards_bitwise() {
     let (train, test) = random_reg(&mut StdRng::seed_from_u64(0x72), 70, 23);
     let graph = wire_graph(&train.x, &test.x);
-    let reference = knn_reg_shapley_with_threads(&train, &test, 3, 1);
+    let reference = exact_reg(&train, &test, 3, 1);
+    let data = Data::reg(&train, &test);
+    let est = estimator(data, 3, WeightFn::Uniform, Family::Exact, Some(&graph));
     for threads in THREADS {
         assert_bitwise(
             &reference,
-            &knn_reg_shapley_from_graph(&train, &test, 3, &graph, threads),
+            &est.run(threads).values,
             &format!("exact reg from_graph threads={threads}"),
         );
     }
     check_family(&reference, "exact reg", |spec, threads| {
-        knn_reg_shapley_graph_shard(&train, &test, 3, &graph, spec, threads)
+        est.compute(spec, threads)
     });
 }
 
@@ -131,15 +133,22 @@ fn weighted_classification_graph_shards_bitwise() {
     let graph = wire_graph(&train.x, &test.x);
     let weight = WeightFn::InverseDistance { eps: 1e-3 };
     let reference = weighted_knn_class_shapley(&train, &test, 2, weight, 1);
+    let est = estimator(
+        Data::class(&train, &test),
+        2,
+        weight,
+        Family::Exact,
+        Some(&graph),
+    );
     for threads in THREADS {
         assert_bitwise(
             &reference,
-            &weighted_knn_class_shapley_from_graph(&train, &test, 2, weight, &graph, threads),
+            &est.run(threads).values,
             &format!("weighted class from_graph threads={threads}"),
         );
     }
     check_family(&reference, "weighted class", |spec, threads| {
-        weighted_knn_class_shapley_graph_shard(&train, &test, 2, weight, &graph, spec, threads)
+        est.compute(spec, threads)
     });
 }
 
@@ -152,7 +161,13 @@ fn weighted_regression_graph_bitwise() {
     for threads in THREADS {
         assert_bitwise(
             &reference,
-            &weighted_knn_reg_shapley_from_graph(&train, &test, 2, weight, &graph, threads),
+            &RegShapley::new(&train, &test)
+                .k(2)
+                .weight(weight)
+                .graph(&graph)
+                .threads(threads)
+                .run()
+                .expect("valid job"),
             &format!("weighted reg from_graph threads={threads}"),
         );
     }
@@ -162,16 +177,19 @@ fn weighted_regression_graph_bitwise() {
 fn truncated_graph_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x75), 90, 17, 3);
     let graph = wire_graph(&train.x, &test.x);
-    let reference = truncated_class_shapley_with_threads(&train, &test, 2, 0.15, 1);
+    let reference = truncated(&train, &test, 2, 0.15, 1);
+    let family = Family::Truncated { eps: 0.15 };
+    let data = Data::class(&train, &test);
+    let est = estimator(data, 2, WeightFn::Uniform, family, Some(&graph));
     for threads in THREADS {
         assert_bitwise(
             &reference,
-            &truncated_class_shapley_from_graph(&train, &test, 2, 0.15, &graph, threads),
+            &est.run(threads).values,
             &format!("truncated from_graph threads={threads}"),
         );
     }
     check_family(&reference, "truncated", |spec, threads| {
-        truncated_class_shapley_graph_shard(&train, &test, 2, 0.15, &graph, spec, threads)
+        est.compute(spec, threads)
     });
 }
 
@@ -180,13 +198,18 @@ fn mc_baseline_graph_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x76), 25, 4, 2);
     let graph = wire_graph(&train.x, &test.x);
     let brute = KnnClassUtility::unweighted(&train, &test, 2);
-    let backed = KnnClassUtility::from_graph(&train, &test, 2, WeightFn::Uniform, &graph);
+    let family = Family::McBaseline {
+        perms: 100,
+        seed: 7,
+    };
+    let data = Data::class(&train, &test);
+    let backed = estimator(data, 2, WeightFn::Uniform, family, Some(&graph));
     // Same dataset-content fingerprint: MC shards built on either utility
     // inter-merge.
-    assert_eq!(brute.fingerprint(), backed.fingerprint());
+    assert_eq!(mc_baseline_fingerprint(&brute, 7), backed.identity().1);
     let reference = mc_shapley_baseline_with_threads(&brute, StoppingRule::Fixed(100), 7, None, 1);
     check_family(&reference.values, "mc baseline", |spec, threads| {
-        mc_shapley_baseline_shard(&backed, 100, 7, spec, threads)
+        backed.compute(spec, threads)
     });
 }
 
@@ -195,11 +218,15 @@ fn mc_improved_graph_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x77), 40, 5, 2);
     let graph = wire_graph(&train.x, &test.x);
     let brute = IncKnnUtility::classification(&train, &test, 3, WeightFn::Uniform);
-    let backed =
-        IncKnnUtility::classification_from_graph(&train, &test, 3, WeightFn::Uniform, &graph);
+    let family = Family::McImproved {
+        perms: 100,
+        seed: 11,
+    };
+    let data = Data::class(&train, &test);
+    let backed = estimator(data, 3, WeightFn::Uniform, family, Some(&graph));
     let reference = mc_shapley_improved_with_threads(&brute, StoppingRule::Fixed(100), 11, None, 1);
     check_family(&reference.values, "mc improved", |spec, threads| {
-        mc_shapley_improved_shard(&backed, 100, 11, spec, threads)
+        backed.compute(spec, threads)
     });
 }
 
@@ -208,9 +235,11 @@ fn mc_improved_regression_graph_bitwise() {
     let (train, test) = random_reg(&mut StdRng::seed_from_u64(0x78), 30, 6);
     let graph = wire_graph(&train.x, &test.x);
     let brute = IncKnnUtility::regression(&train, &test, 2, WeightFn::Uniform);
-    let backed = IncKnnUtility::regression_from_graph(&train, &test, 2, WeightFn::Uniform, &graph);
+    let family = Family::McImproved { perms: 60, seed: 5 };
+    let data = Data::reg(&train, &test);
+    let backed = estimator(data, 2, WeightFn::Uniform, family, Some(&graph));
     let a = mc_shapley_improved_with_threads(&brute, StoppingRule::Fixed(60), 5, None, 1);
-    let b = mc_shapley_improved_with_threads(&backed, StoppingRule::Fixed(60), 5, None, 8);
+    let b = backed.run(8);
     assert_bitwise(&a.values, &b.values, "mc improved regression via graph");
 }
 
@@ -219,10 +248,15 @@ fn group_testing_graph_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x79), 15, 3, 2);
     let graph = wire_graph(&train.x, &test.x);
     let brute = KnnClassUtility::unweighted(&train, &test, 2);
-    let backed = KnnClassUtility::from_graph(&train, &test, 2, WeightFn::Uniform, &graph);
+    let family = Family::GroupTesting {
+        tests: 500,
+        seed: 13,
+    };
+    let data = Data::class(&train, &test);
+    let backed = estimator(data, 2, WeightFn::Uniform, family, Some(&graph));
     let reference = group_testing_shapley_with_threads(&brute, 500, 13, 1);
     check_family(&reference.values, "group testing", |spec, threads| {
-        group_testing_shapley_shard(&backed, 500, 13, spec, threads)
+        backed.compute(spec, threads)
     });
 }
 
@@ -236,7 +270,7 @@ fn graph_and_brute_force_shards_inter_merge() {
     let reference = knn_class_shapley_with_threads(&train, &test, 2, 1);
     let parts = [
         knn_class_shapley_shard(&train, &test, 2, ShardSpec::new(0, 3), 1),
-        knn_class_shapley_graph_shard(&train, &test, 2, &graph, ShardSpec::new(1, 3), 8),
+        exact_class_on(&train, &test, 2, &graph).compute(ShardSpec::new(1, 3), 8),
         knn_class_shapley_shard(&train, &test, 2, ShardSpec::new(2, 3), 8),
     ];
     let merged = merge_partials(&parts).expect("mixed merge");
@@ -255,8 +289,9 @@ fn k_boundary_graph_bitwise() {
     let graph = wire_graph(&train.x, &test.x);
     for k in [train.len(), train.len() + 3] {
         let reference = knn_class_shapley_with_threads(&train, &test, k, 1);
+        let est = exact_class_on(&train, &test, k, &graph);
         check_family(&reference, &format!("k-boundary k={k}"), |spec, threads| {
-            knn_class_shapley_graph_shard(&train, &test, k, &graph, spec, threads)
+            est.compute(spec, threads)
         });
     }
 }
@@ -289,14 +324,23 @@ fn all_duplicate_distances_graph_bitwise() {
         assert_eq!(order, expected, "tie-break order for test point {j}");
     }
     let reference = knn_class_shapley_with_threads(&train, &test, 3, 1);
+    let est = exact_class_on(&train, &test, 3, &graph);
     check_family(&reference, "all-duplicate exact", |spec, threads| {
-        knn_class_shapley_graph_shard(&train, &test, 3, &graph, spec, threads)
+        est.compute(spec, threads)
     });
     let weight = WeightFn::InverseDistance { eps: 1e-3 };
     let wref = weighted_knn_class_shapley(&train, &test, 3, weight, 1);
     assert_bitwise(
         &wref,
-        &weighted_knn_class_shapley_from_graph(&train, &test, 3, weight, &graph, 8),
+        &estimator(
+            Data::class(&train, &test),
+            3,
+            weight,
+            Family::Exact,
+            Some(&graph),
+        )
+        .run(8)
+        .values,
         "all-duplicate weighted",
     );
 }

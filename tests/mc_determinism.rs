@@ -20,14 +20,13 @@ use knnshap::valuation::group_testing::group_testing_shapley_with_threads;
 use knnshap::valuation::mc::{
     mc_shapley_baseline_with_threads, mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
 };
-use knnshap::valuation::truncated::truncated_class_shapley_with_threads;
 use knnshap::valuation::utility::{KnnClassUtility, KnnRegUtility, Utility};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::{assert_bitwise, bitwise_ok, random_class, random_reg, THREAD_COUNTS};
+use common::{assert_bitwise, bitwise_ok, random_class, random_reg, truncated, THREAD_COUNTS};
 
 // ---------------------------------------------------------------------------
 // Fixed-seed instances: every estimator, both stopping-rule scheduling paths.
@@ -112,9 +111,9 @@ fn group_testing_bitwise_across_thread_counts() {
 #[test]
 fn truncated_multi_test_bitwise_across_thread_counts() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(29), 250, 300, 3);
-    let serial = truncated_class_shapley_with_threads(&train, &test, 3, 0.1, 1);
+    let serial = truncated(&train, &test, 3, 0.1, 1);
     for threads in THREAD_COUNTS {
-        let par = truncated_class_shapley_with_threads(&train, &test, 3, 0.1, threads);
+        let par = truncated(&train, &test, 3, 0.1, threads);
         assert_bitwise(&serial, &par, &format!("truncated t={threads}"));
     }
 }

@@ -25,13 +25,11 @@
 use knnshap::knn::WeightFn;
 use knnshap::obs;
 use knnshap::obs::{FieldValue, Level};
-use knnshap::valuation::exact_regression::knn_reg_shapley_with_threads;
 use knnshap::valuation::exact_unweighted::knn_class_shapley_with_threads;
 use knnshap::valuation::group_testing::group_testing_shapley_with_threads;
 use knnshap::valuation::mc::{
     mc_shapley_baseline_with_threads, mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
 };
-use knnshap::valuation::truncated::truncated_class_shapley_with_threads;
 use knnshap::valuation::types::ShapleyValues;
 use knnshap::valuation::utility::KnnClassUtility;
 use proptest::prelude::*;
@@ -40,7 +38,7 @@ use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard};
 
 mod common;
-use common::{assert_bitwise, random_class, random_reg};
+use common::{assert_bitwise, exact_reg, random_class, random_reg, truncated};
 
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
 
@@ -95,10 +93,10 @@ fn exact_estimators_bitwise_with_telemetry_on_and_off() {
             knn_class_shapley_with_threads(&train, &test, 3, threads)
         });
         assert_family_unmoved(&format!("exact reg t={threads}"), &|| {
-            knn_reg_shapley_with_threads(&rtrain, &rtest, 3, threads)
+            exact_reg(&rtrain, &rtest, 3, threads)
         });
         assert_family_unmoved(&format!("truncated t={threads}"), &|| {
-            truncated_class_shapley_with_threads(&train, &test, 3, 0.1, threads)
+            truncated(&train, &test, 3, 0.1, threads)
         });
     }
 }

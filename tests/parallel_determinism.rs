@@ -13,7 +13,6 @@
 
 use knnshap::knn::classifier::KnnClassifier;
 use knnshap::knn::WeightFn;
-use knnshap::valuation::exact_regression::knn_reg_shapley_with_threads;
 use knnshap::valuation::exact_unweighted::knn_class_shapley_with_threads;
 use knnshap::valuation::exact_weighted::{weighted_knn_class_shapley, weighted_knn_reg_shapley};
 use proptest::prelude::*;
@@ -21,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::{assert_bitwise, bitwise_ok, random_class, random_reg, THREAD_COUNTS};
+use common::{assert_bitwise, bitwise_ok, exact_reg, random_class, random_reg, THREAD_COUNTS};
 
 // ---------------------------------------------------------------------------
 // Fixed-seed instances, large enough to schedule many blocks per region.
@@ -50,9 +49,9 @@ fn unweighted_regression_bitwise_across_thread_counts() {
     for seed in [3u64, 99] {
         let (train, test) = random_reg(&mut StdRng::seed_from_u64(seed), 150, 300);
         for k in [1usize, 7] {
-            let serial = knn_reg_shapley_with_threads(&train, &test, k, 1);
+            let serial = exact_reg(&train, &test, k, 1);
             for threads in THREAD_COUNTS {
-                let par = knn_reg_shapley_with_threads(&train, &test, k, threads);
+                let par = exact_reg(&train, &test, k, threads);
                 assert_bitwise(&serial, &par, &format!("reg seed={seed} k={k} t={threads}"));
             }
         }
@@ -137,9 +136,9 @@ proptest! {
         k in 1usize..8,
     ) {
         let (train, test) = random_reg(&mut StdRng::seed_from_u64(seed), n, n_test);
-        let serial = knn_reg_shapley_with_threads(&train, &test, k, 1);
+        let serial = exact_reg(&train, &test, k, 1);
         for threads in THREAD_COUNTS {
-            let par = knn_reg_shapley_with_threads(&train, &test, k, threads);
+            let par = exact_reg(&train, &test, k, threads);
             prop_assert!(bitwise_ok(&serial, &par), "threads={threads}");
         }
     }

@@ -27,16 +27,14 @@ use knnshap::valuation::mc::{
     mc_shapley_baseline_adaptive, mc_shapley_baseline_with_threads, mc_shapley_improved_adaptive,
     mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
 };
-use knnshap::valuation::truncated::{
-    truncated_class_shapley_adaptive, truncated_class_shapley_with_threads,
-};
+use knnshap::valuation::truncated::truncated_class_shapley_adaptive;
 use knnshap::valuation::utility::KnnClassUtility;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
 
 mod common;
-use common::{assert_bitwise, random_class, random_reg};
+use common::{assert_bitwise, random_class, random_reg, truncated};
 
 /// Serializes every test in this binary around the process-global
 /// `KNNSHAP_SCHED_FORCE` variable. Poisoning is ignored: a failed sibling
@@ -167,7 +165,7 @@ fn adaptive_group_testing_bitwise_matches_static() {
 #[test]
 fn adaptive_truncated_bitwise_matches_static() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(29), 150, 200, 3);
-    let golden = truncated_class_shapley_with_threads(&train, &test, 3, 0.1, 1);
+    let golden = truncated(&train, &test, 3, 0.1, 1);
     for threads in THREADS {
         let adaptive = with_force(None, || {
             truncated_class_shapley_adaptive(&train, &test, 3, 0.1, threads)
@@ -197,7 +195,7 @@ fn forced_schedules_never_move_a_bit() {
     let g_imp_fan = mc_shapley_improved_with_threads(&inc, StoppingRule::Fixed(90), 13, None, 1);
     let g_imp_rounds = mc_shapley_improved_with_threads(&inc, heuristic, 13, Some(20), 1);
     let g_gt = group_testing_shapley_with_threads(&u, 1_500, 13, 1);
-    let g_trunc = truncated_class_shapley_with_threads(&ctrain, &ctest, 3, 0.1, 1);
+    let g_trunc = truncated(&ctrain, &ctest, 3, 0.1, 1);
 
     for force in FORCES {
         for threads in [2usize, 8] {

@@ -12,13 +12,11 @@
 //! different fingerprints), coverage gaps and overlaps.
 
 use knnshap::knn::WeightFn;
-use knnshap::valuation::exact_regression::{knn_reg_shapley_shard, knn_reg_shapley_with_threads};
+use knnshap::valuation::estimator::{Data, Family};
 use knnshap::valuation::exact_unweighted::{
     knn_class_shapley_shard, knn_class_shapley_with_threads,
 };
-use knnshap::valuation::exact_weighted::{
-    weighted_knn_class_shapley, weighted_knn_class_shapley_shard,
-};
+use knnshap::valuation::exact_weighted::weighted_knn_class_shapley;
 use knnshap::valuation::group_testing::{
     group_testing_shapley_shard, group_testing_shapley_with_threads,
 };
@@ -29,16 +27,13 @@ use knnshap::valuation::mc::{
 use knnshap::valuation::sharding::{
     merge_partials, ShardError, ShardPartial, ShardSpec, SHARD_FORMAT_VERSION,
 };
-use knnshap::valuation::truncated::{
-    truncated_class_shapley_shard, truncated_class_shapley_with_threads,
-};
 use knnshap::valuation::types::ShapleyValues;
 use knnshap::valuation::utility::KnnClassUtility;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::{assert_bitwise, random_class, random_reg};
+use common::{assert_bitwise, estimator, exact_reg, random_class, random_reg, truncated};
 
 /// Shard counts every family is checked at (1 = trivial split, 2 = even,
 /// 7 = deliberately awkward against 31 test points / 100 permutations).
@@ -94,9 +89,16 @@ fn exact_classification_shards_bitwise() {
 #[test]
 fn exact_regression_shards_bitwise() {
     let (train, test) = random_reg(&mut StdRng::seed_from_u64(0xB2), 70, 23);
-    let reference = knn_reg_shapley_with_threads(&train, &test, 3, 1);
+    let reference = exact_reg(&train, &test, 3, 1);
+    let est = estimator(
+        Data::reg(&train, &test),
+        3,
+        WeightFn::Uniform,
+        Family::Exact,
+        None,
+    );
     check_family(&reference, "exact reg", |spec, threads| {
-        knn_reg_shapley_shard(&train, &test, 3, spec, threads)
+        est.compute(spec, threads)
     });
 }
 
@@ -105,17 +107,26 @@ fn weighted_classification_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0xC3), 30, 9, 2);
     let weight = WeightFn::InverseDistance { eps: 1e-3 };
     let reference = weighted_knn_class_shapley(&train, &test, 2, weight, 1);
+    let est = estimator(Data::class(&train, &test), 2, weight, Family::Exact, None);
     check_family(&reference, "weighted class", |spec, threads| {
-        weighted_knn_class_shapley_shard(&train, &test, 2, weight, spec, threads)
+        est.compute(spec, threads)
     });
 }
 
 #[test]
 fn truncated_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0xD4), 90, 17, 3);
-    let reference = truncated_class_shapley_with_threads(&train, &test, 2, 0.15, 1);
+    let reference = truncated(&train, &test, 2, 0.15, 1);
+    let family = Family::Truncated { eps: 0.15 };
+    let est = estimator(
+        Data::class(&train, &test),
+        2,
+        WeightFn::Uniform,
+        family,
+        None,
+    );
     check_family(&reference, "truncated", |spec, threads| {
-        truncated_class_shapley_shard(&train, &test, 2, 0.15, spec, threads)
+        est.compute(spec, threads)
     });
 }
 

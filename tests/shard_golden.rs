@@ -1,15 +1,36 @@
 //! Golden `KNNSHARD` bytes: the wire format of the exact partial sums must
-//! not move. The two fixtures under `tests/fixtures/` were written by an
-//! earlier build whose `ExactVec` stored one `ExactSum` per training point;
-//! recomputing the same shards today must reproduce them byte for byte, at
-//! every thread count. This pins `ExactVec::encode_into` independently of
-//! any in-crate oracle.
+//! not move. The fixtures under `tests/fixtures/` were written by earlier
+//! builds; recomputing the same shards today must reproduce them byte for
+//! byte, at every thread count. This pins `ExactVec::encode_into`
+//! independently of any in-crate oracle, and — because every header carries
+//! the estimator kind and job fingerprint — pins each family's identity, so
+//! shard files and job plans written by those builds still merge and
+//! resume.
 //!
 //! * `golden_exact.knnshard` — exact (Theorem 1) classification, N = 40,
-//!   shard 1 of 2 over 9 test points;
+//!   shard 1 of 2 over 9 test points (written by the build whose `ExactVec`
+//!   stored one `ExactSum` per training point);
 //! * `golden_group_testing.knnshard` — group testing, N = 40, shard 0 of 2
-//!   over 300 tests, whose `aux` vector carries the shared term.
+//!   over 300 tests, whose `aux` vector carries the shared term (same
+//!   build);
+//! * `golden_truncated.knnshard` — truncated (Theorem 2), N = 40, K = 3,
+//!   ε = 0.2, shard 1 of 2 over 9 test points;
+//! * `golden_exact_reg.knnshard` — exact (Theorem 6) regression, N = 40,
+//!   K = 3, shard 0 of 2 over 9 test points;
+//! * `golden_weighted_exact.knnshard` — weighted (Theorem 7)
+//!   classification, N = 12, K = 2, inverse-distance weights, shard 1 of 2
+//!   over 5 test points;
+//! * `golden_mc_baseline.knnshard` — baseline Monte Carlo, N = 20, K = 2,
+//!   shard 0 of 2 over 60 permutations;
+//! * `golden_mc_improved.knnshard` — improved Monte Carlo, N = 40, K = 3,
+//!   exponential weights, shard 1 of 3 over 120 permutations.
+//!
+//! The last five were written by the per-family shard entry points that
+//! `knnshap_core::estimator` replaced; they are recomputed here through the
+//! estimator seam.
 
+use knnshap::knn::WeightFn;
+use knnshap::valuation::estimator::{Data, Family};
 use knnshap::valuation::exact_unweighted::knn_class_shapley_shard;
 use knnshap::valuation::group_testing::group_testing_shapley_shard;
 use knnshap::valuation::sharding::{ShardPartial, ShardSpec};
@@ -18,10 +39,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
-use common::random_class;
+use common::{estimator, random_class, random_reg};
 
 const GOLDEN_EXACT: &[u8] = include_bytes!("fixtures/golden_exact.knnshard");
 const GOLDEN_GROUP_TESTING: &[u8] = include_bytes!("fixtures/golden_group_testing.knnshard");
+const GOLDEN_TRUNCATED: &[u8] = include_bytes!("fixtures/golden_truncated.knnshard");
+const GOLDEN_EXACT_REG: &[u8] = include_bytes!("fixtures/golden_exact_reg.knnshard");
+const GOLDEN_WEIGHTED_EXACT: &[u8] = include_bytes!("fixtures/golden_weighted_exact.knnshard");
+const GOLDEN_MC_BASELINE: &[u8] = include_bytes!("fixtures/golden_mc_baseline.knnshard");
+const GOLDEN_MC_IMPROVED: &[u8] = include_bytes!("fixtures/golden_mc_improved.knnshard");
 
 fn exact_shard(threads: usize) -> ShardPartial {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x601D), 40, 9, 3);
@@ -32,6 +58,62 @@ fn group_testing_shard(threads: usize) -> ShardPartial {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x601E), 40, 4, 2);
     let u = KnnClassUtility::unweighted(&train, &test, 2);
     group_testing_shapley_shard(&u, 300, 5, ShardSpec::new(0, 2), threads)
+}
+
+fn truncated_shard(threads: usize) -> ShardPartial {
+    let (train, test) = random_class(&mut StdRng::seed_from_u64(0x601F), 40, 9, 3);
+    let family = Family::Truncated { eps: 0.2 };
+    let est = estimator(
+        Data::class(&train, &test),
+        3,
+        WeightFn::Uniform,
+        family,
+        None,
+    );
+    est.compute(ShardSpec::new(1, 2), threads)
+}
+
+fn exact_reg_shard(threads: usize) -> ShardPartial {
+    let (train, test) = random_reg(&mut StdRng::seed_from_u64(0x6020), 40, 9);
+    let est = estimator(
+        Data::reg(&train, &test),
+        3,
+        WeightFn::Uniform,
+        Family::Exact,
+        None,
+    );
+    est.compute(ShardSpec::new(0, 2), threads)
+}
+
+fn weighted_exact_shard(threads: usize) -> ShardPartial {
+    let (train, test) = random_class(&mut StdRng::seed_from_u64(0x6021), 12, 5, 2);
+    let weight = WeightFn::InverseDistance { eps: 1e-3 };
+    let est = estimator(Data::class(&train, &test), 2, weight, Family::Exact, None);
+    est.compute(ShardSpec::new(1, 2), threads)
+}
+
+fn mc_baseline_shard(threads: usize) -> ShardPartial {
+    let (train, test) = random_class(&mut StdRng::seed_from_u64(0x6022), 20, 4, 2);
+    let family = Family::McBaseline { perms: 60, seed: 7 };
+    let est = estimator(
+        Data::class(&train, &test),
+        2,
+        WeightFn::Uniform,
+        family,
+        None,
+    );
+    est.compute(ShardSpec::new(0, 2), threads)
+}
+
+fn mc_improved_shard(threads: usize) -> ShardPartial {
+    let (train, test) = random_class(&mut StdRng::seed_from_u64(0x6023), 40, 4, 2);
+    let weight = WeightFn::Exponential { beta: 0.5 };
+    let family = Family::McImproved {
+        perms: 120,
+        seed: 11,
+    };
+    let est = estimator(Data::class(&train, &test), 3, weight, family, None);
+    est.compute(ShardSpec::new(1, 3), threads)
 }
 
 /// Recompute, compare with the fixture, and check that decoding the
@@ -68,4 +150,44 @@ fn group_testing_shard_bytes_match_golden_fixture() {
     let aux = ShardPartial::from_bytes(GOLDEN_GROUP_TESTING).unwrap().aux;
     assert_eq!(aux.len(), 1);
     assert_ne!(aux.value(0), 0.0, "the shared term is non-empty");
+}
+
+/// A fixture whose sums are not all zero — so byte equality pins real
+/// arithmetic, not just the header.
+fn check_nonzero(golden: &[u8], make: fn(usize) -> ShardPartial, what: &str) {
+    check(golden, make, what);
+    let sums = ShardPartial::from_bytes(golden).unwrap().sums;
+    assert!(
+        (0..sums.len()).any(|i| sums.value(i) != 0.0),
+        "{what}: the fixture carries values"
+    );
+}
+
+#[test]
+fn truncated_shard_bytes_match_golden_fixture() {
+    check_nonzero(GOLDEN_TRUNCATED, truncated_shard, "truncated");
+}
+
+#[test]
+fn exact_reg_shard_bytes_match_golden_fixture() {
+    check_nonzero(GOLDEN_EXACT_REG, exact_reg_shard, "exact regression");
+}
+
+#[test]
+fn weighted_exact_shard_bytes_match_golden_fixture() {
+    check_nonzero(
+        GOLDEN_WEIGHTED_EXACT,
+        weighted_exact_shard,
+        "weighted exact classification",
+    );
+}
+
+#[test]
+fn mc_baseline_shard_bytes_match_golden_fixture() {
+    check_nonzero(GOLDEN_MC_BASELINE, mc_baseline_shard, "mc baseline");
+}
+
+#[test]
+fn mc_improved_shard_bytes_match_golden_fixture() {
+    check_nonzero(GOLDEN_MC_IMPROVED, mc_improved_shard, "mc improved");
 }
