@@ -22,6 +22,35 @@ pub fn fmt_secs(d: Duration) -> String {
     }
 }
 
+/// The `host` block of a committed `BENCH_*.json`: worker count, CPU model
+/// (from `/proc/cpuinfo`, "unknown" elsewhere) and the commit measured
+/// (`git rev-parse HEAD`, "none" outside a git checkout).
+pub fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, m)| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let rev = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "none".into());
+    format!(
+        "{{ \"nproc\": {nproc}, \"cpu\": \"{}\", \"git_rev\": \"{}\" }}",
+        knnshap_obs::json::escape(&cpu),
+        knnshap_obs::json::escape(&rev)
+    )
+}
+
 /// A minimal markdown table builder for experiment reports.
 pub struct Table {
     header: Vec<String>,

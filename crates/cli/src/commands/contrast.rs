@@ -12,6 +12,7 @@ use crate::commands::load_pair;
 use crate::report::fmt_f64;
 use crate::CliError;
 use knnshap_core::lsh_approx::plan_index_params;
+use knnshap_core::pipeline::PipelineError;
 use knnshap_core::truncated::k_star;
 use knnshap_datasets::{contrast, normalize};
 use knnshap_lsh::theory;
@@ -22,6 +23,9 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     args.expect_only(ALLOWED)?;
     let (mut train, mut test) = load_pair(args)?;
     let k = args.usize_or("k", 1)?;
+    if k == 0 {
+        return Err(CliError::Pipeline(PipelineError::ZeroK));
+    }
     let eps = args.f64_or("eps", 0.1)?;
     let delta = args.f64_or("delta", 0.1)?;
     let seed = args.u64_or("seed", 17)?;

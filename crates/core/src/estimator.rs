@@ -62,6 +62,7 @@ use crate::sharding::{
 use crate::types::ShapleyValues;
 use crate::utility::{DistMatrix, KnnClassUtility, KnnRegUtility, Utility};
 use knnshap_datasets::{ClassDataset, Features, RegDataset};
+use knnshap_knn::block::TileRows;
 use knnshap_knn::distance::Metric;
 use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::neighbors::{partial_k_nearest, Neighbor, Ranker};
@@ -164,11 +165,12 @@ pub struct Estimator<'a> {
 }
 
 impl<'a> Estimator<'a> {
-    /// Bind and validate a job. Fails with a typed [`PipelineError`] on an
-    /// empty train or test set, a dimension mismatch, a NaN/infinite
-    /// feature, a graph built from other data, a weighted truncated job,
-    /// weighted exact regression (which does not shard) and truncation on
-    /// a regression task.
+    /// Bind and validate a job. Fails with a typed [`PipelineError`] on
+    /// `k == 0`, an empty train or test set, a dimension mismatch, a
+    /// NaN/infinite feature, a graph built from other data, a weighted
+    /// truncated job, weighted exact regression (which does not shard),
+    /// truncation on a regression task and group testing over fewer than
+    /// two training points.
     pub fn new(
         data: Data<'a>,
         k: usize,
@@ -177,7 +179,13 @@ impl<'a> Estimator<'a> {
         graph: Option<&'a KnnGraph>,
     ) -> Result<Self, PipelineError> {
         let (train_x, test_x) = data.features();
-        check_data(train_x, test_x, graph)?;
+        check_data(train_x, test_x, k, graph)?;
+        if matches!(family, Family::GroupTesting { .. }) && train_x.len() < 2 {
+            return Err(PipelineError::TooFewTrainPoints {
+                method: "group testing",
+                min: 2,
+            });
+        }
         let uniform = matches!(weight, WeightFn::Uniform);
         match (&data, family) {
             (Data::Reg { .. }, Family::Truncated { .. }) => {
@@ -430,14 +438,18 @@ impl<'a> Estimator<'a> {
     }
 }
 
-/// The data checks every valuation entry point runs before any work: both
-/// sets non-empty, matching dimensions, finite features, and an attached
-/// graph built from exactly these features.
+/// The checks every valuation entry point runs before any work: `k ≥ 1`,
+/// both sets non-empty, matching dimensions, finite features, and an
+/// attached graph built from exactly these features.
 pub(crate) fn check_data(
     train: &Features,
     test: &Features,
+    k: usize,
     graph: Option<&KnnGraph>,
 ) -> Result<(), PipelineError> {
+    if k == 0 {
+        return Err(PipelineError::ZeroK);
+    }
     if train.is_empty() {
         return Err(PipelineError::EmptyTrainSet);
     }
@@ -492,17 +504,34 @@ fn ranks<'a>(data: &'a Data<'_>, graph: Option<&'a KnnGraph>) -> Ranks<'a> {
 }
 
 /// Per-block ranking buffers, reused across the block's test points.
-#[derive(Default)]
 struct RankScratch {
     ranker: Ranker,
     list: Vec<Neighbor>,
+    /// The distance rows of the current query tile (this thread's buffer).
+    rows: TileRows,
+    /// One past the block's last test point: no tile reaches beyond it.
+    end: usize,
+}
+
+impl RankScratch {
+    fn new(block: Range<usize>) -> Self {
+        Self {
+            ranker: Ranker::new(),
+            list: Vec::new(),
+            rows: TileRows::new(),
+            end: block.end,
+        }
+    }
 }
 
 impl Ranks<'_> {
     /// Test point `j`'s full ranking, or its first `m` ranks when `prefix`
-    /// is `Some(m)`. A graph list is exactly the argsort a distance pass
-    /// computes, and its `[..m]` prefix exactly what [`partial_k_nearest`]
-    /// retrieves, so both sources feed the families identical bits.
+    /// is `Some(m)`. A full brute-force ranking ranks `j`'s row of the
+    /// query tile starting at `j` — computed on the tile's first query by
+    /// the query-lane kernel, bit for bit the per-pair distances. A graph
+    /// list is exactly the argsort a distance pass computes, and its
+    /// `[..m]` prefix exactly what [`partial_k_nearest`] retrieves, so both
+    /// sources feed the families identical bits.
     fn rank<'s>(
         &'s self,
         j: usize,
@@ -511,8 +540,8 @@ impl Ranks<'_> {
     ) -> &'s [Neighbor] {
         match (*self, prefix) {
             (Ranks::Brute { train, test }, None) => {
-                st.ranker
-                    .argsort(train, test.row(j), Metric::SquaredL2, &mut st.list);
+                let row = st.rows.row(train, test, j, st.end);
+                st.ranker.rank(row, &mut st.list);
                 &st.list
             }
             (Ranks::Brute { train, test }, Some(m)) => {
@@ -554,7 +583,7 @@ where
         ranks.n_train(),
         range,
         threads,
-        RankScratch::default,
+        RankScratch::new,
         |j, st, out| fill(j, ranks.rank(j, prefix, st), out),
     )
 }

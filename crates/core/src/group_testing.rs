@@ -154,7 +154,7 @@ fn shard_sums<U: Utility + ?Sized>(
         range.len(),
         fold_threads,
         block,
-        || GtAcc {
+        |_| GtAcc {
             point: ExactVec::zeros(n),
             shared: ExactSum::new(),
             pool: (0..n).collect(),

@@ -170,7 +170,7 @@ where
     crate::sharding::exact_block_fold(
         range.len(),
         threads,
-        || BlockAcc {
+        |_| BlockAcc {
             worker: make_worker(),
             sums: ExactVec::zeros(n),
             phi: vec![0.0; n],
@@ -204,7 +204,7 @@ where
         range.len(),
         plan.threads,
         plan.block_items,
-        || BlockAcc {
+        |_| BlockAcc {
             worker: make_worker(),
             sums: ExactVec::zeros(n),
             phi: vec![0.0; n],

@@ -85,6 +85,11 @@ pub enum PipelineError {
     /// The selected method does not apply to this task (truncation is
     /// classification-only).
     TaskUnsupported(&'static str),
+    /// `K` is zero: a KNN utility needs at least one neighbor.
+    ZeroK,
+    /// The selected method needs more training points than the set has
+    /// (group testing samples coalitions of at least two players).
+    TooFewTrainPoints { method: &'static str, min: usize },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -106,6 +111,10 @@ impl std::fmt::Display for PipelineError {
                 write!(f, "graph does not match the datasets: {detail}")
             }
             PipelineError::TaskUnsupported(m) => write!(f, "{m} supports classification only"),
+            PipelineError::ZeroK => write!(f, "K must be at least 1"),
+            PipelineError::TooFewTrainPoints { method, min } => {
+                write!(f, "{method} needs at least {min} training points")
+            }
         }
     }
 }
@@ -160,8 +169,8 @@ impl<'a> KnnShapley<'a> {
         }
     }
 
+    /// Set `K`; zero is refused by `run` with [`PipelineError::ZeroK`].
     pub fn k(mut self, k: usize) -> Self {
-        assert!(k >= 1, "K must be at least 1");
         self.k = k;
         self
     }
@@ -202,7 +211,7 @@ impl<'a> KnnShapley<'a> {
     }
 
     fn validate(&self) -> Result<(), PipelineError> {
-        check_data(&self.train.x, &self.test.x, self.graph)
+        check_data(&self.train.x, &self.test.x, self.k, self.graph)
     }
 
     /// Execute the configured valuation.
@@ -452,8 +461,8 @@ impl<'a> RegShapley<'a> {
         }
     }
 
+    /// Set `K`; zero is refused by `run` with [`PipelineError::ZeroK`].
     pub fn k(mut self, k: usize) -> Self {
-        assert!(k >= 1, "K must be at least 1");
         self.k = k;
         self
     }
@@ -490,7 +499,7 @@ impl<'a> RegShapley<'a> {
     }
 
     fn validate(&self) -> Result<(), PipelineError> {
-        check_data(&self.train.x, &self.test.x, self.graph)
+        check_data(&self.train.x, &self.test.x, self.k, self.graph)
     }
 
     /// Execute the configured valuation.

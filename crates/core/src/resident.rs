@@ -62,7 +62,7 @@ use crate::exact_unweighted::theorem1_recurrence;
 use crate::types::ShapleyValues;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::distance::Metric;
-use knnshap_knn::neighbors::{argsort_by_distance, Neighbor};
+use knnshap_knn::neighbors::Neighbor;
 
 /// Everything a mutation or query on resident state can reject.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,6 +78,8 @@ pub enum ResidentError {
     /// The supplied KNN graph was not built from these datasets
     /// ([`ResidentValuator::with_graph`]).
     GraphMismatch { detail: String },
+    /// `K` is zero: a KNN utility needs at least one neighbor.
+    ZeroK,
 }
 
 impl std::fmt::Display for ResidentError {
@@ -98,6 +100,7 @@ impl std::fmt::Display for ResidentError {
             ResidentError::GraphMismatch { detail } => {
                 write!(f, "graph does not match the datasets: {detail}")
             }
+            ResidentError::ZeroK => write!(f, "K must be at least 1"),
         }
     }
 }
@@ -175,8 +178,9 @@ pub struct ResidentValuator {
 
 impl ResidentValuator {
     /// Builds resident rank state for `(train, test)` with `threads`
-    /// workers. Rejects empty datasets, `k == 0`, dimension mismatches and
-    /// non-finite features (a NaN distance has no defined rank).
+    /// workers. Panics on an empty dataset; returns a typed
+    /// [`ResidentError`] on `k == 0`, a dimension mismatch or a non-finite
+    /// feature (a NaN distance has no defined rank).
     pub fn new(
         train: ClassDataset,
         test: ClassDataset,
@@ -185,7 +189,9 @@ impl ResidentValuator {
     ) -> Result<Self, ResidentError> {
         assert!(!train.is_empty(), "training set is empty");
         assert!(!test.is_empty(), "test set is empty");
-        assert!(k >= 1, "K must be at least 1");
+        if k == 0 {
+            return Err(ResidentError::ZeroK);
+        }
         if train.dim() != test.dim() {
             return Err(ResidentError::DimMismatch {
                 expected: train.dim(),
@@ -195,9 +201,7 @@ impl ResidentValuator {
         if train.x.first_non_finite_row().is_some() || test.x.first_non_finite_row().is_some() {
             return Err(ResidentError::NonFinite);
         }
-        let ranked = knnshap_parallel::par_map(test.len(), threads, |j| {
-            argsort_by_distance(&train.x, test.x.row(j), Metric::SquaredL2)
-        });
+        let ranked = knnshap_knn::block::argsort_all(&train.x, &test.x, threads);
         Ok(Self {
             train,
             test,
@@ -223,7 +227,9 @@ impl ResidentValuator {
     ) -> Result<Self, ResidentError> {
         assert!(!train.is_empty(), "training set is empty");
         assert!(!test.is_empty(), "test set is empty");
-        assert!(k >= 1, "K must be at least 1");
+        if k == 0 {
+            return Err(ResidentError::ZeroK);
+        }
         if train.dim() != test.dim() {
             return Err(ResidentError::DimMismatch {
                 expected: train.dim(),
@@ -448,7 +454,7 @@ impl ResidentValuator {
             n,
             0..self.test.len(),
             self.threads,
-            || (),
+            |_| (),
             |j, _, scratch| {
                 let (list, y) = (&self.ranked[j], self.test.y[j]);
                 theorem1_recurrence(

@@ -511,10 +511,11 @@ const FOLD_BLOCKS_PER_THREAD: usize = 4;
 
 /// The one parallel fold shape behind every exact accumulation in the
 /// workspace: tile `count` items into a fixed block partition, give each
-/// block a fresh accumulator from `make`, `step` it over the block's items
-/// in order, and hand the finished accumulator to `fold` — which merges it
-/// into a shared total and **drops it immediately**, so live accumulators
-/// are bounded by the worker count rather than the block count (an exact
+/// block a fresh accumulator from `make` (which sees the block's item
+/// range), `step` it over the block's items in order, and hand the
+/// finished accumulator to `fold` — which merges it into a shared total
+/// and **drops it immediately**, so live accumulators are bounded by the
+/// worker count rather than the block count (an exact
 /// vector's limb plane costs up to 64 bytes per training point, 32–40 at
 /// the 4–5-limb windows valuation sums need; 32 simultaneous partials of a
 /// million-point job would be 1–2 GiB, while this shape stays at
@@ -530,7 +531,7 @@ const FOLD_BLOCKS_PER_THREAD: usize = 4;
 pub(crate) fn exact_block_fold<A, M, S, F>(count: usize, threads: usize, make: M, step: S, fold: F)
 where
     A: Send,
-    M: Fn() -> A + Sync,
+    M: Fn(std::ops::Range<usize>) -> A + Sync,
     S: Fn(&mut A, usize) + Sync,
     F: Fn(A) + Sync,
 {
@@ -565,7 +566,7 @@ pub(crate) fn exact_block_fold_sized<A, M, S, F>(
     fold: F,
 ) where
     A: Send,
-    M: Fn() -> A + Sync,
+    M: Fn(std::ops::Range<usize>) -> A + Sync,
     S: Fn(&mut A, usize) + Sync,
     F: Fn(A) + Sync,
 {
@@ -577,7 +578,7 @@ pub(crate) fn exact_block_fold_sized<A, M, S, F>(
     knnshap_parallel::par_map(blocks, threads, |b| {
         let lo = b * block;
         let hi = ((b + 1) * block).min(count);
-        let mut acc = make();
+        let mut acc = make(lo..hi);
         for j in lo..hi {
             step(&mut acc, j);
         }
@@ -601,7 +602,7 @@ where
     exact_block_fold(
         range.len(),
         threads,
-        || ExactVec::zeros(n_train),
+        |_| ExactVec::zeros(n_train),
         |acc, j| fill(range.start + j, acc),
         |acc| total.lock().expect("fold poisoned").merge(&acc),
     );
@@ -625,7 +626,7 @@ where
         range.len(),
         threads,
         block,
-        || ExactVec::zeros(n_train),
+        |_| ExactVec::zeros(n_train),
         |acc, j| fill(range.start + j, acc),
         |acc| total.lock().expect("fold poisoned").merge(&acc),
     );
@@ -637,8 +638,10 @@ where
 /// writes item `j`'s contributions into a zeroed dense `f64` scratch
 /// (`scratch[i] = contribution of train point i`), and the fold deposits
 /// the scratch with [`ExactVec::add_dense`]. `fill` also gets a per-block
-/// state from `state` (one per serial fold) to reuse across the block's
-/// items, e.g. ranking buffers.
+/// state from `state` (one per serial fold), built from the block's
+/// absolute item range, to reuse across the block's items — e.g. ranking
+/// buffers, or distance rows computed a query tile at a time that must not
+/// reach past the block.
 ///
 /// Identical bits to the sink-per-contribution shape — the deposited
 /// values are the same `f64`s and exact accumulation is order-invariant —
@@ -656,7 +659,7 @@ pub(crate) fn exact_sums_over_dense<T, M, F>(
 ) -> ExactVec
 where
     T: Send,
-    M: Fn() -> T + Sync,
+    M: Fn(std::ops::Range<usize>) -> T + Sync,
     F: Fn(usize, &mut T, &mut [f64]) + Sync,
 {
     if threads <= 1 {
@@ -665,7 +668,7 @@ where
         // merge. Exactness makes the grouping invisible in the bits.
         let mut total = ExactVec::zeros(n_train);
         let mut scratch = vec![0.0f64; n_train];
-        let mut st = state();
+        let mut st = state(range.clone());
         for j in range {
             scratch.fill(0.0);
             fill(j, &mut st, &mut scratch);
@@ -677,7 +680,14 @@ where
     exact_block_fold(
         range.len(),
         threads,
-        || (ExactVec::zeros(n_train), vec![0.0f64; n_train], state()),
+        |block| {
+            let block = range.start + block.start..range.start + block.end;
+            (
+                ExactVec::zeros(n_train),
+                vec![0.0f64; n_train],
+                state(block),
+            )
+        },
         |(acc, scratch, st), j| {
             scratch.fill(0.0);
             fill(range.start + j, st, scratch);

@@ -23,7 +23,7 @@
 //! Carlo baselines, which is exactly why the paper's exact algorithms matter.
 
 use knnshap_datasets::{ClassDataset, RegDataset};
-use knnshap_knn::distance::l2;
+use knnshap_knn::block::{QueryTile, QUERY_TILE};
 use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::weights::WeightFn;
 
@@ -66,10 +66,14 @@ impl DistMatrix {
     ) -> Self {
         assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
         let n = train.len();
-        let mut d = Vec::with_capacity(test.len() * n);
-        for q in test.rows() {
-            for t in train.rows() {
-                d.push(l2(q, t));
+        let mut d = vec![0.0f32; test.len() * n];
+        // Each query tile's squared distances come from the query-lane
+        // kernel (bitwise `squared_l2`); `sqrt` of them is bitwise `l2`.
+        for (tile, rows) in d.chunks_mut(QUERY_TILE * n.max(1)).enumerate() {
+            let lo = tile * QUERY_TILE;
+            QueryTile::new(test, lo..(lo + QUERY_TILE).min(test.len())).distances(train, rows);
+            for x in rows.iter_mut() {
+                *x = x.sqrt();
             }
         }
         Self { d, n }
@@ -77,10 +81,11 @@ impl DistMatrix {
 
     /// Rebuild the matrix from a precomputed graph instead of a distance
     /// pass. The graph stores squared-L2 values bitwise-identical to
-    /// `squared_l2`, and [`l2`] is exactly `squared_l2(..).sqrt()`, so
-    /// scattering `dist.sqrt()` back to training-index positions reproduces
-    /// [`DistMatrix::build`] bit for bit. Every rank list is a validated
-    /// permutation, so every slot is filled exactly once.
+    /// `squared_l2`, and [`l2`](knnshap_knn::distance::l2) is exactly
+    /// `squared_l2(..).sqrt()`, so scattering `dist.sqrt()` back to
+    /// training-index positions reproduces [`DistMatrix::build`] bit for
+    /// bit. Every rank list is a validated permutation, so every slot is
+    /// filled exactly once.
     pub(crate) fn from_graph(graph: &KnnGraph) -> Self {
         let n = graph.n_train();
         let mut d = vec![0.0f32; graph.n_test() * n];

@@ -9,8 +9,9 @@
 //! produces (ascending
 //! `(distance, index)` under squared L2), so any estimator can start from
 //! rank lists and skip the distance pass entirely. Build once with
-//! `knnshap build-graph` (which uses the blocked kernel in [`crate::block`]),
-//! then feed the artifact to `value --graph`, `shard`, `run-job` or `serve`.
+//! `knnshap build-graph` (which uses the query-lane kernel in
+//! [`crate::block`]), then feed the artifact to `value --graph`, `shard`,
+//! `run-job` or `serve`.
 //!
 //! ### Integrity contract (mirrors `KNNSHARD`)
 //!
@@ -31,14 +32,14 @@
 //!   estimators.
 //!
 //! Because the stored distances are bitwise-identical to what
-//! [`squared_l2`](crate::distance::squared_l2) computes (the blocked kernel
-//! is bitwise-neutral), graph-backed valuation is bitwise-identical to the
-//! brute-force path — including weighted estimators that take `sqrt` of
-//! these entries. `tests/graph_determinism.rs` proves this across estimator
-//! families × shard counts × thread counts.
+//! [`squared_l2`](crate::distance::squared_l2) computes (the query-lane
+//! kernel is bitwise-neutral), graph-backed valuation is bitwise-identical
+//! to the brute-force path — including weighted estimators that take `sqrt`
+//! of these entries. `tests/graph_determinism.rs` proves this across
+//! estimator families × shard counts × thread counts.
 
-use crate::block::blocked_squared_l2;
-use crate::neighbors::{cmp_dist_idx, rank_distances, Neighbor};
+use crate::block::argsort_all;
+use crate::neighbors::{cmp_dist_idx, Neighbor};
 use knnshap_datasets::Features;
 use knnshap_numerics::fingerprint::Fingerprint;
 
@@ -176,9 +177,13 @@ pub struct KnnGraph {
 }
 
 impl KnnGraph {
-    /// Build the graph with the blocked kernel ([`blocked_squared_l2`]) and
-    /// the shared ranking ([`Ranker`](crate::neighbors::Ranker)) of each
-    /// distance row.
+    /// Build the graph with the query-lane kernel ([`argsort_all`]): each
+    /// worker computes one tile of [`QUERY_TILE`](crate::block::QUERY_TILE)
+    /// distance rows at a time and ranks them with the shared
+    /// [`Ranker`](crate::neighbors::Ranker), so no more than a tile's rows
+    /// are ever live per worker. The distance pass is compute-bound (cache
+    /// tiling of train gained only ×1.2), which is why the kernel spends
+    /// its effort on SIMD lanes across queries instead.
     ///
     /// The kernel's rows are bitwise-identical to the per-pair distances and
     /// the ranking is a total order, so every list is exactly the ranking of
@@ -186,9 +191,7 @@ impl KnnGraph {
     /// result is bitwise-independent of tiles and `threads`.
     pub fn build(train: &Features, test: &Features, threads: usize) -> KnnGraph {
         assert_eq!(train.dim(), test.dim(), "train/test dimension mismatch");
-        let rows = blocked_squared_l2(train, test, threads);
-        let lists: Vec<Vec<Neighbor>> =
-            knnshap_parallel::par_map(rows.len(), threads, |j| rank_distances(&rows[j]));
+        let lists = argsort_all(train, test, threads);
         KnnGraph {
             dim: train.dim() as u32,
             n_train: train.len() as u64,

@@ -1,8 +1,8 @@
 //! Property-based tests for the KNN substrate.
 
 use knnshap_datasets::Features;
-use knnshap_knn::block::{blocked_squared_l2_with_tiles, naive_squared_l2};
-use knnshap_knn::distance::Metric;
+use knnshap_knn::block::{argsort_all, QueryTile, TileRows, QUERY_TILE};
+use knnshap_knn::distance::{squared_l2, Metric};
 use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::heap::KnnHeap;
 use knnshap_knn::kdtree::KdTree;
@@ -40,6 +40,40 @@ fn edge_dist(sel: u32, bits: u32) -> f32 {
             d if d.is_nan() => f32::from_bits(bits & 0xff80_0000), // ±inf
             d => d,
         },
+    }
+}
+
+/// A feature value that stresses the distance kernel: both zeros, ±
+/// subnormals, finite magnitudes of at least 2⁶⁴ (whose squares overflow
+/// to `inf`), `±f32::MAX`, or — most often, so that reassociating a sum
+/// shows in the bits — an ordinary value in [−10, 10].
+fn edge_feature(sel: u32, bits: u32) -> f32 {
+    match sel % 24 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::from_bits(bits & 0x807f_ffff),
+        3 => f32::from_bits(bits & 0x807f_ffff | 0x5f80_0000),
+        4 => f32::MAX.copysign(f32::from_bits(bits)),
+        _ => (bits % 20_001) as f32 / 1000.0 - 10.0,
+    }
+}
+
+/// `n` rows of `dim` edge-case features drawn from `sel` and `bits`.
+fn edge_features(n: usize, dim: usize, sel: &[u32], bits: &[u32]) -> Features {
+    let vals = sel[..n * dim]
+        .iter()
+        .zip(bits)
+        .map(|(&s, &b)| edge_feature(s, b))
+        .collect();
+    Features::new(vals, dim)
+}
+
+/// Training rows for the kernel properties: none, one, two, or an odd
+/// count up to 41.
+fn kernel_train_size(pick: usize) -> usize {
+    match pick % 23 {
+        p @ 0..=2 => p,
+        p => 2 * p - 5,
     }
 }
 
@@ -202,31 +236,6 @@ proptest! {
     }
 
     #[test]
-    fn blocked_kernel_bitwise_equals_naive_for_any_tiling(
-        vals in prop::collection::vec(-10.0f32..10.0, 120),
-        qvals in prop::collection::vec(-10.0f32..10.0, 21),
-        n in 1usize..40,
-        // Random tile shapes spanning every edge case: tile 1, tiles that do
-        // not divide n, and tiles larger than the whole data (n < tile).
-        q_tile in 1usize..12,
-        t_tile in 1usize..64,
-        threads in 1usize..5,
-    ) {
-        let dim = 3;
-        let train = features(n, dim, &vals);
-        let queries = features(7, dim, &qvals);
-        let naive = naive_squared_l2(&train, &queries);
-        let blocked = blocked_squared_l2_with_tiles(&train, &queries, q_tile, t_tile, threads);
-        prop_assert_eq!(blocked.len(), naive.len());
-        for (br, nr) in blocked.iter().zip(&naive) {
-            prop_assert_eq!(br.len(), nr.len());
-            for (x, y) in br.iter().zip(nr) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn graph_build_matches_argsort_and_survives_round_trip(
         vals in prop::collection::vec(-5.0f32..5.0, 48),
         qvals in prop::collection::vec(-5.0f32..5.0, 8),
@@ -259,6 +268,74 @@ proptest! {
             let ba = m.eval(&b, &a);
             prop_assert!(ab >= 0.0);
             prop_assert!((ab - ba).abs() < 1e-5);
+        }
+    }
+}
+
+// The distance-kernel battery: the case count follows `PROPTEST_CASES`
+// (default 32), so CI can replay it at a larger count in debug and release.
+proptest! {
+    /// The query-lane kernel is bit for bit the per-pair `squared_l2`:
+    /// every dimension 1–37 (each `d mod 4`), every partial tile of 1 to
+    /// `QUERY_TILE` queries, train sizes 0, 1 and odd, over ±0,
+    /// subnormals and finite inputs whose squares overflow to `inf`, both
+    /// through `QueryTile` and through a fold block's `TileRows` walk.
+    #[test]
+    fn query_lane_kernel_matches_per_pair_squared_l2(
+        sel in prop::collection::vec(any::<u32>(), 41 * 37),
+        bits in prop::collection::vec(any::<u32>(), 41 * 37),
+        qsel in prop::collection::vec(any::<u32>(), QUERY_TILE * 37),
+        qbits in prop::collection::vec(any::<u32>(), QUERY_TILE * 37),
+        dim in 1usize..38,
+        lanes in 1usize..=QUERY_TILE,
+        pick in 0usize..23,
+    ) {
+        let n = kernel_train_size(pick);
+        let train = edge_features(n, dim, &sel, &bits);
+        let queries = edge_features(lanes, dim, &qsel, &qbits);
+        let mut out = vec![f32::NAN; lanes * n];
+        QueryTile::new(&queries, 0..lanes).distances(&train, &mut out);
+        let mut rows = TileRows::new();
+        for (l, q) in queries.rows().enumerate() {
+            let walked = rows.row(&train, &queries, l, lanes).to_vec();
+            for (t, row) in train.rows().enumerate() {
+                let want = squared_l2(q, row).to_bits();
+                prop_assert_eq!(out[l * n + t].to_bits(), want, "tile ({}, {})", l, t);
+                prop_assert_eq!(walked[t].to_bits(), want, "walk ({}, {})", l, t);
+            }
+        }
+    }
+
+    /// The tiled rankings — `argsort_all` and the `KnnGraph::build` lists
+    /// on it — equal one `argsort_by_distance` per query at 1, 2, 3 and 8
+    /// threads, for query counts that leave partial tiles.
+    #[test]
+    fn query_lane_rankings_match_argsort_at_every_thread_count(
+        sel in prop::collection::vec(any::<u32>(), 41 * 37),
+        bits in prop::collection::vec(any::<u32>(), 41 * 37),
+        qsel in prop::collection::vec(any::<u32>(), 11 * 37),
+        qbits in prop::collection::vec(any::<u32>(), 11 * 37),
+        dim in 1usize..38,
+        n_queries in 0usize..12,
+        pick in 0usize..23,
+    ) {
+        let n = kernel_train_size(pick);
+        let train = edge_features(n, dim, &sel, &bits);
+        let queries = edge_features(n_queries, dim, &qsel, &qbits);
+        let want: Vec<Vec<Neighbor>> = queries
+            .rows()
+            .map(|q| argsort_by_distance(&train, q, Metric::SquaredL2))
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            let lists = argsort_all(&train, &queries, threads);
+            prop_assert_eq!(lists.len(), want.len());
+            for (got, w) in lists.iter().zip(&want) {
+                same_ranking(got, w)?;
+            }
+            let g = KnnGraph::build(&train, &queries, threads);
+            for (got, w) in g.lists().iter().zip(&want) {
+                same_ranking(got, w)?;
+            }
         }
     }
 }

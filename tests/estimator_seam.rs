@@ -1,7 +1,8 @@
 //! The estimator seam's construction contract, over all seven shardable
-//! families: a graph built from drifted data and a weighted truncated job
-//! are typed `PipelineError`s from `Estimator::new` (or
-//! `Estimator::attach_graph`), never panics; and a graph-backed estimator
+//! families: a graph built from drifted data, a weighted truncated job,
+//! `K = 0` and group testing over one training point are typed
+//! `PipelineError`s from `Estimator::new` (or `Estimator::attach_graph`,
+//! or the pipeline builders), never panics; and a graph-backed estimator
 //! produces the brute-force partial's bytes.
 
 use knnshap::datasets::synth::blobs::{self, BlobConfig};
@@ -10,7 +11,7 @@ use knnshap::datasets::{ClassDataset, RegDataset};
 use knnshap::knn::graph::KnnGraph;
 use knnshap::knn::WeightFn;
 use knnshap::valuation::estimator::{Data, Estimator, Family};
-use knnshap::valuation::pipeline::PipelineError;
+use knnshap::valuation::pipeline::{KnnShapley, PipelineError, RegShapley};
 use knnshap::valuation::sharding::ShardSpec;
 
 fn class_data() -> (ClassDataset, ClassDataset) {
@@ -116,6 +117,47 @@ fn drifted_graphs_and_weighted_truncation_are_typed_errors() {
     )
     .err();
     assert_eq!(err, Some(PipelineError::WeightedUnsupported("Truncated")));
+}
+
+#[test]
+fn zero_k_and_one_point_group_testing_are_typed_errors() {
+    let (ctrain, ctest) = class_data();
+    let (rtrain, rtest) = reg_data();
+    for (what, class, weight, family) in families() {
+        let data = if class {
+            Data::class(&ctrain, &ctest)
+        } else {
+            Data::reg(&rtrain, &rtest)
+        };
+        let err = Estimator::new(data, 0, weight, family, None).err();
+        assert_eq!(err, Some(PipelineError::ZeroK), "{what}");
+    }
+    assert_eq!(
+        KnnShapley::new(&ctrain, &ctest).k(0).run().err(),
+        Some(PipelineError::ZeroK)
+    );
+    assert_eq!(
+        RegShapley::new(&rtrain, &rtest).k(0).run().err(),
+        Some(PipelineError::ZeroK)
+    );
+    // Group testing samples coalitions of at least two players.
+    let one = ctrain.gather(&[0]);
+    let family = Family::GroupTesting { tests: 9, seed: 1 };
+    let err = Estimator::new(
+        Data::class(&one, &ctest),
+        1,
+        WeightFn::Uniform,
+        family,
+        None,
+    )
+    .err();
+    assert_eq!(
+        err,
+        Some(PipelineError::TooFewTrainPoints {
+            method: "group testing",
+            min: 2
+        })
+    );
 }
 
 #[test]
