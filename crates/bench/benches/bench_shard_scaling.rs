@@ -102,9 +102,10 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"shard_scaling_improved\",\n  \"n_train\": {n},\n  \
-         \"n_test\": 4,\n  \"k\": {k},\n  \"perms\": {perms},\n  \
+        "{{\n  \"bench\": \"shard_scaling_improved\",\n  \"host\": {},\n  \
+         \"n_train\": {n},\n  \"n_test\": 4,\n  \"k\": {k},\n  \"perms\": {perms},\n  \
          \"unsharded_seconds\": {unsharded_secs:.6},\n  \"results\": [\n{}\n  ]\n}}\n",
+        knnshap_bench::util::host_json(),
         rows.join(",\n")
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");

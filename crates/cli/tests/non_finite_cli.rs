@@ -1,7 +1,8 @@
 //! A non-finite feature cell in an input CSV (`NaN`, `inf`, or a literal
 //! that overflows `f32`) must stop every command that loads CSVs with a
 //! one-line format error naming the 1-based line — never a panic from the
-//! distance ranking further down.
+//! distance ranking further down. So must a label of `u32::MAX`, whose
+//! class count `max(label) + 1` does not fit a `u32`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -157,4 +158,20 @@ fn run_job_rejects_non_finite_cells() {
         &ws.path("merged.csv"),
     ]);
     assert_typed_failure(&out, "NaN", "run-job");
+}
+
+#[test]
+fn value_rejects_the_largest_label() {
+    let ws = Scratch::new("label");
+    let (train, test) = (ws.path("train.csv"), ws.path("test.csv"));
+    std::fs::write(&train, "1.0,2.0,4294967295\n3.0,4.0,1\n").unwrap();
+    std::fs::write(&test, "1.0,2.0,0\n").unwrap();
+    let out = knnshap(&["value", "--train", &train, "--test", &test, "--k", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "value accepted label u32::MAX");
+    assert!(
+        stderr.contains("line 1") && stderr.contains("4294967295"),
+        "error does not name line 1 and the label:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "value panicked:\n{stderr}");
 }

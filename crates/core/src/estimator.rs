@@ -503,23 +503,24 @@ fn ranks<'a>(data: &'a Data<'_>, graph: Option<&'a KnnGraph>) -> Ranks<'a> {
     }
 }
 
-/// Per-block ranking buffers, reused across the block's test points.
+/// Per-worker ranking buffers, reused across every test point the worker
+/// claims.
 struct RankScratch {
     ranker: Ranker,
     list: Vec<Neighbor>,
     /// The distance rows of the current query tile (this thread's buffer).
     rows: TileRows,
-    /// One past the block's last test point: no tile reaches beyond it.
+    /// One past the fold's last test point: no tile reaches beyond it.
     end: usize,
 }
 
 impl RankScratch {
-    fn new(block: Range<usize>) -> Self {
+    fn new(range: Range<usize>) -> Self {
         Self {
             ranker: Ranker::new(),
             list: Vec::new(),
             rows: TileRows::new(),
-            end: block.end,
+            end: range.end,
         }
     }
 }

@@ -83,16 +83,6 @@ pub fn group_testing_shapley<U: Utility + ?Sized>(
     group_testing_shapley_with_threads(u, tests, seed, knnshap_parallel::current_threads())
 }
 
-/// Per-block accumulator of the parallel group-testing fold.
-struct GtAcc {
-    /// Σ over member tests of `u_t` per point (the `N·β_ti` part).
-    point: ExactVec,
-    /// Σ over tests of `u_t · k_t / N` (the lazily shared `−k_t` part).
-    shared: ExactSum,
-    /// Reusable coalition-sampling buffer.
-    pool: Vec<usize>,
-}
-
 /// `q(k) ∝ 1/k + 1/(N−k)`, cumulative for inverse-CDF sampling — shared by
 /// the fold and the cost-model probe so both draw identical coalitions.
 fn size_cdf(n: usize) -> Vec<f64> {
@@ -149,33 +139,27 @@ fn shard_sums<U: Utility + ?Sized>(
             crate::sharding::static_fold_block(range.len(), threads),
         ),
     };
-    let total = std::sync::Mutex::new((ExactVec::zeros(n), ExactSum::new()));
-    crate::sharding::exact_block_fold_sized(
+    crate::sharding::exact_fold(
         range.len(),
         fold_threads,
         block,
-        |_| GtAcc {
-            point: ExactVec::zeros(n),
-            shared: ExactSum::new(),
-            pool: (0..n).collect(),
-        },
-        |acc, t| {
-            let (k, ut) = eval_test(u, &streams, &cdf, &mut acc.pool, range.start + t);
+        || (ExactVec::zeros(n), ExactSum::new()),
+        || (0..n).collect::<Vec<usize>>(),
+        |pool, (point, shared), t| {
+            let (k, ut) = eval_test(u, &streams, &cdf, pool, range.start + t);
             if ut == 0.0 {
                 return;
             }
-            for &i in &acc.pool[..k] {
-                acc.point.add(i, ut);
+            for &i in &pool[..k] {
+                point.add(i, ut);
             }
-            acc.shared.add(ut * k as f64 / n as f64);
+            shared.add(ut * k as f64 / n as f64);
         },
-        |acc| {
-            let mut t = total.lock().expect("fold poisoned");
-            t.0.merge(&acc.point);
-            t.1.merge(&acc.shared);
+        |(point, shared), (p, s)| {
+            point.merge(p);
+            shared.merge(s);
         },
-    );
-    total.into_inner().expect("fold poisoned")
+    )
 }
 
 /// Value recovery from the accumulated sums — the single finalization both

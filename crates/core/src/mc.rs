@@ -140,83 +140,39 @@ pub struct McResult {
     pub snapshots: Vec<(usize, ShapleyValues)>,
 }
 
-/// Per-block accumulator of the fan-out path: a worker closure plus its
-/// exact sums and contribution scratch.
-struct BlockAcc<W> {
-    worker: W,
-    sums: ExactVec,
-    phi: Vec<f64>,
-}
-
 /// Fan-out drive shared by the a-priori-budget estimators and the shard
 /// entry points: run permutation streams `range` (of a job whose full
-/// stream space is `0..total`), depositing every marginal-contribution
-/// vector into exact accumulators, eagerly merged block by block
-/// ([`crate::sharding::exact_block_fold`]) so live accumulators stay
-/// bounded by the worker count. The returned partial state is a pure
-/// function of `(job, range)` — never of `threads` or of how the rest of
-/// the job is sharded.
+/// stream space is `0..total`) in `block`-stream claim units, depositing
+/// every marginal-contribution vector into exact accumulators — one per
+/// worker, each holding its own permutation worker and contribution
+/// scratch ([`crate::sharding::exact_fold`]). The returned partial state is
+/// a pure function of `(job, range)` — never of `threads`, of `block` or of
+/// how the rest of the job is sharded.
 fn run_fanout<W, F>(
     n: usize,
     range: std::ops::Range<usize>,
     threads: usize,
+    block: usize,
     make_worker: F,
 ) -> ExactVec
 where
-    W: FnMut(usize, &mut [f64]) + Send,
+    W: FnMut(usize, &mut [f64]),
     F: Fn() -> W + Sync,
 {
-    let total = std::sync::Mutex::new(ExactVec::zeros(n));
-    crate::sharding::exact_block_fold(
+    let sums = crate::sharding::exact_fold(
         range.len(),
         threads,
-        |_| BlockAcc {
-            worker: make_worker(),
-            sums: ExactVec::zeros(n),
-            phi: vec![0.0; n],
+        block,
+        || ExactVec::zeros(n),
+        || (make_worker(), vec![0.0; n]),
+        |(worker, phi), sums, t| {
+            worker(range.start + t, phi);
+            sums.add_dense(phi);
         },
-        |acc, t| {
-            (acc.worker)(range.start + t, &mut acc.phi);
-            acc.sums.add_dense(&acc.phi);
-        },
-        |acc| total.lock().expect("fold poisoned").merge(&acc.sums),
+        ExactVec::merge,
     );
     MC_PERMS.add(range.len() as u64);
-    total.into_inner().expect("fold poisoned")
-}
-
-/// [`run_fanout`] with a scheduler-chosen block size
-/// ([`crate::sharding::exact_block_fold_sized`]). Exact accumulation makes
-/// the tiling bitwise-free: every block size deposits the same multiset of
-/// summands into an order/grouping-invariant merge.
-fn run_fanout_tiled<W, F>(
-    n: usize,
-    range: std::ops::Range<usize>,
-    plan: crate::schedule::FanoutPlan,
-    make_worker: F,
-) -> ExactVec
-where
-    W: FnMut(usize, &mut [f64]) + Send,
-    F: Fn() -> W + Sync,
-{
-    let total = std::sync::Mutex::new(ExactVec::zeros(n));
-    crate::sharding::exact_block_fold_sized(
-        range.len(),
-        plan.threads,
-        plan.block_items,
-        |_| BlockAcc {
-            worker: make_worker(),
-            sums: ExactVec::zeros(n),
-            phi: vec![0.0; n],
-        },
-        |acc, t| {
-            (acc.worker)(range.start + t, &mut acc.phi);
-            acc.sums.add_dense(&acc.phi);
-        },
-        |acc| total.lock().expect("fold poisoned").merge(&acc.sums),
-    );
-    MC_PERMS.add(range.len() as u64);
-    total.into_inner().expect("fold poisoned")
+    sums
 }
 
 /// Sample a [`crate::schedule::CostModel`] from warmup items of the actual
@@ -458,7 +414,7 @@ pub fn mc_shapley_baseline_adaptive<U: Utility + ?Sized>(
         return drive_rounds(n, rule, snapshot_every, plan, make_worker);
     }
     let plan = crate::schedule::plan_fanout(&model, budget, threads, force.as_ref());
-    let sums = run_fanout_tiled(n, 0..budget, plan, make_worker);
+    let sums = run_fanout(n, 0..budget, plan.threads, plan.block_items, make_worker);
     McResult {
         values: crate::sharding::finalize_mean(&sums, budget as u64),
         permutations: budget,
@@ -501,7 +457,8 @@ pub(crate) fn baseline_sums<U: Utility + ?Sized>(
 ) -> ExactVec {
     let streams = RngStreams::new(seed);
     let nu_empty = u.eval(&[]);
-    run_fanout(u.n(), range, threads, || {
+    let block = crate::sharding::static_fold_block(range.len(), threads);
+    run_fanout(u.n(), range, threads, block, || {
         baseline_worker(u, streams, nu_empty)
     })
 }
@@ -920,7 +877,7 @@ pub fn mc_shapley_improved_adaptive(
         return drive_rounds(n, rule, snapshot_every, plan, make_worker);
     }
     let plan = crate::schedule::plan_fanout(&model, budget, threads, force.as_ref());
-    let sums = run_fanout_tiled(n, 0..budget, plan, make_worker);
+    let sums = run_fanout(n, 0..budget, plan.threads, plan.block_items, make_worker);
     McResult {
         values: crate::sharding::finalize_mean(&sums, budget as u64),
         permutations: budget,
@@ -963,7 +920,8 @@ pub(crate) fn improved_sums(
     threads: usize,
 ) -> ExactVec {
     let streams = RngStreams::new(seed);
-    run_fanout(u.n(), range, threads, || improved_worker(u, streams))
+    let block = crate::sharding::static_fold_block(range.len(), threads);
+    run_fanout(u.n(), range, threads, block, || improved_worker(u, streams))
 }
 
 /// Improved-MC (Algorithm 2) partial sums over one canonical shard of a

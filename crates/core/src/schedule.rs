@@ -16,9 +16,14 @@
 //!
 //! * `per_item_secs` — wall time of one permutation / coalition test / test
 //!   point;
-//! * `fork_secs` — the setup a block pays before its first item (forking
+//! * `fork_secs` — the setup a worker pays before its first item (forking
 //!   the utility, zeroing an exact accumulator);
-//! * `merge_secs` — the cost of folding a finished block into the total.
+//! * `merge_secs` — the cost of folding a worker's accumulator into the
+//!   total.
+//!
+//! The exact fold in `crate::sharding` pays both once per worker, not once
+//! per block, so charging them to every block, as the planners do, errs
+//! toward fewer, larger blocks.
 //!
 //! From those, pure planners choose the tiling: [`plan_fanout`] (block size
 //! and serial-vs-parallel for the a-priori-budget fan-out path),
@@ -61,9 +66,9 @@ pub const MAX_ROUND: usize = 4096;
 pub struct CostModel {
     /// Wall seconds per item (permutation, coalition test, test point).
     pub per_item_secs: f64,
-    /// Block setup seconds: utility fork + accumulator allocation.
+    /// Worker setup seconds: utility fork + accumulator allocation.
     pub fork_secs: f64,
-    /// Seconds to merge one finished block into the running total.
+    /// Seconds to merge one worker's accumulator into the running total.
     pub merge_secs: f64,
 }
 

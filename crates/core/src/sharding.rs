@@ -70,7 +70,10 @@
 use crate::types::ShapleyValues;
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::weights::WeightFn;
+use knnshap_knn::QUERY_TILE;
 use knnshap_numerics::exact::{ExactSum, ExactVec};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// On-disk format version written/required by
 /// [`ShardPartial::to_bytes`]/[`from_bytes`](ShardPartial::from_bytes).
@@ -497,49 +500,100 @@ pub(crate) fn finalize(
     }
 }
 
-/// Block-granularity cap for the exact folds: enough scheduling units for
-/// the pool to balance skewed per-item costs, few enough that block setup
-/// is invisible. The actual block count also scales with the thread count
-/// (see [`exact_block_fold`]): every block pays O(`n_train`) accumulator
-/// setup, so a serial fold uses one block and a parallel one a few blocks
-/// per worker — never more than this cap.
+/// Claim-unit cap for the exact folds: enough units for the pool to balance
+/// skewed per-item costs. A unit is only a scheduling grain — accumulators
+/// live per worker, not per unit (see [`exact_fold`]) — but every claim is
+/// one atomic increment and, for the ranking folds, one query tile, so a
+/// serial fold uses one unit and a parallel one a few per worker, never
+/// more than this cap.
 const FOLD_BLOCKS: usize = 32;
 
-/// Scheduling units per worker below the [`FOLD_BLOCKS`] cap — enough slack
-/// to rebalance skewed items without multiplying accumulator setup.
+/// Claim units per worker below the [`FOLD_BLOCKS`] cap — enough slack to
+/// rebalance skewed items.
 const FOLD_BLOCKS_PER_THREAD: usize = 4;
 
-/// The one parallel fold shape behind every exact accumulation in the
-/// workspace: tile `count` items into a fixed block partition, give each
-/// block a fresh accumulator from `make` (which sees the block's item
-/// range), `step` it over the block's items in order, and hand the
-/// finished accumulator to `fold` — which merges it into a shared total
-/// and **drops it immediately**, so live accumulators are bounded by the
-/// worker count rather than the block count (an exact
-/// vector's limb plane costs up to 64 bytes per training point, 32–40 at
-/// the 4–5-limb windows valuation sums need; 32 simultaneous partials of a
-/// million-point job would be 1–2 GiB, while this shape stays at
-/// `threads + 1` partials).
+/// The one parallel fold behind every exact accumulation in the workspace.
+/// `0..count` is cut into `block`-item claim units. Each participant of a
+/// pool region of at most `threads` workers claims units from one shared
+/// counter and `step`s its per-worker state `W` (from `make`, built once,
+/// on the participant's first claim) over each unit's items in order,
+/// depositing into an accumulator `A`:
+///
+/// - a serial fold (one participant) deposits straight into the total
+///   (from `zero`, allocated on the caller): exactly one accumulator, no
+///   merge;
+/// - otherwise every participant deposits into its own `zero()`
+///   accumulator, `merge`s it into the caller's total once, after its last
+///   unit, and drops it on its own thread. (Depositing the caller's share
+///   straight into the total saves one accumulator, but the total then
+///   passes between threads' malloc arenas, and the serving daemon's peak
+///   RSS rose by more than the saving.)
+///
+/// So live accumulators stay at most `min(threads, units) + 1` however many
+/// units there are, and none is allocated per unit (an exact vector's limb
+/// plane costs up to 64 bytes per training point, 32–40 at the 4–5-limb
+/// windows valuation sums need).
 ///
 /// ### Determinism contract
 ///
-/// `fold` runs in scheduling order, which varies — that is sound *only*
-/// because the accumulators merged here are exact ([`ExactVec`] /
-/// [`knnshap_numerics::exact::ExactSum`]), whose merge is error-free and
-/// therefore order-invariant. Never route rounded (f64/Neumaier) partials
-/// through this helper.
-pub(crate) fn exact_block_fold<A, M, S, F>(count: usize, threads: usize, make: M, step: S, fold: F)
+/// Which worker runs which unit, and the merge order, vary from run to
+/// run — that is sound *only* because the accumulators merged here are
+/// exact ([`ExactVec`] / [`knnshap_numerics::exact::ExactSum`]), whose
+/// merge is error-free and therefore order- and grouping-invariant, and
+/// because `step` must deposit a pure function of the item index (per-worker
+/// state is scratch, never carried from one item into the next one's
+/// value). Never route rounded (f64/Neumaier) partials through this helper.
+pub(crate) fn exact_fold<A, W>(
+    count: usize,
+    threads: usize,
+    block: usize,
+    zero: impl Fn() -> A + Sync,
+    make: impl Fn() -> W + Sync,
+    step: impl Fn(&mut W, &mut A, usize) + Sync,
+    merge: impl Fn(&mut A, &A) + Sync,
+) -> A
 where
     A: Send,
-    M: Fn(std::ops::Range<usize>) -> A + Sync,
-    S: Fn(&mut A, usize) + Sync,
-    F: Fn(A) + Sync,
 {
-    let block = static_fold_block(count, threads);
-    exact_block_fold_sized(count, threads, block, make, step, fold);
+    let block = block.clamp(1, count.max(1));
+    let units = count.div_ceil(block);
+    // Capped at the pool's real size too: a pool pinned to one worker runs
+    // the fold serially, with the total as its only accumulator.
+    let participants = threads
+        .min(knnshap_parallel::ThreadPool::global().threads())
+        .min(units)
+        .max(1);
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let unit = next.fetch_add(1, Ordering::Relaxed);
+        (unit < units).then(|| unit * block..((unit + 1) * block).min(count))
+    };
+    let total = Mutex::new(zero());
+    knnshap_parallel::par_map(participants, participants, |_| {
+        // A participant that finds the counter drained builds nothing.
+        let Some(first) = claim() else { return };
+        let mut state = make();
+        let drain = |acc: &mut A| {
+            let mut unit = Some(first);
+            while let Some(items) = unit {
+                for j in items {
+                    step(&mut state, acc, j);
+                }
+                unit = claim();
+            }
+        };
+        if participants == 1 {
+            drain(&mut total.lock().expect("fold poisoned"));
+        } else {
+            let mut own = zero();
+            drain(&mut own);
+            merge(&mut total.lock().expect("fold poisoned"), &own);
+        }
+    });
+    total.into_inner().expect("fold poisoned")
 }
 
-/// The static (non-measured) block size of [`exact_block_fold`]: one block
+/// The static (non-measured) claim-unit size of [`exact_fold`]: one unit
 /// per serial fold; a few per worker otherwise, capped at [`FOLD_BLOCKS`].
 /// Bitwise-free choice — the accumulators are exact, so the partition (like
 /// the fold order) cannot move a bit; it is picked purely for cost.
@@ -552,43 +606,9 @@ pub(crate) fn static_fold_block(count: usize, threads: usize) -> usize {
     count.div_ceil(target).max(1)
 }
 
-/// [`exact_block_fold`] with a caller-chosen block size — the entry point of
-/// the measured scheduler ([`crate::schedule`]), which picks `block` so one
-/// block's compute amortizes the accumulator setup (`make`) and merge
-/// (`fold`) it pays. The partition is still bitwise-free: exact accumulators
-/// make every tiling of `0..count` deposit the same multiset of summands.
-pub(crate) fn exact_block_fold_sized<A, M, S, F>(
-    count: usize,
-    threads: usize,
-    block: usize,
-    make: M,
-    step: S,
-    fold: F,
-) where
-    A: Send,
-    M: Fn(std::ops::Range<usize>) -> A + Sync,
-    S: Fn(&mut A, usize) + Sync,
-    F: Fn(A) + Sync,
-{
-    if count == 0 {
-        return;
-    }
-    let block = block.clamp(1, count);
-    let blocks = count.div_ceil(block);
-    knnshap_parallel::par_map(blocks, threads, |b| {
-        let lo = b * block;
-        let hi = ((b + 1) * block).min(count);
-        let mut acc = make(lo..hi);
-        for j in lo..hi {
-            step(&mut acc, j);
-        }
-        fold(acc);
-    });
-}
-
-/// [`exact_block_fold`] specialized to the per-item-mean families: fill a
+/// [`exact_fold`] specialized to the per-item-mean families: fill a
 /// per-training-point [`ExactVec`] from each item of `range` (absolute
-/// indices), eagerly merged into one total.
+/// indices), in [`static_fold_block`] units.
 pub(crate) fn exact_sums_over<F>(
     n_train: usize,
     range: std::ops::Range<usize>,
@@ -598,19 +618,12 @@ pub(crate) fn exact_sums_over<F>(
 where
     F: Fn(usize, &mut ExactVec) + Sync,
 {
-    let total = std::sync::Mutex::new(ExactVec::zeros(n_train));
-    exact_block_fold(
-        range.len(),
-        threads,
-        |_| ExactVec::zeros(n_train),
-        |acc, j| fill(range.start + j, acc),
-        |acc| total.lock().expect("fold poisoned").merge(&acc),
-    );
-    total.into_inner().expect("fold poisoned")
+    let block = static_fold_block(range.len(), threads);
+    exact_sums_over_sized(n_train, range, threads, block, fill)
 }
 
-/// [`exact_sums_over`] with a caller-chosen block size (see
-/// [`exact_block_fold_sized`]) — same bits, scheduler-picked tiling.
+/// [`exact_sums_over`] with a caller-chosen unit size — the entry point of
+/// the measured scheduler ([`crate::schedule`]). Same bits at every tiling.
 pub(crate) fn exact_sums_over_sized<F>(
     n_train: usize,
     range: std::ops::Range<usize>,
@@ -621,27 +634,28 @@ pub(crate) fn exact_sums_over_sized<F>(
 where
     F: Fn(usize, &mut ExactVec) + Sync,
 {
-    let total = std::sync::Mutex::new(ExactVec::zeros(n_train));
-    exact_block_fold_sized(
+    exact_fold(
         range.len(),
         threads,
         block,
-        |_| ExactVec::zeros(n_train),
-        |acc, j| fill(range.start + j, acc),
-        |acc| total.lock().expect("fold poisoned").merge(&acc),
-    );
-    total.into_inner().expect("fold poisoned")
+        || ExactVec::zeros(n_train),
+        || (),
+        |_, acc, j| fill(range.start + j, acc),
+        ExactVec::merge,
+    )
 }
 
 /// [`exact_sums_over`] for fills that touch (nearly) every training point
 /// per item — the exact recursions do, one contribution per rank: `fill`
 /// writes item `j`'s contributions into a zeroed dense `f64` scratch
 /// (`scratch[i] = contribution of train point i`), and the fold deposits
-/// the scratch with [`ExactVec::add_dense`]. `fill` also gets a per-block
-/// state from `state` (one per serial fold), built from the block's
-/// absolute item range, to reuse across the block's items — e.g. ranking
-/// buffers, or distance rows computed a query tile at a time that must not
-/// reach past the block.
+/// the scratch with [`ExactVec::add_dense`]. `fill` also gets a per-worker
+/// state from `state`, built once per worker from the fold's whole absolute
+/// range, to reuse across every item the worker claims — e.g. ranking
+/// buffers, or distance rows computed a query tile at a time. Claim units
+/// are whole multiples of [`QUERY_TILE`] from the range's start, so a tile
+/// that starts at a unit's first item never reaches into another worker's
+/// unit.
 ///
 /// Identical bits to the sink-per-contribution shape — the deposited
 /// values are the same `f64`s and exact accumulation is order-invariant —
@@ -658,44 +672,23 @@ pub(crate) fn exact_sums_over_dense<T, M, F>(
     fill: F,
 ) -> ExactVec
 where
-    T: Send,
     M: Fn(std::ops::Range<usize>) -> T + Sync,
     F: Fn(usize, &mut T, &mut [f64]) + Sync,
 {
-    if threads <= 1 {
-        // Serial fast path: deposit each item's scratch straight into the
-        // total — no intermediate block accumulator, no final full-length
-        // merge. Exactness makes the grouping invisible in the bits.
-        let mut total = ExactVec::zeros(n_train);
-        let mut scratch = vec![0.0f64; n_train];
-        let mut st = state(range.clone());
-        for j in range {
-            scratch.fill(0.0);
-            fill(j, &mut st, &mut scratch);
-            total.add_dense(&scratch);
-        }
-        return total;
-    }
-    let total = std::sync::Mutex::new(ExactVec::zeros(n_train));
-    exact_block_fold(
+    let block = static_fold_block(range.len(), threads).next_multiple_of(QUERY_TILE);
+    exact_fold(
         range.len(),
         threads,
-        |block| {
-            let block = range.start + block.start..range.start + block.end;
-            (
-                ExactVec::zeros(n_train),
-                vec![0.0f64; n_train],
-                state(block),
-            )
-        },
-        |(acc, scratch, st), j| {
+        block,
+        || ExactVec::zeros(n_train),
+        || (vec![0.0f64; n_train], state(range.clone())),
+        |(scratch, st), acc, j| {
             scratch.fill(0.0);
             fill(range.start + j, st, scratch);
             acc.add_dense(scratch);
         },
-        |(acc, _, _)| total.lock().expect("fold poisoned").merge(&acc),
-    );
-    total.into_inner().expect("fold poisoned")
+        ExactVec::merge,
+    )
 }
 
 /// Merge shard partials into the job's final valuation.
@@ -1143,5 +1136,120 @@ mod tests {
         let mut train2 = train.clone();
         train2.y[0] ^= 1;
         assert_ne!(hash_class_dataset(&train), hash_class_dataset(&train2));
+    }
+
+    /// Every item is stepped exactly once; worker state and accumulators
+    /// are built once per participating worker, never per claim unit; and a
+    /// serial fold builds one of each and merges nothing.
+    #[test]
+    fn exact_fold_builds_state_once_per_worker() {
+        for count in [1usize, 5, 7, 32, 33, 101] {
+            for block in [1usize, 3, QUERY_TILE, 5, 8, 200] {
+                for threads in [1usize, 2, 3, 8] {
+                    let (makes, zeros, merges) = (
+                        AtomicUsize::new(0),
+                        AtomicUsize::new(0),
+                        AtomicUsize::new(0),
+                    );
+                    let seen = exact_fold(
+                        count,
+                        threads,
+                        block,
+                        || {
+                            zeros.fetch_add(1, Ordering::Relaxed);
+                            vec![0usize; count]
+                        },
+                        || makes.fetch_add(1, Ordering::Relaxed),
+                        |_, acc, j| acc[j] += 1,
+                        |total, own| {
+                            merges.fetch_add(1, Ordering::Relaxed);
+                            total.iter_mut().zip(own).for_each(|(t, o)| *t += o);
+                        },
+                    );
+                    let what = format!("count {count}, block {block}, threads {threads}");
+                    assert!(seen.iter().all(|&n| n == 1), "{what}: {seen:?}");
+                    let (makes, zeros, merges) =
+                        (makes.into_inner(), zeros.into_inner(), merges.into_inner());
+                    let units = count.div_ceil(block);
+                    assert!(
+                        makes >= 1 && makes <= threads.min(units),
+                        "{what}: {makes} makes"
+                    );
+                    // The total, plus one accumulator per worker that merges.
+                    assert_eq!(zeros, 1 + merges, "{what}");
+                    let pool = knnshap_parallel::ThreadPool::global().threads();
+                    if threads.min(pool).min(units) == 1 {
+                        assert_eq!((makes, merges), (1, 0), "{what}");
+                    } else {
+                        assert_eq!(merges, makes, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The dense fold builds each worker's state once, over the fold's
+    /// whole range, and hands a worker whole query tiles: every run of
+    /// consecutive items a worker sees starts on a tile boundary.
+    #[test]
+    fn dense_fold_claims_whole_query_tiles() {
+        /// A worker's state: the items it saw, logged when the worker drops it.
+        struct Seen<'a> {
+            items: Vec<usize>,
+            log: &'a Mutex<Vec<Vec<usize>>>,
+        }
+        impl Drop for Seen<'_> {
+            fn drop(&mut self) {
+                let items = std::mem::take(&mut self.items);
+                self.log.lock().unwrap().push(items);
+            }
+        }
+        for (lo, hi) in [(0usize, 1usize), (3, 10), (0, 32), (5, 38), (2, 103)] {
+            for threads in [1usize, 2, 3, 8] {
+                let log = Mutex::new(Vec::new());
+                let sums = exact_sums_over_dense(
+                    3,
+                    lo..hi,
+                    threads,
+                    |range| {
+                        assert_eq!(range, lo..hi);
+                        Seen {
+                            items: Vec::new(),
+                            log: &log,
+                        }
+                    },
+                    |j, st, out| {
+                        st.items.push(j);
+                        out[j % 3] = 1.0;
+                    },
+                );
+                let what = format!("{lo}..{hi} at {threads} threads");
+                assert_eq!(
+                    sums.values().iter().sum::<f64>(),
+                    (hi - lo) as f64,
+                    "{what}"
+                );
+                let log = log.into_inner().unwrap();
+                let units = (hi - lo).div_ceil(QUERY_TILE);
+                assert!(
+                    log.len() <= threads.min(units),
+                    "{what}: {} states",
+                    log.len()
+                );
+                if threads == 1 {
+                    assert_eq!(log.len(), 1, "{what}");
+                }
+                let mut all: Vec<usize> = log.concat();
+                all.sort_unstable();
+                assert_eq!(all, (lo..hi).collect::<Vec<_>>(), "{what}");
+                for items in &log {
+                    for (i, &j) in items.iter().enumerate() {
+                        if i == 0 || items[i - 1] + 1 != j {
+                            assert_eq!((j - lo) % QUERY_TILE, 0, "{what}: {items:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -141,9 +141,17 @@ pub fn load_reg_csv_with_threads(path: &Path, threads: usize) -> Result<RegDatas
     read_reg(File::open(path)?, threads, WINDOW)
 }
 
+/// A class label: a `u32` below `u32::MAX`, so the class count
+/// `max(label) + 1` fits a `u32`.
 fn label(c: &str) -> Result<u32, String> {
-    c.parse()
-        .map_err(|e: std::num::ParseIntError| e.to_string())
+    match c.parse() {
+        Ok(u32::MAX) => Err(format!(
+            "'{c}' is too large (labels must be below {})",
+            u32::MAX
+        )),
+        Ok(v) => Ok(v),
+        Err(e) => Err(e.to_string()),
+    }
 }
 
 fn target(c: &str) -> Result<f64, String> {

@@ -109,6 +109,23 @@ fn csv_rejects_non_finite_features_naming_the_line() {
 }
 
 #[test]
+fn csv_rejects_the_largest_label_naming_the_line() {
+    let path = tmp("max-label.csv");
+    std::fs::write(&path, "1.0,2.0,4294967295\n3.0,4.0,1\n").unwrap();
+    let err = load_class_csv(&path).unwrap_err();
+    assert!(matches!(err, IoError::Format(_)), "{err}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("line 1") && msg.contains("4294967295"),
+        "{msg}"
+    );
+    // One below is the largest label with a representable class count.
+    std::fs::write(&path, "1.0,2.0,4294967294\n").unwrap();
+    assert_eq!(load_class_csv(&path).unwrap().n_classes, u32::MAX);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn path_loaders_agree_across_thread_counts() {
     let d = blobs::generate(&BlobConfig {
         n: 3000,

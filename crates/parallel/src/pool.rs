@@ -328,7 +328,12 @@ impl ThreadPool {
         {
             let mut regions = self.shared.regions.lock().unwrap();
             regions.push(Arc::clone(&region));
-            self.shared.work_cv.notify_all();
+            // Wake only the helpers the region admits (the caller is the
+            // first participant). A worker re-scans `regions` before it
+            // waits, so a wake-up that lands on a busy worker loses no work.
+            for _ in 1..cap {
+                self.shared.work_cv.notify_one();
+            }
         }
         region.participate(slot);
         let mut done = region.done.lock().unwrap();

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Thread counts the batteries compare against the serial (1-thread) path.
-pub const THREAD_COUNTS: [usize; 2] = [2, 8];
+pub const THREAD_COUNTS: [usize; 3] = [2, 3, 8];
 
 pub fn assert_bitwise(serial: &ShapleyValues, par: &ShapleyValues, what: &str) {
     assert_eq!(serial.len(), par.len(), "{what}: length mismatch");
