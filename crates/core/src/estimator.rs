@@ -510,17 +510,14 @@ struct RankScratch {
     list: Vec<Neighbor>,
     /// The distance rows of the current query tile (this thread's buffer).
     rows: TileRows,
-    /// One past the fold's last test point: no tile reaches beyond it.
-    end: usize,
 }
 
 impl RankScratch {
-    fn new(range: Range<usize>) -> Self {
+    fn new() -> Self {
         Self {
             ranker: Ranker::new(),
             list: Vec::new(),
             rows: TileRows::new(),
-            end: range.end,
         }
     }
 }
@@ -528,20 +525,22 @@ impl RankScratch {
 impl Ranks<'_> {
     /// Test point `j`'s full ranking, or its first `m` ranks when `prefix`
     /// is `Some(m)`. A full brute-force ranking ranks `j`'s row of the
-    /// query tile starting at `j` — computed on the tile's first query by
-    /// the query-lane kernel, bit for bit the per-pair distances. A graph
+    /// query tile starting at `j` and stopping before `end` (the end of the
+    /// fold unit holding `j`) — computed on the tile's first query by the
+    /// query-lane kernel, bit for bit the per-pair distances. A graph
     /// list is exactly the argsort a distance pass computes, and its
     /// `[..m]` prefix exactly what [`partial_k_nearest`] retrieves, so both
     /// sources feed the families identical bits.
     fn rank<'s>(
         &'s self,
         j: usize,
+        end: usize,
         prefix: Option<usize>,
         st: &'s mut RankScratch,
     ) -> &'s [Neighbor] {
         match (*self, prefix) {
             (Ranks::Brute { train, test }, None) => {
-                let row = st.rows.row(train, test, j, st.end);
+                let row = st.rows.row(train, test, j, end);
                 st.ranker.rank(row, &mut st.list);
                 &st.list
             }
@@ -585,7 +584,7 @@ where
         range,
         threads,
         RankScratch::new,
-        |j, st, out| fill(j, ranks.rank(j, prefix, st), out),
+        |j, unit, st, out| fill(j, ranks.rank(j, unit.end, prefix, st), out),
     )
 }
 

@@ -145,15 +145,17 @@ fn shard_sums<U: Utility + ?Sized>(
         block,
         || (ExactVec::zeros(n), ExactSum::new()),
         || (0..n).collect::<Vec<usize>>(),
-        |pool, (point, shared), t| {
-            let (k, ut) = eval_test(u, &streams, &cdf, pool, range.start + t);
-            if ut == 0.0 {
-                return;
+        |pool, (point, shared), items| {
+            for t in items {
+                let (k, ut) = eval_test(u, &streams, &cdf, pool, range.start + t);
+                if ut == 0.0 {
+                    continue;
+                }
+                for &i in &pool[..k] {
+                    point.add(i, ut);
+                }
+                shared.add(ut * k as f64 / n as f64);
             }
-            for &i in &pool[..k] {
-                point.add(i, ut);
-            }
-            shared.add(ut * k as f64 / n as f64);
         },
         |(point, shared), (p, s)| {
             point.merge(p);
@@ -245,7 +247,7 @@ pub fn group_testing_shapley_adaptive<U: Utility + ?Sized>(
 }
 
 /// Sample a [`crate::schedule::CostModel`] for the group-testing fold: time
-/// the per-block accumulator setup, `warmup` real coalition tests (streams
+/// the per-worker accumulator setup, `warmup` real coalition tests (streams
 /// `0..warmup`, re-run by the fold afterwards — each is a pure function of
 /// `(seed, t)`), and one accumulator merge.
 fn measure_gt_model<U: Utility + ?Sized>(

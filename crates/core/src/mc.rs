@@ -27,7 +27,7 @@
 //! (never by the thread count):
 //!
 //! * a-priori budgets without snapshots fan the whole budget out over the
-//!   eager block fold of [`crate::sharding`] into **exact** accumulators
+//!   per-worker fold of [`crate::sharding`] into **exact** accumulators
 //!   ([`knnshap_numerics::exact::ExactVec`]), whose error-free,
 //!   order-invariant merge makes the estimate a pure function of the
 //!   permutation multiset — bitwise-identical at every thread count *and*
@@ -165,9 +165,11 @@ where
         block,
         || ExactVec::zeros(n),
         || (make_worker(), vec![0.0; n]),
-        |(worker, phi), sums, t| {
-            worker(range.start + t, phi);
-            sums.add_dense(phi);
+        |(worker, phi), sums, items| {
+            for t in items {
+                worker(range.start + t, phi);
+                sums.add_dense(phi);
+            }
         },
         ExactVec::merge,
     );
@@ -176,7 +178,7 @@ where
 }
 
 /// Sample a [`crate::schedule::CostModel`] from warmup items of the actual
-/// job: time one worker fork (plus the exact accumulator a block allocates),
+/// job: time one worker fork (plus the exact accumulator a worker allocates),
 /// `warmup` permutations, and one accumulator merge. The warmup streams are
 /// re-run by the real pass afterwards — permutation `t` is a pure function
 /// of `(seed, t)`, so re-running it is free of side effects and the sampled

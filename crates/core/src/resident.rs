@@ -454,8 +454,8 @@ impl ResidentValuator {
             n,
             0..self.test.len(),
             self.threads,
-            |_| (),
-            |j, _, scratch| {
+            || (),
+            |j, _, _, scratch| {
                 let (list, y) = (&self.ranked[j], self.test.y[j]);
                 theorem1_recurrence(
                     list.len(),

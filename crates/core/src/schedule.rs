@@ -22,8 +22,8 @@
 //!   total.
 //!
 //! The exact fold in `crate::sharding` pays both once per worker, not once
-//! per block, so charging them to every block, as the planners do, errs
-//! toward fewer, larger blocks.
+//! per block, so the fan-out planner charges them per worker; the round
+//! path re-forks per chunk and charges them per chunk.
 //!
 //! From those, pure planners choose the tiling: [`plan_fanout`] (block size
 //! and serial-vs-parallel for the a-priori-budget fan-out path),
@@ -46,8 +46,9 @@
 //! enforces exactly that, using the [`forced`] hook
 //! (`KNNSHAP_SCHED_FORCE`) to pin pathological schedules.
 
-/// Per-block compute must be at least this multiple of the block's
-/// fork + merge overhead before parallel fan-out is worth it.
+/// Compute a worker (fan-out) or chunk (round path) runs must be at least
+/// this multiple of the fork + merge overhead it pays before parallel
+/// execution is worth it.
 pub const AMORTIZE: f64 = 8.0;
 
 /// Scheduling slack: blocks per worker when the budget is large enough,
@@ -73,8 +74,8 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// The smallest block size (in items) whose compute amortizes the
-    /// fork + merge overhead it pays, per the [`AMORTIZE`] policy.
+    /// The fewest items whose compute amortizes one fork + merge, per the
+    /// [`AMORTIZE`] policy.
     /// Always ≥ 1; degenerate timings (zero/negative/NaN) degrade to 1
     /// rather than poisoning the plan.
     pub fn min_block(&self) -> usize {
@@ -101,7 +102,7 @@ impl CostModel {
 pub struct FanoutPlan {
     /// Worker count to hand the pool (1 ⇒ serial execution).
     pub threads: usize,
-    /// Items per block of the exact fold.
+    /// Items per claim unit of the exact fold.
     pub block_items: usize,
 }
 
@@ -112,14 +113,14 @@ impl FanoutPlan {
     }
 }
 
-/// Choose block size and fan-out vs serial execution for `items` work
-/// items on `threads` workers. Pure function of its arguments.
+/// Choose the worker count and claim-unit size for `items` work items on
+/// at most `threads` workers. Pure function of its arguments.
 ///
-/// Policy: a block must amortize its own fork + merge
-/// ([`CostModel::min_block`]); if the budget cannot fill two such blocks,
-/// parallel fan-out cannot beat serial execution and the plan says so.
-/// Otherwise blocks are sized for [`BLOCKS_PER_THREAD`] scheduling units
-/// per worker, but never below the amortization floor.
+/// Policy: each worker pays one fork + merge, so a worker's share must
+/// amortize it ([`CostModel::min_block`]): the plan takes at most
+/// `items / min_block` workers, and runs serially when that is fewer than
+/// two. Claims never fork or merge, so units are the fold's static ones
+/// (a few per worker), however cheap an item is.
 pub fn plan_fanout(
     model: &CostModel,
     items: usize,
@@ -144,21 +145,10 @@ pub fn plan_fanout(
 
 fn plan_fanout_unforced(model: &CostModel, items: usize, threads: usize) -> FanoutPlan {
     let items_nz = items.max(1);
-    let min_block = model.min_block().min(items_nz);
-    if threads <= 1 || items_nz < 2 * min_block.max(1) {
-        return FanoutPlan {
-            threads: 1,
-            block_items: items_nz,
-        };
-    }
-    let max_blocks = (items_nz / min_block.max(1)).max(1);
-    let target = threads
-        .saturating_mul(BLOCKS_PER_THREAD)
-        .min(max_blocks)
-        .max(1);
+    let workers = threads.min(items_nz / model.min_block()).max(1);
     FanoutPlan {
-        threads,
-        block_items: items_nz.div_ceil(target).max(min_block).min(items_nz),
+        threads: workers,
+        block_items: crate::sharding::static_fold_block(items_nz, workers),
     }
 }
 
@@ -337,16 +327,20 @@ mod tests {
 
     #[test]
     fn fanout_goes_serial_when_overhead_dominates() {
-        // Fork costs 100× an item: a 50-item budget can't amortize 2 blocks.
+        // Fork costs 100× an item: a 50-item budget can't amortize 2 workers.
         let m = model(1e-6, 1e-4, 0.0);
         let p = plan_fanout(&m, 50, 8, None);
         assert!(p.is_serial());
         assert_eq!(p.block_items, 50);
-        // With 10 000 items there's room for real blocks.
+        // 2 000 items amortize two workers' forks (800 items each), not 8.
+        let p = plan_fanout(&m, 2_000, 8, None);
+        assert_eq!(p.threads, 2);
+        // With 10 000 items every worker's share amortizes its fork; the
+        // units stay the fold's static ones, below the amortization floor.
         let p = plan_fanout(&m, 10_000, 8, None);
-        assert!(!p.is_serial());
-        assert!(p.block_items >= m.min_block());
-        assert!(p.block_items <= 10_000);
+        assert_eq!(p.threads, 8);
+        assert!(10_000 / p.threads >= m.min_block());
+        assert_eq!(p.block_items, 10_000usize.div_ceil(8 * BLOCKS_PER_THREAD));
     }
 
     #[test]

@@ -70,9 +70,7 @@
 use crate::types::ShapleyValues;
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::weights::WeightFn;
-use knnshap_knn::QUERY_TILE;
 use knnshap_numerics::exact::{ExactSum, ExactVec};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// On-disk format version written/required by
@@ -502,10 +500,9 @@ pub(crate) fn finalize(
 
 /// Claim-unit cap for the exact folds: enough units for the pool to balance
 /// skewed per-item costs. A unit is only a scheduling grain — accumulators
-/// live per worker, not per unit (see [`exact_fold`]) — but every claim is
-/// one atomic increment and, for the ranking folds, one query tile, so a
-/// serial fold uses one unit and a parallel one a few per worker, never
-/// more than this cap.
+/// live per worker, not per unit (see [`exact_fold`]) — so a serial fold
+/// uses one unit and a parallel one a few per worker, never more than this
+/// cap.
 const FOLD_BLOCKS: usize = 32;
 
 /// Claim units per worker below the [`FOLD_BLOCKS`] cap — enough slack to
@@ -514,10 +511,10 @@ const FOLD_BLOCKS_PER_THREAD: usize = 4;
 
 /// The one parallel fold behind every exact accumulation in the workspace.
 /// `0..count` is cut into `block`-item claim units. Each participant of a
-/// pool region of at most `threads` workers claims units from one shared
-/// counter and `step`s its per-worker state `W` (from `make`, built once,
-/// on the participant's first claim) over each unit's items in order,
-/// depositing into an accumulator `A`:
+/// [`knnshap_parallel::par_claim`] region of at most `threads` workers
+/// claims units from one shared counter and `step`s its per-worker state
+/// `W` (from `make`, built once, on the participant's first claim) over
+/// each unit's item range, depositing into an accumulator `A`:
 ///
 /// - a serial fold (one participant) deposits straight into the total
 ///   (from `zero`, allocated on the caller): exactly one accumulator, no
@@ -540,49 +537,36 @@ const FOLD_BLOCKS_PER_THREAD: usize = 4;
 /// run — that is sound *only* because the accumulators merged here are
 /// exact ([`ExactVec`] / [`knnshap_numerics::exact::ExactSum`]), whose
 /// merge is error-free and therefore order- and grouping-invariant, and
-/// because `step` must deposit a pure function of the item index (per-worker
-/// state is scratch, never carried from one item into the next one's
-/// value). Never route rounded (f64/Neumaier) partials through this helper.
+/// because `step` must deposit a pure function of each item index
+/// (per-worker state is scratch, never carried from one item into the next
+/// one's value). Never route rounded (f64/Neumaier) partials through this
+/// helper.
 pub(crate) fn exact_fold<A, W>(
     count: usize,
     threads: usize,
     block: usize,
     zero: impl Fn() -> A + Sync,
     make: impl Fn() -> W + Sync,
-    step: impl Fn(&mut W, &mut A, usize) + Sync,
+    step: impl Fn(&mut W, &mut A, std::ops::Range<usize>) + Sync,
     merge: impl Fn(&mut A, &A) + Sync,
 ) -> A
 where
     A: Send,
 {
     let block = block.clamp(1, count.max(1));
-    let units = count.div_ceil(block);
-    // Capped at the pool's real size too: a pool pinned to one worker runs
-    // the fold serially, with the total as its only accumulator.
-    let participants = threads
-        .min(knnshap_parallel::ThreadPool::global().threads())
-        .min(units)
-        .max(1);
-    let next = AtomicUsize::new(0);
-    let claim = || {
-        let unit = next.fetch_add(1, Ordering::Relaxed);
-        (unit < units).then(|| unit * block..((unit + 1) * block).min(count))
-    };
+    let items = |unit: usize| unit * block..((unit + 1) * block).min(count);
     let total = Mutex::new(zero());
-    knnshap_parallel::par_map(participants, participants, |_| {
+    knnshap_parallel::par_claim(count.div_ceil(block), threads, |claims| {
         // A participant that finds the counter drained builds nothing.
-        let Some(first) = claim() else { return };
+        let Some(first) = claims.next() else { return };
         let mut state = make();
-        let drain = |acc: &mut A| {
-            let mut unit = Some(first);
-            while let Some(items) = unit {
-                for j in items {
-                    step(&mut state, acc, j);
-                }
-                unit = claim();
+        let solo = claims.solo();
+        let mut drain = |acc: &mut A| {
+            for unit in std::iter::once(first).chain(&mut *claims) {
+                step(&mut state, acc, items(unit));
             }
         };
-        if participants == 1 {
+        if solo {
             drain(&mut total.lock().expect("fold poisoned"));
         } else {
             let mut own = zero();
@@ -640,7 +624,7 @@ where
         block,
         || ExactVec::zeros(n_train),
         || (),
-        |_, acc, j| fill(range.start + j, acc),
+        |_, acc, items| items.for_each(|j| fill(range.start + j, acc)),
         ExactVec::merge,
     )
 }
@@ -649,13 +633,12 @@ where
 /// per item — the exact recursions do, one contribution per rank: `fill`
 /// writes item `j`'s contributions into a zeroed dense `f64` scratch
 /// (`scratch[i] = contribution of train point i`), and the fold deposits
-/// the scratch with [`ExactVec::add_dense`]. `fill` also gets a per-worker
-/// state from `state`, built once per worker from the fold's whole absolute
-/// range, to reuse across every item the worker claims — e.g. ranking
-/// buffers, or distance rows computed a query tile at a time. Claim units
-/// are whole multiples of [`QUERY_TILE`] from the range's start, so a tile
-/// that starts at a unit's first item never reaches into another worker's
-/// unit.
+/// the scratch with [`ExactVec::add_dense`]. `fill(j, unit, state, scratch)`
+/// also gets the absolute item range of the claim unit holding `j` — work
+/// batched over several items, such as distance rows computed a query tile
+/// at a time, must not reach past it into another worker's unit — and a
+/// per-worker state from `state`, built once per worker and reused across
+/// every item it claims (ranking buffers, say).
 ///
 /// Identical bits to the sink-per-contribution shape — the deposited
 /// values are the same `f64`s and exact accumulation is order-invariant —
@@ -672,20 +655,22 @@ pub(crate) fn exact_sums_over_dense<T, M, F>(
     fill: F,
 ) -> ExactVec
 where
-    M: Fn(std::ops::Range<usize>) -> T + Sync,
-    F: Fn(usize, &mut T, &mut [f64]) + Sync,
+    M: Fn() -> T + Sync,
+    F: Fn(usize, &std::ops::Range<usize>, &mut T, &mut [f64]) + Sync,
 {
-    let block = static_fold_block(range.len(), threads).next_multiple_of(QUERY_TILE);
     exact_fold(
         range.len(),
         threads,
-        block,
+        static_fold_block(range.len(), threads),
         || ExactVec::zeros(n_train),
-        || (vec![0.0f64; n_train], state(range.clone())),
-        |(scratch, st), acc, j| {
-            scratch.fill(0.0);
-            fill(range.start + j, st, scratch);
-            acc.add_dense(scratch);
+        || (vec![0.0f64; n_train], state()),
+        |(scratch, st), acc, items| {
+            let unit = range.start + items.start..range.start + items.end;
+            for j in unit.clone() {
+                scratch.fill(0.0);
+                fill(j, &unit, st, scratch);
+                acc.add_dense(scratch);
+            }
         },
         ExactVec::merge,
     )
@@ -1138,13 +1123,15 @@ mod tests {
         assert_ne!(hash_class_dataset(&train), hash_class_dataset(&train2));
     }
 
-    /// Every item is stepped exactly once; worker state and accumulators
-    /// are built once per participating worker, never per claim unit; and a
-    /// serial fold builds one of each and merges nothing.
+    /// Every item is stepped exactly once, inside a unit of at most `block`
+    /// items; worker state and accumulators are built once per
+    /// participating worker, never per claim unit; and a serial fold builds
+    /// one of each and merges nothing.
     #[test]
     fn exact_fold_builds_state_once_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         for count in [1usize, 5, 7, 32, 33, 101] {
-            for block in [1usize, 3, QUERY_TILE, 5, 8, 200] {
+            for block in [1usize, 3, 4, 5, 8, 200] {
                 for threads in [1usize, 2, 3, 8] {
                     let (makes, zeros, merges) = (
                         AtomicUsize::new(0),
@@ -1160,7 +1147,10 @@ mod tests {
                             vec![0usize; count]
                         },
                         || makes.fetch_add(1, Ordering::Relaxed),
-                        |_, acc, j| acc[j] += 1,
+                        |_, acc, items| {
+                            assert!(items.len() <= block && items.start % block == 0);
+                            items.for_each(|j| acc[j] += 1);
+                        },
                         |total, own| {
                             merges.fetch_add(1, Ordering::Relaxed);
                             total.iter_mut().zip(own).for_each(|(t, o)| *t += o);
@@ -1188,38 +1178,47 @@ mod tests {
         }
     }
 
-    /// The dense fold builds each worker's state once, over the fold's
-    /// whole range, and hands a worker whole query tiles: every run of
-    /// consecutive items a worker sees starts on a tile boundary.
+    /// The dense fold keeps the static partition (so a fold over few items
+    /// still spreads over `min(threads, items)` workers), builds each
+    /// worker's state once, and hands `fill` the claim unit holding each
+    /// item.
     #[test]
-    fn dense_fold_claims_whole_query_tiles() {
-        /// A worker's state: the items it saw, logged when the worker drops it.
+    fn dense_fold_builds_state_once_per_worker() {
+        /// A worker's state: the units it saw, logged when the worker drops it.
         struct Seen<'a> {
-            items: Vec<usize>,
-            log: &'a Mutex<Vec<Vec<usize>>>,
+            units: Vec<std::ops::Range<usize>>,
+            log: &'a Mutex<Vec<Vec<std::ops::Range<usize>>>>,
         }
         impl Drop for Seen<'_> {
             fn drop(&mut self) {
-                let items = std::mem::take(&mut self.items);
-                self.log.lock().unwrap().push(items);
+                let units = std::mem::take(&mut self.units);
+                self.log.lock().unwrap().push(units);
             }
         }
-        for (lo, hi) in [(0usize, 1usize), (3, 10), (0, 32), (5, 38), (2, 103)] {
+        let ranges = [
+            (0usize, 1usize),
+            (3, 7),
+            (3, 10),
+            (0, 32),
+            (5, 38),
+            (2, 103),
+        ];
+        for (lo, hi) in ranges {
             for threads in [1usize, 2, 3, 8] {
                 let log = Mutex::new(Vec::new());
                 let sums = exact_sums_over_dense(
                     3,
                     lo..hi,
                     threads,
-                    |range| {
-                        assert_eq!(range, lo..hi);
-                        Seen {
-                            items: Vec::new(),
-                            log: &log,
-                        }
+                    || Seen {
+                        units: Vec::new(),
+                        log: &log,
                     },
-                    |j, st, out| {
-                        st.items.push(j);
+                    |j, unit, st, out| {
+                        assert!(unit.contains(&j));
+                        if st.units.last() != Some(unit) {
+                            st.units.push(unit.clone());
+                        }
                         out[j % 3] = 1.0;
                     },
                 );
@@ -1230,25 +1229,23 @@ mod tests {
                     "{what}"
                 );
                 let log = log.into_inner().unwrap();
-                let units = (hi - lo).div_ceil(QUERY_TILE);
+                let block = static_fold_block(hi - lo, threads);
+                let units = (hi - lo).div_ceil(block);
                 assert!(
-                    log.len() <= threads.min(units),
+                    !log.is_empty() && log.len() <= threads.min(units),
                     "{what}: {} states",
                     log.len()
                 );
                 if threads == 1 {
                     assert_eq!(log.len(), 1, "{what}");
                 }
-                let mut all: Vec<usize> = log.concat();
-                all.sort_unstable();
-                assert_eq!(all, (lo..hi).collect::<Vec<_>>(), "{what}");
-                for items in &log {
-                    for (i, &j) in items.iter().enumerate() {
-                        if i == 0 || items[i - 1] + 1 != j {
-                            assert_eq!((j - lo) % QUERY_TILE, 0, "{what}: {items:?}");
-                        }
-                    }
-                }
+                let mut all: Vec<_> = log.concat();
+                all.sort_unstable_by_key(|u| u.start);
+                let want: Vec<_> = (lo..hi)
+                    .step_by(block)
+                    .map(|a| a..(a + block).min(hi))
+                    .collect();
+                assert_eq!(all, want, "{what}");
             }
         }
     }

@@ -21,6 +21,10 @@
 //! * [`par_indexed_map_reduce`] — the same fold, but `init` sees the block's
 //!   index range so accumulators can set up block-scoped scratch (how the
 //!   Monte Carlo estimators seat a forked utility per block).
+//! * [`par_claim`]`(units, threads, participant)` — dynamic claiming:
+//!   each participant drains unit indices from one shared counter, so
+//!   per-worker state is built once per worker, not once per unit. Only
+//!   for results that cannot depend on which worker ran which unit.
 //! * [`ThreadPool`] — the pool itself, for dedicated pools in tests or
 //!   embedders; the free functions above run on a lazily-built global pool
 //!   sized by [`current_threads`].
@@ -75,7 +79,7 @@
 
 mod pool;
 
-pub use pool::ThreadPool;
+pub use pool::{Claims, ThreadPool};
 
 /// Worker-count policy for the whole workspace: `KNNSHAP_THREADS` when set
 /// to a positive integer, else one worker per available core (1 if the
@@ -173,6 +177,16 @@ where
     R: Fn(&mut A, A),
 {
     ThreadPool::global().par_indexed_map_reduce(n, threads, init, step, reduce)
+}
+
+/// Dynamic claiming on the global pool: at most `threads` participants
+/// each run `participant` once and claim unit indices of `0..units` from
+/// one shared counter. See [`ThreadPool::par_claim`].
+pub fn par_claim<F>(units: usize, threads: usize, participant: F)
+where
+    F: Fn(&mut Claims<'_>) + Sync,
+{
+    ThreadPool::global().par_claim(units, threads, participant)
 }
 
 #[cfg(test)]

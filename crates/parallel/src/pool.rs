@@ -163,7 +163,6 @@ impl Region {
     fn participate(&self, slot: usize) {
         while let Some(block) = self.pop_or_steal(slot) {
             if !self.panicked.load(Ordering::Acquire) {
-                POOL_BLOCKS.incr();
                 let timer = knnshap_obs::metrics_enabled().then(std::time::Instant::now);
                 // SAFETY: we hold an unexecuted block, so the submitting
                 // caller is still inside `run_blocks` and the closure is
@@ -284,14 +283,13 @@ impl ThreadPool {
     /// Execute `func` once per block. Serial (caller thread, block order)
     /// when the effective concurrency is 1; otherwise submits a region and
     /// helps until it completes. Panics from `func` propagate to the caller
-    /// either way.
+    /// either way. `func` counts its own units of work in `pool.blocks`.
     fn run_blocks(&self, blocks: Vec<Block>, threads: usize, func: &(dyn Fn(Block) + Sync)) {
         if blocks.is_empty() {
             return;
         }
         let cap = threads.max(1).min(self.threads).min(blocks.len());
         if cap <= 1 || self.workers.is_empty() {
-            POOL_BLOCKS.add(blocks.len() as u64);
             let timer = knnshap_obs::metrics_enabled().then(std::time::Instant::now);
             for b in blocks {
                 func(b);
@@ -395,6 +393,7 @@ impl ThreadPool {
         let base = SendPtr(items.as_mut_ptr());
         let blocks = tile_with_size(n, chunk_size);
         self.run_blocks(blocks, threads, &|b: Block| {
+            POOL_BLOCKS.incr();
             // SAFETY: blocks tile `0..n` disjointly, so each element is
             // visible to exactly one participant at a time.
             let sub = unsafe { std::slice::from_raw_parts_mut(base.at(b.start), b.end - b.start) };
@@ -456,6 +455,7 @@ impl ThreadPool {
         partials.resize_with(blocks.len(), || None);
         let out = SendPtr(partials.as_mut_ptr());
         self.run_blocks(blocks, threads, &|b: Block| {
+            POOL_BLOCKS.incr();
             let mut acc = init(b.start..b.end);
             for i in b.start..b.end {
                 step(&mut acc, i);
@@ -470,6 +470,59 @@ impl ThreadPool {
             reduce(&mut total, p);
         }
         total
+    }
+
+    /// Dynamic claiming over `units` units of work: at most `threads`
+    /// participants each call `participant` once, with a [`Claims`]
+    /// iterator that hands out unit indices from one shared counter until
+    /// all are taken. State a participant builds before draining its claims
+    /// is therefore built once per worker, however many units there are.
+    /// Each claimed unit counts as one pool block.
+    ///
+    /// Which participant runs which unit varies from run to run, so only
+    /// results that are invariant under that assignment (exact sums, writes
+    /// indexed by unit) may depend on it.
+    pub fn par_claim<F>(&self, units: usize, threads: usize, participant: F)
+    where
+        F: Fn(&mut Claims<'_>) + Sync,
+    {
+        let cap = threads.max(1).min(self.threads).min(units);
+        let next = AtomicUsize::new(0);
+        self.run_blocks(tile_with_size(cap, 1), cap, &|_| {
+            participant(&mut Claims {
+                next: &next,
+                units,
+                solo: cap == 1,
+            })
+        });
+    }
+}
+
+/// One participant's view of a [`ThreadPool::par_claim`] region: iterating
+/// claims the next unclaimed unit index.
+pub struct Claims<'a> {
+    next: &'a AtomicUsize,
+    units: usize,
+    solo: bool,
+}
+
+impl Claims<'_> {
+    /// Is this participant the region's only one (it will claim every
+    /// unit, on the submitting thread)?
+    pub fn solo(&self) -> bool {
+        self.solo
+    }
+}
+
+impl Iterator for Claims<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let unit = self.next.fetch_add(1, Ordering::Relaxed);
+        (unit < self.units).then(|| {
+            POOL_BLOCKS.incr();
+            unit
+        })
     }
 }
 
@@ -596,6 +649,34 @@ mod tests {
         knnshap_obs::set_metrics(false);
         assert!(after > before, "enabled run must count blocks");
         assert_eq!(off, on, "telemetry must not move a bit");
+    }
+
+    #[test]
+    fn par_claim_hands_out_every_unit_once() {
+        let pool = ThreadPool::new(4);
+        for units in [0usize, 1, 3, 17, 100] {
+            for threads in [1usize, 2, 3, 4, 8] {
+                let seen: Vec<AtomicUsize> = (0..units).map(|_| AtomicUsize::new(0)).collect();
+                let (participants, solos) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                pool.par_claim(units, threads, |claims| {
+                    participants.fetch_add(1, Ordering::Relaxed);
+                    if claims.solo() {
+                        solos.fetch_add(1, Ordering::Relaxed);
+                    }
+                    for unit in claims {
+                        seen[unit].fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+                let what = format!("{units} units at {threads} threads");
+                assert!(
+                    seen.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                    "{what}"
+                );
+                let cap = threads.min(4).min(units);
+                assert_eq!(participants.into_inner(), cap, "{what}");
+                assert_eq!(solos.into_inner(), usize::from(cap == 1), "{what}");
+            }
+        }
     }
 
     #[test]
