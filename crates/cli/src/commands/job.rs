@@ -361,8 +361,15 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
             let train = load_class_csv_with_threads(&plan.spec.train, parse_threads)?;
             let test = load_class_csv_with_threads(&plan.spec.test, parse_threads)?;
             if let Some(path) = args.str("out") {
-                super::value::write_csv(Path::new(path), &train, &sv, payout.as_deref())
-                    .map_err(knnshap_datasets::io::IoError::Io)?;
+                super::value::write_csv(
+                    Path::new(path),
+                    "label",
+                    &train.y,
+                    &sv,
+                    payout.as_deref(),
+                    parse_threads,
+                )
+                .map_err(knnshap_datasets::io::IoError::Io)?;
             }
             out.push_str(&super::value::render(
                 &train,
@@ -387,36 +394,20 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
                 crate::report::fmt_f64(sv.total()),
             ));
             if let Some(path) = args.str("out") {
-                write_reg_csv(Path::new(path), &train, &sv, payout.as_deref())
-                    .map_err(knnshap_datasets::io::IoError::Io)?;
+                super::value::write_csv(
+                    Path::new(path),
+                    "target",
+                    &train.y,
+                    &sv,
+                    payout.as_deref(),
+                    parse_threads,
+                )
+                .map_err(knnshap_datasets::io::IoError::Io)?;
                 out.push_str(&format!("\nfull values written to {path}\n"));
             }
         }
     }
     Ok(out)
-}
-
-/// The regression counterpart of `value::write_csv` (target instead of
-/// label; same full-precision value formatting).
-fn write_reg_csv(
-    path: &Path,
-    train: &knnshap_datasets::RegDataset,
-    sv: &knnshap_core::ShapleyValues,
-    payout: Option<&[f64]>,
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    match payout {
-        Some(_) => writeln!(w, "index,target,shapley_value,payout")?,
-        None => writeln!(w, "index,target,shapley_value")?,
-    }
-    for i in 0..sv.len() {
-        match payout {
-            Some(p) => writeln!(w, "{i},{},{},{}", train.y[i], sv.get(i), p[i])?,
-            None => writeln!(w, "{i},{},{}", train.y[i], sv.get(i))?,
-        }
-    }
-    w.flush()
 }
 
 #[cfg(test)]

@@ -304,8 +304,15 @@ pub fn run_merge(args: &Args) -> Result<String, CliError> {
         None => None,
     };
     if let Some(out) = args.str("out") {
-        super::value::write_csv(Path::new(out), &train, &sv, payout.as_deref())
-            .map_err(knnshap_datasets::io::IoError::Io)?;
+        super::value::write_csv(
+            Path::new(out),
+            "label",
+            &train.y,
+            &sv,
+            payout.as_deref(),
+            threads,
+        )
+        .map_err(knnshap_datasets::io::IoError::Io)?;
     }
     Ok(super::value::render(
         &train,

@@ -90,8 +90,15 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     };
 
     if let Some(out) = args.str("out") {
-        write_csv(Path::new(out), &train, &sv, payout.as_deref())
-            .map_err(knnshap_datasets::io::IoError::Io)?;
+        write_csv(
+            Path::new(out),
+            "label",
+            &train.y,
+            &sv,
+            payout.as_deref(),
+            threads,
+        )
+        .map_err(knnshap_datasets::io::IoError::Io)?;
     }
 
     Ok(render(
@@ -107,24 +114,67 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-pub(crate) fn write_csv(
+/// Rows per block of [`write_csv`]. With [`ROW_BYTES`] reserved per row,
+/// a block's buffer stays below glibc's default mmap threshold (128 KiB),
+/// for the reason `WINDOW` in `knnshap_datasets::io` gives.
+const WRITE_BLOCK: usize = 2048;
+
+/// Bytes reserved per row of a [`write_csv`] block: a payout row with a
+/// 7-digit index, a 3-digit label, a value of about 10⁻⁶ and a 3-digit
+/// payout, both to 17 significant digits, fits. (`{}` prints an `f64` in
+/// full decimal, so values far from 1 print longer rows; the buffer then
+/// grows, and only the memory guard is lost.)
+const ROW_BYTES: usize = 60;
+
+/// Write the values CSV: `index,<column>,shapley_value[,payout]`, one row
+/// per training point, with `labels[i]` (a class label or a regression
+/// target) in `column`. Blocks of rows are formatted on `threads` workers
+/// and written in file order, so the bytes do not depend on `threads`.
+pub(crate) fn write_csv<L: std::fmt::Display + Sync>(
     path: &Path,
-    train: &ClassDataset,
+    column: &str,
+    labels: &[L],
     sv: &ShapleyValues,
     payout: Option<&[f64]>,
+    threads: usize,
 ) -> std::io::Result<()> {
     let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
     match payout {
-        Some(_) => writeln!(w, "index,label,shapley_value,payout")?,
-        None => writeln!(w, "index,label,shapley_value")?,
+        Some(_) => writeln!(w, "index,{column},shapley_value,payout")?,
+        None => writeln!(w, "index,{column},shapley_value")?,
     }
-    for i in 0..sv.len() {
-        match payout {
-            Some(p) => writeln!(w, "{i},{},{},{}", train.y[i], sv.get(i), p[i])?,
-            None => writeln!(w, "{i},{},{}", train.y[i], sv.get(i))?,
-        }
+    let n = sv.len();
+    let blocks = n.div_ceil(WRITE_BLOCK);
+    let mut failed = None;
+    knnshap_parallel::par_ordered(
+        threads.min(blocks),
+        || (0..0, Vec::with_capacity(WRITE_BLOCK * ROW_BYTES)),
+        |b, (rows, _)| {
+            *rows = b * WRITE_BLOCK..n.min((b + 1) * WRITE_BLOCK);
+            b < blocks
+        },
+        |(rows, buf)| {
+            buf.clear();
+            for i in rows.clone() {
+                match payout {
+                    Some(p) => writeln!(buf, "{i},{},{},{}", labels[i], sv.get(i), p[i]),
+                    None => writeln!(buf, "{i},{},{}", labels[i], sv.get(i)),
+                }
+                .expect("writing to a Vec cannot fail");
+            }
+        },
+        |(_, buf)| match w.write_all(buf) {
+            Ok(()) => true,
+            Err(e) => {
+                failed = Some(e);
+                false
+            }
+        },
+    );
+    match failed {
+        Some(e) => Err(e),
+        None => w.flush(),
     }
-    w.flush()
 }
 
 /// Renders the `value` report. Also used verbatim by `merge`, so a sharded
@@ -173,8 +223,7 @@ pub(crate) fn render(
     } else {
         vec!["rank", "index", "label", "value"]
     });
-    let ranking = sv.ranking();
-    for (rank, &i) in ranking.iter().take(top).enumerate() {
+    for (rank, &i) in sv.top_k(top).iter().enumerate() {
         let mut row = vec![
             format!("{}", rank + 1),
             format!("{i}"),
@@ -289,6 +338,71 @@ mod tests {
             std::fs::remove_file(&out_path).ok();
         }
         assert_eq!(csvs[0], csvs[1], "adaptive scheduling changed the values");
+    }
+
+    /// The one-row-at-a-time writer the ordered block writer replaced.
+    fn serial_csv<L: std::fmt::Display>(
+        column: &str,
+        labels: &[L],
+        sv: &ShapleyValues,
+        payout: Option<&[f64]>,
+    ) -> Vec<u8> {
+        let mut w = Vec::new();
+        match payout {
+            Some(_) => writeln!(w, "index,{column},shapley_value,payout").unwrap(),
+            None => writeln!(w, "index,{column},shapley_value").unwrap(),
+        }
+        for i in 0..sv.len() {
+            match payout {
+                Some(p) => writeln!(w, "{i},{},{},{}", labels[i], sv.get(i), p[i]).unwrap(),
+                None => writeln!(w, "{i},{},{}", labels[i], sv.get(i)).unwrap(),
+            }
+        }
+        w
+    }
+
+    #[test]
+    fn block_writer_is_the_serial_writer_at_every_thread_count() {
+        let path =
+            std::env::temp_dir().join(format!("knnshap-cli-{}-blocks.csv", std::process::id()));
+        for n in [0, 1, WRITE_BLOCK - 1, WRITE_BLOCK, 2 * WRITE_BLOCK + 17] {
+            let values: Vec<f64> = (0..n)
+                .map(|i| match i % 5 {
+                    0 => -0.0,
+                    1 => (i as f64).sqrt() / 3.0,
+                    2 => -1e-300 * i as f64,
+                    3 => 1.0 / (i as f64 + 0.5),
+                    _ => 0.0,
+                })
+                .collect();
+            let sv = ShapleyValues::new(values);
+            let pay: Vec<f64> = (0..n).map(|i| i as f64 * 0.1 - 7.0).collect();
+            let labels: Vec<u32> = (0..n as u32).map(|i| i % 7).collect();
+            let targets: Vec<f64> = (0..n).map(|i| i as f64 / 9.0).collect();
+            for payout in [None, Some(pay.as_slice())] {
+                for threads in [1, 2, 3, 8] {
+                    let what = format!("n {n}, payout {}, threads {threads}", payout.is_some());
+                    write_csv(&path, "label", &labels, &sv, payout, threads).unwrap();
+                    let want = serial_csv("label", &labels, &sv, payout);
+                    assert!(std::fs::read(&path).unwrap() == want, "{what}");
+                    write_csv(&path, "target", &targets, &sv, payout, threads).unwrap();
+                    let want = serial_csv("target", &targets, &sv, payout);
+                    assert!(std::fs::read(&path).unwrap() == want, "reg, {what}");
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_write_block_stays_below_the_mmap_threshold() {
+        const MMAP_THRESHOLD: usize = 128 << 10;
+        const { assert!(WRITE_BLOCK * ROW_BYTES < MMAP_THRESHOLD) };
+        // The widest row `ROW_BYTES` is sized for fits it, so a block's
+        // buffer is never regrown past its reservation.
+        let (v, p) = (-1.2345678901234567e-6, -123.45678901234567);
+        let widest = format!("{},{},{v},{p}\n", 9_999_999, 999);
+        assert!(widest.len() <= ROW_BYTES, "{} bytes", widest.len());
     }
 
     #[test]

@@ -70,27 +70,40 @@ impl ShapleyValues {
     /// Indices sorted by descending value (rank 0 = most valuable point).
     pub fn ranking(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.sort_by(|&i, &j| {
-            self.values[j]
-                .partial_cmp(&self.values[i])
-                .expect("NaN Shapley value")
-                .then(i.cmp(&j))
-        });
+        idx.sort_by(|&i, &j| self.rank_order(i, j));
         idx
     }
 
-    /// The `k` most valuable indices.
+    /// The `k` most valuable indices: the first `k` of [`Self::ranking`].
     pub fn top_k(&self, k: usize) -> Vec<usize> {
-        let mut r = self.ranking();
-        r.truncate(k);
-        r
+        self.first_k(k, |i, j| self.rank_order(i, j))
     }
 
     /// The `k` least valuable indices (most suspicious under the paper's
-    /// noisy-data / poisoning interpretation, §7).
+    /// noisy-data / poisoning interpretation, §7): the last `k` of
+    /// [`Self::ranking`], least valuable first.
     pub fn bottom_k(&self, k: usize) -> Vec<usize> {
-        let r = self.ranking();
-        r.into_iter().rev().take(k).collect()
+        self.first_k(k, |i, j| self.rank_order(j, i))
+    }
+
+    /// The ranking's total order: descending value, then ascending index.
+    fn rank_order(&self, i: usize, j: usize) -> std::cmp::Ordering {
+        self.values[j]
+            .partial_cmp(&self.values[i])
+            .expect("NaN Shapley value")
+            .then(i.cmp(&j))
+    }
+
+    /// The `k` first indices under the total order `cmp`, in that order:
+    /// a selection, then a sort of only the `k` selected.
+    fn first_k(&self, k: usize, cmp: impl Fn(usize, usize) -> std::cmp::Ordering) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..self.len()).collect();
+        if k < idx.len() {
+            idx.select_nth_unstable_by(k, |&i, &j| cmp(i, j));
+            idx.truncate(k);
+        }
+        idx.sort_unstable_by(|&i, &j| cmp(i, j));
+        idx
     }
 
     /// `‖self − other‖_∞`, the error metric of (ε, δ)-approximation.

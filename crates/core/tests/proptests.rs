@@ -215,3 +215,37 @@ proptest! {
         );
     }
 }
+
+/// A value vector full of ties: every value comes from a small palette
+/// that includes both zeros, so selection and sort must agree on ties.
+fn tied_values(codes: &[u8], seed: u64) -> Vec<f64> {
+    let palette = [-0.0, 0.0, 1.0, -1.0, 0.25, 1e-300, -2.5, f64::MIN_POSITIVE];
+    codes
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| match c {
+            8 => (seed.wrapping_mul(i as u64 + 1) % 1000) as f64 / 7.0,
+            c => palette[c as usize],
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `top_k` and `bottom_k` select instead of sorting everything; they
+    /// must still be the prefix and the reversed suffix of `ranking()`.
+    #[test]
+    fn top_and_bottom_k_are_ranking_prefixes(
+        codes in prop::collection::vec(0u8..9, 0..80),
+        seed in any::<u64>(),
+        k in 0usize..90,
+    ) {
+        let sv = ShapleyValues::new(tied_values(&codes, seed));
+        let ranking = sv.ranking();
+        let top: Vec<usize> = ranking.iter().copied().take(k).collect();
+        let bottom: Vec<usize> = ranking.iter().rev().copied().take(k).collect();
+        prop_assert_eq!(sv.top_k(k), top);
+        prop_assert_eq!(sv.bottom_k(k), bottom);
+    }
+}

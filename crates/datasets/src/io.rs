@@ -28,20 +28,30 @@
 //!
 //! The loader reads the file in 64 KiB windows — never the whole file at
 //! once, so a large CSV costs no resident memory beyond the matrix it
-//! becomes. Each window is cut at its last newline (the tail carries into
-//! the next window), split at line boundaries into one part per worker, and
-//! the parts are scanned on the caller's thread budget through
-//! `knnshap_parallel`, then appended in file order. Cells are byte
-//! slices of the window (no per-line allocation), and features go through a
-//! fast decimal path that returns exactly what `str::parse::<f32>` returns.
-//! The result — every bit, and the error reported for a bad file — is
-//! therefore the same for every thread count and window size.
+//! becomes — in one ordered region of `knnshap_parallel::par_ordered` on
+//! the caller's thread budget:
+//!
+//! * **Claim.** Under the region's reader lock, a worker moves the carried
+//!   tail of the last window into its own buffer, reads on until the
+//!   window is full, and cuts it after its last newline (the new tail
+//!   carries into the next window; a line longer than the window doubles
+//!   it). The first row that holds data fixes the feature count.
+//! * **Scan.** Outside the lock, the worker parses its window's lines into
+//!   its own buffers. Cells are byte slices of the window (no per-line
+//!   allocation), and features go through a fast decimal path that returns
+//!   exactly what `str::parse::<f32>` returns.
+//! * **Commit.** In file order, one window at a time, the worker reports
+//!   the window's first bad line (numbered from the lines committed before
+//!   it) or a failed read, which ends the parse, or else appends its rows.
+//!
+//! Every source — a file, a pipe, bytes in memory — takes this one path.
+//! The result — every bit, and the error reported for a bad file — is the
+//! same for every thread count and window size.
 
 use crate::dataset::{ClassDataset, RegDataset};
 use crate::features::Features;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
-use std::ops::Range;
 use std::path::Path;
 
 mod float;
@@ -165,13 +175,13 @@ fn class_dataset(x: Features, labels: Vec<u32>) -> ClassDataset {
 }
 
 /// The classification loader over any byte source, `window` bytes at a time.
-fn read_class(r: impl Read, threads: usize, window: usize) -> Result<ClassDataset, IoError> {
+fn read_class(r: impl Read + Send, threads: usize, window: usize) -> Result<ClassDataset, IoError> {
     let (x, labels) = scan_rows(r, threads, window, "label", label)?;
     Ok(class_dataset(x, labels))
 }
 
 /// The regression loader over any byte source, `window` bytes at a time.
-fn read_reg(r: impl Read, threads: usize, window: usize) -> Result<RegDataset, IoError> {
+fn read_reg(r: impl Read + Send, threads: usize, window: usize) -> Result<RegDataset, IoError> {
     let (x, targets) = scan_rows(r, threads, window, "target", target)?;
     Ok(RegDataset::new(x, targets))
 }
@@ -179,68 +189,139 @@ fn read_reg(r: impl Read, threads: usize, window: usize) -> Result<RegDataset, I
 /// The row scanner behind both loaders: every row is `dim` `f32` features
 /// followed by one task-specific final column, parsed by `last` (the files
 /// are otherwise indistinguishable; `what` names that column in errors).
-/// Reads `r` about `window` bytes at a time and parses each window on
-/// `threads` workers; the window only bounds memory; it never changes the
-/// result.
+/// Reads `r` about `window` bytes at a time and parses the windows on
+/// `threads` workers in one ordered region; the window only bounds memory;
+/// it never changes the result.
 fn scan_rows<T: Send + Default>(
-    mut r: impl Read,
+    r: impl Read + Send,
     threads: usize,
     window: usize,
     what: &str,
     last: fn(&str) -> Result<T, String>,
 ) -> Result<(Features, Vec<T>), IoError> {
-    let threads = threads.max(1);
-    let window = window.max(1);
-    let mut parts: Vec<Part<T>> = (0..threads).map(|_| Part::default()).collect();
+    let mut source = Source {
+        r,
+        carry: Vec::new(),
+        size: window.max(1),
+        dim: None,
+        done: false,
+    };
     let (mut feats, mut finals) = (Vec::new(), Vec::new());
-    let mut dim = None;
     let mut lines_before = 0;
-    // `buf[..len]` holds the unparsed bytes: the tail of the last window,
-    // then whatever the next read brings.
-    let (mut buf, mut len) = (vec![0u8; window], 0);
-    loop {
-        let eof = fill(&mut r, &mut buf, &mut len)?;
-        let cut = match (eof, buf[..len].iter().rposition(|&b| b == b'\n')) {
-            (true, _) => len,
-            (false, Some(i)) => i + 1,
-            // A line longer than the buffer: grow it and read on.
-            (false, None) => {
-                buf.resize(2 * buf.len(), 0);
-                continue;
+    let mut failed = None;
+    knnshap_parallel::par_ordered(
+        threads,
+        Window::default,
+        |_, w| source.next(w),
+        |w| {
+            if w.failed.is_none() {
+                w.part.scan(&w.buf[..w.text], w.dim, what, last);
             }
-        };
-        let text = &buf[..cut];
-        if dim.is_none() {
-            dim = first_row_dim(text);
+        },
+        |w| {
+            let bad = match (w.failed.take(), w.part.bad.take()) {
+                (Some(e), _) => IoError::Io(e),
+                // The error `BufRead::lines` gives for such a line.
+                (None, Some((_, Bad::Utf8))) => IoError::Io(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )),
+                (None, Some((line, Bad::Format(m)))) => {
+                    IoError::Format(format!("line {}: {m}", lines_before + line + 1))
+                }
+                (None, None) => {
+                    lines_before += w.part.lines;
+                    feats.extend_from_slice(&w.part.feats);
+                    finals.append(&mut w.part.finals);
+                    return true;
+                }
+            };
+            failed = Some(bad);
+            false
+        },
+    );
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    let dim = source
+        .dim
+        .ok_or_else(|| IoError::Format("empty file".into()))?;
+    Ok((Features::new(feats, dim), finals))
+}
+
+/// The read side of [`scan_rows`], used under the region's claim lock: it
+/// hands out the input one window at a time, in file order.
+struct Source<R> {
+    r: R,
+    /// The bytes after the last window's final newline.
+    carry: Vec<u8>,
+    /// The window size: `WINDOW`, doubled for each line that did not fit.
+    size: usize,
+    /// The feature count, from the first row.
+    dim: Option<usize>,
+    /// The input is used up, or failed.
+    done: bool,
+}
+
+impl<R: Read> Source<R> {
+    /// Load the next window into `w`: the carried tail, then fresh bytes
+    /// until the window is full, cut after its last newline (all of it at
+    /// end of input). `false` once the input is used up; a failed read is
+    /// the last window, carrying the error.
+    fn next<T>(&mut self, w: &mut Window<T>) -> bool {
+        if self.done {
+            return false;
         }
-        split_at_lines(text, &mut parts);
-        knnshap_parallel::par_chunks(&mut parts, 1, threads, |_, part| {
-            part[0].scan(text, dim.unwrap_or(0), what, last)
-        });
-        for part in &mut parts {
-            if let Some((line, bad)) = part.bad.take() {
-                let line = lines_before + line + 1;
-                return Err(match bad {
-                    // The error `BufRead::lines` gives for such a line.
-                    Bad::Utf8 => IoError::Io(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "stream did not contain valid UTF-8",
-                    )),
-                    Bad::Format(m) => IoError::Format(format!("line {line}: {m}")),
-                });
+        w.failed = None;
+        let mut len = self.carry.len();
+        if w.buf.len() < self.size {
+            w.buf.resize(self.size, 0);
+        }
+        w.buf[..len].copy_from_slice(&self.carry);
+        loop {
+            let eof = match fill(&mut self.r, &mut w.buf[..self.size], &mut len) {
+                Ok(eof) => eof,
+                Err(e) => {
+                    w.failed = Some(e);
+                    self.done = true;
+                    return true;
+                }
+            };
+            let cut = match (eof, w.buf[..len].iter().rposition(|&b| b == b'\n')) {
+                (true, _) => len,
+                (false, Some(i)) => i + 1,
+                // A line longer than the window: grow it and read on.
+                (false, None) => {
+                    self.size *= 2;
+                    w.buf.resize(self.size, 0);
+                    continue;
+                }
+            };
+            self.carry.clear();
+            self.carry.extend_from_slice(&w.buf[cut..len]);
+            if self.dim.is_none() {
+                self.dim = first_row_dim(&w.buf[..cut]);
             }
-            lines_before += part.lines;
-            feats.extend_from_slice(&part.feats);
-            finals.append(&mut part.finals);
-        }
-        buf.copy_within(cut..len, 0);
-        len -= cut;
-        if eof {
-            break;
+            w.text = cut;
+            w.dim = self.dim.unwrap_or(0);
+            self.done = eof;
+            return true;
         }
     }
-    let dim = dim.ok_or_else(|| IoError::Format("empty file".into()))?;
-    Ok((Features::new(feats, dim), finals))
+}
+
+/// One parse worker's window and its parse; the buffers are reused from
+/// window to window.
+#[derive(Default)]
+struct Window<T> {
+    /// The window's bytes; `buf[..text]` holds its whole lines.
+    buf: Vec<u8>,
+    text: usize,
+    /// The feature count as of this window.
+    dim: usize,
+    /// The read that should have filled the window failed.
+    failed: Option<io::Error>,
+    part: Part<T>,
 }
 
 /// Read from `r` until `buf[..len]` fills `buf`; `true` at end of input.
@@ -257,7 +338,7 @@ fn fill(r: &mut impl Read, buf: &mut [u8], len: &mut usize) -> io::Result<bool> 
 }
 
 /// The feature count of the first row in `text` (its comma count), if
-/// `text` holds a row. The part that holds that row re-checks it, so a
+/// `text` holds a row. The window that holds that row re-checks it, so a
 /// line this misjudges (only possible for non-UTF-8 bytes) is reported
 /// there before the count is ever compared.
 fn first_row_dim(text: &[u8]) -> Option<usize> {
@@ -270,22 +351,6 @@ fn first_row_dim(text: &[u8]) -> Option<usize> {
 
 fn comma_count(line: &str) -> usize {
     line.bytes().filter(|&b| b == b',').count()
-}
-
-/// Cut `text` into `parts.len()` byte ranges of about equal size, each
-/// starting at a line start.
-fn split_at_lines<T>(text: &[u8], parts: &mut [Part<T>]) {
-    let n = parts.len();
-    let mut start = 0;
-    for (i, part) in parts.iter_mut().enumerate() {
-        let aim = (text.len() * (i + 1) / n).max(start);
-        let end = match text[aim..].iter().position(|&b| b == b'\n') {
-            Some(j) if i + 1 < n => aim + j + 1,
-            _ => text.len(),
-        };
-        part.range = start..end;
-        start = end;
-    }
 }
 
 /// The common case of a row: `dim` fast-path features, each directly
@@ -308,7 +373,7 @@ fn fast_features<'a>(line: &'a str, dim: usize, feats: &mut Vec<f32>) -> Option<
     (dim > 0 && !rest.contains(',')).then_some(rest)
 }
 
-/// Why a part stopped at a line.
+/// Why a window's parse stopped at a line.
 enum Bad {
     /// The line is not UTF-8.
     Utf8,
@@ -316,25 +381,23 @@ enum Bad {
     Format(String),
 }
 
-/// One worker's share of a window, and its output buffers (reused across
+/// The rows parsed from one window (the buffers are reused across
 /// windows).
 #[derive(Default)]
 struct Part<T> {
-    range: Range<usize>,
     feats: Vec<f32>,
     finals: Vec<T>,
-    /// Lines in the part when it parsed cleanly.
+    /// Lines in the window when it parsed cleanly.
     lines: usize,
-    /// The part-local index of its first bad line, and what was wrong.
+    /// The window-local index of its first bad line, and what was wrong.
     bad: Option<(usize, Bad)>,
 }
 
 impl<T> Part<T> {
-    /// Parse this part's range of `text`, stopping at its first bad line.
+    /// Parse the whole lines in `text`, stopping at the first bad one.
     fn scan(&mut self, text: &[u8], dim: usize, what: &str, last: fn(&str) -> Result<T, String>) {
         self.feats.clear();
         self.finals.clear();
-        let text = &text[self.range.clone()];
         // `\n` is never inside a multi-byte sequence, so the valid prefix
         // holds every line before the first non-UTF-8 one.
         let (valid, broken) = match std::str::from_utf8(text) {

@@ -218,7 +218,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(crate::io::tests::cases_at_least(256))]
 
         /// Shortest round-trip strings of random `f32` bit patterns, in both
         /// notations `{}` and `{:e}` produce.

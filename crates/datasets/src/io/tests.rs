@@ -7,7 +7,7 @@ use crate::synth::blobs::{self, BlobConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::BufRead;
+use std::io::{self, BufRead, Read};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -237,6 +237,14 @@ fn reg_key(r: Result<RegDataset, IoError>) -> Key {
     .map_err(err_key)
 }
 
+#[test]
+fn a_window_stays_below_the_mmap_threshold() {
+    // See `WINDOW`: parse buffers past glibc's threshold raise it for the
+    // rest of the process.
+    const MMAP_THRESHOLD: usize = 128 << 10;
+    const { assert!(WINDOW == 64 << 10 && WINDOW < MMAP_THRESHOLD) };
+}
+
 /// Windows that put most lines across a window edge, plus the real one.
 const WINDOWS: [usize; 4] = [1, 13, 256, WINDOW];
 
@@ -346,29 +354,168 @@ fn invalid_utf8_before_and_after_a_format_error() {
 
 #[test]
 fn ragged_row_on_a_part_boundary() {
-    // Place a ragged row exactly at the start of the second part for each
-    // thread count, with an error later in the file that must not win.
-    for threads in [2, 3, 8] {
-        let rows: Vec<String> = (0..64).map(|i| format!("{i}.25,{i},{}", i % 3)).collect();
-        let text = rows.join("\n") + "\n";
-        let mut parts: Vec<Part<u32>> = (0..threads).map(|_| Part::default()).collect();
-        split_at_lines(text.as_bytes(), &mut parts);
-        let boundary = parts[1].range.start;
-        assert!(boundary > 0 && text.as_bytes()[boundary - 1] == b'\n');
+    // Place a ragged row exactly at the start of the second window, with
+    // an error later in the file that must not win.
+    let rows: Vec<String> = (0..64).map(|i| format!("{i}.25,{i},{}", i % 3)).collect();
+    let text = rows.join("\n") + "\n";
+    for window in [40, 256] {
+        let boundary = text.as_bytes()[..window]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
         let at = text[..boundary].matches('\n').count();
-        let mut rows = rows;
+        let mut rows = rows.clone();
         rows[at] = "9,9,9,9".into();
         rows[at + 5] = "oops,1,0".into();
         let text = rows.join("\n") + "\n";
-        let err = read_class(text.as_bytes(), threads, WINDOW).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            format!(
-                "format error: line {}: 3 features but earlier rows had 2",
-                at + 1
-            )
-        );
+        for threads in [1, 2, 3, 8] {
+            let err = read_class(text.as_bytes(), threads, window).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "format error: line {}: 3 features but earlier rows had 2",
+                    at + 1
+                ),
+                "threads {threads}, window {window}"
+            );
+        }
         assert_matches_oracle(text.as_bytes());
+    }
+}
+
+/// A byte source that delivers `text` in reads of at most `chunk` bytes
+/// and fails once `fail_at` bytes have been delivered.
+struct FailingRead<'a> {
+    text: &'a [u8],
+    at: usize,
+    fail_at: usize,
+    chunk: usize,
+}
+
+impl Read for FailingRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.at >= self.fail_at {
+            return Err(io::Error::other("disk on fire"));
+        }
+        let end = self
+            .text
+            .len()
+            .min(self.fail_at)
+            .min(self.at + self.chunk.min(buf.len()));
+        let n = end - self.at;
+        buf[..n].copy_from_slice(&self.text[self.at..end]);
+        self.at = end;
+        Ok(n)
+    }
+}
+
+fn failing_read(text: &[u8], fail_at: usize, threads: usize, window: usize) -> Key {
+    let r = FailingRead {
+        text,
+        at: 0,
+        fail_at,
+        chunk: 7,
+    };
+    class_key(read_class(r, threads, window))
+}
+
+#[test]
+fn a_failing_read_is_an_io_error_behind_earlier_bad_lines() {
+    let rows: Vec<String> = (0..300).map(|i| format!("{i}.5,{i},{}", i % 3)).collect();
+    let clean = rows.join("\n") + "\n";
+    let mut bad = rows.clone();
+    bad[2] = "1,oops,0".into();
+    let bad = bad.join("\n") + "\n";
+    let io = Err("Io: i/o error: disk on fire".to_string());
+    for window in WINDOWS {
+        for fail_at in [0, 1, 500, clean.len() / 2, clean.len() - 1] {
+            let one = failing_read(clean.as_bytes(), fail_at, 1, window);
+            assert_eq!(one, io, "clean text, window {window}, fail at {fail_at}");
+            for threads in [2, 3, 8] {
+                let got = failing_read(clean.as_bytes(), fail_at, threads, window);
+                assert_eq!(
+                    got, one,
+                    "threads {threads}, window {window}, fail at {fail_at}"
+                );
+                let got = failing_read(bad.as_bytes(), fail_at, threads, window);
+                let want = failing_read(bad.as_bytes(), fail_at, 1, window);
+                assert_eq!(
+                    got, want,
+                    "threads {threads}, window {window}, fail at {fail_at}"
+                );
+            }
+        }
+        // A bad line read whole before the failure, more than a window
+        // back, wins over it; a failure before the bad line wins over it.
+        for threads in [1, 2, 3, 8] {
+            let got = failing_read(bad.as_bytes(), bad.len() - 1, threads, window.min(256));
+            let want = Err(
+                "Format: format error: line 3: bad float 'oops': invalid float literal".to_string(),
+            );
+            assert_eq!(got, want, "threads {threads}, window {window}");
+            assert_eq!(failing_read(bad.as_bytes(), 10, threads, window), io);
+        }
+    }
+}
+
+/// `rows` lines that send every cell down the checked (slow) path.
+fn slow_rows(rows: usize) -> String {
+    (0..rows)
+        .map(|i| format!("\u{a0}{i}.5\u{a0},\u{a0}{i},0\n"))
+        .collect()
+}
+
+#[test]
+fn a_window_that_finishes_first_does_not_jump_the_queue() {
+    // The first window parses every cell slowly and its last line is bad;
+    // the second window fails on its first line, so it is done long
+    // before its predecessor. File order must still win.
+    let window = 4096;
+    let mut first = slow_rows(400).into_bytes();
+    first.truncate(first[..window].iter().rposition(|&b| b == b'\n').unwrap() + 1);
+    let slow_lines = first.iter().filter(|&&b| b == b'\n').count();
+    first.pop();
+    first.extend_from_slice(b"x\n");
+    let fast: String = (0..400).map(|i| format!("{i},{i},1\n")).collect();
+    for second in [&b"1,2,3,0\n"[..], b"\xff\n"] {
+        let text = [&first[..], second, fast.as_bytes()].concat();
+        for threads in [1, 2, 3, 8] {
+            let err = read_class(text.as_slice(), threads, window).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "format error: line {slow_lines}: bad label: invalid digit found in string"
+                ),
+                "threads {threads}"
+            );
+        }
+        assert_matches_oracle(&text);
+    }
+    // With a clean first window, the second window's error is the one.
+    let text = format!("{}1,2,3,0\n{fast}", slow_rows(400));
+    for threads in [1, 2, 3, 8] {
+        let err = read_class(text.as_bytes(), threads, window).unwrap_err();
+        assert!(err.to_string().contains("line 401: 3 features"), "{err}");
+    }
+}
+
+#[test]
+fn non_utf8_after_a_format_error_in_an_earlier_window() {
+    for window in [64, 4096] {
+        let mut text = slow_rows(10).into_bytes();
+        text.extend_from_slice(b"1,2,0\n1,x,0\n");
+        text.extend(std::iter::repeat_n(b"3,4,1\n".as_slice(), 2000).flatten());
+        text.extend_from_slice(b"1,\xff,0\n5,6,0\n");
+        for threads in [1, 2, 3, 8] {
+            let err = read_class(text.as_slice(), threads, window).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "format error: line 12: bad float 'x': invalid float literal",
+                "threads {threads}, window {window}"
+            );
+        }
+        assert_matches_oracle(&text);
     }
 }
 
@@ -494,8 +641,14 @@ fn generated_csv(seed: u64) -> Vec<u8> {
     text
 }
 
+/// `n` cases, or `PROPTEST_CASES` when that asks for more: the loader's
+/// property suites can then be replayed at a larger count.
+pub(super) fn cases_at_least(n: u32) -> ProptestConfig {
+    ProptestConfig::with_cases(ProptestConfig::default().cases.max(n))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(cases_at_least(96))]
 
     /// Generated and mutated CSV text parses exactly as the oracle parses
     /// it, at every thread count and window size.

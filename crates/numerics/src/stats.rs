@@ -104,6 +104,32 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
+/// `percentile(xs, 50.0)`, bit for bit, by selection instead of a full
+/// sort: the sorted copy's two middle elements are the elements at those
+/// ranks under (value, then index) — the order a stable sort leaves —
+/// which also decides which of `-0.0` and `0.0` is picked.
+fn median(xs: &[f64]) -> f64 {
+    let order = |&i: &usize, &j: &usize| {
+        xs[i]
+            .partial_cmp(&xs[j])
+            .expect("NaN in percentile")
+            .then(i.cmp(&j))
+    };
+    let mut idx: Vec<usize> = (0..xs.len()).collect();
+    let rank = 0.5 * (xs.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let (_, &mut at_lo, above) = idx.select_nth_unstable_by(lo, order);
+    if rank == lo as f64 {
+        return xs[at_lo];
+    }
+    let at_hi = *above
+        .iter()
+        .min_by(|i, j| order(i, j))
+        .expect("an element above");
+    let w = rank - lo as f64;
+    xs[at_lo] * (1.0 - w) + xs[at_hi] * w
+}
+
 /// Five-number-plus-moments summary of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -123,7 +149,7 @@ impl Summary {
             mean: mean(xs),
             std_dev: std_dev(xs),
             min: xs.iter().copied().fold(f64::INFINITY, f64::min),
-            median: percentile(xs, 50.0),
+            median: median(xs),
             max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         }
     }

@@ -4,7 +4,7 @@ use knnshap_numerics::binom::{binomial_u128, Combinations, LogFactorialTable};
 use knnshap_numerics::integrate::{adaptive_simpson, simpson};
 use knnshap_numerics::roots::{bisect, brent};
 use knnshap_numerics::special::{bennett_h, normal_cdf};
-use knnshap_numerics::stats::{mean, percentile, ranks, spearman, variance};
+use knnshap_numerics::stats::{mean, percentile, ranks, spearman, variance, Summary};
 use proptest::prelude::*;
 
 proptest! {
@@ -106,5 +106,22 @@ proptest! {
         let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(v >= lo - 1e-12 && v <= hi + 1e-12);
+    }
+
+    /// `Summary::of` takes its median by selection; it must be the bits of
+    /// the sort-based `percentile(xs, 50)`, also among ties and both zeros.
+    #[test]
+    fn summary_median_is_the_sorted_percentile(
+        codes in prop::collection::vec(0u8..9, 1..60),
+        noise in prop::collection::vec(-50.0f64..50.0, 60),
+    ) {
+        let palette = [-0.0, 0.0, 1.0, -1.0, 0.5, 3.0, -1e-300, 7.25];
+        let xs: Vec<f64> = codes
+            .iter()
+            .zip(&noise)
+            .map(|(&c, &v)| palette.get(c as usize).copied().unwrap_or(v))
+            .collect();
+        let median = Summary::of(&xs).median;
+        prop_assert_eq!(median.to_bits(), percentile(&xs, 50.0).to_bits(), "{:?}", xs);
     }
 }

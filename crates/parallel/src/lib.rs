@@ -25,6 +25,11 @@
 //!   each participant drains unit indices from one shared counter, so
 //!   per-worker state is built once per worker, not once per unit. Only
 //!   for results that cannot depend on which worker ran which unit.
+//! * [`par_ordered`]`(threads, init, claim, work, commit)` — ordered
+//!   commit: units are claimed one at a time in sequence order, worked on
+//!   in parallel and committed one at a time in sequence order, so a
+//!   stream (CSV windows in, CSV row blocks out) keeps its order on every
+//!   worker.
 //! * [`ThreadPool`] — the pool itself, for dedicated pools in tests or
 //!   embedders; the free functions above run on a lazily-built global pool
 //!   sized by [`current_threads`].
@@ -187,6 +192,19 @@ where
     F: Fn(&mut Claims<'_>) + Sync,
 {
     ThreadPool::global().par_claim(units, threads, participant)
+}
+
+/// Ordered commit on the global pool: participants claim units in
+/// sequence order, work on them in parallel and commit them one at a time
+/// in sequence order. See [`ThreadPool::par_ordered`].
+pub fn par_ordered<S, I, C, W, K>(threads: usize, init: I, claim: C, work: W, commit: K)
+where
+    I: Fn() -> S + Sync,
+    C: FnMut(usize, &mut S) -> bool + Send,
+    W: Fn(&mut S) + Sync,
+    K: FnMut(&mut S) -> bool + Send,
+{
+    ThreadPool::global().par_ordered(threads, init, claim, work, commit)
 }
 
 #[cfg(test)]

@@ -496,6 +496,104 @@ impl ThreadPool {
             })
         });
     }
+
+    /// Ordered commit over a sequence of units whose count need not be
+    /// known up front. At most `threads` participants each build one state
+    /// with `init`, then repeat three steps:
+    ///
+    /// 1. under one lock, `claim(seq, state)` loads the unit with the next
+    ///    sequence number into the state, or returns `false` when no unit
+    ///    is left;
+    /// 2. `work(state)` processes it, in parallel with the others;
+    /// 3. `commit(state)` consumes it once every earlier unit has been
+    ///    committed, so commits run one at a time in sequence order. A
+    ///    commit that returns `false` stops the run: no later unit is
+    ///    claimed or committed.
+    ///
+    /// A participant claims its next unit only after committing its last,
+    /// and units are claimed in sequence order, so the lowest uncommitted
+    /// unit always belongs to a running participant: the run cannot
+    /// deadlock. A panic in any step stops the run and propagates once
+    /// every participant has returned. Each claimed unit counts as one pool
+    /// block.
+    pub fn par_ordered<S, I, C, W, K>(&self, threads: usize, init: I, claim: C, work: W, commit: K)
+    where
+        I: Fn() -> S + Sync,
+        C: FnMut(usize, &mut S) -> bool + Send,
+        W: Fn(&mut S) + Sync,
+        K: FnMut(&mut S) -> bool + Send,
+    {
+        let cap = threads.max(1).min(self.threads);
+        // The claim step and the next sequence number to hand out; the
+        // commit step and the next sequence number to commit.
+        let claim = Mutex::new((claim, 0usize));
+        let turn = Mutex::new((commit, 0usize));
+        let turned = Condvar::new();
+        let stop = AtomicBool::new(false);
+        self.run_blocks(tile_with_size(cap, 1), cap, &|_| {
+            let _unwind = StopOnUnwind {
+                stop: &stop,
+                turn: &turn,
+                turned: &turned,
+            };
+            let mut state = init();
+            loop {
+                // A poisoned lock means another participant panicked there.
+                let seq = {
+                    let Ok(mut c) = claim.lock() else { return };
+                    if stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let seq = c.1;
+                    if !(c.0)(seq, &mut state) {
+                        return;
+                    }
+                    c.1 += 1;
+                    seq
+                };
+                POOL_BLOCKS.incr();
+                work(&mut state);
+                let Ok(mut t) = turn.lock() else { return };
+                while t.1 != seq && !stop.load(Ordering::SeqCst) {
+                    let Ok(next) = turned.wait(t) else { return };
+                    t = next;
+                }
+                if stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                let go = (t.0)(&mut state);
+                t.1 += 1;
+                if !go {
+                    stop.store(true, Ordering::SeqCst);
+                }
+                turned.notify_all();
+                if !go {
+                    return;
+                }
+            }
+        });
+    }
+}
+
+/// Stops a [`ThreadPool::par_ordered`] run when its participant unwinds,
+/// and wakes the participants waiting for their turn, so none waits for a
+/// unit the panicking one will never commit.
+struct StopOnUnwind<'a, T> {
+    stop: &'a AtomicBool,
+    turn: &'a Mutex<T>,
+    turned: &'a Condvar,
+}
+
+impl<T> Drop for StopOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.stop.store(true, Ordering::SeqCst);
+            // Taken (poisoned or not) so no waiter misses the wake-up
+            // between checking `stop` and sleeping.
+            let _turn = self.turn.lock();
+            self.turned.notify_all();
+        }
+    }
 }
 
 /// One participant's view of a [`ThreadPool::par_claim`] region: iterating
@@ -677,6 +775,179 @@ mod tests {
                 assert_eq!(solos.into_inner(), usize::from(cap == 1), "{what}");
             }
         }
+    }
+
+    /// The units whose work has finished, in finishing order; a unit's
+    /// work can wait for another's to finish, which forces the order in
+    /// which units complete.
+    #[derive(Default)]
+    struct Finished {
+        order: Mutex<Vec<usize>>,
+        cv: Condvar,
+    }
+
+    impl Finished {
+        fn finish(&self, seq: usize) {
+            self.order.lock().unwrap().push(seq);
+            self.cv.notify_all();
+        }
+
+        /// Wait until unit `seq` has finished its work. The bound only
+        /// keeps a broken primitive from hanging the test.
+        fn wait_for(&self, seq: usize) {
+            let order = self.order.lock().unwrap();
+            let (order, timeout) = self
+                .cv
+                .wait_timeout_while(order, std::time::Duration::from_secs(20), |o| {
+                    !o.contains(&seq)
+                })
+                .unwrap();
+            assert!(!timeout.timed_out(), "unit {seq} never finished: {order:?}");
+        }
+    }
+
+    /// Run `par_ordered` over `units` units on `pool`. Before finishing
+    /// its work, unit `seq` waits for the units `after(seq)` names; unit
+    /// `stop_at`'s commit stops the run. Returns the committed units in
+    /// commit order, the units in work-finishing order, and the number of
+    /// claims.
+    fn ordered(
+        pool: &ThreadPool,
+        units: usize,
+        threads: usize,
+        after: impl Fn(usize) -> Option<usize> + Sync,
+        stop_at: Option<usize>,
+    ) -> (Vec<usize>, Vec<usize>, usize) {
+        let finished = Finished::default();
+        let (mut committed, mut claimed) = (Vec::new(), 0);
+        pool.par_ordered(
+            threads,
+            || None,
+            |seq, unit: &mut Option<usize>| {
+                claimed += 1;
+                *unit = (seq < units).then_some(seq);
+                unit.is_some()
+            },
+            |unit| {
+                let seq = unit.expect("claimed");
+                if let Some(other) = after(seq) {
+                    finished.wait_for(other);
+                }
+                finished.finish(seq);
+            },
+            |unit| {
+                let seq = unit.take().expect("claimed");
+                committed.push(seq);
+                Some(seq) != stop_at
+            },
+        );
+        (committed, finished.order.into_inner().unwrap(), claimed)
+    }
+
+    #[test]
+    fn par_ordered_commits_in_sequence_order_whatever_finishes_first() {
+        let pool = ThreadPool::new(4);
+        for threads in [1usize, 2, 3, 4, 8] {
+            // With two or more participants, every even unit finishes its
+            // work only after the next unit has finished its own.
+            let after = |seq: usize| {
+                (threads > 1 && seq.is_multiple_of(2) && seq + 1 < 13).then(|| seq + 1)
+            };
+            let (committed, finished, claimed) = ordered(&pool, 13, threads, after, None);
+            assert_eq!(committed, (0..13).collect::<Vec<_>>(), "threads {threads}");
+            if threads > 1 {
+                assert_ne!(
+                    finished, committed,
+                    "threads {threads}: no unit finished early"
+                );
+            }
+            // Each participant's last claim finds no unit.
+            let cap = threads.min(4);
+            assert_eq!(claimed, 13 + cap, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn par_ordered_more_threads_than_units_and_no_units() {
+        let pool = ThreadPool::new(4);
+        for threads in [1usize, 3, 8] {
+            for units in [0usize, 1, 2] {
+                let (committed, _, _) = ordered(&pool, units, threads, |_| None, None);
+                assert_eq!(
+                    committed,
+                    (0..units).collect::<Vec<_>>(),
+                    "{units} units at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn par_ordered_commit_can_stop_the_run() {
+        let pool = ThreadPool::new(4);
+        for threads in [1usize, 2, 4] {
+            // Unit 5 finishes after unit 6, so unit 6 is done and waiting
+            // for its turn when unit 5's commit stops the run.
+            let after = |seq: usize| (threads > 1 && seq == 5).then_some(6);
+            let (committed, _, claimed) = ordered(&pool, 40, threads, after, Some(5));
+            assert_eq!(committed, (0..=5).collect::<Vec<_>>(), "threads {threads}");
+            // Each participant holds at most one uncommitted unit.
+            assert!(
+                claimed <= 6 + threads,
+                "threads {threads}: {claimed} claims"
+            );
+        }
+    }
+
+    #[test]
+    fn par_ordered_panics_propagate_without_a_hang() {
+        let pool = Arc::new(ThreadPool::new(4));
+        for (threads, step) in [1usize, 2, 4, 8]
+            .into_iter()
+            .flat_map(|t| ["claim", "work", "commit"].map(|s| (t, s)))
+        {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                let finished = Finished::default();
+                // Unit 3 fails only once unit 4 is done and waiting for its
+                // turn behind it.
+                let fail = |at: &str, seq: usize| {
+                    if at == step && seq == 3 {
+                        if threads > 1 && step != "claim" {
+                            finished.wait_for(4);
+                        }
+                        panic!("unit 3 fails in {step}");
+                    }
+                };
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    pool.par_ordered(
+                        threads,
+                        || 0,
+                        |seq, unit| {
+                            fail("claim", seq);
+                            *unit = seq;
+                            seq < 50
+                        },
+                        |&mut seq| {
+                            fail("work", seq);
+                            finished.finish(seq);
+                        },
+                        |&mut seq| {
+                            fail("commit", seq);
+                            true
+                        },
+                    )
+                }));
+                tx.send(run.is_err()).ok();
+            });
+            let panicked = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{step} panic at {threads} threads hung the run"));
+            assert!(panicked, "{step} panic at {threads} threads was swallowed");
+        }
+        // The pool stays usable afterwards.
+        assert_eq!(ordered(&pool, 3, 4, |_| None, None).0, vec![0, 1, 2]);
     }
 
     #[test]
