@@ -21,6 +21,9 @@
 //! replay at the same step, then the two replay wall-clocks are compared;
 //! the acceptance bar is batched ≥ 1.5× over per-mutation at N = 10⁵.
 //!
+//! The JSON also records the median latency of one what-if request on the
+//! mutated engine and a `host` block (nproc, CPU, git revision).
+//!
 //! Knobs: `KNNSHAP_BENCH_N` (training points, default 100 000),
 //! `KNNSHAP_BENCH_MUTATIONS` (script length, default 16),
 //! `KNNSHAP_BENCH_NTEST` (test points, default 64 — valuation in the
@@ -41,6 +44,9 @@ use knnshap_datasets::ClassDataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
+
+/// What-if requests timed one at a time for the per-request median.
+const WHATIF_REQUESTS: usize = 33;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -125,6 +131,22 @@ fn main() {
     }
     let incr_secs = incr_start.elapsed().as_secs_f64();
 
+    // --- What-if: per-request latency on the mutated engine (each request
+    // splices a candidate virtually and stops the recursion at its rank).
+    let mut whatif_ms: Vec<f64> = (0..WHATIF_REQUESTS)
+        .map(|_| {
+            let row: Vec<f32> = (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let label = rng.gen_range(0..n_classes);
+            let start = Instant::now();
+            let value = engine.what_if(&row, label).expect("what-if");
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            std::hint::black_box(value);
+            ms
+        })
+        .collect();
+    whatif_ms.sort_by(f64::total_cmp);
+    let whatif_median_ms = whatif_ms[WHATIF_REQUESTS / 2];
+
     // --- Batched replay (--batched): same script, groups of B mutations
     // through apply_batch — one splice pass + one recursion per group,
     // the daemon's coalesced write path. Timed like the per-mutation
@@ -201,6 +223,7 @@ fn main() {
         per_mutation_cold * 1e3
     );
     println!("speedup: ×{speedup:.2} (all {mutations} steps bitwise-identical)");
+    println!("what-if: {whatif_median_ms:.2} ms/request (median of {WHATIF_REQUESTS})");
 
     let batch_speedup = batched.map(|batched_secs| {
         let bs = incr_secs / batched_secs;
@@ -250,7 +273,11 @@ fn main() {
          \"batched_seconds\": {batch_secs_json},\n  \
          \"batch_speedup\": {batch_speedup_json},\n  \
          \"bitwise_identical_steps\": {mutations},\n  \
+         \"whatif_requests\": {WHATIF_REQUESTS},\n  \
+         \"whatif_ms_median\": {whatif_median_ms:.4},\n  \
+         \"host\": {},\n  \
          \"telemetry\": {{ {} }}\n}}\n",
+        knnshap_bench::util::host_json(),
         probe
             .finish()
             .json_fields(load_secs + incr_secs + cold_secs)

@@ -278,7 +278,7 @@ impl<'a> Estimator<'a> {
         let (sums, shared) = self.fold(0..total, threads);
         let shared = shared.map(|(grand, s)| (grand, s.value()));
         MergedValuation {
-            values: finalize(&sums, total as u64, shared),
+            values: finalize(&sums, total as u64, shared, threads),
             items: total as u64,
         }
     }
@@ -620,5 +620,5 @@ pub(crate) fn weighted_values(
 ) -> ShapleyValues {
     let n_test = data.features().1.len();
     let sums = weighted_sums(data, ranks(data, graph), 0..n_test, threads, k, weight);
-    crate::sharding::finalize_mean(&sums, n_test as u64)
+    crate::sharding::finalize_mean(&sums, n_test as u64, threads)
 }

@@ -9,6 +9,14 @@
 //! s_{α_i} = s_{α_{i+1}} + (1[y_{α_i} = y_test] − 1[y_{α_{i+1}} = y_test]) / K · min(K, i) / i
 //! ```
 //!
+//! Every exact path runs one loop for this recursion ([`theorem1_until`]).
+//! The increment is `+0.0` wherever the indicator does not flip, so the loop
+//! evaluates it only at the switch points and keeps every bit: `s` is never
+//! `−0.0`, so adding `+0.0` cannot change it. That holds because the
+//! indicator `correct(r)` returns exactly `0.0` or `1.0`. The loop also
+//! takes a stop rank, so a caller that needs the value at one rank skips
+//! the ranks below it.
+//!
 //! The multi-test value (utility eq. 8) is the average of per-test values by
 //! the additivity axiom (Algorithm 1 lines 8–10). The multi-test drivers
 //! run through [`crate::estimator`], whose per-test fold hands each ranking
@@ -52,8 +60,9 @@ pub fn knn_class_shapley_single(
 /// The Theorem 1 backward recursion over an *abstract* distance ranking.
 ///
 /// `correct(r)` must return `1[y_{α_{r+1}} = y_test]` as an `f64` for the
-/// 0-based rank `r`; `sink(r, s)` receives each rank's per-test Shapley
-/// value, farthest rank first.
+/// 0-based rank `r` — exactly `0.0` or `1.0` (see [`theorem1_until`]);
+/// `sink(r, s)` receives each rank's per-test Shapley value, farthest rank
+/// first.
 ///
 /// Backward recursion over ranks (1-based `i` in the paper, 0-based here).
 /// The paper states the base as 1[y_{α_N} = y_test]/N, which assumes K < N;
@@ -62,26 +71,84 @@ pub fn knn_class_shapley_single(
 /// confirms (with K ≥ N the game is additive and every correct point is
 /// worth exactly 1/K).
 ///
-/// This is the **one** implementation of the recursion's arithmetic in the
-/// workspace: the batch drivers here feed it fresh argsorts, while the
-/// resident engine ([`crate::resident`]) feeds it incrementally maintained
-/// rank lists (including virtually spliced ones for what-if queries). Both
-/// paths therefore execute the identical sequence of float operations, which
-/// is what makes the serving layer's bitwise-equality contract hold.
-pub fn theorem1_recurrence<C, S>(n: usize, k: usize, correct: C, mut sink: S)
+/// This and [`theorem1_until`] are the entries to the **one**
+/// implementation of the recursion's arithmetic in the workspace (the
+/// truncated estimator shares its loop): the batch drivers here feed it
+/// fresh argsorts, while the resident engine ([`crate::resident`]) feeds it
+/// incrementally maintained rank lists (including virtually spliced ones
+/// for what-if queries). Both paths therefore execute the identical
+/// sequence of float operations, which is what makes the serving layer's
+/// bitwise-equality contract hold.
+pub fn theorem1_recurrence<C, S>(n: usize, k: usize, correct: C, sink: S)
+where
+    C: Fn(usize) -> f64,
+    S: FnMut(usize, f64),
+{
+    theorem1_until(n, k, 0, correct, sink);
+}
+
+/// [`theorem1_recurrence`] stopped at rank `stop`: `sink` sees ranks
+/// `n − 1` down to `stop`, and the return value is the value at `stop`.
+/// Ranks below `stop` never feed the values above them, so a caller that
+/// needs one rank (a what-if at the candidate's rank) pays O(N − stop).
+///
+/// ### The switch-point pass
+///
+/// Step `i` of the paper adds `(c_i − c_{i+1}) / K · min(K, i)/i`. Where
+/// the indicator does not flip (`c_i == c_{i+1}`), that increment is
+/// `+0.0`, and `s + (+0.0)` is `s` bit for bit because `s` is never `−0.0`:
+/// it starts at `c · min(K, N)/(N·K) ≥ +0`, and a round-to-nearest sum of
+/// operands that are not `−0.0` is never `−0.0`. So the loop evaluates the
+/// increment, with its two divisions, only at ranks where the indicator
+/// flips — the same expression on the same operands as the per-step loop —
+/// and every value keeps its bits. That argument needs `correct` to return
+/// exactly `0.0` or `1.0`.
+///
+/// # Panics
+///
+/// Panics when `n` or `k` is zero, or `stop >= n`.
+pub fn theorem1_until<C, S>(n: usize, k: usize, stop: usize, correct: C, sink: S) -> f64
 where
     C: Fn(usize) -> f64,
     S: FnMut(usize, f64),
 {
     assert!(n >= 1, "need at least one training point");
     assert!(k >= 1, "K must be at least 1");
-    let mut s = correct(n - 1) * k.min(n) as f64 / (n as f64 * k as f64);
-    sink(n - 1, s);
-    for i in (0..n - 1).rev() {
-        let rank1 = i + 1; // paper's 1-based rank of element `i`
-        s += (correct(i) - correct(i + 1)) / k as f64 * (k.min(rank1) as f64 / rank1 as f64);
+    let base = correct(n - 1) * k.min(n) as f64 / (n as f64 * k as f64);
+    switch_points(n, stop, k, base, correct, sink)
+}
+
+/// The one Theorem 1 loop: value `base` at rank `len − 1`, then each rank
+/// down to `stop` by the paper's step, its increment evaluated only where
+/// the indicator flips (see [`theorem1_until`]). Returns the value at
+/// `stop`. The exact base is [`theorem1_until`]'s; the truncated estimator
+/// starts at `0.0` at rank `K*` (eq. 18).
+pub(crate) fn switch_points<C, S>(
+    len: usize,
+    stop: usize,
+    k: usize,
+    base: f64,
+    correct: C,
+    mut sink: S,
+) -> f64
+where
+    C: Fn(usize) -> f64,
+    S: FnMut(usize, f64),
+{
+    assert!(stop < len, "stop rank {stop} out of range 0..{len}");
+    let mut s = base;
+    let mut prev = correct(len - 1);
+    sink(len - 1, s);
+    for i in (stop..len - 1).rev() {
+        let cur = correct(i);
+        if cur != prev {
+            let rank1 = i + 1; // paper's 1-based rank of element `i`
+            s += (cur - prev) / k as f64 * (k.min(rank1) as f64 / rank1 as f64);
+            prev = cur;
+        }
         sink(i, s);
     }
+    s
 }
 
 /// Runs the Theorem 1 recursion for one test point, handing each

@@ -379,7 +379,7 @@ pub fn mc_shapley_baseline_with_threads<U: Utility + ?Sized>(
     let budget = rule.budget(n);
     let sums = baseline_sums(u, seed, 0..budget, threads);
     McResult {
-        values: crate::sharding::finalize_mean(&sums, budget as u64),
+        values: crate::sharding::finalize_mean(&sums, budget as u64, threads),
         permutations: budget,
         snapshots: Vec::new(),
     }
@@ -418,7 +418,7 @@ pub fn mc_shapley_baseline_adaptive<U: Utility + ?Sized>(
     let plan = crate::schedule::plan_fanout(&model, budget, threads, force.as_ref());
     let sums = run_fanout(n, 0..budget, plan.threads, plan.block_items, make_worker);
     McResult {
-        values: crate::sharding::finalize_mean(&sums, budget as u64),
+        values: crate::sharding::finalize_mean(&sums, budget as u64, plan.threads),
         permutations: budget,
         snapshots: Vec::new(),
     }
@@ -847,7 +847,7 @@ pub fn mc_shapley_improved_with_threads(
     let budget = rule.budget(n);
     let sums = improved_sums(u, seed, 0..budget, threads);
     McResult {
-        values: crate::sharding::finalize_mean(&sums, budget as u64),
+        values: crate::sharding::finalize_mean(&sums, budget as u64, threads),
         permutations: budget,
         snapshots: Vec::new(),
     }
@@ -881,7 +881,7 @@ pub fn mc_shapley_improved_adaptive(
     let plan = crate::schedule::plan_fanout(&model, budget, threads, force.as_ref());
     let sums = run_fanout(n, 0..budget, plan.threads, plan.block_items, make_worker);
     McResult {
-        values: crate::sharding::finalize_mean(&sums, budget as u64),
+        values: crate::sharding::finalize_mean(&sums, budget as u64, plan.threads),
         permutations: budget,
         snapshots: Vec::new(),
     }

@@ -294,7 +294,10 @@ impl<'a> KnnShapley<'a> {
                         );
                     },
                 );
-                Ok(crate::sharding::finalize_mean(&sums, self.test.len() as u64).into())
+                Ok(
+                    crate::sharding::finalize_mean(&sums, self.test.len() as u64, self.threads)
+                        .into(),
+                )
             }
             Method::Lsh {
                 eps,

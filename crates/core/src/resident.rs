@@ -31,6 +31,11 @@
 //!    for entry, duplicate distances included.
 //! 2. **One recursion.** Both paths run the identical
 //!    [`theorem1_recurrence`] arithmetic over those (equal) rank lists.
+//!    That loop evaluates its increment only at ranks where the indicator
+//!    `correct(r)` flips: elsewhere the increment is `+0.0`, and adding
+//!    `+0.0` to a running value that is never `−0.0` leaves its bits alone.
+//!    The argument needs `correct` to return exactly `0.0` or `1.0`, which
+//!    a label comparison does.
 //! 3. **Exact accumulation.** Per-test vectors fold into
 //!    [`knnshap_numerics::exact::ExactVec`] and finalize through the same
 //!    `sharding::finalize_mean` as the batch estimator, so the
@@ -58,7 +63,7 @@
 //! trust. `tests/serve_batching.rs` holds batched-vs-sequential to bitwise
 //! equality over random groups.
 
-use crate::exact_unweighted::theorem1_recurrence;
+use crate::exact_unweighted::{theorem1_recurrence, theorem1_until};
 use crate::types::ShapleyValues;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::distance::Metric;
@@ -80,6 +85,9 @@ pub enum ResidentError {
     GraphMismatch { detail: String },
     /// `K` is zero: a KNN utility needs at least one neighbor.
     ZeroK,
+    /// The label is above [`ClassDataset::MAX_LABEL`], so the class count
+    /// `label + 1` would not fit a `u32` (the CSV loader's rule).
+    LabelTooLarge { label: u32 },
 }
 
 impl std::fmt::Display for ResidentError {
@@ -101,6 +109,11 @@ impl std::fmt::Display for ResidentError {
                 write!(f, "graph does not match the datasets: {detail}")
             }
             ResidentError::ZeroK => write!(f, "K must be at least 1"),
+            ResidentError::LabelTooLarge { label } => write!(
+                f,
+                "label {label} is too large (labels must be at most {})",
+                ClassDataset::MAX_LABEL
+            ),
         }
     }
 }
@@ -286,7 +299,7 @@ impl ResidentValuator {
         self.threads
     }
 
-    fn check_point(&self, row: &[f32]) -> Result<(), ResidentError> {
+    fn check_point(&self, row: &[f32], label: u32) -> Result<(), ResidentError> {
         if row.len() != self.train.dim() {
             return Err(ResidentError::DimMismatch {
                 expected: self.train.dim(),
@@ -295,6 +308,9 @@ impl ResidentValuator {
         }
         if row.iter().any(|v| !v.is_finite()) {
             return Err(ResidentError::NonFinite);
+        }
+        if label > ClassDataset::MAX_LABEL {
+            return Err(ResidentError::LabelTooLarge { label });
         }
         Ok(())
     }
@@ -356,7 +372,7 @@ impl ResidentValuator {
         for m in muts {
             match m {
                 Mutation::Insert { features, label } => {
-                    if let Err(e) = self.check_point(features) {
+                    if let Err(e) = self.check_point(features, *label) {
                         acks.push(Err(e));
                         continue;
                     }
@@ -465,17 +481,19 @@ impl ResidentValuator {
                 );
             },
         );
-        crate::sharding::finalize_mean(&sums, self.test.len() as u64)
+        crate::sharding::finalize_mean(&sums, self.test.len() as u64, self.threads)
     }
 
     /// What-if valuation: the Shapley value the candidate point **would**
     /// receive if inserted — bitwise-identical to
     /// `insert(row, label)` followed by `values()[new index]` — without
     /// committing anything. The candidate is spliced *virtually* into each
-    /// rank list (an index remap around its insertion position), and only
-    /// its own rank's value is kept from each per-test recursion.
+    /// rank list (an index remap around its insertion position `pos`), and
+    /// each per-test recursion stops at `pos` ([`theorem1_until`]): the ranks
+    /// nearer than the candidate never feed its value, so a what-if costs
+    /// O(N − pos) per test point instead of O(N).
     pub fn what_if(&self, row: &[f32], label: u32) -> Result<f64, ResidentError> {
-        self.check_point(row)?;
+        self.check_point(row, label)?;
         let n = self.train.len();
         let sums =
             crate::sharding::exact_sums_over(1, 0..self.test.len(), self.threads, |j, acc| {
@@ -483,26 +501,26 @@ impl ResidentValuator {
                 let d = Metric::SquaredL2.eval(self.test.x.row(j), row);
                 let pos = list.partition_point(|nb| nb.dist <= d);
                 let cand = f64::from(label == y);
-                theorem1_recurrence(
+                // The spliced list has the candidate at `pos` and the
+                // incumbent of rank `r - 1` at every rank `r > pos`; ranks
+                // below `pos` never feed the value at `pos`, so the pass
+                // stops there.
+                let s = theorem1_until(
                     n + 1,
                     self.k,
-                    |r| match r.cmp(&pos) {
-                        std::cmp::Ordering::Less => {
-                            f64::from(self.train.y[list[r].index as usize] == y)
-                        }
-                        std::cmp::Ordering::Equal => cand,
-                        std::cmp::Ordering::Greater => {
+                    pos,
+                    |r| {
+                        if r == pos {
+                            cand
+                        } else {
                             f64::from(self.train.y[list[r - 1].index as usize] == y)
                         }
                     },
-                    |r, s| {
-                        if r == pos {
-                            acc.add(0, s);
-                        }
-                    },
+                    |_, _| {},
                 );
+                acc.add(0, s);
             });
-        Ok(crate::sharding::finalize_mean(&sums, self.test.len() as u64).get(0))
+        Ok(crate::sharding::finalize_mean(&sums, self.test.len() as u64, self.threads).get(0))
     }
 }
 
@@ -620,6 +638,73 @@ mod tests {
                 "label {label}"
             );
         }
+    }
+
+    /// The candidate's rank in test point 0's list, as `what_if` splices it.
+    fn splice_rank(engine: &ResidentValuator, row: &[f32]) -> usize {
+        let d = Metric::SquaredL2.eval(engine.test().x.row(0), row);
+        engine.ranked[0].partition_point(|nb| nb.dist <= d)
+    }
+
+    #[test]
+    fn what_if_matches_committed_insert_at_the_ends_and_on_ties() {
+        // One test point, so the candidate's rank is the same in the only
+        // list: rank 0 (the query itself), rank N (far away) and a tie
+        // with an incumbent (a duplicate row).
+        let (train, test) = data(30, 1, 43);
+        let q = test.x.row(0).to_vec();
+        let far: Vec<f32> = q.iter().map(|v| v + 1e3).collect();
+        let dup = train.x.row(7).to_vec();
+        for k in [1usize, 3, 30, 31, 40] {
+            for threads in [1usize, 2] {
+                let engine =
+                    ResidentValuator::new(train.clone(), test.clone(), k, threads).unwrap();
+                let d_dup = Metric::SquaredL2.eval(&q, &dup);
+                let tie = splice_rank(&engine, &dup);
+                assert_eq!(engine.ranked[0][tie - 1].dist, d_dup, "a tie splices after");
+                assert_eq!(splice_rank(&engine, &q), 0);
+                assert_eq!(splice_rank(&engine, &far), 30);
+                for (row, what) in [(&q, "rank 0"), (&far, "rank N"), (&dup, "tie")] {
+                    for label in 0..3u32 {
+                        let hypothetical = engine.what_if(row, label).unwrap();
+                        let mut committed =
+                            ResidentValuator::new(train.clone(), test.clone(), k, threads).unwrap();
+                        let idx = committed.insert(row, label).unwrap();
+                        assert_eq!(
+                            hypothetical.to_bits(),
+                            committed.values().get(idx).to_bits(),
+                            "{what}, k={k}, label {label}, threads {threads}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_label_at_the_bound_is_rejected_by_every_entry() {
+        let (train, test) = data(10, 3, 41);
+        let mut engine = ResidentValuator::new(train, test, 2, 1).unwrap();
+        let bad = ClassDataset::MAX_LABEL + 1;
+        let err = ResidentError::LabelTooLarge { label: bad };
+        assert_eq!(engine.insert(&[0.5; 5], bad).unwrap_err(), err);
+        assert_eq!(engine.what_if(&[0.5; 5], bad).unwrap_err(), err);
+        let acks = engine.apply_batch(&[
+            Mutation::Insert {
+                features: vec![0.5; 5],
+                label: bad,
+            },
+            Mutation::Insert {
+                features: vec![0.5; 5],
+                label: bad - 1,
+            },
+        ]);
+        assert_eq!(acks[0].as_ref().unwrap_err(), &err);
+        assert_eq!(acks[1].as_ref().unwrap().index, 10);
+        assert_eq!(engine.version(), 1, "the rejected insert must not bump");
+        assert_eq!(engine.train().n_classes, u32::MAX);
+        assert_eq!(engine.values().len(), 11);
+        assert!(err.to_string().contains("too large"), "{err}");
     }
 
     #[test]

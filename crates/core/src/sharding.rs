@@ -473,25 +473,48 @@ impl ShardPartial {
     }
 }
 
+/// Points per finalize chunk: one chunk is about 0.15 ms of rounding, well
+/// above a pool region's fork cost, and a vector of at most one chunk is
+/// rounded on the caller without entering the pool.
+const FINALIZE_CHUNK: usize = 4096;
+
 /// The one finalization of every per-item-mean family (exact, truncated,
 /// Monte Carlo): round each exact partial sum once, then divide by the item
 /// count. Both the unsharded estimators and [`merge_partials`] call this, so
 /// the two paths cannot drift.
-pub(crate) fn finalize_mean(sums: &ExactVec, total_items: u64) -> ShapleyValues {
+///
+/// Points are rounded in fixed [`FINALIZE_CHUNK`]-point chunks on up to
+/// `threads` workers (the fold's own budget). Each value is a pure
+/// function of its own plane row, so the result does not depend on
+/// `threads`.
+pub(crate) fn finalize_mean(sums: &ExactVec, total_items: u64, threads: usize) -> ShapleyValues {
     let d = (total_items.max(1)) as f64;
-    ShapleyValues::new((0..sums.len()).map(|i| sums.value(i) / d).collect())
+    let mut out = vec![0.0f64; sums.len()];
+    let round = |lo: usize, chunk: &mut [f64]| {
+        for (i, v) in (lo..).zip(chunk.iter_mut()) {
+            *v = sums.value(i) / d;
+        }
+    };
+    if threads <= 1 || out.len() <= FINALIZE_CHUNK {
+        round(0, &mut out);
+    } else {
+        knnshap_parallel::par_chunks(&mut out, FINALIZE_CHUNK, threads, round);
+    }
+    ShapleyValues::new(out)
 }
 
 /// The job finalization [`merge_partials`] and
-/// [`crate::estimator::Estimator::run`] share: the per-item mean, or — given
-/// group testing's `(ν(I), shared term)` — its value recovery.
+/// [`crate::estimator::Estimator::run`] share: the per-item mean on
+/// `threads` workers, or — given group testing's `(ν(I), shared term)` —
+/// its value recovery.
 pub(crate) fn finalize(
     sums: &ExactVec,
     total_items: u64,
     group_testing: Option<(f64, f64)>,
+    threads: usize,
 ) -> ShapleyValues {
     match group_testing {
-        None => finalize_mean(sums, total_items),
+        None => finalize_mean(sums, total_items, threads),
         Some((grand, shared)) => {
             crate::group_testing::recover_values(grand, total_items as usize, sums.values(), shared)
         }
@@ -789,7 +812,7 @@ pub fn merge_partials(parts: &[ShardPartial]) -> Result<MergedValuation, ShardEr
         _ => None,
     };
     Ok(MergedValuation {
-        values: finalize(&sums, m0.total_items, group_testing),
+        values: finalize(&sums, m0.total_items, group_testing, 1),
         items: m0.total_items,
     })
 }
@@ -1246,6 +1269,39 @@ mod tests {
                     .map(|a| a..(a + block).min(hi))
                     .collect();
                 assert_eq!(all, want, "{what}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The parallel finalize rounds every point exactly as the serial
+        /// loop does, at 1/2/3/8 threads: lengths below, at and past whole
+        /// chunks, spilled points (deposits too far apart in magnitude for
+        /// the shared limb window) and special points (±inf, NaN).
+        #[test]
+        fn finalize_mean_is_the_serial_rounding_at_every_thread_count(
+            chunks in 0usize..3,
+            offset in 0usize..64,
+            seed in proptest::prelude::any::<u64>(),
+            items in 1u64..50,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let n = (chunks * FINALIZE_CHUNK + offset).max(1);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut sums = ExactVec::zeros(n);
+            let dense: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            sums.add_dense(&dense);
+            let odd = [1e300, -1e-300, 3e-310, 1e200, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            for _ in 0..rng.gen_range(0..12) {
+                sums.add(rng.gen_range(0..n), odd[rng.gen_range(0..odd.len())]);
+            }
+            let d = items as f64;
+            let serial: Vec<u64> = (0..n).map(|i| (sums.value(i) / d).to_bits()).collect();
+            for threads in [1usize, 2, 3, 8] {
+                let got = finalize_mean(&sums, items, threads);
+                let bits: Vec<u64> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+                proptest::prop_assert!(bits == serial, "n={} threads={}", n, threads);
             }
         }
     }

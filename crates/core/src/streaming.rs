@@ -170,7 +170,7 @@ impl<'a> OnlineValuator<'a> {
     /// exact-backend stream over a test set reproduces
     /// [`crate::exact_unweighted::knn_class_shapley`] bit for bit.
     pub fn values(&self) -> ShapleyValues {
-        crate::sharding::finalize_mean(&self.sum, self.n_queries as u64)
+        crate::sharding::finalize_mean(&self.sum, self.n_queries as u64, 1)
     }
 
     /// Merges another accumulator over the *same* training set (e.g. a

@@ -21,6 +21,7 @@
 //! degenerates; see `all_zero_estimate_on_pure_clusters_is_still_valid`.
 
 use crate::estimator::{Data, Estimator, Family};
+use crate::exact_unweighted::{switch_points, theorem1_until};
 use crate::types::ShapleyValues;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::distance::Metric;
@@ -75,23 +76,18 @@ pub(crate) fn fill_ranked(
     if neighbors.is_empty() {
         return;
     }
-    let n = out.len();
     let correct =
         |rank: usize| -> f64 { f64::from(labels[neighbors[rank].index as usize] == test_label) };
     let len = neighbors.len().min(k_star);
-    let mut s = if len == n {
+    let exact = len == out.len();
+    let sink = |rank: usize, s: f64| out[neighbors[rank].index as usize] = s;
+    if exact {
         // Every point retrieved: fall back to the exact base (Theorem 1) so
         // the "truncated" estimator degrades gracefully to the exact SV.
-        correct(len - 1) * k.min(n) as f64 / (n as f64 * k as f64)
+        theorem1_until(len, k, 0, correct, sink);
     } else {
         // ŝ at rank K* is 0 by eq. (18).
-        0.0
-    };
-    out[neighbors[len - 1].index as usize] = s;
-    for i in (0..len - 1).rev() {
-        let rank1 = i + 1;
-        s += (correct(i) - correct(i + 1)) / k as f64 * (k.min(rank1) as f64 / rank1 as f64);
-        out[neighbors[i].index as usize] = s;
+        switch_points(len, 0, k, 0.0, correct, sink);
     }
 }
 
@@ -196,7 +192,7 @@ pub fn truncated_class_shapley_adaptive(
             acc.add_dense(per_test.as_slice());
         },
     );
-    crate::sharding::finalize_mean(&sums, n_test as u64)
+    crate::sharding::finalize_mean(&sums, n_test as u64, plan.threads)
 }
 
 #[cfg(test)]

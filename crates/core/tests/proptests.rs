@@ -249,3 +249,160 @@ proptest! {
         prop_assert_eq!(sv.bottom_k(k), bottom);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The recursion battery: the switch-point Theorem 1 loop against the
+// per-step loop it replaced, the truncated recursion that shares it, and
+// the what-if that stops at the candidate's rank. The case count follows
+// `PROPTEST_CASES` (default 32), so CI replays it at a larger count in debug
+// and release.
+// ---------------------------------------------------------------------------
+
+/// The Theorem 1 loop before the switch-point pass, kept only as the oracle:
+/// value `base` at rank `len − 1`, then every rank adds its increment, `+0.0`
+/// where the indicator does not flip. Returns the value of every rank.
+fn per_step_oracle(len: usize, k: usize, base: f64, c: &[f64]) -> Vec<f64> {
+    let mut out = vec![f64::NAN; len];
+    let mut s = base;
+    out[len - 1] = s;
+    for i in (0..len - 1).rev() {
+        let rank1 = i + 1;
+        s += (c[i] - c[i + 1]) / k as f64 * (k.min(rank1) as f64 / rank1 as f64);
+        out[i] = s;
+    }
+    out
+}
+
+/// Theorem 1's base at rank `n − 1` (the one `theorem1_recurrence` uses).
+fn exact_base(n: usize, k: usize, top: f64) -> f64 {
+    top * k.min(n) as f64 / (n as f64 * k as f64)
+}
+
+/// A 0/1 indicator sequence of length `n`: all 0, all 1, alternating, long
+/// runs, or independent draws.
+fn indicators(n: usize, kind: u8, seed: u64) -> Vec<f64> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let first = rng.gen_range(0..2u32) as usize;
+    let mut c = Vec::with_capacity(n);
+    let mut bit = first;
+    while c.len() < n {
+        let run = match kind {
+            0 | 1 => n,
+            2 => 1,
+            3 => rng.gen_range(1..=64),
+            _ => rng.gen_range(1..=3),
+        };
+        let v = match kind {
+            0 => 0.0,
+            1 => 1.0,
+            _ => bit as f64,
+        };
+        c.extend(std::iter::repeat_n(v, run.min(n - c.len())));
+        bit ^= if kind == 4 { rng.gen_range(0..2) } else { 1 };
+    }
+    c
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+proptest! {
+    /// `theorem1_recurrence` hands `sink` every rank, farthest first, with
+    /// the per-step loop's bits; `theorem1_until` at every stop rank hands
+    /// it ranks `n − 1` down to the stop and returns the value there.
+    #[test]
+    fn recursion_switch_points_match_the_per_step_loop(
+        n in 1usize..=300,
+        kpick in any::<u64>(),
+        kind in 0u8..5,
+        seed in any::<u64>(),
+    ) {
+        use knnshap_core::exact_unweighted::{theorem1_recurrence, theorem1_until};
+        let k = 1 + (kpick % (n as u64 + 3)) as usize;
+        let c = indicators(n, kind, seed);
+        let oracle = per_step_oracle(n, k, exact_base(n, k, c[n - 1]), &c);
+        let mut ranks = Vec::with_capacity(n);
+        let mut got = vec![f64::NAN; n];
+        theorem1_recurrence(n, k, |r| c[r], |r, s| {
+            ranks.push(r);
+            got[r] = s;
+        });
+        prop_assert!(ranks.iter().copied().eq((0..n).rev()), "rank order");
+        prop_assert!(same_bits(&got, &oracle), "n={} k={} kind={}", n, k, kind);
+        for stop in 0..n {
+            let mut seen = Vec::with_capacity(n - stop);
+            let at = theorem1_until(n, k, stop, |r| c[r], |r, s| seen.push((r, s.to_bits())));
+            prop_assert_eq!(at.to_bits(), oracle[stop].to_bits(), "stop {}", stop);
+            let want: Vec<(usize, u64)> =
+                (stop..n).rev().map(|r| (r, oracle[r].to_bits())).collect();
+            prop_assert_eq!(seen, want, "stop {}", stop);
+        }
+    }
+
+    /// The truncated recursion starts at `0.0` at rank `K*` (or at the exact
+    /// base when every point is retrieved) and runs the same loop.
+    #[test]
+    fn recursion_truncated_matches_the_per_step_loop(
+        n in 1usize..=300,
+        kpick in any::<u64>(),
+        kspick in any::<u64>(),
+        kind in 0u8..5,
+        seed in any::<u64>(),
+    ) {
+        use knnshap_core::truncated::truncated_recursion;
+        use knnshap_knn::neighbors::Neighbor;
+        let k = 1 + (kpick % (n as u64 + 3)) as usize;
+        let k_star = 1 + (kspick % (n as u64 + 2)) as usize;
+        let c = indicators(n, kind, seed);
+        // Rank r holds train point (r · 7 + seed) mod n when that is a
+        // permutation, else r; its label is the test label iff c[r] is 1.
+        let stride = if n % 7 == 0 { 1 } else { 7 };
+        let index = |r: usize| (r * stride + seed as usize % n) % n;
+        let neighbors: Vec<Neighbor> = (0..n)
+            .map(|r| Neighbor { index: index(r) as u32, dist: r as f32 })
+            .collect();
+        let mut labels = vec![0u32; n];
+        for r in 0..n {
+            labels[index(r)] = if c[r] == 1.0 { 2 } else { 1 };
+        }
+        let len = n.min(k_star);
+        let base = if len == n { exact_base(n, k, c[n - 1]) } else { 0.0 };
+        let by_rank = per_step_oracle(len, k, base, &c[..len]);
+        let mut want = vec![0.0f64; n];
+        for r in 0..len {
+            want[index(r)] = by_rank[r];
+        }
+        let got = truncated_recursion(&neighbors, &labels, 2, k, k_star, n);
+        prop_assert!(same_bits(got.as_slice(), &want), "n={} k={} K*={}", n, k, k_star);
+    }
+
+    /// A what-if is bitwise the committed insert's value, for candidates at
+    /// rank 0 of a list (a query point), past every incumbent (far away),
+    /// tied with an incumbent (a duplicate row) or anywhere.
+    #[test]
+    fn recursion_what_if_matches_a_committed_insert(
+        (train, test, k) in instance_strategy(),
+        where_ in 0u8..4,
+        pick in any::<u64>(),
+        tpick in 0usize..4,
+        label in 0u32..4,
+    ) {
+        use knnshap_core::resident::ResidentValuator;
+        let threads = [1usize, 2, 3, 8][tpick];
+        let k = k + (pick % 3) as usize * train.len() / 2;
+        let row: Vec<f32> = match where_ {
+            0 => test.x.row(pick as usize % test.len()).to_vec(),
+            1 => vec![1e3; train.dim()],
+            2 => train.x.row(pick as usize % train.len()).to_vec(),
+            _ => vec![(pick % 17) as f32 / 8.0 - 1.0, (pick % 13) as f32 / 6.0 - 1.0],
+        };
+        let engine = ResidentValuator::new(train.clone(), test.clone(), k, threads).unwrap();
+        let hypothetical = engine.what_if(&row, label).unwrap();
+        let mut committed = ResidentValuator::new(train, test, k, threads).unwrap();
+        let idx = committed.insert(&row, label).unwrap();
+        prop_assert_eq!(hypothetical.to_bits(), committed.values().get(idx).to_bits());
+    }
+}

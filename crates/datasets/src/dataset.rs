@@ -12,6 +12,11 @@ pub struct ClassDataset {
 }
 
 impl ClassDataset {
+    /// The largest label, so the class count `max(label) + 1` fits a
+    /// `u32`. The CSV loader and the serving engine reject larger labels
+    /// with a typed error.
+    pub const MAX_LABEL: u32 = u32::MAX - 1;
+
     /// Construct, validating that labels are consistent with `n_classes` and
     /// that the label count matches the row count.
     pub fn new(x: Features, y: Vec<u32>, n_classes: u32) -> Self {

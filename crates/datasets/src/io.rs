@@ -151,11 +151,11 @@ pub fn load_reg_csv_with_threads(path: &Path, threads: usize) -> Result<RegDatas
     read_reg(File::open(path)?, threads, WINDOW)
 }
 
-/// A class label: a `u32` below `u32::MAX`, so the class count
-/// `max(label) + 1` fits a `u32`.
+/// A class label: a `u32` up to [`ClassDataset::MAX_LABEL`], so the
+/// class count `max(label) + 1` fits a `u32`.
 fn label(c: &str) -> Result<u32, String> {
     match c.parse() {
-        Ok(u32::MAX) => Err(format!(
+        Ok(v) if v > ClassDataset::MAX_LABEL => Err(format!(
             "'{c}' is too large (labels must be below {})",
             u32::MAX
         )),

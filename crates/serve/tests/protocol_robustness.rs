@@ -207,6 +207,72 @@ fn engine_rejections_are_clean_protocol_errors() {
     daemon.join().unwrap().unwrap();
 }
 
+/// A label at `u32::MAX` has no class count that fits a `u32`: insert,
+/// what-if and a batch insert each get a `Rejected` answer, the session
+/// keeps serving, and the exported training set still loads.
+#[test]
+fn a_label_at_u32_max_is_rejected_and_the_session_keeps_serving() {
+    use knnshap_serve::client::ClientError;
+    use knnshap_serve::protocol::{BatchMutation, BatchOutcome};
+    let (endpoint, daemon) = spawn_daemon();
+    let mut c = Client::connect(&endpoint).unwrap();
+    let row = [0.5f32, -0.25, 1.0];
+
+    for (what, err) in [
+        ("insert", c.insert(&row, u32::MAX).err()),
+        ("what-if", c.what_if(&row, u32::MAX).err()),
+    ] {
+        match err {
+            Some(ClientError::Server {
+                code: ErrorCode::Rejected,
+                message,
+            }) => assert!(message.contains("too large"), "{what}: {message}"),
+            other => panic!("{what}: expected a Rejected answer, got {other:?}"),
+        }
+    }
+    let (version, outcomes) = c
+        .apply_batch(&[
+            BatchMutation::Insert {
+                features: row.to_vec(),
+                label: u32::MAX,
+            },
+            BatchMutation::Insert {
+                features: row.to_vec(),
+                label: u32::MAX - 1,
+            },
+        ])
+        .unwrap();
+    assert_eq!(version, 1);
+    assert!(matches!(
+        outcomes[0],
+        BatchOutcome::Rejected {
+            code: ErrorCode::Rejected,
+            ..
+        }
+    ));
+    assert!(matches!(
+        outcomes[1],
+        BatchOutcome::Applied {
+            version: 1,
+            index: 20
+        }
+    ));
+
+    // The same session keeps answering, and the largest accepted label
+    // still round-trips through the CSV loader.
+    let stat = c.stat().unwrap();
+    assert_eq!((stat.version, stat.n_train), (1, 21));
+    let (_, csv) = c.train_csv().unwrap();
+    let path = std::env::temp_dir().join(format!("knnshap-label-bound-{}.csv", std::process::id()));
+    std::fs::write(&path, &csv).unwrap();
+    let loaded = knnshap_datasets::io::load_class_csv(&path);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(loaded.unwrap().y[20], u32::MAX - 1);
+
+    c.shutdown().unwrap();
+    daemon.join().unwrap().unwrap();
+}
+
 /// Shutdown drains cleanly even with another session open: the open
 /// session's connection keeps being served until IT disconnects; `run`
 /// returns once sessions finish.
