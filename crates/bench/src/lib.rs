@@ -11,12 +11,11 @@
 //! * `small` — minutes on a laptop; all trends visible (default).
 //! * `paper` — the paper's dataset sizes (up to 10⁷ points); hours.
 //!
-//! Beyond the figure regenerators, two scaling benches emit machine-readable
-//! artifacts at the workspace root for CI to archive:
-//! `bench_parallel_scaling` (`BENCH_parallel.json`, many independent MC runs
-//! fanned across the pool) and `bench_mc_scaling` (`BENCH_mc.json`, one MC
-//! run whose permutation budget is fanned across the pool — each timing
-//! asserts the bitwise thread-count-invariance contract first).
+//! Beyond the figure regenerators, scaling benches emit machine-readable
+//! artifacts at the workspace root for CI to archive — among them
+//! `bench_mc_scaling` (`BENCH_mc.json`, one MC run whose permutation budget
+//! is fanned across the pool; each timing asserts the bitwise
+//! thread-count-invariance contract first).
 
 pub mod experiments;
 pub mod telemetry;

@@ -30,7 +30,6 @@ const ALLOWED: &[&str] = &[
     "flagged",
     "seed",
     "graph",
-    "adaptive",
 ];
 
 pub fn run(args: &Args) -> Result<String, CliError> {
@@ -59,8 +58,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             .k(k)
             .weight(parse_weight(args)?)
             .method(parse_method(args)?)
-            .threads(threads)
-            .adaptive(args.flag("adaptive"));
+            .threads(threads);
         if let Some(g) = &graph {
             builder = builder.graph(g);
         }

@@ -80,16 +80,50 @@ const SHARD_PLAN_ALLOWED: &[&str] = &[
 /// at most — one per worker of a generously sized fleet.
 const AUTO_SHARD_CAP: usize = 64;
 
+/// A shard's compute must be at least this multiple of the per-shard
+/// overhead it pays (dataset load, utility build, merge).
+const AMORTIZE: f64 = 8.0;
+
+/// Suggested process-level shard count for `items` work items, given the
+/// measured per-item cost and the per-shard overhead (dataset load +
+/// utility build + merge). Pure function of its arguments.
+///
+/// Policy: each shard's compute must amortize its overhead
+/// ([`AMORTIZE`]×), so `s ≤ items·per_item / (AMORTIZE·overhead)`, clamped
+/// to `[1, max_shards]` and never more shards than items.
+fn suggest_shards(
+    per_item_secs: f64,
+    shard_overhead_secs: f64,
+    items: usize,
+    max_shards: usize,
+) -> usize {
+    let cap = max_shards.max(1).min(items.max(1));
+    if !(per_item_secs.is_finite() && per_item_secs > 0.0) {
+        return 1;
+    }
+    let overhead = shard_overhead_secs.max(0.0);
+    if overhead <= 0.0 || !overhead.is_finite() {
+        return cap;
+    }
+    let total = per_item_secs * items as f64;
+    let s = (total / (AMORTIZE * overhead)).floor();
+    if s.is_finite() && s >= 1.0 {
+        (s as usize).min(cap)
+    } else {
+        1
+    }
+}
+
 /// `knnshap shard-plan`: derive and write a job plan into `--job DIR`.
 ///
 /// With `--auto`, the shard count is derived from a measured cost model
 /// instead of being required: the datasets are loaded once, two one-item
 /// chunks are timed (the first pays the lazy distance-matrix build — the
 /// per-shard overhead every worker process repeats; the second is the
-/// steady-state per-item cost), and `knnshap_core::schedule::suggest_shards`
-/// picks the largest count that still amortizes the overhead. `--shards`
-/// then acts as an optional cap. Sharding never changes results (the merge
-/// is bitwise-deterministic), so the suggestion is purely a wall-clock call.
+/// steady-state per-item cost), and `suggest_shards` picks the largest
+/// count that still amortizes the overhead. `--shards` then acts as an
+/// optional cap. Sharding never changes results (the merge is
+/// bitwise-deterministic), so the suggestion is purely a wall-clock call.
 pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
     args.expect_only(SHARD_PLAN_ALLOWED)?;
     let job = PathBuf::from(args.require("job")?);
@@ -189,7 +223,7 @@ fn probe_shard_count(
     } else {
         (first_secs, load_secs)
     };
-    let suggested = knnshap_core::schedule::suggest_shards(per_item, overhead, total, max_shards);
+    let suggested = suggest_shards(per_item, overhead, total, max_shards);
     Ok((
         suggested,
         format!(
@@ -436,6 +470,23 @@ mod tests {
         ];
         v.extend(extra.iter().map(|s| s.to_string()));
         v
+    }
+
+    #[test]
+    fn suggest_shards_amortizes_overhead() {
+        // 1 ms/item × 8000 items = 8 s of work; 0.1 s/shard overhead ⇒
+        // 8 / (8 × 0.1) = 10 shards.
+        assert_eq!(suggest_shards(1e-3, 0.1, 8000, 64), 10);
+        // Capped by max_shards and by items.
+        assert_eq!(suggest_shards(1e-3, 1e-6, 8000, 4), 4);
+        assert_eq!(suggest_shards(1.0, 1e-9, 3, 64), 3);
+        // Overhead dwarfing the job ⇒ one shard.
+        assert_eq!(suggest_shards(1e-6, 10.0, 100, 64), 1);
+        // Degenerate timings ⇒ one shard, never zero or a panic.
+        assert_eq!(suggest_shards(0.0, 0.1, 100, 64), 1);
+        assert_eq!(suggest_shards(f64::NAN, 0.1, 100, 64), 1);
+        // Free overhead ⇒ as many shards as allowed.
+        assert_eq!(suggest_shards(1e-3, 0.0, 8000, 64), 64);
     }
 
     #[test]

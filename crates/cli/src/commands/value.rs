@@ -31,7 +31,6 @@ const ALLOWED: &[&str] = &[
     "base-fee",
     "seed",
     "graph",
-    "adaptive",
 ];
 
 pub fn run(args: &Args) -> Result<String, CliError> {
@@ -43,7 +42,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
     let top = args.usize_or("top", 10)?;
     let shards = args.usize_or("shards", 0)?;
-    let adaptive = args.flag("adaptive");
 
     let graph = super::load_graph(args, &train.x, &test.x)?;
 
@@ -66,8 +64,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             .k(k)
             .weight(weight)
             .method(method)
-            .threads(threads)
-            .adaptive(adaptive);
+            .threads(threads);
         if let Some(g) = &graph {
             builder = builder.graph(g);
         }
@@ -315,29 +312,6 @@ mod tests {
         // Deterministic methods stay silent about permutations.
         let out = crate::run(argv(&t, &q, &["--method", "exact"])).unwrap();
         assert!(!out.contains("permutations/s"));
-    }
-
-    #[test]
-    fn adaptive_flag_is_bitwise_identical_to_static() {
-        let (t, q) = csv_pair("value-adaptive", 50, 5);
-        let mut csvs = Vec::new();
-        for variant in [&["--method", "mc-improved", "--eps", "0.25"][..], {
-            &["--method", "mc-improved", "--eps", "0.25", "--adaptive"][..]
-        }] {
-            let out_path = std::env::temp_dir().join(format!(
-                "knnshap-cli-{}-adaptive-{}.csv",
-                std::process::id(),
-                csvs.len()
-            ));
-            let mut extra: Vec<&str> = variant.to_vec();
-            let path_str = out_path.to_str().unwrap().to_string();
-            extra.push("--out");
-            extra.push(&path_str);
-            crate::run(argv(&t, &q, &extra)).unwrap();
-            csvs.push(std::fs::read_to_string(&out_path).unwrap());
-            std::fs::remove_file(&out_path).ok();
-        }
-        assert_eq!(csvs[0], csvs[1], "adaptive scheduling changed the values");
     }
 
     /// The one-row-at-a-time writer the ordered block writer replaced.

@@ -83,8 +83,7 @@ pub fn group_testing_shapley<U: Utility + ?Sized>(
     group_testing_shapley_with_threads(u, tests, seed, knnshap_parallel::current_threads())
 }
 
-/// `q(k) ∝ 1/k + 1/(N−k)`, cumulative for inverse-CDF sampling — shared by
-/// the fold and the cost-model probe so both draw identical coalitions.
+/// `q(k) ∝ 1/k + 1/(N−k)`, cumulative for inverse-CDF sampling.
 fn size_cdf(n: usize) -> Vec<f64> {
     let z = z_constant(n);
     let mut cdf = Vec::with_capacity(n - 1);
@@ -94,74 +93,6 @@ fn size_cdf(n: usize) -> Vec<f64> {
         cdf.push(acc);
     }
     cdf
-}
-
-/// Draw coalition-test `t`'s `(size, shuffled pool)` and evaluate it — the
-/// per-item body of the fold, a pure function of `(u, streams, cdf, t)`.
-fn eval_test<U: Utility + ?Sized>(
-    u: &U,
-    streams: &RngStreams,
-    cdf: &[f64],
-    pool: &mut [usize],
-    t: usize,
-) -> (usize, f64) {
-    let n = pool.len();
-    let mut rng = streams.stream(t as u64);
-    let x: f64 = rng.gen();
-    let k = (cdf.partition_point(|&c| c < x) + 1).min(n - 1);
-    identity_shuffle(&mut rng, pool);
-    (k, u.eval(&pool[..k]))
-}
-
-/// The shared fold of the unsharded estimator, the shard entry point and the
-/// adaptive scheduler: exact per-point/shared accumulators over
-/// coalition-test streams `range`, tiled per `plan` (`None` ⇒ the static
-/// blocks-per-thread default). The tiling is bitwise-free: accumulators are
-/// exact, so every block partition deposits the same multiset of summands.
-fn shard_sums<U: Utility + ?Sized>(
-    u: &U,
-    streams: RngStreams,
-    range: std::ops::Range<usize>,
-    threads: usize,
-    plan: Option<crate::schedule::FanoutPlan>,
-) -> (ExactVec, ExactSum) {
-    let n = u.n();
-    let cdf = size_cdf(n);
-
-    // Accumulate per-point weighted membership sums so that
-    //   ŝ_i = ν(I)/N + (Z/T)·(point_i − shared)    (see module docs);
-    // members of test t pick up u_t (= u_t·N/N), every point owes the
-    // `u_t·k_t/N` share, tracked once as a scalar instead of N subtractions.
-    let (fold_threads, block) = match plan {
-        Some(p) => (p.threads, p.block_items),
-        None => (
-            threads,
-            crate::sharding::static_fold_block(range.len(), threads),
-        ),
-    };
-    crate::sharding::exact_fold(
-        range.len(),
-        fold_threads,
-        block,
-        || (ExactVec::zeros(n), ExactSum::new()),
-        || (0..n).collect::<Vec<usize>>(),
-        |pool, (point, shared), items| {
-            for t in items {
-                let (k, ut) = eval_test(u, &streams, &cdf, pool, range.start + t);
-                if ut == 0.0 {
-                    continue;
-                }
-                for &i in &pool[..k] {
-                    point.add(i, ut);
-                }
-                shared.add(ut * k as f64 / n as f64);
-            }
-        },
-        |(point, shared), (p, s)| {
-            point.merge(p);
-            shared.merge(s);
-        },
-    )
 }
 
 /// Value recovery from the accumulated sums — the single finalization both
@@ -209,82 +140,56 @@ pub fn group_testing_shapley_with_threads<U: Utility + ?Sized>(
     GroupTestingResult { values, tests }
 }
 
-/// The static-tiling fold over coalition-test streams `range` — shared by
-/// the fixed-budget estimator, its shard entry point and
-/// [`crate::estimator::Estimator`].
+/// The fold over coalition-test streams `range` — shared by the
+/// fixed-budget estimator, its shard entry point and
+/// [`crate::estimator::Estimator`]: exact per-point/shared accumulators in
+/// [`crate::sharding::static_fold_block`] units. The tiling is bitwise-free:
+/// accumulators are exact, so every block partition deposits the same
+/// multiset of summands.
 pub(crate) fn gt_sums<U: Utility + ?Sized>(
     u: &U,
     seed: u64,
     range: std::ops::Range<usize>,
     threads: usize,
 ) -> (ExactVec, ExactSum) {
-    assert!(u.n() >= 2, "need at least two players");
-    shard_sums(u, RngStreams::new(seed), range, threads, None)
-}
-
-/// [`group_testing_shapley_with_threads`] scheduled by the measured cost
-/// model of [`crate::schedule`]: warmup coalition tests are timed, a
-/// fan-out plan is derived (or pinned by the `KNNSHAP_SCHED_FORCE` test
-/// hook), and the fold runs on the scheduler's tiling. Bitwise-identical to
-/// the static path at every thread count — the plan only re-tiles which
-/// test streams run in which block, and the accumulators are exact.
-pub fn group_testing_shapley_adaptive<U: Utility + ?Sized>(
-    u: &U,
-    tests: usize,
-    seed: u64,
-    threads: usize,
-) -> GroupTestingResult {
     let n = u.n();
     assert!(n >= 2, "need at least two players");
-    assert!(tests >= 1, "need at least one test");
     let streams = RngStreams::new(seed);
-    let model = measure_gt_model(u, &streams, tests.min(2));
-    let force = crate::schedule::forced();
-    let plan = crate::schedule::plan_fanout(&model, tests, threads, force.as_ref());
-    let (point, shared) = shard_sums(u, streams, 0..tests, plan.threads, Some(plan));
-    let values = recover_values(u.grand(), tests, point.values(), shared.value());
-    GroupTestingResult { values, tests }
-}
-
-/// Sample a [`crate::schedule::CostModel`] for the group-testing fold: time
-/// the per-worker accumulator setup, `warmup` real coalition tests (streams
-/// `0..warmup`, re-run by the fold afterwards — each is a pure function of
-/// `(seed, t)`), and one accumulator merge.
-fn measure_gt_model<U: Utility + ?Sized>(
-    u: &U,
-    streams: &RngStreams,
-    warmup: usize,
-) -> crate::schedule::CostModel {
-    use std::time::Instant;
-    let n = u.n();
     let cdf = size_cdf(n);
 
-    let fork_t = Instant::now();
-    let mut point = ExactVec::zeros(n);
-    let mut pool: Vec<usize> = (0..n).collect();
-    let fork_secs = fork_t.elapsed().as_secs_f64();
-
-    let items_t = Instant::now();
-    for t in 0..warmup {
-        let (k, ut) = eval_test(u, streams, &cdf, &mut pool, t);
-        if ut != 0.0 {
-            for &i in &pool[..k] {
-                point.add(i, ut);
+    // Accumulate per-point weighted membership sums so that
+    //   ŝ_i = ν(I)/N + (Z/T)·(point_i − shared)    (see module docs);
+    // members of test t pick up u_t (= u_t·N/N), every point owes the
+    // `u_t·k_t/N` share, tracked once as a scalar instead of N subtractions.
+    crate::sharding::exact_fold(
+        range.len(),
+        threads,
+        crate::sharding::static_fold_block(range.len(), threads),
+        || (ExactVec::zeros(n), ExactSum::new()),
+        || (0..n).collect::<Vec<usize>>(),
+        |pool, (point, shared), items| {
+            for t in items {
+                // Test t's coalition: a size from q, then a shuffled pool —
+                // a pure function of (seed, t).
+                let mut rng = streams.stream((range.start + t) as u64);
+                let x: f64 = rng.gen();
+                let k = (cdf.partition_point(|&c| c < x) + 1).min(n - 1);
+                identity_shuffle(&mut rng, pool);
+                let ut = u.eval(&pool[..k]);
+                if ut == 0.0 {
+                    continue;
+                }
+                for &i in &pool[..k] {
+                    point.add(i, ut);
+                }
+                shared.add(ut * k as f64 / n as f64);
             }
-        }
-    }
-    let per_item_secs = items_t.elapsed().as_secs_f64() / warmup.max(1) as f64;
-
-    let mut total = ExactVec::zeros(n);
-    let merge_t = Instant::now();
-    total.merge(&point);
-    let merge_secs = merge_t.elapsed().as_secs_f64();
-
-    crate::schedule::CostModel {
-        per_item_secs,
-        fork_secs,
-        merge_secs,
-    }
+        },
+        |(point, shared), (p, s)| {
+            point.merge(p);
+            shared.merge(s);
+        },
+    )
 }
 
 /// The job fingerprint of the group-testing family (utility content + seed).
@@ -405,6 +310,25 @@ mod tests {
                     "i={i} threads={threads}"
                 );
             }
+        }
+    }
+
+    /// One-test claim units (a 32-test budget at 8 threads) give the serial
+    /// bits.
+    #[test]
+    fn one_test_claim_units_match_serial_bits() {
+        let (train, test) = small_game();
+        let u = KnnClassUtility::unweighted(&train, &test, 2);
+        assert_eq!(crate::sharding::static_fold_block(32, 8), 1);
+        let serial = group_testing_shapley_with_threads(&u, 32, 13, 1);
+        let par = group_testing_shapley_with_threads(&u, 32, 13, 8);
+        assert_eq!(par.tests, serial.tests);
+        for i in 0..u.n() {
+            assert_eq!(
+                serial.values.get(i).to_bits(),
+                par.values.get(i).to_bits(),
+                "i={i}"
+            );
         }
     }
 

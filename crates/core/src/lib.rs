@@ -47,7 +47,6 @@ pub mod mc;
 pub mod piecewise;
 pub mod pipeline;
 pub mod resident;
-pub mod schedule;
 pub mod sharding;
 pub mod streaming;
 pub mod truncated;

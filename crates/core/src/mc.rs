@@ -54,32 +54,9 @@ use std::sync::Arc;
 
 // Telemetry (write-only; see `knnshap_obs` crate docs — nothing below feeds
 // back into the estimate). `mc.perms` counts permutation streams consumed
-// across every MC drive; `mc.rounds` counts round-path fold boundaries;
-// the `sched.*` gauges expose the last measured cost model so operators can
-// see what the adaptive planner saw.
+// across every MC drive; `mc.rounds` counts round-path fold boundaries.
 static MC_PERMS: knnshap_obs::Counter = knnshap_obs::Counter::new("mc.perms");
 static MC_ROUNDS: knnshap_obs::Counter = knnshap_obs::Counter::new("mc.rounds");
-static SCHED_PER_ITEM: knnshap_obs::Gauge = knnshap_obs::Gauge::new("sched.per_item_secs");
-static SCHED_FORK: knnshap_obs::Gauge = knnshap_obs::Gauge::new("sched.fork_secs");
-static SCHED_MERGE: knnshap_obs::Gauge = knnshap_obs::Gauge::new("sched.merge_secs");
-
-/// Record a measured [`crate::schedule::CostModel`] into the `sched.*`
-/// gauges and the event log (adaptive entry points only).
-fn record_model(model: &crate::schedule::CostModel) {
-    SCHED_PER_ITEM.set(model.per_item_secs);
-    SCHED_FORK.set(model.fork_secs);
-    SCHED_MERGE.set(model.merge_secs);
-    knnshap_obs::emit(
-        knnshap_obs::Level::Info,
-        "mc",
-        "cost_model",
-        &[
-            ("per_item_secs", model.per_item_secs.into()),
-            ("fork_secs", model.fork_secs.into()),
-            ("merge_secs", model.merge_secs.into()),
-        ],
-    );
-}
 
 /// When to stop drawing permutations.
 #[derive(Debug, Clone, Copy)]
@@ -142,17 +119,16 @@ pub struct McResult {
 
 /// Fan-out drive shared by the a-priori-budget estimators and the shard
 /// entry points: run permutation streams `range` (of a job whose full
-/// stream space is `0..total`) in `block`-stream claim units, depositing
-/// every marginal-contribution vector into exact accumulators — one per
-/// worker, each holding its own permutation worker and contribution
-/// scratch ([`crate::sharding::exact_fold`]). The returned partial state is
-/// a pure function of `(job, range)` — never of `threads`, of `block` or of
-/// how the rest of the job is sharded.
+/// stream space is `0..total`) in [`crate::sharding::static_fold_block`]
+/// claim units, depositing every marginal-contribution vector into exact
+/// accumulators — one per worker, each holding its own permutation worker
+/// and contribution scratch ([`crate::sharding::exact_fold`]). The returned
+/// partial state is a pure function of `(job, range)` — never of `threads`
+/// or of how the rest of the job is sharded.
 fn run_fanout<W, F>(
     n: usize,
     range: std::ops::Range<usize>,
     threads: usize,
-    block: usize,
     make_worker: F,
 ) -> ExactVec
 where
@@ -162,7 +138,7 @@ where
     let sums = crate::sharding::exact_fold(
         range.len(),
         threads,
-        block,
+        crate::sharding::static_fold_block(range.len(), threads),
         || ExactVec::zeros(n),
         || (make_worker(), vec![0.0; n]),
         |(worker, phi), sums, items| {
@@ -177,71 +153,44 @@ where
     sums
 }
 
-/// Sample a [`crate::schedule::CostModel`] from warmup items of the actual
-/// job: time one worker fork (plus the exact accumulator a worker allocates),
-/// `warmup` permutations, and one accumulator merge. The warmup streams are
-/// re-run by the real pass afterwards — permutation `t` is a pure function
-/// of `(seed, t)`, so re-running it is free of side effects and the sampled
-/// work is thrown away.
-fn measure_mc_model<W, F>(n: usize, warmup: usize, make_worker: &F) -> crate::schedule::CostModel
-where
-    W: FnMut(usize, &mut [f64]) + Send,
-    F: Fn() -> W + Sync,
-{
-    use std::time::Instant;
-    let fork_t = Instant::now();
-    let mut worker = make_worker();
-    let mut sums = ExactVec::zeros(n);
-    let fork_secs = fork_t.elapsed().as_secs_f64();
-
-    let mut phi = vec![0.0f64; n];
-    let items_t = Instant::now();
-    for t in 0..warmup {
-        worker(t, &mut phi);
-        sums.add_dense(&phi);
-    }
-    let per_item_secs = items_t.elapsed().as_secs_f64() / warmup.max(1) as f64;
-
-    let mut total = ExactVec::zeros(n);
-    let merge_t = Instant::now();
-    total.merge(&sums);
-    let merge_secs = merge_t.elapsed().as_secs_f64();
-
-    crate::schedule::CostModel {
-        per_item_secs,
-        fork_secs,
-        merge_secs,
-    }
-}
-
-/// How many warmup permutations the adaptive entry points sample before
-/// planning. Small on purpose: the samples are re-run by the real pass.
-const MC_WARMUP: usize = 2;
-
-/// The static (non-measured) round tiling: `mc_round_size(budget)` streams
-/// per round, chunked a few permutations per fork so fork cost amortizes
-/// even without a cost model. Pure function of `(budget, threads)` — never
-/// of measured time — so the static estimators stay reproducible plans.
-fn static_round_plan(budget: usize, threads: usize) -> crate::schedule::RoundPlan {
-    let round = crate::bounds::mc_round_size(budget);
-    let workers = threads.max(1);
-    crate::schedule::RoundPlan {
-        threads: workers,
-        round,
-        chunk_perms: round.div_ceil(workers.saturating_mul(4)).max(1),
-    }
-}
-
 /// Round-path drive of both estimators (heuristic stopping and/or
 /// snapshots): `make_worker()` builds a block-local closure that fills
 /// permutation `t`'s marginal-contribution vector (one entry per training
-/// point). See the module docs for the scheduling shapes and the
-/// determinism contract.
+/// point). Rounds hold [`crate::bounds::mc_round_size`] permutations, cut
+/// into a few chunks per worker so fork cost amortizes — a pure function of
+/// `(budget, threads)`. See the module docs for the scheduling shapes and
+/// the determinism contract.
 fn drive_rounds<W, F>(
     n: usize,
     rule: StoppingRule,
     snapshot_every: Option<usize>,
-    plan: crate::schedule::RoundPlan,
+    threads: usize,
+    make_worker: F,
+) -> McResult
+where
+    W: FnMut(usize, &mut [f64]) + Send,
+    F: Fn() -> W + Sync,
+{
+    let round = crate::bounds::mc_round_size(rule.budget(n));
+    let chunk_perms = round.div_ceil(threads.max(1).saturating_mul(4));
+    drive_tiled(
+        n,
+        rule,
+        snapshot_every,
+        threads,
+        (round, chunk_perms),
+        make_worker,
+    )
+}
+
+/// [`drive_rounds`] on a given `(round, chunk_perms)` tiling: `round`
+/// permutations in flight per round, forked `chunk_perms` per worker.
+fn drive_tiled<W, F>(
+    n: usize,
+    rule: StoppingRule,
+    snapshot_every: Option<usize>,
+    threads: usize,
+    (round, chunk_perms): (usize, usize),
     make_worker: F,
 ) -> McResult
 where
@@ -251,16 +200,16 @@ where
     let budget = rule.budget(n);
     let threshold = rule.threshold();
 
-    // Launch `plan.round` streams at a time into one flat buffer (chunks of
-    // `plan.chunk_perms` permutations per worker fork, so fork cost is paid
-    // per chunk, not per permutation), then fold them into the running
-    // estimate in permutation order so the heuristic check and snapshots see
-    // exactly the serial per-permutation sequence. Round and chunk sizes are
+    // Launch `round` streams at a time into one flat buffer (chunks of
+    // `chunk_perms` permutations per worker fork, so fork cost is paid per
+    // chunk, not per permutation), then fold them into the running estimate
+    // in permutation order so the heuristic check and snapshots see exactly
+    // the serial per-permutation sequence. Round and chunk sizes are
     // bitwise-free: the fold order and the per-permutation stop/snapshot
     // checks never depend on them.
-    let round = plan.round.clamp(1, budget.max(1));
-    let chunk_perms = plan.chunk_perms.clamp(1, round);
-    let threads = plan.threads.max(1);
+    let round = round.clamp(1, budget.max(1));
+    let chunk_perms = chunk_perms.clamp(1, round);
+    let threads = threads.max(1);
     let mut round_buf = vec![0.0f64; round * n];
     let mut sums = CompensatedVec::zeros(n);
     let mut snapshots = Vec::new();
@@ -371,8 +320,7 @@ pub fn mc_shapley_baseline_with_threads<U: Utility + ?Sized>(
     if matches!(rule, StoppingRule::Heuristic { .. }) || snapshot_every.is_some() {
         let streams = RngStreams::new(seed);
         let nu_empty = u.eval(&[]);
-        let plan = static_round_plan(rule.budget(n), threads);
-        return drive_rounds(n, rule, snapshot_every, plan, || {
+        return drive_rounds(n, rule, snapshot_every, threads, || {
             baseline_worker(u, streams, nu_empty)
         });
     }
@@ -380,45 +328,6 @@ pub fn mc_shapley_baseline_with_threads<U: Utility + ?Sized>(
     let sums = baseline_sums(u, seed, 0..budget, threads);
     McResult {
         values: crate::sharding::finalize_mean(&sums, budget as u64, threads),
-        permutations: budget,
-        snapshots: Vec::new(),
-    }
-}
-
-/// [`mc_shapley_baseline_with_threads`] scheduled by the measured cost
-/// model of [`crate::schedule`]: warmup permutations are timed, a plan is
-/// derived (or pinned by the `KNNSHAP_SCHED_FORCE` test hook), and the run
-/// proceeds on the scheduler's tiling. Output is **bitwise-identical** to
-/// the static path at every thread count and under every forced schedule —
-/// the plan only re-tiles which permutations run in which block/round (see
-/// the [`crate::schedule`] docs); `tests/schedule_determinism.rs` enforces
-/// it.
-pub fn mc_shapley_baseline_adaptive<U: Utility + ?Sized>(
-    u: &U,
-    rule: StoppingRule,
-    seed: u64,
-    snapshot_every: Option<usize>,
-    threads: usize,
-) -> McResult {
-    let n = u.n();
-    let budget = rule.budget(n);
-    if budget == 0 {
-        return mc_shapley_baseline_with_threads(u, rule, seed, snapshot_every, threads);
-    }
-    let streams = RngStreams::new(seed);
-    let nu_empty = u.eval(&[]);
-    let make_worker = || baseline_worker(u, streams, nu_empty);
-    let model = measure_mc_model(n, MC_WARMUP.min(budget), &make_worker);
-    record_model(&model);
-    let force = crate::schedule::forced();
-    if matches!(rule, StoppingRule::Heuristic { .. }) || snapshot_every.is_some() {
-        let plan = crate::schedule::plan_rounds(&model, budget, threads, force.as_ref());
-        return drive_rounds(n, rule, snapshot_every, plan, make_worker);
-    }
-    let plan = crate::schedule::plan_fanout(&model, budget, threads, force.as_ref());
-    let sums = run_fanout(n, 0..budget, plan.threads, plan.block_items, make_worker);
-    McResult {
-        values: crate::sharding::finalize_mean(&sums, budget as u64, plan.threads),
         permutations: budget,
         snapshots: Vec::new(),
     }
@@ -459,8 +368,7 @@ pub(crate) fn baseline_sums<U: Utility + ?Sized>(
 ) -> ExactVec {
     let streams = RngStreams::new(seed);
     let nu_empty = u.eval(&[]);
-    let block = crate::sharding::static_fold_block(range.len(), threads);
-    run_fanout(u.n(), range, threads, block, || {
+    run_fanout(u.n(), range, threads, || {
         baseline_worker(u, streams, nu_empty)
     })
 }
@@ -839,8 +747,7 @@ pub fn mc_shapley_improved_with_threads(
     let n = u.n();
     if matches!(rule, StoppingRule::Heuristic { .. }) || snapshot_every.is_some() {
         let streams = RngStreams::new(seed);
-        let plan = static_round_plan(rule.budget(n), threads);
-        return drive_rounds(n, rule, snapshot_every, plan, || {
+        return drive_rounds(n, rule, snapshot_every, threads, || {
             improved_worker(u, streams)
         });
     }
@@ -848,40 +755,6 @@ pub fn mc_shapley_improved_with_threads(
     let sums = improved_sums(u, seed, 0..budget, threads);
     McResult {
         values: crate::sharding::finalize_mean(&sums, budget as u64, threads),
-        permutations: budget,
-        snapshots: Vec::new(),
-    }
-}
-
-/// [`mc_shapley_improved_with_threads`] scheduled by the measured cost model
-/// (see [`mc_shapley_baseline_adaptive`] — same contract: the plan is
-/// derived from warmup timings or pinned by `KNNSHAP_SCHED_FORCE`, and the
-/// output is bitwise-identical to the static path at every thread count).
-pub fn mc_shapley_improved_adaptive(
-    u: &IncKnnUtility,
-    rule: StoppingRule,
-    seed: u64,
-    snapshot_every: Option<usize>,
-    threads: usize,
-) -> McResult {
-    let n = u.n();
-    let budget = rule.budget(n);
-    if budget == 0 {
-        return mc_shapley_improved_with_threads(u, rule, seed, snapshot_every, threads);
-    }
-    let streams = RngStreams::new(seed);
-    let make_worker = || improved_worker(u, streams);
-    let model = measure_mc_model(n, MC_WARMUP.min(budget), &make_worker);
-    record_model(&model);
-    let force = crate::schedule::forced();
-    if matches!(rule, StoppingRule::Heuristic { .. }) || snapshot_every.is_some() {
-        let plan = crate::schedule::plan_rounds(&model, budget, threads, force.as_ref());
-        return drive_rounds(n, rule, snapshot_every, plan, make_worker);
-    }
-    let plan = crate::schedule::plan_fanout(&model, budget, threads, force.as_ref());
-    let sums = run_fanout(n, 0..budget, plan.threads, plan.block_items, make_worker);
-    McResult {
-        values: crate::sharding::finalize_mean(&sums, budget as u64, plan.threads),
         permutations: budget,
         snapshots: Vec::new(),
     }
@@ -922,8 +795,7 @@ pub(crate) fn improved_sums(
     threads: usize,
 ) -> ExactVec {
     let streams = RngStreams::new(seed);
-    let block = crate::sharding::static_fold_block(range.len(), threads);
-    run_fanout(u.n(), range, threads, block, || improved_worker(u, streams))
+    run_fanout(u.n(), range, threads, || improved_worker(u, streams))
 }
 
 /// Improved-MC (Algorithm 2) partial sums over one canonical shard of a
@@ -1228,6 +1100,65 @@ mod tests {
                         "improved i={i} threads={threads}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The finest tilings the static schedule can take still give the
+    /// serial bits: one-permutation claim units on the fan-out path (a
+    /// 32-stream budget at 8 threads), and rounds of 3 forked one
+    /// permutation per chunk on the round path, under the heuristic stop
+    /// with snapshots every 20.
+    #[test]
+    fn finest_tilings_match_serial_bits() {
+        let (train, test) = small_class(2027, 24);
+        let u = KnnClassUtility::unweighted(&train, &test, 3);
+        let inc = IncKnnUtility::classification(&train, &test, 3, WeightFn::Uniform);
+        let bits = |v: &ShapleyValues| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        assert_eq!(crate::sharding::static_fold_block(32, 8), 1);
+        let fixed = StoppingRule::Fixed(32);
+        let serial_b = mc_shapley_baseline_with_threads(&u, fixed, 13, None, 1);
+        let serial_i = mc_shapley_improved_with_threads(&inc, fixed, 13, None, 1);
+        let par_b = mc_shapley_baseline_with_threads(&u, fixed, 13, None, 8);
+        let par_i = mc_shapley_improved_with_threads(&inc, fixed, 13, None, 8);
+        assert_eq!(
+            bits(&par_b.values),
+            bits(&serial_b.values),
+            "baseline fan-out"
+        );
+        assert_eq!(
+            bits(&par_i.values),
+            bits(&serial_i.values),
+            "improved fan-out"
+        );
+        assert_eq!((par_b.permutations, par_i.permutations), (32, 32));
+
+        let heuristic = StoppingRule::Heuristic {
+            threshold: 1e-4,
+            max: 300,
+        };
+        let streams = RngStreams::new(13);
+        let nu_empty = u.eval(&[]);
+        let serial = mc_shapley_baseline_with_threads(&u, heuristic, 13, Some(20), 1);
+        let tiled = drive_tiled(u.n(), heuristic, Some(20), 8, (3, 1), || {
+            baseline_worker(&u, streams, nu_empty)
+        });
+        let serial_inc = mc_shapley_improved_with_threads(&inc, heuristic, 13, Some(20), 1);
+        let tiled_inc = drive_tiled(inc.n(), heuristic, Some(20), 8, (3, 1), || {
+            improved_worker(&inc, streams)
+        });
+        for (what, serial, tiled) in [
+            ("baseline", serial, tiled),
+            ("improved", serial_inc, tiled_inc),
+        ] {
+            assert_eq!(tiled.permutations, serial.permutations, "{what}");
+            assert_eq!(bits(&tiled.values), bits(&serial.values), "{what}");
+            assert!(!serial.snapshots.is_empty(), "{what}: no snapshot taken");
+            assert_eq!(tiled.snapshots.len(), serial.snapshots.len(), "{what}");
+            for ((ta, va), (tb, vb)) in serial.snapshots.iter().zip(&tiled.snapshots) {
+                assert_eq!(ta, tb, "{what}");
+                assert_eq!(bits(va), bits(vb), "{what}: snapshot t={ta}");
             }
         }
     }

@@ -149,7 +149,6 @@ pub struct KnnShapley<'a> {
     method: Method,
     threads: usize,
     graph: Option<&'a KnnGraph>,
-    adaptive: bool,
 }
 
 impl<'a> KnnShapley<'a> {
@@ -165,7 +164,6 @@ impl<'a> KnnShapley<'a> {
             method: Method::Exact,
             threads: knnshap_parallel::current_threads(),
             graph: None,
-            adaptive: false,
         }
     }
 
@@ -187,16 +185,6 @@ impl<'a> KnnShapley<'a> {
 
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Schedule the budget-driven methods (Monte Carlo, truncated) by the
-    /// measured cost model of [`crate::schedule`] instead of the static
-    /// heuristics. Bitwise-identical output either way — the scheduler only
-    /// re-tiles which items run in which block/round; the closed-form
-    /// methods ignore the flag.
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
         self
     }
 
@@ -223,17 +211,14 @@ impl<'a> KnnShapley<'a> {
     /// (for the Monte Carlo methods, the permutation count actually
     /// consumed — what the CLI turns into a throughput line).
     ///
-    /// Every method but kd-tree and LSH retrieval (and truncation on the
-    /// measured scheduler) binds an [`Estimator`]; Monte Carlo on the
-    /// measured scheduler or under the heuristic stop then drives the
-    /// estimator's game round by round instead of through its fold.
+    /// Every method but kd-tree and LSH retrieval binds an [`Estimator`];
+    /// Monte Carlo under the heuristic stop then drives the estimator's game
+    /// round by round instead of through its fold.
     pub fn run_report(&self) -> Result<Valuation, PipelineError> {
         let n = self.train.len().max(1);
         let (family, rule) = match self.method {
             Method::Exact => (Family::Exact, None),
-            Method::Truncated { eps } if !self.adaptive || self.graph.is_some() => {
-                (Family::Truncated { eps }, None)
-            }
+            Method::Truncated { eps } => (Family::Truncated { eps }, None),
             Method::McBaseline { rule, seed } => {
                 let perms = rule.budget(n);
                 (Family::McBaseline { perms, seed }, Some(rule))
@@ -246,28 +231,14 @@ impl<'a> KnnShapley<'a> {
         };
         let data = Data::class(self.train, self.test);
         let est = Estimator::new(data, self.k, self.weight, family, self.graph)?;
-        Ok(run_bound(&est, family, rule, self.adaptive, self.threads))
+        Ok(run_bound(&est, family, rule, self.threads))
     }
 
-    /// The methods outside the seam: kd-tree and LSH retrieval, and the
-    /// measured scheduler for truncation.
+    /// The methods outside the seam: kd-tree and LSH retrieval.
     fn run_retrieval(&self) -> Result<Valuation, PipelineError> {
         self.validate()?;
         let uniform = matches!(self.weight, WeightFn::Uniform);
         match self.method {
-            Method::Truncated { eps } => {
-                if !uniform {
-                    return Err(PipelineError::WeightedUnsupported("Truncated"));
-                }
-                Ok(crate::truncated::truncated_class_shapley_adaptive(
-                    self.train,
-                    self.test,
-                    self.k,
-                    eps,
-                    self.threads,
-                )
-                .into())
-            }
             Method::TruncatedTree { eps } => {
                 if !uniform {
                     return Err(PipelineError::WeightedUnsupported("TruncatedTree"));
@@ -337,9 +308,10 @@ impl<'a> KnnShapley<'a> {
                     .into(),
                 )
             }
-            Method::Exact | Method::McBaseline { .. } | Method::McImproved { .. } => {
-                unreachable!("runs through the estimator seam")
-            }
+            Method::Exact
+            | Method::Truncated { .. }
+            | Method::McBaseline { .. }
+            | Method::McImproved { .. } => unreachable!("runs through the estimator seam"),
         }
     }
 
@@ -365,33 +337,21 @@ impl<'a> KnnShapley<'a> {
     }
 }
 
-/// Run a bound estimator: through the seam's fold, or — for Monte Carlo on
-/// the measured scheduler (`adaptive`) or under the sequential heuristic
-/// stop — on the estimator's game with the round-based drivers.
+/// Run a bound estimator: through the seam's fold, or — for Monte Carlo
+/// under the sequential heuristic stop — on the estimator's game with the
+/// round-based drivers.
 fn run_bound(
     est: &Estimator<'_>,
     family: Family,
     rule: Option<StoppingRule>,
-    adaptive: bool,
     threads: usize,
 ) -> Valuation {
-    let scheduled = adaptive || matches!(rule, Some(StoppingRule::Heuristic { .. }));
     let res = match (family, rule) {
-        (Family::McBaseline { seed, .. }, Some(rule)) if scheduled => {
-            let u = est.utility();
-            if adaptive {
-                crate::mc::mc_shapley_baseline_adaptive(u, rule, seed, None, threads)
-            } else {
-                crate::mc::mc_shapley_baseline_with_threads(u, rule, seed, None, threads)
-            }
+        (Family::McBaseline { seed, .. }, Some(rule @ StoppingRule::Heuristic { .. })) => {
+            crate::mc::mc_shapley_baseline_with_threads(est.utility(), rule, seed, None, threads)
         }
-        (Family::McImproved { seed, .. }, Some(rule)) if scheduled => {
-            let inc = est.inc();
-            if adaptive {
-                crate::mc::mc_shapley_improved_adaptive(inc, rule, seed, None, threads)
-            } else {
-                crate::mc::mc_shapley_improved_with_threads(inc, rule, seed, None, threads)
-            }
+        (Family::McImproved { seed, .. }, Some(rule @ StoppingRule::Heuristic { .. })) => {
+            crate::mc::mc_shapley_improved_with_threads(est.inc(), rule, seed, None, threads)
         }
         _ => {
             let merged = est.run(threads);
@@ -445,7 +405,6 @@ pub struct RegShapley<'a> {
     method: RegMethod,
     threads: usize,
     graph: Option<&'a KnnGraph>,
-    adaptive: bool,
 }
 
 impl<'a> RegShapley<'a> {
@@ -460,7 +419,6 @@ impl<'a> RegShapley<'a> {
             method: RegMethod::Exact,
             threads: knnshap_parallel::current_threads(),
             graph: None,
-            adaptive: false,
         }
     }
 
@@ -482,13 +440,6 @@ impl<'a> RegShapley<'a> {
 
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Schedule the Monte Carlo methods by the measured cost model (see
-    /// [`KnnShapley::adaptive`]). Bitwise-identical output either way.
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
         self
     }
 
@@ -535,7 +486,7 @@ impl<'a> RegShapley<'a> {
         };
         let data = Data::reg(self.train, self.test);
         let est = Estimator::new(data, self.k, self.weight, family, self.graph)?;
-        Ok(run_bound(&est, family, rule, self.adaptive, self.threads))
+        Ok(run_bound(&est, family, rule, self.threads))
     }
 }
 

@@ -600,10 +600,10 @@ where
     total.into_inner().expect("fold poisoned")
 }
 
-/// The static (non-measured) claim-unit size of [`exact_fold`]: one unit
-/// per serial fold; a few per worker otherwise, capped at [`FOLD_BLOCKS`].
-/// Bitwise-free choice — the accumulators are exact, so the partition (like
-/// the fold order) cannot move a bit; it is picked purely for cost.
+/// The claim-unit size of [`exact_fold`]: one unit per serial fold; a few
+/// per worker otherwise, capped at [`FOLD_BLOCKS`]. Bitwise-free choice —
+/// the accumulators are exact, so the partition (like the fold order)
+/// cannot move a bit; it is picked purely for cost.
 pub(crate) fn static_fold_block(count: usize, threads: usize) -> usize {
     let target = if threads <= 1 {
         1
@@ -625,26 +625,10 @@ pub(crate) fn exact_sums_over<F>(
 where
     F: Fn(usize, &mut ExactVec) + Sync,
 {
-    let block = static_fold_block(range.len(), threads);
-    exact_sums_over_sized(n_train, range, threads, block, fill)
-}
-
-/// [`exact_sums_over`] with a caller-chosen unit size — the entry point of
-/// the measured scheduler ([`crate::schedule`]). Same bits at every tiling.
-pub(crate) fn exact_sums_over_sized<F>(
-    n_train: usize,
-    range: std::ops::Range<usize>,
-    threads: usize,
-    block: usize,
-    fill: F,
-) -> ExactVec
-where
-    F: Fn(usize, &mut ExactVec) + Sync,
-{
     exact_fold(
         range.len(),
         threads,
-        block,
+        static_fold_block(range.len(), threads),
         || ExactVec::zeros(n_train),
         || (),
         |_, acc, items| items.for_each(|j| fill(range.start + j, acc)),

@@ -27,7 +27,6 @@ use knnshap_datasets::ClassDataset;
 use knnshap_knn::distance::Metric;
 use knnshap_knn::neighbors::{partial_k_nearest, Neighbor};
 use knnshap_knn::weights::WeightFn;
-use knnshap_numerics::exact::ExactVec;
 
 /// `K* = max(K, ⌈1/ε⌉)` — the number of neighbors whose values must be
 /// computed to achieve ‖ŝ − s‖_∞ ≤ ε.
@@ -143,56 +142,6 @@ pub fn truncated_class_shapley(
         .unwrap_or_else(|e| panic!("{e}"))
         .run(knnshap_parallel::current_threads())
         .values
-}
-
-/// [`truncated_class_shapley`] on `threads` workers, scheduled by the
-/// measured cost model of [`crate::schedule`]: one warmup test-point game is timed (and
-/// re-run by the real pass — it is a pure function of its index), a fan-out
-/// plan is derived (or pinned by the `KNNSHAP_SCHED_FORCE` test hook), and
-/// the per-test games fold on the scheduler's tiling. Bitwise-identical to
-/// the static path at every thread count: the plan only re-tiles which test
-/// points run in which block, and the accumulators are exact.
-pub fn truncated_class_shapley_adaptive(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    eps: f64,
-    threads: usize,
-) -> ShapleyValues {
-    use std::time::Instant;
-    assert!(!test.is_empty(), "need at least one test point");
-    let n_test = test.len();
-
-    let fork_t = Instant::now();
-    let mut probe = ExactVec::zeros(train.len());
-    let fork_secs = fork_t.elapsed().as_secs_f64();
-    let item_t = Instant::now();
-    let per_test = truncated_class_shapley_single(train, test.x.row(0), test.y[0], k, eps);
-    probe.add_dense(per_test.as_slice());
-    let per_item_secs = item_t.elapsed().as_secs_f64();
-    let mut total = ExactVec::zeros(train.len());
-    let merge_t = Instant::now();
-    total.merge(&probe);
-    let merge_secs = merge_t.elapsed().as_secs_f64();
-
-    let model = crate::schedule::CostModel {
-        per_item_secs,
-        fork_secs,
-        merge_secs,
-    };
-    let force = crate::schedule::forced();
-    let plan = crate::schedule::plan_fanout(&model, n_test, threads, force.as_ref());
-    let sums = crate::sharding::exact_sums_over_sized(
-        train.len(),
-        0..n_test,
-        plan.threads,
-        plan.block_items,
-        |j, acc| {
-            let per_test = truncated_class_shapley_single(train, test.x.row(j), test.y[j], k, eps);
-            acc.add_dense(per_test.as_slice());
-        },
-    );
-    crate::sharding::finalize_mean(&sums, n_test as u64, plan.threads)
 }
 
 #[cfg(test)]

@@ -476,8 +476,8 @@ mod tests {
     use std::time::Duration;
 
     // All sleep-free: Backoff::delay is pure, so the whole schedule is
-    // asserted without a clock (the satellite's "no wall-clock assertions"
-    // rule — same discipline as the scheduler's cost-model tests).
+    // asserted without a clock (no wall-clock assertions — same discipline
+    // as the `suggest_shards` test of `shard-plan --auto`).
 
     #[test]
     fn delay_is_deterministic_and_jittered_within_the_exponential_envelope() {

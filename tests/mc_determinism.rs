@@ -138,6 +138,26 @@ fn snapshots_and_early_stop_identical_across_thread_counts() {
 }
 
 #[test]
+fn zero_budget_matches_serial_empty_run() {
+    // Degenerate budget: no permutations at all, on either scheduling path.
+    let (train, test) = random_class(&mut StdRng::seed_from_u64(1), 12, 2, 2);
+    let u = KnnClassUtility::unweighted(&train, &test, 2);
+    let inc = IncKnnUtility::classification(&train, &test, 2, WeightFn::Uniform);
+    for snapshot_every in [None, Some(5)] {
+        let what = format!("zero budget, snapshots {snapshot_every:?}");
+        let rule = StoppingRule::Fixed(0);
+        let serial = mc_shapley_improved_with_threads(&inc, rule, 9, snapshot_every, 1);
+        let par = mc_shapley_improved_with_threads(&inc, rule, 9, snapshot_every, 8);
+        assert_eq!((serial.permutations, par.permutations), (0, 0), "{what}");
+        assert_bitwise(&serial.values, &par.values, &what);
+        let serial = mc_shapley_baseline_with_threads(&u, rule, 9, snapshot_every, 1);
+        let par = mc_shapley_baseline_with_threads(&u, rule, 9, snapshot_every, 8);
+        assert_eq!((serial.permutations, par.permutations), (0, 0), "{what}");
+        assert_bitwise(&serial.values, &par.values, &what);
+    }
+}
+
+#[test]
 fn repeated_runs_never_wobble() {
     // Same input, same thread count, many runs: scheduling (and therefore
     // stealing patterns) varies — the MC Shapley vector must not.

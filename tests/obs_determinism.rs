@@ -122,7 +122,7 @@ fn mc_estimators_bitwise_with_telemetry_on_and_off() {
     }
 }
 
-/// Telemetry must not change *how much work* an adaptive run does either:
+/// Telemetry must not change *how much work* a heuristic-stop run does either:
 /// the consumed-permutation count under the heuristic stopping rule is part
 /// of the contract, not just the value vector.
 #[test]
