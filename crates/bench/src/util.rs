@@ -24,7 +24,7 @@ pub fn fmt_secs(d: Duration) -> String {
 
 /// The `host` block of a committed `BENCH_*.json`: worker count, CPU model
 /// (from `/proc/cpuinfo`, "unknown" elsewhere) and the commit measured
-/// (`git rev-parse HEAD`, "none" outside a git checkout).
+/// (see `git_rev`).
 pub fn host_json() -> String {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
@@ -36,19 +36,35 @@ pub fn host_json() -> String {
                 .map(|(_, m)| m.trim().to_string())
         })
         .unwrap_or_else(|| "unknown".into());
-    let rev = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .stderr(std::process::Stdio::null())
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "none".into());
+    let rev = git_rev();
     format!(
         "{{ \"nproc\": {nproc}, \"cpu\": \"{}\", \"git_rev\": \"{}\" }}",
         knnshap_obs::json::escape(&cpu),
         knnshap_obs::json::escape(&rev)
     )
+}
+
+/// The commit a measurement ran on: `HEAD`'s hash, with a `-dirty`
+/// suffix when tracked files differ from it (an artifact regenerated before
+/// its change is committed was not measured on `HEAD`), or "none" outside a
+/// git checkout.
+fn git_rev() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .stderr(std::process::Stdio::null())
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"]) else {
+        return "none".into();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if changes.is_empty() => head,
+        _ => format!("{head}-dirty"),
+    }
 }
 
 /// A minimal markdown table builder for experiment reports.
@@ -132,6 +148,21 @@ mod tests {
         assert!(s.contains("| name   | value |"));
         assert!(s.contains("| longer | 2     |"));
         assert!(s.lines().count() == 4);
+    }
+
+    #[test]
+    fn host_json_stamps_a_full_rev_marked_dirty_or_none() {
+        let json = host_json();
+        let rev = json
+            .split_once("\"git_rev\": \"")
+            .and_then(|(_, rest)| rest.split_once('"'))
+            .map(|(rev, _)| rev)
+            .unwrap_or_else(|| panic!("no git_rev in {json}"));
+        // ^([0-9a-f]{40}(-dirty)?|none)$
+        let hash = rev.strip_suffix("-dirty").unwrap_or(rev);
+        let full_hash =
+            hash.len() == 40 && hash.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        assert!(rev == "none" || full_hash, "git_rev {rev:?}");
     }
 
     #[test]

@@ -21,10 +21,10 @@
 use crate::args::Args;
 use crate::commands::parse_weight;
 use crate::CliError;
-use knnshap_datasets::io::{load_class_csv_with_threads, load_reg_csv_with_threads};
+use knnshap_runtime::dispatch::PreparedJob;
 use knnshap_runtime::layout::JobDirs;
 use knnshap_runtime::spec::{absolutize, plan_job, JobMethod, JobPlan, JobSpec, TaskKind};
-use knnshap_runtime::supervisor::{run_job, Launcher, SupervisorOptions};
+use knnshap_runtime::supervisor::{run_job, tail_threads, Column, Launcher, SupervisorOptions};
 use knnshap_runtime::worker::{run_worker, FaultHook, FaultPoint, WorkerOptions};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -117,11 +117,12 @@ fn suggest_shards(
 /// `knnshap shard-plan`: derive and write a job plan into `--job DIR`.
 ///
 /// With `--auto`, the shard count is derived from a measured cost model
-/// instead of being required: the datasets are loaded once, two one-item
-/// chunks are timed (the first pays the lazy distance-matrix build — the
-/// per-shard overhead every worker process repeats; the second is the
-/// steady-state per-item cost), and `suggest_shards` picks the largest
-/// count that still amortizes the overhead. `--shards` then acts as an
+/// instead of being required: the datasets are loaded and bound once (the
+/// plan is derived from the same binding), two one-item chunks are timed
+/// (the first pays the lazy distance-matrix build — the per-shard overhead
+/// every worker process repeats; the second is the steady-state per-item
+/// cost), and `suggest_shards` picks the largest count that still
+/// amortizes the overhead. `--shards` then acts as an
 /// optional cap. Sharding never changes results (the merge is
 /// bitwise-deterministic), so the suggestion is purely a wall-clock call.
 pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
@@ -136,7 +137,7 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
     let requested = args.usize_or("shards", 0)?;
     // shard-plan takes no --threads: it parses on the default budget.
     let threads = knnshap_parallel::current_threads();
-    let mut spec = JobSpec {
+    let spec = JobSpec {
         task: parse_task(args)?,
         train: absolutize(Path::new(args.require("train")?)),
         test: absolutize(Path::new(args.require("test")?)),
@@ -148,18 +149,26 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
         checkpoint_chunks: args.usize_or("checkpoint-chunks", 4)?,
     };
     let mut auto_line = None;
-    if auto {
-        let probe = plan_job(&spec, threads).map_err(CliError::Runtime)?;
+    let plan = if auto {
+        let t0 = std::time::Instant::now();
+        let prepared = PreparedJob::from_spec(&spec, threads).map_err(CliError::Runtime)?;
+        let load_secs = t0.elapsed().as_secs_f64();
         let cap = if requested > 0 {
             requested
         } else {
             AUTO_SHARD_CAP
         };
-        let (suggested, line) = probe_shard_count(probe, cap, threads)?;
-        spec.shards = suggested;
+        let (suggested, line) = probe_shard_count(&prepared, load_secs, cap);
         auto_line = Some(line);
-    }
-    let plan = plan_job(&spec, threads).map_err(CliError::Runtime)?;
+        // The identity and counts do not depend on the shard count, so the
+        // probe's plan with the suggested count is the plan `--shards
+        // <suggested>` writes.
+        let mut plan = prepared.into_plan();
+        plan.spec.shards = suggested;
+        plan
+    } else {
+        plan_job(&spec, threads).map_err(CliError::Runtime)?
+    };
     let dirs = JobDirs::new(&job);
     plan.save(&dirs).map_err(CliError::Runtime)?;
 
@@ -174,14 +183,14 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
         plan.fingerprint,
         plan.n_train,
         plan.total_items,
-        spec.shards,
-        spec.checkpoint_chunks,
+        plan.spec.shards,
+        plan.spec.checkpoint_chunks,
     );
     out.push_str(&format!(
         "plan written to {}\n\nshard ranges:\n",
         dirs.plan_path().display()
     ));
-    for i in 0..spec.shards {
+    for i in 0..plan.spec.shards {
         let r = plan.shard_range(i);
         out.push_str(&format!("  s{i}: items {}..{}\n", r.start, r.end));
     }
@@ -194,21 +203,14 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Measure the `--auto` cost model on a probe plan and return the suggested
-/// shard count plus a report line. The probes are ordinary one-item chunk
-/// computations whose partials are discarded — nothing is written, so the
-/// measurement cannot perturb the job the final plan describes.
-fn probe_shard_count(
-    probe: JobPlan,
-    max_shards: usize,
-    threads: usize,
-) -> Result<(usize, String), CliError> {
+/// Measure the `--auto` cost model on a bound probe job (whose binding
+/// took `load_secs`) and return the suggested shard count plus a report
+/// line. The probes are ordinary one-item chunk computations whose partials
+/// are discarded — nothing is written, so the measurement cannot perturb
+/// the job the final plan describes.
+fn probe_shard_count(prepared: &PreparedJob, load_secs: f64, max_shards: usize) -> (usize, String) {
     use knnshap_core::sharding::ShardSpec;
-    use knnshap_runtime::dispatch::PreparedJob;
-    let total = probe.total_items as usize;
-    let t0 = std::time::Instant::now();
-    let prepared = PreparedJob::from_plan(probe, threads).map_err(CliError::Runtime)?;
-    let load_secs = t0.elapsed().as_secs_f64();
+    let total = prepared.plan().total_items as usize;
     // The first one-item chunk pays the lazy utility build (distance
     // matrices) — a cost every shard-owning worker process repeats. The
     // second reuses it and times the steady state.
@@ -224,7 +226,7 @@ fn probe_shard_count(
         (first_secs, load_secs)
     };
     let suggested = suggest_shards(per_item, overhead, total, max_shards);
-    Ok((
+    (
         suggested,
         format!(
             "auto-sharding: measured {:.3} ms/item, {:.3} ms/shard overhead over {} items \
@@ -235,7 +237,7 @@ fn probe_shard_count(
             suggested,
             max_shards,
         ),
-    ))
+    )
 }
 
 const WORKER_ALLOWED: &[&str] = &["job", "threads", "worker-id", "graph"];
@@ -313,7 +315,6 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
     let plan = JobPlan::load(&dirs).map_err(CliError::Runtime)?;
     let workers = args.usize_or("workers", 2)?;
     let threads = args.usize_or("threads", 0)?;
-    let parse_threads = knnshap_runtime::resolve_threads(threads);
     let lease_ttl = Duration::from_secs_f64(args.f64_or("lease-ttl", 30.0)?.max(0.0));
     let max_spawns = args.usize_or("max-spawns", workers.saturating_mul(8).max(8))?;
 
@@ -386,28 +387,29 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
         None => None,
     };
 
-    match plan.spec.task {
-        TaskKind::Class => {
+    // The supervisor kept the one dataset column the outputs need, so
+    // nothing is parsed again; the CSV is written on the fleet's cores.
+    let threads = tail_threads(workers, threads);
+    match &outcome.column {
+        Column::Labels(labels) => {
             // Same renderer and CSV writer as `value`/`merge`: the report
             // tail and the --out CSV are byte-identical to the unsharded run
             // (for the deterministic methods; MC reports differ only in the
             // wall-clock throughput line `value` prints).
-            let train = load_class_csv_with_threads(&plan.spec.train, parse_threads)?;
-            let test = load_class_csv_with_threads(&plan.spec.test, parse_threads)?;
             if let Some(path) = args.str("out") {
                 super::value::write_csv(
                     Path::new(path),
                     "label",
-                    &train.y,
+                    labels,
                     &sv,
                     payout.as_deref(),
-                    parse_threads,
+                    threads,
                 )
                 .map_err(knnshap_datasets::io::IoError::Io)?;
             }
             out.push_str(&super::value::render(
-                &train,
-                &test,
+                labels,
+                outcome.n_test,
                 plan.spec.k,
                 &sv,
                 payout.as_deref(),
@@ -417,8 +419,7 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
                 args.str("out"),
             ));
         }
-        TaskKind::Reg => {
-            let train = load_reg_csv_with_threads(&plan.spec.train, parse_threads)?;
+        Column::Targets(targets) => {
             out.push_str(&format!(
                 "Valued {} training points against {} test points (K = {}, method = \
                  exact-reg).\ntotal value: {}\n",
@@ -431,10 +432,10 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
                 super::value::write_csv(
                     Path::new(path),
                     "target",
-                    &train.y,
+                    targets,
                     &sv,
                     payout.as_deref(),
-                    parse_threads,
+                    threads,
                 )
                 .map_err(knnshap_datasets::io::IoError::Io)?;
                 out.push_str(&format!("\nfull values written to {path}\n"));
@@ -547,6 +548,54 @@ mod tests {
         let plan2 = JobPlan::load(&JobDirs::new(&job2)).unwrap();
         assert!(plan2.spec.shards >= 1);
         std::fs::remove_dir_all(&job2).ok();
+    }
+
+    /// `--auto` binds the datasets once and keeps the probe's plan with the
+    /// suggested shard count: the very plan `--shards <suggested>` writes.
+    #[test]
+    fn shard_plan_auto_writes_the_plan_of_its_suggested_count() {
+        let (t, q) = csv_pair("plan-auto-same", 40, 8);
+        let (auto, fixed) = (job_dir("plan-auto-same"), job_dir("plan-auto-same-fixed"));
+        let plan = |job: &Path, method: &[&str], shards: &[&str]| {
+            let (t, q, job) = (
+                t.to_str().unwrap(),
+                q.to_str().unwrap(),
+                job.to_str().unwrap(),
+            );
+            let mut argv = vec![
+                "shard-plan",
+                "--train",
+                t,
+                "--test",
+                q,
+                "--job",
+                job,
+                "--k",
+                "2",
+            ];
+            argv.extend_from_slice(method);
+            argv.extend_from_slice(shards);
+            crate::run(argv).unwrap()
+        };
+        for method in [
+            &["--method", "exact"][..],
+            &["--method", "mc-improved", "--perms", "30"],
+        ] {
+            let report = plan(&auto, method, &["--auto"]);
+            let suggested = report
+                .split_once("=> ")
+                .and_then(|(_, rest)| rest.split_once(' '))
+                .map(|(n, _)| n.to_string())
+                .unwrap_or_else(|| panic!("no suggestion in {report}"));
+            plan(&fixed, method, &["--shards", &suggested]);
+            assert_eq!(
+                std::fs::read(JobDirs::new(&auto).plan_path()).unwrap(),
+                std::fs::read(JobDirs::new(&fixed).plan_path()).unwrap(),
+                "{method:?}: --auto => {suggested} shards"
+            );
+        }
+        std::fs::remove_dir_all(&auto).ok();
+        std::fs::remove_dir_all(&fixed).ok();
     }
 
     #[test]

@@ -315,8 +315,8 @@ pub fn run_merge(args: &Args) -> Result<String, CliError> {
         .map_err(knnshap_datasets::io::IoError::Io)?;
     }
     Ok(super::value::render(
-        &train,
-        &test,
+        &train.y,
+        test.len(),
         k,
         &sv,
         payout.as_deref(),

@@ -7,7 +7,6 @@ use crate::CliError;
 use knnshap_core::analysis::monetary_payout;
 use knnshap_core::pipeline::KnnShapley;
 use knnshap_core::ShapleyValues;
-use knnshap_datasets::ClassDataset;
 use knnshap_numerics::stats::Summary;
 use std::io::Write;
 use std::path::Path;
@@ -99,8 +98,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     }
 
     Ok(render(
-        &train,
-        &test,
+        &train.y,
+        test.len(),
         k,
         &sv,
         payout.as_deref(),
@@ -174,13 +173,14 @@ pub(crate) fn write_csv<L: std::fmt::Display + Sync>(
     }
 }
 
-/// Renders the `value` report. Also used verbatim by `merge`, so a sharded
-/// run's report is byte-identical to the unsharded one (for the
-/// deterministic methods — the MC throughput line carries wall-clock time).
+/// Renders the `value` report from the training labels and the test-set
+/// size. Also used verbatim by `merge` and `run-job`, so a sharded run's
+/// report is byte-identical to the unsharded one (for the deterministic
+/// methods — the MC throughput line carries wall-clock time).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn render(
-    train: &ClassDataset,
-    test: &ClassDataset,
+    labels: &[u32],
+    n_test: usize,
     k: usize,
     sv: &ShapleyValues,
     payout: Option<&[f64]>,
@@ -191,9 +191,9 @@ pub(crate) fn render(
 ) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "Valued {} training points against {} test points (K = {k}, method = {method_label}).\n",
-        train.len(),
-        test.len(),
+        "Valued {} training points against {n_test} test points (K = {k}, method = \
+         {method_label}).\n",
+        labels.len(),
     ));
     if let Some(line) = mc_line {
         out.push_str(line);
@@ -224,7 +224,7 @@ pub(crate) fn render(
         let mut row = vec![
             format!("{}", rank + 1),
             format!("{i}"),
-            format!("{}", train.y[i]),
+            format!("{}", labels[i]),
             fmt_f64(sv.get(i)),
         ];
         if let Some(p) = payout {

@@ -139,7 +139,10 @@ COMMANDS
             [--weight ...] [--checkpoint-chunks 4]
   run-job   supervise a planned job to completion: spawn local workers,
             expire stale leases, respawn after crashes, auto-merge; report
-            and --out CSV match the unsharded `value` run byte for byte
+            and --out CSV match the unsharded `value` run byte for byte.
+            --threads is per worker; once the fleet exits, the merge loads
+            the CSVs and writes --out on workers x N threads, capped at
+            the default budget
             --job DIR [--workers 2] [--threads N] [--lease-ttl 30]
             [--max-spawns N] [--top 10] [--out FILE] [--graph FILE]
             [--revenue A --base-fee B]

@@ -7,8 +7,11 @@
 //! This is the same drill CI's "orchestration smoke" step performs from
 //! shell; having it as a test keeps it debuggable locally.
 
+use knnshap_runtime::layout::JobDirs;
+use knnshap_runtime::supervisor::{run_job, Column, Launcher, SupervisorOptions};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::Duration;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_knnshap")
@@ -209,4 +212,151 @@ fn killed_worker_resumes_and_merge_stays_byte_identical() {
         std::fs::read(&merged).unwrap(),
         "kill + resume must not change a single CSV byte"
     );
+}
+
+/// The report from its first `Valued` line on: `run-job` prints the
+/// orchestration summary (with a wall time) and its workers' `worker done:`
+/// lines before it.
+fn report_tail(stdout: &str) -> &str {
+    &stdout[stdout.find("Valued").expect("a value report")..]
+}
+
+fn plan_and_run(job: &Path, plan: &[&str], workers: usize, threads: usize, out: &Path) -> String {
+    let job = job.to_str().unwrap();
+    std::fs::remove_dir_all(job).ok();
+    let mut argv = vec!["shard-plan", "--k", "3", "--shards", "3", "--job", job];
+    argv.extend_from_slice(plan);
+    run(&argv);
+    let (w, t) = (workers.to_string(), threads.to_string());
+    let argv = [
+        "run-job",
+        "--job",
+        job,
+        "--workers",
+        &w,
+        "--threads",
+        &t,
+        "--out",
+        out.to_str().unwrap(),
+    ];
+    report_tail(&run(&argv)).to_string()
+}
+
+/// `run-job` loads, verifies and writes on `workers × threads` threads (the
+/// fleet's cores, capped at the default budget) once the fleet is done; the
+/// CSV and the report must not depend on that budget. A classification job
+/// must equal `value`; a regression job must give the same bytes
+/// throughout.
+#[test]
+fn run_job_bytes_do_not_depend_on_the_tail_budget() {
+    let ws = Scratch::new("budget");
+    let (train, test) = (ws.path("train.csv"), ws.path("test.csv"));
+    synth(&train, &test);
+    let out = ws.path("values.csv");
+    let (t, q) = (train.to_str().unwrap(), test.to_str().unwrap());
+    let direct = run(&[
+        "value",
+        "--train",
+        t,
+        "--test",
+        q,
+        "--k",
+        "3",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    let want_csv = std::fs::read(&out).unwrap();
+
+    let cfg = knnshap_datasets::synth::regression::RegressionConfig {
+        n: 40,
+        dim: 3,
+        ..Default::default()
+    };
+    let (rtrain, rtest) = (ws.path("rtrain.csv"), ws.path("rtest.csv"));
+    knnshap_datasets::io::save_reg_csv(
+        &rtrain,
+        &knnshap_datasets::synth::regression::generate(&cfg),
+    )
+    .unwrap();
+    knnshap_datasets::io::save_reg_csv(
+        &rtest,
+        &knnshap_datasets::synth::regression::queries(&cfg, 7),
+    )
+    .unwrap();
+    let (rt, rq) = (rtrain.to_str().unwrap(), rtest.to_str().unwrap());
+    let mut reg_want: Option<(Vec<u8>, String)> = None;
+
+    for workers in 1..=3 {
+        for threads in [1, 2] {
+            let at = format!("--workers {workers} --threads {threads}");
+            let class = ["--train", t, "--test", q];
+            let report = plan_and_run(&ws.path("job"), &class, workers, threads, &out);
+            assert_eq!(std::fs::read(&out).unwrap(), want_csv, "class CSV at {at}");
+            assert_eq!(report, direct, "class report at {at}");
+
+            let reg = ["--task", "reg", "--train", rt, "--test", rq];
+            let report = plan_and_run(&ws.path("rjob"), &reg, workers, threads, &out);
+            let csv = std::fs::read(&out).unwrap();
+            match &reg_want {
+                None => {
+                    assert!(report.contains("method = exact-reg"), "{report}");
+                    reg_want = Some((csv, report));
+                }
+                Some((want_csv, want_report)) => {
+                    assert_eq!(&csv, want_csv, "reg CSV at {at}");
+                    assert_eq!(&report, want_report, "reg report at {at}");
+                }
+            }
+        }
+    }
+}
+
+/// Worker processes cannot signal the supervisor's in-process event
+/// notifier, yet the supervisor must not sleep out its poll tick once they
+/// are done: the thread waiting on each child wakes it when the child
+/// exits. With an hour-long tick the job still completes at once.
+#[test]
+fn worker_process_exits_wake_the_supervisor() {
+    let ws = Scratch::new("wake");
+    let (train, test) = (ws.path("train.csv"), ws.path("test.csv"));
+    synth(&train, &test);
+    let job = ws.path("job");
+    run(&[
+        "shard-plan",
+        "--train",
+        train.to_str().unwrap(),
+        "--test",
+        test.to_str().unwrap(),
+        "--k",
+        "3",
+        "--shards",
+        "3",
+        "--job",
+        job.to_str().unwrap(),
+    ]);
+    let opts = SupervisorOptions {
+        workers: 2,
+        threads: 1,
+        poll: Duration::from_secs(3600),
+        launcher: Launcher::Command {
+            program: bin().into(),
+            args: vec![
+                "worker".into(),
+                "--job".into(),
+                job.to_str().unwrap().into(),
+            ],
+        },
+        ..Default::default()
+    };
+    let dirs = JobDirs::new(&job);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(run_job(&dirs, opts)));
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("run_job hung: a worker process's exit never woke the supervisor")
+        .unwrap();
+    assert_eq!(outcome.worker_failures, 0);
+    assert_eq!(outcome.n_test, 9);
+    assert!(matches!(&outcome.column, Column::Labels(l) if l.len() == 60));
+    assert_eq!(outcome.values.len(), 60);
 }

@@ -33,7 +33,9 @@ pub fn load_data(spec: &JobSpec, threads: usize) -> Result<Data<'static>, JobErr
 /// and merge all derive the job identity (the dataset-content fingerprints
 /// stamped into every `KNNSHARD` header) and the partials from. The data
 /// checks (non-empty sets, matching dimensions, finite features) run here.
-pub fn bind(spec: &JobSpec, data: Data<'static>) -> Result<Estimator<'static>, JobError> {
+/// `data` may be owned or a borrowed view ([`Data::class`], [`Data::reg`])
+/// of datasets the caller keeps.
+pub fn bind<'a>(spec: &JobSpec, data: Data<'a>) -> Result<Estimator<'a>, JobError> {
     let seed = spec.seed;
     let family = match spec.method {
         JobMethod::Exact => Family::Exact,
@@ -61,31 +63,51 @@ pub struct PreparedJob {
 }
 
 impl PreparedJob {
+    /// Validate `spec`, bind it to its datasets (parsed once, on `threads`
+    /// workers) and derive its plan from them.
+    /// [`plan_job`](crate::spec::plan_job) keeps only the plan;
+    /// `shard-plan --auto` first times chunks on the bound estimator, then
+    /// keeps the plan with its shard count set — the identity and counts do
+    /// not depend on it.
+    pub fn from_spec(spec: &JobSpec, threads: usize) -> Result<Self, JobError> {
+        spec.validate()?;
+        let estimator = bind(spec, load_data(spec, threads)?)?;
+        let (kind, fingerprint) = estimator.identity();
+        let plan = JobPlan {
+            spec: spec.clone(),
+            kind,
+            fingerprint,
+            n_train: estimator.n_train() as u64,
+            total_items: estimator.items() as u64,
+        };
+        Ok(Self { plan, estimator })
+    }
+
     /// Bind `plan` to its datasets (parsed on `threads` workers), verifying
     /// the fingerprint.
     pub fn from_plan(plan: JobPlan, threads: usize) -> Result<Self, JobError> {
-        plan.spec.validate()?;
-        let estimator = bind(&plan.spec, load_data(&plan.spec, threads)?)?;
         // Re-derive the identity from the files actually read; comparing the
         // whole identity also catches a hand-edited plan file.
-        let (kind, fingerprint) = estimator.identity();
-        if fingerprint != plan.fingerprint {
+        let Self {
+            plan: derived,
+            estimator,
+        } = Self::from_spec(&plan.spec, threads)?;
+        if derived.fingerprint != plan.fingerprint {
             return Err(JobError::FingerprintMismatch {
                 expected: plan.fingerprint,
-                found: fingerprint,
+                found: derived.fingerprint,
             });
         }
-        let (n_train, total_items) = (estimator.n_train(), estimator.items());
-        if kind != plan.kind
-            || n_train as u64 != plan.n_train
-            || total_items as u64 != plan.total_items
+        if derived.kind != plan.kind
+            || derived.n_train != plan.n_train
+            || derived.total_items != plan.total_items
         {
             return Err(JobError::Plan(format!(
                 "plan disagrees with its spec: derived {} / {} train / {} items, plan says \
                  {} / {} train / {} items",
-                kind.name(),
-                n_train,
-                total_items,
+                derived.kind.name(),
+                derived.n_train,
+                derived.total_items,
                 plan.kind.name(),
                 plan.n_train,
                 plan.total_items,
@@ -113,6 +135,11 @@ impl PreparedJob {
 
     pub fn plan(&self) -> &JobPlan {
         &self.plan
+    }
+
+    /// The plan, without the datasets.
+    pub fn into_plan(self) -> JobPlan {
+        self.plan
     }
 
     /// Compute the partial of one canonical chunk (`spec` indexes the

@@ -8,8 +8,10 @@
 //!
 //! * the **supervisor**, which blocks on the in-process [`wait_for_event`]
 //!   notifier instead of busy-polling the filesystem — a worker thread's
-//!   append wakes it immediately, and the bounded timeout covers workers in
-//!   *other* processes (whose appends cannot signal this process's condvar);
+//!   append wakes it immediately, every worker's exit (thread or child
+//!   process) wakes it through [`notify`], and the bounded timeout covers
+//!   the appends of workers in *other* processes (which cannot signal this
+//!   process's condvar) and drives lease expiry;
 //! * **`knnshap watch`** / `run-job --watch`, which tail the file with an
 //!   [`EventCursor`] and render live shard × chunk progress.
 //!
@@ -83,6 +85,13 @@ pub fn append_event(dirs: &JobDirs, ev: &str, fields: &[(&str, FieldValue)]) {
         .append(true)
         .open(dirs.events_path())
         .and_then(|mut f| f.write_all(line.as_bytes()));
+    notify();
+}
+
+/// Bump the generation and wake local waiters without writing an event:
+/// the supervisor's worker handles call this when a worker exits, which
+/// a worker in another process cannot signal any other way.
+pub fn notify() {
     let mut gen = lock_gen();
     *gen += 1;
     GEN_CV.notify_all();

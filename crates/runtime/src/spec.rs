@@ -391,26 +391,12 @@ impl JobPlan {
 
 /// Derive the [`JobPlan`] for a spec: load the datasets it names, validate
 /// the combination, and compute the job identity (kind, dataset-content
-/// fingerprint, item counts). This is the one place fingerprints enter the
-/// system; workers re-derive and compare (`dispatch::PreparedJob`).
+/// fingerprint, item counts) — `dispatch::PreparedJob::from_spec`, the one
+/// place fingerprints enter the system, without the bound datasets; workers
+/// re-derive and compare (`PreparedJob::from_plan`).
 pub fn plan_job(spec: &JobSpec, threads: usize) -> Result<JobPlan, JobError> {
-    spec.validate()?;
-    let data = crate::dispatch::load_data(spec, threads)?;
-    let estimator = crate::dispatch::bind(spec, data)?;
-    let n_train = estimator.n_train();
-    if matches!(spec.method, JobMethod::GroupTesting { .. }) && n_train < 2 {
-        return Err(JobError::Spec(
-            "group testing needs at least two training points".into(),
-        ));
-    }
-    let (kind, fingerprint) = estimator.identity();
-    Ok(JobPlan {
-        spec: spec.clone(),
-        kind,
-        fingerprint,
-        n_train: n_train as u64,
-        total_items: estimator.items() as u64,
-    })
+    crate::dispatch::PreparedJob::from_spec(spec, threads)
+        .map(crate::dispatch::PreparedJob::into_plan)
 }
 
 /// `ShardKind` from its [`name`](ShardKind::name) (the plan file stores

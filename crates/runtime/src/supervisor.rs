@@ -6,9 +6,17 @@
 //! same one remote workers on a shared filesystem would mutate), keeps the
 //! configured number of local workers alive while any *claimable* shard
 //! remains, and reclaims shards whose worker stopped heartbeating. When
-//! every shard file exists it validates and merges them
-//! (`merge_partials`), cross-checking the merged job identity against the
-//! plan.
+//! every shard file exists and every worker has exited it validates and
+//! merges them (`merge_partials`), cross-checking the merged job identity
+//! against the plan.
+//!
+//! Each worker is watched by a thread of its own, which wakes the
+//! supervisor the moment the worker exits; the poll tick
+//! only bounds the wait for progress in other processes and drives lease
+//! expiry. The merge tail then parses each dataset once, on the threads the
+//! fleet held ([`tail_threads`]): it verifies the fingerprint, keeps the one
+//! column the outputs need ([`Column`]) and drops the features before it
+//! reads and merges the shards.
 //!
 //! Crash-tolerance invariants worth internalizing:
 //!
@@ -24,10 +32,14 @@
 use crate::layout::JobDirs;
 use crate::queue;
 use crate::spec::JobPlan;
-use crate::worker::{run_worker, FaultHook, WorkerOptions, WorkerReport};
+use crate::worker::{run_worker, FaultHook, WorkerOptions};
 use crate::JobError;
+use knnshap_core::estimator::Data;
 use knnshap_core::sharding::{merge_partials, MergedValuation};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How the supervisor launches a worker.
@@ -60,7 +72,8 @@ pub struct SupervisorOptions {
     pub threads: usize,
     /// A lease whose heartbeat is older than this is presumed dead.
     pub lease_ttl: Duration,
-    /// Poll cadence of the watch loop.
+    /// Longest wait between two looks at the job directory (worker exits
+    /// and in-process events wake the supervisor sooner).
     pub poll: Duration,
     /// Total spawn budget (initial workers + respawns after crashes).
     pub max_spawns: usize,
@@ -87,6 +100,11 @@ pub struct JobOutcome {
     pub values: knnshap_core::ShapleyValues,
     /// Items the job consumed (test points or stream budget).
     pub items: u64,
+    /// The training set's label or target column, for the values CSV and
+    /// the report.
+    pub column: Column,
+    /// Points in the job's test set.
+    pub n_test: usize,
     /// Workers spawned over the job's lifetime.
     pub spawned: usize,
     /// Stale leases expired (shards reassigned after a presumed death).
@@ -95,25 +113,68 @@ pub struct JobOutcome {
     pub worker_failures: usize,
 }
 
-enum Handle {
-    Thread(std::thread::JoinHandle<Result<WorkerReport, JobError>>),
-    Process(std::process::Child),
+/// The one training-set column a job's outputs print next to each value.
+#[derive(Debug)]
+pub enum Column {
+    /// Class labels of a classification job.
+    Labels(Vec<u32>),
+    /// Targets of a regression job.
+    Targets(Vec<f64>),
+}
+
+/// Threads the merge tail runs on once every worker has exited: the cores
+/// the fleet held, `workers × threads` (`threads` per worker, `0` ⇒ the
+/// default budget), capped at the default budget
+/// (`knnshap_parallel::current_threads()`). The tail's parse and the CLI's
+/// ordered CSV writer give the same bytes at any thread count.
+pub fn tail_threads(workers: usize, threads: usize) -> usize {
+    workers
+        .max(1)
+        .saturating_mul(crate::resolve_threads(threads))
+        .min(knnshap_parallel::current_threads())
+}
+
+/// A launched worker, watched by a thread of its own: in-process the thread
+/// runs the worker loop, for a child process it waits on the child. When
+/// the worker ends — cleanly, with an error or by unwinding — the thread's
+/// [`Exited`] guard marks the handle finished and wakes the supervisor.
+struct Handle {
+    done: Arc<AtomicBool>,
+    thread: JoinHandle<bool>,
 }
 
 impl Handle {
-    fn is_running(&mut self) -> bool {
-        match self {
-            Handle::Thread(h) => !h.is_finished(),
-            Handle::Process(c) => matches!(c.try_wait(), Ok(None)),
-        }
+    /// Watch `worker`, which returns whether the worker ended cleanly.
+    fn watch(worker: impl FnOnce() -> bool + Send + 'static) -> Self {
+        let done = Arc::new(AtomicBool::new(false));
+        let exited = Exited(Arc::clone(&done));
+        let thread = std::thread::spawn(move || {
+            let _exited = exited;
+            worker()
+        });
+        Handle { done, thread }
     }
 
-    /// Join a finished handle; `Ok(true)` means the worker ended cleanly.
+    fn is_running(&self) -> bool {
+        !self.done.load(Ordering::Acquire)
+    }
+
+    /// Join a finished handle; `true` means the worker ended cleanly.
     fn reap(self) -> bool {
-        match self {
-            Handle::Thread(h) => matches!(h.join(), Ok(Ok(_))),
-            Handle::Process(mut c) => c.wait().map(|s| s.success()).unwrap_or(false),
-        }
+        matches!(self.thread.join(), Ok(true))
+    }
+}
+
+/// Marks a [`Handle`] finished, then wakes the supervisor, when its thread
+/// ends. The flag is stored (`Release`, paired with the `Acquire` in
+/// [`Handle::is_running`]) before the wake-up, so a woken supervisor sees
+/// it; `JoinHandle::is_finished` could still read `false` at that point.
+struct Exited(Arc<AtomicBool>);
+
+impl Drop for Exited {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+        crate::progress::notify();
     }
 }
 
@@ -127,8 +188,9 @@ pub fn run_job(dirs: &JobDirs, opts: SupervisorOptions) -> Result<JobOutcome, Jo
     let mut failures = 0usize;
     let mut handles: Vec<Handle> = Vec::new();
     // Wait on the event stream instead of busy-polling: in-process workers
-    // wake us the instant they claim/checkpoint/publish; `opts.poll` bounds
-    // the wait for out-of-process workers (see crate::progress).
+    // wake us the instant they claim/checkpoint/publish, and every worker
+    // wakes us when it exits; `opts.poll` bounds the wait for progress in
+    // other processes and paces lease expiry (see crate::progress).
     let mut seen_gen = crate::progress::generation();
 
     let spawn = |seq: usize| -> Result<Handle, JobError> {
@@ -142,22 +204,24 @@ pub fn run_job(dirs: &JobDirs, opts: SupervisorOptions) -> Result<JobOutcome, Jo
                     fault,
                     graph: None,
                 };
-                Ok(Handle::Thread(std::thread::spawn(move || {
-                    run_worker(&dirs, wopts)
-                })))
+                Ok(Handle::watch(move || run_worker(&dirs, wopts).is_ok()))
             }
-            Launcher::Command { program, args } => std::process::Command::new(program)
-                .args(args)
-                .spawn()
-                .map(Handle::Process)
-                .map_err(|e| crate::io_err(program, e)),
+            Launcher::Command { program, args } => {
+                let mut child = std::process::Command::new(program)
+                    .args(args)
+                    .spawn()
+                    .map_err(|e| crate::io_err(program, e))?;
+                Ok(Handle::watch(move || {
+                    child.wait().is_ok_and(|status| status.success())
+                }))
+            }
         }
     };
 
     loop {
         // Reap finished workers (counting unclean deaths).
         let mut still = Vec::with_capacity(handles.len());
-        for mut h in handles {
+        for h in handles {
             if h.is_running() {
                 still.push(h);
             } else if !h.reap() {
@@ -210,8 +274,9 @@ pub fn run_job(dirs: &JobDirs, opts: SupervisorOptions) -> Result<JobOutcome, Jo
     }
 
     // All shards are published; workers exit on their own once nothing is
-    // claimable. Reap them before merging so the accounting is complete.
-    for mut h in handles.drain(..) {
+    // claimable. Reap them before merging so the accounting is complete and
+    // the tail has their cores.
+    for h in handles.drain(..) {
         while h.is_running() {
             seen_gen = crate::progress::wait_for_event(seen_gen, opts.poll);
         }
@@ -220,7 +285,7 @@ pub fn run_job(dirs: &JobDirs, opts: SupervisorOptions) -> Result<JobOutcome, Jo
         }
     }
 
-    let merged = merge_job(dirs, &plan, crate::resolve_threads(opts.threads))?;
+    let (merged, column, n_test) = merge_tail(dirs, &plan, tail_threads(workers, opts.threads))?;
     crate::progress::append_event(
         dirs,
         "job_done",
@@ -233,6 +298,8 @@ pub fn run_job(dirs: &JobDirs, opts: SupervisorOptions) -> Result<JobOutcome, Jo
     Ok(JobOutcome {
         values: merged.values,
         items: merged.items,
+        column,
+        n_test,
         spawned,
         reassigned,
         worker_failures: failures,
@@ -248,19 +315,39 @@ pub fn merge_job(
     plan: &JobPlan,
     threads: usize,
 ) -> Result<MergedValuation, JobError> {
+    merge_tail(dirs, plan, threads).map(|(merged, _, _)| merged)
+}
+
+/// The merge both [`run_job`] and [`merge_job`] end in: load the datasets
+/// once, verify them, keep the label column and the test count, then merge.
+fn merge_tail(
+    dirs: &JobDirs,
+    plan: &JobPlan,
+    threads: usize,
+) -> Result<(MergedValuation, Column, usize), JobError> {
     // Re-verify the datasets' *contents* before finalizing: when every
     // shard is already published, a merge-only `run_job` spawns no worker,
     // so this is the only place that catches CSVs edited after planning —
     // without it the report would pair stale values with drifted labels.
     // Dataset-content fingerprints make this O(dataset), not O(N · N_test).
     let data = crate::dispatch::load_data(&plan.spec, threads)?;
-    let (_, fingerprint) = crate::dispatch::bind(&plan.spec, data)?.identity();
+    let view = match &data {
+        Data::Class { train, test } => Data::class(train, test),
+        Data::Reg { train, test } => Data::reg(train, test),
+    };
+    let (_, fingerprint) = crate::dispatch::bind(&plan.spec, view)?.identity();
     if fingerprint != plan.fingerprint {
         return Err(JobError::FingerprintMismatch {
             expected: plan.fingerprint,
             found: fingerprint,
         });
     }
+    // The features go before the shards are read: the merge's peak memory
+    // holds the partials and one column, never a dataset.
+    let (column, n_test) = match data {
+        Data::Class { train, test } => (Column::Labels(train.into_owned().y), test.len()),
+        Data::Reg { train, test } => (Column::Targets(train.into_owned().y), test.len()),
+    };
     let parts = queue::read_all_shards(dirs, plan.spec.shards)?;
     if let Some(p) = parts.first() {
         if p.meta.fingerprint != plan.fingerprint || p.meta.kind != plan.kind {
@@ -274,5 +361,52 @@ pub fn merge_job(
             )));
         }
     }
-    Ok(merge_partials(&parts)?)
+    Ok((merge_partials(&parts)?, column, n_test))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A handle marks itself finished and wakes a waiting supervisor
+    /// however its worker ends: cleanly, with an error, or by unwinding.
+    #[test]
+    fn a_handle_wakes_the_supervisor_however_its_worker_ends() {
+        type Worker = Box<dyn FnOnce() -> bool + Send>;
+        let cases: [(bool, Worker); 3] = [
+            (true, Box::new(|| true)),
+            (false, Box::new(|| false)),
+            (false, Box::new(|| panic!("injected worker panic"))),
+        ];
+        for (clean, worker) in cases {
+            let (go, wait) = std::sync::mpsc::channel::<()>();
+            let mut seen = crate::progress::generation();
+            let h = Handle::watch(move || {
+                wait.recv().ok();
+                worker()
+            });
+            assert!(h.is_running(), "the worker is held until `go`");
+            go.send(()).unwrap();
+            let start = std::time::Instant::now();
+            while h.is_running() {
+                seen = crate::progress::wait_for_event(seen, Duration::from_secs(60));
+                assert!(
+                    start.elapsed() < Duration::from_secs(50),
+                    "the exit never woke the waiter"
+                );
+            }
+            assert_eq!(h.reap(), clean);
+        }
+    }
+
+    #[test]
+    fn the_tail_uses_the_fleets_cores_up_to_the_default_budget() {
+        let cap = knnshap_parallel::current_threads();
+        assert_eq!(tail_threads(1, 1), 1);
+        assert_eq!(tail_threads(0, 1), 1, "at least one worker");
+        assert_eq!(tail_threads(2, 1), 2.min(cap));
+        assert_eq!(tail_threads(3, 2), 6.min(cap));
+        assert_eq!(tail_threads(2, 0), cap, "0 threads ⇒ the default budget");
+        assert_eq!(tail_threads(usize::MAX, 8), cap);
+    }
 }

@@ -17,7 +17,7 @@ use knnshap_knn::weights::WeightFn;
 use knnshap_runtime::layout::JobDirs;
 use knnshap_runtime::queue;
 use knnshap_runtime::spec::{plan_job, JobMethod, JobSpec, TaskKind};
-use knnshap_runtime::supervisor::{merge_job, run_job, Launcher, SupervisorOptions};
+use knnshap_runtime::supervisor::{merge_job, run_job, JobOutcome, Launcher, SupervisorOptions};
 use knnshap_runtime::worker::{run_worker, FaultPoint, WorkerOptions};
 use knnshap_runtime::JobError;
 use std::path::PathBuf;
@@ -559,4 +559,122 @@ fn shard_files_are_canonical_across_runs_and_worker_counts() {
         );
     }
     assert_eq!(plan.kind, ShardKind::GroupTesting);
+}
+
+/// Run `run_job` on a side thread and wait at most a minute for it: a
+/// supervisor that only notices a finished worker on its poll tick would
+/// sleep out `poll` (an hour in the test below) and trip the bound.
+fn run_job_bounded(dirs: &JobDirs, opts: SupervisorOptions) -> JobOutcome {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let dirs = dirs.clone();
+    std::thread::spawn(move || tx.send(run_job(&dirs, opts)));
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("run_job hung: a worker's exit never woke the supervisor")
+        .unwrap()
+}
+
+/// The supervisor wakes when a worker exits, not when its poll tick comes
+/// round: with an hour-long tick the job still completes at once — also
+/// when the first worker crashes without writing another event, so only
+/// its exit can tell the supervisor to reclaim its shard and respawn.
+#[test]
+fn completion_is_driven_by_worker_exit_not_the_poll_tick() {
+    let ws = Workspace::new("wake");
+    let (t, q) = ws.class_csvs();
+    let spec = JobSpec {
+        task: TaskKind::Class,
+        train: t,
+        test: q,
+        k: K,
+        weight: WeightFn::Uniform,
+        method: JobMethod::Exact,
+        seed: SEED,
+        shards: 3,
+        checkpoint_chunks: 2,
+    };
+    let want = reference(&spec);
+    let hour = Duration::from_secs(3600);
+    for workers in [1usize, 2, 4] {
+        let dirs = ws.job_dirs(&format!("job-{workers}"));
+        plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
+        let outcome = run_job_bounded(
+            &dirs,
+            SupervisorOptions {
+                workers,
+                poll: hour,
+                ..Default::default()
+            },
+        );
+        assert_bitwise(&outcome.values, &want, &format!("{workers} workers"));
+    }
+
+    let dirs = ws.job_dirs("job-crash");
+    plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
+    let outcome = run_job_bounded(
+        &dirs,
+        SupervisorOptions {
+            workers: 1,
+            poll: hour,
+            // The crashed worker's lease is reclaimable as soon as the
+            // supervisor looks.
+            lease_ttl: Duration::ZERO,
+            launcher: Launcher::InProcess {
+                fault_factory: Some(Box::new(|seq| {
+                    (seq == 0).then(|| {
+                        Box::new(|at| matches!(at, FaultPoint::AfterChunk { .. }))
+                            as knnshap_runtime::worker::FaultHook
+                    })
+                })),
+            },
+            ..Default::default()
+        },
+    );
+    assert_bitwise(&outcome.values, &want, "crash, then respawn");
+    assert_eq!(outcome.worker_failures, 1, "the crash must be observed");
+    assert_eq!(outcome.spawned, 2);
+}
+
+/// With every shard already published, `run_job` spawns nothing and goes
+/// straight to the merge tail — whose one dataset load must still catch a
+/// CSV edited after planning.
+#[test]
+fn merge_only_run_job_rejects_a_csv_edited_after_planning() {
+    let ws = Workspace::new("merge-only-drift");
+    let (t, q) = ws.class_csvs();
+    let spec = JobSpec {
+        task: TaskKind::Class,
+        train: t,
+        test: q.clone(),
+        k: K,
+        weight: WeightFn::Uniform,
+        method: JobMethod::Exact,
+        seed: SEED,
+        shards: 2,
+        checkpoint_chunks: 1,
+    };
+    let dirs = ws.job_dirs("job");
+    plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
+    run_worker(&dirs, WorkerOptions::default()).unwrap();
+    assert!(dirs.missing_shards(spec.shards).is_empty());
+
+    // Drop the last test point: the shards still cover the planned items.
+    let text = std::fs::read_to_string(&q).unwrap();
+    let kept: Vec<&str> = text.lines().collect();
+    std::fs::write(&q, kept[..kept.len() - 1].join("\n") + "\n").unwrap();
+    for workers in [1usize, 3] {
+        let err = run_job(
+            &dirs,
+            SupervisorOptions {
+                workers,
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(err, JobError::FingerprintMismatch { .. }), "{err}");
+    }
+    let events = std::fs::read_to_string(dirs.events_path()).unwrap();
+    assert!(
+        !events.contains("\"ev\":\"spawn\""),
+        "a merge-only run spawns no worker"
+    );
 }
