@@ -14,9 +14,7 @@
 //! Knobs: `KNNSHAP_BENCH_N` (training points, default 2000),
 //! `KNNSHAP_BENCH_PERMS` (permutation budget, default 256).
 
-use knnshap_core::mc::{
-    mc_shapley_improved_shard, mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
-};
+use knnshap_core::estimator::{Data, Estimator, Family};
 use knnshap_core::sharding::{merge_partials, ShardPartial, ShardSpec};
 use knnshap_datasets::synth::deepfeat::EmbeddingSpec;
 use knnshap_knn::weights::WeightFn;
@@ -38,14 +36,23 @@ fn main() {
     let spec = EmbeddingSpec::mnist_like(n);
     let train = spec.generate();
     let test = spec.queries(4);
-    let inc = IncKnnUtility::classification(&train, &test, k, WeightFn::Uniform);
+    let family = Family::McImproved { perms, seed };
+    let est = Estimator::new(
+        Data::class(&train, &test),
+        k,
+        WeightFn::Uniform,
+        family,
+        None,
+    )
+    .expect("valid job");
+    // Warm-up, untimed: an empty shard (`count` > `perms`) builds the
+    // distance matrix and computes nothing, so no timed region below pays
+    // for the build.
+    est.compute(ShardSpec::new(0, perms + 1), 1);
 
-    // Unsharded reference (single process, serial) — also the warm-up.
+    // Unsharded reference (single process, serial).
     let start = Instant::now();
-    let reference =
-        mc_shapley_improved_with_threads(&inc, StoppingRule::Fixed(perms), seed, None, 1)
-            .values
-            .into_vec();
+    let reference = est.run(1).values.into_vec();
     let unsharded_secs = start.elapsed().as_secs_f64();
 
     println!(
@@ -62,7 +69,7 @@ fn main() {
         let mut parts = Vec::new();
         for i in 0..shards {
             let t0 = Instant::now();
-            let p = mc_shapley_improved_shard(&inc, perms, seed, ShardSpec::new(i, shards), 1);
+            let p = est.compute(ShardSpec::new(i, shards), 1);
             let bytes = p.to_bytes();
             shard_secs.push(t0.elapsed().as_secs_f64());
             total_bytes += bytes.len();

@@ -6,11 +6,10 @@
 //! recall/precision/AUC.
 
 use crate::args::Args;
-use crate::commands::{load_pair, parse_method, parse_weight};
+use crate::commands::load_pair;
 use crate::report::{fmt_f64, Table};
 use crate::CliError;
 use knnshap_core::analysis::{per_class_summary, DetectionCurve};
-use knnshap_core::pipeline::KnnShapley;
 use std::path::Path;
 
 const ALLOWED: &[&str] = &[
@@ -39,33 +38,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let inspect = args.usize_or("inspect", 20)?.min(train.len());
 
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
-    let shards = args.usize_or("shards", 0)?;
-    let graph = super::load_graph(args, &train.x, &test.x)?;
-    let started = std::time::Instant::now();
-    let (sv, permutations) = if shards > 0 {
-        super::shard::run_sharded(
-            &train,
-            &test,
-            k,
-            parse_method(args)?,
-            parse_weight(args)?,
-            graph.as_ref(),
-            shards,
-            threads,
-        )?
-    } else {
-        let mut builder = KnnShapley::new(&train, &test)
-            .k(k)
-            .weight(parse_weight(args)?)
-            .method(parse_method(args)?)
-            .threads(threads);
-        if let Some(g) = &graph {
-            builder = builder.graph(g);
-        }
-        let report = builder.run_report()?;
-        (report.values, report.permutations)
-    };
-    let secs = started.elapsed().as_secs_f64();
+    let (valuation, secs) = super::valuate(args, &train, &test, k, threads)?;
+    let sv = valuation.values;
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -73,7 +47,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         train.len(),
         test.len()
     ));
-    if let Some(perms) = permutations {
+    if let Some(perms) = valuation.permutations {
         out.push_str(&crate::commands::mc_throughput_line(perms, secs, threads));
     }
     out.push('\n');

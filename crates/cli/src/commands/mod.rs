@@ -13,7 +13,7 @@ pub mod watch;
 use crate::args::Args;
 use crate::CliError;
 use knnshap_core::mc::StoppingRule;
-use knnshap_core::pipeline::Method;
+use knnshap_core::pipeline::{KnnShapley, Method, Valuation};
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::weights::WeightFn;
@@ -76,6 +76,42 @@ pub(crate) fn parse_method(args: &Args) -> Result<Method, CliError> {
             "unknown method '{other}' (exact, truncated, lsh, mc-baseline, mc-improved)"
         ))),
     }
+}
+
+/// The valuation behind `value` and `audit`: resolves `--method`,
+/// `--weight`, `--shards` and `--graph`, then merges `--shards N`
+/// in-process shards or runs the builder. Returns the values, the Monte
+/// Carlo permutation count and the valuation's wall-clock seconds (the
+/// CSV loads and argument parsing excluded).
+pub(crate) fn valuate(
+    args: &Args,
+    train: &ClassDataset,
+    test: &ClassDataset,
+    k: usize,
+    threads: usize,
+) -> Result<(Valuation, f64), CliError> {
+    let method = parse_method(args)?;
+    let weight = parse_weight(args)?;
+    let shards = args.usize_or("shards", 0)?;
+    let graph = load_graph(args, &train.x, &test.x)?;
+    let started = std::time::Instant::now();
+    let valuation = if shards > 0 {
+        // In-process sharded run: N partials through the wire format, then
+        // the deterministic merge — bitwise-identical to the unsharded path.
+        let graph = graph.as_ref();
+        shard::run_sharded(train, test, k, method, weight, graph, shards, threads)?
+    } else {
+        let mut builder = KnnShapley::new(train, test)
+            .k(k)
+            .weight(weight)
+            .method(method)
+            .threads(threads);
+        if let Some(g) = &graph {
+            builder = builder.graph(g);
+        }
+        builder.run_report()?
+    };
+    Ok((valuation, started.elapsed().as_secs_f64()))
 }
 
 /// The per-permutation throughput line the MC paths of `value` and `audit`

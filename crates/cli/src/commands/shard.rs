@@ -20,9 +20,9 @@
 use crate::args::Args;
 use crate::commands::{load_pair, parse_method, parse_weight};
 use crate::CliError;
-use knnshap_core::estimator::{Data, Estimator, Family};
+use knnshap_core::estimator::{Data, Estimator};
 use knnshap_core::mc::StoppingRule;
-use knnshap_core::pipeline::Method;
+use knnshap_core::pipeline::{Method, Valuation};
 use knnshap_core::sharding::{merge_partials, ShardKind, ShardPartial, ShardSpec};
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::graph::KnnGraph;
@@ -43,31 +43,20 @@ fn estimator<'a>(
     weight: WeightFn,
     graph: Option<&'a KnnGraph>,
 ) -> Result<Estimator<'a>, CliError> {
-    let family = match method {
-        Method::Exact => Family::Exact,
-        Method::Truncated { eps } => Family::Truncated { eps },
-        Method::McBaseline { rule, seed } => Family::McBaseline {
-            perms: fixed_budget(rule)?,
-            seed,
-        },
-        Method::McImproved { rule, seed } => Family::McImproved {
-            perms: fixed_budget(rule)?,
-            seed,
-        },
-        Method::Lsh { .. } => return Err(CliError::Invalid(LSH_UNSHARDABLE.into())),
-        Method::TruncatedTree { .. } => {
+    if let Method::McBaseline { rule, .. } | Method::McImproved { rule, .. } = method {
+        require_fixed_budget(rule)?;
+    }
+    let family = match (method, method.family(train.len())) {
+        (_, Some(family)) => family,
+        (Method::Lsh { .. }, None) => return Err(CliError::Invalid(LSH_UNSHARDABLE.into())),
+        (_, None) => {
             return Err(CliError::Invalid(
                 "sharding supports exact, truncated, mc-baseline and mc-improved".into(),
             ))
         }
     };
-    Ok(Estimator::new(
-        Data::class(train, test),
-        k,
-        weight,
-        family,
-        graph,
-    )?)
+    let data = Data::class(train, test);
+    Ok(Estimator::new(data, k, weight, family, graph)?)
 }
 
 /// Why `--method lsh` is rejected by `shard`, `shard-plan` and the job
@@ -86,9 +75,9 @@ pub(crate) const LSH_UNSHARDABLE: &str =
 /// Sharded Monte Carlo needs an a-priori stream budget: the heuristic rule
 /// stops on a *sequential* criterion no shard can evaluate alone. The CLI
 /// builds `Fixed` rules whenever `--perms N` is given.
-fn fixed_budget(rule: StoppingRule) -> Result<usize, CliError> {
+fn require_fixed_budget(rule: StoppingRule) -> Result<(), CliError> {
     match rule {
-        StoppingRule::Fixed(t) => Ok(t),
+        StoppingRule::Fixed(_) => Ok(()),
         _ => Err(CliError::Invalid(
             "sharded Monte Carlo needs a fixed permutation budget: pass --perms N \
              (the §6.2.2 heuristic stop is sequential and cannot be sharded)"
@@ -110,7 +99,7 @@ pub(crate) fn run_sharded(
     graph: Option<&KnnGraph>,
     shards: usize,
     threads: usize,
-) -> Result<(knnshap_core::ShapleyValues, Option<usize>), CliError> {
+) -> Result<Valuation, CliError> {
     let est = estimator(train, test, k, method, weight, graph)?;
     let parts: Vec<ShardPartial> = (0..shards)
         .map(|i| {
@@ -119,8 +108,10 @@ pub(crate) fn run_sharded(
         })
         .collect::<Result<_, _>>()?;
     let merged = merge_partials(&parts).map_err(CliError::Shard)?;
-    let perms = est.is_monte_carlo().then_some(merged.items as usize);
-    Ok((merged.values, perms))
+    Ok(Valuation {
+        values: merged.values,
+        permutations: est.is_monte_carlo().then_some(merged.items as usize),
+    })
 }
 
 const SHARD_ALLOWED: &[&str] = &[
@@ -193,15 +184,12 @@ fn expected_job(
     method: Method,
     weight: WeightFn,
 ) -> Result<Option<(ShardKind, u64)>, CliError> {
-    let fixed = StoppingRule::Fixed(0);
-    let method = match method {
-        Method::TruncatedTree { .. } | Method::Lsh { .. } => return Ok(None),
-        Method::McBaseline { seed, .. } => Method::McBaseline { rule: fixed, seed },
-        Method::McImproved { seed, .. } => Method::McImproved { rule: fixed, seed },
-        m => m,
+    let Some(family) = method.family(train.len()) else {
+        return Ok(None);
     };
+    let data = Data::class(train, test);
     Ok(Some(
-        estimator(train, test, k, method, weight, None)?.identity(),
+        Estimator::new(data, k, weight, family, None)?.identity(),
     ))
 }
 

@@ -1,11 +1,10 @@
 //! `knnshap value` — compute per-point values, optionally price them.
 
 use crate::args::Args;
-use crate::commands::{load_pair, parse_method, parse_weight};
+use crate::commands::load_pair;
 use crate::report::{fmt_f64, Table};
 use crate::CliError;
 use knnshap_core::analysis::monetary_payout;
-use knnshap_core::pipeline::KnnShapley;
 use knnshap_core::ShapleyValues;
 use knnshap_numerics::stats::Summary;
 use std::io::Write;
@@ -36,46 +35,16 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     args.expect_only(ALLOWED)?;
     let (train, test) = load_pair(args)?;
     let k = args.usize_or("k", 1)?;
-    let method = parse_method(args)?;
-    let weight = parse_weight(args)?;
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
     let top = args.usize_or("top", 10)?;
-    let shards = args.usize_or("shards", 0)?;
-
-    let graph = super::load_graph(args, &train.x, &test.x)?;
-
-    let started = std::time::Instant::now();
-    let (sv, permutations) = if shards > 0 {
-        // In-process sharded run: N partials through the wire format, then
-        // the deterministic merge — bitwise-identical to the unsharded path.
-        super::shard::run_sharded(
-            &train,
-            &test,
-            k,
-            method,
-            weight,
-            graph.as_ref(),
-            shards,
-            threads,
-        )?
-    } else {
-        let mut builder = KnnShapley::new(&train, &test)
-            .k(k)
-            .weight(weight)
-            .method(method)
-            .threads(threads);
-        if let Some(g) = &graph {
-            builder = builder.graph(g);
-        }
-        let report = builder.run_report()?;
-        (report.values, report.permutations)
-    };
-    let secs = started.elapsed().as_secs_f64();
+    let (valuation, secs) = super::valuate(args, &train, &test, k, threads)?;
+    let sv = valuation.values;
 
     // Per-permutation throughput of the (parallel) MC paths — the number to
     // watch when tuning --threads.
-    let mc_line =
-        permutations.map(|perms| crate::commands::mc_throughput_line(perms, secs, threads));
+    let mc_line = valuation
+        .permutations
+        .map(|perms| crate::commands::mc_throughput_line(perms, secs, threads));
 
     let payout = match args.f64_opt("revenue")? {
         Some(revenue) => {

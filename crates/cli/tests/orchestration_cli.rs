@@ -215,8 +215,8 @@ fn killed_worker_resumes_and_merge_stays_byte_identical() {
 }
 
 /// The report from its first `Valued` line on: `run-job` prints the
-/// orchestration summary (with a wall time) and its workers' `worker done:`
-/// lines before it.
+/// orchestration summary (with a wall time) before it. Its workers' `worker
+/// done:` lines go to stderr.
 fn report_tail(stdout: &str) -> &str {
     &stdout[stdout.find("Valued").expect("a value report")..]
 }
@@ -239,7 +239,12 @@ fn plan_and_run(job: &Path, plan: &[&str], workers: usize, threads: usize, out: 
         "--out",
         out.to_str().unwrap(),
     ];
-    report_tail(&run(&argv)).to_string()
+    let stdout = run(&argv);
+    assert!(
+        !stdout.lines().any(|l| l.starts_with("worker done:")),
+        "worker output leaked into run-job's stdout at --workers {w}:\n{stdout}"
+    );
+    report_tail(&stdout).to_string()
 }
 
 /// `run-job` loads, verifies and writes on `workers × threads` threads (the

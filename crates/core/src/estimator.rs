@@ -59,7 +59,6 @@ use crate::sharding::{
     finalize, hash_class_dataset, hash_reg_dataset, stream_fingerprint, weight_code, Fingerprint,
     MergedValuation, ShardKind, ShardPartial, ShardSpec,
 };
-use crate::types::ShapleyValues;
 use crate::utility::{DistMatrix, KnnClassUtility, KnnRegUtility, Utility};
 use knnshap_datasets::{ClassDataset, Features, RegDataset};
 use knnshap_knn::block::TileRows;
@@ -103,10 +102,28 @@ impl<'a> Data<'a> {
         }
     }
 
-    fn features(&self) -> (&Features, &Features) {
+    /// The same datasets, borrowed from `self` (never a copy of owned
+    /// ones).
+    pub(crate) fn reborrow(&self) -> Data<'_> {
+        match self {
+            Data::Class { train, test } => Data::class(train, test),
+            Data::Reg { train, test } => Data::reg(train, test),
+        }
+    }
+
+    pub(crate) fn features(&self) -> (&Features, &Features) {
         match self {
             Data::Class { train, test } => (&train.x, &test.x),
             Data::Reg { train, test } => (&train.x, &test.x),
+        }
+    }
+
+    /// Content hashes of the train and test sets, labels or targets
+    /// included.
+    fn hashes(&self) -> (u64, u64) {
+        match self {
+            Data::Class { train, test } => (hash_class_dataset(train), hash_class_dataset(test)),
+            Data::Reg { train, test } => (hash_reg_dataset(train), hash_reg_dataset(test)),
         }
     }
 }
@@ -114,9 +131,8 @@ impl<'a> Data<'a> {
 /// An estimator family together with its fixed item budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Family {
-    /// Theorem 1 (uniform classification), Theorem 7 (weighted
-    /// classification) or Theorem 6 (uniform regression): one item per test
-    /// point.
+    /// Theorem 1 (uniform classification), Theorem 6 (uniform regression)
+    /// or Theorem 7 (weighted, either task): one item per test point.
     Exact,
     /// Theorem 2's (ε, 0)-approximation, uniform classification only.
     Truncated { eps: f64 },
@@ -168,9 +184,8 @@ impl<'a> Estimator<'a> {
     /// Bind and validate a job. Fails with a typed [`PipelineError`] on
     /// `k == 0`, an empty train or test set, a dimension mismatch, a
     /// NaN/infinite feature, a graph built from other data, a weighted
-    /// truncated job, weighted exact regression (which does not shard),
-    /// truncation on a regression task and group testing over fewer than
-    /// two training points.
+    /// truncated job, truncation on a regression task and group testing
+    /// over fewer than two training points.
     pub fn new(
         data: Data<'a>,
         k: usize,
@@ -186,20 +201,13 @@ impl<'a> Estimator<'a> {
                 min: 2,
             });
         }
-        let uniform = matches!(weight, WeightFn::Uniform);
-        match (&data, family) {
-            (Data::Reg { .. }, Family::Truncated { .. }) => {
-                return Err(PipelineError::TaskUnsupported("Truncated"))
+        if let Family::Truncated { .. } = family {
+            if let Data::Reg { .. } = data {
+                return Err(PipelineError::TaskUnsupported("Truncated"));
             }
-            (_, Family::Truncated { .. }) if !uniform => {
-                return Err(PipelineError::WeightedUnsupported("Truncated"))
+            if !matches!(weight, WeightFn::Uniform) {
+                return Err(PipelineError::WeightedUnsupported("Truncated"));
             }
-            (Data::Reg { .. }, Family::Exact) if !uniform => {
-                return Err(PipelineError::WeightedUnsupported(
-                    "sharded exact regression",
-                ))
-            }
-            _ => {}
         }
         Ok(Self {
             data,
@@ -314,37 +322,35 @@ impl<'a> Estimator<'a> {
             };
             stream_fingerprint(domain, seed, content)
         };
-        match (&self.data, self.family) {
-            (Data::Class { train, test }, Family::Exact) => {
-                let fp = Fingerprint::new("exact-class").u64(k as u64);
-                let fp = match weight {
+        // The per-test families hash `K`, then what the family adds (a
+        // non-uniform weight, ε), then the datasets. A uniform weight adds
+        // nothing: uniform headers predate weights in the fingerprint and
+        // keep their bytes.
+        let per_test = |fp: Fingerprint| {
+            let (train, test) = self.data.hashes();
+            fp.u64(train).u64(test).finish()
+        };
+        match self.family {
+            Family::Exact => {
+                let domain = match self.data {
+                    Data::Class { .. } => "exact-class",
+                    Data::Reg { .. } => "exact-reg",
+                };
+                let fp = Fingerprint::new(domain).u64(k as u64);
+                per_test(match weight {
                     WeightFn::Uniform => fp,
                     _ => {
                         let (wtag, wparam) = weight_code(weight);
                         fp.u64(wtag).f64(wparam)
                     }
-                };
-                fp.u64(hash_class_dataset(train))
-                    .u64(hash_class_dataset(test))
-                    .finish()
+                })
             }
-            (Data::Reg { train, test }, Family::Exact) => Fingerprint::new("exact-reg")
-                .u64(k as u64)
-                .u64(hash_reg_dataset(train))
-                .u64(hash_reg_dataset(test))
-                .finish(),
-            (Data::Class { train, test }, Family::Truncated { eps }) => {
-                Fingerprint::new("truncated")
-                    .u64(k as u64)
-                    .f64(eps)
-                    .u64(hash_class_dataset(train))
-                    .u64(hash_class_dataset(test))
-                    .finish()
+            Family::Truncated { eps } => {
+                per_test(Fingerprint::new("truncated").u64(k as u64).f64(eps))
             }
-            (Data::Reg { .. }, Family::Truncated { .. }) => unreachable!("rejected by new()"),
-            (_, Family::McBaseline { seed, .. }) => stream("mc-baseline", seed),
-            (_, Family::McImproved { seed, .. }) => stream("mc-improved", seed),
-            (_, Family::GroupTesting { seed, .. }) => stream("group-testing", seed),
+            Family::McBaseline { seed, .. } => stream("mc-baseline", seed),
+            Family::McImproved { seed, .. } => stream("mc-improved", seed),
+            Family::GroupTesting { seed, .. } => stream("group-testing", seed),
         }
     }
 
@@ -365,7 +371,23 @@ impl<'a> Estimator<'a> {
                     crate::exact_regression::fill_ranked(train, r, test.y[j], k, out)
                 })
             }
-            (data, Family::Exact) => weighted_sums(data, ranks, range, threads, k, self.weight),
+            (Data::Class { train, test }, Family::Exact) => {
+                per_test_sums(ranks, range, threads, None, |j, r, out| {
+                    crate::exact_weighted::fill_class_ranked(
+                        train,
+                        r,
+                        test.y[j],
+                        k,
+                        self.weight,
+                        out,
+                    )
+                })
+            }
+            (Data::Reg { train, test }, Family::Exact) => {
+                per_test_sums(ranks, range, threads, None, |j, r, out| {
+                    crate::exact_weighted::fill_reg_ranked(train, r, test.y[j], k, self.weight, out)
+                })
+            }
             (Data::Class { train, test }, Family::Truncated { eps }) => {
                 let ks = crate::truncated::k_star(k, eps);
                 per_test_sums(ranks, range, threads, Some(ks), |j, r, out| {
@@ -586,39 +608,4 @@ where
         RankScratch::new,
         |j, unit, st, out| fill(j, ranks.rank(j, unit.end, prefix, st), out),
     )
-}
-
-/// Theorem 7's per-test sums for either task, under any weight function.
-fn weighted_sums(
-    data: &Data<'_>,
-    ranks: Ranks<'_>,
-    range: Range<usize>,
-    threads: usize,
-    k: usize,
-    weight: WeightFn,
-) -> ExactVec {
-    match data {
-        Data::Class { train, test } => per_test_sums(ranks, range, threads, None, |j, r, out| {
-            crate::exact_weighted::fill_class_ranked(train, r, test.y[j], k, weight, out)
-        }),
-        Data::Reg { train, test } => per_test_sums(ranks, range, threads, None, |j, r, out| {
-            crate::exact_weighted::fill_reg_ranked(train, r, test.y[j], k, weight, out)
-        }),
-    }
-}
-
-/// Theorem 7 values averaged over the test set, for either task and under
-/// any weight function, on the same fold as the seam's families. Weighted
-/// regression runs here rather than through [`Estimator`]: it has no shard
-/// identity, so it never shards.
-pub(crate) fn weighted_values(
-    data: &Data<'_>,
-    k: usize,
-    weight: WeightFn,
-    graph: Option<&KnnGraph>,
-    threads: usize,
-) -> ShapleyValues {
-    let n_test = data.features().1.len();
-    let sums = weighted_sums(data, ranks(data, graph), 0..n_test, threads, k, weight);
-    crate::sharding::finalize_mean(&sums, n_test as u64, threads)
 }

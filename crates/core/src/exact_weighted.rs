@@ -30,7 +30,7 @@
 //! `s_{α_i} = s_{α_{i+1}} + Δ`, which is what we implement.
 
 use crate::composite::GameForm;
-use crate::estimator::Data;
+use crate::estimator::{Data, Estimator, Family};
 use crate::types::ShapleyValues;
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::distance::Metric;
@@ -390,7 +390,11 @@ pub(crate) fn fill_reg_ranked(
 /// Multi-test weighted classification SVs (average of per-test games),
 /// parallelized over test points into exact accumulators — bitwise-identical
 /// at every thread count and reproducible by any full shard set of the
-/// weighted [`crate::estimator::Estimator`].
+/// weighted [`Estimator`].
+///
+/// # Panics
+///
+/// Panics on data [`Estimator::new`] rejects.
 pub fn weighted_knn_class_shapley(
     train: &ClassDataset,
     test: &ClassDataset,
@@ -398,14 +402,18 @@ pub fn weighted_knn_class_shapley(
     weight: WeightFn,
     threads: usize,
 ) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    crate::estimator::weighted_values(&Data::class(train, test), k, weight, None, threads)
+    Estimator::new(Data::class(train, test), k, weight, Family::Exact, None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .run(threads)
+        .values
 }
 
-/// Multi-test weighted regression SVs (exact accumulation; same thread
-/// invariance as [`weighted_knn_class_shapley`]). Weighted regression does
-/// not shard; a precomputed graph reaches it through
-/// [`crate::pipeline::RegShapley::graph`].
+/// Multi-test weighted regression SVs, with the same thread and shard
+/// invariance as [`weighted_knn_class_shapley`].
+///
+/// # Panics
+///
+/// Panics on data [`Estimator::new`] rejects.
 pub fn weighted_knn_reg_shapley(
     train: &RegDataset,
     test: &RegDataset,
@@ -413,8 +421,10 @@ pub fn weighted_knn_reg_shapley(
     weight: WeightFn,
     threads: usize,
 ) -> ShapleyValues {
-    assert!(!test.is_empty(), "need at least one test point");
-    crate::estimator::weighted_values(&Data::reg(train, test), k, weight, None, threads)
+    Estimator::new(Data::reg(train, test), k, weight, Family::Exact, None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .run(threads)
+        .values
 }
 
 #[cfg(test)]

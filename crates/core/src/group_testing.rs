@@ -27,7 +27,6 @@
 //! *relative*: its exact algorithm beats the best generic SV estimators.
 //! This module is that generic competitor, wired into the Fig. 6 harness.
 
-use crate::sharding::{ShardKind, ShardPartial, ShardSpec};
 use crate::types::ShapleyValues;
 use crate::utility::Utility;
 use knnshap_numerics::exact::{ExactSum, ExactVec};
@@ -125,9 +124,9 @@ pub(crate) fn recover_values(
 /// Test `t` draws its coalition from counter-based stream `t` of `seed` (a
 /// pure function of `(seed, t)`), and the per-point accumulators are exact —
 /// so the recovered values are **bitwise-identical for every `threads`
-/// value** and for every sharding of the test-stream range
-/// ([`group_testing_shapley_shard`]), matching the contract of the Monte
-/// Carlo estimators in [`crate::mc`].
+/// value** and for every sharding of the test-stream range (the
+/// `GroupTesting` family of [`crate::estimator::Estimator`]), matching the
+/// contract of the Monte Carlo estimators in [`crate::mc`].
 pub fn group_testing_shapley_with_threads<U: Utility + ?Sized>(
     u: &U,
     tests: usize,
@@ -141,8 +140,7 @@ pub fn group_testing_shapley_with_threads<U: Utility + ?Sized>(
 }
 
 /// The fold over coalition-test streams `range` — shared by the
-/// fixed-budget estimator, its shard entry point and
-/// [`crate::estimator::Estimator`]: exact per-point/shared accumulators in
+/// fixed-budget estimator and [`crate::estimator::Estimator`]: exact per-point/shared accumulators in
 /// [`crate::sharding::static_fold_block`] units. The tiling is bitwise-free:
 /// accumulators are exact, so every block partition deposits the same
 /// multiset of summands.
@@ -192,61 +190,13 @@ pub(crate) fn gt_sums<U: Utility + ?Sized>(
     )
 }
 
-/// The job fingerprint of the group-testing family (utility content + seed).
-pub fn group_testing_fingerprint<U: Utility + ?Sized>(u: &U, seed: u64) -> u64 {
-    crate::sharding::stream_fingerprint("group-testing", seed, u.fingerprint())
-}
-
-/// Group-testing partial sums over one canonical shard of the coalition-test
-/// stream range.
-///
-/// ### Determinism contract
-///
-/// The shard stores `ν(I)` in its header (bitwise-checked equal across
-/// shards at merge time) and its exact `point`/`shared` accumulators in the
-/// payload; [`crate::sharding::merge_partials`] folds them and runs the
-/// same `recover_values` finalization as the unsharded estimator, reproducing
-/// [`group_testing_shapley_with_threads`] bit for bit at every shard and
-/// thread count.
-///
-/// ```
-/// use knnshap_core::group_testing::{group_testing_shapley, group_testing_shapley_shard};
-/// use knnshap_core::sharding::{merge_partials, ShardSpec};
-/// use knnshap_core::utility::KnnClassUtility;
-/// use knnshap_datasets::synth::blobs::{self, BlobConfig};
-///
-/// let cfg = BlobConfig { n: 8, dim: 2, n_classes: 2, ..Default::default() };
-/// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 2, 1));
-/// let u = KnnClassUtility::unweighted(&train, &test, 2);
-/// let parts: Vec<_> = (0..2)
-///     .map(|i| group_testing_shapley_shard(&u, 300, 5, ShardSpec::new(i, 2), 1))
-///     .collect();
-/// let merged = merge_partials(&parts).unwrap().values;
-/// let whole = group_testing_shapley(&u, 300, 5).values;
-/// assert!(merged.as_slice().iter().zip(whole.as_slice()).all(|(a, b)| a == b));
-/// ```
-pub fn group_testing_shapley_shard<U: Utility + ?Sized>(
-    u: &U,
-    tests: usize,
-    seed: u64,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(tests >= 1, "need at least one test");
-    let range = spec.range(tests);
-    let (point, shared) = gt_sums(u, seed, range.clone(), threads);
-    let fingerprint = group_testing_fingerprint(u, seed);
-    let n = u.n();
-    let partial = ShardPartial::new(ShardKind::GroupTesting, fingerprint, n, tests, range, point);
-    partial.with_shared(u.grand(), &shared)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::estimator::{Data, Estimator, Family};
     use crate::exact_enum::shapley_enumeration;
     use crate::exact_unweighted::knn_class_shapley_with_threads;
+    use crate::sharding::stream_fingerprint;
     use crate::utility::KnnClassUtility;
     use knnshap_datasets::synth::blobs::{self, BlobConfig};
     use knnshap_datasets::{ClassDataset, Features};
@@ -281,7 +231,7 @@ mod tests {
         };
         let u = KnnClassUtility::unweighted(&train, &test, 2);
         assert_eq!(
-            group_testing_fingerprint(&u, 11),
+            stream_fingerprint("group-testing", 11, u.fingerprint()),
             group_testing_class_fingerprint(11)
         );
         assert_ne!(

@@ -53,6 +53,6 @@ pub mod truncated;
 pub mod types;
 pub mod utility;
 
-pub use pipeline::{KnnShapley, Method, RegMethod, RegShapley, Valuation};
+pub use pipeline::{KnnShapley, Method, Valuation};
 pub use types::ShapleyValues;
 pub use utility::Utility;

@@ -31,8 +31,8 @@
 //!   ([`knnshap_numerics::exact::ExactVec`]), whose error-free,
 //!   order-invariant merge makes the estimate a pure function of the
 //!   permutation multiset — bitwise-identical at every thread count *and*
-//!   every sharding of the stream range ([`mc_shapley_baseline_shard`],
-//!   [`mc_shapley_improved_shard`]);
+//!   every sharding of the stream range (the `McBaseline` / `McImproved`
+//!   families of [`crate::estimator::Estimator`]);
 //! * the heuristic rule and snapshot requests ingest permutations in rounds
 //!   of [`crate::bounds::mc_round_size`] streams, folding each round into a
 //!   running compensated ([`CompensatedVec`], Neumaier) estimate in
@@ -41,7 +41,7 @@
 //!   therefore **not shardable** — a shard cannot know whether an earlier
 //!   shard would have stopped; use a fixed budget to shard.
 
-use crate::sharding::{Fingerprint, ShardKind, ShardPartial, ShardSpec};
+use crate::sharding::Fingerprint;
 use crate::types::ShapleyValues;
 use crate::utility::{DistMatrix, Utility};
 use knnshap_datasets::{ClassDataset, RegDataset};
@@ -358,7 +358,7 @@ fn baseline_worker<'a, U: Utility + ?Sized>(
 }
 
 /// Baseline-MC exact partial sums over permutation streams `range` — the
-/// one fold behind the fixed-budget estimator, its shard entry point and
+/// one fold behind the fixed-budget estimator and
 /// [`crate::estimator::Estimator`].
 pub(crate) fn baseline_sums<U: Utility + ?Sized>(
     u: &U,
@@ -371,58 +371,6 @@ pub(crate) fn baseline_sums<U: Utility + ?Sized>(
     run_fanout(u.n(), range, threads, || {
         baseline_worker(u, streams, nu_empty)
     })
-}
-
-/// Baseline-MC partial sums over one canonical shard of a fixed
-/// permutation-stream budget.
-///
-/// ### Determinism contract
-///
-/// Stream `t` of `seed` produces the same permutation in every process
-/// (counter-based [`RngStreams`]), and the partial sums are exact, so
-/// merging any full shard set with [`crate::sharding::merge_partials`]
-/// reproduces `mc_shapley_baseline(u, StoppingRule::Fixed(budget), seed,
-/// None)` bit for bit — at every shard count and every thread count. The
-/// heuristic stopping rule cannot be sharded (see the module docs); shard a
-/// fixed budget instead.
-///
-/// ```
-/// use knnshap_core::mc::{mc_shapley_baseline, mc_shapley_baseline_shard, StoppingRule};
-/// use knnshap_core::sharding::{merge_partials, ShardSpec};
-/// use knnshap_core::utility::{KnnClassUtility, Utility};
-/// use knnshap_datasets::synth::blobs::{self, BlobConfig};
-///
-/// let cfg = BlobConfig { n: 12, dim: 2, n_classes: 2, ..Default::default() };
-/// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 2, 7));
-/// let u = KnnClassUtility::unweighted(&train, &test, 2);
-/// let parts: Vec<_> = (0..3)
-///     .map(|i| mc_shapley_baseline_shard(&u, 20, 42, ShardSpec::new(i, 3), 1))
-///     .collect();
-/// let merged = merge_partials(&parts).unwrap();
-/// let whole = mc_shapley_baseline(&u, StoppingRule::Fixed(20), 42, None);
-/// assert_eq!(merged.items, 20);
-/// for i in 0..u.n() {
-///     assert_eq!(merged.values.get(i).to_bits(), whole.values.get(i).to_bits());
-/// }
-/// ```
-pub fn mc_shapley_baseline_shard<U: Utility + ?Sized>(
-    u: &U,
-    budget: usize,
-    seed: u64,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(budget >= 1, "need at least one permutation");
-    let n = u.n();
-    let range = spec.range(budget);
-    let sums = baseline_sums(u, seed, range.clone(), threads);
-    let fingerprint = mc_baseline_fingerprint(u, seed);
-    ShardPartial::new(ShardKind::McBaseline, fingerprint, n, budget, range, sums)
-}
-
-/// The job fingerprint of the baseline-MC family (utility content + seed).
-pub fn mc_baseline_fingerprint<U: Utility + ?Sized>(u: &U, seed: u64) -> u64 {
-    crate::sharding::stream_fingerprint("mc-baseline", seed, u.fingerprint())
 }
 
 /// The immutable half of [`IncKnnUtility`], shared (via `Arc`) by every fork
@@ -599,8 +547,8 @@ impl IncKnnUtility {
     }
 
     /// Content fingerprint (dataset features, labels/targets, K, weights) —
-    /// the job-identity half of [`mc_shapley_improved_shard`]'s shard
-    /// headers; see [`crate::sharding`]. Cached at construction from the
+    /// the job-identity half of an improved-MC shard header; see
+    /// [`crate::sharding`]. Cached at construction from the
     /// dataset contents (never from the derived distance matrix), so
     /// cross-checkers can recompute it via
     /// [`class_content_fingerprint`](Self::class_content_fingerprint) /
@@ -798,52 +746,6 @@ pub(crate) fn improved_sums(
     run_fanout(u.n(), range, threads, || improved_worker(u, streams))
 }
 
-/// Improved-MC (Algorithm 2) partial sums over one canonical shard of a
-/// fixed permutation-stream budget. Same determinism contract as
-/// [`mc_shapley_baseline_shard`]: merging a full shard set reproduces
-/// `mc_shapley_improved(u, StoppingRule::Fixed(budget), seed, None)` bit
-/// for bit at every shard and thread count.
-///
-/// ```
-/// use knnshap_core::mc::{
-///     mc_shapley_improved, mc_shapley_improved_shard, IncKnnUtility, StoppingRule,
-/// };
-/// use knnshap_core::sharding::{merge_partials, ShardSpec};
-/// use knnshap_datasets::synth::blobs::{self, BlobConfig};
-/// use knnshap_knn::weights::WeightFn;
-///
-/// let cfg = BlobConfig { n: 15, dim: 2, n_classes: 2, ..Default::default() };
-/// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 2, 3));
-/// let mut inc = IncKnnUtility::classification(&train, &test, 2, WeightFn::Uniform);
-/// let parts: Vec<_> = (0..2)
-///     .map(|i| mc_shapley_improved_shard(&inc, 50, 9, ShardSpec::new(i, 2), 1))
-///     .collect();
-/// let merged = merge_partials(&parts).unwrap();
-/// let whole = mc_shapley_improved(&mut inc, StoppingRule::Fixed(50), 9, None);
-/// for i in 0..inc.n() {
-///     assert_eq!(merged.values.get(i).to_bits(), whole.values.get(i).to_bits());
-/// }
-/// ```
-pub fn mc_shapley_improved_shard(
-    u: &IncKnnUtility,
-    budget: usize,
-    seed: u64,
-    spec: ShardSpec,
-    threads: usize,
-) -> ShardPartial {
-    assert!(budget >= 1, "need at least one permutation");
-    let n = u.n();
-    let range = spec.range(budget);
-    let sums = improved_sums(u, seed, range.clone(), threads);
-    let fingerprint = mc_improved_fingerprint(u, seed);
-    ShardPartial::new(ShardKind::McImproved, fingerprint, n, budget, range, sums)
-}
-
-/// The job fingerprint of the improved-MC family (utility content + seed).
-pub fn mc_improved_fingerprint(u: &IncKnnUtility, seed: u64) -> u64 {
-    crate::sharding::stream_fingerprint("mc-improved", seed, u.fingerprint())
-}
-
 /// Empirical "ground truth" permutation demand (Fig. 11): the first `t` at
 /// which the running estimate is within `eps` of `reference` in `‖·‖_∞`.
 /// Returns `None` if `max_t` permutations never reach it.
@@ -914,6 +816,7 @@ mod tests {
     use super::*;
     use crate::estimator::{Data, Estimator, Family};
     use crate::exact_unweighted::knn_class_shapley_with_threads;
+    use crate::sharding::stream_fingerprint;
     use crate::utility::{KnnClassUtility, KnnRegUtility};
     use knnshap_datasets::Features;
     use knnshap_numerics::sampling::shuffle_in_place;
@@ -944,12 +847,12 @@ mod tests {
         for weight in [WeightFn::Uniform, WeightFn::InverseDistance { eps: 1e-3 }] {
             let u = KnnClassUtility::new(&train, &test, 3, weight);
             assert_eq!(
-                mc_baseline_fingerprint(&u, 7),
+                stream_fingerprint("mc-baseline", 7, u.fingerprint()),
                 mc_baseline_class_fingerprint(weight, 7)
             );
             let inc = IncKnnUtility::classification(&train, &test, 3, weight);
             assert_eq!(
-                mc_improved_fingerprint(&inc, 7),
+                stream_fingerprint("mc-improved", 7, inc.fingerprint()),
                 mc_improved_class_fingerprint(weight, 7)
             );
         }

@@ -1,11 +1,12 @@
 //! High-level valuation pipeline — the crate's front door.
 //!
-//! [`KnnShapley`] wires dataset statistics, method selection and threading
-//! into one builder, dispatching to the right algorithm for the
-//! configuration, mirroring the decision guide in the paper's §6.2 "Remarks":
-//! exact for default use, truncated/LSH when a moderate ε is acceptable and K
-//! is small, Monte Carlo for weighted models where the exact algorithm is
-//! O(N^K).
+//! [`KnnShapley`] is one builder for both tasks: it binds the datasets, `K`,
+//! weights, method, threads and an optional precomputed graph, then runs
+//! the right algorithm for the configuration, mirroring the decision guide
+//! in the paper's §6.2 "Remarks": exact for default use, truncated/LSH when
+//! a moderate ε is acceptable and K is small, Monte Carlo for weighted
+//! models where the exact algorithm is O(N^K). Every method but kd-tree and
+//! LSH retrieval runs through [`Estimator`].
 //!
 //! ```
 //! use knnshap_core::pipeline::{KnnShapley, Method};
@@ -24,10 +25,10 @@
 
 use crate::composite::GameForm;
 use crate::curator::{curator_class_shapley, Ownership};
-use crate::estimator::{check_data, weighted_values, Data, Estimator, Family};
+use crate::estimator::{check_data, Data, Estimator, Family};
 use crate::mc::StoppingRule;
 use crate::types::ShapleyValues;
-use knnshap_datasets::{contrast, ClassDataset, RegDataset};
+use knnshap_datasets::{contrast, ClassDataset};
 use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::weights::WeightFn;
 use knnshap_lsh::index::LshIndex;
@@ -35,8 +36,8 @@ use knnshap_lsh::index::LshIndex;
 /// Valuation algorithm selection.
 #[derive(Debug, Clone, Copy)]
 pub enum Method {
-    /// Theorem 1 (unweighted, O(N log N)/test) or Theorem 7 (weighted,
-    /// O(N^K)/test), chosen by the configured weight function.
+    /// Theorem 1 or 6 (unweighted, O(N log N)/test) or Theorem 7 (weighted,
+    /// O(N^K)/test), chosen by the task and the configured weight function.
     Exact,
     /// Theorem 2: (ε, 0)-approximation with exact partial retrieval.
     /// Unweighted classification only.
@@ -61,6 +62,29 @@ pub enum Method {
     McImproved { rule: StoppingRule, seed: u64 },
 }
 
+impl Method {
+    /// The [`Family`] this method binds over `n_train` training points, with
+    /// its item budget (for Monte Carlo, the stopping rule's a-priori
+    /// budget). `None` for kd-tree and LSH retrieval, which rank through
+    /// their own index outside the seam.
+    pub fn family(self, n_train: usize) -> Option<Family> {
+        let n = n_train.max(1);
+        Some(match self {
+            Method::Exact => Family::Exact,
+            Method::Truncated { eps } => Family::Truncated { eps },
+            Method::McBaseline { rule, seed } => Family::McBaseline {
+                perms: rule.budget(n),
+                seed,
+            },
+            Method::McImproved { rule, seed } => Family::McImproved {
+                perms: rule.budget(n),
+                seed,
+            },
+            Method::TruncatedTree { .. } | Method::Lsh { .. } => return None,
+        })
+    }
+}
+
 /// Configuration errors surfaced by [`KnnShapley::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
@@ -82,8 +106,8 @@ pub enum PipelineError {
     /// The attached KNN graph was built from different datasets (shape or
     /// content fingerprint drift).
     GraphMismatch(String),
-    /// The selected method does not apply to this task (truncation is
-    /// classification-only).
+    /// The selected method does not apply to this task (truncation, kd-tree
+    /// and LSH retrieval and curator valuation are classification-only).
     TaskUnsupported(&'static str),
     /// `K` is zero: a KNN utility needs at least one neighbor.
     ZeroK,
@@ -121,8 +145,7 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// A valuation plus run metadata, returned by
-/// [`KnnShapley::run_report`]/[`RegShapley::run_report`].
+/// A valuation plus run metadata, returned by [`KnnShapley::run_report`].
 #[derive(Debug, Clone)]
 pub struct Valuation {
     pub values: ShapleyValues,
@@ -140,10 +163,10 @@ impl From<ShapleyValues> for Valuation {
     }
 }
 
-/// Builder for classification-task data valuation.
+/// Builder for data valuation, over classification or regression data
+/// (negative-MSE utility, eq. 25/27, for regression).
 pub struct KnnShapley<'a> {
-    train: &'a ClassDataset,
-    test: &'a ClassDataset,
+    data: Data<'a>,
     k: usize,
     weight: WeightFn,
     method: Method,
@@ -152,13 +175,30 @@ pub struct KnnShapley<'a> {
 }
 
 impl<'a> KnnShapley<'a> {
-    /// Start a pipeline with the paper's defaults: K = 1, unweighted, exact,
-    /// the workspace default worker count (`KNNSHAP_THREADS`, else one per
-    /// core).
+    /// Start a classification pipeline: shorthand for
+    /// [`over`](Self::over)`(Data::class(train, test))`.
     pub fn new(train: &'a ClassDataset, test: &'a ClassDataset) -> Self {
+        Self::over(Data::class(train, test))
+    }
+
+    /// Start a pipeline over either task's data with the paper's defaults:
+    /// K = 1, unweighted, exact, the workspace default worker count
+    /// (`KNNSHAP_THREADS`, else one per core).
+    ///
+    /// ```
+    /// use knnshap_core::estimator::Data;
+    /// use knnshap_core::pipeline::KnnShapley;
+    /// use knnshap_datasets::synth::regression::{self, RegressionConfig};
+    ///
+    /// let cfg = RegressionConfig { n: 200, ..Default::default() };
+    /// let train = regression::generate(&cfg);
+    /// let test = regression::queries(&cfg, 10);
+    /// let sv = KnnShapley::over(Data::reg(&train, &test)).k(3).run().unwrap();
+    /// assert_eq!(sv.len(), 200);
+    /// ```
+    pub fn over(data: Data<'a>) -> Self {
         Self {
-            train,
-            test,
+            data,
             k: 1,
             weight: WeightFn::Uniform,
             method: Method::Exact,
@@ -189,17 +229,29 @@ impl<'a> KnnShapley<'a> {
     }
 
     /// Attach a precomputed [`KnnGraph`] so the run skips the distance pass.
-    /// The graph is fingerprint-checked against the datasets at run time; the
-    /// result stays bitwise-identical to the brute-force path for every
-    /// method that does its retrieval through ranked neighbor lists
+    /// The graph is label-free, so one artifact serves both tasks over the
+    /// same features. It is fingerprint-checked against the datasets at run
+    /// time; the result stays bitwise-identical to the brute-force path for
+    /// every method that does its retrieval through ranked neighbor lists
     /// (exact, truncated, Monte Carlo). LSH and kd-tree retrieval reject it.
     pub fn graph(mut self, graph: &'a KnnGraph) -> Self {
         self.graph = Some(graph);
         self
     }
 
-    fn validate(&self) -> Result<(), PipelineError> {
-        check_data(&self.train.x, &self.test.x, self.k, self.graph)
+    /// The shared checks, then the classification datasets — or
+    /// [`PipelineError::TaskUnsupported`] naming `method` on regression
+    /// data.
+    fn class_data(
+        &self,
+        method: &'static str,
+    ) -> Result<(&ClassDataset, &ClassDataset), PipelineError> {
+        let (train_x, test_x) = self.data.features();
+        check_data(train_x, test_x, self.k, self.graph)?;
+        match &self.data {
+            Data::Class { train, test } => Ok((train, test)),
+            Data::Reg { .. } => Err(PipelineError::TaskUnsupported(method)),
+        }
     }
 
     /// Execute the configured valuation.
@@ -215,49 +267,39 @@ impl<'a> KnnShapley<'a> {
     /// Monte Carlo under the heuristic stop then drives the estimator's game
     /// round by round instead of through its fold.
     pub fn run_report(&self) -> Result<Valuation, PipelineError> {
-        let n = self.train.len().max(1);
-        let (family, rule) = match self.method {
-            Method::Exact => (Family::Exact, None),
-            Method::Truncated { eps } => (Family::Truncated { eps }, None),
-            Method::McBaseline { rule, seed } => {
-                let perms = rule.budget(n);
-                (Family::McBaseline { perms, seed }, Some(rule))
-            }
-            Method::McImproved { rule, seed } => {
-                let perms = rule.budget(n);
-                (Family::McImproved { perms, seed }, Some(rule))
-            }
-            _ => return self.run_retrieval(),
+        let n_train = self.data.features().0.len();
+        let Some(family) = self.method.family(n_train) else {
+            return self.run_retrieval();
         };
-        let data = Data::class(self.train, self.test);
+        let data = self.data.reborrow();
         let est = Estimator::new(data, self.k, self.weight, family, self.graph)?;
-        Ok(run_bound(&est, family, rule, self.threads))
+        Ok(run_bound(&est, self.method, self.threads))
     }
 
     /// The methods outside the seam: kd-tree and LSH retrieval.
     fn run_retrieval(&self) -> Result<Valuation, PipelineError> {
-        self.validate()?;
         let uniform = matches!(self.weight, WeightFn::Uniform);
         match self.method {
             Method::TruncatedTree { eps } => {
+                let (train, test) = self.class_data("TruncatedTree")?;
                 if !uniform {
                     return Err(PipelineError::WeightedUnsupported("TruncatedTree"));
                 }
                 if self.graph.is_some() {
                     return Err(PipelineError::GraphUnsupported("TruncatedTree"));
                 }
-                let tree = knnshap_knn::kdtree::KdTree::build(&self.train.x);
+                let tree = knnshap_knn::kdtree::KdTree::build(&train.x);
                 let sums = crate::sharding::exact_sums_over(
-                    self.train.len(),
-                    0..self.test.len(),
+                    train.len(),
+                    0..test.len(),
                     self.threads,
                     |j, acc| {
                         acc.add_dense(
                             crate::truncated::truncated_class_shapley_with_kdtree(
                                 &tree,
-                                self.train,
-                                self.test.x.row(j),
-                                self.test.y[j],
+                                train,
+                                test.x.row(j),
+                                test.y[j],
                                 self.k,
                                 eps,
                             )
@@ -265,33 +307,25 @@ impl<'a> KnnShapley<'a> {
                         );
                     },
                 );
-                Ok(
-                    crate::sharding::finalize_mean(&sums, self.test.len() as u64, self.threads)
-                        .into(),
-                )
+                Ok(crate::sharding::finalize_mean(&sums, test.len() as u64, self.threads).into())
             }
             Method::Lsh {
                 eps,
                 delta,
                 max_tables,
             } => {
+                let (train, test) = self.class_data("Lsh")?;
                 if !uniform {
                     return Err(PipelineError::WeightedUnsupported("Lsh"));
                 }
                 if self.graph.is_some() {
                     return Err(PipelineError::GraphUnsupported("Lsh"));
                 }
-                let ks = crate::truncated::k_star(self.k, eps).min(self.train.len());
-                let est = contrast::estimate(
-                    &self.train.x,
-                    &self.test.x,
-                    ks,
-                    16.min(self.test.len()),
-                    64,
-                    0xC0_FFEE,
-                );
+                let ks = crate::truncated::k_star(self.k, eps).min(train.len());
+                let est =
+                    contrast::estimate(&train.x, &test.x, ks, 16.min(test.len()), 64, 0xC0_FFEE);
                 let params = crate::lsh_approx::plan_index_params(
-                    self.train.len(),
+                    train.len(),
                     &est,
                     self.k,
                     eps,
@@ -300,13 +334,8 @@ impl<'a> KnnShapley<'a> {
                     max_tables,
                     0x5EED,
                 );
-                let index = LshIndex::build(&self.train.x, params);
-                Ok(
-                    crate::lsh_approx::lsh_class_shapley(
-                        &index, self.train, self.test, self.k, eps,
-                    )
-                    .into(),
-                )
+                let index = LshIndex::build(&train.x, params);
+                Ok(crate::lsh_approx::lsh_class_shapley(&index, train, test, self.k, eps).into())
             }
             Method::Exact
             | Method::Truncated { .. }
@@ -316,20 +345,20 @@ impl<'a> KnnShapley<'a> {
     }
 
     /// Value *sellers* instead of points given an ownership map
-    /// (Theorem 8 / Theorem 12). Exact only.
+    /// (Theorem 8 / Theorem 12). Exact classification only.
     pub fn run_curator(
         &self,
         ownership: &Ownership,
         form: GameForm,
     ) -> Result<ShapleyValues, PipelineError> {
-        self.validate()?;
-        if ownership.owners.len() != self.train.len() {
+        let (train, test) = self.class_data("curator valuation")?;
+        if ownership.owners.len() != train.len() {
             return Err(PipelineError::DimensionMismatch);
         }
         Ok(curator_class_shapley(
-            self.train,
+            train,
             ownership,
-            self.test,
+            test,
             self.k,
             self.weight,
             form,
@@ -340,19 +369,16 @@ impl<'a> KnnShapley<'a> {
 /// Run a bound estimator: through the seam's fold, or — for Monte Carlo
 /// under the sequential heuristic stop — on the estimator's game with the
 /// round-based drivers.
-fn run_bound(
-    est: &Estimator<'_>,
-    family: Family,
-    rule: Option<StoppingRule>,
-    threads: usize,
-) -> Valuation {
-    let res = match (family, rule) {
-        (Family::McBaseline { seed, .. }, Some(rule @ StoppingRule::Heuristic { .. })) => {
-            crate::mc::mc_shapley_baseline_with_threads(est.utility(), rule, seed, None, threads)
-        }
-        (Family::McImproved { seed, .. }, Some(rule @ StoppingRule::Heuristic { .. })) => {
-            crate::mc::mc_shapley_improved_with_threads(est.inc(), rule, seed, None, threads)
-        }
+fn run_bound(est: &Estimator<'_>, method: Method, threads: usize) -> Valuation {
+    let res = match method {
+        Method::McBaseline {
+            rule: rule @ StoppingRule::Heuristic { .. },
+            seed,
+        } => crate::mc::mc_shapley_baseline_with_threads(est.utility(), rule, seed, None, threads),
+        Method::McImproved {
+            rule: rule @ StoppingRule::Heuristic { .. },
+            seed,
+        } => crate::mc::mc_shapley_improved_with_threads(est.inc(), rule, seed, None, threads),
         _ => {
             let merged = est.run(threads);
             return Valuation {
@@ -364,129 +390,6 @@ fn run_bound(
     Valuation {
         values: res.values,
         permutations: Some(res.permutations),
-    }
-}
-
-/// Valuation algorithm selection for regression tasks.
-///
-/// The retrieval-based approximations (Theorems 2/4) are classification-only
-/// in the paper ("the application of the LSH-based approximation is still
-/// confined to the classification case", §1 C1.2), so the regression builder
-/// offers exact and Monte Carlo paths only.
-#[derive(Debug, Clone, Copy)]
-pub enum RegMethod {
-    /// Theorem 6 (unweighted, O(N log N)/test) or Theorem 7 (weighted,
-    /// O(N^K)/test), chosen by the configured weight function.
-    Exact,
-    /// Baseline permutation sampling (§2.2) over the regression utility.
-    McBaseline { rule: StoppingRule, seed: u64 },
-    /// Algorithm 2: heap-incremental permutation sampling.
-    McImproved { rule: StoppingRule, seed: u64 },
-}
-
-/// Builder for regression-task data valuation (negative-MSE utility,
-/// eq. 25/27).
-///
-/// ```
-/// use knnshap_core::pipeline::{RegShapley, RegMethod};
-/// use knnshap_datasets::synth::regression::{self, RegressionConfig};
-///
-/// let cfg = RegressionConfig { n: 200, ..Default::default() };
-/// let train = regression::generate(&cfg);
-/// let test = regression::queries(&cfg, 10);
-/// let sv = RegShapley::new(&train, &test).k(3).run().unwrap();
-/// assert_eq!(sv.len(), 200);
-/// ```
-pub struct RegShapley<'a> {
-    train: &'a RegDataset,
-    test: &'a RegDataset,
-    k: usize,
-    weight: WeightFn,
-    method: RegMethod,
-    threads: usize,
-    graph: Option<&'a KnnGraph>,
-}
-
-impl<'a> RegShapley<'a> {
-    /// Start a regression pipeline: K = 1, unweighted, exact, the workspace
-    /// default worker count (`KNNSHAP_THREADS`, else one per core).
-    pub fn new(train: &'a RegDataset, test: &'a RegDataset) -> Self {
-        Self {
-            train,
-            test,
-            k: 1,
-            weight: WeightFn::Uniform,
-            method: RegMethod::Exact,
-            threads: knnshap_parallel::current_threads(),
-            graph: None,
-        }
-    }
-
-    /// Set `K`; zero is refused by `run` with [`PipelineError::ZeroK`].
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    pub fn weight(mut self, weight: WeightFn) -> Self {
-        self.weight = weight;
-        self
-    }
-
-    pub fn method(mut self, method: RegMethod) -> Self {
-        self.method = method;
-        self
-    }
-
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Attach a precomputed [`KnnGraph`] so the run skips the distance pass.
-    /// The graph is label-free, so the same artifact serves classification
-    /// and regression over the same features. Fingerprint-checked at run
-    /// time; results stay bitwise-identical to the brute-force path.
-    pub fn graph(mut self, graph: &'a KnnGraph) -> Self {
-        self.graph = Some(graph);
-        self
-    }
-
-    fn validate(&self) -> Result<(), PipelineError> {
-        check_data(&self.train.x, &self.test.x, self.k, self.graph)
-    }
-
-    /// Execute the configured valuation.
-    pub fn run(&self) -> Result<ShapleyValues, PipelineError> {
-        self.run_report().map(|r| r.values)
-    }
-
-    /// Execute the configured valuation and return it with run metadata
-    /// (permutation counts for the Monte Carlo methods). Routed like
-    /// [`KnnShapley::run_report`]; weighted exact regression, which has no
-    /// shard identity, runs on the seam's fold without the seam.
-    pub fn run_report(&self) -> Result<Valuation, PipelineError> {
-        let n = self.train.len().max(1);
-        let (family, rule) = match self.method {
-            RegMethod::Exact if !matches!(self.weight, WeightFn::Uniform) => {
-                self.validate()?;
-                let data = Data::reg(self.train, self.test);
-                let values = weighted_values(&data, self.k, self.weight, self.graph, self.threads);
-                return Ok(values.into());
-            }
-            RegMethod::Exact => (Family::Exact, None),
-            RegMethod::McBaseline { rule, seed } => {
-                let perms = rule.budget(n);
-                (Family::McBaseline { perms, seed }, Some(rule))
-            }
-            RegMethod::McImproved { rule, seed } => {
-                let perms = rule.budget(n);
-                (Family::McImproved { perms, seed }, Some(rule))
-            }
-        };
-        let data = Data::reg(self.train, self.test);
-        let est = Estimator::new(data, self.k, self.weight, family, self.graph)?;
-        Ok(run_bound(&est, family, rule, self.threads))
     }
 }
 
@@ -748,6 +651,7 @@ mod tests {
     mod regression {
         use super::*;
         use knnshap_datasets::synth::regression::{self, RegressionConfig};
+        use knnshap_datasets::RegDataset;
 
         fn reg_data() -> (RegDataset, RegDataset) {
             let cfg = RegressionConfig {
@@ -760,7 +664,10 @@ mod tests {
         #[test]
         fn exact_unweighted_runs_and_distributes_utility() {
             let (train, test) = reg_data();
-            let sv = RegShapley::new(&train, &test).k(3).run().unwrap();
+            let sv = KnnShapley::over(Data::reg(&train, &test))
+                .k(3)
+                .run()
+                .unwrap();
             assert_eq!(sv.len(), 80);
             let u = crate::utility::KnnRegUtility::unweighted(&train, &test, 3);
             use crate::utility::Utility;
@@ -771,7 +678,7 @@ mod tests {
         fn weighted_exact_dispatches() {
             let (train, test) = reg_data();
             let small = train.gather(&(0..30).collect::<Vec<_>>());
-            let sv = RegShapley::new(&small, &test)
+            let sv = KnnShapley::over(Data::reg(&small, &test))
                 .k(2)
                 .weight(WeightFn::Exponential { beta: 0.5 })
                 .run()
@@ -782,10 +689,13 @@ mod tests {
         #[test]
         fn mc_improved_tracks_exact() {
             let (train, test) = reg_data();
-            let exact = RegShapley::new(&train, &test).k(2).run().unwrap();
-            let mc = RegShapley::new(&train, &test)
+            let exact = KnnShapley::over(Data::reg(&train, &test))
                 .k(2)
-                .method(RegMethod::McImproved {
+                .run()
+                .unwrap();
+            let mc = KnnShapley::over(Data::reg(&train, &test))
+                .k(2)
+                .method(Method::McImproved {
                     rule: StoppingRule::Fixed(4000),
                     seed: 3,
                 })
@@ -803,8 +713,8 @@ mod tests {
         #[test]
         fn mc_baseline_runs() {
             let (train, test) = reg_data();
-            let sv = RegShapley::new(&train, &test)
-                .method(RegMethod::McBaseline {
+            let sv = KnnShapley::over(Data::reg(&train, &test))
+                .method(Method::McBaseline {
                     rule: StoppingRule::Fixed(20),
                     seed: 5,
                 })
@@ -818,11 +728,15 @@ mod tests {
             let (train, test) = reg_data();
             let empty = RegDataset::new(Features::new(vec![], train.dim()), vec![]);
             assert_eq!(
-                RegShapley::new(&train, &empty).run().unwrap_err(),
+                KnnShapley::over(Data::reg(&train, &empty))
+                    .run()
+                    .unwrap_err(),
                 PipelineError::EmptyTestSet
             );
             assert_eq!(
-                RegShapley::new(&empty, &test).run().unwrap_err(),
+                KnnShapley::over(Data::reg(&empty, &test))
+                    .run()
+                    .unwrap_err(),
                 PipelineError::EmptyTrainSet
             );
         }

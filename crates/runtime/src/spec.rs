@@ -167,10 +167,7 @@ impl JobSpec {
         }
         let uniform = matches!(self.weight, WeightFn::Uniform);
         match (self.task, self.method) {
-            (TaskKind::Reg, JobMethod::Exact) if uniform => Ok(()),
-            (TaskKind::Reg, JobMethod::Exact) => {
-                bad("regression jobs support uniform weights only".into())
-            }
+            (TaskKind::Reg, JobMethod::Exact) => Ok(()),
             (TaskKind::Reg, m) => bad(format!(
                 "regression jobs support method exact (got {})",
                 m.name()
@@ -500,7 +497,7 @@ mod tests {
         s.task = TaskKind::Reg;
         assert!(s.validate().is_err(), "reg + mc");
         s.method = JobMethod::Exact;
-        assert!(s.validate().is_err(), "reg + weighted");
+        assert!(s.validate().is_ok(), "reg + exact weighted");
         s.weight = WeightFn::Uniform;
         assert!(s.validate().is_ok(), "reg + exact uniform");
 

@@ -52,7 +52,9 @@ pub enum Launcher {
     },
     /// Spawn `program args…` as a child process per worker (the CLI passes
     /// its own binary with `worker --job <dir>`). The child inherits the
-    /// environment (`KNNSHAP_THREADS` included).
+    /// environment (`KNNSHAP_THREADS` included); its stdout goes to the
+    /// supervisor's stderr, so the supervisor's stdout carries only what
+    /// the caller prints.
     Command { program: PathBuf, args: Vec<String> },
 }
 
@@ -209,6 +211,7 @@ pub fn run_job(dirs: &JobDirs, opts: SupervisorOptions) -> Result<JobOutcome, Jo
             Launcher::Command { program, args } => {
                 let mut child = std::process::Command::new(program)
                     .args(args)
+                    .stdout(std::process::Stdio::from(std::io::stderr()))
                     .spawn()
                     .map_err(|e| crate::io_err(program, e))?;
                 Ok(Handle::watch(move || {

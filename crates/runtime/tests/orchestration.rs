@@ -85,10 +85,22 @@ impl Drop for Workspace {
     }
 }
 
-/// The seven shardable families as job specs (paths filled by caller).
+/// The seven shard kinds as job specs, with the exact kinds weighted and
+/// uniform (paths filled by caller).
 fn families(ws: &Workspace) -> Vec<(&'static str, JobSpec)> {
     let (ct, cq) = ws.class_csvs();
     let (rt, rq) = ws.reg_csvs();
+    let reg = |weight| JobSpec {
+        task: TaskKind::Reg,
+        train: rt.clone(),
+        test: rq.clone(),
+        k: K,
+        weight,
+        method: JobMethod::Exact,
+        seed: SEED,
+        shards: 5,
+        checkpoint_chunks: 2,
+    };
     let class = |method, weight| JobSpec {
         task: TaskKind::Class,
         train: ct.clone(),
@@ -103,16 +115,8 @@ fn families(ws: &Workspace) -> Vec<(&'static str, JobSpec)> {
     vec![
         ("exact-class", class(JobMethod::Exact, WeightFn::Uniform)),
         ("exact-weighted", class(JobMethod::Exact, WEIGHT)),
-        (
-            "exact-reg",
-            JobSpec {
-                task: TaskKind::Reg,
-                train: rt,
-                test: rq,
-                weight: WeightFn::Uniform,
-                ..class(JobMethod::Exact, WeightFn::Uniform)
-            },
-        ),
+        ("exact-reg", reg(WeightFn::Uniform)),
+        ("exact-reg-weighted", reg(WEIGHT)),
         (
             "truncated",
             class(JobMethod::Truncated { eps: 0.2 }, WeightFn::Uniform),
@@ -142,7 +146,14 @@ fn reference(spec: &JobSpec) -> ShapleyValues {
         TaskKind::Reg => {
             let train = knnshap_datasets::io::load_reg_csv(&spec.train).unwrap();
             let test = knnshap_datasets::io::load_reg_csv(&spec.test).unwrap();
-            knnshap_core::exact_regression::knn_reg_shapley(&train, &test, spec.k)
+            match spec.weight {
+                WeightFn::Uniform => {
+                    knnshap_core::exact_regression::knn_reg_shapley(&train, &test, spec.k)
+                }
+                w => knnshap_core::exact_weighted::weighted_knn_reg_shapley(
+                    &train, &test, spec.k, w, threads,
+                ),
+            }
         }
         TaskKind::Class => {
             let train = knnshap_datasets::io::load_class_csv(&spec.train).unwrap();
@@ -246,7 +257,8 @@ fn all_seven_families_match_unsharded_at_every_worker_count() {
 fn crash_and_resume_at_every_kill_point_is_bitwise_clean() {
     let ws = Workspace::new("crash");
     let (t, q) = ws.class_csvs();
-    let spec = JobSpec {
+    let (rt, rq) = ws.reg_csvs();
+    let truncated = JobSpec {
         task: TaskKind::Class,
         train: t,
         test: q,
@@ -257,8 +269,27 @@ fn crash_and_resume_at_every_kill_point_is_bitwise_clean() {
         shards: 2,
         checkpoint_chunks: 4,
     };
-    let want = reference(&spec);
-    let plan = plan_job(&spec, 1).unwrap();
+    let weighted_reg = JobSpec {
+        task: TaskKind::Reg,
+        train: rt,
+        test: rq,
+        weight: WEIGHT,
+        method: JobMethod::Exact,
+        // Shard 0 holds 2 of the 5 test points: one per chunk, none empty.
+        checkpoint_chunks: 2,
+        ..truncated.clone()
+    };
+    for (name, spec) in [
+        ("truncated", truncated),
+        ("exact-reg-weighted", weighted_reg),
+    ] {
+        crash_and_resume_at_every_kill_point(&ws, name, &spec);
+    }
+}
+
+fn crash_and_resume_at_every_kill_point(ws: &Workspace, name: &str, spec: &JobSpec) {
+    let want = reference(spec);
+    let plan = plan_job(spec, 1).unwrap();
 
     let kill_points: Vec<FaultPoint> = (0..spec.checkpoint_chunks)
         .flat_map(|c| {
@@ -270,7 +301,7 @@ fn crash_and_resume_at_every_kill_point_is_bitwise_clean() {
         .collect();
 
     for (ki, kill) in kill_points.into_iter().enumerate() {
-        let dirs = ws.job_dirs(&format!("job-kill-{ki}"));
+        let dirs = ws.job_dirs(&format!("job-{name}-kill-{ki}"));
         plan.save(&dirs).unwrap();
 
         // Worker 1 crashes at the kill point, leaving lease + checkpoint.
@@ -309,7 +340,7 @@ fn crash_and_resume_at_every_kill_point_is_bitwise_clean() {
         if matches!(kill, FaultPoint::AfterCheckpoint { chunk, .. } if chunk > 0)
             || matches!(kill, FaultPoint::AfterChunk { chunk, .. } if chunk > 0)
         {
-            assert_eq!(report.resumed, 1, "kill point {kill:?} must resume");
+            assert_eq!(report.resumed, 1, "{name}: kill point {kill:?} must resume");
             assert!(
                 report.chunks_computed < spec.checkpoint_chunks,
                 "resume must skip checkpointed chunks (computed {})",
@@ -318,7 +349,11 @@ fn crash_and_resume_at_every_kill_point_is_bitwise_clean() {
         }
 
         let merged = merge_job(&dirs, &plan, 3).unwrap();
-        assert_bitwise(&merged.values, &want, &format!("kill point {kill:?}"));
+        assert_bitwise(
+            &merged.values,
+            &want,
+            &format!("{name}, kill point {kill:?}"),
+        );
     }
 }
 

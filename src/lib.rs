@@ -9,9 +9,10 @@
 //! Hoeffding/Bennett sample bounds.
 //!
 //! This crate is a facade: it re-exports the workspace member crates under
-//! stable module names. Start with [`valuation::KnnShapley`] (classification)
-//! or [`valuation::RegShapley`] (regression), or the `examples/quickstart.rs`
-//! walkthrough. Streams of test points fold into a running valuation via
+//! stable module names. Start with [`valuation::KnnShapley`], one builder
+//! for both tasks (`KnnShapley::new(&train, &test)` for classification,
+//! `KnnShapley::over(Data::reg(&train, &test))` for regression), or the
+//! `examples/quickstart.rs` walkthrough. Streams of test points fold into a running valuation via
 //! `valuation::streaming::OnlineValuator`; the §7 marketplace analyses
 //! (payouts, audits, per-class summaries) live in `valuation::analysis`; a
 //! scriptable front end ships as the `knnshap` binary in `crates/cli`. Jobs

@@ -1,8 +1,9 @@
-//! The estimator seam's construction contract, over all seven shardable
-//! families: a graph built from drifted data, a weighted truncated job,
-//! `K = 0` and group testing over one training point are typed
+//! The estimator seam's construction contract, over every shardable
+//! configuration: a graph built from drifted data, a weighted truncated
+//! job, `K = 0` and group testing over one training point are typed
 //! `PipelineError`s from `Estimator::new` (or `Estimator::attach_graph`,
-//! or the pipeline builders), never panics; and a graph-backed estimator
+//! or the pipeline builder), never panics; a classification-only method on
+//! regression data is a typed error too; and a graph-backed estimator
 //! produces the brute-force partial's bytes.
 
 use knnshap::datasets::synth::blobs::{self, BlobConfig};
@@ -10,8 +11,10 @@ use knnshap::datasets::synth::regression::{self, RegressionConfig};
 use knnshap::datasets::{ClassDataset, RegDataset};
 use knnshap::knn::graph::KnnGraph;
 use knnshap::knn::WeightFn;
+use knnshap::valuation::composite::GameForm;
+use knnshap::valuation::curator::Ownership;
 use knnshap::valuation::estimator::{Data, Estimator, Family};
-use knnshap::valuation::pipeline::{KnnShapley, PipelineError, RegShapley};
+use knnshap::valuation::pipeline::{KnnShapley, Method, PipelineError};
 use knnshap::valuation::sharding::ShardSpec;
 
 fn class_data() -> (ClassDataset, ClassDataset) {
@@ -33,13 +36,14 @@ fn reg_data() -> (RegDataset, RegDataset) {
     (regression::generate(&cfg), regression::queries(&cfg, 4))
 }
 
-/// The seven shardable configurations (uniform unless noted).
-fn families() -> [(&'static str, bool, WeightFn, Family); 7] {
+/// The shardable configurations (uniform unless noted).
+fn families() -> [(&'static str, bool, WeightFn, Family); 8] {
     let inv = WeightFn::InverseDistance { eps: 1e-3 };
     [
         ("exact class", true, WeightFn::Uniform, Family::Exact),
         ("weighted exact class", true, inv, Family::Exact),
         ("exact reg", false, WeightFn::Uniform, Family::Exact),
+        ("weighted exact reg", false, inv, Family::Exact),
         (
             "truncated",
             true,
@@ -137,7 +141,10 @@ fn zero_k_and_one_point_group_testing_are_typed_errors() {
         Some(PipelineError::ZeroK)
     );
     assert_eq!(
-        RegShapley::new(&rtrain, &rtest).k(0).run().err(),
+        KnnShapley::over(Data::reg(&rtrain, &rtest))
+            .k(0)
+            .run()
+            .err(),
         Some(PipelineError::ZeroK)
     );
     // Group testing samples coalitions of at least two players.
@@ -183,4 +190,38 @@ fn graph_backed_partials_carry_the_brute_force_bytes() {
             );
         }
     }
+}
+
+#[test]
+fn classification_only_methods_on_regression_data_are_typed_errors() {
+    let (rtrain, rtest) = reg_data();
+    let builder = || KnnShapley::over(Data::reg(&rtrain, &rtest)).k(2);
+    for (method, name) in [
+        (Method::Truncated { eps: 0.2 }, "Truncated"),
+        (Method::TruncatedTree { eps: 0.2 }, "TruncatedTree"),
+        (
+            Method::Lsh {
+                eps: 0.2,
+                delta: 0.1,
+                max_tables: 4,
+            },
+            "Lsh",
+        ),
+    ] {
+        let err = builder().method(method).run().err();
+        assert_eq!(err, Some(PipelineError::TaskUnsupported(name)), "{name}");
+    }
+    let own = Ownership::round_robin(rtrain.len(), 3);
+    let err = builder().run_curator(&own, GameForm::DataOnly).err();
+    assert_eq!(
+        err,
+        Some(PipelineError::TaskUnsupported("curator valuation"))
+    );
+    // Bad data is still reported first, as `Estimator::new` reports it.
+    let err = builder()
+        .k(0)
+        .method(Method::TruncatedTree { eps: 0.2 })
+        .run()
+        .err();
+    assert_eq!(err, Some(PipelineError::ZeroK));
 }

@@ -22,10 +22,9 @@ use knnshap::valuation::exact_unweighted::{
 use knnshap::valuation::exact_weighted::{weighted_knn_class_shapley, weighted_knn_reg_shapley};
 use knnshap::valuation::group_testing::group_testing_shapley_with_threads;
 use knnshap::valuation::mc::{
-    mc_baseline_fingerprint, mc_shapley_baseline_with_threads, mc_shapley_improved_with_threads,
-    IncKnnUtility, StoppingRule,
+    mc_shapley_baseline_with_threads, mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
 };
-use knnshap::valuation::pipeline::RegShapley;
+use knnshap::valuation::pipeline::KnnShapley;
 use knnshap::valuation::resident::ResidentValuator;
 use knnshap::valuation::sharding::{merge_partials, ShardPartial, ShardSpec};
 use knnshap::valuation::types::ShapleyValues;
@@ -161,7 +160,7 @@ fn weighted_regression_graph_bitwise() {
     for threads in THREADS {
         assert_bitwise(
             &reference,
-            &RegShapley::new(&train, &test)
+            &KnnShapley::over(Data::reg(&train, &test))
                 .k(2)
                 .weight(weight)
                 .graph(&graph)
@@ -202,11 +201,12 @@ fn mc_baseline_graph_shards_bitwise() {
         perms: 100,
         seed: 7,
     };
-    let data = Data::class(&train, &test);
-    let backed = estimator(data, 2, WeightFn::Uniform, family, Some(&graph));
-    // Same dataset-content fingerprint: MC shards built on either utility
+    let data = || Data::class(&train, &test);
+    let backed = estimator(data(), 2, WeightFn::Uniform, family, Some(&graph));
+    // Same dataset-content fingerprint: MC shards built either way
     // inter-merge.
-    assert_eq!(mc_baseline_fingerprint(&brute, 7), backed.identity().1);
+    let unbacked = estimator(data(), 2, WeightFn::Uniform, family, None);
+    assert_eq!(unbacked.identity(), backed.identity());
     let reference = mc_shapley_baseline_with_threads(&brute, StoppingRule::Fixed(100), 7, None, 1);
     check_family(&reference.values, "mc baseline", |spec, threads| {
         backed.compute(spec, threads)

@@ -1,8 +1,9 @@
 //! Determinism battery for the sharded valuation runtime (ISSUE 4),
 //! completing the trilogy of `parallel_determinism.rs` (thread counts) and
 //! `mc_determinism.rs` (stochastic estimators): for every estimator with a
-//! shard-range entry point — exact classification/regression/weighted,
-//! truncated, baseline/improved MC, group testing — splitting the job into
+//! shard identity — exact classification/regression, weighted
+//! classification/regression, truncated, baseline/improved MC, group
+//! testing — splitting the job into
 //! {1, 2, 7} shards, running each shard at {1, 8} threads, round-tripping
 //! every partial through the versioned wire format, and merging must
 //! reproduce the unsharded estimator **bit for bit**.
@@ -11,21 +12,20 @@
 //! and loud rejection of version mismatches, mixed jobs (different seeds ⇒
 //! different fingerprints), coverage gaps and overlaps.
 
+use knnshap::datasets::RegDataset;
+use knnshap::knn::graph::KnnGraph;
 use knnshap::knn::WeightFn;
 use knnshap::valuation::estimator::{Data, Family};
 use knnshap::valuation::exact_unweighted::{
     knn_class_shapley_shard, knn_class_shapley_with_threads,
 };
-use knnshap::valuation::exact_weighted::weighted_knn_class_shapley;
-use knnshap::valuation::group_testing::{
-    group_testing_shapley_shard, group_testing_shapley_with_threads,
-};
+use knnshap::valuation::exact_weighted::{weighted_knn_class_shapley, weighted_knn_reg_shapley};
+use knnshap::valuation::group_testing::group_testing_shapley_with_threads;
 use knnshap::valuation::mc::{
-    mc_shapley_baseline_shard, mc_shapley_baseline_with_threads, mc_shapley_improved_shard,
-    mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
+    mc_shapley_baseline_with_threads, mc_shapley_improved_with_threads, IncKnnUtility, StoppingRule,
 };
 use knnshap::valuation::sharding::{
-    merge_partials, ShardError, ShardPartial, ShardSpec, SHARD_FORMAT_VERSION,
+    merge_partials, ShardError, ShardKind, ShardPartial, ShardSpec, SHARD_FORMAT_VERSION,
 };
 use knnshap::valuation::types::ShapleyValues;
 use knnshap::valuation::utility::KnnClassUtility;
@@ -113,6 +113,67 @@ fn weighted_classification_shards_bitwise() {
     });
 }
 
+/// `weighted_knn_reg_shapley` on a seeded instance (K = 2, inverse-distance
+/// weights, 1 thread), recorded as f64 bits by the build in which weighted
+/// regression ran outside the estimator seam and could not shard.
+const WEIGHTED_REG_BITS: &str = include_str!("fixtures/weighted_exact_reg.bits");
+
+fn weighted_reg_instance() -> (RegDataset, RegDataset) {
+    random_reg(&mut StdRng::seed_from_u64(0x6024), 24, 9)
+}
+
+const WEIGHTED_REG: WeightFn = WeightFn::InverseDistance { eps: 1e-3 };
+
+#[test]
+fn weighted_regression_shards_reproduce_the_recorded_bits() {
+    let recorded = ShapleyValues::new(
+        WEIGHTED_REG_BITS
+            .lines()
+            .map(|l| f64::from_bits(u64::from_str_radix(l, 16).expect("hex bits")))
+            .collect(),
+    );
+    let (train, test) = weighted_reg_instance();
+    assert_eq!(recorded.len(), train.len());
+    for threads in [1, 8] {
+        let whole = weighted_knn_reg_shapley(&train, &test, 2, WEIGHTED_REG, threads);
+        assert_bitwise(
+            &recorded,
+            &whole,
+            &format!("unsharded at {threads} threads"),
+        );
+    }
+    let data = || Data::reg(&train, &test);
+    let est = estimator(data(), 2, WEIGHTED_REG, Family::Exact, None);
+    check_family(&recorded, "weighted reg", |spec, threads| {
+        est.compute(spec, threads)
+    });
+    let graph = KnnGraph::build(&train.x, &test.x, 2);
+    let est = estimator(data(), 2, WEIGHTED_REG, Family::Exact, Some(&graph));
+    check_family(&recorded, "weighted reg, graph-backed", |spec, threads| {
+        est.compute(spec, threads)
+    });
+}
+
+#[test]
+fn weighted_and_uniform_regression_shards_never_merge() {
+    let (train, test) = weighted_reg_instance();
+    let part = |weight, i| {
+        let est = estimator(Data::reg(&train, &test), 2, weight, Family::Exact, None);
+        est.compute(ShardSpec::new(i, 2), 1)
+    };
+    let (weighted, uniform) = (part(WEIGHTED_REG, 0), part(WeightFn::Uniform, 1));
+    assert_eq!(weighted.meta.kind, ShardKind::ExactReg);
+    assert_eq!(uniform.meta.kind, ShardKind::ExactReg);
+    assert_ne!(weighted.meta.fingerprint, uniform.meta.fingerprint);
+    // Two weight functions differ too, not just weighted vs uniform.
+    let exponential = part(WeightFn::Exponential { beta: 0.5 }, 1);
+    assert_ne!(weighted.meta.fingerprint, exponential.meta.fingerprint);
+    let err = merge_partials(&[weighted.clone(), uniform]).unwrap_err();
+    assert!(matches!(err, ShardError::Incompatible(_)), "{err}");
+    let err = merge_partials(&[weighted, exponential]).unwrap_err();
+    assert!(matches!(err, ShardError::Incompatible(_)), "{err}");
+}
+
 #[test]
 fn truncated_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0xD4), 90, 17, 3);
@@ -136,8 +197,19 @@ fn mc_baseline_shards_bitwise() {
     let u = KnnClassUtility::unweighted(&train, &test, 2);
     let reference =
         mc_shapley_baseline_with_threads(&u, StoppingRule::Fixed(100), 7, None, 1).values;
+    let family = Family::McBaseline {
+        perms: 100,
+        seed: 7,
+    };
+    let est = estimator(
+        Data::class(&train, &test),
+        2,
+        WeightFn::Uniform,
+        family,
+        None,
+    );
     check_family(&reference, "mc baseline", |spec, threads| {
-        mc_shapley_baseline_shard(&u, 100, 7, spec, threads)
+        est.compute(spec, threads)
     });
 }
 
@@ -147,8 +219,19 @@ fn mc_improved_shards_bitwise() {
     let inc = IncKnnUtility::classification(&train, &test, 3, WeightFn::Uniform);
     let reference =
         mc_shapley_improved_with_threads(&inc, StoppingRule::Fixed(100), 11, None, 1).values;
+    let family = Family::McImproved {
+        perms: 100,
+        seed: 11,
+    };
+    let est = estimator(
+        Data::class(&train, &test),
+        3,
+        WeightFn::Uniform,
+        family,
+        None,
+    );
     check_family(&reference, "mc improved", |spec, threads| {
-        mc_shapley_improved_shard(&inc, 100, 11, spec, threads)
+        est.compute(spec, threads)
     });
 }
 
@@ -157,8 +240,19 @@ fn group_testing_shards_bitwise() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x17), 15, 3, 2);
     let u = KnnClassUtility::unweighted(&train, &test, 2);
     let reference = group_testing_shapley_with_threads(&u, 500, 13, 1).values;
+    let family = Family::GroupTesting {
+        tests: 500,
+        seed: 13,
+    };
+    let est = estimator(
+        Data::class(&train, &test),
+        2,
+        WeightFn::Uniform,
+        family,
+        None,
+    );
     check_family(&reference, "group testing", |spec, threads| {
-        group_testing_shapley_shard(&u, 500, 13, spec, threads)
+        est.compute(spec, threads)
     });
 }
 
@@ -201,18 +295,26 @@ fn merge_rejects_version_mismatch() {
 #[test]
 fn merge_rejects_mixed_seeds_sizes_and_coverage_faults() {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x39), 20, 4, 2);
-    let u = KnnClassUtility::unweighted(&train, &test, 2);
-    let parts: Vec<ShardPartial> = (0..2)
-        .map(|i| mc_shapley_baseline_shard(&u, 40, 1, ShardSpec::new(i, 2), 1))
-        .collect();
+    let shard = |perms, seed, i| {
+        let family = Family::McBaseline { perms, seed };
+        let est = estimator(
+            Data::class(&train, &test),
+            2,
+            WeightFn::Uniform,
+            family,
+            None,
+        );
+        est.compute(ShardSpec::new(i, 2), 1)
+    };
+    let parts: Vec<ShardPartial> = (0..2).map(|i| shard(40, 1, i)).collect();
 
     // Same job, different seed ⇒ fingerprint mismatch.
-    let alien = mc_shapley_baseline_shard(&u, 40, 2, ShardSpec::new(1, 2), 1);
+    let alien = shard(40, 2, 1);
     let err = merge_partials(&[parts[0].clone(), alien]).unwrap_err();
     assert!(matches!(err, ShardError::Incompatible(_)), "{err}");
 
     // Different budget ⇒ different total_items.
-    let short = mc_shapley_baseline_shard(&u, 30, 1, ShardSpec::new(1, 2), 1);
+    let short = shard(30, 1, 1);
     let err = merge_partials(&[parts[0].clone(), short]).unwrap_err();
     assert!(matches!(err, ShardError::Incompatible(_)), "{err}");
 

@@ -23,18 +23,21 @@
 //! * `golden_mc_baseline.knnshard` — baseline Monte Carlo, N = 20, K = 2,
 //!   shard 0 of 2 over 60 permutations;
 //! * `golden_mc_improved.knnshard` — improved Monte Carlo, N = 40, K = 3,
-//!   exponential weights, shard 1 of 3 over 120 permutations.
+//!   exponential weights, shard 1 of 3 over 120 permutations;
+//! * `golden_weighted_exact_reg.knnshard` — weighted (Theorem 7)
+//!   regression, N = 12, K = 2, inverse-distance weights, shard 1 of 2 over
+//!   5 test points (written by the first build in which weighted regression
+//!   sharded).
 //!
-//! The last five were written by the per-family shard entry points that
-//! `knnshap_core::estimator` replaced; they are recomputed here through the
-//! estimator seam.
+//! The five fixtures from `golden_truncated` to `golden_mc_improved` were
+//! written by the per-family shard entry points that
+//! `knnshap_core::estimator` replaced. Every fixture but the exact one is
+//! recomputed here through the estimator seam.
 
 use knnshap::knn::WeightFn;
 use knnshap::valuation::estimator::{Data, Family};
 use knnshap::valuation::exact_unweighted::knn_class_shapley_shard;
-use knnshap::valuation::group_testing::group_testing_shapley_shard;
 use knnshap::valuation::sharding::{ShardPartial, ShardSpec};
-use knnshap::valuation::utility::KnnClassUtility;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,6 +51,8 @@ const GOLDEN_EXACT_REG: &[u8] = include_bytes!("fixtures/golden_exact_reg.knnsha
 const GOLDEN_WEIGHTED_EXACT: &[u8] = include_bytes!("fixtures/golden_weighted_exact.knnshard");
 const GOLDEN_MC_BASELINE: &[u8] = include_bytes!("fixtures/golden_mc_baseline.knnshard");
 const GOLDEN_MC_IMPROVED: &[u8] = include_bytes!("fixtures/golden_mc_improved.knnshard");
+const GOLDEN_WEIGHTED_EXACT_REG: &[u8] =
+    include_bytes!("fixtures/golden_weighted_exact_reg.knnshard");
 
 fn exact_shard(threads: usize) -> ShardPartial {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x601D), 40, 9, 3);
@@ -56,8 +61,18 @@ fn exact_shard(threads: usize) -> ShardPartial {
 
 fn group_testing_shard(threads: usize) -> ShardPartial {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x601E), 40, 4, 2);
-    let u = KnnClassUtility::unweighted(&train, &test, 2);
-    group_testing_shapley_shard(&u, 300, 5, ShardSpec::new(0, 2), threads)
+    let family = Family::GroupTesting {
+        tests: 300,
+        seed: 5,
+    };
+    let est = estimator(
+        Data::class(&train, &test),
+        2,
+        WeightFn::Uniform,
+        family,
+        None,
+    );
+    est.compute(ShardSpec::new(0, 2), threads)
 }
 
 fn truncated_shard(threads: usize) -> ShardPartial {
@@ -89,6 +104,13 @@ fn weighted_exact_shard(threads: usize) -> ShardPartial {
     let (train, test) = random_class(&mut StdRng::seed_from_u64(0x6021), 12, 5, 2);
     let weight = WeightFn::InverseDistance { eps: 1e-3 };
     let est = estimator(Data::class(&train, &test), 2, weight, Family::Exact, None);
+    est.compute(ShardSpec::new(1, 2), threads)
+}
+
+fn weighted_exact_reg_shard(threads: usize) -> ShardPartial {
+    let (train, test) = random_reg(&mut StdRng::seed_from_u64(0x6025), 12, 5);
+    let weight = WeightFn::InverseDistance { eps: 1e-3 };
+    let est = estimator(Data::reg(&train, &test), 2, weight, Family::Exact, None);
     est.compute(ShardSpec::new(1, 2), threads)
 }
 
@@ -179,6 +201,15 @@ fn weighted_exact_shard_bytes_match_golden_fixture() {
         GOLDEN_WEIGHTED_EXACT,
         weighted_exact_shard,
         "weighted exact classification",
+    );
+}
+
+#[test]
+fn weighted_exact_reg_shard_bytes_match_golden_fixture() {
+    check_nonzero(
+        GOLDEN_WEIGHTED_EXACT_REG,
+        weighted_exact_reg_shard,
+        "weighted exact regression",
     );
 }
 
