@@ -27,7 +27,7 @@
 //! (never by the thread count):
 //!
 //! * a-priori budgets without snapshots fan the whole budget out over the
-//!   per-worker fold of [`crate::sharding`] into **exact** accumulators
+//!   shared dense fold of [`crate::sharding`] into one **exact** accumulator
 //!   ([`knnshap_numerics::exact::ExactVec`]), whose error-free,
 //!   order-invariant merge makes the estimate a pure function of the
 //!   permutation multiset — bitwise-identical at every thread count *and*
@@ -120,11 +120,12 @@ pub struct McResult {
 /// Fan-out drive shared by the a-priori-budget estimators and the shard
 /// entry points: run permutation streams `range` (of a job whose full
 /// stream space is `0..total`) in [`crate::sharding::static_fold_block`]
-/// claim units, depositing every marginal-contribution vector into exact
-/// accumulators — one per worker, each holding its own permutation worker
-/// and contribution scratch ([`crate::sharding::exact_fold`]). The returned
-/// partial state is a pure function of `(job, range)` — never of `threads`
-/// or of how the rest of the job is sharded.
+/// claim units, depositing every marginal-contribution vector into one
+/// exact accumulator shared by the workers, each holding its own
+/// permutation worker and contribution scratch
+/// ([`crate::sharding::exact_sums_over_dense`]). The returned partial state
+/// is a pure function of `(job, range)` — never of `threads` or of how the
+/// rest of the job is sharded.
 fn run_fanout<W, F>(
     n: usize,
     range: std::ops::Range<usize>,
@@ -135,21 +136,15 @@ where
     W: FnMut(usize, &mut [f64]),
     F: Fn() -> W + Sync,
 {
-    let sums = crate::sharding::exact_fold(
-        range.len(),
+    let perms = range.len() as u64;
+    let sums = crate::sharding::exact_sums_over_dense(
+        n,
+        range,
         threads,
-        crate::sharding::static_fold_block(range.len(), threads),
-        || ExactVec::zeros(n),
-        || (make_worker(), vec![0.0; n]),
-        |(worker, phi), sums, items| {
-            for t in items {
-                worker(range.start + t, phi);
-                sums.add_dense(phi);
-            }
-        },
-        ExactVec::merge,
+        make_worker,
+        |t, _, worker, phi| worker(t, phi),
     );
-    MC_PERMS.add(range.len() as u64);
+    MC_PERMS.add(perms);
     sums
 }
 

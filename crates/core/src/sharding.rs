@@ -70,7 +70,7 @@
 use crate::types::ShapleyValues;
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::weights::WeightFn;
-use knnshap_numerics::exact::{ExactSum, ExactVec};
+use knnshap_numerics::exact::{ExactBlock, ExactSum, ExactVec};
 use std::sync::Mutex;
 
 /// On-disk format version written/required by
@@ -522,22 +522,23 @@ pub(crate) fn finalize(
 }
 
 /// Claim-unit cap for the exact folds: enough units for the pool to balance
-/// skewed per-item costs. A unit is only a scheduling grain — accumulators
-/// live per worker, not per unit (see [`exact_fold`]) — so a serial fold
-/// uses one unit and a parallel one a few per worker, never more than this
-/// cap.
+/// skewed per-item costs. A unit is only a scheduling grain — no
+/// accumulator is allocated per unit (see [`exact_fold`] and
+/// [`exact_sums_over_dense`]) — so a serial fold uses one unit and a
+/// parallel one a few per worker, never more than this cap.
 const FOLD_BLOCKS: usize = 32;
 
 /// Claim units per worker below the [`FOLD_BLOCKS`] cap — enough slack to
 /// rebalance skewed items.
 const FOLD_BLOCKS_PER_THREAD: usize = 4;
 
-/// The one parallel fold behind every exact accumulation in the workspace.
-/// `0..count` is cut into `block`-item claim units. Each participant of a
-/// [`knnshap_parallel::par_claim`] region of at most `threads` workers
-/// claims units from one shared counter and `step`s its per-worker state
-/// `W` (from `make`, built once, on the participant's first claim) over
-/// each unit's item range, depositing into an accumulator `A`:
+/// The parallel fold behind the sparse exact accumulations (group testing,
+/// [`exact_sums_over`]). `0..count` is cut into `block`-item claim units.
+/// Each participant of a [`knnshap_parallel::par_claim`] region of at most
+/// `threads` workers claims units from one shared counter and `step`s its
+/// per-worker state `W` (from `make`, built once, on the participant's
+/// first claim) over each unit's item range, depositing into an
+/// accumulator `A`:
 ///
 /// - a serial fold (one participant) deposits straight into the total
 ///   (from `zero`, allocated on the caller): exactly one accumulator, no
@@ -550,9 +551,14 @@ const FOLD_BLOCKS_PER_THREAD: usize = 4;
 ///   RSS rose by more than the saving.)
 ///
 /// So live accumulators stay at most `min(threads, units) + 1` however many
-/// units there are, and none is allocated per unit (an exact vector's limb
-/// plane costs up to 64 bytes per training point, 32–40 at the 4–5-limb
-/// windows valuation sums need).
+/// units there are, and none is allocated per unit. Dense folds — where
+/// every item deposits a value for (nearly) every training point — do not
+/// come here: [`exact_sums_over_dense`] deposits into one accumulator that
+/// all participants share, block by block, so it holds one vector whatever
+/// the thread count. A sparse fold's items deposit a handful of `add(i, x)`
+/// each at scattered points (a coalition's members, one test point's
+/// value); sharing the total would take a lock per deposit, so those folds
+/// keep a private accumulator per worker and pay the merge instead.
 ///
 /// ### Determinism contract
 ///
@@ -600,10 +606,11 @@ where
     total.into_inner().expect("fold poisoned")
 }
 
-/// The claim-unit size of [`exact_fold`]: one unit per serial fold; a few
-/// per worker otherwise, capped at [`FOLD_BLOCKS`]. Bitwise-free choice —
-/// the accumulators are exact, so the partition (like the fold order)
-/// cannot move a bit; it is picked purely for cost.
+/// The claim-unit size of [`exact_fold`] and [`exact_sums_over_dense`]:
+/// one unit per serial fold; a few per worker otherwise, capped at
+/// [`FOLD_BLOCKS`]. Bitwise-free choice — the accumulators are exact, so
+/// the partition (like the deposit order) cannot move a bit; it is picked
+/// purely for cost.
 pub(crate) fn static_fold_block(count: usize, threads: usize) -> usize {
     let target = if threads <= 1 {
         1
@@ -613,9 +620,11 @@ pub(crate) fn static_fold_block(count: usize, threads: usize) -> usize {
     count.div_ceil(target).max(1)
 }
 
-/// [`exact_fold`] specialized to the per-item-mean families: fill a
-/// per-training-point [`ExactVec`] from each item of `range` (absolute
-/// indices), in [`static_fold_block`] units.
+/// [`exact_fold`] specialized to the sparse per-item-mean folds: `fill`
+/// deposits item `j`'s few contributions (absolute index `j` in `range`)
+/// into a per-training-point [`ExactVec`], in [`static_fold_block`] units.
+/// A fill that writes (nearly) every training point per item belongs in
+/// [`exact_sums_over_dense`].
 pub(crate) fn exact_sums_over<F>(
     n_train: usize,
     range: std::ops::Range<usize>,
@@ -636,24 +645,35 @@ where
     )
 }
 
-/// [`exact_sums_over`] for fills that touch (nearly) every training point
-/// per item — the exact recursions do, one contribution per rank: `fill`
-/// writes item `j`'s contributions into a zeroed dense `f64` scratch
-/// (`scratch[i] = contribution of train point i`), and the fold deposits
-/// the scratch with [`ExactVec::add_dense`]. `fill(j, unit, state, scratch)`
-/// also gets the absolute item range of the claim unit holding `j` — work
-/// batched over several items, such as distance rows computed a query tile
-/// at a time, must not reach past it into another worker's unit — and a
-/// per-worker state from `state`, built once per worker and reused across
-/// every item it claims (ranking buffers, say).
+/// The exact fold for fills that touch (nearly) every training point per
+/// item — the exact recursions do, one contribution per rank, and so does
+/// every Monte Carlo permutation: `fill(j, unit, state, scratch)` writes
+/// item `j`'s contributions into a zeroed dense `f64` scratch
+/// (`scratch[i] = contribution of train point i`). It also gets the
+/// absolute item range of the claim unit holding `j` — work batched over
+/// several items, such as distance rows computed a query tile at a time,
+/// must not reach past it into another worker's unit — and a per-worker
+/// state from `state`, built once per worker and reused across every item
+/// it claims (ranking buffers, a permutation worker).
 ///
-/// Identical bits to the sink-per-contribution shape — the deposited
-/// values are the same `f64`s and exact accumulation is order-invariant —
-/// but the deposits walk the accumulator array *sequentially* instead of
-/// in rank order, which is what makes per-mutation revaluation in the
-/// serving engine (and the cold batch path it must match) cache-friendly:
-/// the rank-ordered sink is a random walk over the `n_train` rows of the
-/// exact limb plane, the dense pass a linear one.
+/// Every participant deposits into **one** [`ExactVec`], shared by all of
+/// them: after filling its scratch for one item, it deposits the scratch
+/// one [`ExactBlock`] at a time ([`ExactBlock::add_dense`]), each block
+/// behind its own `Mutex`. A participant starts at the block matching its
+/// first claim unit's place among the units and wraps around, so
+/// participants sweep different blocks at any moment and rarely wait on
+/// one another. Per-worker state is the ranking buffers (or permutation
+/// worker) and one `f64` per training point of scratch; nothing is merged,
+/// and the fold holds one accumulator at every thread count.
+///
+/// Identical bits to a sink per contribution, or to per-worker vectors
+/// merged at the end — the deposited values are the same `f64`s and exact
+/// accumulation is order-invariant — but the deposits walk each block
+/// *sequentially* instead of in rank order, which is what makes
+/// per-mutation revaluation in the serving engine (and the cold batch path
+/// it must match) cache-friendly: the rank-ordered sink is a random walk
+/// over the `n_train` rows of the exact limb planes, the dense pass a
+/// linear one.
 pub(crate) fn exact_sums_over_dense<T, M, F>(
     n_train: usize,
     range: std::ops::Range<usize>,
@@ -665,22 +685,49 @@ where
     M: Fn() -> T + Sync,
     F: Fn(usize, &std::ops::Range<usize>, &mut T, &mut [f64]) + Sync,
 {
-    exact_fold(
-        range.len(),
-        threads,
-        static_fold_block(range.len(), threads),
-        || ExactVec::zeros(n_train),
-        || (vec![0.0f64; n_train], state()),
-        |(scratch, st), acc, items| {
-            let unit = range.start + items.start..range.start + items.end;
+    shared_dense_fold(range, threads, || ExactVec::zeros(n_train), state, fill)
+}
+
+/// [`exact_sums_over_dense`] with its one accumulator built by `zero`,
+/// which runs once, on the caller.
+fn shared_dense_fold<T, M, F>(
+    range: std::ops::Range<usize>,
+    threads: usize,
+    zero: impl Fn() -> ExactVec,
+    state: M,
+    fill: F,
+) -> ExactVec
+where
+    M: Fn() -> T + Sync,
+    F: Fn(usize, &std::ops::Range<usize>, &mut T, &mut [f64]) + Sync,
+{
+    let (count, start) = (range.len(), range.start);
+    let block = static_fold_block(count, threads);
+    let units = count.div_ceil(block);
+    let mut total = zero();
+    let n = total.len();
+    let blocks: Vec<Mutex<&mut ExactBlock>> =
+        total.blocks_mut().iter_mut().map(Mutex::new).collect();
+    knnshap_parallel::par_claim(units, threads, |claims| {
+        // A participant that finds the counter drained builds nothing.
+        let Some(first) = claims.next() else { return };
+        let (mut scratch, mut st) = (vec![0.0f64; n], state());
+        let lead = first * blocks.len() / units;
+        for u in std::iter::once(first).chain(&mut *claims) {
+            let unit = start + u * block..start + ((u + 1) * block).min(count);
             for j in unit.clone() {
                 scratch.fill(0.0);
-                fill(j, &unit, st, scratch);
-                acc.add_dense(scratch);
+                fill(j, &unit, &mut st, &mut scratch);
+                for b in (lead..blocks.len()).chain(0..lead) {
+                    let rows = b * ExactVec::BLOCK..((b + 1) * ExactVec::BLOCK).min(n);
+                    let mut acc = blocks[b].lock().expect("fold poisoned");
+                    acc.add_dense(&scratch[rows]);
+                }
             }
-        },
-        ExactVec::merge,
-    )
+        }
+    });
+    drop(blocks);
+    total
 }
 
 /// Merge shard partials into the job's final valuation.
@@ -1187,10 +1234,12 @@ mod tests {
 
     /// The dense fold keeps the static partition (so a fold over few items
     /// still spreads over `min(threads, items)` workers), builds each
-    /// worker's state once, and hands `fill` the claim unit holding each
-    /// item.
+    /// worker's state once, hands `fill` the claim unit holding each item,
+    /// and deposits every item into the one accumulator it builds — at
+    /// every thread count, over lengths of one and several exact blocks.
     #[test]
     fn dense_fold_builds_state_once_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         /// A worker's state: the units it saw, logged when the worker drops it.
         struct Seen<'a> {
             units: Vec<std::ops::Range<usize>>,
@@ -1210,49 +1259,57 @@ mod tests {
             (5, 38),
             (2, 103),
         ];
-        for (lo, hi) in ranges {
-            for threads in [1usize, 2, 3, 8] {
-                let log = Mutex::new(Vec::new());
-                let sums = exact_sums_over_dense(
-                    3,
-                    lo..hi,
-                    threads,
-                    || Seen {
-                        units: Vec::new(),
-                        log: &log,
-                    },
-                    |j, unit, st, out| {
-                        assert!(unit.contains(&j));
-                        if st.units.last() != Some(unit) {
-                            st.units.push(unit.clone());
-                        }
-                        out[j % 3] = 1.0;
-                    },
-                );
-                let what = format!("{lo}..{hi} at {threads} threads");
-                assert_eq!(
-                    sums.values().iter().sum::<f64>(),
-                    (hi - lo) as f64,
-                    "{what}"
-                );
-                let log = log.into_inner().unwrap();
-                let block = static_fold_block(hi - lo, threads);
-                let units = (hi - lo).div_ceil(block);
-                assert!(
-                    !log.is_empty() && log.len() <= threads.min(units),
-                    "{what}: {} states",
-                    log.len()
-                );
-                if threads == 1 {
-                    assert_eq!(log.len(), 1, "{what}");
+        for n_train in [3, 2 * ExactVec::BLOCK + 5] {
+            for (lo, hi) in ranges {
+                for threads in [1usize, 2, 3, 8] {
+                    let log = Mutex::new(Vec::new());
+                    let vecs = AtomicUsize::new(0);
+                    let sums = shared_dense_fold(
+                        lo..hi,
+                        threads,
+                        || {
+                            vecs.fetch_add(1, Ordering::Relaxed);
+                            ExactVec::zeros(n_train)
+                        },
+                        || Seen {
+                            units: Vec::new(),
+                            log: &log,
+                        },
+                        |j, unit, st, out| {
+                            assert!(unit.contains(&j));
+                            if st.units.last() != Some(unit) {
+                                st.units.push(unit.clone());
+                            }
+                            out[j % 3] = 1.0;
+                            out[n_train - 1 - j % 3] += 0.5;
+                        },
+                    );
+                    let what = format!("{lo}..{hi} at {threads} threads, n_train {n_train}");
+                    assert_eq!(vecs.into_inner(), 1, "{what}: one accumulator");
+                    assert_eq!(
+                        sums.values().iter().sum::<f64>(),
+                        1.5 * (hi - lo) as f64,
+                        "{what}"
+                    );
+                    let log = log.into_inner().unwrap();
+                    let block = static_fold_block(hi - lo, threads);
+                    let units = (hi - lo).div_ceil(block);
+                    assert!(
+                        !log.is_empty() && log.len() <= threads.min(units),
+                        "{what}: {} states",
+                        log.len()
+                    );
+                    if threads == 1 {
+                        assert_eq!(log.len(), 1, "{what}");
+                    }
+                    let mut all: Vec<_> = log.concat();
+                    all.sort_unstable_by_key(|u| u.start);
+                    let want: Vec<_> = (lo..hi)
+                        .step_by(block)
+                        .map(|a| a..(a + block).min(hi))
+                        .collect();
+                    assert_eq!(all, want, "{what}");
                 }
-                let mut all: Vec<_> = log.concat();
-                all.sort_unstable_by_key(|u| u.start);
-                let want: Vec<_> = (lo..hi)
-                    .step_by(block)
-                    .map(|a| a..(a + block).min(hi))
-                    .collect();
-                assert_eq!(all, want, "{what}");
             }
         }
     }

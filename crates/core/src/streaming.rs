@@ -149,11 +149,14 @@ impl<'a> OnlineValuator<'a> {
             return;
         }
         let this: &OnlineValuator<'_> = self;
-        let partial = crate::sharding::exact_sums_over(
+        let partial = crate::sharding::exact_sums_over_dense(
             this.train.len(),
             0..chunk.len(),
             threads,
-            |j, acc| acc.add_dense(this.per_query(chunk.x.row(j), chunk.y[j]).as_slice()),
+            || (),
+            |j, _, _, out| {
+                out.copy_from_slice(this.per_query(chunk.x.row(j), chunk.y[j]).as_slice())
+            },
         );
         self.sum.merge(&partial);
         self.n_queries += chunk.len();

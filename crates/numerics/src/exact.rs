@@ -41,22 +41,24 @@
 //! window only over the limb positions their magnitudes touch.
 //!
 //! The per-training-point vector [`ExactVec`] — the state every exact
-//! valuation ends in — stores one flat, point-major **limb plane**: a
-//! single `Vec<i64>` of `n × width` limbs over a window of register
-//! positions shared by every point, with no per-point header or heap
-//! allocation. The window is capped at
-//! `WIDTH_CAP` (= 8) limbs, so the plane costs at most 64 bytes per point
+//! valuation ends in — stores its points in fixed-size **row blocks**
+//! ([`ExactBlock`], [`ExactVec::BLOCK`] rows each). A block holds one flat,
+//! point-major **limb plane**: a single `Vec<i64>` of `rows × width` limbs
+//! over a window of register positions shared by the block's rows, with no
+//! per-point header or heap allocation. The window is capped at
+//! `WIDTH_CAP` (= 8) limbs, so a plane costs at most 64 bytes per point
 //! (4–5 limbs, 32–40 bytes, for exact and Monte Carlo valuation sums). A
-//! deposit or merged row that falls outside the capped window goes to a
-//! sparse per-point spill (an ordinary `ExactSum`), and nonfinite summands
-//! to a sparse per-point `f64` table, so exactness never depends on the
-//! window: a point's state is its plane row plus its spill plus its
+//! deposit or merged row that falls outside its block's capped window goes
+//! to a sparse per-point spill (an ordinary `ExactSum`), and nonfinite
+//! summands to a sparse per-point `f64` table, so exactness never depends
+//! on the window: a point's state is its plane row plus its spill plus its
 //! special. Deposits, merges and the rounding in [`ExactVec::value`] walk
-//! the plane linearly; only spilled points and windows near the top of the
-//! register take the slower path through `ExactSum`. Callers holding one
-//! vector per training point should still keep the number of simultaneous
-//! partial vectors bounded, as `knnshap_core::sharding`'s eager block fold
-//! does.
+//! each plane linearly; only spilled points and windows near the top of the
+//! register take the slower path through `ExactSum`. Blocks are laid out,
+//! widened, spilled and swept independently, so threads can deposit into
+//! one shared vector block by block ([`ExactVec::blocks_mut`]), as
+//! `knnshap_core::sharding`'s dense fold does, instead of each holding a
+//! whole vector of its own.
 //!
 //! ```
 //! use knnshap_numerics::exact::ExactSum;
@@ -625,48 +627,69 @@ impl ExactSum {
 /// serializes into shard files; point `i`'s record is byte for byte the
 /// record an `ExactSum` holding the same deposits writes.
 ///
-/// ### Flat storage
+/// ### Row-blocked storage
 ///
-/// All points share one window of register limbs `start .. start + width`,
-/// and their limbs live in one point-major plane: `plane[i · width + c]`
-/// carries point `i`'s limb at register position `start + c`. Beside the
-/// plane sit two sparse per-point tables:
+/// The points are cut into [`ExactBlock`]s of [`BLOCK`](Self::BLOCK) rows
+/// (the last one shorter); point `i` is row `i % BLOCK` of block
+/// `i / BLOCK`. Each block keeps its own window of register limbs
+/// `start .. start + width`, and its rows' limbs live in one point-major
+/// plane: `plane[r · width + c]` carries row `r`'s limb at register
+/// position `start + c`. Beside the plane sit two sparse per-row tables:
 ///
-/// * the **spill** — an `ExactSum` for a point that received a deposit or
+/// * the **spill** — an `ExactSum` for a row that received a deposit or
 ///   merged row the window could not cover within `WIDTH_CAP` limbs;
 /// * the **specials** — the `f64`-folded nonfinite summands, with
 ///   `ExactSum`'s side-channel semantics.
 ///
-/// Point `i`'s exact state is the sum of its plane row, its spill and its
-/// special. `zeros(n)` allocates nothing; the first deposits set the window,
-/// which keeps one headroom limb above the highest deposit site so carry
-/// sweeps stay inside it, and grows (by re-laying the plane) only on the
-/// first deposits of a new magnitude. Memory is at most `8 · WIDTH_CAP` =
-/// 64 bytes per point, plus one scalar window (≤ 68 limbs, ~0.6 KiB) for
-/// each spilled point — about what a full-register `ExactSum` per point
-/// cost before, paid only by points whose summands lie more than ~2¹⁶⁰
-/// apart.
+/// A point's exact state is the sum of its plane row, its spill and its
+/// special. `zeros(n)` allocates no limbs; a block's first deposits set its
+/// window, which keeps one headroom limb above the highest deposit site so
+/// carry sweeps stay inside it, and grows (by re-laying that block's plane
+/// alone) only on the first deposits of a new magnitude into the block.
+/// Memory is at most `8 · WIDTH_CAP` = 64 bytes per point, plus one scalar
+/// window (≤ 68 limbs, ~0.6 KiB) for each spilled point — paid only by
+/// points whose summands lie more than ~2¹⁶⁰ apart.
 ///
-/// One `pending` counter bounds every plane limb, as in `ExactSum`: `add`
-/// and `add_dense` count 1, a merge counts the other side's count + 1, and
-/// reaching the threshold runs one in-place carry sweep over the whole
-/// plane.
+/// One `pending` counter per block bounds its plane limbs, as in
+/// `ExactSum`: `add` and `add_dense` count 1, a merge counts the other
+/// block's count + 1, and reaching the threshold runs one in-place carry
+/// sweep over the block's plane.
+///
+/// Blocks are independent, so [`blocks_mut`](Self::blocks_mut) lets
+/// several threads deposit dense vectors into one shared `ExactVec`, each
+/// block behind its own lock, instead of each thread filling a vector of
+/// its own and merging it.
 #[derive(Debug, Clone)]
 pub struct ExactVec {
     n: usize,
+    /// `n.div_ceil(BLOCK)` blocks in row order.
+    blocks: Vec<ExactBlock>,
+}
+
+/// One [`ExactVec::BLOCK`]-row block of an [`ExactVec`] (see its storage
+/// notes): a limb window shared by the block's rows, their point-major
+/// plane, and sparse spill and special tables keyed by row within the
+/// block.
+#[derive(Debug, Clone)]
+pub struct ExactBlock {
+    rows: usize,
     /// Register limb of plane column 0.
     start: usize,
-    /// Limbs per point; 0 until the first deposit.
+    /// Limbs per row; 0 until the first deposit.
     width: usize,
-    /// `n × width` signed limbs, point-major.
+    /// `rows × width` signed limbs, row-major.
     plane: Vec<i64>,
     /// Deposits and merged rows the capped window could not cover.
     spill: BTreeMap<usize, ExactSum>,
-    /// `f64`-folded nonfinite summands per point.
+    /// `f64`-folded nonfinite summands per row.
     special: BTreeMap<usize, f64>,
     /// Deposits/merges since the last carry sweep of the plane.
     pending: u32,
 }
+
+// See `ExactVec::BLOCK`: a block's plane at the width cap stays below
+// glibc's default mmap threshold.
+const _: () = assert!(ExactVec::BLOCK * WIDTH_CAP * 8 < 128 << 10);
 
 /// Canonical sign/magnitude digits of one plane row, widened by three
 /// limbs so every carry out of the row fits.
@@ -677,17 +700,22 @@ struct RowDigits {
 }
 
 impl ExactVec {
+    /// Rows per [`ExactBlock`]. At the `WIDTH_CAP` of 8 limbs a block's
+    /// plane is 64 KiB (40 KiB at the 5-limb windows valuation sums need),
+    /// below glibc's default mmap threshold of 128 KiB: freeing a larger,
+    /// mmapped buffer raises that threshold for the rest of the process,
+    /// and a long-lived process such as the `serve` daemon then keeps more
+    /// heap resident. Widening a window re-lays one block, so a widening
+    /// holds at most one extra block plane, never a second whole vector.
+    pub const BLOCK: usize = 1024;
+
     /// `n` zeroed accumulators.
     pub fn zeros(n: usize) -> Self {
-        Self {
-            n,
-            start: 0,
-            width: 0,
-            plane: Vec::new(),
-            spill: BTreeMap::new(),
-            special: BTreeMap::new(),
-            pending: 0,
-        }
+        let blocks = (0..n)
+            .step_by(Self::BLOCK)
+            .map(|lo| ExactBlock::zeros(Self::BLOCK.min(n - lo)))
+            .collect();
+        Self { n, blocks }
     }
 
     #[inline]
@@ -700,59 +728,175 @@ impl ExactVec {
         self.n == 0
     }
 
+    /// The blocks in row order: block `b` holds points
+    /// `b · BLOCK .. min((b + 1) · BLOCK, len)`. Deposits into different
+    /// blocks touch disjoint state.
+    pub fn blocks_mut(&mut self) -> &mut [ExactBlock] {
+        &mut self.blocks
+    }
+
+    /// The block holding point `i`, and `i`'s row in it.
+    #[inline]
+    fn locate(&self, i: usize) -> (&ExactBlock, usize) {
+        assert!(i < self.n, "index {i} out of range 0..{}", self.n);
+        (&self.blocks[i / Self::BLOCK], i % Self::BLOCK)
+    }
+
+    #[inline]
+    fn locate_mut(&mut self, i: usize) -> (&mut ExactBlock, usize) {
+        assert!(i < self.n, "index {i} out of range 0..{}", self.n);
+        (&mut self.blocks[i / Self::BLOCK], i % Self::BLOCK)
+    }
+
     /// Deposit `x` into accumulator `i`.
     #[inline]
     pub fn add(&mut self, i: usize, x: f64) {
-        assert!(i < self.n, "index {i} out of range 0..{}", self.n);
-        self.deposit(i, x);
-        self.bump_pending(1);
+        let (b, r) = self.locate_mut(i);
+        b.deposit(r, x);
+        b.bump_pending(1);
     }
 
     /// Deposit a dense per-point vector (`xs[i]` into accumulator `i`);
     /// zero entries cost one branch. Panics on length mismatch.
     pub fn add_dense(&mut self, xs: &[f64]) {
         assert_eq!(self.len(), xs.len(), "length mismatch");
+        for (b, xs) in self.blocks.iter_mut().zip(xs.chunks(Self::BLOCK)) {
+            b.add_dense(xs);
+        }
+    }
+
+    /// Fold one scalar accumulator into slot `i` (exact).
+    pub fn merge_scalar(&mut self, i: usize, s: &ExactSum) {
+        let (b, r) = self.locate_mut(i);
+        b.merge_scalar(r, s);
+    }
+
+    /// Element-wise exact merge. Panics on length mismatch.
+    pub fn merge(&mut self, other: &ExactVec) {
+        assert_eq!(self.len(), other.len(), "length mismatch");
+        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+            a.merge(b);
+        }
+    }
+
+    /// Rounded total of accumulator `i`.
+    #[inline]
+    pub fn value(&self, i: usize) -> f64 {
+        let (b, r) = self.locate(i);
+        b.value(r)
+    }
+
+    /// Materialize every rounded total.
+    pub fn values(&self) -> Vec<f64> {
+        (0..self.n).map(|i| self.value(i)).collect()
+    }
+
+    /// Total materialized limbs — every block plane plus every spilled
+    /// window (8 bytes per limb). `zeros(n)` reports 0.
+    pub fn window_limbs(&self) -> usize {
+        self.blocks.iter().map(ExactBlock::window_limbs).sum()
+    }
+
+    /// Append every accumulator's canonical record (see
+    /// [`ExactSum::encode_into`]) — the bytes one `ExactSum` per point
+    /// holding the same deposits would write.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        for b in &self.blocks {
+            b.encode_into(out);
+        }
+    }
+
+    /// Decode `n` records, advancing `pos`. Each block's window is sized
+    /// from its own records (a first pass validates them and takes the
+    /// union of their limb spans), so each plane is laid out once; records
+    /// outside a block's capped window go to its spill. Allocation is
+    /// bounded by `n` rows of at most `WIDTH_CAP` limbs plus each spilled
+    /// record's own limbs.
+    pub fn decode_from(buf: &[u8], pos: &mut usize, n: usize) -> Result<ExactVec, DecodeError> {
+        let blocks = (0..n)
+            .step_by(Self::BLOCK)
+            .map(|lo| ExactBlock::decode_from(buf, pos, Self::BLOCK.min(n - lo)))
+            .collect::<Result<_, _>>()?;
+        Ok(ExactVec { n, blocks })
+    }
+
+    /// Carry-sweep every block now (a sweep never moves a bit).
+    #[cfg(test)]
+    fn sweep_carries(&mut self) {
+        self.blocks.iter_mut().for_each(ExactBlock::sweep_carries);
+    }
+}
+
+impl ExactBlock {
+    fn zeros(rows: usize) -> Self {
+        Self {
+            rows,
+            start: 0,
+            width: 0,
+            plane: Vec::new(),
+            spill: BTreeMap::new(),
+            special: BTreeMap::new(),
+            pending: 0,
+        }
+    }
+
+    /// Rows in this block.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Deposit a dense per-row vector (`xs[r]` into row `r`), exactly as
+    /// [`ExactVec::add_dense`] deposits this block's slice of its input.
+    /// Panics on length mismatch.
+    pub fn add_dense(&mut self, xs: &[f64]) {
+        assert_eq!(self.rows, xs.len(), "length mismatch");
         if self.width == 0 {
             self.open_window_for(xs);
         }
-        for (i, &x) in xs.iter().enumerate() {
-            self.deposit(i, x);
+        for (r, &x) in xs.iter().enumerate() {
+            self.deposit(r, x);
         }
         self.bump_pending(1);
     }
 
-    /// Three-limb add of `x` into row `i` when the window covers its site
+    /// Three-limb add of `x` into row `r` when the window covers its site
     /// (with a headroom limb above); everything else takes the cold path.
     #[inline(always)]
-    fn deposit(&mut self, i: usize, x: f64) {
+    fn deposit(&mut self, r: usize, x: f64) {
         if x == 0.0 {
             return;
         }
         if x.is_finite() {
             let (li, c) = deposit_site(x);
             if li >= self.start && li + 4 <= self.start + self.width {
-                let o = i * self.width + (li - self.start);
+                let o = r * self.width + (li - self.start);
                 for (l, c) in self.plane[o..o + 3].iter_mut().zip(c) {
                     *l += c;
                 }
                 return;
             }
         }
-        self.deposit_outside(i, x);
+        self.deposit_outside(r, x);
     }
 
     #[cold]
     #[inline(never)]
-    fn deposit_outside(&mut self, i: usize, x: f64) {
+    fn deposit_outside(&mut self, r: usize, x: f64) {
         if !x.is_finite() {
-            self.fold_special(i, x);
+            self.fold_special(r, x);
             return;
         }
         let li = deposit_site(x).0;
         if self.cover(li, li + 4) {
-            self.deposit(i, x);
+            self.deposit(r, x);
         } else {
-            self.spill.entry(i).or_default().add(x);
+            self.spill.entry(r).or_default().add(x);
         }
     }
 
@@ -786,7 +930,7 @@ impl ExactVec {
         }
         if new_lo != self.start || new_hi - new_lo != self.width {
             let width = new_hi - new_lo;
-            let mut plane = vec![0i64; self.n * width];
+            let mut plane = vec![0i64; self.rows * width];
             if self.width > 0 {
                 let off = self.start - new_lo;
                 for (new, old) in plane
@@ -803,54 +947,53 @@ impl ExactVec {
         true
     }
 
-    fn fold_special(&mut self, i: usize, x: f64) {
+    fn fold_special(&mut self, r: usize, x: f64) {
         self.special
-            .entry(i)
+            .entry(r)
             .and_modify(|s| *s = add_special(*s, x))
             .or_insert(x);
     }
 
-    /// Add the signed limbs `row` (register positions `start ..`) into
-    /// point `i`: into the plane when the window can cover their nonzero
-    /// span, else into the point's spill. `pending` bounds the limbs as in
+    /// Add the signed limbs `limbs` (register positions `start ..`) into
+    /// row `r`: into the plane when the window can cover their nonzero
+    /// span, else into the row's spill. `pending` bounds the limbs as in
     /// [`ExactSum::from_window`].
-    fn merge_row(&mut self, i: usize, start: usize, row: &[i64], pending: u32) {
-        let Some(first) = row.iter().position(|&l| l != 0) else {
+    fn merge_row(&mut self, r: usize, start: usize, limbs: &[i64], pending: u32) {
+        let Some(first) = limbs.iter().position(|&l| l != 0) else {
             return;
         };
-        let last = row.iter().rposition(|&l| l != 0).expect("nonzero limb");
-        let (lo, row) = (start + first, &row[first..=last]);
-        if self.cover(lo, lo + row.len()) {
-            let o = i * self.width + (lo - self.start);
-            for (a, &b) in self.plane[o..o + row.len()].iter_mut().zip(row) {
+        let last = limbs.iter().rposition(|&l| l != 0).expect("nonzero limb");
+        let (lo, limbs) = (start + first, &limbs[first..=last]);
+        if self.cover(lo, lo + limbs.len()) {
+            let o = r * self.width + (lo - self.start);
+            for (a, &b) in self.plane[o..o + limbs.len()].iter_mut().zip(limbs) {
                 *a += b;
             }
         } else {
-            let s = ExactSum::from_window(lo, row, pending);
-            self.spill.entry(i).or_default().merge(&s);
+            let s = ExactSum::from_window(lo, limbs, pending);
+            self.spill.entry(r).or_default().merge(&s);
         }
     }
 
-    /// Fold one scalar accumulator into slot `i` (exact).
-    pub fn merge_scalar(&mut self, i: usize, s: &ExactSum) {
-        assert!(i < self.n, "index {i} out of range 0..{}", self.n);
+    /// Fold one scalar accumulator into row `r` (exact).
+    fn merge_scalar(&mut self, r: usize, s: &ExactSum) {
         if s.top == 0 {
-            self.merge_row(i, s.start, &s.limbs, s.pending);
+            self.merge_row(r, s.start, &s.limbs, s.pending);
         } else {
             // A carry past the register: only `ExactSum` can hold it.
             let mut finite = s.clone();
             finite.has_special = false;
-            self.spill.entry(i).or_default().merge(&finite);
+            self.spill.entry(r).or_default().merge(&finite);
         }
         if s.has_special {
-            self.fold_special(i, s.special);
+            self.fold_special(r, s.special);
         }
         self.bump_pending(s.pending.saturating_add(1));
     }
 
-    /// Element-wise exact merge. Panics on length mismatch.
-    pub fn merge(&mut self, other: &ExactVec) {
-        assert_eq!(self.len(), other.len(), "length mismatch");
+    /// Row-wise exact merge of a block of the same length.
+    fn merge(&mut self, other: &ExactBlock) {
+        debug_assert_eq!(self.rows, other.rows);
         if other.width > 0 {
             let (lo, hi) = (other.start, other.start + other.width);
             if self.width == 0 {
@@ -875,16 +1018,16 @@ impl ExactVec {
                     }
                 }
             } else {
-                for (i, orow) in other.plane.chunks_exact(other.width).enumerate() {
-                    self.merge_row(i, other.start, orow, other.pending);
+                for (r, orow) in other.plane.chunks_exact(other.width).enumerate() {
+                    self.merge_row(r, other.start, orow, other.pending);
                 }
             }
         }
-        for (&i, s) in &other.spill {
-            self.spill.entry(i).or_default().merge(s);
+        for (&r, s) in &other.spill {
+            self.spill.entry(r).or_default().merge(s);
         }
-        for (&i, &x) in &other.special {
-            self.fold_special(i, x);
+        for (&r, &x) in &other.special {
+            self.fold_special(r, x);
         }
         self.bump_pending(other.pending.saturating_add(1));
     }
@@ -900,15 +1043,15 @@ impl ExactVec {
     /// In-place carry sweep over the whole plane: every limb back to a
     /// signed residue in `(−2³¹, 2³¹]`. A carry out of a row's top limb —
     /// ~2³¹ deposits at the highest site, which the headroom limb absorbs
-    /// in practice — moves to the point's spill.
+    /// in practice — moves to the row's spill.
     fn sweep_carries(&mut self) {
         let (start, width) = (self.start, self.width);
         if width > 0 {
-            for (i, row) in self.plane.chunks_exact_mut(width).enumerate() {
+            for (r, row) in self.plane.chunks_exact_mut(width).enumerate() {
                 let mut carry = 0i64;
                 for l in row.iter_mut() {
-                    let (r, c) = signed_residue(*l + carry);
-                    *l = r;
+                    let (res, c) = signed_residue(*l + carry);
+                    *l = res;
                     carry = c;
                 }
                 if carry != 0 {
@@ -919,71 +1062,63 @@ impl ExactVec {
                     } else {
                         s.top = carry;
                     }
-                    self.spill.entry(i).or_default().merge(&s);
+                    self.spill.entry(r).or_default().merge(&s);
                 }
             }
         }
         self.pending = 0;
     }
 
-    /// Point `i`'s canonical digits straight from its plane row, or `None`
-    /// when the point has a spill or the widened row would run past the
+    /// Row `r`'s canonical digits straight from its plane row, or `None`
+    /// when the row has a spill or the widened row would run past the
     /// register — those round through [`point_sum`](Self::point_sum).
     #[inline]
-    fn row_digits(&self, i: usize) -> Option<RowDigits> {
-        assert!(i < self.n, "index {i} out of range 0..{}", self.n);
-        if self.start + self.width + 3 > LIMBS || self.spill.contains_key(&i) {
+    fn row_digits(&self, r: usize) -> Option<RowDigits> {
+        if self.start + self.width + 3 > LIMBS || self.spill.contains_key(&r) {
             return None;
         }
         let mut mag = [0i64; WIDTH_CAP + 3];
         let len = self.width + 3;
         if self.width > 0 {
-            mag[..self.width].copy_from_slice(&self.plane[i * self.width..(i + 1) * self.width]);
+            mag[..self.width].copy_from_slice(&self.plane[r * self.width..(r + 1) * self.width]);
         }
         let (sign, overflow) = to_sign_magnitude(&mut mag[..len], 0);
         debug_assert!(!overflow, "three extra limbs hold any row carry");
         Some(RowDigits { sign, mag, len })
     }
 
-    /// Point `i`'s whole state as one scalar accumulator: plane row, spill
+    /// Row `r`'s whole state as one scalar accumulator: plane row, spill
     /// and special.
-    fn point_sum(&self, i: usize) -> ExactSum {
+    fn point_sum(&self, r: usize) -> ExactSum {
         let mut s = if self.width > 0 {
-            let row = &self.plane[i * self.width..(i + 1) * self.width];
+            let row = &self.plane[r * self.width..(r + 1) * self.width];
             ExactSum::from_window(self.start, row, self.pending)
         } else {
             ExactSum::new()
         };
-        if let Some(spill) = self.spill.get(&i) {
+        if let Some(spill) = self.spill.get(&r) {
             s.merge(spill);
         }
-        if let Some(&x) = self.special.get(&i) {
+        if let Some(&x) = self.special.get(&r) {
             s.fold_special(x);
         }
         s
     }
 
-    /// Rounded total of accumulator `i`.
+    /// Rounded total of row `r`.
     #[inline]
-    pub fn value(&self, i: usize) -> f64 {
-        let Some(d) = self.row_digits(i) else {
-            return self.point_sum(i).value();
+    fn value(&self, r: usize) -> f64 {
+        let Some(d) = self.row_digits(r) else {
+            return self.point_sum(r).value();
         };
         let finite = round_magnitude(d.sign, &d.mag[..d.len], self.start);
-        match self.special.get(&i) {
+        match self.special.get(&r) {
             Some(&x) => finite + x,
             None => finite,
         }
     }
 
-    /// Materialize every rounded total.
-    pub fn values(&self) -> Vec<f64> {
-        (0..self.n).map(|i| self.value(i)).collect()
-    }
-
-    /// Total materialized limbs — the plane plus every spilled window (8
-    /// bytes per limb). `zeros(n)` reports 0.
-    pub fn window_limbs(&self) -> usize {
+    fn window_limbs(&self) -> usize {
         self.plane.len()
             + self
                 .spill
@@ -992,63 +1127,56 @@ impl ExactVec {
                 .sum::<usize>()
     }
 
-    /// Append every accumulator's canonical record (see
-    /// [`ExactSum::encode_into`]) — the bytes one `ExactSum` per point
-    /// holding the same deposits would write.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        for i in 0..self.n {
-            match self.row_digits(i) {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        for r in 0..self.rows {
+            match self.row_digits(r) {
                 Some(d) => write_record(
                     out,
                     d.sign,
                     &d.mag[..d.len],
                     self.start,
-                    self.special.get(&i).copied(),
+                    self.special.get(&r).copied(),
                 ),
-                None => self.point_sum(i).encode_into(out),
+                None => self.point_sum(r).encode_into(out),
             }
         }
     }
 
-    /// Decode `n` records, advancing `pos`. The window is sized from the
-    /// records themselves (a first pass validates them and takes the union
-    /// of their limb spans), so the plane is laid out once; records outside
-    /// the capped window go to the spill. Allocation is bounded by `n` rows
-    /// of at most `WIDTH_CAP` limbs plus each spilled record's own limbs.
-    pub fn decode_from(buf: &[u8], pos: &mut usize, n: usize) -> Result<ExactVec, DecodeError> {
+    /// Decode `rows` records (see [`ExactVec::decode_from`]).
+    fn decode_from(buf: &[u8], pos: &mut usize, rows: usize) -> Result<ExactBlock, DecodeError> {
         let (mut lo, mut hi) = (usize::MAX, 0);
         let mut scan = *pos;
-        for _ in 0..n {
+        for _ in 0..rows {
             let r = Record::decode(buf, &mut scan)?;
             if r.len() > 0 {
                 lo = lo.min(r.start);
                 hi = hi.max(r.start + r.len());
             }
         }
-        let mut v = ExactVec::zeros(n);
+        let mut b = ExactBlock::zeros(rows);
         if lo < hi {
             // One headroom limb above, like a deposit window; keep the
             // largest magnitudes when the span exceeds the cap.
             let hi = (hi + 1).min(LIMBS);
-            v.cover(lo.max(hi.saturating_sub(WIDTH_CAP)), hi);
-            v.pending = 2; // decoded limbs reach 2³² − 1, as in `ExactSum`
+            b.cover(lo.max(hi.saturating_sub(WIDTH_CAP)), hi);
+            b.pending = 2; // decoded limbs reach 2³² − 1, as in `ExactSum`
         }
-        for i in 0..n {
+        for row in 0..rows {
             let r = Record::decode(buf, pos).expect("validated by the first pass");
             let (lo, len) = (r.start, r.len());
-            if len > 0 && v.width > 0 && lo >= v.start && lo + len <= v.start + v.width {
-                let o = i * v.width + (lo - v.start);
-                for (l, x) in v.plane[o..o + len].iter_mut().zip(r.limbs()) {
+            if len > 0 && b.width > 0 && lo >= b.start && lo + len <= b.start + b.width {
+                let o = row * b.width + (lo - b.start);
+                for (l, x) in b.plane[o..o + len].iter_mut().zip(r.limbs()) {
                     *l = x;
                 }
             } else if len > 0 {
-                v.spill.insert(i, ExactSum::from_record(&r));
+                b.spill.insert(row, ExactSum::from_record(&r));
             }
             if let Some(x) = r.special {
-                v.fold_special(i, x);
+                b.fold_special(row, x);
             }
         }
-        Ok(v)
+        Ok(b)
     }
 }
 

@@ -1,7 +1,10 @@
-//! Differential battery: the flat [`ExactVec`] against the layout it
-//! replaced — one independent [`ExactSum`] per point, kept here only as
+//! Differential battery: the row-blocked [`ExactVec`] against the layout
+//! it replaced — one independent [`ExactSum`] per point, kept here only as
 //! the oracle. Every test applies the same calls to both and requires
 //! bit-equal `value(i)` for every point and byte-equal `encode_into`.
+//! Short vectors (one block) exercise a block's window, spills and
+//! specials; vectors around and past [`ExactVec::BLOCK`] rows exercise
+//! blocks whose windows, spills and specials differ from their neighbours'.
 //!
 //! Run it at a larger case count with
 //! `PROPTEST_CASES=4096 cargo test -p knnshap_numerics --lib exact::differential`.
@@ -185,17 +188,33 @@ impl Summands {
     }
 }
 
-/// Split one random call stream over 1–4 partial vectors (each with its
-/// own base exponent, so windows overlap, nest or are disjoint), check
-/// every partial, then merge the partials in a random order — into a fresh
+/// Vector lengths just below, at and past one block, and a ragged
+/// multi-block length.
+const BLOCKED_SIZES: [usize; 4] = [
+    ExactVec::BLOCK - 1,
+    ExactVec::BLOCK,
+    ExactVec::BLOCK + 1,
+    3 * ExactVec::BLOCK + 7,
+];
+
+/// Split one random call stream of up to `max_ops` calls over 1–4 partial
+/// vectors of one length drawn from `sizes` (each partial with its own base
+/// exponent, so windows overlap, nest or are disjoint), check every
+/// partial, then merge the partials in a random order — into a fresh
 /// vector or into one of them — and check the total.
-fn run_stream(seed: u64, wild: u32, base_range: std::ops::Range<i32>) -> Result<(), TestCaseError> {
+fn run_stream(
+    seed: u64,
+    wild: u32,
+    base_range: std::ops::Range<i32>,
+    sizes: &[usize],
+    max_ops: usize,
+) -> Result<(), TestCaseError> {
     let mut g = Summands {
         rng: StdRng::seed_from_u64(seed),
         history: Vec::new(),
         wild,
     };
-    let n = g.rng.gen_range(1..14usize);
+    let n = sizes[g.rng.gen_range(0..sizes.len())];
     let parts = g.rng.gen_range(1..5usize);
     let base = g.rng.gen_range(base_range.clone());
     let bases: Vec<i32> = (0..parts)
@@ -207,7 +226,7 @@ fn run_stream(seed: u64, wild: u32, base_range: std::ops::Range<i32>) -> Result<
         .collect();
     let mut flat: Vec<ExactVec> = (0..parts).map(|_| ExactVec::zeros(n)).collect();
     let mut oracle: Vec<OracleVec> = (0..parts).map(|_| OracleVec::zeros(n)).collect();
-    for _ in 0..g.rng.gen_range(0..120) {
+    for _ in 0..g.rng.gen_range(0..max_ops) {
         let p = g.rng.gen_range(0..parts);
         let op = g.op(n, bases[p]);
         apply(&op, &mut flat[p], &mut oracle[p]);
@@ -244,18 +263,41 @@ fn run_stream(seed: u64, wild: u32, base_range: std::ops::Range<i32>) -> Result<
     check(&back, &total_oracle, "decoded + merged")
 }
 
+/// One-block lengths 1–13.
+const SHORT_SIZES: [usize; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13];
+
 proptest! {
     /// Full exponent range −1074…1023: subnormals, ±0, ±inf, NaN, spills at
     /// deposit and merge time, windows near the top of the register.
     #[test]
     fn flat_matches_oracle_full_range(seed in any::<u64>()) {
-        run_stream(seed, 12, -1070..1021)?;
+        run_stream(seed, 12, -1070..1021, &SHORT_SIZES, 120)?;
     }
 
     /// Valuation-like magnitudes: the shared window and its fast paths.
     #[test]
     fn flat_matches_oracle_narrow_range(seed in any::<u64>()) {
-        run_stream(seed, 0, -60..4)?;
+        run_stream(seed, 0, -60..4, &SHORT_SIZES, 120)?;
+    }
+}
+
+proptest! {
+    // Each case deposits thousands of points; a few hundred cases already
+    // put spills and specials in every block position many times over.
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.min(256)))]
+
+    /// Lengths around and past one block, full exponent range: sparse
+    /// deposits land spills and specials in random blocks, and each block
+    /// opens and widens its own window.
+    #[test]
+    fn blocked_matches_oracle_full_range(seed in any::<u64>()) {
+        run_stream(seed, 12, -1070..1021, &BLOCKED_SIZES, 24)?;
+    }
+
+    /// Lengths around and past one block, valuation-like magnitudes.
+    #[test]
+    fn blocked_matches_oracle_narrow_range(seed in any::<u64>()) {
+        run_stream(seed, 0, -60..4, &BLOCKED_SIZES, 24)?;
     }
 }
 
@@ -277,15 +319,27 @@ fn assert_matches(flat: &ExactVec, oracle: &OracleVec, what: &str) {
     }
 }
 
+/// The one block of a vector shorter than a block.
+fn only(v: &ExactVec) -> &ExactBlock {
+    assert_eq!(v.blocks.len(), 1, "one block");
+    &v.blocks[0]
+}
+
+/// The points whose state has a spill, as vector indices.
+fn spilled(v: &ExactVec) -> Vec<usize> {
+    let base = |b: usize| b * ExactVec::BLOCK;
+    v.blocks
+        .iter()
+        .enumerate()
+        .flat_map(|(b, blk)| blk.spill.keys().map(move |&r| base(b) + r))
+        .collect()
+}
+
 #[test]
 fn outlier_deposit_spills_and_stays_exact() {
     let (flat, oracle) = unit_vec(6, &[(2, 1e300), (2, -0.25), (4, 1e-300)]);
-    assert!(flat.width <= WIDTH_CAP);
-    assert_eq!(
-        flat.spill.keys().copied().collect::<Vec<_>>(),
-        vec![2, 4],
-        "both outliers spill"
-    );
+    assert!(only(&flat).width <= WIDTH_CAP);
+    assert_eq!(spilled(&flat), vec![2, 4], "both outliers spill");
     assert_matches(&flat, &oracle, "deposit spill");
 }
 
@@ -297,15 +351,12 @@ fn outlier_merge_spills_and_stays_exact() {
     apply(&Op::AddDense(xs.to_vec()), &mut tiny, &mut tiny_oracle);
     flat.merge(&tiny);
     oracle.merge(&tiny_oracle);
-    assert_eq!(
-        flat.spill.keys().copied().collect::<Vec<_>>(),
-        vec![0, 2, 3]
-    );
+    assert_eq!(spilled(&flat), vec![0, 2, 3]);
     assert_matches(&flat, &oracle, "merge spill");
     // The other direction: the unit-scale rows spill into the tiny plane.
     tiny.merge(&unit_vec(5, &[]).0);
     tiny_oracle.merge(&unit_vec(5, &[]).1);
-    assert_eq!(tiny.spill.len(), 5);
+    assert_eq!(spilled(&tiny).len(), 5);
     assert_matches(&tiny, &tiny_oracle, "reverse merge spill");
 }
 
@@ -315,10 +366,11 @@ fn disjoint_windows_merge_within_the_cap() {
     let (mut b, mut b_oracle) = (ExactVec::zeros(4), OracleVec::zeros(4));
     let xs = [pow2(-150), -pow2(-149), 0.0, 3.0 * pow2(-151)];
     apply(&Op::AddDense(xs.to_vec()), &mut b, &mut b_oracle);
-    assert!(b.start + b.width <= a.start, "windows are disjoint");
+    let (ab, bb) = (only(&a), only(&b));
+    assert!(bb.start + bb.width <= ab.start, "windows are disjoint");
     a.merge(&b);
     a_oracle.merge(&b_oracle);
-    assert!(a.spill.is_empty(), "the union fits the cap");
+    assert!(spilled(&a).is_empty(), "the union fits the cap");
     assert_matches(&a, &a_oracle, "disjoint windows");
 }
 
@@ -337,15 +389,16 @@ fn exact_cancellation_returns_to_the_zero_record() {
 #[test]
 fn carry_out_of_the_top_limb_spills() {
     let (mut flat, mut oracle) = unit_vec(3, &[]);
+    let (start, width) = (only(&flat).start, only(&flat).width);
     // A row whose top limb is far outside the post-sweep bound.
-    let mut limbs = vec![0i64; flat.width];
-    limbs[flat.width - 1] = 5 << 40;
+    let mut limbs = vec![0i64; width];
+    limbs[width - 1] = 5 << 40;
     limbs[0] = -(3 << 35);
-    let s = ExactSum::from_window(flat.start, &limbs, 0);
+    let s = ExactSum::from_window(start, &limbs, 0);
     apply(&Op::MergeScalar(1, s), &mut flat, &mut oracle);
     flat.sweep_carries();
-    assert!(flat.spill.contains_key(&1), "the carry left the window");
-    assert!(flat.plane.iter().all(|l| l.abs() <= 1 << 31));
+    assert_eq!(spilled(&flat), vec![1], "the carry left the window");
+    assert!(only(&flat).plane.iter().all(|l| l.abs() <= 1 << 31));
     assert_matches(&flat, &oracle, "top carry");
 }
 
@@ -356,7 +409,7 @@ fn scalar_carry_past_the_register_spills() {
     let mut s = ExactSum::from_window(40, &[7, -3], 0);
     s.top = -1;
     apply(&Op::MergeScalar(0, s), &mut flat, &mut oracle);
-    assert!(flat.spill.contains_key(&0));
+    assert_eq!(spilled(&flat), vec![0]);
     for (i, o) in oracle.sums.iter().enumerate() {
         assert_eq!(flat.value(i).to_bits(), o.value().to_bits(), "point {i}");
     }
@@ -369,27 +422,141 @@ fn windows_near_the_register_top_round_through_the_slow_path() {
     let (mut flat, mut oracle) = (ExactVec::zeros(4), OracleVec::zeros(4));
     apply(&Op::AddDense(xs.to_vec()), &mut flat, &mut oracle);
     apply(&Op::AddDense(xs.to_vec()), &mut flat, &mut oracle);
-    assert!(flat.start + flat.width + 3 > LIMBS);
+    assert!(only(&flat).start + only(&flat).width + 3 > LIMBS);
     assert_eq!(flat.value(0), f64::INFINITY, "2·MAX overflows like f64");
     assert_matches(&flat, &oracle, "register top");
+}
+
+/// `n` zero records with one record spanning the whole register at each
+/// of `at`: the bytes, and the decoded vector.
+fn wide_records(n: usize, at: &[usize]) -> (Vec<u8>, ExactVec) {
+    let mut buf = Vec::new();
+    for i in 0..n {
+        if at.contains(&i) {
+            buf.extend_from_slice(&[1, 0, 0, LIMBS as u8, 0]);
+            for _ in 0..LIMBS {
+                buf.extend_from_slice(&u32::MAX.to_le_bytes());
+            }
+        } else {
+            buf.extend_from_slice(&[0; 5]);
+        }
+    }
+    let mut pos = 0;
+    let v = ExactVec::decode_from(&buf, &mut pos, n).expect("decodes");
+    assert_eq!(pos, buf.len());
+    (buf, v)
 }
 
 #[test]
 fn decode_allocation_is_bounded_by_the_cap() {
     // n zero records, then one record spanning the whole register.
     let n = 1000;
-    let mut buf = vec![0u8; 5 * n];
-    buf.extend_from_slice(&[1, 0, 0, LIMBS as u8, 0]);
-    for _ in 0..LIMBS {
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-    }
-    let mut pos = 0;
-    let v = ExactVec::decode_from(&buf, &mut pos, n + 1).expect("decodes");
-    assert_eq!(pos, buf.len());
+    let (buf, v) = wide_records(n + 1, &[n]);
     assert!(v.window_limbs() <= (n + 1) * WIDTH_CAP + LIMBS);
-    assert_eq!(v.spill.len(), 1);
+    assert_eq!(spilled(&v), vec![n]);
     let mut s = ExactSum::new();
     s.merge(&ExactSum::decode_from(&buf, &mut (5 * n)).unwrap());
     assert_eq!(v.value(n).to_bits(), s.value().to_bits());
     assert!(encode(&v) == buf);
+}
+
+#[test]
+fn blocked_decode_allocation_is_bounded_by_the_cap() {
+    // The register-wide record in a middle block and in the ragged last
+    // one: each spills within its own block, every other block stays empty.
+    let n = 3 * ExactVec::BLOCK + 7;
+    let at = [ExactVec::BLOCK + 5, n - 1];
+    let (buf, v) = wide_records(n, &at);
+    assert_eq!(v.blocks.len(), 4);
+    assert!(v.window_limbs() <= n * WIDTH_CAP + at.len() * LIMBS);
+    assert_eq!(spilled(&v), at.to_vec());
+    assert!(v.blocks[0].plane.is_empty() && v.blocks[2].plane.is_empty());
+    assert!(encode(&v) == buf);
+}
+
+/// Unit-scale dense deposits into every point of a vector of each blocked
+/// length, then spills and specials into points of different blocks:
+/// `value` bits, record bytes and the decode round trip match the oracle,
+/// and so does a merge of two such vectors with unlike windows.
+#[test]
+fn blocked_lengths_match_the_oracle_with_spills_and_specials_in_different_blocks() {
+    for n in BLOCKED_SIZES {
+        let last = n - 1;
+        let mid = n / 2;
+        let extra = [
+            (0, 1e300),
+            (mid, 1e-300),
+            (last, -3e250),
+            (1, f64::INFINITY),
+            (mid + 1, f64::NEG_INFINITY),
+            (last, f64::NAN),
+            (last - 1, f64::INFINITY),
+            (last - 1, f64::NEG_INFINITY),
+        ];
+        let (mut flat, mut oracle) = unit_vec(n, &extra);
+        assert_eq!(flat.blocks.len(), n.div_ceil(ExactVec::BLOCK), "n={n}");
+        let mut want = vec![0, mid, last];
+        want.dedup();
+        assert_eq!(spilled(&flat), want, "n={n}");
+        assert_matches(&flat, &oracle, &format!("n={n}"));
+
+        // A partial at a different scale: its rows spill into `flat`'s
+        // windows where they do not fit, block by block.
+        let (mut other, mut other_oracle) = (ExactVec::zeros(n), OracleVec::zeros(n));
+        let xs: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 3 == 0 {
+                    pow2(-200) * (i + 1) as f64
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        apply(&Op::AddDense(xs), &mut other, &mut other_oracle);
+        apply(&Op::Add(mid, f64::NAN), &mut other, &mut other_oracle);
+        flat.merge(&other);
+        oracle.merge(&other_oracle);
+        assert_matches(&flat, &oracle, &format!("n={n} merged"));
+    }
+}
+
+/// Once every block is laid out, a deposit of a new magnitude widens only
+/// its own block: the other blocks keep their windows and their planes
+/// (same allocation), and every value still matches the oracle, before
+/// and after a merge and a decode.
+#[test]
+fn a_block_widens_after_the_other_blocks_are_laid_out() {
+    let n = 3 * ExactVec::BLOCK + 7;
+    let (mut flat, mut oracle) = unit_vec(n, &[]);
+    let before: Vec<(usize, usize, *const i64)> = flat
+        .blocks
+        .iter()
+        .map(|b| (b.start, b.width, b.plane.as_ptr()))
+        .collect();
+    assert!(before.iter().all(|&(_, w, _)| w > 0 && w < WIDTH_CAP));
+    let i = 2 * ExactVec::BLOCK + 11;
+    apply(&Op::Add(i, pow2(40) * 1.5), &mut flat, &mut oracle);
+    for (b, (blk, &(start, width, plane))) in flat.blocks.iter().zip(&before).enumerate() {
+        if b == 2 {
+            assert!(blk.width > width, "block 2 widens");
+            assert!(blk.spill.is_empty(), "the widened window holds the deposit");
+        } else {
+            assert_eq!(
+                (blk.start, blk.width, blk.plane.as_ptr()),
+                (start, width, plane)
+            );
+        }
+    }
+    assert_matches(&flat, &oracle, "widened block");
+
+    // Merging a laid-out vector into the widened one, and the widened one
+    // into a fresh vector, stays exact too.
+    let (other, other_oracle) = unit_vec(n, &[(i, -pow2(40))]);
+    let mut fresh = ExactVec::zeros(n);
+    fresh.merge(&flat);
+    fresh.merge(&other);
+    flat.merge(&other);
+    oracle.merge(&other_oracle);
+    assert_matches(&flat, &oracle, "widened block merged");
+    assert!(encode(&fresh) == encode(&flat));
 }

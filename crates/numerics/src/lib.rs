@@ -67,7 +67,7 @@ pub mod stats;
 
 pub use binom::LogFactorialTable;
 pub use compensated::{CompensatedVec, NeumaierSum};
-pub use exact::{ExactSum, ExactVec};
+pub use exact::{ExactBlock, ExactSum, ExactVec};
 pub use fingerprint::Fingerprint;
 pub use integrate::{adaptive_simpson, simpson};
 pub use roots::{bisect, brent};
