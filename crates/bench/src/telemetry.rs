@@ -1,6 +1,6 @@
 //! Counter-snapshot plumbing for the benches (ISSUE 10): every `BENCH_*.json`
-//! row carries the telemetry delta of the run it timed — permutations drawn,
-//! pool steals, and pool utilization — next to the wall-clock numbers, and
+//! row carries the telemetry delta of the run it timed — permutations drawn
+//! and pool utilization — next to the wall-clock numbers, and
 //! `run_all` prints the battery-wide counter totals at the end.
 //!
 //! The benches enable metrics *programmatically* ([`enable`]) instead of via
@@ -26,8 +26,6 @@ pub struct Probe {
 pub struct Delta {
     /// Monte-Carlo permutations drawn (`mc.perms`).
     pub mc_perms: u64,
-    /// Work-stealing pool steals (`pool.steals`).
-    pub pool_steals: u64,
     /// Busy worker-microseconds inside parallel regions.
     pub busy_micros: u64,
     /// Capacity worker-microseconds (workers × wall) of those regions.
@@ -51,7 +49,6 @@ impl Probe {
         };
         Delta {
             mc_perms: d("mc.perms"),
-            pool_steals: d("pool.steals"),
             busy_micros: d("pool.busy_micros"),
             capacity_micros: d("pool.capacity_micros"),
         }
@@ -73,11 +70,9 @@ impl Delta {
     /// `, ` so it appends to an existing field list.
     pub fn json_fields(&self, secs: f64) -> String {
         format!(
-            ", \"mc_perms\": {}, \"mc_perms_per_sec\": {:.3}, \"pool_steals\": {}, \
-             \"pool_utilization\": {:.4}",
+            ", \"mc_perms\": {}, \"mc_perms_per_sec\": {:.3}, \"pool_utilization\": {:.4}",
             self.mc_perms,
             self.mc_perms as f64 / secs.max(1e-9),
-            self.pool_steals,
             self.pool_utilization(),
         )
     }

@@ -26,6 +26,7 @@ use knnshap_runtime::layout::JobDirs;
 use knnshap_runtime::spec::{absolutize, plan_job, JobMethod, JobPlan, JobSpec, TaskKind};
 use knnshap_runtime::supervisor::{run_job, tail_threads, Column, Launcher, SupervisorOptions};
 use knnshap_runtime::worker::{run_worker, FaultHook, FaultPoint, WorkerOptions};
+use knnshap_runtime::JobError;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -170,6 +171,13 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
         plan_job(&spec, threads).map_err(CliError::Runtime)?
     };
     let dirs = JobDirs::new(&job);
+    // A job directory holds one job: re-planning it byte for byte is a
+    // no-op, but another plan would strand the old job's shards there.
+    if std::fs::read_to_string(dirs.plan_path()).is_ok_and(|old| old != plan.to_file_string()) {
+        return Err(CliError::Runtime(JobError::PlanConflict(
+            job.display().to_string(),
+        )));
+    }
     plan.save(&dirs).map_err(CliError::Runtime)?;
 
     let mut out = String::new();
@@ -593,9 +601,10 @@ mod tests {
                 std::fs::read(JobDirs::new(&fixed).plan_path()).unwrap(),
                 "{method:?}: --auto => {suggested} shards"
             );
+            // Each method is another job, which a job directory refuses.
+            std::fs::remove_dir_all(&auto).ok();
+            std::fs::remove_dir_all(&fixed).ok();
         }
-        std::fs::remove_dir_all(&auto).ok();
-        std::fs::remove_dir_all(&fixed).ok();
     }
 
     #[test]

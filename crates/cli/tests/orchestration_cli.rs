@@ -365,3 +365,63 @@ fn worker_process_exits_wake_the_supervisor() {
     assert!(matches!(&outcome.column, Column::Labels(l) if l.len() == 60));
     assert_eq!(outcome.values.len(), 60);
 }
+
+/// A job directory holds one job. Planning another job into a directory
+/// that holds a run job must fail before anything is computed, name the
+/// directory, and leave the first plan as it was; planning the same job
+/// again is accepted.
+#[test]
+fn shard_plan_refuses_to_overwrite_another_jobs_plan() {
+    let ws = Scratch::new("replan");
+    let (train, test) = (ws.path("train.csv"), ws.path("test.csv"));
+    synth(&train, &test);
+    let (job, out) = (ws.path("job"), ws.path("values.csv"));
+    let (t, q, j) = (
+        train.to_str().unwrap(),
+        test.to_str().unwrap(),
+        job.to_str().unwrap(),
+    );
+    let plan = |k: &str, shards: &str| {
+        Command::new(bin())
+            .args(["shard-plan", "--train", t, "--test", q])
+            .args(["--k", k, "--shards", shards, "--job", j])
+            .output()
+            .expect("spawn knnshap")
+    };
+    assert!(plan("3", "2").status.success());
+    run(&[
+        "run-job",
+        "--job",
+        j,
+        "--workers",
+        "2",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    let plan_path = JobDirs::new(&job).plan_path();
+    let first = std::fs::read(&plan_path).unwrap();
+
+    let other = plan("5", "3");
+    let stderr = String::from_utf8_lossy(&other.stderr);
+    assert!(
+        !other.status.success(),
+        "a second job was planned over the first"
+    );
+    assert!(
+        stderr.contains(j),
+        "the error must name the directory: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&plan_path).unwrap(),
+        first,
+        "first plan overwritten"
+    );
+
+    let again = plan("3", "2");
+    assert!(
+        again.status.success(),
+        "re-planning the same job was refused: {}",
+        String::from_utf8_lossy(&again.stderr)
+    );
+    assert_eq!(std::fs::read(&plan_path).unwrap(), first);
+}

@@ -63,7 +63,7 @@ const MAX_MC_ROUND: usize = 64;
 /// break the bitwise-determinism contract): small budgets get small rounds so
 /// the heuristic rule keeps its per-permutation granularity cheaply, large
 /// budgets saturate at 64 in-flight contribution vectors to bound memory at
-/// `64·N` floats while leaving the pool plenty to steal.
+/// `64·N` floats while leaving the pool plenty of units to claim.
 pub fn mc_round_size(budget: usize) -> usize {
     budget
         .div_ceil(64)

@@ -495,8 +495,12 @@ impl ResidentValuator {
     pub fn what_if(&self, row: &[f32], label: u32) -> Result<f64, ResidentError> {
         self.check_point(row, label)?;
         let n = self.train.len();
-        let sums =
-            crate::sharding::exact_sums_over(1, 0..self.test.len(), self.threads, |j, acc| {
+        let sums = crate::sharding::exact_sums_over_dense(
+            1,
+            0..self.test.len(),
+            self.threads,
+            || (),
+            |j, _, _, scratch| {
                 let (list, y) = (&self.ranked[j], self.test.y[j]);
                 let d = Metric::SquaredL2.eval(self.test.x.row(j), row);
                 let pos = list.partition_point(|nb| nb.dist <= d);
@@ -518,8 +522,9 @@ impl ResidentValuator {
                     },
                     |_, _| {},
                 );
-                acc.add(0, s);
-            });
+                scratch[0] = s;
+            },
+        );
         Ok(crate::sharding::finalize_mean(&sums, self.test.len() as u64, self.threads).get(0))
     }
 }

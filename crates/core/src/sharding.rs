@@ -532,8 +532,8 @@ const FOLD_BLOCKS: usize = 32;
 /// rebalance skewed items.
 const FOLD_BLOCKS_PER_THREAD: usize = 4;
 
-/// The parallel fold behind the sparse exact accumulations (group testing,
-/// [`exact_sums_over`]). `0..count` is cut into `block`-item claim units.
+/// The parallel fold behind group testing's sparse exact accumulation.
+/// `0..count` is cut into `block`-item claim units.
 /// Each participant of a [`knnshap_parallel::par_claim`] region of at most
 /// `threads` workers claims units from one shared counter and `step`s its
 /// per-worker state `W` (from `make`, built once, on the participant's
@@ -555,10 +555,10 @@ const FOLD_BLOCKS_PER_THREAD: usize = 4;
 /// every item deposits a value for (nearly) every training point — do not
 /// come here: [`exact_sums_over_dense`] deposits into one accumulator that
 /// all participants share, block by block, so it holds one vector whatever
-/// the thread count. A sparse fold's items deposit a handful of `add(i, x)`
-/// each at scattered points (a coalition's members, one test point's
-/// value); sharing the total would take a lock per deposit, so those folds
-/// keep a private accumulator per worker and pay the merge instead.
+/// the thread count. A group test deposits a handful of `add(i, x)` at
+/// scattered points (the coalition's members); sharing the total would
+/// take a lock per deposit, so it keeps a private accumulator per worker
+/// and pays the merge instead.
 ///
 /// ### Determinism contract
 ///
@@ -618,31 +618,6 @@ pub(crate) fn static_fold_block(count: usize, threads: usize) -> usize {
         FOLD_BLOCKS.min(threads.saturating_mul(FOLD_BLOCKS_PER_THREAD))
     };
     count.div_ceil(target).max(1)
-}
-
-/// [`exact_fold`] specialized to the sparse per-item-mean folds: `fill`
-/// deposits item `j`'s few contributions (absolute index `j` in `range`)
-/// into a per-training-point [`ExactVec`], in [`static_fold_block`] units.
-/// A fill that writes (nearly) every training point per item belongs in
-/// [`exact_sums_over_dense`].
-pub(crate) fn exact_sums_over<F>(
-    n_train: usize,
-    range: std::ops::Range<usize>,
-    threads: usize,
-    fill: F,
-) -> ExactVec
-where
-    F: Fn(usize, &mut ExactVec) + Sync,
-{
-    exact_fold(
-        range.len(),
-        threads,
-        static_fold_block(range.len(), threads),
-        || ExactVec::zeros(n_train),
-        || (),
-        |_, acc, items| items.for_each(|j| fill(range.start + j, acc)),
-        ExactVec::merge,
-    )
 }
 
 /// The exact fold for fills that touch (nearly) every training point per

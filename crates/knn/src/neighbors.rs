@@ -23,8 +23,8 @@
 //! * [`top_k`] — heap-based top-K used for plain prediction and candidate
 //!   re-ranking inside the LSH index.
 //!
-//! Batched variants fan queries out on the `knnshap_parallel` work-stealing
-//! pool; per-test-point valuation is embarrassingly parallel.
+//! Batched variants fan queries out on the `knnshap_parallel` pool;
+//! per-test-point valuation is embarrassingly parallel.
 
 use crate::distance::Metric;
 use knnshap_datasets::Features;
@@ -294,9 +294,9 @@ fn sift_down(heap: &mut [Neighbor]) {
     }
 }
 
-/// Apply `f` to every query row in parallel (work-stealing, order
-/// preserving), collecting results in query order. `f` must be cheap to
-/// share (it is called from multiple threads).
+/// Apply `f` to every query row in parallel (order preserving),
+/// collecting results in query order. `f` must be cheap to share (it is
+/// called from multiple threads).
 pub fn par_map_queries<T, F>(queries: &Features, threads: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -6,9 +6,9 @@
 //! Shapley vector to be a pure function of the summand sequence — never of
 //! the thread count. [`NeumaierSum`] provides the per-term accumulator and
 //! [`CompensatedVec`] the per-point vector of them; both carry an explicit
-//! [`merge`](NeumaierSum::merge) so `knnshap_parallel::par_map_reduce`-style
-//! blocked folds (fixed block partition, fixed reduction order) stay bitwise
-//! reproducible while losing far less precision than a naive `f64` chain.
+//! [`merge`](NeumaierSum::merge) so blocked folds with a fixed block
+//! partition and a fixed reduction order stay bitwise reproducible while
+//! losing far less precision than a naive `f64` chain.
 //!
 //! ```
 //! use knnshap_numerics::compensated::NeumaierSum;

@@ -1,11 +1,12 @@
-//! # knnshap_parallel — work-stealing runtime with a determinism contract
+//! # knnshap_parallel — one claim-counter scheduler with a determinism contract
 //!
 //! Every hot path in the workspace used to shard work with one-off
 //! `std::thread::scope` blocks and fixed even chunking. That loses exactly
 //! where the paper's extended estimators hurt most: per-item cost is highly
 //! non-uniform (weighted Shapley recursions, LSH table builds, skewed query
 //! batches), so static shards finish at very different times. This crate
-//! replaces all of them with one hand-rolled work-stealing pool.
+//! replaces all of them with one hand-rolled pool whose workers claim work
+//! from a shared counter.
 //!
 //! ## API
 //!
@@ -16,11 +17,6 @@
 //! * [`par_map`]`(n, threads, f)` — order-preserving `(0..n).map(f)`.
 //! * [`par_chunks`]`(items, chunk_size, threads, f)` — disjoint mutable
 //!   chunks of a slice, chunk boundaries fixed by the caller.
-//! * [`par_map_reduce`]`(n, threads, init, step, reduce)` — blocked fold
-//!   whose reduction order is a function of `n` alone.
-//! * [`par_indexed_map_reduce`] — the same fold, but `init` sees the block's
-//!   index range so accumulators can set up block-scoped scratch (how the
-//!   Monte Carlo estimators seat a forked utility per block).
 //! * [`par_claim`]`(units, threads, participant)` — dynamic claiming:
 //!   each participant drains unit indices from one shared counter, so
 //!   per-worker state is built once per worker, not once per unit. Only
@@ -37,15 +33,16 @@
 //! ## Determinism contract
 //!
 //! Parallel results are **bitwise-identical across thread counts**,
-//! including the serial case:
+//! including the serial case, because nothing a caller keeps depends on
+//! which participant ran which unit:
 //!
-//! * `par_map` writes `f(i)` into slot `i` — scheduling cannot reorder it.
-//! * `par_map_reduce` cuts `0..n` into a fixed partition (a function of `n`
-//!   only), folds each block in index order into a fresh accumulator, and
-//!   combines the per-block accumulators in block order on the calling
-//!   thread. The floating-point reduction tree is therefore invariant under
-//!   the thread count and under scheduling, and `threads = 1` executes the
-//!   *same* tree serially.
+//! * `par_map` writes `f(i)` into slot `i`, and `par_chunks` hands `f` the
+//!   caller's fixed chunk bounds — scheduling can move neither.
+//! * `par_claim` hands units out in an order that varies from run to run,
+//!   so its callers keep only what that order cannot change: writes
+//!   indexed by unit, and exact sums (`knnshap_numerics::exact`), whose
+//!   merge is error-free and therefore order-free.
+//! * `par_ordered` commits units one at a time in sequence order.
 //!
 //! This is what lets the estimator suites assert that Shapley vectors from
 //! 1-, 2- and 8-thread runs agree to the last bit (see
@@ -53,33 +50,36 @@
 //!
 //! ## Scheduling
 //!
-//! Blocks are dealt round-robin onto per-participant deques; owners pop the
-//! front, idle participants steal from the back of their neighbors. The
-//! submitting thread always participates (a pool of size 1 spawns no
-//! threads), panics in tasks are caught and re-thrown on the submitter, and
-//! nested regions are deadlock-free because waiting is implemented as
-//! helping.
+//! Every region admits at most `min(threads, pool, units)` participants,
+//! and its participants drain one shared claim counter (`par_ordered`: one
+//! sequence lock). The submitting thread is always participant 0 (a pool
+//! of size 1 spawns no threads) and runs every participant slot no worker
+//! took, panics are caught and re-thrown on the submitter, and nested
+//! regions are deadlock-free because waiting is implemented as helping.
 //!
 //! ```
-//! // Order-preserving map, deterministic blocked reduction.
+//! use std::sync::atomic::{AtomicUsize, Ordering};
+//!
+//! // Order-preserving map and caller-fixed chunks.
 //! let squares = knnshap_parallel::par_map(8, 4, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //!
-//! let sum: f64 = knnshap_parallel::par_map_reduce(
-//!     1_000,
-//!     4,
-//!     || 0.0f64,
-//!     |acc, i| *acc += (i as f64).sqrt(),
-//!     |a, b| *a += b,
-//! );
-//! let serial = knnshap_parallel::par_map_reduce(
-//!     1_000,
-//!     1,
-//!     || 0.0f64,
-//!     |acc, i| *acc += (i as f64).sqrt(),
-//!     |a, b| *a += b,
-//! );
-//! assert_eq!(sum.to_bits(), serial.to_bits()); // bitwise, not approximately
+//! let mut roots = vec![0.0f64; 1_000];
+//! knnshap_parallel::par_chunks(&mut roots, 64, 4, |offset, chunk| {
+//!     for (j, r) in chunk.iter_mut().enumerate() {
+//!         *r = ((offset + j) as f64).sqrt();
+//!     }
+//! });
+//! assert!(roots.iter().enumerate().all(|(i, r)| r.to_bits() == (i as f64).sqrt().to_bits()));
+//!
+//! // Every unit is claimed exactly once, whichever participant claims it.
+//! let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+//! knnshap_parallel::par_claim(100, 4, |claims| {
+//!     for unit in claims {
+//!         hits[unit].fetch_add(1, Ordering::Relaxed);
+//!     }
+//! });
+//! assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
 //! ```
 
 mod pool;
@@ -147,43 +147,6 @@ where
     ThreadPool::global().par_chunks(items, chunk_size, threads, f)
 }
 
-/// Deterministic parallel fold on the global pool: per-block accumulators
-/// (`init` + `step` over each block's indices in order) combined in block
-/// order via `reduce`. Bitwise-identical results for every `threads` value;
-/// returns `init()` when `n == 0`. See the [crate docs](crate) for the full
-/// contract.
-pub fn par_map_reduce<A, I, S, R>(n: usize, threads: usize, init: I, step: S, reduce: R) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    S: Fn(&mut A, usize) + Sync,
-    R: Fn(&mut A, A),
-{
-    ThreadPool::global().par_map_reduce(n, threads, init, step, reduce)
-}
-
-/// [`par_map_reduce`] whose `init` receives the block's index range, so
-/// accumulators can carry block-scoped scratch (forked utilities, stream
-/// tables, reusable permutation buffers). Same fixed partition and block-order
-/// reduction — and therefore the same bitwise-determinism contract — as
-/// [`par_map_reduce`]; the parallel Monte Carlo estimators in `knnshap_core`
-/// are built on this entry point.
-pub fn par_indexed_map_reduce<A, I, S, R>(
-    n: usize,
-    threads: usize,
-    init: I,
-    step: S,
-    reduce: R,
-) -> A
-where
-    A: Send,
-    I: Fn(std::ops::Range<usize>) -> A + Sync,
-    S: Fn(&mut A, usize) + Sync,
-    R: Fn(&mut A, A),
-{
-    ThreadPool::global().par_indexed_map_reduce(n, threads, init, step, reduce)
-}
-
 /// Dynamic claiming on the global pool: at most `threads` participants
 /// each run `participant` once and claim unit indices of `0..units` from
 /// one shared counter. See [`ThreadPool::par_claim`].
@@ -226,51 +189,6 @@ mod tests {
     fn par_map_empty_and_single() {
         assert_eq!(par_map(0, 8, |i| i), Vec::<usize>::new());
         assert_eq!(par_map(1, 8, |i| i + 41), vec![41]);
-    }
-
-    #[test]
-    fn par_map_reduce_empty_returns_init() {
-        let v = par_map_reduce(0, 8, || 7i64, |_, _| unreachable!(), |_, _| unreachable!());
-        assert_eq!(v, 7);
-    }
-
-    #[test]
-    fn par_indexed_map_reduce_sees_block_ranges() {
-        // Each block's accumulator starts at its range start; folding the
-        // starts plus the per-item steps must cover 0..n exactly once, and
-        // the result must be thread-count-free.
-        let run = |threads: usize| -> (u64, usize) {
-            par_indexed_map_reduce(
-                1000,
-                threads,
-                |range| (0u64, range.start),
-                |acc, i| {
-                    assert!(i >= acc.1, "item before block start");
-                    acc.0 += i as u64;
-                },
-                |a, b| a.0 += b.0,
-            )
-        };
-        let serial = run(1);
-        assert_eq!(serial.0, (0..1000u64).sum::<u64>());
-        for threads in [2, 8] {
-            assert_eq!(run(threads), serial);
-        }
-    }
-
-    #[test]
-    fn par_indexed_map_reduce_empty_gets_empty_range() {
-        let v = par_indexed_map_reduce(
-            0,
-            4,
-            |range| {
-                assert!(range.is_empty());
-                3i32
-            },
-            |_, _| unreachable!(),
-            |_, _| unreachable!(),
-        );
-        assert_eq!(v, 3);
     }
 
     #[test]

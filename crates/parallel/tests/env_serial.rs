@@ -3,7 +3,7 @@
 //! process) so the env var is set before anything touches
 //! `ThreadPool::global()`, which reads it exactly once.
 
-use knnshap_parallel::{current_threads, par_map, par_map_reduce, ThreadPool};
+use knnshap_parallel::{current_threads, par_claim, par_map, ThreadPool};
 
 #[test]
 fn env_var_forces_global_pool_serial() {
@@ -17,7 +17,13 @@ fn env_var_forces_global_pool_serial() {
     let ids = par_map(512, 8, |_| std::thread::current().id());
     assert!(ids.into_iter().all(|id| id == caller));
 
-    // And the blocked reduction still produces the canonical serial tree.
-    let total = par_map_reduce(777, 8, || 0.0f64, |a, i| *a += i as f64, |a, b| *a += b);
-    assert_eq!(total, (0..777).map(|i| i as f64).sum::<f64>());
+    // And a claim region has one participant, on the caller, that claims
+    // every unit in order.
+    let claimed = std::sync::Mutex::new(Vec::new());
+    par_claim(777, 8, |claims| {
+        assert!(claims.solo());
+        assert_eq!(std::thread::current().id(), caller);
+        claimed.lock().unwrap().extend(claims);
+    });
+    assert_eq!(claimed.into_inner().unwrap(), (0..777).collect::<Vec<_>>());
 }

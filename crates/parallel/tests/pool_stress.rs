@@ -1,17 +1,17 @@
-//! Stress and edge-case battery for the work-stealing pool: the satellite
-//! checklist of ISSUE 2 — empty input, one item, items ≫ workers, panic
-//! propagation, nested regions, and determinism of the blocked reduction.
+//! Stress and edge-case battery for the thread pool: empty input, one
+//! item, items ≫ workers, panic propagation (and no unit claimed after a
+//! panic), nested regions, skewed costs and concurrent submitters.
 
 use knnshap_parallel::ThreadPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 #[test]
 fn empty_input_on_every_entry_point() {
     let pool = ThreadPool::new(4);
     assert_eq!(pool.par_map(0, 4, |i| i), Vec::<usize>::new());
-    let folded = pool.par_map_reduce(0, 4, || -1i32, |_, _| panic!("no items"), |_, _| ());
-    assert_eq!(folded, -1);
+    pool.par_claim(0, 4, |_| panic!("no participant for no units"));
     let mut nothing: [u8; 0] = [];
     pool.par_chunks(&mut nothing, 3, 4, |_, _| panic!("no chunks"));
 }
@@ -20,8 +20,16 @@ fn empty_input_on_every_entry_point() {
 fn one_item() {
     let pool = ThreadPool::new(8);
     assert_eq!(pool.par_map(1, 8, |i| i + 1), vec![1]);
-    let one = pool.par_map_reduce(1, 8, || 0u64, |a, i| *a += i as u64 + 10, |a, b| *a += b);
-    assert_eq!(one, 10);
+    let (participants, sum) = (AtomicUsize::new(0), AtomicU64::new(0));
+    pool.par_claim(1, 8, |claims| {
+        participants.fetch_add(1, Ordering::Relaxed);
+        assert!(claims.solo(), "one unit admits one participant");
+        for i in claims {
+            sum.fetch_add(i as u64 + 10, Ordering::Relaxed);
+        }
+    });
+    assert_eq!(participants.into_inner(), 1);
+    assert_eq!(sum.into_inner(), 10);
 }
 
 #[test]
@@ -65,17 +73,13 @@ fn panic_in_task_propagates_and_pool_survives() {
 fn panic_in_reduce_region_propagates() {
     let pool = ThreadPool::new(2);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        pool.par_map_reduce(
-            600,
-            2,
-            || 0usize,
-            |_, i| {
+        pool.par_claim(600, 2, |claims| {
+            for i in claims {
                 if i == 300 {
-                    panic!("step panic");
+                    panic!("unit panic");
                 }
-            },
-            |a, b| *a += b,
-        )
+            }
+        })
     }));
     assert!(result.is_err());
 }
@@ -98,7 +102,13 @@ fn nested_par_map_does_not_deadlock() {
 fn doubly_nested_regions() {
     let pool = ThreadPool::new(2);
     let sums = pool.par_map(4, 2, |i| {
-        pool.par_map_reduce(64, 2, || 0usize, |a, j| *a += i + j, |a, b| *a += b)
+        let sum = AtomicUsize::new(0);
+        pool.par_claim(64, 2, |claims| {
+            for j in claims {
+                sum.fetch_add(i + j, Ordering::Relaxed);
+            }
+        });
+        sum.into_inner()
     });
     for (i, &s) in sums.iter().enumerate() {
         assert_eq!(s, 64 * i + (0..64).sum::<usize>());
@@ -117,34 +127,10 @@ fn single_thread_pool_degrades_to_serial() {
 }
 
 #[test]
-fn reduction_is_bitwise_identical_across_thread_counts() {
-    // Floating-point accumulation in a pathological order-sensitive setup:
-    // magnitudes spanning ~16 decades, so any reordering of the reduction
-    // tree would flip low bits.
-    let pool = ThreadPool::new(8);
-    let n = 10_000usize;
-    let value = |i: usize| (i as f64 + 0.5) * 1e-8_f64.powi((i % 5) as i32 - 2);
-    let run = |threads: usize| {
-        pool.par_map_reduce(n, threads, || 0.0f64, |a, i| *a += value(i), |a, b| *a += b)
-    };
-    let serial = run(1);
-    for threads in [2usize, 3, 4, 8] {
-        // Repeat so nondeterministic scheduling would get many chances to
-        // change a stealing pattern — the answer must never move.
-        for _ in 0..5 {
-            assert_eq!(
-                run(threads).to_bits(),
-                serial.to_bits(),
-                "threads={threads}"
-            );
-        }
-    }
-}
-
-#[test]
 fn skewed_workloads_balance_and_stay_ordered() {
-    // Cost ∝ item index: the tail blocks are far heavier than the head —
-    // the static-chunking worst case that motivated stealing.
+    // Cost ∝ item index: the tail chunks are far heavier than the head —
+    // the static-chunking worst case that claiming from one counter
+    // balances.
     let pool = ThreadPool::new(4);
     let n = 4_000usize;
     let out = pool.par_map(n, 4, |i| {
@@ -171,4 +157,47 @@ fn concurrent_submitters_share_the_pool() {
         assert!(a.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
         assert!(b.iter().enumerate().all(|(i, &v)| v == i as u64 * 3));
     });
+}
+
+#[test]
+fn panic_at_unit_three_runs_no_later_unit() {
+    // At one thread the region's one participant claims units in order, so
+    // the units that ran are exactly those up to the panicking one.
+    for pool_threads in [1usize, 4] {
+        let pool = ThreadPool::new(pool_threads);
+        let ran = Mutex::new(Vec::new());
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.par_claim(10, 1, |claims| {
+                for unit in claims {
+                    ran.lock().unwrap().push(unit);
+                    if unit == 3 {
+                        panic!("unit 3");
+                    }
+                }
+            })
+        }));
+        assert!(result.is_err(), "pool of {pool_threads}: panic swallowed");
+        assert_eq!(
+            *ran.lock().unwrap(),
+            vec![0, 1, 2, 3],
+            "pool of {pool_threads}"
+        );
+
+        let mut items = vec![0u8; 10];
+        let ran = Mutex::new(Vec::new());
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.par_chunks(&mut items, 1, 1, |offset, _| {
+                ran.lock().unwrap().push(offset);
+                if offset == 3 {
+                    panic!("chunk 3");
+                }
+            })
+        }));
+        assert!(result.is_err(), "pool of {pool_threads}: panic swallowed");
+        assert_eq!(
+            *ran.lock().unwrap(),
+            vec![0, 1, 2, 3],
+            "pool of {pool_threads}"
+        );
+    }
 }

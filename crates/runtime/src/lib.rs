@@ -117,6 +117,9 @@ pub enum JobError {
     Plan(String),
     /// A spec that names an impossible job (bad combos, zero shards…).
     Spec(String),
+    /// Planning into a job directory (named here) that already holds a
+    /// different plan.
+    PlanConflict(String),
     /// The datasets on disk no longer match the plan's job fingerprint.
     FingerprintMismatch { expected: u64, found: u64 },
     /// Shard-file or merge validation failures.
@@ -134,6 +137,11 @@ impl std::fmt::Display for JobError {
             JobError::Dataset(m) => write!(f, "dataset error: {m}"),
             JobError::Plan(m) => write!(f, "job plan error: {m}"),
             JobError::Spec(m) => write!(f, "job spec error: {m}"),
+            JobError::PlanConflict(dir) => write!(
+                f,
+                "{dir} already holds a different job plan, and its shards and checkpoints \
+                 belong to that job: plan into a new --job directory, or remove this one"
+            ),
             JobError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "job fingerprint mismatch: the plan was built for {expected:016x} but the \

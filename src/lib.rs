@@ -49,8 +49,8 @@
 //! assert!(sv.as_slice().iter().all(|v| v.is_finite()));
 //! ```
 
-/// Parallel substrate: the work-stealing pool behind every batched path
-/// (`par_map`, `par_chunks`, deterministic `par_map_reduce`,
+/// Parallel substrate: the claim-counter pool behind every batched path
+/// (`par_map`, `par_chunks`, `par_claim`, `par_ordered`,
 /// `KNNSHAP_THREADS`).
 pub use knnshap_parallel as parallel;
 

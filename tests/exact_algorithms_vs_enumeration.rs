@@ -166,8 +166,8 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Golden-value checks for the `par_map_reduce`-backed multi-test
-    // drivers (ISSUE 2): the work-stealing reduction over test points must
+    // Golden-value checks for the parallel multi-test estimators: the exact
+    // fold over test points, claimed by workers from one counter, must
     // still reproduce the brute-force enumeration of the *averaged* game,
     // at an intentionally parallel thread count.
     // ------------------------------------------------------------------

@@ -160,7 +160,7 @@ fn zero_budget_matches_serial_empty_run() {
 #[test]
 fn repeated_runs_never_wobble() {
     // Same input, same thread count, many runs: scheduling (and therefore
-    // stealing patterns) varies — the MC Shapley vector must not.
+    // which worker claims which unit) varies — the MC Shapley vector must not.
     let (train, test) = random_class(&mut StdRng::seed_from_u64(99), 150, 6, 2);
     let inc = IncKnnUtility::classification(&train, &test, 3, WeightFn::Uniform);
     let reference = mc_shapley_improved_with_threads(&inc, StoppingRule::Fixed(200), 4, None, 8);

@@ -1,15 +1,15 @@
-//! Determinism battery for the work-stealing runtime (ISSUE 2): for every
-//! estimator migrated onto `knnshap_parallel`, the parallel output with 1, 2
-//! and 8 threads must be **bitwise-identical** to the serial path — not
-//! approximately equal, identical to the last mantissa bit. This is the
-//! `par_map_reduce` contract (fixed block partition + fixed reduction order)
+//! Determinism battery for the parallel runtime: for every estimator on
+//! `knnshap_parallel`, the parallel output with 1, 2 and 8 threads must be
+//! **bitwise-identical** to the serial path — not approximately equal,
+//! identical to the last mantissa bit. This is the crate's contract (writes
+//! by index into caller-fixed chunks, exact sums over claimed units)
 //! checked end-to-end through the real Shapley recursions.
 //!
 //! Two layers:
 //! * proptest over randomized instances (the shim seeds deterministically
 //!   from the test name, so every run replays the same pinned cases);
 //! * fixed-seed `StdRng` instances large enough (hundreds of test points)
-//!   that every thread count actually schedules many blocks.
+//!   that every thread count actually claims many units.
 
 use knnshap::knn::classifier::KnnClassifier;
 use knnshap::knn::WeightFn;
@@ -85,7 +85,7 @@ fn weighted_regression_bitwise_across_thread_counts() {
 #[test]
 fn repeated_runs_never_wobble() {
     // Same input, same thread count, many runs: scheduling (and therefore
-    // stealing patterns) varies — the Shapley vector must not.
+    // which worker claims which unit) varies — the Shapley vector must not.
     let (train, test) = random_class(&mut StdRng::seed_from_u64(2026), 120, 200, 2);
     let reference = knn_class_shapley_with_threads(&train, &test, 3, 8);
     for run in 0..5 {
