@@ -213,14 +213,12 @@ pub fn run_client(args: &Args) -> Result<String, CliError> {
             Ok(format!("version {version} | deleted index {index}"))
         }
         "train-csv" => {
-            let (version, csv) = client.train_csv().map_err(serve_err)?;
             let out = args
                 .str("out")
                 .ok_or_else(|| CliError::Invalid("--op train-csv needs --out FILE".into()))?;
-            std::fs::write(out, &csv).map_err(|e| CliError::Serve(e.to_string()))?;
+            let (version, bytes) = export_train_csv(&mut client, Path::new(out))?;
             Ok(format!(
-                "version {version} | wrote the training set ({} bytes) to {out}",
-                csv.len()
+                "version {version} | wrote the training set ({bytes} bytes) to {out}"
             ))
         }
         "script" => {
@@ -489,6 +487,26 @@ fn write_dump_csv(path: &Path, dump: &knnshap_serve::Dump) -> std::io::Result<()
     w.flush()
 }
 
+/// Stream the daemon's training set into `path` as its parts arrive,
+/// through a temporary sibling that is renamed into place once the export
+/// checked out. A failed export leaves no partial file, and a file already
+/// at `path` stays as it was.
+fn export_train_csv(client: &mut Client, path: &Path) -> Result<(u64, u64), CliError> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".tmp.{}", std::process::id()));
+    let tmp = path.with_file_name(name);
+    let io_err =
+        |e: std::io::Error| CliError::Serve(format!("cannot write {}: {e}", path.display()));
+    let written = std::fs::File::create(&tmp)
+        .map_err(io_err)
+        .and_then(|mut file| client.train_csv_to(&mut file).map_err(serve_err))
+        .and_then(|got| std::fs::rename(&tmp, path).map(|()| got).map_err(io_err));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
 fn serve_err(e: knnshap_serve::ClientError) -> CliError {
     CliError::Serve(e.to_string())
 }
@@ -544,7 +562,7 @@ mod tests {
         assert!(out.contains("3 most valuable"), "{out}");
 
         let out = run_client(&client_args(&endpoint, &["--op", "metrics"])).unwrap();
-        assert!(out.contains("protocol 3"), "{out}");
+        assert!(out.contains("protocol 4"), "{out}");
         assert!(out.contains("what-if cache:"), "{out}");
         assert!(out.contains("queue: 0 pending"), "{out}");
 
@@ -666,6 +684,52 @@ mod tests {
         assert!(err.to_string().contains("group size"), "{err}");
         run_client(&client_args(&endpoint, &["--op", "shutdown"])).unwrap();
         daemon.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_failed_train_csv_export_leaves_no_partial_file() {
+        use knnshap_serve::protocol::{read_frame, write_frame, Response};
+        let dir = std::env::temp_dir().join(format!("knnshap-cli-{}-export", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("train.csv");
+        for earlier in [None, Some(&b"earlier export\n"[..])] {
+            if let Some(bytes) = earlier {
+                std::fs::write(&out, bytes).unwrap();
+            }
+            // A peer that answers the export with one part, then hangs up.
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+            let peer = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().unwrap();
+                read_frame(&mut s).unwrap().expect("export request");
+                let part = Response::TrainCsvPart {
+                    csv: b"1,2,0\n".to_vec(),
+                };
+                write_frame(&mut s, &part.encode()).unwrap();
+            });
+            let err = run_client(&client_args(
+                &endpoint,
+                &["--op", "train-csv", "--out", out.to_str().unwrap()],
+            ))
+            .unwrap_err();
+            peer.join().unwrap();
+            assert!(err.to_string().contains("truncated"), "{err}");
+            // No partial file and no temporary sibling; an earlier file
+            // at `--out` is untouched.
+            let names: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            match earlier {
+                None => assert!(names.is_empty(), "{names:?}"),
+                Some(bytes) => {
+                    assert_eq!(names, ["train.csv"]);
+                    assert_eq!(std::fs::read(&out).unwrap(), bytes);
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

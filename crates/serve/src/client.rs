@@ -5,7 +5,9 @@
 //! answer was computed under alongside the payload, so callers can reason
 //! about freshness; [`Client::dump`] additionally re-verifies the
 //! snapshot checksum, turning any torn or corrupted vector into a loud
-//! [`ClientError::ChecksumMismatch`] instead of silent bad data.
+//! [`ClientError::ChecksumMismatch`] instead of silent bad data, and
+//! [`Client::train_csv_to`] checks a streamed export's closing frame
+//! against the parts that arrived ([`ClientError::ExportMismatch`]).
 
 use crate::protocol::{
     read_frame, write_frame, BatchMutation, BatchOutcome, ErrorCode, MetricsHistogram,
@@ -14,6 +16,7 @@ use crate::protocol::{
 use crate::server::{Conn, Endpoint};
 use crate::store::Snapshot;
 use knnshap_core::types::ShapleyValues;
+use std::io::Write;
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -33,6 +36,14 @@ pub enum ClientError {
     Unexpected { expected: &'static str, got: String },
     /// A dumped vector failed checksum verification (torn/corrupt data).
     ChecksumMismatch { version: u64 },
+    /// A streamed training-set export closed with rows and bytes
+    /// (`announced`) that disagree with the parts that arrived
+    /// (`received`), both as `(rows, bytes)`.
+    ExportMismatch {
+        version: u64,
+        announced: (u64, u64),
+        received: (u64, u64),
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -52,6 +63,16 @@ impl std::fmt::Display for ClientError {
                     "vector for version {version} failed checksum verification"
                 )
             }
+            ClientError::ExportMismatch {
+                version,
+                announced,
+                received,
+            } => write!(
+                f,
+                "training-set export of version {version} announced {} rows / {} bytes \
+                 but {} rows / {} bytes arrived",
+                announced.0, announced.1, received.0, received.1
+            ),
         }
     }
 }
@@ -224,6 +245,12 @@ impl Client {
     /// surfaced as [`ClientError::Server`].
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
         write_frame(&mut self.conn, &req.encode())?;
+        self.read_response()
+    }
+
+    /// Read one response frame; error responses become [`ClientError`]s
+    /// as in [`Client::request`].
+    fn read_response(&mut self) -> Result<Response, ClientError> {
         let payload =
             read_frame(&mut self.conn)?.ok_or(ClientError::Protocol(ProtocolError::Truncated {
                 expected: 4,
@@ -353,10 +380,65 @@ impl Client {
         }
     }
 
-    /// The current training set as CSV bytes (`save_class_csv` format).
+    /// The current training set as CSV bytes (`save_class_csv` format),
+    /// with the version it was exported at. See [`Client::train_csv_to`].
     pub fn train_csv(&mut self) -> Result<(u64, Vec<u8>), ClientError> {
+        let mut csv = Vec::new();
+        let (version, _) = self.train_csv_to(&mut csv)?;
+        Ok((version, csv))
+    }
+
+    /// Write the current training set to `out` as CSV (`save_class_csv`
+    /// format) while it arrives; returns `(version, bytes written)`.
+    ///
+    /// Asks for the streamed export (protocol v4) and checks its end frame
+    /// against the parts received. A daemon that answers the stream
+    /// request with `BadRequest` (v3 and older) is asked for the one-frame
+    /// `TrainCsv` instead. On an error `out` may hold part of the CSV, and
+    /// the connection may be left mid-stream: drop it.
+    pub fn train_csv_to(&mut self, out: &mut impl Write) -> Result<(u64, u64), ClientError> {
+        write_frame(&mut self.conn, &Request::TrainCsvStream.encode())?;
+        let (mut rows, mut bytes) = (0u64, 0u64);
+        loop {
+            let resp = match self.read_response() {
+                Err(ClientError::Server {
+                    code: ErrorCode::BadRequest,
+                    ..
+                }) if bytes == 0 => return self.train_csv_one_frame(out),
+                resp => resp?,
+            };
+            match resp {
+                Response::TrainCsvPart { csv } => {
+                    out.write_all(&csv)?;
+                    rows += csv.iter().filter(|&&b| b == b'\n').count() as u64;
+                    bytes += csv.len() as u64;
+                }
+                Response::TrainCsvEnd {
+                    version,
+                    rows: announced_rows,
+                    bytes: announced_bytes,
+                } => {
+                    if (announced_rows, announced_bytes) != (rows, bytes) {
+                        return Err(ClientError::ExportMismatch {
+                            version,
+                            announced: (announced_rows, announced_bytes),
+                            received: (rows, bytes),
+                        });
+                    }
+                    return Ok((version, bytes));
+                }
+                other => return Err(unexpected("TrainCsvPart or TrainCsvEnd", other)),
+            }
+        }
+    }
+
+    /// The pre-v4 export: the whole CSV in one `TrainCsv` frame.
+    fn train_csv_one_frame(&mut self, out: &mut impl Write) -> Result<(u64, u64), ClientError> {
         match self.request(&Request::TrainCsv)? {
-            Response::TrainCsv { version, csv } => Ok((version, csv)),
+            Response::TrainCsv { version, csv } => {
+                out.write_all(&csv)?;
+                Ok((version, csv.len() as u64))
+            }
             other => Err(unexpected("TrainCsv", other)),
         }
     }
@@ -463,11 +545,20 @@ impl Client {
     }
 }
 
+/// A [`ClientError::Unexpected`] naming the response that arrived, cut
+/// to its first 120 characters: a stray CSV part would otherwise spell
+/// out 64 KiB of bytes.
 fn unexpected(expected: &'static str, got: Response) -> ClientError {
-    ClientError::Unexpected {
-        expected,
-        got: format!("{got:?}"),
+    let mut got = format!("{got:?}");
+    if got.len() > 120 {
+        let cut = (0..=120)
+            .rev()
+            .find(|&i| got.is_char_boundary(i))
+            .unwrap_or(0);
+        got.truncate(cut);
+        got.push('…');
     }
+    ClientError::Unexpected { expected, got }
 }
 
 #[cfg(test)]

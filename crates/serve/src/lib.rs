@@ -54,7 +54,7 @@ pub mod store;
 
 pub use client::{Client, ClientError, Dump, StatInfo};
 pub use protocol::{
-    BatchMutation, BatchOutcome, ErrorCode, ProtocolError, Request, Response, MAX_FRAME,
+    BatchMutation, BatchOutcome, ErrorCode, ProtocolError, Request, Response, MAX_FRAME, PART_MAX,
     PROTOCOL_VERSION,
 };
 pub use server::{bind, BoundServer, Endpoint, ValuationServer, DEFAULT_QUEUE_BOUND};

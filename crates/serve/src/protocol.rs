@@ -7,7 +7,7 @@
 //! payload = tag byte  ||  little-endian body
 //! ```
 //!
-//! Request tags are `0x01..=0x0B`, response tags `0x81..=0x8A` (high bit
+//! Request tags are `0x01..=0x0C`, response tags `0x81..=0x8C` (high bit
 //! set), so a stream position can never be mistaken for the other
 //! direction. The length prefix is capped at [`MAX_FRAME`]; a prefix above
 //! the cap is rejected *before* any allocation, so a corrupt or hostile
@@ -30,6 +30,14 @@
 //!   telemetry (uptime, request count, latency and batch-size histograms,
 //!   mutation-queue depth, what-if cache counters). Read-only: asking for
 //!   metrics never touches the engine lock or any served value.
+//! * **v4** — strict superset of v3: adds the streamed training-set export.
+//!   [`Request::TrainCsvStream`] (`0x0C`) is answered by
+//!   [`Response::TrainCsvPart`] frames (`0x8B`), each at most [`PART_MAX`]
+//!   CSV bytes cut at row boundaries, and one closing
+//!   [`Response::TrainCsvEnd`] (`0x8C`) that counts the rows and bytes
+//!   sent. The export has no size limit; the one-frame
+//!   [`Request::TrainCsv`] answers a `Rejected` error once its CSV would
+//!   pass [`MAX_FRAME`].
 //!
 //! Decoding is strict: every body must parse to exactly its declared
 //! length — trailing bytes, short bodies and unknown tags are
@@ -38,17 +46,34 @@
 
 use std::io::{self, Read, Write};
 
-/// Hard cap on a frame's payload length (64 MiB). A `Dump` of 10⁷ points
-/// is ~76 MB and wouldn't fit — but the cap is per *frame*, and such dumps
-/// should go through the CSV artifact path anyway; the serving protocol
-/// targets the interactive ops.
+/// Hard cap on a frame's payload length (64 MiB), checked on both ends:
+/// [`read_frame`] rejects a larger prefix before allocating, and
+/// [`write_frame`] refuses a larger payload with a typed error. A `Dump`
+/// costs 12 bytes per point, so it fits up to about 5.6·10⁶ points. A
+/// one-frame `TrainCsv` costs about 10.5–10.7 bytes per feature (337–342
+/// per row at d = 32, so about 2·10⁵ rows); larger training sets go
+/// through the streamed export ([`Request::TrainCsvStream`]), whose parts
+/// hold at most [`PART_MAX`] bytes each.
 pub const MAX_FRAME: u32 = 1 << 26;
 
+/// Most CSV bytes a one-frame [`Response::TrainCsv`] carries: the frame
+/// cap less its tag, version and byte count.
+pub const TRAIN_CSV_MAX: usize = MAX_FRAME as usize - TRAIN_CSV_HEAD;
+
+/// Tag, `version: u64` and `len: u32` ahead of a `TrainCsv` body.
+const TRAIN_CSV_HEAD: usize = 1 + 8 + 4;
+
+/// Most CSV bytes one [`Response::TrainCsvPart`] carries (64 KiB), like
+/// the CSV loader's read window: a part buffer stays below glibc's
+/// 128 KiB mmap threshold. Parts are cut at row boundaries; a single row
+/// longer than this travels alone in its own part.
+pub const PART_MAX: usize = 64 << 10;
+
 /// Protocol version, echoed in `Stat` so clients can detect skew.
-/// v3 = v2 plus the `Metrics`/`Metrics` frame pair; v2 = v1 plus
-/// `Batch`/`BatchApplied` and the `Busy` error code; see the version
-/// history in the module docs.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// v4 = v3 plus the streamed training-set export; v3 = v2 plus the
+/// `Metrics`/`Metrics` frame pair; v2 = v1 plus `Batch`/`BatchApplied` and
+/// the `Busy` error code; see the version history in the module docs.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 // Request tags.
 const OP_STAT: u8 = 0x01;
@@ -62,6 +87,7 @@ const OP_TRAIN_CSV: u8 = 0x08;
 const OP_SHUTDOWN: u8 = 0x09;
 const OP_BATCH: u8 = 0x0A; // v2
 const OP_METRICS: u8 = 0x0B; // v3
+const OP_TRAIN_CSV_STREAM: u8 = 0x0C; // v4
 
 // Response tags.
 const RE_STAT: u8 = 0x81;
@@ -74,6 +100,8 @@ const RE_ERROR: u8 = 0x87;
 const RE_SHUTTING_DOWN: u8 = 0x88;
 const RE_BATCH_APPLIED: u8 = 0x89; // v2
 const RE_METRICS: u8 = 0x8A; // v3
+const RE_TRAIN_CSV_PART: u8 = 0x8B; // v4
+const RE_TRAIN_CSV_END: u8 = 0x8C; // v4
 
 // Per-mutation kind bytes inside a `Batch` body.
 const MUT_INSERT: u8 = 0x00;
@@ -92,8 +120,10 @@ pub enum ProtocolError {
     /// payload bytes arrived. A close *between* frames is not an error —
     /// [`read_frame`] reports it as `Ok(None)`.
     Truncated { expected: usize, got: usize },
-    /// Length prefix above [`MAX_FRAME`]; rejected before allocating.
-    Oversized { len: u32 },
+    /// A frame longer than [`MAX_FRAME`]: a length prefix read off the
+    /// wire (rejected before allocating), or a payload [`write_frame`]
+    /// refused to send (nothing was written).
+    Oversized { len: u64 },
     /// Zero-length payload (every message has at least a tag byte).
     EmptyFrame,
     /// First payload byte is not a known request tag.
@@ -114,7 +144,7 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::Oversized { len } => {
                 write!(
                     f,
-                    "length prefix {len} exceeds the {MAX_FRAME}-byte frame cap"
+                    "frame length {len} exceeds the {MAX_FRAME}-byte frame cap"
                 )
             }
             ProtocolError::EmptyFrame => write!(f, "empty frame (no tag byte)"),
@@ -232,8 +262,13 @@ pub enum Request {
     /// rank-list splice sweep, one snapshot publish) with per-mutation
     /// receipts. (v2)
     Batch { mutations: Vec<BatchMutation> },
-    /// The current training set as CSV text (features…,label per row).
+    /// The current training set as CSV text (features…,label per row), in
+    /// one frame. Rejected when the CSV would not fit [`MAX_FRAME`].
     TrainCsv,
+    /// The current training set as CSV text, streamed: answered by
+    /// [`Response::TrainCsvPart`] frames and one [`Response::TrainCsvEnd`].
+    /// (v4)
+    TrainCsvStream,
     /// The daemon's operational telemetry (uptime, request latency,
     /// batch sizes, queue depth, what-if cache counters). Read-only:
     /// never touches the engine lock. (v3)
@@ -283,6 +318,18 @@ pub enum Response {
         version: u64,
         csv: Vec<u8>,
     },
+    /// One piece of a streamed export: at most [`PART_MAX`] CSV bytes,
+    /// ending at a row boundary. (v4)
+    TrainCsvPart {
+        csv: Vec<u8>,
+    },
+    /// Closes a streamed export: the dataset version every part was
+    /// formatted from, and the rows and bytes the parts carried. (v4)
+    TrainCsvEnd {
+        version: u64,
+        rows: u64,
+        bytes: u64,
+    },
     /// Receipt for a [`Request::Batch`]: the dataset version after the
     /// whole group (== the single published snapshot version, or the
     /// pre-batch version if nothing was accepted) plus one outcome per
@@ -326,13 +373,58 @@ pub enum Response {
 // Frame transport.
 // ---------------------------------------------------------------------------
 
-/// Write one frame (length prefix + payload).
+/// Write one frame (length prefix + payload). A payload above
+/// [`MAX_FRAME`] is [`ProtocolError::Oversized`] and nothing is written.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), ProtocolError> {
-    assert!(payload.len() as u64 <= MAX_FRAME as u64, "frame too large");
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    write_frame_split(w, &[], payload)
+}
+
+/// Write one frame whose payload is `head || body` without joining the
+/// two: the bulk of a CSV frame goes out from where it was formatted.
+fn write_frame_split<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> Result<(), ProtocolError> {
+    let len = (head.len() + body.len()) as u64;
+    if len > MAX_FRAME as u64 {
+        return Err(ProtocolError::Oversized { len });
+    }
+    let mut prefix = Vec::with_capacity(4 + head.len());
+    prefix.extend_from_slice(&(len as u32).to_le_bytes());
+    prefix.extend_from_slice(head);
+    w.write_all(&prefix)?;
+    w.write_all(body)?;
     w.flush()?;
     Ok(())
+}
+
+/// Write `resp` as one frame. Same bytes as
+/// `write_frame(w, &resp.encode())`, but a `TrainCsv` body is sent from
+/// where it lies instead of being copied behind its header first.
+pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<(), ProtocolError> {
+    match resp {
+        Response::TrainCsv { version, csv } => {
+            let mut head = [0u8; TRAIN_CSV_HEAD];
+            head[0] = RE_TRAIN_CSV;
+            head[1..9].copy_from_slice(&version.to_le_bytes());
+            head[9..].copy_from_slice(&csv_len(csv)?.to_le_bytes());
+            write_frame_split(w, &head, csv)
+        }
+        other => write_frame(w, &other.encode()),
+    }
+}
+
+/// Write one [`Response::TrainCsvPart`] frame holding `csv`, without
+/// copying it into an owned response first.
+pub fn write_train_csv_part<W: Write>(w: &mut W, csv: &[u8]) -> Result<(), ProtocolError> {
+    let mut head = [RE_TRAIN_CSV_PART, 0, 0, 0, 0];
+    head[1..].copy_from_slice(&csv_len(csv)?.to_le_bytes());
+    write_frame_split(w, &head, csv)
+}
+
+/// A CSV body's `u32` byte count; past `u32::MAX` it is past the frame
+/// cap too.
+fn csv_len(csv: &[u8]) -> Result<u32, ProtocolError> {
+    u32::try_from(csv.len()).map_err(|_| ProtocolError::Oversized {
+        len: csv.len() as u64,
+    })
 }
 
 /// Read one frame's payload. `Ok(None)` means the peer closed the
@@ -348,7 +440,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ProtocolError> 
     }
     let len = u32::from_le_bytes(prefix);
     if len > MAX_FRAME {
-        return Err(ProtocolError::Oversized { len });
+        return Err(ProtocolError::Oversized { len: len.into() });
     }
     if len == 0 {
         return Err(ProtocolError::EmptyFrame);
@@ -532,6 +624,7 @@ impl Request {
                 }
             }
             Request::TrainCsv => out.push(OP_TRAIN_CSV),
+            Request::TrainCsvStream => out.push(OP_TRAIN_CSV_STREAM),
             Request::Metrics => out.push(OP_METRICS),
             Request::Shutdown => out.push(OP_SHUTDOWN),
         }
@@ -594,6 +687,7 @@ impl Request {
                 Request::Batch { mutations }
             }
             OP_TRAIN_CSV => Request::TrainCsv,
+            OP_TRAIN_CSV_STREAM => Request::TrainCsvStream,
             OP_METRICS => Request::Metrics,
             OP_SHUTDOWN => Request::Shutdown,
             other => return Err(ProtocolError::UnknownOpcode(other)),
@@ -664,6 +758,21 @@ impl Response {
                 out.extend_from_slice(&version.to_le_bytes());
                 out.extend_from_slice(&(csv.len() as u32).to_le_bytes());
                 out.extend_from_slice(csv);
+            }
+            Response::TrainCsvPart { csv } => {
+                out.push(RE_TRAIN_CSV_PART);
+                out.extend_from_slice(&(csv.len() as u32).to_le_bytes());
+                out.extend_from_slice(csv);
+            }
+            Response::TrainCsvEnd {
+                version,
+                rows,
+                bytes,
+            } => {
+                out.push(RE_TRAIN_CSV_END);
+                for v in [version, rows, bytes] {
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
             }
             Response::Error { code, message } => {
                 out.push(RE_ERROR);
@@ -787,6 +896,17 @@ impl Response {
                     csv: r.take(n, "csv bytes")?.to_vec(),
                 }
             }
+            RE_TRAIN_CSV_PART => {
+                let n = r.counted(1, "csv part bytes")?;
+                Response::TrainCsvPart {
+                    csv: r.take(n, "csv part bytes")?.to_vec(),
+                }
+            }
+            RE_TRAIN_CSV_END => Response::TrainCsvEnd {
+                version: r.u64("csv end version")?,
+                rows: r.u64("csv end rows")?,
+                bytes: r.u64("csv end bytes")?,
+            },
             RE_ERROR => {
                 let code = ErrorCode::from_u8(r.u8("error code")?)?;
                 let n = r.counted(1, "error message")?;
@@ -893,6 +1013,7 @@ mod tests {
             ],
         });
         round_trip_request(Request::TrainCsv);
+        round_trip_request(Request::TrainCsvStream);
         round_trip_request(Request::Metrics);
         round_trip_request(Request::Shutdown);
     }
@@ -975,6 +1096,14 @@ mod tests {
         round_trip_response(Response::TrainCsv {
             version: 5,
             csv: b"1,2,0\n".to_vec(),
+        });
+        round_trip_response(Response::TrainCsvPart {
+            csv: b"1,2,0\n3,4,1\n".to_vec(),
+        });
+        round_trip_response(Response::TrainCsvEnd {
+            version: 5,
+            rows: 2,
+            bytes: 12,
         });
         round_trip_response(Response::Error {
             code: ErrorCode::Rejected,
@@ -1158,5 +1287,44 @@ mod tests {
             read_frame(&mut &bad[..]),
             Err(ProtocolError::EmptyFrame)
         ));
+    }
+
+    #[test]
+    fn an_oversized_payload_is_a_typed_error_and_nothing_is_written() {
+        let payload = vec![RE_TRAIN_CSV_PART; MAX_FRAME as usize + 1];
+        let mut out = Vec::new();
+        match write_frame(&mut out, &payload) {
+            Err(ProtocolError::Oversized { len }) => assert_eq!(len, MAX_FRAME as u64 + 1),
+            other => panic!("expected Oversized, got {other:?}"),
+        }
+        assert!(out.is_empty(), "{} bytes written", out.len());
+        // At the cap exactly, the frame goes out.
+        write_frame(&mut out, &payload[..MAX_FRAME as usize]).unwrap();
+        assert_eq!(out.len(), 4 + MAX_FRAME as usize);
+    }
+
+    #[test]
+    fn write_response_sends_the_bytes_of_encode() {
+        for resp in [
+            Response::TrainCsv {
+                version: 3,
+                csv: b"0.5,1,2\n".to_vec(),
+            },
+            Response::ShuttingDown,
+        ] {
+            let (mut split, mut joined) = (Vec::new(), Vec::new());
+            write_response(&mut split, &resp).unwrap();
+            write_frame(&mut joined, &resp.encode()).unwrap();
+            assert_eq!(split, joined, "{resp:?}");
+        }
+        let mut part = Vec::new();
+        write_train_csv_part(&mut part, b"1,0\n2,1\n").unwrap();
+        let payload = read_frame(&mut &part[..]).unwrap().unwrap();
+        assert_eq!(
+            Response::decode(&payload).unwrap(),
+            Response::TrainCsvPart {
+                csv: b"1,0\n2,1\n".to_vec()
+            }
+        );
     }
 }

@@ -28,6 +28,12 @@
 //!   [`WhatIfCache`] first: the lookup and any
 //!   fill happen under the read lock, so the version cannot move between
 //!   them, and a hit is byte-identical to the cold evaluation it stored.
+//! * **Training-set export** (`TrainCsv`, `TrainCsvStream`) copies the
+//!   training set's binary features and labels under the engine's *read*
+//!   lock — a memory copy of N·(4d + 4) bytes — then releases it and
+//!   formats CSV from the copy. The lock is never held while formatting
+//!   or during a socket write. The streamed export sends the CSV in parts
+//!   of at most [`PART_MAX`] bytes, so its only other buffer is one part.
 //!
 //! Deadlock freedom of the coalescing path: a group is acked *while the
 //! leader holds the engine write lock*. A session that enqueued and then
@@ -44,8 +50,9 @@
 //! session. `tests/protocol_robustness.rs` drives all three.
 
 use crate::protocol::{
-    read_frame, write_frame, BatchMutation, BatchOutcome, ErrorCode, MetricsHistogram,
-    ProtocolError, Request, Response, PROTOCOL_VERSION,
+    read_frame, write_frame, write_response, write_train_csv_part, BatchMutation, BatchOutcome,
+    ErrorCode, MetricsHistogram, ProtocolError, Request, Response, MAX_FRAME, PART_MAX,
+    PROTOCOL_VERSION, TRAIN_CSV_MAX,
 };
 use crate::store::{Snapshot, VersionedStore, WhatIfCache, WhatIfStats, DEFAULT_WHATIF_CAPACITY};
 use knnshap_core::resident::{Applied, Mutation, ResidentError, ResidentValuator};
@@ -333,13 +340,42 @@ impl ValuationServer {
     /// Every call is counted and timed into the daemon's [`Request::Metrics`]
     /// surface; the accounting is write-only and never alters a response.
     pub fn handle(&self, req: &Request) -> Response {
+        self.timed(|| self.dispatch(req))
+    }
+
+    /// Answer [`Request::TrainCsvStream`] on `w`: `TrainCsvPart` frames
+    /// of at most [`PART_MAX`] CSV bytes, cut at row boundaries, then one
+    /// `TrainCsvEnd`. The parts join to the `save_class_csv` bytes of the
+    /// training set at the version the end frame names. Counted and timed
+    /// like [`ValuationServer::handle`]; the time includes the writes.
+    /// Any error leaves `w` mid-stream.
+    pub fn stream_train_csv<W: Write>(&self, w: &mut W) -> Result<(), ProtocolError> {
+        self.timed(|| self.copy_train().stream(w))
+    }
+
+    /// Count one request and time it into the [`Request::Metrics`]
+    /// latency histogram.
+    fn timed<T>(&self, op: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let resp = self.dispatch(req);
+        let out = op();
         self.metrics
             .latency_micros
             .record(start.elapsed().as_micros() as u64);
-        resp
+        out
+    }
+
+    /// The training set and its version, copied under the engine read
+    /// lock; the lock is released on return.
+    fn copy_train(&self) -> TrainCopy {
+        let engine = self.engine.read().expect("engine lock poisoned");
+        let train = engine.train();
+        TrainCopy {
+            version: engine.version(),
+            dim: train.dim(),
+            x: train.x.as_slice().to_vec(),
+            y: train.y.clone(),
+        }
     }
 
     fn dispatch(&self, req: &Request) -> Response {
@@ -489,12 +525,27 @@ impl ValuationServer {
                 }
             }
             Request::TrainCsv => {
-                let engine = self.engine.read().expect("engine lock poisoned");
-                Response::TrainCsv {
-                    version: engine.version(),
-                    csv: train_to_csv(engine.train()),
+                let train = self.copy_train();
+                match train.csv_within(TRAIN_CSV_MAX) {
+                    Some(csv) => Response::TrainCsv {
+                        version: train.version,
+                        csv,
+                    },
+                    None => rejected(format!(
+                        "the training set's CSV ({} rows) exceeds the {MAX_FRAME}-byte \
+                         frame cap; ask for the streamed export (TrainCsvStream, protocol v4)",
+                        train.rows()
+                    )),
                 }
             }
+            // A stream of frames is not one response: the session loop
+            // answers this request through `stream_train_csv`.
+            Request::TrainCsvStream => Response::Error {
+                code: ErrorCode::BadRequest,
+                message: "TrainCsvStream is answered by a frame stream \
+                          (ValuationServer::stream_train_csv), not by one response"
+                    .into(),
+            },
             Request::Metrics => self.metrics_response(),
             Request::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
@@ -658,20 +709,73 @@ fn rejected_err(e: ResidentError) -> Response {
     rejected(e.to_string())
 }
 
-/// The training set in the `save_class_csv` text format: each row is the
-/// `f32` features (`Display`, i.e. shortest round-trip) each followed by a
-/// comma, then the integer label. Byte-identical to what
-/// `knnshap_datasets::io::save_class_csv` writes for the same dataset.
-fn train_to_csv(train: &ClassDataset) -> Vec<u8> {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for i in 0..train.len() {
-        for v in train.x.row(i) {
-            write!(out, "{v},").expect("string write");
-        }
-        writeln!(out, "{}", train.y[i]).expect("string write");
+/// A copy of the training set taken under the engine read lock: row-major
+/// features and labels, N·(4d + 4) bytes. The CSV export formats from it
+/// after the lock is gone.
+struct TrainCopy {
+    version: u64,
+    dim: usize,
+    x: Vec<f32>,
+    y: Vec<u32>,
+}
+
+impl TrainCopy {
+    fn rows(&self) -> usize {
+        self.y.len()
     }
-    out.into_bytes()
+
+    /// Append row `i` in the `save_class_csv` text format: the `f32`
+    /// features (`Display`, i.e. shortest round-trip) each followed by a
+    /// comma, then the integer label. Byte-identical to what
+    /// `knnshap_datasets::io::save_class_csv` writes for the same row.
+    fn write_row(&self, i: usize, out: &mut Vec<u8>) {
+        for v in &self.x[i * self.dim..(i + 1) * self.dim] {
+            write!(out, "{v},").expect("write to a Vec");
+        }
+        writeln!(out, "{}", self.y[i]).expect("write to a Vec");
+    }
+
+    /// The whole CSV, or `None` as soon as it passes `limit` bytes.
+    fn csv_within(&self, limit: usize) -> Option<Vec<u8>> {
+        let mut csv = Vec::new();
+        for i in 0..self.rows() {
+            self.write_row(i, &mut csv);
+            if csv.len() > limit {
+                return None;
+            }
+        }
+        Some(csv)
+    }
+
+    /// The streamed export: parts of at most [`PART_MAX`] bytes cut at
+    /// row boundaries (a longer row goes alone), then the end frame.
+    fn stream<W: Write>(&self, w: &mut W) -> Result<(), ProtocolError> {
+        let (mut part, mut row) = (Vec::with_capacity(PART_MAX), Vec::new());
+        let mut bytes = 0u64;
+        for i in 0..self.rows() {
+            row.clear();
+            self.write_row(i, &mut row);
+            if !part.is_empty() && part.len() + row.len() > PART_MAX {
+                write_train_csv_part(w, &part)?;
+                bytes += part.len() as u64;
+                part.clear();
+            }
+            part.extend_from_slice(&row);
+        }
+        if !part.is_empty() {
+            write_train_csv_part(w, &part)?;
+            bytes += part.len() as u64;
+        }
+        write_frame(
+            w,
+            &Response::TrainCsvEnd {
+                version: self.version,
+                rows: self.rows() as u64,
+                bytes,
+            }
+            .encode(),
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -826,17 +930,24 @@ fn session(server: &ValuationServer, mut conn: Box<dyn Conn>, endpoint: &Endpoin
         // Frame boundaries are intact, so a request that fails to decode
         // only poisons itself — answer the error and keep the session.
         let resp = match Request::decode(&payload) {
+            Ok(Request::TrainCsvStream) => {
+                // A stream cut short (peer gone, or a row past the frame
+                // cap) leaves the connection mid-stream: close it.
+                if server.stream_train_csv(&mut conn).is_err() {
+                    return;
+                }
+                continue;
+            }
             Ok(req) => server.handle(&req),
             Err(e) => Response::Error {
                 code: ErrorCode::BadRequest,
                 message: e.to_string(),
             },
         };
-        let shutting = matches!(resp, Response::ShuttingDown);
-        if write_frame(&mut conn, &resp.encode()).is_err() {
+        if write_response(&mut conn, &resp).is_err() {
             return; // peer stopped listening
         }
-        if shutting {
+        if matches!(resp, Response::ShuttingDown) {
             wake(endpoint);
             return;
         }
@@ -1004,6 +1115,114 @@ mod tests {
             }
             other => panic!("wrong response: {other:?}"),
         }
+    }
+
+    /// A server whose training-set CSV spans several parts: 3000 rows of
+    /// 8 features are about 256 KB.
+    fn wide_server() -> Arc<ValuationServer> {
+        let cfg = BlobConfig {
+            n: 3000,
+            dim: 8,
+            n_classes: 3,
+            ..Default::default()
+        };
+        ValuationServer::new(blobs::generate(&cfg), blobs::queries(&cfg, 2, 9), 3, 1).unwrap()
+    }
+
+    fn save_class_csv_bytes(train: &ClassDataset) -> Vec<u8> {
+        let dir = std::env::temp_dir().join(format!(
+            "knnshap-serve-stream-{}-{}",
+            std::process::id(),
+            train.len()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("train.csv");
+        knnshap_datasets::io::save_class_csv(&path, train).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    }
+
+    #[test]
+    fn streamed_export_joins_to_save_class_csv_in_bounded_row_parts() {
+        let s = wide_server();
+        assert!(matches!(
+            s.handle(&Request::Delete { index: 5 }),
+            Response::Mutated { version: 1, .. }
+        ));
+        let expect = save_class_csv_bytes(s.engine.read().unwrap().train());
+        let mut wire = Vec::new();
+        s.stream_train_csv(&mut wire).unwrap();
+
+        let (mut r, mut joined, mut parts) = (&wire[..], Vec::new(), 0);
+        let end = loop {
+            let payload = read_frame(&mut r)
+                .unwrap()
+                .expect("stream ends with its end frame");
+            match Response::decode(&payload).unwrap() {
+                Response::TrainCsvPart { csv } => {
+                    assert!(csv.len() <= PART_MAX, "part of {} bytes", csv.len());
+                    assert_eq!(csv.last(), Some(&b'\n'), "part ends mid-row");
+                    joined.extend_from_slice(&csv);
+                    parts += 1;
+                }
+                end => break end,
+            }
+        };
+        assert!(r.is_empty(), "bytes after the end frame");
+        assert!(parts >= 3, "{parts} parts");
+        assert!(joined == expect, "joined parts differ from save_class_csv");
+        assert_eq!(
+            end,
+            Response::TrainCsvEnd {
+                version: 1,
+                rows: 2999,
+                bytes: expect.len() as u64,
+            }
+        );
+        // The one-frame export of the same version has the same bytes.
+        match s.handle(&Request::TrainCsv) {
+            Response::TrainCsv { version: 1, csv } => assert!(csv == expect),
+            other => panic!("wrong response: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_engine_lock_is_free_while_parts_are_written() {
+        // A writer that checks, on every write, that a mutation could take
+        // the engine's write lock — i.e. no read guard is alive.
+        struct Probe<'a>(&'a ValuationServer, usize);
+        impl Write for Probe<'_> {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                assert!(self.0.engine.try_write().is_ok(), "engine lock held");
+                self.1 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let s = wide_server();
+        let mut probe = Probe(&s, 0);
+        s.stream_train_csv(&mut probe).unwrap();
+        assert!(probe.1 > 3, "{} writes", probe.1);
+    }
+
+    #[test]
+    fn one_frame_export_refuses_a_csv_past_its_limit() {
+        let s = server();
+        let train = s.copy_train();
+        let csv = train.csv_within(usize::MAX).unwrap();
+        assert!(train.csv_within(csv.len()) == Some(csv.clone()));
+        assert!(train.csv_within(csv.len() - 1).is_none());
+        // In-process, the stream request cannot be one response.
+        assert!(matches!(
+            s.handle(&Request::TrainCsvStream),
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn readers_see_only_coherent_snapshots_under_write_load() {
                 let mut c = Client::connect(&endpoint).unwrap();
                 let mut last_version = 0u64;
                 let mut observed = 0usize;
-                let mut check = |version: u64, last: &mut u64| {
+                let check = |version: u64, last: &mut u64| {
                     // `sent` only grows and is read AFTER the response
                     // arrived, so it can only over-approximate the sent
                     // count at answer time — never under-approximate the

@@ -291,3 +291,195 @@ fn shutdown_with_concurrent_sessions_drains() {
 
     daemon.join().unwrap().unwrap();
 }
+
+/// One encoded example of every request and response tag, the v4 export
+/// frames included.
+fn every_frame() -> (Vec<Request>, Vec<Response>) {
+    use knnshap_serve::protocol::{BatchMutation, BatchOutcome, MetricsHistogram};
+    let histogram = MetricsHistogram {
+        count: 2,
+        sum: 5,
+        min: 1,
+        max: 4,
+        buckets: vec![0, 1, 0, 1],
+    };
+    let requests = vec![
+        Request::Stat,
+        Request::Get { index: 3 },
+        Request::Dump,
+        Request::TopK {
+            count: 2,
+            most: true,
+        },
+        Request::WhatIf {
+            features: vec![0.5, 1.0],
+            label: 1,
+        },
+        Request::Insert {
+            features: vec![0.5, 1.0],
+            label: 0,
+        },
+        Request::Delete { index: 4 },
+        Request::Batch {
+            mutations: vec![
+                BatchMutation::Insert {
+                    features: vec![1.0],
+                    label: 2,
+                },
+                BatchMutation::Delete { index: 1 },
+            ],
+        },
+        Request::TrainCsv,
+        Request::Metrics,
+        Request::Shutdown,
+        Request::TrainCsvStream,
+    ];
+    let responses = vec![
+        Response::Stat {
+            protocol: 4,
+            version: 1,
+            n_train: 20,
+            n_test: 3,
+            k: 2,
+            dim: 3,
+            checksum: 9,
+        },
+        Response::Value {
+            version: 1,
+            value: 0.25,
+        },
+        Response::Vector {
+            version: 1,
+            checksum: 2,
+            labels: vec![0, 1],
+            values: vec![0.5, -0.5],
+        },
+        Response::Ranked {
+            version: 1,
+            entries: vec![(0, 0.5)],
+        },
+        Response::Mutated {
+            version: 2,
+            index: 20,
+        },
+        Response::TrainCsv {
+            version: 2,
+            csv: b"1,2,3,0\n".to_vec(),
+        },
+        Response::Error {
+            code: ErrorCode::Rejected,
+            message: "no".into(),
+        },
+        Response::ShuttingDown,
+        Response::BatchApplied {
+            version: 3,
+            outcomes: vec![
+                BatchOutcome::Applied {
+                    version: 3,
+                    index: 1,
+                },
+                BatchOutcome::Rejected {
+                    code: ErrorCode::Rejected,
+                    message: "out of range".into(),
+                },
+            ],
+        },
+        Response::Metrics {
+            protocol: 4,
+            version: 3,
+            uptime_secs: 1.5,
+            requests: 7,
+            queue_depth: 0,
+            queue_bound: 64,
+            whatif_hits: 1,
+            whatif_misses: 2,
+            whatif_evictions: 0,
+            whatif_len: 2,
+            latency_micros: histogram.clone(),
+            batch_sizes: histogram,
+        },
+        Response::TrainCsvPart {
+            csv: b"1,2,3,0\n4,5,6,1\n".to_vec(),
+        },
+        Response::TrainCsvEnd {
+            version: 3,
+            rows: 2,
+            bytes: 16,
+        },
+    ];
+    (requests, responses)
+}
+
+/// Strict decoding, tag by tag: every frame round-trips, and every proper
+/// prefix of it and the frame plus one trailing byte are malformed.
+#[test]
+fn every_tag_decodes_strictly() {
+    let (requests, responses) = every_frame();
+    for req in requests {
+        let bytes = req.encode();
+        assert_eq!(Request::decode(&bytes).unwrap(), req);
+        for cut in 0..bytes.len() {
+            assert!(
+                Request::decode(&bytes[..cut]).is_err(),
+                "{req:?} cut to {cut} bytes decoded"
+            );
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(Request::decode(&long).is_err(), "{req:?} + 1 byte decoded");
+    }
+    for resp in responses {
+        let bytes = resp.encode();
+        assert_eq!(Response::decode(&bytes).unwrap(), resp);
+        for cut in 0..bytes.len() {
+            assert!(
+                Response::decode(&bytes[..cut]).is_err(),
+                "{resp:?} cut to {cut} bytes decoded"
+            );
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(
+            Response::decode(&long).is_err(),
+            "{resp:?} + 1 byte decoded"
+        );
+    }
+    // A part whose byte count is forged past the payload cannot allocate.
+    let mut forged = vec![0x8B];
+    forged.extend_from_slice(&u32::MAX.to_le_bytes());
+    forged.extend_from_slice(b"1,0\n");
+    assert!(Response::decode(&forged).is_err());
+}
+
+/// A malformed stream request is a bad request like any other: the session
+/// answers the error, then streams on the next well-formed request.
+#[test]
+fn a_malformed_stream_request_leaves_the_session_serving() {
+    let (endpoint, daemon) = spawn_daemon();
+    let mut s = raw_connect(&endpoint);
+    write_frame(&mut s, &[0x0C, 0]).unwrap(); // one trailing byte
+    let payload = read_frame(&mut s).unwrap().expect("error frame");
+    assert!(matches!(
+        Response::decode(&payload).unwrap(),
+        Response::Error {
+            code: ErrorCode::BadRequest,
+            ..
+        }
+    ));
+    write_frame(&mut s, &Request::TrainCsvStream.encode()).unwrap();
+    loop {
+        let payload = read_frame(&mut s).unwrap().expect("stream frame");
+        match Response::decode(&payload).unwrap() {
+            Response::TrainCsvPart { .. } => {}
+            Response::TrainCsvEnd { rows, .. } => {
+                assert_eq!(rows, 20);
+                break;
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    drop(s);
+    assert_alive(&endpoint);
+    Client::connect(&endpoint).unwrap().shutdown().unwrap();
+    daemon.join().unwrap().unwrap();
+}

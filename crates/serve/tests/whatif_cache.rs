@@ -182,7 +182,7 @@ fn capacity_one_is_a_single_slot_lru() {
     let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 4, 21));
     let srv = ValuationServer::new(train.clone(), test.clone(), 2, 1).unwrap();
     srv.set_whatif_capacity(1);
-    let mut cold = ResidentValuator::new(train, test, 2, 1).unwrap();
+    let cold = ResidentValuator::new(train, test, 2, 1).unwrap();
 
     let a: (&[f32], u32) = (&[0.4, -0.4], 0);
     let b: (&[f32], u32) = (&[-0.7, 0.2], 1);
