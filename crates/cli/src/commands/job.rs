@@ -11,8 +11,11 @@
 //! ```
 //!
 //! `shard-plan` derives and writes the versioned job plan (datasets are read
-//! once to fingerprint their contents). `worker` is one fleet member:
-//! claim → compute → checkpoint → publish until nothing is claimable.
+//! once to fingerprint their contents) and leaves the parsed training set
+//! in the job directory as a binary snapshot, which workers and the merge
+//! read instead of the CSV while the CSV is unchanged. `worker` is one
+//! fleet member: claim → compute → checkpoint → publish until nothing is
+//! claimable.
 //! `run-job` supervises: spawns local `worker` processes, expires stale
 //! leases, respawns after crashes, auto-merges, and prints the same report
 //! `value` would — with a byte-identical `--out` CSV for classification
@@ -23,7 +26,7 @@ use crate::commands::parse_weight;
 use crate::CliError;
 use knnshap_runtime::dispatch::PreparedJob;
 use knnshap_runtime::layout::JobDirs;
-use knnshap_runtime::spec::{absolutize, plan_job, JobMethod, JobPlan, JobSpec, TaskKind};
+use knnshap_runtime::spec::{absolutize, JobMethod, JobPlan, JobSpec, TaskKind};
 use knnshap_runtime::supervisor::{run_job, tail_threads, Column, Launcher, SupervisorOptions};
 use knnshap_runtime::worker::{run_worker, FaultHook, FaultPoint, WorkerOptions};
 use knnshap_runtime::JobError;
@@ -149,10 +152,12 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
         shards: if auto { 1 } else { requested },
         checkpoint_chunks: args.usize_or("checkpoint-chunks", 4)?,
     };
+    let dirs = JobDirs::new(&job);
+    let t0 = std::time::Instant::now();
+    let (prepared, snapshot) =
+        PreparedJob::from_spec_with_snapshot(&spec, threads, &dirs).map_err(CliError::Runtime)?;
     let mut auto_line = None;
     let plan = if auto {
-        let t0 = std::time::Instant::now();
-        let prepared = PreparedJob::from_spec(&spec, threads).map_err(CliError::Runtime)?;
         let load_secs = t0.elapsed().as_secs_f64();
         let cap = if requested > 0 {
             requested
@@ -168,17 +173,22 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
         plan.spec.shards = suggested;
         plan
     } else {
-        plan_job(&spec, threads).map_err(CliError::Runtime)?
+        prepared.into_plan()
     };
-    let dirs = JobDirs::new(&job);
     // A job directory holds one job: re-planning it byte for byte is a
     // no-op, but another plan would strand the old job's shards there.
+    // (An unpublished snapshot is removed when it goes out of scope.)
     if std::fs::read_to_string(dirs.plan_path()).is_ok_and(|old| old != plan.to_file_string()) {
         return Err(CliError::Runtime(JobError::PlanConflict(
             job.display().to_string(),
         )));
     }
     plan.save(&dirs).map_err(CliError::Runtime)?;
+    // The snapshot only saves workers a parse: a job without one (the
+    // disk was full, say) still runs, from the CSVs.
+    if let Ok(snapshot) = snapshot {
+        snapshot.publish().ok();
+    }
 
     let mut out = String::new();
     if let Some(line) = auto_line {

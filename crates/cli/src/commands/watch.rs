@@ -364,6 +364,43 @@ mod tests {
         std::fs::remove_dir_all(&job).ok();
     }
 
+    /// Every worker and the merge append a `load` event; the fold skips
+    /// it, so the progress lines and the watch summary read as they do
+    /// for the same stream without those events.
+    #[test]
+    fn load_events_leave_the_progress_output_unchanged() {
+        let (dirs, plan, job) = planned_job("load");
+        crate::run(["worker", "--job", job.to_str().unwrap()]).unwrap();
+        crate::run(["run-job", "--job", job.to_str().unwrap()]).unwrap();
+        let lines = EventCursor::new(&dirs).read_new();
+        let is_load = |l: &String| l.contains("\"ev\":\"load\"");
+        assert_eq!(
+            lines.iter().filter(|l| is_load(l)).count(),
+            2,
+            "the worker's and the merge's: {lines:?}"
+        );
+        let output = |lines: &[String]| {
+            let mut st = WatchState::new(&plan);
+            let mut out = Vec::new();
+            for l in lines {
+                if st.apply(l) {
+                    out.push(st.render(Duration::from_secs(1)));
+                }
+            }
+            out.push(format!(
+                "{} {} {} {}",
+                st.shards_done(),
+                st.chunks_total(),
+                st.spawned,
+                st.reassigned
+            ));
+            out
+        };
+        let without: Vec<String> = lines.iter().filter(|l| !is_load(l)).cloned().collect();
+        assert_eq!(output(&lines), output(&without));
+        std::fs::remove_dir_all(&job).ok();
+    }
+
     #[test]
     fn watch_command_follows_a_job_to_completion() {
         let (_, _, job) = planned_job("follow");

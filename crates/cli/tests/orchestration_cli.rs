@@ -425,3 +425,140 @@ fn shard_plan_refuses_to_overwrite_another_jobs_plan() {
     );
     assert_eq!(std::fs::read(&plan_path).unwrap(), first);
 }
+
+/// The `(source, reason)` of every `load` event in a job's stream.
+fn loads(job: &Path) -> Vec<(String, Option<String>)> {
+    let text = std::fs::read_to_string(JobDirs::new(job).events_path()).unwrap();
+    text.lines()
+        .filter_map(|l| {
+            let v = knnshap_obs::json::parse(l).ok()?;
+            let field = |k: &str| v.get(k).and_then(|x| x.as_str()).map(String::from);
+            (field("ev")? == "load").then(|| (field("source").unwrap(), field("reason")))
+        })
+        .collect()
+}
+
+fn shard_plan(train: &Path, test: &Path, job: &Path) {
+    run(&[
+        "shard-plan",
+        "--train",
+        train.to_str().unwrap(),
+        "--test",
+        test.to_str().unwrap(),
+        "--k",
+        "3",
+        "--shards",
+        "3",
+        "--checkpoint-chunks",
+        "1",
+        "--job",
+        job.to_str().unwrap(),
+    ]);
+    let names: Vec<String> = std::fs::read_dir(job)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(names.iter().any(|n| n == "train.knndata"), "{names:?}");
+    assert!(!names.iter().any(|n| n.contains(".tmp.")), "{names:?}");
+}
+
+/// A training CSV with the label of its first row changed (0 ↔ 1): the same
+/// byte length, one byte different.
+fn flip_first_label(train: &Path) {
+    let text = std::fs::read_to_string(train).unwrap();
+    let (first, rest) = text.split_once('\n').unwrap();
+    let (cells, label) = first.rsplit_once(',').unwrap();
+    let other = if label == "0" { "1" } else { "0" };
+    std::fs::write(train, format!("{cells},{other}\n{rest}")).unwrap();
+}
+
+/// After a CLI `shard-plan`, which leaves the training-set snapshot, a
+/// training label edited in the CSV makes a worker and a merge-only
+/// `run-job` fail with `FingerprintMismatch`: the snapshot no longer
+/// matches the CSV's bytes, and the CSV no longer matches the plan.
+#[test]
+fn a_label_edit_after_shard_plan_fails_a_worker_and_a_merge_only_run() {
+    use knnshap_runtime::worker::{run_worker, WorkerOptions};
+    use knnshap_runtime::JobError;
+    let ws = Scratch::new("label-edit");
+    let (train, test, job) = (ws.path("train.csv"), ws.path("test.csv"), ws.path("job"));
+    synth(&train, &test);
+    shard_plan(&train, &test, &job);
+    let dirs = JobDirs::new(&job);
+    let original = std::fs::read(&train).unwrap();
+
+    flip_first_label(&train);
+    let err = run_worker(&dirs, WorkerOptions::default()).unwrap_err();
+    assert!(matches!(err, JobError::FingerprintMismatch { .. }), "{err}");
+    assert!(dirs.missing_shards(3).len() == 3, "nothing was computed");
+
+    std::fs::write(&train, &original).unwrap();
+    run_worker(&dirs, WorkerOptions::default()).unwrap();
+    assert!(dirs.missing_shards(3).is_empty());
+    flip_first_label(&train);
+    let err = run_job(&dirs, SupervisorOptions::default()).unwrap_err();
+    assert!(matches!(err, JobError::FingerprintMismatch { .. }), "{err}");
+}
+
+/// The training CSV rewritten with CRLF line ends holds the same rows in
+/// different bytes: the snapshot misses on its digest, the workers and the
+/// merge parse the CSV, and the job is accepted with the output `value`
+/// gives — as it is with the snapshot in use.
+#[test]
+fn a_crlf_rewrite_of_the_training_csv_still_runs_to_the_same_bytes() {
+    let ws = Scratch::new("crlf");
+    let (train, test, job) = (ws.path("train.csv"), ws.path("test.csv"), ws.path("job"));
+    synth(&train, &test);
+    let direct = ws.path("direct.csv");
+    run(&[
+        "value",
+        "--train",
+        train.to_str().unwrap(),
+        "--test",
+        test.to_str().unwrap(),
+        "--k",
+        "3",
+        "--out",
+        direct.to_str().unwrap(),
+    ]);
+    shard_plan(&train, &test, &job);
+    let run_job = |out: &Path| {
+        for d in ["shards", "checkpoints", "leases"] {
+            std::fs::remove_dir_all(job.join(d)).ok();
+            std::fs::create_dir_all(job.join(d)).unwrap();
+        }
+        std::fs::remove_file(JobDirs::new(&job).events_path()).ok();
+        run(&[
+            "run-job",
+            "--job",
+            job.to_str().unwrap(),
+            "--workers",
+            "2",
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            std::fs::read(&direct).unwrap(),
+            std::fs::read(out).unwrap(),
+            "run-job CSV differs from value's"
+        );
+        loads(&job)
+    };
+    let hits = run_job(&ws.path("hit.csv"));
+    assert!(hits.len() >= 2, "a worker and the merge load: {hits:?}");
+    assert!(
+        hits.iter().all(|l| *l == ("snapshot".into(), None)),
+        "{hits:?}"
+    );
+
+    let text = std::fs::read_to_string(&train).unwrap();
+    std::fs::write(&train, text.replace('\n', "\r\n")).unwrap();
+    let misses = run_job(&ws.path("crlf.csv"));
+    assert!(misses.len() >= 2, "{misses:?}");
+    assert!(
+        misses
+            .iter()
+            .all(|l| *l == ("csv".into(), Some("digest".into()))),
+        "{misses:?}"
+    );
+}

@@ -233,6 +233,11 @@ impl<'a> Estimator<'a> {
         Ok(())
     }
 
+    /// The bound datasets.
+    pub fn data(&self) -> &Data<'a> {
+        &self.data
+    }
+
     /// Training points (the length of every value vector).
     pub fn n_train(&self) -> usize {
         self.data.features().0.len()

@@ -65,7 +65,7 @@ use float::{fast_prefix, parse_f32};
 /// larger, mmapped buffer raises that threshold for the rest of the
 /// process, and the long-lived `serve` daemon then kept more heap resident
 /// (measured: +5% peak RSS with 1 MiB windows per worker).
-const WINDOW: usize = 64 << 10;
+pub const WINDOW: usize = 64 << 10;
 
 /// Errors from dataset I/O.
 #[derive(Debug)]
@@ -119,6 +119,15 @@ pub fn load_class_csv_with_threads(path: &Path, threads: usize) -> Result<ClassD
     read_class(File::open(path)?, threads, WINDOW)
 }
 
+/// [`load_class_csv_with_threads`] over any byte source, e.g. a reader that
+/// digests the bytes as the parse consumes them.
+pub fn load_class_csv_from_reader(
+    r: impl Read + Send,
+    threads: usize,
+) -> Result<ClassDataset, IoError> {
+    read_class(r, threads, WINDOW)
+}
+
 /// Write a regression dataset as CSV (features…, target). Floats are
 /// printed with Rust's shortest round-trip formatting, so a save/load
 /// round trip reproduces feature and target **bits** exactly — which keeps
@@ -149,6 +158,14 @@ pub fn load_reg_csv(path: &Path) -> Result<RegDataset, IoError> {
 /// on `threads`.
 pub fn load_reg_csv_with_threads(path: &Path, threads: usize) -> Result<RegDataset, IoError> {
     read_reg(File::open(path)?, threads, WINDOW)
+}
+
+/// [`load_reg_csv_with_threads`] over any byte source.
+pub fn load_reg_csv_from_reader(
+    r: impl Read + Send,
+    threads: usize,
+) -> Result<RegDataset, IoError> {
+    read_reg(r, threads, WINDOW)
 }
 
 /// A class label: a `u32` up to [`ClassDataset::MAX_LABEL`], so the

@@ -144,6 +144,46 @@ fn path_loaders_agree_across_thread_counts() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A digesting reader handed to the loader sees every byte of the file in
+/// order, whatever the window size, so its digest is the digest of the
+/// whole file taken in one read (what a job's training-set snapshot
+/// records at plan time and compares later).
+#[test]
+fn a_digesting_reader_sees_the_whole_file_through_the_windows() {
+    use knnshap_numerics::fingerprint::{ByteDigest, DigestReader};
+    let d = blobs::generate(&BlobConfig {
+        n: 2500,
+        dim: 5,
+        n_classes: 3,
+        ..Default::default()
+    });
+    let path = tmp("digest.csv");
+    save_class_csv(&path, &d).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    assert!(
+        bytes.len() > WINDOW,
+        "the file spans several 64 KiB windows"
+    );
+    let whole = ByteDigest::of(&bytes);
+    for window in [40, WINDOW] {
+        for threads in [1, 3] {
+            let mut r = DigestReader::new(std::fs::File::open(&path).unwrap());
+            let back = read_class(&mut r, threads, window).unwrap();
+            assert_eq!((&back.x, &back.y), (&d.x, &d.y));
+            assert_eq!(r.digest().len(), bytes.len() as u64);
+            assert_eq!(
+                r.digest().finish(),
+                whole,
+                "window {window}, {threads} threads"
+            );
+        }
+    }
+    let mut r = DigestReader::new(std::fs::File::open(&path).unwrap());
+    load_reg_csv_from_reader(&mut r, 2).unwrap();
+    assert_eq!(r.digest().finish(), whole, "the public reader entry point");
+    std::fs::remove_file(&path).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Differential battery: windowed parallel scanner vs. the line-at-a-time
 // loader.

@@ -68,7 +68,7 @@ pub mod stats;
 pub use binom::LogFactorialTable;
 pub use compensated::{CompensatedVec, NeumaierSum};
 pub use exact::{ExactBlock, ExactSum, ExactVec};
-pub use fingerprint::Fingerprint;
+pub use fingerprint::{ByteDigest, DigestReader, Fingerprint};
 pub use integrate::{adaptive_simpson, simpson};
 pub use roots::{bisect, brent};
 pub use sampling::{gaussian_vec, sample_permutation, GaussianSampler, RngStreams};

@@ -2,31 +2,90 @@
 //! job fingerprint against their *contents*, and compute micro-chunk
 //! partials through the `knnshap_core::estimator` seam — all seven
 //! shardable estimator families behind one value.
+//!
+//! `shard-plan` parses the training CSV once and leaves its rows in the
+//! job's snapshot ([`crate::snapshot`]); workers and the merge tail load
+//! them from there through `load_checked` while the CSV is unchanged.
 
+use crate::layout::{JobDirs, Staged};
+use crate::snapshot::{self, Miss, Stamp, TrainSet};
 use crate::spec::{JobMethod, JobPlan, JobSpec, TaskKind};
 use crate::JobError;
 use knnshap_core::estimator::{Data, Estimator, Family};
 use knnshap_core::sharding::{ShardPartial, ShardSpec};
+use knnshap_datasets::io::{load_class_csv_from_reader, load_reg_csv_from_reader, IoError};
 use knnshap_knn::graph::KnnGraph;
-use std::borrow::Cow;
+use knnshap_numerics::fingerprint::DigestReader;
+use std::io::Read;
+use std::time::Instant;
 
 /// Load the CSVs a spec names on `threads` parse workers.
 pub fn load_data(spec: &JobSpec, threads: usize) -> Result<Data<'static>, JobError> {
-    use knnshap_datasets::io::{load_class_csv_with_threads, load_reg_csv_with_threads};
-    let at = |path: &std::path::Path, e| JobError::Dataset(format!("{}: {e}", path.display()));
-    let (train, test) = (&spec.train, &spec.test);
+    read_train(spec, threads, open_train(spec)?)?.with_test(spec, threads)
+}
+
+fn open_train(spec: &JobSpec) -> Result<std::fs::File, JobError> {
+    std::fs::File::open(&spec.train).map_err(|e| train_err(spec, IoError::Io(e)))
+}
+
+fn train_err(spec: &JobSpec, e: IoError) -> JobError {
+    JobError::Dataset(format!("{}: {e}", spec.train.display()))
+}
+
+/// Parse the spec's training CSV from `r` on `threads` workers.
+fn read_train(spec: &JobSpec, threads: usize, r: impl Read + Send) -> Result<TrainSet, JobError> {
     Ok(match spec.task {
-        TaskKind::Class => Data::Class {
-            train: Cow::Owned(
-                load_class_csv_with_threads(train, threads).map_err(|e| at(train, e))?,
-            ),
-            test: Cow::Owned(load_class_csv_with_threads(test, threads).map_err(|e| at(test, e))?),
-        },
-        TaskKind::Reg => Data::Reg {
-            train: Cow::Owned(load_reg_csv_with_threads(train, threads).map_err(|e| at(train, e))?),
-            test: Cow::Owned(load_reg_csv_with_threads(test, threads).map_err(|e| at(test, e))?),
-        },
+        TaskKind::Class => {
+            TrainSet::Class(load_class_csv_from_reader(r, threads).map_err(|e| train_err(spec, e))?)
+        }
+        TaskKind::Reg => {
+            TrainSet::Reg(load_reg_csv_from_reader(r, threads).map_err(|e| train_err(spec, e))?)
+        }
     })
+}
+
+/// Load a planned job's datasets and hand them to `check`, which verifies
+/// them against the plan: from the job's training-set snapshot when it is
+/// current, otherwise — or when `check` rejects the snapshot's rows — from
+/// the CSVs. Appends one `load` event to `events.jsonl`: its `source`
+/// (`snapshot` or `csv`), the `reason` the snapshot missed, the `secs`
+/// spent loading and checking, and the loading `worker`, if any.
+pub(crate) fn load_checked<T>(
+    dirs: &JobDirs,
+    plan: &JobPlan,
+    threads: usize,
+    worker: Option<&str>,
+    check: impl Fn(Data<'static>) -> Result<T, JobError>,
+) -> Result<T, JobError> {
+    let start = Instant::now();
+    let miss = match snapshot::read(dirs, &plan.spec) {
+        Ok(train) => match check(train.with_test(&plan.spec, threads)?) {
+            Ok(t) => {
+                log_load(dirs, worker, None, start);
+                return Ok(t);
+            }
+            Err(_) => Miss::Identity,
+        },
+        Err(miss) => miss,
+    };
+    let t = check(load_data(&plan.spec, threads)?)?;
+    log_load(dirs, worker, Some(miss), start);
+    Ok(t)
+}
+
+fn log_load(dirs: &JobDirs, worker: Option<&str>, miss: Option<Miss>, start: Instant) {
+    let mut fields = vec![(
+        "source",
+        if miss.is_some() { "csv" } else { "snapshot" }.into(),
+    )];
+    if let Some(miss) = miss {
+        fields.push(("reason", miss.reason().into()));
+    }
+    fields.push(("secs", start.elapsed().as_secs_f64().into()));
+    if let Some(worker) = worker {
+        fields.push(("worker", worker.into()));
+    }
+    crate::progress::append_event(dirs, "load", &fields);
 }
 
 /// Bind a spec to its loaded datasets: the one estimator that plan, workers
@@ -71,7 +130,38 @@ impl PreparedJob {
     /// not depend on it.
     pub fn from_spec(spec: &JobSpec, threads: usize) -> Result<Self, JobError> {
         spec.validate()?;
-        let estimator = bind(spec, load_data(spec, threads)?)?;
+        Ok(Self::derive(spec, bind(spec, load_data(spec, threads)?)?))
+    }
+
+    /// [`from_spec`](Self::from_spec) for `shard-plan`: the training CSV's
+    /// bytes are digested as the parse reads them, and the training set's
+    /// snapshot is staged in `dirs` on a second thread while the job
+    /// identity is hashed. The caller publishes the snapshot once the plan
+    /// is saved; a snapshot that could not be written is only a cache the
+    /// job goes without.
+    pub fn from_spec_with_snapshot(
+        spec: &JobSpec,
+        threads: usize,
+        dirs: &JobDirs,
+    ) -> Result<(Self, std::io::Result<Staged>), JobError> {
+        spec.validate()?;
+        let mut train = DigestReader::new(open_train(spec)?);
+        let data = read_train(spec, threads, &mut train)?.with_test(spec, threads)?;
+        let stamp = Stamp::of(train.digest());
+        let estimator = bind(spec, data)?;
+        let staged = std::thread::scope(|s| {
+            let data = estimator.data();
+            let staged = s.spawn(move || {
+                dirs.create()?;
+                snapshot::stage(dirs, data, stamp)
+            });
+            estimator.identity();
+            staged.join().expect("snapshot writer panicked")
+        });
+        Ok((Self::derive(spec, estimator), staged))
+    }
+
+    fn derive(spec: &JobSpec, estimator: Estimator<'static>) -> Self {
         let (kind, fingerprint) = estimator.identity();
         let plan = JobPlan {
             spec: spec.clone(),
@@ -80,18 +170,17 @@ impl PreparedJob {
             n_train: estimator.n_train() as u64,
             total_items: estimator.items() as u64,
         };
-        Ok(Self { plan, estimator })
+        Self { plan, estimator }
     }
 
-    /// Bind `plan` to its datasets (parsed on `threads` workers), verifying
-    /// the fingerprint.
-    pub fn from_plan(plan: JobPlan, threads: usize) -> Result<Self, JobError> {
-        // Re-derive the identity from the files actually read; comparing the
-        // whole identity also catches a hand-edited plan file.
+    /// Bind `plan` to `data`, verifying the fingerprint: the identity is
+    /// re-derived from the data actually loaded, and comparing the whole
+    /// identity also catches a hand-edited plan file.
+    fn verified(plan: &JobPlan, data: Data<'static>) -> Result<Self, JobError> {
         let Self {
             plan: derived,
             estimator,
-        } = Self::from_spec(&plan.spec, threads)?;
+        } = Self::derive(&plan.spec, bind(&plan.spec, data)?);
         if derived.fingerprint != plan.fingerprint {
             return Err(JobError::FingerprintMismatch {
                 expected: plan.fingerprint,
@@ -113,18 +202,27 @@ impl PreparedJob {
                 plan.total_items,
             )));
         }
-        Ok(Self { plan, estimator })
+        Ok(Self {
+            plan: plan.clone(),
+            estimator,
+        })
     }
 
-    /// Load the plan from a job directory and bind it.
-    pub fn load(dirs: &crate::layout::JobDirs, threads: usize) -> Result<Self, JobError> {
-        Self::from_plan(JobPlan::load(dirs)?, threads)
+    /// Load the plan from a job directory and bind it to its verified
+    /// datasets (parsed on `threads` workers, or read from the job's
+    /// snapshot), logging the load as `worker`'s.
+    pub fn load(dirs: &JobDirs, threads: usize, worker: &str) -> Result<Self, JobError> {
+        let plan = JobPlan::load(dirs)?;
+        plan.spec.validate()?;
+        load_checked(dirs, &plan, threads, Some(worker), |data| {
+            Self::verified(&plan, data)
+        })
     }
 
     /// Attach a precomputed KNN graph. The graph's dataset-content
     /// fingerprints must match the datasets this job actually loaded — a
     /// graph built from drifted CSVs is refused here, before any chunk is
-    /// computed, for the same reason `from_plan` verifies the job
+    /// computed, for the same reason `load` verifies the job
     /// fingerprint. With a graph every chunk skips the distance pass; the
     /// published bytes are identical either way.
     pub fn attach_graph(&mut self, graph: KnnGraph) -> Result<(), JobError> {

@@ -3,13 +3,16 @@
 //! ```text
 //! job/
 //!   plan              KNNJOBPLAN file (spec + derived identity)
+//!   train.knndata     KNNDATA snapshot of the parsed training set
+//!                     (written by `shard-plan`; see crate::snapshot)
+//!   events.jsonl      append-only orchestration events (crate::progress)
 //!   shards/s<i>.shard completed KNNSHARD partials (canonical bytes)
 //!   checkpoints/s<i>.ckpt  mid-shard resume state (also KNNSHARD bytes)
 //!   leases/s<i>.lease work-queue claims (see crate::queue)
 //! ```
 //!
-//! Everything that must never be seen half-written (plan, shard files,
-//! checkpoints) goes through [`write_atomic`]: bytes land in a
+//! Everything that must never be seen half-written (plan, snapshot, shard
+//! files, checkpoints) goes through [`write_atomic`] or [`stage`]: bytes land in a
 //! uniquely-named temporary sibling and are moved into place with
 //! `rename(2)`, which is atomic within a filesystem — a concurrent reader
 //! sees either the old complete file or the new complete file, never a
@@ -17,6 +20,8 @@
 //! rather than atomic-replace, so they use `O_CREAT|O_EXCL` instead (see
 //! [`crate::queue::try_claim`]).
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,6 +72,12 @@ impl JobDirs {
         self.leases_dir().join(format!("s{i}.lease"))
     }
 
+    /// The training-set snapshot `shard-plan` leaves for workers and the
+    /// merge (see [`crate::snapshot`]).
+    pub fn snapshot_path(&self) -> PathBuf {
+        self.root.join("train.knndata")
+    }
+
     /// Append-only orchestration event stream (see [`crate::progress`]).
     pub fn events_path(&self) -> PathBuf {
         self.root.join("events.jsonl")
@@ -100,20 +111,53 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// concurrent publishers of *canonical* content (shard files, checkpoints)
 /// are therefore idempotent — last write wins with identical bytes.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    stage(path, |w| w.write_all(bytes))?.publish()
+}
+
+/// The first half of [`write_atomic`]: `write` fills a uniquely-named
+/// temporary sibling of `path`, and [`Staged::publish`] renames it into
+/// place. A staged file dropped unpublished is removed, so a caller can
+/// write early and decide late.
+pub fn stage(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> std::io::Result<Staged> {
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let mut name = path
         .file_name()
         .map(|n| n.to_os_string())
         .unwrap_or_else(|| "file".into());
     name.push(format!(".tmp.{}.{}", std::process::id(), seq));
-    let tmp = path.with_file_name(name);
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+    let staged = Staged {
+        tmp: path.with_file_name(name),
+        path: path.to_path_buf(),
+    };
+    let mut w = BufWriter::new(File::create(&staged.tmp)?);
+    write(&mut w)?;
+    w.into_inner().map_err(|e| e.into_error())?;
+    Ok(staged)
+}
+
+/// A file written under a temporary name by [`stage`], not yet in place.
+#[derive(Debug)]
+pub struct Staged {
+    tmp: PathBuf,
+    path: PathBuf,
+}
+
+impl Staged {
+    /// Move the file into place (atomically, by `rename`).
+    pub fn publish(self) -> std::io::Result<()> {
+        std::fs::rename(&self.tmp, &self.path)
+        // On failure, `drop` removes the temporary.
+    }
+}
+
+impl Drop for Staged {
+    fn drop(&mut self) {
+        // After a successful `publish` the temporary name is gone and this
+        // fails harmlessly.
+        let _ = std::fs::remove_file(&self.tmp);
     }
 }
 
@@ -154,6 +198,26 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_staged_file_appears_on_publish_and_is_removed_unpublished() {
+        let root = tmp_root("stage");
+        std::fs::create_dir_all(&root).unwrap();
+        let target = root.join("data.bin");
+        let dropped = stage(&target, |w| w.write_all(b"never")).unwrap();
+        drop(dropped);
+        let staged = stage(&target, |w| w.write_all(b"kept")).unwrap();
+        assert!(!target.exists(), "nothing is in place before publish");
+        staged.publish().unwrap();
+        assert_eq!(std::fs::read(&target).unwrap(), b"kept");
+        let names: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(names, ["data.bin"], "no temporary is left behind");
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -16,18 +16,23 @@
 //!   the job fingerprint everything downstream is cross-checked against.
 //!   Written once by `knnshap shard-plan`, read by every worker and the
 //!   supervisor.
-//! * [`layout`] — the job directory (`plan` + `shards/` + `leases/` +
-//!   `checkpoints/`) and crash-safe publication: files land under temporary
-//!   names and are moved into place with **atomic renames**, so a reader
-//!   never observes a half-written shard or checkpoint.
+//! * [`layout`] — the job directory (`plan` + `train.knndata` + `shards/` +
+//!   `leases/` + `checkpoints/`) and crash-safe publication: files land
+//!   under temporary names and are moved into place with **atomic
+//!   renames**, so a reader never observes a half-written shard or
+//!   checkpoint.
+//! * [`snapshot`] — the training set `shard-plan` parsed, in binary
+//!   (`KNNDATA`), stamped with the length and digest of its CSV: workers
+//!   and the merge read it instead of parsing the CSV again while the CSV
+//!   is unchanged, and fall back to the CSV on any miss.
 //! * [`queue`] — a coordination-free **file-based work queue** over a shared
 //!   filesystem. A worker claims shard `i` by exclusively creating
 //!   `leases/s<i>.lease` (`O_CREAT|O_EXCL` — first writer wins, every other
 //!   claimant loses cleanly); heartbeats refresh the lease's mtime; the
 //!   supervisor expires leases whose heartbeat went stale and the shard
 //!   becomes claimable again.
-//! * [`dispatch`] — loads the datasets named by the plan, **verifies the job
-//!   fingerprint** (a plan pointed at edited CSVs fails loudly instead of
+//! * [`dispatch`] — loads the datasets named by the plan (from the snapshot
+//!   or the CSVs), **verifies the job fingerprint** (a plan pointed at edited CSVs fails loudly instead of
 //!   merging garbage), and computes micro-chunk partials for all seven
 //!   shardable estimator families through the `knnshap_core` shard entry
 //!   points.
@@ -90,6 +95,7 @@ pub mod fleet;
 pub mod layout;
 pub mod progress;
 pub mod queue;
+pub mod snapshot;
 pub mod spec;
 pub mod supervisor;
 pub mod worker;

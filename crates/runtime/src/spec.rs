@@ -390,7 +390,7 @@ impl JobPlan {
 /// the combination, and compute the job identity (kind, dataset-content
 /// fingerprint, item counts) — `dispatch::PreparedJob::from_spec`, the one
 /// place fingerprints enter the system, without the bound datasets; workers
-/// re-derive and compare (`PreparedJob::from_plan`).
+/// re-derive and compare (`PreparedJob::load`).
 pub fn plan_job(spec: &JobSpec, threads: usize) -> Result<JobPlan, JobError> {
     crate::dispatch::PreparedJob::from_spec(spec, threads)
         .map(crate::dispatch::PreparedJob::into_plan)

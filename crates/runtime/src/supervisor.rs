@@ -13,10 +13,11 @@
 //! Each worker is watched by a thread of its own, which wakes the
 //! supervisor the moment the worker exits; the poll tick
 //! only bounds the wait for progress in other processes and drives lease
-//! expiry. The merge tail then parses each dataset once, on the threads the
-//! fleet held ([`tail_threads`]): it verifies the fingerprint, keeps the one
-//! column the outputs need ([`Column`]) and drops the features before it
-//! reads and merges the shards.
+//! expiry. The merge tail then loads each dataset once — the training set
+//! from the job's snapshot while its CSV is unchanged, otherwise by parsing
+//! it on the threads the fleet held ([`tail_threads`]): it verifies the
+//! fingerprint, keeps the one column the outputs need ([`Column`]) and
+//! drops the features before it reads and merges the shards.
 //!
 //! Crash-tolerance invariants worth internalizing:
 //!
@@ -312,7 +313,7 @@ pub fn run_job(dirs: &JobDirs, opts: SupervisorOptions) -> Result<JobOutcome, Jo
 /// Validate and merge a completed job directory against its plan. Exposed
 /// separately so tests (and operators with remotely-computed shards) can
 /// merge without spawning anything. The datasets are parsed on `threads`
-/// workers.
+/// workers (or the training set read from the job's snapshot).
 pub fn merge_job(
     dirs: &JobDirs,
     plan: &JobPlan,
@@ -333,18 +334,22 @@ fn merge_tail(
     // so this is the only place that catches CSVs edited after planning —
     // without it the report would pair stale values with drifted labels.
     // Dataset-content fingerprints make this O(dataset), not O(N · N_test).
-    let data = crate::dispatch::load_data(&plan.spec, threads)?;
-    let view = match &data {
-        Data::Class { train, test } => Data::class(train, test),
-        Data::Reg { train, test } => Data::reg(train, test),
-    };
-    let (_, fingerprint) = crate::dispatch::bind(&plan.spec, view)?.identity();
-    if fingerprint != plan.fingerprint {
-        return Err(JobError::FingerprintMismatch {
-            expected: plan.fingerprint,
-            found: fingerprint,
-        });
-    }
+    // The training set comes from the job's snapshot while its CSV is
+    // unchanged.
+    let data = crate::dispatch::load_checked(dirs, plan, threads, None, |data| {
+        let view = match &data {
+            Data::Class { train, test } => Data::class(train, test),
+            Data::Reg { train, test } => Data::reg(train, test),
+        };
+        let (_, fingerprint) = crate::dispatch::bind(&plan.spec, view)?.identity();
+        if fingerprint != plan.fingerprint {
+            return Err(JobError::FingerprintMismatch {
+                expected: plan.fingerprint,
+                found: fingerprint,
+            });
+        }
+        Ok(data)
+    })?;
     // The features go before the shards are read: the merge's peak memory
     // holds the partials and one column, never a dataset.
     let (column, n_test) = match data {

@@ -90,7 +90,7 @@ pub struct WorkerReport {
 /// the worker's.
 pub fn run_worker(dirs: &JobDirs, mut opts: WorkerOptions) -> Result<WorkerReport, JobError> {
     let threads = crate::resolve_threads(opts.threads);
-    let mut prepared = PreparedJob::load(dirs, threads)?;
+    let mut prepared = PreparedJob::load(dirs, threads, &opts.worker_id)?;
     if let Some(path) = &opts.graph {
         let graph = knnshap_knn::graph::KnnGraph::load(path)
             .map_err(|e| JobError::Dataset(format!("{}: {e}", path.display())))?;

@@ -14,9 +14,11 @@ use knnshap_core::ShapleyValues;
 use knnshap_datasets::synth::blobs::{self, BlobConfig};
 use knnshap_datasets::synth::regression::{self, RegressionConfig};
 use knnshap_knn::weights::WeightFn;
+use knnshap_runtime::dispatch::PreparedJob;
 use knnshap_runtime::layout::JobDirs;
 use knnshap_runtime::queue;
-use knnshap_runtime::spec::{plan_job, JobMethod, JobSpec, TaskKind};
+use knnshap_runtime::snapshot::{self, TrainSet};
+use knnshap_runtime::spec::{plan_job, JobMethod, JobPlan, JobSpec, TaskKind};
 use knnshap_runtime::supervisor::{merge_job, run_job, JobOutcome, Launcher, SupervisorOptions};
 use knnshap_runtime::worker::{run_worker, FaultPoint, WorkerOptions};
 use knnshap_runtime::JobError;
@@ -712,4 +714,226 @@ fn merge_only_run_job_rejects_a_csv_edited_after_planning() {
         !events.contains("\"ev\":\"spawn\""),
         "a merge-only run spawns no worker"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The training-set snapshot (`train.knndata`): a hit reproduces the CSV's
+// bits, and every kind of damage is a miss that falls back to the CSV.
+// ---------------------------------------------------------------------------
+
+/// Plan `spec` into `dirs` the way `shard-plan` does: with the training-set
+/// snapshot published next to the plan.
+fn plan_with_snapshot(spec: &JobSpec, dirs: &JobDirs) -> JobPlan {
+    let (prepared, staged) = PreparedJob::from_spec_with_snapshot(spec, 2, dirs).unwrap();
+    let plan = prepared.into_plan();
+    plan.save(dirs).unwrap();
+    staged.unwrap().publish().unwrap();
+    plan
+}
+
+/// The `(source, reason)` of every `load` event in the job's stream.
+fn loads(dirs: &JobDirs) -> Vec<(String, Option<String>)> {
+    let text = std::fs::read_to_string(dirs.events_path()).unwrap_or_default();
+    text.lines()
+        .filter_map(|l| {
+            let v = knnshap_obs::json::parse(l).ok()?;
+            let field = |k: &str| v.get(k).and_then(|x| x.as_str()).map(String::from);
+            (field("ev")? == "load").then(|| (field("source").unwrap(), field("reason")))
+        })
+        .collect()
+}
+
+/// Run the planned job in `dirs` from scratch — no shards, checkpoints or
+/// events left from an earlier run — with one in-process worker. Returns
+/// the merged values and the run's load events (the worker's, then the
+/// merge tail's).
+fn rerun(dirs: &JobDirs) -> (ShapleyValues, Vec<(String, Option<String>)>) {
+    for d in [dirs.shards_dir(), dirs.checkpoints_dir(), dirs.leases_dir()] {
+        std::fs::remove_dir_all(d).ok();
+    }
+    std::fs::remove_file(dirs.events_path()).ok();
+    dirs.create().unwrap();
+    let outcome = run_job(
+        dirs,
+        SupervisorOptions {
+            workers: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    (outcome.values, loads(dirs))
+}
+
+fn miss(reason: &str) -> Vec<(String, Option<String>)> {
+    vec![("csv".into(), Some(reason.into())); 2]
+}
+
+/// Exact regression jobs, uniform and weighted, read their training set
+/// from the snapshot and merge to the bits of the CSV-parsed run — with
+/// `-0.0`, subnormal features and subnormal targets in the data.
+#[test]
+fn exact_reg_jobs_round_trip_bit_exactly_through_the_snapshot() {
+    let ws = Workspace::new("snap-reg");
+    let specials = [
+        -0.0f32,
+        1e-40,
+        f32::from_bits(0x8000_0001),
+        f32::MIN_POSITIVE / 4.0,
+    ];
+    let rows = |n: usize, shift: f32| {
+        let mut feats = Vec::new();
+        for i in 0..n {
+            feats.extend([i as f32 * 0.25 - shift, specials[i % 4]]);
+        }
+        let y = (0..n)
+            .map(|i| match i % 3 {
+                0 => -0.0,
+                1 => 1e-310,
+                _ => i as f64 * 0.5 - 4.0,
+            })
+            .collect();
+        knnshap_datasets::RegDataset::new(knnshap_datasets::Features::new(feats, 2), y)
+    };
+    let (t, q) = (ws.root.join("rtrain.csv"), ws.root.join("rtest.csv"));
+    knnshap_datasets::io::save_reg_csv(&t, &rows(24, 3.0)).unwrap();
+    knnshap_datasets::io::save_reg_csv(&q, &rows(5, 0.4)).unwrap();
+    let parsed = knnshap_datasets::io::load_reg_csv(&t).unwrap();
+    assert!(
+        parsed.x.as_slice()[1].is_sign_negative(),
+        "-0 parses to -0.0"
+    );
+
+    for (name, weight) in [("uniform", WeightFn::Uniform), ("weighted", WEIGHT)] {
+        let spec = JobSpec {
+            task: TaskKind::Reg,
+            train: t.clone(),
+            test: q.clone(),
+            k: K,
+            weight,
+            method: JobMethod::Exact,
+            seed: SEED,
+            shards: 3,
+            checkpoint_chunks: 2,
+        };
+        let dirs = ws.job_dirs(name);
+        plan_with_snapshot(&spec, &dirs);
+        let Ok(TrainSet::Reg(snap)) = snapshot::read(&dirs, &spec) else {
+            panic!("{name}: the fresh snapshot must be a hit");
+        };
+        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits32(snap.x.as_slice()), bits32(parsed.x.as_slice()));
+        assert_eq!(bits64(&snap.y), bits64(&parsed.y));
+        let (values, loads) = rerun(&dirs);
+        assert_bitwise(&values, &reference(&spec), name);
+        assert_eq!(loads, vec![("snapshot".to_string(), None); 2], "{name}");
+    }
+}
+
+/// Every kind of damage to the snapshot — any truncation, a wrong magic,
+/// version or task, `n · dim` that disagrees with the file length, an
+/// inflated `n`, any flipped payload byte — is a miss: the worker and the
+/// merge parse the CSV instead and the job merges to the same bits. None
+/// panics, and an inflated `n` allocates nothing (`n = 2^61` rows would
+/// abort the process if it were trusted).
+#[test]
+fn a_damaged_snapshot_is_a_miss_that_falls_back_to_the_csv() {
+    let ws = Workspace::new("snap-decode");
+    let cfg = BlobConfig {
+        n: 10,
+        dim: 2,
+        n_classes: 2,
+        cluster_std: 0.6,
+        center_scale: 2.5,
+        seed: 3,
+    };
+    let (t, q) = (ws.root.join("train.csv"), ws.root.join("test.csv"));
+    knnshap_datasets::io::save_class_csv(&t, &blobs::generate(&cfg)).unwrap();
+    knnshap_datasets::io::save_class_csv(&q, &blobs::queries(&cfg, 3, 4)).unwrap();
+    let spec = JobSpec {
+        task: TaskKind::Class,
+        train: t,
+        test: q,
+        k: K,
+        weight: WeightFn::Uniform,
+        method: JobMethod::Exact,
+        seed: SEED,
+        shards: 1,
+        checkpoint_chunks: 1,
+    };
+    let want = reference(&spec);
+    let dirs = ws.job_dirs("job");
+    plan_with_snapshot(&spec, &dirs);
+    let good = std::fs::read(dirs.snapshot_path()).unwrap();
+    assert_eq!(good.len(), snapshot::HEADER_LEN + 10 * 2 * 4 + 10 * 4);
+    let (values, hit) = rerun(&dirs);
+    assert_bitwise(&values, &want, "intact snapshot");
+    assert_eq!(hit, vec![("snapshot".to_string(), None); 2]);
+
+    let check = |bytes: &[u8], what: &str, reasons: &[&str]| {
+        std::fs::write(dirs.snapshot_path(), bytes).unwrap();
+        let (values, loads) = rerun(&dirs);
+        assert_bitwise(&values, &want, what);
+        assert!(
+            reasons.iter().any(|r| loads == miss(r)),
+            "{what}: {loads:?}, expected a miss for {reasons:?}"
+        );
+    };
+    for len in 0..good.len() {
+        check(
+            &good[..len],
+            &format!("truncated to {len} bytes"),
+            &["decode"],
+        );
+    }
+    let patched = |at: usize, field: &[u8]| {
+        let mut b = good.clone();
+        b[at..at + field.len()].copy_from_slice(field);
+        b
+    };
+    check(&patched(0, b"KNNDATB"), "wrong magic", &["decode"]);
+    check(
+        &patched(8, &2u32.to_le_bytes()),
+        "wrong version",
+        &["decode"],
+    );
+    check(&patched(12, &1u32.to_le_bytes()), "wrong task", &["decode"]);
+    check(
+        &patched(16, &9u64.to_le_bytes()),
+        "n one short",
+        &["decode"],
+    );
+    check(
+        &patched(24, &3u64.to_le_bytes()),
+        "dim one long",
+        &["decode"],
+    );
+    check(
+        &patched(16, &(1u64 << 61).to_le_bytes()),
+        "inflated n",
+        &["decode"],
+    );
+    check(
+        &patched(16, &u64::MAX.to_le_bytes()),
+        "n = 2^64 - 1",
+        &["decode"],
+    );
+    check(&patched(16, &0u64.to_le_bytes()), "n = 0", &["decode"]);
+    for at in snapshot::HEADER_LEN..good.len() {
+        let mut b = good.clone();
+        b[at] ^= 0xFF;
+        check(
+            &b,
+            &format!("payload byte {at} flipped"),
+            &["identity", "decode"],
+        );
+    }
+    let mut longer = good.clone();
+    longer.push(0);
+    check(&longer, "a trailing byte", &["decode"]);
+
+    std::fs::remove_file(dirs.snapshot_path()).unwrap();
+    let (values, loads) = rerun(&dirs);
+    assert_bitwise(&values, &want, "no snapshot");
+    assert_eq!(loads, miss("absent"));
 }

@@ -56,6 +56,7 @@ use crate::protocol::{
 };
 use crate::store::{Snapshot, VersionedStore, WhatIfCache, WhatIfStats, DEFAULT_WHATIF_CAPACITY};
 use knnshap_core::resident::{Applied, Mutation, ResidentError, ResidentValuator};
+use knnshap_datasets::io::WINDOW;
 use knnshap_datasets::ClassDataset;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -369,13 +370,7 @@ impl ValuationServer {
     /// lock; the lock is released on return.
     fn copy_train(&self) -> TrainCopy {
         let engine = self.engine.read().expect("engine lock poisoned");
-        let train = engine.train();
-        TrainCopy {
-            version: engine.version(),
-            dim: train.dim(),
-            x: train.x.as_slice().to_vec(),
-            y: train.y.clone(),
-        }
+        TrainCopy::new(engine.version(), engine.train())
     }
 
     fn dispatch(&self, req: &Request) -> Response {
@@ -710,36 +705,69 @@ fn rejected_err(e: ResidentError) -> Response {
 }
 
 /// A copy of the training set taken under the engine read lock: row-major
-/// features and labels, N·(4d + 4) bytes. The CSV export formats from it
-/// after the lock is gone.
+/// features and labels, N·(4d + 4) bytes, held in row blocks whose feature
+/// part is at most [`WINDOW`] (64 KiB) bytes. The CSV export formats from
+/// it after the lock is gone.
+///
+/// The blocks keep every allocation below glibc's 128 KiB mmap threshold.
+/// A single N·4d-byte buffer would be mmapped, and freeing it raises that
+/// threshold to its size, so the next export's copy would come from the
+/// heap and stay resident after the export; blocks are freed to the heap
+/// and reused by the next export.
 struct TrainCopy {
     version: u64,
     dim: usize,
-    x: Vec<f32>,
-    y: Vec<u32>,
+    rows: usize,
+    /// `(features, labels)` of consecutive rows.
+    blocks: Vec<(Vec<f32>, Vec<u32>)>,
 }
 
 impl TrainCopy {
-    fn rows(&self) -> usize {
-        self.y.len()
+    fn new(version: u64, train: &ClassDataset) -> Self {
+        let dim = train.dim();
+        let per_block = (WINDOW / (4 * dim)).max(1);
+        let blocks = train
+            .x
+            .as_slice()
+            .chunks(per_block * dim)
+            .zip(train.y.chunks(per_block))
+            .map(|(x, y)| (x.to_vec(), y.to_vec()))
+            .collect();
+        TrainCopy {
+            version,
+            dim,
+            rows: train.len(),
+            blocks,
+        }
     }
 
-    /// Append row `i` in the `save_class_csv` text format: the `f32`
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Every row in order: its features and its label.
+    fn each_row(&self) -> impl Iterator<Item = (&[f32], u32)> {
+        self.blocks
+            .iter()
+            .flat_map(|(x, y)| x.chunks_exact(self.dim).zip(y.iter().copied()))
+    }
+
+    /// Append a row in the `save_class_csv` text format: the `f32`
     /// features (`Display`, i.e. shortest round-trip) each followed by a
     /// comma, then the integer label. Byte-identical to what
     /// `knnshap_datasets::io::save_class_csv` writes for the same row.
-    fn write_row(&self, i: usize, out: &mut Vec<u8>) {
-        for v in &self.x[i * self.dim..(i + 1) * self.dim] {
+    fn write_row((x, label): (&[f32], u32), out: &mut Vec<u8>) {
+        for v in x {
             write!(out, "{v},").expect("write to a Vec");
         }
-        writeln!(out, "{}", self.y[i]).expect("write to a Vec");
+        writeln!(out, "{label}").expect("write to a Vec");
     }
 
     /// The whole CSV, or `None` as soon as it passes `limit` bytes.
     fn csv_within(&self, limit: usize) -> Option<Vec<u8>> {
         let mut csv = Vec::new();
-        for i in 0..self.rows() {
-            self.write_row(i, &mut csv);
+        for row in self.each_row() {
+            Self::write_row(row, &mut csv);
             if csv.len() > limit {
                 return None;
             }
@@ -752,9 +780,9 @@ impl TrainCopy {
     fn stream<W: Write>(&self, w: &mut W) -> Result<(), ProtocolError> {
         let (mut part, mut row) = (Vec::with_capacity(PART_MAX), Vec::new());
         let mut bytes = 0u64;
-        for i in 0..self.rows() {
+        for r in self.each_row() {
             row.clear();
-            self.write_row(i, &mut row);
+            Self::write_row(r, &mut row);
             if !part.is_empty() && part.len() + row.len() > PART_MAX {
                 write_train_csv_part(w, &part)?;
                 bytes += part.len() as u64;
@@ -1206,6 +1234,29 @@ mod tests {
         let mut probe = Probe(&s, 0);
         s.stream_train_csv(&mut probe).unwrap();
         assert!(probe.1 > 3, "{} writes", probe.1);
+    }
+
+    #[test]
+    fn a_training_copy_is_held_in_row_blocks_below_the_mmap_threshold() {
+        let cfg = BlobConfig {
+            n: 5000,
+            dim: 7,
+            n_classes: 3,
+            ..Default::default()
+        };
+        let train = blobs::generate(&cfg);
+        let copy = TrainCopy::new(4, &train);
+        assert_eq!((copy.version, copy.rows()), (4, 5000));
+        assert!(copy.blocks.len() > 1, "{} blocks", copy.blocks.len());
+        for (x, y) in &copy.blocks {
+            assert!(x.len() * 4 <= WINDOW && y.len() * 4 <= WINDOW);
+            assert_eq!(x.len(), y.len() * 7);
+        }
+        let rows: Vec<(&[f32], u32)> = copy.each_row().collect();
+        assert_eq!(rows.len(), 5000);
+        for (i, (x, y)) in rows.into_iter().enumerate() {
+            assert!(x == train.x.row(i) && y == train.y[i], "row {i}");
+        }
     }
 
     #[test]
