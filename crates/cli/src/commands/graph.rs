@@ -19,6 +19,7 @@
 
 use crate::args::Args;
 use crate::CliError;
+use knnshap_core::estimator::Task;
 use knnshap_datasets::io::{load_class_csv_with_threads, load_reg_csv_with_threads};
 use knnshap_knn::graph::KnnGraph;
 use std::path::Path;
@@ -34,20 +35,15 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     // The artifact only involves features; --task picks the CSV parser.
     let (train_path, test_path) = (Path::new(train_path), Path::new(test_path));
-    let (train_x, test_x) = match args.str("task").unwrap_or("class") {
-        "class" => (
+    let (train_x, test_x) = match super::parse_task(args)? {
+        Task::Class => (
             load_class_csv_with_threads(train_path, threads)?.x,
             load_class_csv_with_threads(test_path, threads)?.x,
         ),
-        "reg" => (
+        Task::Reg => (
             load_reg_csv_with_threads(train_path, threads)?.x,
             load_reg_csv_with_threads(test_path, threads)?.x,
         ),
-        other => {
-            return Err(CliError::Invalid(format!(
-                "unknown task '{other}' (class, reg)"
-            )))
-        }
     };
     if train_x.dim() != test_x.dim() {
         return Err(CliError::Invalid(format!(

@@ -22,45 +22,31 @@
 //! jobs, whatever the fleet went through on the way.
 
 use crate::args::Args;
-use crate::commands::parse_weight;
+use crate::commands::{parse_task, parse_weight};
 use crate::CliError;
+use knnshap_core::estimator::Family;
 use knnshap_runtime::dispatch::PreparedJob;
 use knnshap_runtime::layout::JobDirs;
-use knnshap_runtime::spec::{absolutize, JobMethod, JobPlan, JobSpec, TaskKind};
+use knnshap_runtime::spec::{absolutize, JobPlan, JobSpec};
 use knnshap_runtime::supervisor::{run_job, tail_threads, Column, Launcher, SupervisorOptions};
 use knnshap_runtime::worker::{run_worker, FaultHook, FaultPoint, WorkerOptions};
 use knnshap_runtime::JobError;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Parse `--method` for job planning. Unlike `value`'s parser this knows
-/// `group-testing`, and it rejects `lsh` with the full explanation (the
-/// satellite of `docs/sharding.md`'s "Why LSH does not shard yet").
-fn parse_job_method(args: &Args) -> Result<JobMethod, CliError> {
+/// Parse `--method` for job planning through the family table. Unlike
+/// `value`'s parser this knows `group-testing`, and it rejects `lsh` with
+/// the full explanation (the satellite of `docs/sharding.md`'s "Why LSH
+/// does not shard yet").
+fn parse_family(args: &Args) -> Result<Family, CliError> {
+    let name = args.str("method").unwrap_or("exact");
+    if name == "lsh" {
+        return Err(CliError::Invalid(super::shard::LSH_UNSHARDABLE.into()));
+    }
     let eps = args.f64_or("eps", 0.1)?;
     let perms = args.usize_or("perms", 0)?;
-    match args.str("method").unwrap_or("exact") {
-        "exact" => Ok(JobMethod::Exact),
-        "truncated" => Ok(JobMethod::Truncated { eps }),
-        "mc-baseline" => Ok(JobMethod::McBaseline { perms }),
-        "mc-improved" => Ok(JobMethod::McImproved { perms }),
-        "group-testing" => Ok(JobMethod::GroupTesting { tests: perms }),
-        "lsh" => Err(CliError::Invalid(super::shard::LSH_UNSHARDABLE.into())),
-        other => Err(CliError::Invalid(format!(
-            "unknown method '{other}' (exact, truncated, mc-baseline, mc-improved, \
-             group-testing)"
-        ))),
-    }
-}
-
-fn parse_task(args: &Args) -> Result<TaskKind, CliError> {
-    match args.str("task").unwrap_or("class") {
-        "class" => Ok(TaskKind::Class),
-        "reg" => Ok(TaskKind::Reg),
-        other => Err(CliError::Invalid(format!(
-            "unknown task '{other}' (class, reg)"
-        ))),
-    }
+    let seed = args.u64_or("seed", 42)?;
+    Family::parse(name, eps, perms, seed).map_err(CliError::Invalid)
 }
 
 const SHARD_PLAN_ALLOWED: &[&str] = &[
@@ -147,8 +133,7 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
         test: absolutize(Path::new(args.require("test")?)),
         k: args.usize_or("k", 1)?,
         weight: parse_weight(args)?,
-        method: parse_job_method(args)?,
-        seed: args.u64_or("seed", 42)?,
+        family: parse_family(args)?,
         shards: if auto { 1 } else { requested },
         checkpoint_chunks: args.usize_or("checkpoint-chunks", 4)?,
     };
@@ -175,10 +160,14 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
     } else {
         prepared.into_plan()
     };
-    // A job directory holds one job: re-planning it byte for byte is a
-    // no-op, but another plan would strand the old job's shards there.
-    // (An unpublished snapshot is removed when it goes out of scope.)
-    if std::fs::read_to_string(dirs.plan_path()).is_ok_and(|old| old != plan.to_file_string()) {
+    // A job directory holds one job: re-planning the same job is a no-op,
+    // but another plan would strand the old job's shards there. Plans
+    // compare parsed, so a plan an earlier build wrote (`seed 42` on an
+    // exact job, say) is the same job. (An unpublished snapshot is removed
+    // when it goes out of scope.)
+    if std::fs::read_to_string(dirs.plan_path())
+        .is_ok_and(|old| JobPlan::parse(&old).ok().as_ref() != Some(&plan))
+    {
         return Err(CliError::Runtime(JobError::PlanConflict(
             job.display().to_string(),
         )));
@@ -433,7 +422,7 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
                 payout.as_deref(),
                 top,
                 None,
-                plan.spec.method.name(),
+                plan.spec.family.name(),
                 args.str("out"),
             ));
         }
@@ -614,6 +603,34 @@ mod tests {
             // Each method is another job, which a job directory refuses.
             std::fs::remove_dir_all(&auto).ok();
             std::fs::remove_dir_all(&fixed).ok();
+        }
+    }
+
+    /// Earlier builds wrote the CLI's `--seed 42` into exact and truncated
+    /// plans. Re-planning such a job directory with the same arguments is
+    /// the same job, not a conflict; another job still is one.
+    #[test]
+    fn replanning_a_job_an_earlier_build_wrote_is_not_a_conflict() {
+        let (t, q) = csv_pair("replan-earlier", 30, 6);
+        let job = job_dir("replan-earlier");
+        let plan_path = JobDirs::new(&job).plan_path();
+        for method in [
+            &["--method", "exact", "--k", "2"][..],
+            &["--method", "truncated", "--eps", "0.2"],
+        ] {
+            crate::run(plan_argv(&t, &q, &job, method)).unwrap();
+            let text = std::fs::read_to_string(&plan_path).unwrap();
+            assert!(text.contains("\nseed 0\n"), "{text}");
+            let earlier = text.replace("\nseed 0\n", "\nseed 42\n");
+            std::fs::write(&plan_path, &earlier).unwrap();
+            crate::run(plan_argv(&t, &q, &job, method)).unwrap();
+            std::fs::write(&plan_path, &earlier).unwrap();
+            let err = crate::run(plan_argv(&t, &q, &job, &["--k", "3"])).unwrap_err();
+            assert!(
+                matches!(err, CliError::Runtime(JobError::PlanConflict(_))),
+                "{err}"
+            );
+            std::fs::remove_dir_all(&job).ok();
         }
     }
 

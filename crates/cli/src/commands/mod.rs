@@ -12,6 +12,7 @@ pub mod watch;
 
 use crate::args::Args;
 use crate::CliError;
+use knnshap_core::estimator::Task;
 use knnshap_core::mc::StoppingRule;
 use knnshap_core::pipeline::{KnnShapley, Method, Valuation};
 use knnshap_datasets::ClassDataset;
@@ -144,20 +145,18 @@ pub(crate) fn load_graph(
     Ok(Some(graph))
 }
 
-/// Resolves `--weight`/`--weight-param` into a [`WeightFn`].
+/// Resolves `--task` (default `class`) through the task table.
+pub(crate) fn parse_task(args: &Args) -> Result<Task, CliError> {
+    Task::parse(args.str("task").unwrap_or("class")).map_err(CliError::Invalid)
+}
+
+/// Resolves `--weight`/`--weight-param` into a [`WeightFn`] through the
+/// weight table (`WeightFn::parse`): a parameter the weight cannot use is
+/// refused here.
 pub(crate) fn parse_weight(args: &Args) -> Result<WeightFn, CliError> {
-    match args.str("weight").unwrap_or("uniform") {
-        "uniform" => Ok(WeightFn::Uniform),
-        "inverse" => Ok(WeightFn::InverseDistance {
-            eps: args.f64_or("weight-param", 1e-3)? as f32,
-        }),
-        "exponential" => Ok(WeightFn::Exponential {
-            beta: args.f64_or("weight-param", 1.0)? as f32,
-        }),
-        other => Err(CliError::Invalid(format!(
-            "unknown weight '{other}' (uniform, inverse, exponential)"
-        ))),
-    }
+    let name = args.str("weight").unwrap_or("uniform");
+    WeightFn::parse(name, args.f64_opt("weight-param")?)
+        .map_err(|e| CliError::Invalid(e.to_string()))
 }
 
 #[cfg(test)]

@@ -46,14 +46,9 @@ fn estimator<'a>(
     if let Method::McBaseline { rule, .. } | Method::McImproved { rule, .. } = method {
         require_fixed_budget(rule)?;
     }
-    let family = match (method, method.family(train.len())) {
-        (_, Some(family)) => family,
-        (Method::Lsh { .. }, None) => return Err(CliError::Invalid(LSH_UNSHARDABLE.into())),
-        (_, None) => {
-            return Err(CliError::Invalid(
-                "sharding supports exact, truncated, mc-baseline and mc-improved".into(),
-            ))
-        }
+    // LSH is the one method `parse_method` returns that is not a family.
+    let Some(family) = method.family(train.len()) else {
+        return Err(CliError::Invalid(LSH_UNSHARDABLE.into()));
     };
     let data = Data::class(train, test);
     Ok(Estimator::new(data, k, weight, family, graph)?)

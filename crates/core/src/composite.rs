@@ -490,5 +490,32 @@ mod tests {
         manual.scale(1.0 / 3.0);
         assert!(avg.sellers.max_abs_diff(&manual) < 1e-12);
         assert!((avg.analyst - analyst / 3.0).abs() < 1e-12);
+
+        // Theorem 10 over a test set: the mean of the per-test games, and
+        // (the composite game being linear in ν) the enumerated Shapley
+        // values of the composite game over the test-set utility.
+        let (train, _) = random_reg(5, 7);
+        let test = RegDataset::new(
+            Features::new((0..6).map(|_| rng.gen_range(-1.0f32..1.0)).collect(), 2),
+            vec![0.5, -1.0, 1.5],
+        );
+        let avg = composite_knn_reg_shapley(&train, &test, 2);
+        let mut manual = ShapleyValues::zeros(train.len());
+        let mut analyst = 0.0;
+        for j in 0..test.len() {
+            let one = composite_knn_reg_shapley_single(&train, test.x.row(j), test.y[j], 2);
+            manual.add_assign(&one.sellers);
+            analyst += one.analyst;
+        }
+        manual.scale(1.0 / 3.0);
+        assert!(avg.sellers.max_abs_diff(&manual) < 1e-12);
+        assert!((avg.analyst - analyst / 3.0).abs() < 1e-12);
+        let base = KnnRegUtility::new(&train, &test, 2, WeightFn::Uniform);
+        let comp = CompositeUtility::new(&base);
+        let truth = shapley_enumeration(&comp);
+        for i in 0..train.len() {
+            assert!((avg.sellers[i] - truth[i]).abs() < 1e-9, "i={i}");
+        }
+        assert!((avg.analyst - truth[comp.analyst_player()]).abs() < 1e-9);
     }
 }

@@ -71,6 +71,47 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::OnceLock;
 
+/// The prediction task a pair of datasets holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Task {
+    /// Classification (features…, integer label).
+    Class,
+    /// Regression (features…, float target).
+    Reg,
+}
+
+impl Task {
+    /// The task's name in the CLI (`--task`) and in job plans.
+    pub fn name(self) -> &'static str {
+        match self {
+            Task::Class => "class",
+            Task::Reg => "reg",
+        }
+    }
+
+    /// The task [`name`](Self::name) names.
+    pub fn parse(name: &str) -> Result<Task, String> {
+        by_name("task", name, [Task::Class, Task::Reg], Task::name)
+    }
+}
+
+/// The entry of `table` whose name is `name`, or an error naming every
+/// entry of the table of `what`s.
+fn by_name<T: Copy, const N: usize>(
+    what: &str,
+    name: &str,
+    table: [T; N],
+    name_of: fn(T) -> &'static str,
+) -> Result<T, String> {
+    table
+        .into_iter()
+        .find(|&t| name_of(t) == name)
+        .ok_or_else(|| {
+            let known: Vec<_> = table.into_iter().map(name_of).collect();
+            format!("unknown {what} '{name}' ({})", known.join(", "))
+        })
+}
+
 /// The datasets an estimator values, typed by task — borrowed
 /// ([`Data::class`], [`Data::reg`]) or owned (a job that loaded them).
 #[derive(Debug, Clone)]
@@ -104,10 +145,18 @@ impl<'a> Data<'a> {
 
     /// The same datasets, borrowed from `self` (never a copy of owned
     /// ones).
-    pub(crate) fn reborrow(&self) -> Data<'_> {
+    pub fn reborrow(&self) -> Data<'_> {
         match self {
             Data::Class { train, test } => Data::class(train, test),
             Data::Reg { train, test } => Data::reg(train, test),
+        }
+    }
+
+    /// The task the datasets hold.
+    pub fn task(&self) -> Task {
+        match self {
+            Data::Class { .. } => Task::Class,
+            Data::Reg { .. } => Task::Reg,
         }
     }
 
@@ -142,6 +191,61 @@ pub enum Family {
     McImproved { perms: usize, seed: u64 },
     /// The group-testing baseline over `tests` coalition-test streams.
     GroupTesting { tests: usize, seed: u64 },
+}
+
+impl Family {
+    /// The family's name in the CLI (`--method`) and in job plans.
+    pub fn name(self) -> &'static str {
+        match self {
+            Family::Exact => "exact",
+            Family::Truncated { .. } => "truncated",
+            Family::McBaseline { .. } => "mc-baseline",
+            Family::McImproved { .. } => "mc-improved",
+            Family::GroupTesting { .. } => "group-testing",
+        }
+    }
+
+    /// The family named `name`, taking from `eps`, `perms` (the stream
+    /// budget) and `seed` the parameters it has and ignoring the others.
+    pub fn parse(name: &str, eps: f64, perms: usize, seed: u64) -> Result<Family, String> {
+        let table = [
+            Family::Exact,
+            Family::Truncated { eps },
+            Family::McBaseline { perms, seed },
+            Family::McImproved { perms, seed },
+            Family::GroupTesting { tests: perms, seed },
+        ];
+        by_name("method", name, table, Family::name)
+    }
+
+    /// `(eps, perms, seed)` as [`parse`](Self::parse) reads them: `0` for
+    /// a parameter the family does not have.
+    pub fn params(self) -> (f64, usize, u64) {
+        match self {
+            Family::Exact => (0.0, 0, 0),
+            Family::Truncated { eps } => (eps, 0, 0),
+            Family::McBaseline { perms, seed } | Family::McImproved { perms, seed } => {
+                (0.0, perms, seed)
+            }
+            Family::GroupTesting { tests, seed } => (0.0, tests, seed),
+        }
+    }
+
+    /// The rules on `K`, the task and the weight that hold before any
+    /// dataset is read: `K ≥ 1`, and truncation is uniform classification
+    /// only.
+    pub fn check(self, task: Task, k: usize, weight: WeightFn) -> Result<(), PipelineError> {
+        check_k(k)?;
+        if let Family::Truncated { .. } = self {
+            if task == Task::Reg {
+                return Err(PipelineError::TaskUnsupported("Truncated"));
+            }
+            if !matches!(weight, WeightFn::Uniform) {
+                return Err(PipelineError::WeightedUnsupported("Truncated"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A validated valuation job: datasets, `K`, weights, family and an
@@ -195,19 +299,12 @@ impl<'a> Estimator<'a> {
     ) -> Result<Self, PipelineError> {
         let (train_x, test_x) = data.features();
         check_data(train_x, test_x, k, graph)?;
+        family.check(data.task(), k, weight)?;
         if matches!(family, Family::GroupTesting { .. }) && train_x.len() < 2 {
             return Err(PipelineError::TooFewTrainPoints {
                 method: "group testing",
                 min: 2,
             });
-        }
-        if let Family::Truncated { .. } = family {
-            if let Data::Reg { .. } = data {
-                return Err(PipelineError::TaskUnsupported("Truncated"));
-            }
-            if !matches!(weight, WeightFn::Uniform) {
-                return Err(PipelineError::WeightedUnsupported("Truncated"));
-            }
         }
         Ok(Self {
             data,
@@ -248,8 +345,7 @@ impl<'a> Estimator<'a> {
     pub fn items(&self) -> usize {
         match self.family {
             Family::Exact | Family::Truncated { .. } => self.data.features().1.len(),
-            Family::McBaseline { perms, .. } | Family::McImproved { perms, .. } => perms,
-            Family::GroupTesting { tests, .. } => tests,
+            streams => streams.params().1,
         }
     }
 
@@ -309,38 +405,17 @@ impl<'a> Estimator<'a> {
 
     fn fingerprint(&self) -> u64 {
         let (k, weight) = (self.k, self.weight);
-        // The stream families hash the content of the game they sample.
-        let stream = |domain: &str, seed: u64| {
-            let content = match (&self.data, self.family) {
-                (Data::Class { train, test }, Family::McImproved { .. }) => {
-                    IncKnnUtility::class_content_fingerprint(train, test, k, weight)
-                }
-                (Data::Reg { train, test }, Family::McImproved { .. }) => {
-                    IncKnnUtility::reg_content_fingerprint(train, test, k, weight)
-                }
-                (Data::Class { train, test }, _) => {
-                    KnnClassUtility::content_fingerprint(train, test, k, weight)
-                }
-                (Data::Reg { train, test }, _) => {
-                    KnnRegUtility::content_fingerprint(train, test, k, weight)
-                }
-            };
-            stream_fingerprint(domain, seed, content)
-        };
-        // The per-test families hash `K`, then what the family adds (a
-        // non-uniform weight, ε), then the datasets. A uniform weight adds
-        // nothing: uniform headers predate weights in the fingerprint and
-        // keep their bytes.
+        // Every family hashes under its kind's name. The per-test families
+        // hash `K`, then what the family adds (a non-uniform weight, ε),
+        // then the datasets. A uniform weight adds nothing: uniform headers
+        // predate weights in the fingerprint and keep their bytes.
+        let domain = self.kind().name();
         let per_test = |fp: Fingerprint| {
             let (train, test) = self.data.hashes();
             fp.u64(train).u64(test).finish()
         };
         match self.family {
             Family::Exact => {
-                let domain = match self.data {
-                    Data::Class { .. } => "exact-class",
-                    Data::Reg { .. } => "exact-reg",
-                };
                 let fp = Fingerprint::new(domain).u64(k as u64);
                 per_test(match weight {
                     WeightFn::Uniform => fp,
@@ -350,12 +425,25 @@ impl<'a> Estimator<'a> {
                     }
                 })
             }
-            Family::Truncated { eps } => {
-                per_test(Fingerprint::new("truncated").u64(k as u64).f64(eps))
+            Family::Truncated { eps } => per_test(Fingerprint::new(domain).u64(k as u64).f64(eps)),
+            // The stream families hash the content of the game they sample.
+            streams => {
+                let content = match (&self.data, streams) {
+                    (Data::Class { train, test }, Family::McImproved { .. }) => {
+                        IncKnnUtility::class_content_fingerprint(train, test, k, weight)
+                    }
+                    (Data::Reg { train, test }, Family::McImproved { .. }) => {
+                        IncKnnUtility::reg_content_fingerprint(train, test, k, weight)
+                    }
+                    (Data::Class { train, test }, _) => {
+                        KnnClassUtility::content_fingerprint(train, test, k, weight)
+                    }
+                    (Data::Reg { train, test }, _) => {
+                        KnnRegUtility::content_fingerprint(train, test, k, weight)
+                    }
+                };
+                stream_fingerprint(domain, streams.params().2, content)
             }
-            Family::McBaseline { seed, .. } => stream("mc-baseline", seed),
-            Family::McImproved { seed, .. } => stream("mc-improved", seed),
-            Family::GroupTesting { seed, .. } => stream("group-testing", seed),
         }
     }
 
@@ -474,9 +562,7 @@ pub(crate) fn check_data(
     k: usize,
     graph: Option<&KnnGraph>,
 ) -> Result<(), PipelineError> {
-    if k == 0 {
-        return Err(PipelineError::ZeroK);
-    }
+    check_k(k)?;
     if train.is_empty() {
         return Err(PipelineError::EmptyTrainSet);
     }
@@ -498,6 +584,15 @@ pub(crate) fn check_data(
     match graph {
         Some(g) => check_graph(g, train, test),
         None => Ok(()),
+    }
+}
+
+/// `K ≥ 1`: a KNN utility needs at least one neighbor.
+fn check_k(k: usize) -> Result<(), PipelineError> {
+    if k == 0 {
+        Err(PipelineError::ZeroK)
+    } else {
+        Ok(())
     }
 }
 
@@ -613,4 +708,66 @@ where
         RankScratch::new,
         |j, unit, st, out| fill(j, ranks.rank(j, unit.end, prefix, st), out),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_round_trip_through_their_tables() {
+        for f in [
+            Family::Exact,
+            Family::Truncated { eps: 0.25 },
+            Family::McBaseline { perms: 7, seed: 3 },
+            Family::McImproved { perms: 7, seed: 3 },
+            Family::GroupTesting { tests: 7, seed: 3 },
+        ] {
+            let (eps, perms, seed) = f.params();
+            assert_eq!(Family::parse(f.name(), eps, perms, seed), Ok(f));
+        }
+        // A parameter the family does not have is ignored.
+        assert_eq!(Family::parse("exact", 0.5, 9, 42), Ok(Family::Exact));
+        assert_eq!(
+            Family::parse("truncated", 0.5, 9, 42),
+            Ok(Family::Truncated { eps: 0.5 })
+        );
+        assert_eq!(
+            Family::parse("lsh", 0.1, 0, 42).unwrap_err(),
+            "unknown method 'lsh' (exact, truncated, mc-baseline, mc-improved, group-testing)"
+        );
+        for t in [Task::Class, Task::Reg] {
+            assert_eq!(Task::parse(t.name()), Ok(t));
+        }
+        assert_eq!(
+            Task::parse("graph").unwrap_err(),
+            "unknown task 'graph' (class, reg)"
+        );
+    }
+
+    #[test]
+    fn family_check_holds_the_k_and_truncation_rules() {
+        let (uniform, inverse) = (WeightFn::Uniform, WeightFn::InverseDistance { eps: 1e-3 });
+        let truncated = Family::Truncated { eps: 0.1 };
+        let zero_k = Err(PipelineError::ZeroK);
+        assert_eq!(Family::Exact.check(Task::Class, 0, uniform), zero_k);
+        assert_eq!(truncated.check(Task::Reg, 0, inverse), zero_k, "K first");
+        assert_eq!(
+            truncated.check(Task::Reg, 2, inverse),
+            Err(PipelineError::TaskUnsupported("Truncated"))
+        );
+        assert_eq!(
+            truncated.check(Task::Class, 2, inverse),
+            Err(PipelineError::WeightedUnsupported("Truncated"))
+        );
+        assert_eq!(truncated.check(Task::Class, 2, uniform), Ok(()));
+        for f in [
+            Family::Exact,
+            Family::McBaseline { perms: 0, seed: 1 },
+            Family::McImproved { perms: 0, seed: 1 },
+            Family::GroupTesting { tests: 0, seed: 1 },
+        ] {
+            assert_eq!(f.check(Task::Reg, 1, inverse), Ok(()), "{}", f.name());
+        }
+    }
 }

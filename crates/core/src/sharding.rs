@@ -102,40 +102,36 @@ pub enum ShardKind {
     GroupTesting,
 }
 
+/// Every kind with its name, at the index that is its `KNNSHARD` header
+/// code: the one table both directions of each encoding read. Codes are
+/// on disk, so a new kind is appended, never inserted.
+const KINDS: [(ShardKind, &str); 6] = [
+    (ShardKind::ExactClass, "exact-class"),
+    (ShardKind::ExactReg, "exact-reg"),
+    (ShardKind::Truncated, "truncated"),
+    (ShardKind::McBaseline, "mc-baseline"),
+    (ShardKind::McImproved, "mc-improved"),
+    (ShardKind::GroupTesting, "group-testing"),
+];
+
 impl ShardKind {
     fn code(self) -> u8 {
-        match self {
-            ShardKind::ExactClass => 0,
-            ShardKind::ExactReg => 1,
-            ShardKind::Truncated => 2,
-            ShardKind::McBaseline => 3,
-            ShardKind::McImproved => 4,
-            ShardKind::GroupTesting => 5,
-        }
+        let code = KINDS.iter().position(|e| e.0 == self);
+        code.expect("every kind is in the table") as u8
     }
 
     fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => ShardKind::ExactClass,
-            1 => ShardKind::ExactReg,
-            2 => ShardKind::Truncated,
-            3 => ShardKind::McBaseline,
-            4 => ShardKind::McImproved,
-            5 => ShardKind::GroupTesting,
-            _ => return None,
-        })
+        KINDS.get(code as usize).map(|e| e.0)
     }
 
-    /// Human-readable name used by reports and error messages.
+    /// Human-readable name used by reports, error messages and job plans.
     pub fn name(self) -> &'static str {
-        match self {
-            ShardKind::ExactClass => "exact-class",
-            ShardKind::ExactReg => "exact-reg",
-            ShardKind::Truncated => "truncated",
-            ShardKind::McBaseline => "mc-baseline",
-            ShardKind::McImproved => "mc-improved",
-            ShardKind::GroupTesting => "group-testing",
-        }
+        KINDS[self.code() as usize].1
+    }
+
+    /// The kind [`name`](Self::name) names.
+    pub fn from_name(name: &str) -> Option<Self> {
+        KINDS.iter().find(|e| e.1 == name).map(|e| e.0)
     }
 }
 
@@ -859,11 +855,12 @@ pub(crate) fn stream_fingerprint(domain: &str, seed: u64, content: u64) -> u64 {
 
 /// Stable encoding of a weight function for fingerprinting.
 pub(crate) fn weight_code(w: WeightFn) -> (u64, f64) {
-    match w {
-        WeightFn::Uniform => (0, 0.0),
-        WeightFn::InverseDistance { eps } => (1, eps as f64),
-        WeightFn::Exponential { beta } => (2, beta as f64),
-    }
+    let tag = match w {
+        WeightFn::Uniform => 0,
+        WeightFn::InverseDistance { .. } => 1,
+        WeightFn::Exponential { .. } => 2,
+    };
+    (tag, w.param())
 }
 
 #[cfg(test)]
@@ -896,6 +893,28 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// Each kind's header code and name read one table, both ways, and the
+    /// codes are the ones shard files have always carried.
+    #[test]
+    fn kind_codes_and_names_round_trip() {
+        for (code, (kind, name)) in (0u8..).zip(KINDS) {
+            assert_eq!((kind.code(), kind.name()), (code, name));
+            assert_eq!(ShardKind::from_code(code), Some(kind));
+            assert_eq!(ShardKind::from_name(name), Some(kind));
+        }
+        assert_eq!(ShardKind::from_code(KINDS.len() as u8), None);
+        let codes = [
+            ShardKind::ExactClass,
+            ShardKind::ExactReg,
+            ShardKind::Truncated,
+            ShardKind::McBaseline,
+            ShardKind::McImproved,
+            ShardKind::GroupTesting,
+        ]
+        .map(ShardKind::code);
+        assert_eq!(codes, [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

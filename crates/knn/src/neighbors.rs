@@ -305,12 +305,6 @@ where
     knnshap_parallel::par_map(queries.len(), threads, |i| f(i, queries.row(i)))
 }
 
-/// Default worker count: `KNNSHAP_THREADS`, else one per available core
-/// (routed through [`knnshap_parallel::current_threads`]).
-pub fn default_threads() -> usize {
-    knnshap_parallel::current_threads()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

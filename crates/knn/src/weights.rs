@@ -22,7 +22,92 @@ pub enum WeightFn {
     Exponential { beta: f32 },
 }
 
+/// A weight name that is not in the table, or a parameter the weight
+/// cannot use.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WeightError {
+    /// Not one of [`WeightFn::parse`]'s names.
+    UnknownName(String),
+    /// A parameter that is non-finite as an `f32`, an inverse-distance
+    /// `eps ≤ 0`, or an exponential `beta < 0`; `need` says which.
+    BadParam {
+        name: &'static str,
+        need: &'static str,
+        param: f64,
+    },
+}
+
+impl std::fmt::Display for WeightError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WeightError::UnknownName(name) => {
+                let known: Vec<_> = WeightFn::table(None).iter().map(|w| w.name()).collect();
+                write!(f, "unknown weight '{name}' ({})", known.join(", "))
+            }
+            WeightError::BadParam { name, need, param } => {
+                write!(f, "weight {name} needs {need} (got {param:?})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WeightError {}
+
 impl WeightFn {
+    /// Every weight with `param` (as `f32`) or, when `None`, its default
+    /// parameter: inverse `eps = 1e-3`, exponential `beta = 1`. With
+    /// [`name`](Self::name) and [`param`](Self::param) this is the one
+    /// name ↔ variant ↔ parameter table.
+    fn table(param: Option<f64>) -> [WeightFn; 3] {
+        let p = |default: f64| param.unwrap_or(default) as f32;
+        [
+            WeightFn::Uniform,
+            WeightFn::InverseDistance { eps: p(1e-3) },
+            WeightFn::Exponential { beta: p(1.0) },
+        ]
+    }
+
+    /// The weight named `name` with parameter `param` (its default when
+    /// `None`; uniform takes none). The parameter must be finite after the
+    /// `f32` cast; inverse distance needs `eps > 0` (the smoothing that
+    /// keeps weights finite) and the exponential kernel `beta ≥ 0` (weights
+    /// fall with distance, §4).
+    pub fn parse(name: &str, param: Option<f64>) -> Result<WeightFn, WeightError> {
+        let w = WeightFn::table(param)
+            .into_iter()
+            .find(|w| w.name() == name)
+            .ok_or_else(|| WeightError::UnknownName(name.to_string()))?;
+        let p = w.param();
+        let (ok, need) = match w {
+            WeightFn::Uniform => (true, ""),
+            WeightFn::InverseDistance { .. } => (p > 0.0, "a finite eps > 0"),
+            WeightFn::Exponential { .. } => (p >= 0.0, "a finite beta >= 0"),
+        };
+        if ok && p.is_finite() {
+            return Ok(w);
+        }
+        let (name, param) = (w.name(), param.unwrap_or(p));
+        Err(WeightError::BadParam { name, need, param })
+    }
+
+    /// The weight's name in the CLI and in job plans.
+    pub fn name(self) -> &'static str {
+        match self {
+            WeightFn::Uniform => "uniform",
+            WeightFn::InverseDistance { .. } => "inverse",
+            WeightFn::Exponential { .. } => "exponential",
+        }
+    }
+
+    /// The weight's parameter (`0` for uniform).
+    pub fn param(self) -> f64 {
+        match self {
+            WeightFn::Uniform => 0.0,
+            WeightFn::InverseDistance { eps } => eps as f64,
+            WeightFn::Exponential { beta } => beta as f64,
+        }
+    }
+
     /// The unnormalized weight for one neighbor distance.
     #[inline]
     pub fn raw(&self, dist: f32) -> f64 {
@@ -108,6 +193,60 @@ mod tests {
         let w = WeightFn::InverseDistance { eps: 1e-3 }.weights(&[0.0, 1.0], 2);
         assert!(w.iter().all(|x| x.is_finite()));
         assert!(w[0] > w[1]);
+    }
+
+    #[test]
+    fn the_name_table_round_trips_every_weight() {
+        for w in [
+            WeightFn::Uniform,
+            WeightFn::InverseDistance { eps: 0.01 },
+            WeightFn::Exponential { beta: 0.0 },
+            WeightFn::Exponential { beta: 2.5 },
+        ] {
+            assert_eq!(WeightFn::parse(w.name(), Some(w.param())), Ok(w));
+        }
+        // Defaults, cast from f64 as the CLI always cast them.
+        assert_eq!(
+            WeightFn::parse("inverse", None),
+            Ok(WeightFn::InverseDistance { eps: 1e-3 })
+        );
+        assert_eq!(
+            WeightFn::parse("exponential", None),
+            Ok(WeightFn::Exponential { beta: 1.0 })
+        );
+        assert_eq!(
+            WeightFn::parse("uniform", Some(f64::NAN)),
+            Ok(WeightFn::Uniform)
+        );
+        let err = WeightFn::parse("nope", None).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown weight 'nope' (uniform, inverse, exponential)"
+        );
+    }
+
+    #[test]
+    fn parameters_that_break_the_weights_are_typed_errors() {
+        for (name, param) in [
+            ("inverse", f64::NAN),
+            ("inverse", 0.0),
+            ("inverse", -1e-3),
+            ("inverse", f64::INFINITY),
+            ("inverse", 1e39), // finite as f64, infinite as f32
+            ("exponential", f64::NAN),
+            ("exponential", f64::NEG_INFINITY),
+            ("exponential", -1e30),
+            ("exponential", -1e-9),
+            ("exponential", 1e39),
+        ] {
+            assert!(
+                matches!(
+                    WeightFn::parse(name, Some(param)),
+                    Err(WeightError::BadParam { .. })
+                ),
+                "{name} {param}"
+            );
+        }
     }
 
     #[test]

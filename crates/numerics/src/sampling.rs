@@ -58,12 +58,6 @@ pub fn gaussian_vec<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
     (0..n).map(|_| g.sample(rng)).collect()
 }
 
-/// Same as [`gaussian_vec`] but producing `f32` (feature matrices are `f32`).
-pub fn gaussian_vec_f32<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f32> {
-    let mut g = GaussianSampler::new();
-    (0..n).map(|_| g.sample(rng) as f32).collect()
-}
-
 /// Uniformly random permutation of `0..n` via Fisher–Yates.
 ///
 /// This is the sampling primitive of both Monte Carlo Shapley estimators

@@ -9,9 +9,9 @@
 
 use crate::layout::{JobDirs, Staged};
 use crate::snapshot::{self, Miss, Stamp, TrainSet};
-use crate::spec::{JobMethod, JobPlan, JobSpec, TaskKind};
+use crate::spec::{JobPlan, JobSpec};
 use crate::JobError;
-use knnshap_core::estimator::{Data, Estimator, Family};
+use knnshap_core::estimator::{Data, Estimator, Task};
 use knnshap_core::sharding::{ShardPartial, ShardSpec};
 use knnshap_datasets::io::{load_class_csv_from_reader, load_reg_csv_from_reader, IoError};
 use knnshap_knn::graph::KnnGraph;
@@ -35,10 +35,10 @@ fn train_err(spec: &JobSpec, e: IoError) -> JobError {
 /// Parse the spec's training CSV from `r` on `threads` workers.
 fn read_train(spec: &JobSpec, threads: usize, r: impl Read + Send) -> Result<TrainSet, JobError> {
     Ok(match spec.task {
-        TaskKind::Class => {
+        Task::Class => {
             TrainSet::Class(load_class_csv_from_reader(r, threads).map_err(|e| train_err(spec, e))?)
         }
-        TaskKind::Reg => {
+        Task::Reg => {
             TrainSet::Reg(load_reg_csv_from_reader(r, threads).map_err(|e| train_err(spec, e))?)
         }
     })
@@ -88,23 +88,45 @@ fn log_load(dirs: &JobDirs, worker: Option<&str>, miss: Option<Miss>, start: Ins
     crate::progress::append_event(dirs, "load", &fields);
 }
 
-/// Bind a spec to its loaded datasets: the one estimator that plan, workers
-/// and merge all derive the job identity (the dataset-content fingerprints
-/// stamped into every `KNNSHARD` header) and the partials from. The data
-/// checks (non-empty sets, matching dimensions, finite features) run here.
-/// `data` may be owned or a borrowed view ([`Data::class`], [`Data::reg`])
-/// of datasets the caller keeps.
-pub fn bind<'a>(spec: &JobSpec, data: Data<'a>) -> Result<Estimator<'a>, JobError> {
-    let seed = spec.seed;
-    let family = match spec.method {
-        JobMethod::Exact => Family::Exact,
-        JobMethod::Truncated { eps } => Family::Truncated { eps },
-        JobMethod::McBaseline { perms } => Family::McBaseline { perms, seed },
-        JobMethod::McImproved { perms } => Family::McImproved { perms, seed },
-        JobMethod::GroupTesting { tests } => Family::GroupTesting { tests, seed },
-    };
-    Estimator::new(data, spec.k, spec.weight, family, None)
-        .map_err(|e| JobError::Dataset(e.to_string()))
+/// The plan `spec` derives over the datasets `estimator` binds: the job
+/// identity (kind, dataset-content fingerprint, item counts) — the one
+/// place fingerprints enter the system.
+pub(crate) fn derive_plan(spec: &JobSpec, estimator: &Estimator) -> JobPlan {
+    let (kind, fingerprint) = estimator.identity();
+    JobPlan {
+        spec: spec.clone(),
+        kind,
+        fingerprint,
+        n_train: estimator.n_train() as u64,
+        total_items: estimator.items() as u64,
+    }
+}
+
+/// Compare the plan `estimator` derives from the datasets actually loaded
+/// with `plan`: the fingerprint, then the kind and the counts, which also
+/// catches a hand-edited plan file. Workers and the merge both run it.
+pub(crate) fn check_identity(plan: &JobPlan, estimator: &Estimator) -> Result<(), JobError> {
+    let derived = derive_plan(&plan.spec, estimator);
+    if derived.fingerprint != plan.fingerprint {
+        return Err(JobError::FingerprintMismatch {
+            expected: plan.fingerprint,
+            found: derived.fingerprint,
+        });
+    }
+    let counts = |p: &JobPlan| (p.kind, p.n_train, p.total_items);
+    if counts(&derived) != counts(plan) {
+        return Err(JobError::Plan(format!(
+            "plan disagrees with its spec: derived {} / {} train / {} items, plan says \
+             {} / {} train / {} items",
+            derived.kind.name(),
+            derived.n_train,
+            derived.total_items,
+            plan.kind.name(),
+            plan.n_train,
+            plan.total_items,
+        )));
+    }
+    Ok(())
 }
 
 /// A plan bound to its verified datasets, ready to compute chunks.
@@ -122,23 +144,15 @@ pub struct PreparedJob {
 }
 
 impl PreparedJob {
-    /// Validate `spec`, bind it to its datasets (parsed once, on `threads`
-    /// workers) and derive its plan from them.
-    /// [`plan_job`](crate::spec::plan_job) keeps only the plan;
-    /// `shard-plan --auto` first times chunks on the bound estimator, then
-    /// keeps the plan with its shard count set — the identity and counts do
-    /// not depend on it.
-    pub fn from_spec(spec: &JobSpec, threads: usize) -> Result<Self, JobError> {
-        spec.validate()?;
-        Ok(Self::derive(spec, bind(spec, load_data(spec, threads)?)?))
-    }
-
-    /// [`from_spec`](Self::from_spec) for `shard-plan`: the training CSV's
-    /// bytes are digested as the parse reads them, and the training set's
+    /// Validate `spec`, bind it to its datasets and derive its plan from
+    /// them, for `shard-plan`: the training CSV's bytes are digested as the
+    /// parse (on `threads` workers) reads them, and the training set's
     /// snapshot is staged in `dirs` on a second thread while the job
     /// identity is hashed. The caller publishes the snapshot once the plan
     /// is saved; a snapshot that could not be written is only a cache the
-    /// job goes without.
+    /// job goes without. `shard-plan --auto` first times chunks on the
+    /// bound estimator, then keeps the plan with its shard count set — the
+    /// identity and counts do not depend on it.
     pub fn from_spec_with_snapshot(
         spec: &JobSpec,
         threads: usize,
@@ -148,7 +162,7 @@ impl PreparedJob {
         let mut train = DigestReader::new(open_train(spec)?);
         let data = read_train(spec, threads, &mut train)?.with_test(spec, threads)?;
         let stamp = Stamp::of(train.digest());
-        let estimator = bind(spec, data)?;
+        let estimator = Estimator::new(data, spec.k, spec.weight, spec.family, None)?;
         let staged = std::thread::scope(|s| {
             let data = estimator.data();
             let staged = s.spawn(move || {
@@ -158,50 +172,16 @@ impl PreparedJob {
             estimator.identity();
             staged.join().expect("snapshot writer panicked")
         });
-        Ok((Self::derive(spec, estimator), staged))
+        let plan = derive_plan(spec, &estimator);
+        Ok((Self { plan, estimator }, staged))
     }
 
-    fn derive(spec: &JobSpec, estimator: Estimator<'static>) -> Self {
-        let (kind, fingerprint) = estimator.identity();
-        let plan = JobPlan {
-            spec: spec.clone(),
-            kind,
-            fingerprint,
-            n_train: estimator.n_train() as u64,
-            total_items: estimator.items() as u64,
-        };
-        Self { plan, estimator }
-    }
-
-    /// Bind `plan` to `data`, verifying the fingerprint: the identity is
-    /// re-derived from the data actually loaded, and comparing the whole
-    /// identity also catches a hand-edited plan file.
+    /// Bind `plan` to `data`, verifying the identity the data derives
+    /// ([`check_identity`]).
     fn verified(plan: &JobPlan, data: Data<'static>) -> Result<Self, JobError> {
-        let Self {
-            plan: derived,
-            estimator,
-        } = Self::derive(&plan.spec, bind(&plan.spec, data)?);
-        if derived.fingerprint != plan.fingerprint {
-            return Err(JobError::FingerprintMismatch {
-                expected: plan.fingerprint,
-                found: derived.fingerprint,
-            });
-        }
-        if derived.kind != plan.kind
-            || derived.n_train != plan.n_train
-            || derived.total_items != plan.total_items
-        {
-            return Err(JobError::Plan(format!(
-                "plan disagrees with its spec: derived {} / {} train / {} items, plan says \
-                 {} / {} train / {} items",
-                derived.kind.name(),
-                derived.n_train,
-                derived.total_items,
-                plan.kind.name(),
-                plan.n_train,
-                plan.total_items,
-            )));
-        }
+        let s = &plan.spec;
+        let estimator = Estimator::new(data, s.k, s.weight, s.family, None)?;
+        check_identity(plan, &estimator)?;
         Ok(Self {
             plan: plan.clone(),
             estimator,
@@ -213,7 +193,6 @@ impl PreparedJob {
     /// snapshot), logging the load as `worker`'s.
     pub fn load(dirs: &JobDirs, threads: usize, worker: &str) -> Result<Self, JobError> {
         let plan = JobPlan::load(dirs)?;
-        plan.spec.validate()?;
         load_checked(dirs, &plan, threads, Some(worker), |data| {
             Self::verified(&plan, data)
         })

@@ -68,18 +68,18 @@
 //! lease/checkpoint semantics, failure-mode table, worked example).
 //!
 //! ```no_run
-//! use knnshap_runtime::spec::{JobMethod, JobSpec, TaskKind};
+//! use knnshap_core::estimator::{Family, Task};
+//! use knnshap_runtime::spec::JobSpec;
 //! use knnshap_runtime::supervisor::{run_job, SupervisorOptions};
 //! use knnshap_runtime::layout::JobDirs;
 //!
 //! let spec = JobSpec {
-//!     task: TaskKind::Class,
+//!     task: Task::Class,
 //!     train: "train.csv".into(),
 //!     test: "test.csv".into(),
 //!     k: 3,
 //!     weight: knnshap_knn::weights::WeightFn::Uniform,
-//!     method: JobMethod::Exact,
-//!     seed: 42,
+//!     family: Family::Exact,
 //!     shards: 8,
 //!     checkpoint_chunks: 4,
 //! };
@@ -100,6 +100,7 @@ pub mod spec;
 pub mod supervisor;
 pub mod worker;
 
+use knnshap_core::pipeline::PipelineError;
 use knnshap_core::sharding::ShardError;
 
 /// A worker/supervisor thread option: `0` means
@@ -162,6 +163,13 @@ impl std::fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
+
+/// An estimator that refuses its datasets (empty, mismatched, non-finite).
+impl From<PipelineError> for JobError {
+    fn from(e: PipelineError) -> Self {
+        JobError::Dataset(e.to_string())
+    }
+}
 
 impl From<ShardError> for JobError {
     fn from(e: ShardError) -> Self {

@@ -38,9 +38,9 @@
 //! never allocates more than the file holds.
 
 use crate::layout::{JobDirs, Staged};
-use crate::spec::{JobSpec, TaskKind};
+use crate::spec::JobSpec;
 use crate::JobError;
-use knnshap_core::estimator::Data;
+use knnshap_core::estimator::{Data, Task};
 use knnshap_datasets::io::WINDOW;
 use knnshap_datasets::{ClassDataset, Features, RegDataset};
 use knnshap_numerics::fingerprint::ByteDigest;
@@ -150,26 +150,26 @@ impl TrainSet {
 pub(crate) fn stage(dirs: &JobDirs, data: &Data<'_>, csv: Stamp) -> io::Result<Staged> {
     crate::layout::stage(&dirs.snapshot_path(), |w| match data {
         Data::Class { train, .. } => {
-            write_header(w, TaskKind::Class, &train.x, csv)?;
+            write_header(w, Task::Class, &train.x, csv)?;
             write_le(w, train.x.as_slice(), f32::to_le_bytes)?;
             write_le(w, &train.y, u32::to_le_bytes)
         }
         Data::Reg { train, .. } => {
-            write_header(w, TaskKind::Reg, &train.x, csv)?;
+            write_header(w, Task::Reg, &train.x, csv)?;
             write_le(w, train.x.as_slice(), f32::to_le_bytes)?;
             write_le(w, &train.y, f64::to_le_bytes)
         }
     })
 }
 
-fn task_code(task: TaskKind) -> u32 {
+fn task_code(task: Task) -> u32 {
     match task {
-        TaskKind::Class => 0,
-        TaskKind::Reg => 1,
+        Task::Class => 0,
+        Task::Reg => 1,
     }
 }
 
-fn write_header(w: &mut impl Write, task: TaskKind, x: &Features, csv: Stamp) -> io::Result<()> {
+fn write_header(w: &mut impl Write, task: Task, x: &Features, csv: Stamp) -> io::Result<()> {
     let mut head = Vec::with_capacity(HEADER_LEN);
     head.extend_from_slice(MAGIC);
     head.extend_from_slice(&VERSION.to_le_bytes());
@@ -207,7 +207,7 @@ struct Header {
 impl Header {
     /// Decode `head` for a `task` job: `None` unless magic, version and
     /// task match and `n`, `dim` are positive.
-    fn decode(head: &[u8; HEADER_LEN], task: TaskKind) -> Option<Self> {
+    fn decode(head: &[u8; HEADER_LEN], task: Task) -> Option<Self> {
         let u32_at = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4 bytes"));
         let u64_at = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
         if &head[..8] != MAGIC || u32_at(8) != VERSION || u32_at(12) != task_code(task) {
@@ -248,8 +248,8 @@ pub fn read(dirs: &JobDirs, spec: &JobSpec) -> Result<TrainSet, Miss> {
     f.read_exact(&mut head).map_err(|_| Miss::Decode)?;
     let h = Header::decode(&head, spec.task).ok_or(Miss::Decode)?;
     let final_width = match spec.task {
-        TaskKind::Class => 4,
-        TaskKind::Reg => 8,
+        Task::Class => 4,
+        Task::Reg => 8,
     };
     if h.file_len(final_width) != Some(file_len) {
         return Err(Miss::Decode);
@@ -266,7 +266,7 @@ pub fn read(dirs: &JobDirs, spec: &JobSpec) -> Result<TrainSet, Miss> {
     }
     let x = Features::new(feats, h.dim);
     Ok(match spec.task {
-        TaskKind::Class => {
+        Task::Class => {
             let y = read_le(&mut f, &mut piece, h.n, u32::from_le_bytes)?;
             let max = y.iter().copied().max().unwrap_or(0);
             if max > ClassDataset::MAX_LABEL {
@@ -274,7 +274,7 @@ pub fn read(dirs: &JobDirs, spec: &JobSpec) -> Result<TrainSet, Miss> {
             }
             TrainSet::Class(ClassDataset::new(x, y, max + 1))
         }
-        TaskKind::Reg => TrainSet::Reg(RegDataset::new(
+        Task::Reg => TrainSet::Reg(RegDataset::new(
             x,
             read_le(&mut f, &mut piece, h.n, f64::from_le_bytes)?,
         )),

@@ -36,6 +36,15 @@
 //! identity: every worker re-derives the fingerprint from the files it
 //! actually reads and refuses to compute against drifted data.
 //!
+//! Each name is read and written by the table that owns it: `task` by
+//! `knnshap_core::estimator::Task`, `weight` and `weight-param` by
+//! `knnshap_knn::weights::WeightFn`, `method`, `eps`, `perms` and `seed` by
+//! `knnshap_core::estimator::Family` (which also holds the `K` and
+//! truncation rules), `kind` by `knnshap_core::sharding::ShardKind`. A
+//! family writes `0` for a parameter it does not have (`seed 0` for exact
+//! and truncated jobs) and ignores that key's value when parsing, so a plan
+//! an earlier build wrote with the CLI's `--seed` there is the same job.
+//!
 //! ## Canonical partitions
 //!
 //! Shard `i` of `S` covers the canonical balanced range
@@ -50,6 +59,7 @@
 
 use crate::layout::JobDirs;
 use crate::{io_err, JobError};
+use knnshap_core::estimator::{Estimator, Family, Task};
 use knnshap_core::sharding::{ShardKind, ShardSpec};
 use knnshap_knn::weights::WeightFn;
 use std::path::{Path, PathBuf};
@@ -61,90 +71,23 @@ pub const PLAN_FORMAT_VERSION: u32 = 1;
 /// First line of every plan file.
 pub const PLAN_MAGIC: &str = "KNNJOBPLAN";
 
-/// Which prediction task the datasets hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskKind {
-    /// Classification CSVs (features…, integer label).
-    Class,
-    /// Regression CSVs (features…, float target).
-    Reg,
-}
-
-impl TaskKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            TaskKind::Class => "class",
-            TaskKind::Reg => "reg",
-        }
-    }
-}
-
-/// The estimator family a job runs, with its family-specific parameter.
-///
-/// The stochastic families carry an **a-priori** stream budget (the
-/// sequential §6.2.2 heuristic stop cannot be sharded, so a fleet needs the
-/// budget fixed up front). LSH is deliberately absent: its index is planned
-/// from whole-test-set statistics and does not shard by test range (the CLI
-/// explains this; `docs/sharding.md` documents the planned index-once /
-/// stream-queries design).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum JobMethod {
-    /// Exact per-test decomposition (Theorems 1/6/7; weighted via
-    /// [`JobSpec::weight`]).
-    Exact,
-    /// Truncated (ε, 0)-approximation (Theorem 2).
-    Truncated { eps: f64 },
-    /// Baseline Monte Carlo over `perms` permutation streams.
-    McBaseline { perms: usize },
-    /// Improved Monte Carlo (Algorithm 2) over `perms` permutation streams.
-    McImproved { perms: usize },
-    /// Group-testing baseline over `tests` coalition-test streams.
-    GroupTesting { tests: usize },
-}
-
-impl JobMethod {
-    pub fn name(self) -> &'static str {
-        match self {
-            JobMethod::Exact => "exact",
-            JobMethod::Truncated { .. } => "truncated",
-            JobMethod::McBaseline { .. } => "mc-baseline",
-            JobMethod::McImproved { .. } => "mc-improved",
-            JobMethod::GroupTesting { .. } => "group-testing",
-        }
-    }
-
-    fn eps(self) -> f64 {
-        match self {
-            JobMethod::Truncated { eps } => eps,
-            _ => 0.0,
-        }
-    }
-
-    fn perms(self) -> usize {
-        match self {
-            JobMethod::McBaseline { perms } | JobMethod::McImproved { perms } => perms,
-            JobMethod::GroupTesting { tests } => tests,
-            _ => 0,
-        }
-    }
-}
-
 /// What the operator asked for — everything `shard-plan` needs to derive a
 /// [`JobPlan`]. Every field is part of the job identity except `shards` and
 /// `checkpoint_chunks`, which partition the work without affecting a single
 /// output bit (the determinism contract).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    pub task: TaskKind,
+    pub task: Task,
     /// Training CSV (classification or regression layout per `task`).
     pub train: PathBuf,
     /// Test CSV.
     pub test: PathBuf,
     pub k: usize,
     pub weight: WeightFn,
-    pub method: JobMethod,
-    /// RNG seed of the stochastic families (ignored by the exact ones).
-    pub seed: u64,
+    /// The estimator family, with its parameters (seed included). LSH is
+    /// not a family: its index is planned from whole-test-set statistics
+    /// and does not shard by test range (`docs/sharding.md`).
+    pub family: Family,
     /// Worker-visible shard count.
     pub shards: usize,
     /// Checkpoint micro-chunks per shard: a killed worker loses at most one
@@ -153,41 +96,35 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Reject impossible combinations before any dataset is read.
+    /// Reject impossible combinations before any dataset is read: the
+    /// family's own rules ([`Family::check`]), then the job's.
     pub fn validate(&self) -> Result<(), JobError> {
         let bad = |m: String| Err(JobError::Spec(m));
-        if self.k == 0 {
-            return bad("k must be at least 1".into());
-        }
+        (self.family)
+            .check(self.task, self.k, self.weight)
+            .map_err(|e| JobError::Spec(e.to_string()))?;
         if self.shards == 0 {
             return bad("need at least 1 shard".into());
         }
         if self.checkpoint_chunks == 0 {
             return bad("need at least 1 checkpoint chunk per shard".into());
         }
-        let uniform = matches!(self.weight, WeightFn::Uniform);
-        match (self.task, self.method) {
-            (TaskKind::Reg, JobMethod::Exact) => Ok(()),
-            (TaskKind::Reg, m) => bad(format!(
+        if self.task == Task::Reg && self.family != Family::Exact {
+            return bad(format!(
                 "regression jobs support method exact (got {})",
-                m.name()
-            )),
-            (TaskKind::Class, JobMethod::Truncated { .. }) if !uniform => {
-                bad("truncated supports uniform weights only".into())
-            }
-            (
-                TaskKind::Class,
-                JobMethod::McBaseline { perms: 0 }
-                | JobMethod::McImproved { perms: 0 }
-                | JobMethod::GroupTesting { tests: 0 },
-            ) => bad(
+                self.family.name()
+            ));
+        }
+        let streams = !matches!(self.family, Family::Exact | Family::Truncated { .. });
+        if streams && self.family.params().1 == 0 {
+            return bad(
                 "sharded Monte Carlo / group testing needs a fixed stream budget: \
                  pass --perms N (the §6.2.2 heuristic stop is sequential and \
                  cannot be sharded)"
                     .into(),
-            ),
-            (TaskKind::Class, _) => Ok(()),
+            );
         }
+        Ok(())
     }
 }
 
@@ -222,22 +159,23 @@ impl JobPlan {
         ShardSpec::new(shard * c + chunk, self.spec.shards * c)
     }
 
-    /// Serialize to the versioned plan-file text.
+    /// Serialize to the versioned plan-file text. A family without an
+    /// `eps`, a stream budget or a seed writes `0` for it.
     pub fn to_file_string(&self) -> String {
         let s = &self.spec;
-        let (wname, wparam) = weight_parts(s.weight);
+        let (eps, perms, seed) = s.family.params();
         format!(
             "{PLAN_MAGIC} {PLAN_FORMAT_VERSION}\n\
              task {}\n\
              train {}\n\
              test {}\n\
              k {}\n\
-             weight {wname}\n\
-             weight-param {wparam}\n\
+             weight {}\n\
+             weight-param {}\n\
              method {}\n\
-             eps {}\n\
-             perms {}\n\
-             seed {}\n\
+             eps {eps}\n\
+             perms {perms}\n\
+             seed {seed}\n\
              shards {}\n\
              checkpoint-chunks {}\n\
              kind {}\n\
@@ -248,10 +186,9 @@ impl JobPlan {
             s.train.display(),
             s.test.display(),
             s.k,
-            s.method.name(),
-            s.method.eps(),
-            s.method.perms(),
-            s.seed,
+            s.weight.name(),
+            s.weight.param(),
+            s.family.name(),
             s.shards,
             s.checkpoint_chunks,
             self.kind.name(),
@@ -262,7 +199,9 @@ impl JobPlan {
     }
 
     /// Parse a plan file, validating magic, version, and that every key is
-    /// present exactly once.
+    /// present exactly once. Keys a family has no use for (`eps`, `perms`,
+    /// `seed`) are read and dropped, so an exact plan that says `seed 42`
+    /// is the plan that says `seed 0`.
     pub fn parse(text: &str) -> Result<JobPlan, JobError> {
         let bad = |m: String| JobError::Plan(m);
         let mut lines = text.lines();
@@ -308,38 +247,30 @@ impl JobPlan {
             }};
         }
 
-        let task = match take("task")?.as_str() {
-            "class" => TaskKind::Class,
-            "reg" => TaskKind::Reg,
-            other => return Err(bad(format!("unknown task '{other}' (class, reg)"))),
+        // Fields are read in file order: a struct literal evaluates its
+        // fields as written.
+        let spec = JobSpec {
+            task: Task::parse(&take("task")?).map_err(bad)?,
+            train: take("train")?.into(),
+            test: take("test")?.into(),
+            k: num!("k", usize, "an unsigned integer"),
+            weight: {
+                let name = take("weight")?;
+                let param = num!("weight-param", f64, "a number");
+                WeightFn::parse(&name, Some(param)).map_err(|e| bad(e.to_string()))?
+            },
+            family: {
+                let name = take("method")?;
+                let eps = num!("eps", f64, "a number");
+                let perms = num!("perms", usize, "an unsigned integer");
+                let seed = num!("seed", u64, "an unsigned integer");
+                Family::parse(&name, eps, perms, seed).map_err(bad)?
+            },
+            shards: num!("shards", usize, "an unsigned integer"),
+            checkpoint_chunks: num!("checkpoint-chunks", usize, "an unsigned integer"),
         };
-        let train = PathBuf::from(take("train")?);
-        let test = PathBuf::from(take("test")?);
-        let k = num!("k", usize, "an unsigned integer");
-        let wname = take("weight")?;
-        let wparam = num!("weight-param", f64, "a number");
-        let weight = weight_from_parts(&wname, wparam)?;
-        let method_name = take("method")?;
-        let eps = num!("eps", f64, "a number");
-        let perms = num!("perms", usize, "an unsigned integer");
-        let method = match method_name.as_str() {
-            "exact" => JobMethod::Exact,
-            "truncated" => JobMethod::Truncated { eps },
-            "mc-baseline" => JobMethod::McBaseline { perms },
-            "mc-improved" => JobMethod::McImproved { perms },
-            "group-testing" => JobMethod::GroupTesting { tests: perms },
-            other => {
-                return Err(bad(format!(
-                    "unknown method '{other}' (exact, truncated, mc-baseline, \
-                     mc-improved, group-testing)"
-                )))
-            }
-        };
-        let seed = num!("seed", u64, "an unsigned integer");
-        let shards = num!("shards", usize, "an unsigned integer");
-        let checkpoint_chunks = num!("checkpoint-chunks", usize, "an unsigned integer");
         let kind_name = take("kind")?;
-        let kind = kind_from_name(&kind_name)
+        let kind = ShardKind::from_name(&kind_name)
             .ok_or_else(|| bad(format!("unknown estimator kind '{kind_name}'")))?;
         let fp = take("fingerprint")?;
         let fingerprint = u64::from_str_radix(&fp, 16)
@@ -349,26 +280,14 @@ impl JobPlan {
         if let Some(extra) = kv.keys().next() {
             return Err(bad(format!("unknown key '{extra}'")));
         }
-
-        let plan = JobPlan {
-            spec: JobSpec {
-                task,
-                train,
-                test,
-                k,
-                weight,
-                method,
-                seed,
-                shards,
-                checkpoint_chunks,
-            },
+        spec.validate()?;
+        Ok(JobPlan {
+            spec,
             kind,
             fingerprint,
             n_train,
             total_items,
-        };
-        plan.spec.validate()?;
-        Ok(plan)
+        })
     }
 
     /// Write the plan into its job directory (atomically).
@@ -386,50 +305,15 @@ impl JobPlan {
     }
 }
 
-/// Derive the [`JobPlan`] for a spec: load the datasets it names, validate
-/// the combination, and compute the job identity (kind, dataset-content
-/// fingerprint, item counts) — `dispatch::PreparedJob::from_spec`, the one
-/// place fingerprints enter the system, without the bound datasets; workers
-/// re-derive and compare (`PreparedJob::load`).
+/// Derive the [`JobPlan`] for a spec: validate it, load the datasets it
+/// names and compute the job identity (`dispatch::derive_plan`); workers
+/// re-derive and compare (`PreparedJob::load`). `shard-plan` also leaves a
+/// snapshot of the training set (`PreparedJob::from_spec_with_snapshot`).
 pub fn plan_job(spec: &JobSpec, threads: usize) -> Result<JobPlan, JobError> {
-    crate::dispatch::PreparedJob::from_spec(spec, threads)
-        .map(crate::dispatch::PreparedJob::into_plan)
-}
-
-/// `ShardKind` from its [`name`](ShardKind::name) (the plan file stores
-/// names, not codes, to keep the file greppable).
-pub fn kind_from_name(name: &str) -> Option<ShardKind> {
-    Some(match name {
-        "exact-class" => ShardKind::ExactClass,
-        "exact-reg" => ShardKind::ExactReg,
-        "truncated" => ShardKind::Truncated,
-        "mc-baseline" => ShardKind::McBaseline,
-        "mc-improved" => ShardKind::McImproved,
-        "group-testing" => ShardKind::GroupTesting,
-        _ => return None,
-    })
-}
-
-/// `(name, param)` encoding of a weight function for the plan file.
-fn weight_parts(w: WeightFn) -> (&'static str, f64) {
-    match w {
-        WeightFn::Uniform => ("uniform", 0.0),
-        WeightFn::InverseDistance { eps } => ("inverse", eps as f64),
-        WeightFn::Exponential { beta } => ("exponential", beta as f64),
-    }
-}
-
-fn weight_from_parts(name: &str, param: f64) -> Result<WeightFn, JobError> {
-    Ok(match name {
-        "uniform" => WeightFn::Uniform,
-        "inverse" => WeightFn::InverseDistance { eps: param as f32 },
-        "exponential" => WeightFn::Exponential { beta: param as f32 },
-        other => {
-            return Err(JobError::Plan(format!(
-                "unknown weight '{other}' (uniform, inverse, exponential)"
-            )))
-        }
-    })
+    spec.validate()?;
+    let data = crate::dispatch::load_data(spec, threads)?;
+    let estimator = Estimator::new(data, spec.k, spec.weight, spec.family, None)?;
+    Ok(crate::dispatch::derive_plan(spec, &estimator))
 }
 
 /// A path rendered relative-proof: `shard-plan` canonicalizes dataset paths
@@ -444,13 +328,15 @@ mod tests {
 
     fn spec() -> JobSpec {
         JobSpec {
-            task: TaskKind::Class,
+            task: Task::Class,
             train: "/tmp/train.csv".into(),
             test: "/tmp/test.csv".into(),
             k: 3,
             weight: WeightFn::InverseDistance { eps: 1e-3 },
-            method: JobMethod::McImproved { perms: 500 },
-            seed: 9,
+            family: Family::McImproved {
+                perms: 500,
+                seed: 9,
+            },
             shards: 4,
             checkpoint_chunks: 3,
         }
@@ -476,6 +362,183 @@ mod tests {
         assert_eq!(back.to_file_string(), text);
     }
 
+    /// One plan per family, both tasks and all three weights, as the
+    /// builds before `JobSpec` held a `Family` wrote them (with the CLI's
+    /// default `--seed 42` on the exact and truncated plans).
+    const PARENT_PLANS: [&str; 9] = [
+        "KNNJOBPLAN 1\ntask class\ntrain /data/train.csv\ntest /data/test.csv\nk 3\n\
+         weight uniform\nweight-param 0\nmethod exact\neps 0\nperms 0\nseed 42\nshards 4\n\
+         checkpoint-chunks 2\nkind exact-class\nfingerprint 0123456789abcdef\nn-train 100\n\
+         total-items 20\n",
+        "KNNJOBPLAN 1\ntask class\ntrain /data/train.csv\ntest /data/test.csv\nk 3\n\
+         weight inverse\nweight-param 0.0010000000474974513\nmethod exact\neps 0\nperms 0\n\
+         seed 42\nshards 4\ncheckpoint-chunks 2\nkind exact-class\n\
+         fingerprint fedcba9876543210\nn-train 100\ntotal-items 20\n",
+        "KNNJOBPLAN 1\ntask class\ntrain /data/train.csv\ntest /data/test.csv\nk 3\n\
+         weight exponential\nweight-param 2.5\nmethod exact\neps 0\nperms 0\nseed 42\n\
+         shards 4\ncheckpoint-chunks 2\nkind exact-class\nfingerprint 0000000000000001\n\
+         n-train 100\ntotal-items 20\n",
+        "KNNJOBPLAN 1\ntask class\ntrain /data/train.csv\ntest /data/test.csv\nk 3\n\
+         weight uniform\nweight-param 0\nmethod truncated\neps 0.1\nperms 0\nseed 42\n\
+         shards 4\ncheckpoint-chunks 2\nkind truncated\nfingerprint 1111222233334444\n\
+         n-train 100\ntotal-items 20\n",
+        "KNNJOBPLAN 1\ntask class\ntrain /data/train.csv\ntest /data/test.csv\nk 3\n\
+         weight uniform\nweight-param 0\nmethod mc-baseline\neps 0\nperms 200\nseed 7\n\
+         shards 4\ncheckpoint-chunks 2\nkind mc-baseline\nfingerprint aaaabbbbccccdddd\n\
+         n-train 100\ntotal-items 200\n",
+        "KNNJOBPLAN 1\ntask class\ntrain /data/train.csv\ntest /data/test.csv\nk 3\n\
+         weight inverse\nweight-param 0.009999999776482582\nmethod mc-improved\neps 0\n\
+         perms 500\nseed 9\nshards 4\ncheckpoint-chunks 2\nkind mc-improved\n\
+         fingerprint 0f0f0f0f0f0f0f0f\nn-train 100\ntotal-items 500\n",
+        "KNNJOBPLAN 1\ntask class\ntrain /data/train.csv\ntest /data/test.csv\nk 3\n\
+         weight exponential\nweight-param 1\nmethod group-testing\neps 0\nperms 300\nseed 3\n\
+         shards 4\ncheckpoint-chunks 2\nkind group-testing\nfingerprint 8000000000000000\n\
+         n-train 100\ntotal-items 300\n",
+        "KNNJOBPLAN 1\ntask reg\ntrain /data/train.csv\ntest /data/test.csv\nk 3\n\
+         weight uniform\nweight-param 0\nmethod exact\neps 0\nperms 0\nseed 42\nshards 4\n\
+         checkpoint-chunks 2\nkind exact-reg\nfingerprint 123456789abcdef0\nn-train 50\n\
+         total-items 7\n",
+        "KNNJOBPLAN 1\ntask reg\ntrain /data/train.csv\ntest /data/test.csv\nk 3\n\
+         weight inverse\nweight-param 0.0010000000474974513\nmethod exact\neps 0\nperms 0\n\
+         seed 42\nshards 4\ncheckpoint-chunks 2\nkind exact-reg\n\
+         fingerprint 0fedcba987654321\nn-train 50\ntotal-items 7\n",
+    ];
+
+    /// The plans [`PARENT_PLANS`] holds, built from their parts.
+    fn golden_plans() -> [JobPlan; 9] {
+        let plan = |task, weight, family, kind, fingerprint, n_train, total_items| JobPlan {
+            spec: JobSpec {
+                task,
+                train: "/data/train.csv".into(),
+                test: "/data/test.csv".into(),
+                k: 3,
+                weight,
+                family,
+                shards: 4,
+                checkpoint_chunks: 2,
+            },
+            kind,
+            fingerprint,
+            n_train,
+            total_items,
+        };
+        let (class, reg) = (Task::Class, Task::Reg);
+        let uniform = WeightFn::Uniform;
+        let inverse = |eps| WeightFn::InverseDistance { eps };
+        let exponential = |beta| WeightFn::Exponential { beta };
+        [
+            plan(
+                class,
+                uniform,
+                Family::Exact,
+                ShardKind::ExactClass,
+                0x0123_4567_89ab_cdef,
+                100,
+                20,
+            ),
+            plan(
+                class,
+                inverse(1e-3),
+                Family::Exact,
+                ShardKind::ExactClass,
+                0xfedc_ba98_7654_3210,
+                100,
+                20,
+            ),
+            plan(
+                class,
+                exponential(2.5),
+                Family::Exact,
+                ShardKind::ExactClass,
+                1,
+                100,
+                20,
+            ),
+            plan(
+                class,
+                uniform,
+                Family::Truncated { eps: 0.1 },
+                ShardKind::Truncated,
+                0x1111_2222_3333_4444,
+                100,
+                20,
+            ),
+            plan(
+                class,
+                uniform,
+                Family::McBaseline {
+                    perms: 200,
+                    seed: 7,
+                },
+                ShardKind::McBaseline,
+                0xaaaa_bbbb_cccc_dddd,
+                100,
+                200,
+            ),
+            plan(
+                class,
+                inverse(0.01),
+                Family::McImproved {
+                    perms: 500,
+                    seed: 9,
+                },
+                ShardKind::McImproved,
+                0x0f0f_0f0f_0f0f_0f0f,
+                100,
+                500,
+            ),
+            plan(
+                class,
+                exponential(1.0),
+                Family::GroupTesting {
+                    tests: 300,
+                    seed: 3,
+                },
+                ShardKind::GroupTesting,
+                0x8000_0000_0000_0000,
+                100,
+                300,
+            ),
+            plan(
+                reg,
+                uniform,
+                Family::Exact,
+                ShardKind::ExactReg,
+                0x1234_5678_9abc_def0,
+                50,
+                7,
+            ),
+            plan(
+                reg,
+                inverse(1e-3),
+                Family::Exact,
+                ShardKind::ExactReg,
+                0x0fed_cba9_8765_4321,
+                50,
+                7,
+            ),
+        ]
+    }
+
+    /// The plan text changed in one place only: exact and truncated plans
+    /// write `seed 0`. Every other line is the earlier builds' byte for
+    /// byte, and their text parses to the same plan.
+    #[test]
+    fn plan_text_matches_the_earlier_format_but_for_the_unused_seed() {
+        for (plan, parent) in golden_plans().iter().zip(PARENT_PLANS) {
+            let text = plan.to_file_string();
+            let unseeded = matches!(plan.spec.family, Family::Exact | Family::Truncated { .. });
+            let want = if unseeded {
+                parent.replace("\nseed 42\n", "\nseed 0\n")
+            } else {
+                parent.to_string()
+            };
+            assert_eq!(text, want, "{}", plan.spec.family.name());
+            assert_eq!(&JobPlan::parse(parent).unwrap(), plan);
+            assert_eq!(&JobPlan::parse(&text).unwrap(), plan);
+        }
+    }
+
     #[test]
     fn parse_rejects_bad_headers_versions_and_keys() {
         let text = plan().to_file_string();
@@ -489,26 +552,72 @@ mod tests {
         assert!(err.to_string().contains("duplicate"), "{err}");
         let err = JobPlan::parse(&text.replace("k 3", "k three")).unwrap_err();
         assert!(err.to_string().contains("not an unsigned"), "{err}");
+        for (from, to, says) in [
+            (
+                "task class",
+                "task graph",
+                "unknown task 'graph' (class, reg)",
+            ),
+            ("method mc-improved", "method lsh", "unknown method 'lsh'"),
+            ("weight inverse", "weight gauss", "unknown weight 'gauss'"),
+            (
+                "kind mc-improved",
+                "kind bogus",
+                "unknown estimator kind 'bogus'",
+            ),
+        ] {
+            let err = JobPlan::parse(&text.replace(from, to)).unwrap_err();
+            assert!(err.to_string().contains(says), "{to}: {err}");
+        }
+    }
+
+    /// A hand-edited weight parameter that would turn every weight into
+    /// NaN is a plan error, as it is a CLI error.
+    #[test]
+    fn parse_rejects_weight_parameters_the_weight_cannot_use() {
+        let text = plan().to_file_string();
+        let at = "weight-param 0.0010000000474974513";
+        assert!(text.contains(at), "{text}");
+        for bad in ["NaN", "inf", "0", "-0.5"] {
+            let err =
+                JobPlan::parse(&text.replace(at, &format!("weight-param {bad}"))).unwrap_err();
+            assert!(matches!(err, JobError::Plan(_)), "{bad}: {err}");
+            assert!(
+                err.to_string().contains("needs a finite eps > 0"),
+                "{bad}: {err}"
+            );
+        }
+        let text = text.replace("weight inverse", "weight exponential");
+        let err = JobPlan::parse(&text.replace(at, "weight-param -1e30")).unwrap_err();
+        assert!(
+            err.to_string().contains("needs a finite beta >= 0"),
+            "{err}"
+        );
     }
 
     #[test]
     fn validate_rejects_impossible_combinations() {
         let mut s = spec();
-        s.task = TaskKind::Reg;
+        s.task = Task::Reg;
         assert!(s.validate().is_err(), "reg + mc");
-        s.method = JobMethod::Exact;
+        s.family = Family::Exact;
         assert!(s.validate().is_ok(), "reg + exact weighted");
         s.weight = WeightFn::Uniform;
         assert!(s.validate().is_ok(), "reg + exact uniform");
 
         let mut s = spec();
-        s.method = JobMethod::McBaseline { perms: 0 };
+        s.family = Family::McBaseline { perms: 0, seed: 9 };
         let err = s.validate().unwrap_err();
         assert!(err.to_string().contains("--perms"), "{err}");
 
         let mut s = spec();
-        s.method = JobMethod::Truncated { eps: 0.1 };
+        s.family = Family::Truncated { eps: 0.1 };
         assert!(s.validate().is_err(), "truncated + weighted");
+
+        let mut s = spec();
+        s.k = 0;
+        let err = s.validate().unwrap_err();
+        assert!(err.to_string().contains("K must be at least 1"), "{err}");
 
         let mut s = spec();
         s.shards = 0;
@@ -550,6 +659,7 @@ mod tests {
         }
     }
 
+    /// The plan's `kind` key reads `ShardKind`'s own name table.
     #[test]
     fn kind_names_round_trip() {
         for kind in [
@@ -560,8 +670,8 @@ mod tests {
             ShardKind::McImproved,
             ShardKind::GroupTesting,
         ] {
-            assert_eq!(kind_from_name(kind.name()), Some(kind));
+            assert_eq!(ShardKind::from_name(kind.name()), Some(kind));
         }
-        assert_eq!(kind_from_name("bogus"), None);
+        assert_eq!(ShardKind::from_name("bogus"), None);
     }
 }

@@ -35,7 +35,7 @@ use crate::queue;
 use crate::spec::JobPlan;
 use crate::worker::{run_worker, FaultHook, WorkerOptions};
 use crate::JobError;
-use knnshap_core::estimator::Data;
+use knnshap_core::estimator::{Data, Estimator};
 use knnshap_core::sharding::{merge_partials, MergedValuation};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -336,18 +336,11 @@ fn merge_tail(
     // Dataset-content fingerprints make this O(dataset), not O(N · N_test).
     // The training set comes from the job's snapshot while its CSV is
     // unchanged.
+    // The check is the one workers run: fingerprint, kind and counts.
     let data = crate::dispatch::load_checked(dirs, plan, threads, None, |data| {
-        let view = match &data {
-            Data::Class { train, test } => Data::class(train, test),
-            Data::Reg { train, test } => Data::reg(train, test),
-        };
-        let (_, fingerprint) = crate::dispatch::bind(&plan.spec, view)?.identity();
-        if fingerprint != plan.fingerprint {
-            return Err(JobError::FingerprintMismatch {
-                expected: plan.fingerprint,
-                found: fingerprint,
-            });
-        }
+        let s = &plan.spec;
+        let estimator = Estimator::new(data.reborrow(), s.k, s.weight, s.family, None)?;
+        crate::dispatch::check_identity(plan, &estimator)?;
         Ok(data)
     })?;
     // The features go before the shards are read: the merge's peak memory

@@ -7,6 +7,7 @@
 //! CI replays this suite under `KNNSHAP_THREADS=1` and `=8`, extending the
 //! guarantee across thread counts.
 
+use knnshap_core::estimator::{Family, Task};
 use knnshap_core::mc::{IncKnnUtility, StoppingRule};
 use knnshap_core::sharding::ShardKind;
 use knnshap_core::utility::KnnClassUtility;
@@ -18,7 +19,7 @@ use knnshap_runtime::dispatch::PreparedJob;
 use knnshap_runtime::layout::JobDirs;
 use knnshap_runtime::queue;
 use knnshap_runtime::snapshot::{self, TrainSet};
-use knnshap_runtime::spec::{plan_job, JobMethod, JobPlan, JobSpec, TaskKind};
+use knnshap_runtime::spec::{plan_job, JobPlan, JobSpec};
 use knnshap_runtime::supervisor::{merge_job, run_job, JobOutcome, Launcher, SupervisorOptions};
 use knnshap_runtime::worker::{run_worker, FaultPoint, WorkerOptions};
 use knnshap_runtime::JobError;
@@ -93,48 +94,61 @@ fn families(ws: &Workspace) -> Vec<(&'static str, JobSpec)> {
     let (ct, cq) = ws.class_csvs();
     let (rt, rq) = ws.reg_csvs();
     let reg = |weight| JobSpec {
-        task: TaskKind::Reg,
+        task: Task::Reg,
         train: rt.clone(),
         test: rq.clone(),
         k: K,
         weight,
-        method: JobMethod::Exact,
-        seed: SEED,
+        family: Family::Exact,
         shards: 5,
         checkpoint_chunks: 2,
     };
-    let class = |method, weight| JobSpec {
-        task: TaskKind::Class,
+    let class = |family, weight| JobSpec {
+        task: Task::Class,
         train: ct.clone(),
         test: cq.clone(),
         k: K,
         weight,
-        method,
-        seed: SEED,
+        family,
         shards: 5,
         checkpoint_chunks: 2,
     };
     vec![
-        ("exact-class", class(JobMethod::Exact, WeightFn::Uniform)),
-        ("exact-weighted", class(JobMethod::Exact, WEIGHT)),
+        ("exact-class", class(Family::Exact, WeightFn::Uniform)),
+        ("exact-weighted", class(Family::Exact, WEIGHT)),
         ("exact-reg", reg(WeightFn::Uniform)),
         ("exact-reg-weighted", reg(WEIGHT)),
         (
             "truncated",
-            class(JobMethod::Truncated { eps: 0.2 }, WeightFn::Uniform),
+            class(Family::Truncated { eps: 0.2 }, WeightFn::Uniform),
         ),
         (
             "mc-baseline",
-            class(JobMethod::McBaseline { perms: PERMS }, WeightFn::Uniform),
+            class(
+                Family::McBaseline {
+                    perms: PERMS,
+                    seed: SEED,
+                },
+                WeightFn::Uniform,
+            ),
         ),
         (
             "mc-improved",
-            class(JobMethod::McImproved { perms: PERMS }, WEIGHT),
+            class(
+                Family::McImproved {
+                    perms: PERMS,
+                    seed: SEED,
+                },
+                WEIGHT,
+            ),
         ),
         (
             "group-testing",
             class(
-                JobMethod::GroupTesting { tests: GT_TESTS },
+                Family::GroupTesting {
+                    tests: GT_TESTS,
+                    seed: SEED,
+                },
                 WeightFn::Uniform,
             ),
         ),
@@ -145,7 +159,7 @@ fn families(ws: &Workspace) -> Vec<(&'static str, JobSpec)> {
 fn reference(spec: &JobSpec) -> ShapleyValues {
     let threads = knnshap_parallel::current_threads();
     match spec.task {
-        TaskKind::Reg => {
+        Task::Reg => {
             let train = knnshap_datasets::io::load_reg_csv(&spec.train).unwrap();
             let test = knnshap_datasets::io::load_reg_csv(&spec.test).unwrap();
             match spec.weight {
@@ -157,11 +171,11 @@ fn reference(spec: &JobSpec) -> ShapleyValues {
                 ),
             }
         }
-        TaskKind::Class => {
+        Task::Class => {
             let train = knnshap_datasets::io::load_class_csv(&spec.train).unwrap();
             let test = knnshap_datasets::io::load_class_csv(&spec.test).unwrap();
-            match spec.method {
-                JobMethod::Exact => match spec.weight {
+            match spec.family {
+                Family::Exact => match spec.weight {
                     WeightFn::Uniform => {
                         knnshap_core::exact_unweighted::knn_class_shapley_with_threads(
                             &train, &test, spec.k, threads,
@@ -171,32 +185,32 @@ fn reference(spec: &JobSpec) -> ShapleyValues {
                         &train, &test, spec.k, w, threads,
                     ),
                 },
-                JobMethod::Truncated { eps } => {
+                Family::Truncated { eps } => {
                     knnshap_core::truncated::truncated_class_shapley(&train, &test, spec.k, eps)
                 }
-                JobMethod::McBaseline { perms } => {
+                Family::McBaseline { perms, seed } => {
                     let u = KnnClassUtility::new(&train, &test, spec.k, spec.weight);
                     knnshap_core::mc::mc_shapley_baseline(
                         &u,
                         StoppingRule::Fixed(perms),
-                        spec.seed,
+                        seed,
                         None,
                     )
                     .values
                 }
-                JobMethod::McImproved { perms } => {
+                Family::McImproved { perms, seed } => {
                     let mut u = IncKnnUtility::classification(&train, &test, spec.k, spec.weight);
                     knnshap_core::mc::mc_shapley_improved(
                         &mut u,
                         StoppingRule::Fixed(perms),
-                        spec.seed,
+                        seed,
                         None,
                     )
                     .values
                 }
-                JobMethod::GroupTesting { tests } => {
+                Family::GroupTesting { tests, seed } => {
                     let u = KnnClassUtility::new(&train, &test, spec.k, spec.weight);
-                    knnshap_core::group_testing::group_testing_shapley(&u, tests, spec.seed).values
+                    knnshap_core::group_testing::group_testing_shapley(&u, tests, seed).values
                 }
             }
         }
@@ -261,22 +275,21 @@ fn crash_and_resume_at_every_kill_point_is_bitwise_clean() {
     let (t, q) = ws.class_csvs();
     let (rt, rq) = ws.reg_csvs();
     let truncated = JobSpec {
-        task: TaskKind::Class,
+        task: Task::Class,
         train: t,
         test: q,
         k: K,
         weight: WeightFn::Uniform,
-        method: JobMethod::Truncated { eps: 0.2 },
-        seed: SEED,
+        family: Family::Truncated { eps: 0.2 },
         shards: 2,
         checkpoint_chunks: 4,
     };
     let weighted_reg = JobSpec {
-        task: TaskKind::Reg,
+        task: Task::Reg,
         train: rt,
         test: rq,
         weight: WEIGHT,
-        method: JobMethod::Exact,
+        family: Family::Exact,
         // Shard 0 holds 2 of the 5 test points: one per chunk, none empty.
         checkpoint_chunks: 2,
         ..truncated.clone()
@@ -367,13 +380,12 @@ fn supervisor_reassigns_after_crash_and_respawns() {
     let ws = Workspace::new("respawn");
     let (t, q) = ws.class_csvs();
     let spec = JobSpec {
-        task: TaskKind::Class,
+        task: Task::Class,
         train: t,
         test: q,
         k: K,
         weight: WeightFn::Uniform,
-        method: JobMethod::Exact,
-        seed: SEED,
+        family: Family::Exact,
         shards: 4,
         checkpoint_chunks: 2,
     };
@@ -416,13 +428,15 @@ fn corrupt_or_foreign_checkpoints_are_ignored() {
     let ws = Workspace::new("ckpt");
     let (t, q) = ws.class_csvs();
     let spec = JobSpec {
-        task: TaskKind::Class,
+        task: Task::Class,
         train: t.clone(),
         test: q.clone(),
         k: K,
         weight: WeightFn::Uniform,
-        method: JobMethod::McImproved { perms: PERMS },
-        seed: SEED,
+        family: Family::McImproved {
+            perms: PERMS,
+            seed: SEED,
+        },
         shards: 2,
         checkpoint_chunks: 2,
     };
@@ -444,7 +458,10 @@ fn corrupt_or_foreign_checkpoints_are_ignored() {
     // A different job's (valid!) checkpoint: same shape, different seed ⇒
     // different fingerprint ⇒ ignored.
     let foreign_spec = JobSpec {
-        seed: SEED + 1,
+        family: Family::McImproved {
+            perms: PERMS,
+            seed: SEED + 1,
+        },
         ..spec.clone()
     };
     let foreign_plan = plan_job(&foreign_spec, 1).unwrap();
@@ -472,13 +489,12 @@ fn dataset_drift_and_wrong_job_fail_loudly() {
     let ws = Workspace::new("drift");
     let (t, q) = ws.class_csvs();
     let spec = JobSpec {
-        task: TaskKind::Class,
+        task: Task::Class,
         train: t.clone(),
         test: q,
         k: K,
         weight: WeightFn::Uniform,
-        method: JobMethod::Exact,
-        seed: SEED,
+        family: Family::Exact,
         shards: 2,
         checkpoint_chunks: 1,
     };
@@ -526,6 +542,78 @@ fn dataset_drift_and_wrong_job_fail_loudly() {
     assert!(err.to_string().contains("another job"), "{err}");
 }
 
+/// The merge verifies the loaded datasets with the check workers run: a
+/// plan whose fingerprint holds but whose kind or counts were edited is
+/// refused before any shard is read, as a worker would refuse it.
+#[test]
+fn the_merge_checks_the_whole_identity_as_workers_do() {
+    let ws = Workspace::new("merge-identity");
+    let (t, q) = ws.class_csvs();
+    let spec = JobSpec {
+        task: Task::Class,
+        train: t,
+        test: q,
+        k: K,
+        weight: WeightFn::Uniform,
+        family: Family::Exact,
+        shards: 2,
+        checkpoint_chunks: 1,
+    };
+    let plan = plan_job(&spec, 1).unwrap();
+    let dirs = ws.job_dirs("job");
+    plan.save(&dirs).unwrap();
+    run_worker(&dirs, WorkerOptions::default()).unwrap();
+    merge_job(&dirs, &plan, 1).unwrap();
+    for what in ["n-train", "total-items", "kind"] {
+        let mut wrong = plan.clone();
+        match what {
+            "n-train" => wrong.n_train += 1,
+            "total-items" => wrong.total_items += 1,
+            _ => wrong.kind = ShardKind::Truncated,
+        }
+        let err = merge_job(&dirs, &wrong, 1).unwrap_err();
+        assert!(err.to_string().contains("plan disagrees"), "{what}: {err}");
+        wrong.save(&dirs).unwrap();
+        let err = run_worker(&dirs, WorkerOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("plan disagrees"), "{what}: {err}");
+    }
+}
+
+/// Earlier builds wrote the CLI's `--seed` into exact and truncated plans,
+/// which have no use for it. Such a plan parses to the job this build
+/// plans — same kind, fingerprint, training points and items — and a fleet
+/// runs it to the same bits.
+#[test]
+fn plans_with_an_unused_seed_parse_and_run_as_the_same_job() {
+    let ws = Workspace::new("unused-seed");
+    for (name, spec) in families(&ws) {
+        if !matches!(spec.family, Family::Exact | Family::Truncated { .. }) {
+            continue;
+        }
+        let plan = plan_job(&spec, 1).unwrap();
+        let text = plan.to_file_string();
+        assert!(text.contains("\nseed 0\n"), "{name}: {text}");
+        let earlier = text.replace("\nseed 0\n", "\nseed 42\n");
+        let parsed = JobPlan::parse(&earlier).unwrap();
+        assert_eq!(
+            (parsed.kind, parsed.fingerprint),
+            (plan.kind, plan.fingerprint),
+            "{name}"
+        );
+        assert_eq!(
+            (parsed.n_train, parsed.total_items),
+            (plan.n_train, plan.total_items),
+            "{name}"
+        );
+        assert_eq!(parsed, plan, "{name}");
+        let dirs = ws.job_dirs(&format!("job-{name}"));
+        dirs.create().unwrap();
+        std::fs::write(dirs.plan_path(), &earlier).unwrap();
+        let outcome = run_job(&dirs, SupervisorOptions::default()).unwrap();
+        assert_bitwise(&outcome.values, &reference(&spec), name);
+    }
+}
+
 /// Over-sharding is an operational no-op: more shards (and chunks) than
 /// items still merges to the identical bits.
 #[test]
@@ -533,13 +621,12 @@ fn oversharded_jobs_merge_identically() {
     let ws = Workspace::new("overshard");
     let (t, q) = ws.class_csvs();
     let spec = JobSpec {
-        task: TaskKind::Class,
+        task: Task::Class,
         train: t,
         test: q,
         k: K,
         weight: WeightFn::Uniform,
-        method: JobMethod::Exact,
-        seed: SEED,
+        family: Family::Exact,
         shards: 11, // > 7 test points: several empty shards
         checkpoint_chunks: 3,
     };
@@ -565,13 +652,15 @@ fn shard_files_are_canonical_across_runs_and_worker_counts() {
     let ws = Workspace::new("canon");
     let (t, q) = ws.class_csvs();
     let spec = JobSpec {
-        task: TaskKind::Class,
+        task: Task::Class,
         train: t,
         test: q,
         k: K,
         weight: WeightFn::Uniform,
-        method: JobMethod::GroupTesting { tests: GT_TESTS },
-        seed: SEED,
+        family: Family::GroupTesting {
+            tests: GT_TESTS,
+            seed: SEED,
+        },
         shards: 3,
         checkpoint_chunks: 2,
     };
@@ -619,13 +708,12 @@ fn completion_is_driven_by_worker_exit_not_the_poll_tick() {
     let ws = Workspace::new("wake");
     let (t, q) = ws.class_csvs();
     let spec = JobSpec {
-        task: TaskKind::Class,
+        task: Task::Class,
         train: t,
         test: q,
         k: K,
         weight: WeightFn::Uniform,
-        method: JobMethod::Exact,
-        seed: SEED,
+        family: Family::Exact,
         shards: 3,
         checkpoint_chunks: 2,
     };
@@ -679,13 +767,12 @@ fn merge_only_run_job_rejects_a_csv_edited_after_planning() {
     let ws = Workspace::new("merge-only-drift");
     let (t, q) = ws.class_csvs();
     let spec = JobSpec {
-        task: TaskKind::Class,
+        task: Task::Class,
         train: t,
         test: q.clone(),
         k: K,
         weight: WeightFn::Uniform,
-        method: JobMethod::Exact,
-        seed: SEED,
+        family: Family::Exact,
         shards: 2,
         checkpoint_chunks: 1,
     };
@@ -805,13 +892,12 @@ fn exact_reg_jobs_round_trip_bit_exactly_through_the_snapshot() {
 
     for (name, weight) in [("uniform", WeightFn::Uniform), ("weighted", WEIGHT)] {
         let spec = JobSpec {
-            task: TaskKind::Reg,
+            task: Task::Reg,
             train: t.clone(),
             test: q.clone(),
             k: K,
             weight,
-            method: JobMethod::Exact,
-            seed: SEED,
+            family: Family::Exact,
             shards: 3,
             checkpoint_chunks: 2,
         };
@@ -851,13 +937,12 @@ fn a_damaged_snapshot_is_a_miss_that_falls_back_to_the_csv() {
     knnshap_datasets::io::save_class_csv(&t, &blobs::generate(&cfg)).unwrap();
     knnshap_datasets::io::save_class_csv(&q, &blobs::queries(&cfg, 3, 4)).unwrap();
     let spec = JobSpec {
-        task: TaskKind::Class,
+        task: Task::Class,
         train: t,
         test: q,
         k: K,
         weight: WeightFn::Uniform,
-        method: JobMethod::Exact,
-        seed: SEED,
+        family: Family::Exact,
         shards: 1,
         checkpoint_chunks: 1,
     };

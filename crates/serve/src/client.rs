@@ -236,11 +236,6 @@ impl Client {
         Ok(Self { conn })
     }
 
-    /// Wrap an already-connected stream (used by in-process tests).
-    pub fn from_conn(conn: Box<dyn Conn>) -> Self {
-        Self { conn }
-    }
-
     /// Send one request and read its response. Error responses are
     /// surfaced as [`ClientError::Server`].
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
