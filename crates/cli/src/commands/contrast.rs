@@ -8,7 +8,7 @@
 //! use the exact algorithm.
 
 use crate::args::Args;
-use crate::commands::load_pair;
+use crate::commands::{load_pair, parse_eps};
 use crate::report::fmt_f64;
 use crate::CliError;
 use knnshap_core::lsh_approx::plan_index_params;
@@ -26,7 +26,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     if k == 0 {
         return Err(CliError::Pipeline(PipelineError::ZeroK));
     }
-    let eps = args.f64_or("eps", 0.1)?;
+    let eps = parse_eps(args)?;
     let delta = args.f64_or("delta", 0.1)?;
     let seed = args.u64_or("seed", 17)?;
     let max_tables = args.usize_or("max-tables", 64)?;

@@ -22,7 +22,7 @@
 //! jobs, whatever the fleet went through on the way.
 
 use crate::args::Args;
-use crate::commands::{parse_task, parse_weight};
+use crate::commands::{parse_eps, parse_task, parse_weight};
 use crate::CliError;
 use knnshap_core::estimator::Family;
 use knnshap_runtime::dispatch::PreparedJob;
@@ -43,7 +43,7 @@ fn parse_family(args: &Args) -> Result<Family, CliError> {
     if name == "lsh" {
         return Err(CliError::Invalid(super::shard::LSH_UNSHARDABLE.into()));
     }
-    let eps = args.f64_or("eps", 0.1)?;
+    let eps = parse_eps(args)?;
     let perms = args.usize_or("perms", 0)?;
     let seed = args.u64_or("seed", 42)?;
     Family::parse(name, eps, perms, seed).map_err(CliError::Invalid)

@@ -46,7 +46,7 @@ pub(crate) fn load_pair(args: &Args) -> Result<(ClassDataset, ClassDataset), Cli
 /// form the sharded runtime requires (a shard cannot evaluate a sequential
 /// stopping criterion).
 pub(crate) fn parse_method(args: &Args) -> Result<Method, CliError> {
-    let eps = args.f64_or("eps", 0.1)?;
+    let eps = parse_eps(args)?;
     let delta = args.f64_or("delta", 0.1)?;
     let seed = args.u64_or("seed", 42)?;
     let perms = args.usize_or("perms", 0)?;
@@ -77,6 +77,14 @@ pub(crate) fn parse_method(args: &Args) -> Result<Method, CliError> {
             "unknown method '{other}' (exact, truncated, lsh, mc-baseline, mc-improved)"
         ))),
     }
+}
+
+/// `--eps` (default 0.1), which must be finite and > 0 whatever method
+/// reads it.
+pub(crate) fn parse_eps(args: &Args) -> Result<f64, CliError> {
+    let eps = args.f64_or("eps", 0.1)?;
+    knnshap_core::estimator::check_eps(eps)?;
+    Ok(eps)
 }
 
 /// The valuation behind `value` and `audit`: resolves `--method`,

@@ -2,7 +2,8 @@
 //! inverse-distance `eps ≤ 0`, an exponential `beta < 0` — must stop every
 //! command that takes a weight with a one-line typed error, and so must
 //! such a parameter hand-edited into a job plan: never NaN values followed
-//! by a panic (exit 101).
+//! by a panic (exit 101). The same holds for an `--eps` that is not finite
+//! and positive, on every command that reads it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -36,15 +37,16 @@ fn knnshap(args: &[&str]) -> Output {
         .expect("spawn knnshap")
 }
 
-/// A non-zero exit that is not a panic's 101, and no panic message.
-fn assert_typed_failure(out: &Output, what: &str) {
+/// A non-zero exit that is not a panic's 101, no panic message, and an
+/// error that names `name`.
+fn assert_typed_failure(out: &Output, what: &str, name: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{what} succeeded");
     assert_ne!(out.status.code(), Some(101), "{what}: exit code\n{stderr}");
     assert!(!stderr.contains("panicked"), "{what} panicked:\n{stderr}");
     assert!(
-        stderr.contains("weight"),
-        "{what}: error does not name the weight:\n{stderr}"
+        stderr.contains(name),
+        "{what}: error does not name the {name}:\n{stderr}"
     );
 }
 
@@ -115,7 +117,7 @@ fn unusable_weight_parameters_are_typed_errors_on_every_command() {
                 param,
             ]);
             let what = format!("{} --weight {weight} --weight-param {param}", cmd[0]);
-            assert_typed_failure(&knnshap(&args), &what);
+            assert_typed_failure(&knnshap(&args), &what, "weight");
         }
         assert!(
             !std::path::Path::new(&values).exists(),
@@ -165,7 +167,92 @@ fn a_hand_edited_weight_parameter_in_a_plan_is_a_typed_error() {
             vec!["run-job", "--job", &job, "--workers", "1"],
             vec!["worker", "--job", &job],
         ] {
-            assert_typed_failure(&knnshap(&cmd), &format!("{} on weight-param {bad}", cmd[0]));
+            let what = format!("{} on weight-param {bad}", cmd[0]);
+            assert_typed_failure(&knnshap(&cmd), &what, "weight");
+        }
+    }
+}
+
+#[test]
+fn unusable_eps_values_are_typed_errors_on_every_command() {
+    let ws = Scratch::new("eps");
+    let (train, test) = synth(&ws);
+    let (values, job) = (ws.path("values.csv"), ws.path("job"));
+    let mut commands: Vec<Vec<&str>> = ["nan", "-1", "0"]
+        .into_iter()
+        .map(|eps| {
+            vec![
+                "value",
+                "--method",
+                "truncated",
+                "--eps",
+                eps,
+                "--out",
+                &values,
+            ]
+        })
+        .collect();
+    commands.extend([
+        vec!["value", "--method", "mc-improved", "--eps", "nan"],
+        vec!["value", "--method", "lsh", "--eps", "nan"],
+        vec!["contrast", "--eps", "nan"],
+        vec![
+            "shard-plan",
+            "--method",
+            "truncated",
+            "--eps",
+            "nan",
+            "--shards",
+            "2",
+            "--job",
+            &job,
+        ],
+    ]);
+    for cmd in &commands {
+        let mut args = cmd.clone();
+        args.extend(["--train", &train, "--test", &test, "--k", "3"]);
+        assert_typed_failure(&knnshap(&args), &cmd.join(" "), "eps");
+    }
+    assert!(
+        !std::path::Path::new(&values).exists(),
+        "a values CSV was written"
+    );
+    assert!(!std::path::Path::new(&job).exists(), "a job was planned");
+}
+
+#[test]
+fn a_hand_edited_eps_in_a_plan_is_a_typed_error() {
+    let ws = Scratch::new("plan-eps");
+    let (train, test) = synth(&ws);
+    let job = ws.path("job");
+    let out = knnshap(&[
+        "shard-plan",
+        "--train",
+        &train,
+        "--test",
+        &test,
+        "--k",
+        "3",
+        "--method",
+        "truncated",
+        "--eps",
+        "0.2",
+        "--shards",
+        "2",
+        "--job",
+        &job,
+    ]);
+    assert!(out.status.success(), "shard-plan failed");
+    let plan_path = ws.0.join("job").join("plan");
+    let text = std::fs::read_to_string(&plan_path).unwrap();
+    for bad in ["NaN", "-1", "0"] {
+        std::fs::write(&plan_path, text.replace("eps 0.2", &format!("eps {bad}"))).unwrap();
+        for cmd in [
+            vec!["run-job", "--job", &job, "--workers", "1"],
+            vec!["worker", "--job", &job],
+        ] {
+            let what = format!("{} on eps {bad}", cmd[0]);
+            assert_typed_failure(&knnshap(&cmd), &what, "eps");
         }
     }
 }

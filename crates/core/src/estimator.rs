@@ -231,12 +231,13 @@ impl Family {
         }
     }
 
-    /// The rules on `K`, the task and the weight that hold before any
+    /// The rules on `K`, ε, the task and the weight that hold before any
     /// dataset is read: `K ≥ 1`, and truncation is uniform classification
-    /// only.
+    /// only, at a finite ε > 0.
     pub fn check(self, task: Task, k: usize, weight: WeightFn) -> Result<(), PipelineError> {
         check_k(k)?;
-        if let Family::Truncated { .. } = self {
+        if let Family::Truncated { eps } = self {
+            check_eps(eps)?;
             if task == Task::Reg {
                 return Err(PipelineError::TaskUnsupported("Truncated"));
             }
@@ -288,8 +289,9 @@ impl<'a> Estimator<'a> {
     /// Bind and validate a job. Fails with a typed [`PipelineError`] on
     /// `k == 0`, an empty train or test set, a dimension mismatch, a
     /// NaN/infinite feature, a graph built from other data, a weighted
-    /// truncated job, truncation on a regression task and group testing
-    /// over fewer than two training points.
+    /// truncated job, truncation on a regression task or at an ε that is not
+    /// finite and positive, and group testing over fewer than two training
+    /// points.
     pub fn new(
         data: Data<'a>,
         k: usize,
@@ -403,46 +405,41 @@ impl<'a> Estimator<'a> {
         }
     }
 
+    /// The one derivation of a job's fingerprint.
     fn fingerprint(&self) -> u64 {
-        let (k, weight) = (self.k, self.weight);
-        // Every family hashes under its kind's name. The per-test families
-        // hash `K`, then what the family adds (a non-uniform weight, ε),
-        // then the datasets. A uniform weight adds nothing: uniform headers
-        // predate weights in the fingerprint and keep their bytes.
-        let domain = self.kind().name();
-        let per_test = |fp: Fingerprint| {
+        let (k, weight) = (self.k as u64, self.weight);
+        let (wtag, wparam) = weight_code(weight);
+        // Every hash ends with the datasets' content hashes.
+        let with_data = |fp: Fingerprint| {
             let (train, test) = self.data.hashes();
             fp.u64(train).u64(test).finish()
         };
+        // The per-test families hash under their kind's name: `K`, then
+        // what the family adds (a non-uniform weight, ε), then the datasets.
+        // A uniform weight adds nothing: uniform headers predate weights in
+        // the fingerprint and keep their bytes.
+        let domain = self.kind().name();
         match self.family {
             Family::Exact => {
-                let fp = Fingerprint::new(domain).u64(k as u64);
-                per_test(match weight {
+                let fp = Fingerprint::new(domain).u64(k);
+                with_data(match weight {
                     WeightFn::Uniform => fp,
-                    _ => {
-                        let (wtag, wparam) = weight_code(weight);
-                        fp.u64(wtag).f64(wparam)
-                    }
+                    _ => fp.u64(wtag).f64(wparam),
                 })
             }
-            Family::Truncated { eps } => per_test(Fingerprint::new(domain).u64(k as u64).f64(eps)),
-            // The stream families hash the content of the game they sample.
+            Family::Truncated { eps } => with_data(Fingerprint::new(domain).u64(k).f64(eps)),
+            // The stream families hash the seed and the content of the game
+            // they sample: the game's name, `K`, the weight, Algorithm 2's
+            // task tag, then the datasets.
             streams => {
-                let content = match (&self.data, streams) {
-                    (Data::Class { train, test }, Family::McImproved { .. }) => {
-                        IncKnnUtility::class_content_fingerprint(train, test, k, weight)
-                    }
-                    (Data::Reg { train, test }, Family::McImproved { .. }) => {
-                        IncKnnUtility::reg_content_fingerprint(train, test, k, weight)
-                    }
-                    (Data::Class { train, test }, _) => {
-                        KnnClassUtility::content_fingerprint(train, test, k, weight)
-                    }
-                    (Data::Reg { train, test }, _) => {
-                        KnnRegUtility::content_fingerprint(train, test, k, weight)
-                    }
+                let game = |name| Fingerprint::new(name).u64(k).u64(wtag).f64(wparam);
+                let content = match (streams, self.data.task()) {
+                    (Family::McImproved { .. }, Task::Class) => game("inc-knn-utility").u64(0),
+                    (Family::McImproved { .. }, Task::Reg) => game("inc-knn-utility").u64(1),
+                    (_, Task::Class) => game("knn-class-utility"),
+                    (_, Task::Reg) => game("knn-reg-utility"),
                 };
-                stream_fingerprint(domain, streams.params().2, content)
+                stream_fingerprint(domain, streams.params().2, with_data(content))
             }
         }
     }
@@ -584,6 +581,16 @@ pub(crate) fn check_data(
     match graph {
         Some(g) => check_graph(g, train, test),
         None => Ok(()),
+    }
+}
+
+/// ε must be finite and > 0: truncation keeps `max(K, ⌈1/ε⌉)` neighbors,
+/// and the Monte Carlo heuristic stop scales its threshold with ε.
+pub fn check_eps(eps: f64) -> Result<(), PipelineError> {
+    if eps.is_finite() && eps > 0.0 {
+        Ok(())
+    } else {
+        Err(PipelineError::BadEps(eps))
     }
 }
 
@@ -761,6 +768,10 @@ mod tests {
             Err(PipelineError::WeightedUnsupported("Truncated"))
         );
         assert_eq!(truncated.check(Task::Class, 2, uniform), Ok(()));
+        for eps in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            let bad = Family::Truncated { eps }.check(Task::Class, 2, uniform);
+            assert!(matches!(bad, Err(PipelineError::BadEps(e)) if e.to_bits() == eps.to_bits()));
+        }
         for f in [
             Family::Exact,
             Family::McBaseline { perms: 0, seed: 1 },
@@ -769,5 +780,41 @@ mod tests {
         ] {
             assert_eq!(f.check(Task::Reg, 1, inverse), Ok(()), "{}", f.name());
         }
+    }
+
+    #[test]
+    fn stream_identities_change_with_seed_k_data_and_family() {
+        let train = ClassDataset::new(
+            Features::new(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0], 1),
+            vec![0, 1, 0, 1, 0, 1],
+            2,
+        );
+        let test = ClassDataset::new(Features::new(vec![0.2, 3.6], 1), vec![0, 1], 2);
+        let mut moved = train.clone();
+        moved.x = Features::new(vec![0.0, 1.0, 2.0, 3.5, 4.0, 5.0], 1);
+        let id = |train: &ClassDataset, k: usize, family: Family| {
+            let data = Data::class(train, &test);
+            Estimator::new(data, k, WeightFn::Uniform, family, None)
+                .unwrap()
+                .identity()
+                .1
+        };
+        for stream in [
+            |seed| Family::McBaseline { perms: 4, seed },
+            |seed| Family::McImproved { perms: 4, seed },
+            |seed| Family::GroupTesting { tests: 4, seed },
+        ] {
+            let base = id(&train, 2, stream(7));
+            let name = stream(7).name();
+            assert_eq!(base, id(&train, 2, stream(7)), "{name}: stable");
+            assert_ne!(base, id(&train, 2, stream(8)), "{name}: seed");
+            assert_ne!(base, id(&train, 3, stream(7)), "{name}: K");
+            assert_ne!(base, id(&moved, 2, stream(7)), "{name}: one row");
+        }
+        assert_ne!(
+            id(&train, 2, Family::McBaseline { perms: 4, seed: 7 }),
+            id(&train, 2, Family::McImproved { perms: 4, seed: 7 }),
+            "baseline and improved never merge"
+        );
     }
 }

@@ -193,14 +193,11 @@ pub(crate) fn gt_sums<U: Utility + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::{Data, Estimator, Family};
     use crate::exact_enum::shapley_enumeration;
     use crate::exact_unweighted::knn_class_shapley_with_threads;
-    use crate::sharding::stream_fingerprint;
     use crate::utility::KnnClassUtility;
     use knnshap_datasets::synth::blobs::{self, BlobConfig};
     use knnshap_datasets::{ClassDataset, Features};
-    use knnshap_knn::weights::WeightFn;
 
     fn small_game() -> (ClassDataset, ClassDataset) {
         let cfg = BlobConfig {
@@ -212,32 +209,6 @@ mod tests {
             seed: 4,
         };
         (blobs::generate(&cfg), blobs::queries(&cfg, 3, 9))
-    }
-
-    #[test]
-    fn dataset_level_fingerprint_matches_utility_level() {
-        let (train, test) = small_game();
-        // The dataset-level job fingerprint, as the estimator seam stamps it.
-        let group_testing_class_fingerprint = |seed| {
-            let family = Family::GroupTesting { tests: 1, seed };
-            let est = Estimator::new(
-                Data::class(&train, &test),
-                2,
-                WeightFn::Uniform,
-                family,
-                None,
-            );
-            est.unwrap().identity().1
-        };
-        let u = KnnClassUtility::unweighted(&train, &test, 2);
-        assert_eq!(
-            stream_fingerprint("group-testing", 11, u.fingerprint()),
-            group_testing_class_fingerprint(11)
-        );
-        assert_ne!(
-            group_testing_class_fingerprint(11),
-            group_testing_class_fingerprint(12)
-        );
     }
 
     #[test]

@@ -41,7 +41,6 @@
 //!   therefore **not shardable** — a shard cannot know whether an earlier
 //!   shard would have stopped; use a fixed budget to shard.
 
-use crate::sharding::Fingerprint;
 use crate::types::ShapleyValues;
 use crate::utility::{DistMatrix, Utility};
 use knnshap_datasets::{ClassDataset, RegDataset};
@@ -375,8 +374,6 @@ struct IncShared {
     k: usize,
     weight: WeightFn,
     task: IncTask,
-    /// Cached dataset-content fingerprint, computed at construction.
-    content: u64,
 }
 
 /// A KNN utility that supports the streaming-insertion access pattern of
@@ -455,13 +452,11 @@ impl IncKnnUtility {
             labels: train.y.clone(),
             test_labels: test.y.clone(),
         };
-        let content = Self::class_content_fingerprint(train, test, k, weight);
         let shared = IncShared {
             dist,
             k,
             weight,
             task,
-            content,
         };
         Self::from_shared(Arc::new(shared), test.len())
     }
@@ -484,73 +479,19 @@ impl IncKnnUtility {
             targets: train.y.clone(),
             test_targets: test.y.clone(),
         };
-        let content = Self::reg_content_fingerprint(train, test, k, weight);
         let shared = IncShared {
             dist,
             k,
             weight,
             task,
-            content,
         };
         Self::from_shared(Arc::new(shared), test.len())
-    }
-
-    /// The dataset-content hash a [`classification`](Self::classification)
-    /// utility reports as [`fingerprint`](Self::fingerprint) — computable
-    /// without building the distance matrix, so `merge`/plan cross-checks
-    /// stay `O(dataset)` instead of `O(N · N_test)`.
-    pub fn class_content_fingerprint(
-        train: &ClassDataset,
-        test: &ClassDataset,
-        k: usize,
-        weight: WeightFn,
-    ) -> u64 {
-        let (wtag, wparam) = crate::sharding::weight_code(weight);
-        Fingerprint::new("inc-knn-utility")
-            .u64(k as u64)
-            .u64(wtag)
-            .f64(wparam)
-            .u64(0)
-            .u64(crate::sharding::hash_class_dataset(train))
-            .u64(crate::sharding::hash_class_dataset(test))
-            .finish()
-    }
-
-    /// [`class_content_fingerprint`](Self::class_content_fingerprint) for
-    /// the [`regression`](Self::regression) task.
-    pub fn reg_content_fingerprint(
-        train: &RegDataset,
-        test: &RegDataset,
-        k: usize,
-        weight: WeightFn,
-    ) -> u64 {
-        let (wtag, wparam) = crate::sharding::weight_code(weight);
-        Fingerprint::new("inc-knn-utility")
-            .u64(k as u64)
-            .u64(wtag)
-            .f64(wparam)
-            .u64(1)
-            .u64(crate::sharding::hash_reg_dataset(train))
-            .u64(crate::sharding::hash_reg_dataset(test))
-            .finish()
     }
 
     /// A fresh-state utility over the *same* shared distance matrix — the
     /// per-worker scratch of the parallel estimator.
     pub fn fork(&self) -> Self {
         Self::from_shared(Arc::clone(&self.shared), self.n_test())
-    }
-
-    /// Content fingerprint (dataset features, labels/targets, K, weights) —
-    /// the job-identity half of an improved-MC shard header; see
-    /// [`crate::sharding`]. Cached at construction from the
-    /// dataset contents (never from the derived distance matrix), so
-    /// cross-checkers can recompute it via
-    /// [`class_content_fingerprint`](Self::class_content_fingerprint) /
-    /// [`reg_content_fingerprint`](Self::reg_content_fingerprint) without a
-    /// distance-matrix rebuild.
-    pub fn fingerprint(&self) -> u64 {
-        self.shared.content
     }
 
     pub fn n(&self) -> usize {
@@ -809,9 +750,7 @@ pub fn incremental_matches_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::{Data, Estimator, Family};
     use crate::exact_unweighted::knn_class_shapley_with_threads;
-    use crate::sharding::stream_fingerprint;
     use crate::utility::{KnnClassUtility, KnnRegUtility};
     use knnshap_datasets::Features;
     use knnshap_numerics::sampling::shuffle_in_place;
@@ -825,42 +764,6 @@ mod tests {
         let train = ClassDataset::new(Features::new(feats, 2), labels, 2);
         let test = ClassDataset::new(Features::new(vec![0.1, -0.2, 0.4, 0.3], 2), vec![0, 1], 2);
         (train, test)
-    }
-
-    #[test]
-    fn dataset_level_mc_fingerprints_match_utility_level() {
-        let (train, test) = small_class(5, 14);
-        // The dataset-level job fingerprints, as the estimator seam stamps them.
-        let seam = |weight, family| {
-            let est = Estimator::new(Data::class(&train, &test), 3, weight, family, None);
-            est.unwrap().identity().1
-        };
-        let mc_baseline_class_fingerprint =
-            |weight, seed| seam(weight, Family::McBaseline { perms: 1, seed });
-        let mc_improved_class_fingerprint =
-            |weight, seed| seam(weight, Family::McImproved { perms: 1, seed });
-        for weight in [WeightFn::Uniform, WeightFn::InverseDistance { eps: 1e-3 }] {
-            let u = KnnClassUtility::new(&train, &test, 3, weight);
-            assert_eq!(
-                stream_fingerprint("mc-baseline", 7, u.fingerprint()),
-                mc_baseline_class_fingerprint(weight, 7)
-            );
-            let inc = IncKnnUtility::classification(&train, &test, 3, weight);
-            assert_eq!(
-                stream_fingerprint("mc-improved", 7, inc.fingerprint()),
-                mc_improved_class_fingerprint(weight, 7)
-            );
-        }
-        // Seed is part of the job identity.
-        assert_ne!(
-            mc_baseline_class_fingerprint(WeightFn::Uniform, 7),
-            mc_baseline_class_fingerprint(WeightFn::Uniform, 8)
-        );
-        // Baseline and improved never merge together.
-        assert_ne!(
-            mc_baseline_class_fingerprint(WeightFn::Uniform, 7),
-            mc_improved_class_fingerprint(WeightFn::Uniform, 7)
-        );
     }
 
     #[test]

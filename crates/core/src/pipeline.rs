@@ -25,7 +25,7 @@
 
 use crate::composite::GameForm;
 use crate::curator::{curator_class_shapley, Ownership};
-use crate::estimator::{check_data, Data, Estimator, Family};
+use crate::estimator::{check_data, check_eps, Data, Estimator, Family};
 use crate::mc::StoppingRule;
 use crate::types::ShapleyValues;
 use knnshap_datasets::{contrast, ClassDataset};
@@ -86,7 +86,7 @@ impl Method {
 }
 
 /// Configuration errors surfaced by [`KnnShapley::run`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PipelineError {
     /// Train/test feature dimensionality differs.
     DimensionMismatch,
@@ -114,6 +114,8 @@ pub enum PipelineError {
     /// The selected method needs more training points than the set has
     /// (group testing samples coalitions of at least two players).
     TooFewTrainPoints { method: &'static str, min: usize },
+    /// The approximation error ε is NaN, infinite or not positive.
+    BadEps(f64),
 }
 
 impl std::fmt::Display for PipelineError {
@@ -139,6 +141,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::TooFewTrainPoints { method, min } => {
                 write!(f, "{method} needs at least {min} training points")
             }
+            PipelineError::BadEps(eps) => write!(f, "eps must be finite and > 0 (got {eps})"),
         }
     }
 }
@@ -282,6 +285,7 @@ impl<'a> KnnShapley<'a> {
         match self.method {
             Method::TruncatedTree { eps } => {
                 let (train, test) = self.class_data("TruncatedTree")?;
+                check_eps(eps)?;
                 if !uniform {
                     return Err(PipelineError::WeightedUnsupported("TruncatedTree"));
                 }
@@ -316,6 +320,7 @@ impl<'a> KnnShapley<'a> {
                 max_tables,
             } => {
                 let (train, test) = self.class_data("Lsh")?;
+                check_eps(eps)?;
                 if !uniform {
                     return Err(PipelineError::WeightedUnsupported("Lsh"));
                 }
@@ -586,6 +591,19 @@ mod tests {
             KnnShapley::new(&train, &wrong_dim).run().unwrap_err(),
             PipelineError::DimensionMismatch
         );
+        // ε must be finite and > 0 on every method that reads it.
+        for method in [
+            Method::Truncated { eps: 0.0 },
+            Method::TruncatedTree { eps: -1.0 },
+            Method::Lsh {
+                eps: 0.0,
+                delta: 0.1,
+                max_tables: 8,
+            },
+        ] {
+            let err = KnnShapley::new(&train, &test).method(method).run();
+            assert!(matches!(err, Err(PipelineError::BadEps(_))), "{method:?}");
+        }
     }
 
     #[test]

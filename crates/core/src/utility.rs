@@ -30,6 +30,10 @@ use knnshap_knn::weights::WeightFn;
 /// A cooperative-game utility over coalitions of the `n` training points.
 ///
 /// `subset` elements are training indices in `0..n`, distinct, in any order.
+///
+/// A game carries no job identity: only the KNN games shard, and
+/// [`Estimator::identity`](crate::estimator::Estimator::identity) derives
+/// their fingerprints from the datasets and parameters it binds.
 pub trait Utility: Sync {
     /// Number of players.
     fn n(&self) -> usize;
@@ -39,16 +43,6 @@ pub trait Utility: Sync {
     fn grand(&self) -> f64 {
         let all: Vec<usize> = (0..self.n()).collect();
         self.eval(&all)
-    }
-    /// Content fingerprint used by the sharded runtime
-    /// (`crate::sharding`) to refuse merging shard files produced against
-    /// different games. The KNN utilities hash their distance matrices and
-    /// labels; the default covers only the player count, so custom utilities
-    /// that shard across processes should override it.
-    fn fingerprint(&self) -> u64 {
-        crate::sharding::Fingerprint::new("utility")
-            .u64(self.n() as u64)
-            .finish()
     }
 }
 
@@ -136,8 +130,6 @@ pub struct KnnClassUtility {
     test_labels: Vec<u32>,
     k: usize,
     weight: WeightFn,
-    /// Cached [`Self::content_fingerprint`], computed at construction.
-    content: u64,
 }
 
 impl KnnClassUtility {
@@ -161,31 +153,7 @@ impl KnnClassUtility {
             test_labels: test.y.clone(),
             k,
             weight,
-            content: Self::content_fingerprint(train, test, k, weight),
         }
-    }
-
-    /// The dataset-content job-identity hash this utility's
-    /// [`Utility::fingerprint`] reports — computable **without** building
-    /// the `O(N · N_test)` distance matrix, which is what lets `merge` and
-    /// the job-orchestration runtime cross-check Monte Carlo and
-    /// group-testing shard headers cheaply. The distance matrix is a pure
-    /// function of the feature contents hashed here, so the content hash
-    /// identifies the game just as precisely.
-    pub fn content_fingerprint(
-        train: &ClassDataset,
-        test: &ClassDataset,
-        k: usize,
-        weight: WeightFn,
-    ) -> u64 {
-        let (wtag, wparam) = crate::sharding::weight_code(weight);
-        crate::sharding::Fingerprint::new("knn-class-utility")
-            .u64(k as u64)
-            .u64(wtag)
-            .f64(wparam)
-            .u64(crate::sharding::hash_class_dataset(train))
-            .u64(crate::sharding::hash_class_dataset(test))
-            .finish()
     }
 
     pub fn unweighted(train: &ClassDataset, test: &ClassDataset, k: usize) -> Self {
@@ -230,10 +198,6 @@ impl Utility for KnnClassUtility {
             .sum();
         total / self.test_labels.len() as f64
     }
-
-    fn fingerprint(&self) -> u64 {
-        self.content
-    }
 }
 
 /// The (weighted) KNN regression utility, eqs. (25)/(27), with `ν(∅) = 0`.
@@ -243,8 +207,6 @@ pub struct KnnRegUtility {
     test_targets: Vec<f64>,
     k: usize,
     weight: WeightFn,
-    /// Cached [`Self::content_fingerprint`], computed at construction.
-    content: u64,
 }
 
 impl KnnRegUtility {
@@ -268,27 +230,7 @@ impl KnnRegUtility {
             test_targets: test.y.clone(),
             k,
             weight,
-            content: Self::content_fingerprint(train, test, k, weight),
         }
-    }
-
-    /// Dataset-content job-identity hash (see
-    /// [`KnnClassUtility::content_fingerprint`] for why this avoids the
-    /// distance matrix).
-    pub fn content_fingerprint(
-        train: &RegDataset,
-        test: &RegDataset,
-        k: usize,
-        weight: WeightFn,
-    ) -> u64 {
-        let (wtag, wparam) = crate::sharding::weight_code(weight);
-        crate::sharding::Fingerprint::new("knn-reg-utility")
-            .u64(k as u64)
-            .u64(wtag)
-            .f64(wparam)
-            .u64(crate::sharding::hash_reg_dataset(train))
-            .u64(crate::sharding::hash_reg_dataset(test))
-            .finish()
     }
 
     pub fn unweighted(train: &RegDataset, test: &RegDataset, k: usize) -> Self {
@@ -337,10 +279,6 @@ impl Utility for KnnRegUtility {
             .map(|j| self.eval_for_test(j, subset, &mut buf))
             .sum();
         total / self.test_targets.len() as f64
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.content
     }
 }
 
@@ -441,39 +379,6 @@ mod tests {
         assert!(u.eval(&[0, 1]).abs() < 1e-9);
         // grand: nearest two of 0.1 are {0,1} => same as above
         assert!(u.grand().abs() < 1e-9);
-    }
-
-    #[test]
-    fn content_fingerprints_match_built_utilities() {
-        let (train, test) = class_data();
-        for weight in [WeightFn::Uniform, WeightFn::Exponential { beta: 0.5 }] {
-            let u = KnnClassUtility::new(&train, &test, 2, weight);
-            assert_eq!(
-                u.fingerprint(),
-                KnnClassUtility::content_fingerprint(&train, &test, 2, weight),
-                "dataset-level hash must equal the built utility's"
-            );
-        }
-        // Content-sensitive: one flipped label changes the hash.
-        let mut train2 = train.clone();
-        train2.y[0] ^= 1;
-        assert_ne!(
-            KnnClassUtility::content_fingerprint(&train, &test, 2, WeightFn::Uniform),
-            KnnClassUtility::content_fingerprint(&train2, &test, 2, WeightFn::Uniform)
-        );
-        // And parameter-sensitive.
-        assert_ne!(
-            KnnClassUtility::content_fingerprint(&train, &test, 2, WeightFn::Uniform),
-            KnnClassUtility::content_fingerprint(&train, &test, 3, WeightFn::Uniform)
-        );
-
-        let rtrain = RegDataset::new(Features::new(vec![0.0, 1.0, 2.0], 1), vec![0.0, 1.0, 2.0]);
-        let rtest = RegDataset::new(Features::new(vec![0.1], 1), vec![0.5]);
-        let u = KnnRegUtility::unweighted(&rtrain, &rtest, 2);
-        assert_eq!(
-            u.fingerprint(),
-            KnnRegUtility::content_fingerprint(&rtrain, &rtest, 2, WeightFn::Uniform)
-        );
     }
 
     #[test]

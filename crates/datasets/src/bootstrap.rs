@@ -6,7 +6,7 @@
 //! the marginal feature distribution while letting `N` grow beyond the source
 //! size.
 
-use crate::dataset::{ClassDataset, RegDataset};
+use crate::dataset::ClassDataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,12 +17,6 @@ fn sample_indices(rng: &mut StdRng, source_len: usize, n: usize) -> Vec<usize> {
 
 /// Resample a classification dataset to `n` points with replacement.
 pub fn bootstrap_class(source: &ClassDataset, n: usize, seed: u64) -> ClassDataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    source.gather(&sample_indices(&mut rng, source.len(), n))
-}
-
-/// Resample a regression dataset to `n` points with replacement.
-pub fn bootstrap_reg(source: &RegDataset, n: usize, seed: u64) -> RegDataset {
     let mut rng = StdRng::seed_from_u64(seed);
     source.gather(&sample_indices(&mut rng, source.len(), n))
 }
@@ -76,15 +70,5 @@ mod tests {
     fn rejects_empty_source() {
         let empty = ClassDataset::new(Features::new(vec![], 2), vec![], 1);
         bootstrap_class(&empty, 5, 0);
-    }
-
-    #[test]
-    fn regression_bootstrap() {
-        let s = RegDataset::new(Features::new(vec![1.0, 2.0, 3.0], 1), vec![0.1, 0.2, 0.3]);
-        let b = bootstrap_reg(&s, 10, 3);
-        assert_eq!(b.len(), 10);
-        for &t in &b.y {
-            assert!([0.1, 0.2, 0.3].contains(&t));
-        }
     }
 }

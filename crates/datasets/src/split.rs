@@ -1,6 +1,6 @@
 //! Shuffled train/test splitting.
 
-use crate::dataset::{ClassDataset, RegDataset};
+use crate::dataset::ClassDataset;
 use knnshap_numerics::sampling::shuffle_in_place;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,16 +24,6 @@ pub fn train_test_split(
     test_fraction: f64,
     seed: u64,
 ) -> (ClassDataset, ClassDataset) {
-    let (tr, te) = split_indices(d.len(), test_fraction, seed);
-    (d.gather(&tr), d.gather(&te))
-}
-
-/// Split a regression dataset into `(train, test)`.
-pub fn train_test_split_reg(
-    d: &RegDataset,
-    test_fraction: f64,
-    seed: u64,
-) -> (RegDataset, RegDataset) {
     let (tr, te) = split_indices(d.len(), test_fraction, seed);
     (d.gather(&tr), d.gather(&te))
 }
@@ -85,20 +75,6 @@ mod tests {
         for i in 0..tr.len() {
             let v = tr.x.row(i)[0] as usize;
             assert_eq!(tr.y[i], (v % 2) as u32);
-        }
-    }
-
-    #[test]
-    fn regression_split() {
-        let d = RegDataset::new(
-            Features::new((0..20).map(|i| i as f32).collect(), 1),
-            (0..20).map(|i| i as f64 * 0.5).collect(),
-        );
-        let (tr, te) = train_test_split_reg(&d, 0.2, 4);
-        assert_eq!(tr.len(), 16);
-        assert_eq!(te.len(), 4);
-        for i in 0..tr.len() {
-            assert_eq!(tr.y[i], tr.x.row(i)[0] as f64 * 0.5);
         }
     }
 }

@@ -10,9 +10,9 @@
 //! * a bounded max-heap with change detection ([`heap`]) — the data structure
 //!   at the core of the improved Monte Carlo estimator (Algorithm 2), which
 //!   only re-evaluates the utility when the K-nearest set actually changes;
-//! * unweighted and weighted KNN classifiers/regressors with the exact
-//!   utility semantics of the paper's eqs. (5), (25), (26), (27)
-//!   ([`classifier`], [`regressor`], [`weights`]);
+//! * unweighted and weighted KNN classifiers with the exact utility
+//!   semantics of the paper's eqs. (5) and (26) ([`classifier`]), and the
+//!   distance weights of eqs. (26)/(27) ([`weights`]);
 //! * an exact kd-tree index ([`kdtree`]) — the paper's named alternative to
 //!   LSH for neighbor retrieval, effective in low/moderate dimensions;
 //! * a query-lane distance kernel ([`block`]): one train row against a
@@ -51,7 +51,6 @@ pub mod graph;
 pub mod heap;
 pub mod kdtree;
 pub mod neighbors;
-pub mod regressor;
 pub mod weights;
 
 pub use block::{argsort_all, QueryTile, QUERY_TILE};
@@ -61,5 +60,4 @@ pub use graph::{GraphError, KnnGraph};
 pub use heap::KnnHeap;
 pub use kdtree::KdTree;
 pub use neighbors::{argsort_by_distance, top_k, Neighbor};
-pub use regressor::KnnRegressor;
 pub use weights::WeightFn;

@@ -69,6 +69,7 @@
 //!
 //! ```no_run
 //! use knnshap_core::estimator::{Family, Task};
+//! use knnshap_runtime::dispatch::PreparedJob;
 //! use knnshap_runtime::spec::JobSpec;
 //! use knnshap_runtime::supervisor::{run_job, SupervisorOptions};
 //! use knnshap_runtime::layout::JobDirs;
@@ -84,7 +85,14 @@
 //!     checkpoint_chunks: 4,
 //! };
 //! let dirs = JobDirs::new("job");
-//! knnshap_runtime::spec::plan_job(&spec, knnshap_parallel::current_threads())?.save(&dirs)?;
+//! let threads = knnshap_parallel::current_threads();
+//! let (prepared, snapshot) = PreparedJob::from_spec_with_snapshot(&spec, threads, &dirs)?;
+//! prepared.into_plan().save(&dirs)?;
+//! // The training-set snapshot only saves workers a parse: a job without
+//! // one reads the CSV.
+//! if let Ok(snapshot) = snapshot {
+//!     snapshot.publish().ok();
+//! }
 //! let outcome = run_job(&dirs, SupervisorOptions::default())?;
 //! println!("total value {}", outcome.values.total());
 //! # Ok::<(), knnshap_runtime::JobError>(())

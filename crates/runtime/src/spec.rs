@@ -32,9 +32,11 @@
 //! ```
 //!
 //! The first twelve keys are the [`JobSpec`]; the last four are derived at
-//! plan time ([`plan_job`]) from the *dataset contents* and pin the job's
-//! identity: every worker re-derives the fingerprint from the files it
-//! actually reads and refuses to compute against drifted data.
+//! plan time
+//! ([`PreparedJob::from_spec_with_snapshot`](crate::dispatch::PreparedJob::from_spec_with_snapshot))
+//! from the *dataset contents* and pin the job's identity: every worker
+//! re-derives the fingerprint from the files it actually reads and refuses
+//! to compute against drifted data.
 //!
 //! Each name is read and written by the table that owns it: `task` by
 //! `knnshap_core::estimator::Task`, `weight` and `weight-param` by
@@ -59,7 +61,7 @@
 
 use crate::layout::JobDirs;
 use crate::{io_err, JobError};
-use knnshap_core::estimator::{Estimator, Family, Task};
+use knnshap_core::estimator::{Family, Task};
 use knnshap_core::sharding::{ShardKind, ShardSpec};
 use knnshap_knn::weights::WeightFn;
 use std::path::{Path, PathBuf};
@@ -303,17 +305,6 @@ impl JobPlan {
         let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
         JobPlan::parse(&text)
     }
-}
-
-/// Derive the [`JobPlan`] for a spec: validate it, load the datasets it
-/// names and compute the job identity (`dispatch::derive_plan`); workers
-/// re-derive and compare (`PreparedJob::load`). `shard-plan` also leaves a
-/// snapshot of the training set (`PreparedJob::from_spec_with_snapshot`).
-pub fn plan_job(spec: &JobSpec, threads: usize) -> Result<JobPlan, JobError> {
-    spec.validate()?;
-    let data = crate::dispatch::load_data(spec, threads)?;
-    let estimator = Estimator::new(data, spec.k, spec.weight, spec.family, None)?;
-    Ok(crate::dispatch::derive_plan(spec, &estimator))
 }
 
 /// A path rendered relative-proof: `shard-plan` canonicalizes dataset paths

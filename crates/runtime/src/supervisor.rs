@@ -310,19 +310,7 @@ pub fn run_job(dirs: &JobDirs, opts: SupervisorOptions) -> Result<JobOutcome, Jo
     })
 }
 
-/// Validate and merge a completed job directory against its plan. Exposed
-/// separately so tests (and operators with remotely-computed shards) can
-/// merge without spawning anything. The datasets are parsed on `threads`
-/// workers (or the training set read from the job's snapshot).
-pub fn merge_job(
-    dirs: &JobDirs,
-    plan: &JobPlan,
-    threads: usize,
-) -> Result<MergedValuation, JobError> {
-    merge_tail(dirs, plan, threads).map(|(merged, _, _)| merged)
-}
-
-/// The merge both [`run_job`] and [`merge_job`] end in: load the datasets
+/// The merge [`run_job`] ends in: load the datasets
 /// once, verify them, keep the label column and the test count, then merge.
 fn merge_tail(
     dirs: &JobDirs,

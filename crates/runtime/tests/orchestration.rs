@@ -19,8 +19,8 @@ use knnshap_runtime::dispatch::PreparedJob;
 use knnshap_runtime::layout::JobDirs;
 use knnshap_runtime::queue;
 use knnshap_runtime::snapshot::{self, TrainSet};
-use knnshap_runtime::spec::{plan_job, JobPlan, JobSpec};
-use knnshap_runtime::supervisor::{merge_job, run_job, JobOutcome, Launcher, SupervisorOptions};
+use knnshap_runtime::spec::{JobPlan, JobSpec};
+use knnshap_runtime::supervisor::{run_job, JobOutcome, Launcher, SupervisorOptions};
 use knnshap_runtime::worker::{run_worker, FaultPoint, WorkerOptions};
 use knnshap_runtime::JobError;
 use std::path::PathBuf;
@@ -239,7 +239,7 @@ fn all_seven_families_match_unsharded_at_every_worker_count() {
         let want = reference(&spec);
         for workers in [1usize, 2, 4] {
             let dirs = ws.job_dirs(&format!("job-{name}-{workers}"));
-            plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
+            plan_with_snapshot(&spec, &dirs);
             let outcome = run_job(
                 &dirs,
                 SupervisorOptions {
@@ -304,7 +304,6 @@ fn crash_and_resume_at_every_kill_point_is_bitwise_clean() {
 
 fn crash_and_resume_at_every_kill_point(ws: &Workspace, name: &str, spec: &JobSpec) {
     let want = reference(spec);
-    let plan = plan_job(spec, 1).unwrap();
 
     let kill_points: Vec<FaultPoint> = (0..spec.checkpoint_chunks)
         .flat_map(|c| {
@@ -317,7 +316,7 @@ fn crash_and_resume_at_every_kill_point(ws: &Workspace, name: &str, spec: &JobSp
 
     for (ki, kill) in kill_points.into_iter().enumerate() {
         let dirs = ws.job_dirs(&format!("job-{name}-kill-{ki}"));
-        plan.save(&dirs).unwrap();
+        plan_with_snapshot(spec, &dirs);
 
         // Worker 1 crashes at the kill point, leaving lease + checkpoint.
         let err = run_worker(
@@ -363,9 +362,8 @@ fn crash_and_resume_at_every_kill_point(ws: &Workspace, name: &str, spec: &JobSp
             );
         }
 
-        let merged = merge_job(&dirs, &plan, 3).unwrap();
         assert_bitwise(
-            &merged.values,
+            &merge(&dirs).unwrap(),
             &want,
             &format!("{name}, kill point {kill:?}"),
         );
@@ -391,7 +389,7 @@ fn supervisor_reassigns_after_crash_and_respawns() {
     };
     let want = reference(&spec);
     let dirs = ws.job_dirs("job");
-    plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
+    plan_with_snapshot(&spec, &dirs);
 
     // The first spawned worker dies right after its first computed chunk
     // (one worker, so it deterministically gets work); every later spawn
@@ -441,19 +439,14 @@ fn corrupt_or_foreign_checkpoints_are_ignored() {
         checkpoint_chunks: 2,
     };
     let want = reference(&spec);
-    let plan = plan_job(&spec, 1).unwrap();
 
     // Garbage bytes.
     let dirs = ws.job_dirs("garbage");
-    plan.save(&dirs).unwrap();
+    plan_with_snapshot(&spec, &dirs);
     std::fs::write(dirs.checkpoint_path(0), b"not a shard file").unwrap();
     let report = run_worker(&dirs, WorkerOptions::default()).unwrap();
     assert_eq!(report.resumed, 0, "garbage must not count as a resume");
-    assert_bitwise(
-        &merge_job(&dirs, &plan, 3).unwrap().values,
-        &want,
-        "garbage ckpt",
-    );
+    assert_bitwise(&merge(&dirs).unwrap(), &want, "garbage ckpt");
 
     // A different job's (valid!) checkpoint: same shape, different seed ⇒
     // different fingerprint ⇒ ignored.
@@ -464,21 +457,16 @@ fn corrupt_or_foreign_checkpoints_are_ignored() {
         },
         ..spec.clone()
     };
-    let foreign_plan = plan_job(&foreign_spec, 1).unwrap();
     let fdirs = ws.job_dirs("foreign-src");
-    foreign_plan.save(&fdirs).unwrap();
+    plan_with_snapshot(&foreign_spec, &fdirs);
     run_worker(&fdirs, WorkerOptions::default()).unwrap();
 
     let dirs = ws.job_dirs("foreign");
-    plan.save(&dirs).unwrap();
+    plan_with_snapshot(&spec, &dirs);
     std::fs::copy(fdirs.shard_path(0), dirs.checkpoint_path(0)).unwrap();
     let report = run_worker(&dirs, WorkerOptions::default()).unwrap();
     assert_eq!(report.resumed, 0, "foreign checkpoint must not resume");
-    assert_bitwise(
-        &merge_job(&dirs, &plan, 3).unwrap().values,
-        &want,
-        "foreign ckpt",
-    );
+    assert_bitwise(&merge(&dirs).unwrap(), &want, "foreign ckpt");
 }
 
 /// A worker pointed at datasets that changed since `shard-plan` refuses to
@@ -498,9 +486,8 @@ fn dataset_drift_and_wrong_job_fail_loudly() {
         shards: 2,
         checkpoint_chunks: 1,
     };
-    let plan = plan_job(&spec, 1).unwrap();
     let dirs = ws.job_dirs("job");
-    plan.save(&dirs).unwrap();
+    let plan = plan_with_snapshot(&spec, &dirs);
 
     // Flip one label in the training CSV after planning.
     let text = std::fs::read_to_string(&t).unwrap();
@@ -524,21 +511,20 @@ fn dataset_drift_and_wrong_job_fail_loudly() {
     // check that runs when no worker needs to spawn).
     let mut wrong = plan.clone();
     wrong.fingerprint ^= 1;
-    let err = merge_job(&dirs, &wrong, 3).unwrap_err();
+    wrong.save(&dirs).unwrap();
+    let err = merge(&dirs).unwrap_err();
     assert!(matches!(err, JobError::FingerprintMismatch { .. }), "{err}");
 
     // A *consistent* plan for a different job (k = 3) over the same
     // datasets passes the content check but must reject this directory's
     // k = 2 shards.
-    let other_plan = plan_job(
-        &JobSpec {
-            k: K + 1,
-            ..spec.clone()
-        },
-        2,
-    )
-    .unwrap();
-    let err = merge_job(&dirs, &other_plan, 3).unwrap_err();
+    let other = JobSpec {
+        k: K + 1,
+        ..spec.clone()
+    };
+    let other_plan = plan_with_snapshot(&other, &ws.job_dirs("other"));
+    other_plan.save(&dirs).unwrap();
+    let err = merge(&dirs).unwrap_err();
     assert!(err.to_string().contains("another job"), "{err}");
 }
 
@@ -559,11 +545,10 @@ fn the_merge_checks_the_whole_identity_as_workers_do() {
         shards: 2,
         checkpoint_chunks: 1,
     };
-    let plan = plan_job(&spec, 1).unwrap();
     let dirs = ws.job_dirs("job");
-    plan.save(&dirs).unwrap();
+    let plan = plan_with_snapshot(&spec, &dirs);
     run_worker(&dirs, WorkerOptions::default()).unwrap();
-    merge_job(&dirs, &plan, 1).unwrap();
+    merge(&dirs).unwrap();
     for what in ["n-train", "total-items", "kind"] {
         let mut wrong = plan.clone();
         match what {
@@ -571,9 +556,9 @@ fn the_merge_checks_the_whole_identity_as_workers_do() {
             "total-items" => wrong.total_items += 1,
             _ => wrong.kind = ShardKind::Truncated,
         }
-        let err = merge_job(&dirs, &wrong, 1).unwrap_err();
-        assert!(err.to_string().contains("plan disagrees"), "{what}: {err}");
         wrong.save(&dirs).unwrap();
+        let err = merge(&dirs).unwrap_err();
+        assert!(err.to_string().contains("plan disagrees"), "{what}: {err}");
         let err = run_worker(&dirs, WorkerOptions::default()).unwrap_err();
         assert!(err.to_string().contains("plan disagrees"), "{what}: {err}");
     }
@@ -590,7 +575,8 @@ fn plans_with_an_unused_seed_parse_and_run_as_the_same_job() {
         if !matches!(spec.family, Family::Exact | Family::Truncated { .. }) {
             continue;
         }
-        let plan = plan_job(&spec, 1).unwrap();
+        let dirs = ws.job_dirs(&format!("job-{name}"));
+        let plan = plan_with_snapshot(&spec, &dirs);
         let text = plan.to_file_string();
         assert!(text.contains("\nseed 0\n"), "{name}: {text}");
         let earlier = text.replace("\nseed 0\n", "\nseed 42\n");
@@ -606,8 +592,6 @@ fn plans_with_an_unused_seed_parse_and_run_as_the_same_job() {
             "{name}"
         );
         assert_eq!(parsed, plan, "{name}");
-        let dirs = ws.job_dirs(&format!("job-{name}"));
-        dirs.create().unwrap();
         std::fs::write(dirs.plan_path(), &earlier).unwrap();
         let outcome = run_job(&dirs, SupervisorOptions::default()).unwrap();
         assert_bitwise(&outcome.values, &reference(&spec), name);
@@ -632,7 +616,7 @@ fn oversharded_jobs_merge_identically() {
     };
     let want = reference(&spec);
     let dirs = ws.job_dirs("job");
-    plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
+    plan_with_snapshot(&spec, &dirs);
     let outcome = run_job(
         &dirs,
         SupervisorOptions {
@@ -664,10 +648,9 @@ fn shard_files_are_canonical_across_runs_and_worker_counts() {
         shards: 3,
         checkpoint_chunks: 2,
     };
-    let plan = plan_job(&spec, 1).unwrap();
     let (a, b) = (ws.job_dirs("a"), ws.job_dirs("b"));
     for (dirs, workers) in [(&a, 1usize), (&b, 4usize)] {
-        plan.save(dirs).unwrap();
+        plan_with_snapshot(&spec, dirs);
         run_job(
             dirs,
             SupervisorOptions {
@@ -684,7 +667,7 @@ fn shard_files_are_canonical_across_runs_and_worker_counts() {
             "shard {i} must be canonical"
         );
     }
-    assert_eq!(plan.kind, ShardKind::GroupTesting);
+    assert_eq!(JobPlan::load(&a).unwrap().kind, ShardKind::GroupTesting);
 }
 
 /// Run `run_job` on a side thread and wait at most a minute for it: a
@@ -721,7 +704,7 @@ fn completion_is_driven_by_worker_exit_not_the_poll_tick() {
     let hour = Duration::from_secs(3600);
     for workers in [1usize, 2, 4] {
         let dirs = ws.job_dirs(&format!("job-{workers}"));
-        plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
+        plan_with_snapshot(&spec, &dirs);
         let outcome = run_job_bounded(
             &dirs,
             SupervisorOptions {
@@ -734,7 +717,7 @@ fn completion_is_driven_by_worker_exit_not_the_poll_tick() {
     }
 
     let dirs = ws.job_dirs("job-crash");
-    plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
+    plan_with_snapshot(&spec, &dirs);
     let outcome = run_job_bounded(
         &dirs,
         SupervisorOptions {
@@ -777,7 +760,7 @@ fn merge_only_run_job_rejects_a_csv_edited_after_planning() {
         checkpoint_chunks: 1,
     };
     let dirs = ws.job_dirs("job");
-    plan_job(&spec, 1).unwrap().save(&dirs).unwrap();
+    plan_with_snapshot(&spec, &dirs);
     run_worker(&dirs, WorkerOptions::default()).unwrap();
     assert!(dirs.missing_shards(spec.shards).is_empty());
 
@@ -816,6 +799,14 @@ fn plan_with_snapshot(spec: &JobSpec, dirs: &JobDirs) -> JobPlan {
     plan.save(dirs).unwrap();
     staged.unwrap().publish().unwrap();
     plan
+}
+
+/// Merge a job directory whose every shard is published: `run_job` spawns
+/// no worker then, and goes straight to the merge tail.
+fn merge(dirs: &JobDirs) -> Result<ShapleyValues, JobError> {
+    let outcome = run_job(dirs, SupervisorOptions::default())?;
+    assert_eq!(outcome.spawned, 0, "a merge-only run spawns no worker");
+    Ok(outcome.values)
 }
 
 /// The `(source, reason)` of every `load` event in the job's stream.

@@ -60,7 +60,7 @@ pub use knnshap_numerics as numerics;
 /// Dataset substrate: feature matrices, synthetic generators, contrast.
 pub use knnshap_datasets as datasets;
 
-/// KNN substrate: metrics, top-K search, classifiers/regressors.
+/// KNN substrate: metrics, top-K search, the KNN classifier, weights.
 pub use knnshap_knn as knn;
 
 /// LSH substrate: p-stable hashing, theory-driven parameters, recall.

@@ -33,6 +33,12 @@
 //! written by the per-family shard entry points that
 //! `knnshap_core::estimator` replaced. Every fixture but the exact one is
 //! recomputed here through the estimator seam.
+//!
+//! The fixtures pin class Monte Carlo and group testing only;
+//! `job_identities_match_recorded_literals` pins the `(kind, fingerprint)`
+//! of every family, task and weight `Family::check` admits, recorded from
+//! the build before `Estimator` became the one place a fingerprint is
+//! derived.
 
 use knnshap::knn::WeightFn;
 use knnshap::valuation::estimator::{Data, Family};
@@ -221,4 +227,98 @@ fn mc_baseline_shard_bytes_match_golden_fixture() {
 #[test]
 fn mc_improved_shard_bytes_match_golden_fixture() {
     check_nonzero(GOLDEN_MC_IMPROVED, mc_improved_shard, "mc improved");
+}
+
+/// Every family × task × weight [`Family::check`] admits, on one small
+/// classification pair and one regression pair, labelled
+/// `task family weight`.
+fn identities() -> Vec<(String, &'static str, u64)> {
+    let (ctrain, ctest) = random_class(&mut StdRng::seed_from_u64(0x1D01), 12, 4, 3);
+    let (rtrain, rtest) = random_reg(&mut StdRng::seed_from_u64(0x1D02), 12, 4);
+    let weights = [
+        ("uniform", WeightFn::Uniform),
+        ("inverse", WeightFn::InverseDistance { eps: 1e-3 }),
+        ("exponential", WeightFn::Exponential { beta: 0.5 }),
+    ];
+    let streams = [
+        Family::McBaseline { perms: 10, seed: 7 },
+        Family::McImproved { perms: 10, seed: 7 },
+        Family::GroupTesting { tests: 10, seed: 7 },
+    ];
+    let mut jobs = Vec::new();
+    for (task, data) in [
+        ("class", Data::class(&ctrain, &ctest)),
+        ("reg", Data::reg(&rtrain, &rtest)),
+    ] {
+        for &(wname, weight) in &weights {
+            jobs.push((task, data.clone(), Family::Exact, wname, weight));
+        }
+        if task == "class" {
+            for eps in [0.1, 0.2] {
+                let family = Family::Truncated { eps };
+                jobs.push((task, data.clone(), family, "uniform", WeightFn::Uniform));
+            }
+        }
+        for family in streams {
+            for &(wname, weight) in &weights {
+                jobs.push((task, data.clone(), family, wname, weight));
+            }
+        }
+    }
+    jobs.into_iter()
+        .map(|(task, data, family, wname, weight)| {
+            let (kind, fingerprint) = estimator(data, 3, weight, family, None).identity();
+            let label = match family {
+                Family::Truncated { eps } => format!("{task} truncated-{eps} {wname}"),
+                _ => format!("{task} {} {wname}", family.name()),
+            };
+            (label, kind.name(), fingerprint)
+        })
+        .collect()
+}
+
+/// The `(kind, fingerprint)` of every admitted job, recorded as literals
+/// from the build before the games stopped deriving their own fingerprints:
+/// shard files and plans of every family, both tasks and every weight keep
+/// their identity.
+#[test]
+fn job_identities_match_recorded_literals() {
+    #[rustfmt::skip]
+    const RECORDED: &[(&str, &str, u64)] = &[
+        ("class exact uniform", "exact-class", 0x3e59d294c9fec14b),
+        ("class exact inverse", "exact-class", 0xe44fc85b89f8717a),
+        ("class exact exponential", "exact-class", 0x8700e08dab60a666),
+        ("class truncated-0.1 uniform", "truncated", 0x17b5577e225fb40f),
+        ("class truncated-0.2 uniform", "truncated", 0x4cc41768ce1eda17),
+        ("class mc-baseline uniform", "mc-baseline", 0x02dcad1f74d246d1),
+        ("class mc-baseline inverse", "mc-baseline", 0x54972f548759ec83),
+        ("class mc-baseline exponential", "mc-baseline", 0xafe51c09a9ac4148),
+        ("class mc-improved uniform", "mc-improved", 0x058b5f640dd79471),
+        ("class mc-improved inverse", "mc-improved", 0xd29f2d12bfba0944),
+        ("class mc-improved exponential", "mc-improved", 0xcc791373627d4b5b),
+        ("class group-testing uniform", "group-testing", 0x5eb014f6675b5aff),
+        ("class group-testing inverse", "group-testing", 0x6456e95eebef1337),
+        ("class group-testing exponential", "group-testing", 0x73499d65b7af0c1f),
+        ("reg exact uniform", "exact-reg", 0xb4e737230a7d85d0),
+        ("reg exact inverse", "exact-reg", 0x83fd188a69b0c1b3),
+        ("reg exact exponential", "exact-reg", 0xc6390d94172348ed),
+        ("reg mc-baseline uniform", "mc-baseline", 0x1ecf5e11ca69861a),
+        ("reg mc-baseline inverse", "mc-baseline", 0xa6fb8bfcbc9bbc48),
+        ("reg mc-baseline exponential", "mc-baseline", 0x237b32fcf95fdbcf),
+        ("reg mc-improved uniform", "mc-improved", 0xf87b000f02df82f6),
+        ("reg mc-improved inverse", "mc-improved", 0xea4f16253da4c246),
+        ("reg mc-improved exponential", "mc-improved", 0x4e95f66dd52f42dc),
+        ("reg group-testing uniform", "group-testing", 0xb6c34a43b7f2e53a),
+        ("reg group-testing inverse", "group-testing", 0xcef67a48f5391508),
+        ("reg group-testing exponential", "group-testing", 0xd60b2d5f0d9c8fbf),
+    ];
+    let got = identities();
+    assert_eq!(got.len(), RECORDED.len(), "job count");
+    for ((label, kind, fp), &(rlabel, rkind, rfp)) in got.iter().zip(RECORDED) {
+        assert_eq!((label.as_str(), *kind), (rlabel, rkind));
+        assert_eq!(
+            *fp, rfp,
+            "{label}: fingerprint {fp:016x} vs recorded {rfp:016x}"
+        );
+    }
 }
