@@ -47,7 +47,7 @@ pub(crate) fn load_pair(args: &Args) -> Result<(ClassDataset, ClassDataset), Cli
 /// stopping criterion).
 pub(crate) fn parse_method(args: &Args) -> Result<Method, CliError> {
     let eps = parse_eps(args)?;
-    let delta = args.f64_or("delta", 0.1)?;
+    let delta = parse_delta(args)?;
     let seed = args.u64_or("seed", 42)?;
     let perms = args.usize_or("perms", 0)?;
     let mc_rule = |heuristic_max: usize| match perms {
@@ -85,6 +85,14 @@ pub(crate) fn parse_eps(args: &Args) -> Result<f64, CliError> {
     let eps = args.f64_or("eps", 0.1)?;
     knnshap_core::estimator::check_eps(eps)?;
     Ok(eps)
+}
+
+/// `--delta` (default 0.1), the LSH failure probability, which must lie in
+/// (0, 1) whatever method reads it.
+pub(crate) fn parse_delta(args: &Args) -> Result<f64, CliError> {
+    let delta = args.f64_or("delta", 0.1)?;
+    knnshap_core::estimator::check_delta(delta)?;
+    Ok(delta)
 }
 
 /// The valuation behind `value` and `audit`: resolves `--method`,

@@ -220,6 +220,36 @@ fn unusable_eps_values_are_typed_errors_on_every_command() {
     assert!(!std::path::Path::new(&job).exists(), "a job was planned");
 }
 
+/// `--delta` must lie in (0, 1): `value --method lsh` and `contrast` exit 1
+/// with an error naming it, never with a panic.
+#[test]
+fn unusable_delta_values_are_typed_errors_on_every_command() {
+    let ws = Scratch::new("delta");
+    let (train, test) = synth(&ws);
+    let values = ws.path("values.csv");
+    let mut commands: Vec<Vec<&str>> = ["nan", "0", "2"]
+        .into_iter()
+        .map(|delta| {
+            vec![
+                "value", "--method", "lsh", "--delta", delta, "--out", &values,
+            ]
+        })
+        .collect();
+    commands.extend(["nan", "0"].map(|delta| vec!["contrast", "--delta", delta]));
+    for cmd in &commands {
+        let mut args = cmd.clone();
+        args.extend(["--train", &train, "--test", &test, "--k", "3"]);
+        let out = knnshap(&args);
+        let what = cmd.join(" ");
+        assert_eq!(out.status.code(), Some(1), "{what}: exit code");
+        assert_typed_failure(&out, &what, "delta");
+    }
+    assert!(
+        !std::path::Path::new(&values).exists(),
+        "a values CSV was written"
+    );
+}
+
 #[test]
 fn a_hand_edited_eps_in_a_plan_is_a_typed_error() {
     let ws = Scratch::new("plan-eps");

@@ -56,8 +56,9 @@
 use crate::mc::IncKnnUtility;
 use crate::pipeline::PipelineError;
 use crate::sharding::{
-    finalize, hash_class_dataset, hash_reg_dataset, stream_fingerprint, weight_code, Fingerprint,
-    MergedValuation, ShardKind, ShardPartial, ShardSpec,
+    finalize, fold_dense_into, hash_class_dataset, hash_reg_dataset, stream_fingerprint,
+    weight_code, Fingerprint, MergedValuation, Participants, ShardError, ShardKind, ShardPartial,
+    ShardSpec,
 };
 use crate::utility::{DistMatrix, KnnClassUtility, KnnRegUtility, Utility};
 use knnshap_datasets::{ClassDataset, Features, RegDataset};
@@ -369,29 +370,89 @@ impl<'a> Estimator<'a> {
             .get_or_init(|| (self.kind(), self.fingerprint()))
     }
 
-    /// The partial sums of one canonical shard of the item space.
+    /// The partial sums of one canonical shard of the item space: its
+    /// [`shard_fold`](Self::shard_fold) extended over the whole shard at
+    /// once.
     pub fn compute(&self, spec: ShardSpec, threads: usize) -> ShardPartial {
-        let (kind, fingerprint) = self.identity();
-        let total = self.items();
-        let range = spec.range(total);
-        let (sums, shared) = self.fold(range.clone(), threads);
-        let partial = ShardPartial::new(kind, fingerprint, self.n_train(), total, range, sums);
-        match shared {
-            Some((grand, shared)) => partial.with_shared(grand, &shared),
-            None => partial,
-        }
+        let range = spec.range(self.items());
+        let mut fold = self.shard_fold(range.clone(), None).expect("a fresh fold");
+        fold.extend(range, threads).expect("the shard's own range");
+        fold.into_partial()
+    }
+
+    /// Start folding the shard of items `range` a chunk at a time
+    /// ([`ShardFold::extend`]): from the shard's start, or on from `from`,
+    /// a partial of this job covering a prefix of the shard (a
+    /// checkpoint). Fails with [`ShardError::Incompatible`] when `from`
+    /// belongs to another job, and with [`ShardError::Coverage`] when it
+    /// does not start at the shard's start or runs past its end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is not inside the item space.
+    pub fn shard_fold(
+        &self,
+        range: Range<usize>,
+        from: Option<ShardPartial>,
+    ) -> Result<ShardFold<'_, 'a>, ShardError> {
+        assert!(
+            range.start <= range.end && range.end <= self.items(),
+            "shard {range:?} outside the item space 0..{}",
+            self.items()
+        );
+        let fresh = self.empty_partial(range.start);
+        let partial = match from {
+            None => fresh,
+            Some(p) => {
+                fresh.check_same_job(&p)?;
+                let (lo, hi) = (p.meta.item_lo, p.meta.item_hi);
+                if lo != range.start as u64 || hi > range.end as u64 {
+                    return Err(ShardError::Coverage(format!(
+                        "items {lo}..{hi} are not a prefix of the shard {}..{}",
+                        range.start, range.end
+                    )));
+                }
+                p
+            }
+        };
+        Ok(ShardFold {
+            estimator: self,
+            end: range.end,
+            partial,
+            participants: Participants::new(range.end),
+        })
     }
 
     /// The whole job: fold every item, then finalize — bitwise what merging
     /// any full shard set of [`compute`](Self::compute) returns.
     pub fn run(&self, threads: usize) -> MergedValuation {
         let total = self.items();
-        let (sums, shared) = self.fold(0..total, threads);
-        let shared = shared.map(|(grand, s)| (grand, s.value()));
+        let (mut sums, mut shared) = (ExactVec::zeros(self.n_train()), self.aux());
+        self.fold_into(&mut sums, &mut shared, 0..total, threads, None);
+        let group_testing = (!shared.is_empty()).then(|| (self.utility().grand(), shared.value(0)));
         MergedValuation {
-            values: finalize(&sums, total as u64, shared, threads),
+            values: finalize(&sums, total as u64, group_testing, threads),
             items: total as u64,
         }
+    }
+
+    /// This job's partial over no items, starting at item `at`.
+    fn empty_partial(&self, at: usize) -> ShardPartial {
+        let (kind, fingerprint) = self.identity();
+        let range = at..at;
+        let sums = ExactVec::zeros(self.n_train());
+        let partial =
+            ShardPartial::new(kind, fingerprint, self.n_train(), self.items(), range, sums);
+        match self.family {
+            Family::GroupTesting { .. } => partial.with_shared(self.utility().grand()),
+            _ => partial,
+        }
+    }
+
+    /// The family's aux accumulators, zeroed: group testing's shared term,
+    /// or none.
+    fn aux(&self) -> ExactVec {
+        ExactVec::zeros(matches!(self.family, Family::GroupTesting { .. }) as usize)
     }
 
     fn kind(&self) -> ShardKind {
@@ -444,60 +505,75 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// Exact per-training-point sums over items `range`, plus group
-    /// testing's `(ν(I), shared term)`.
-    fn fold(&self, range: Range<usize>, threads: usize) -> (ExactVec, Option<(f64, ExactSum)>) {
+    /// Fold items `range` into the exact per-training-point sums `sums`,
+    /// and group testing's shared term into `shared`, its one aux entry.
+    /// With `kept`, the per-test families take their ranking buffers and
+    /// dense scratch from it and put them back (see
+    /// [`fold_dense_into`]).
+    fn fold_into(
+        &self,
+        sums: &mut ExactVec,
+        shared: &mut ExactVec,
+        range: Range<usize>,
+        threads: usize,
+        kept: Option<&Participants<RankScratch>>,
+    ) {
         let k = self.k;
         let uniform = matches!(self.weight, WeightFn::Uniform);
         let ranks = ranks(&self.data, self.graph.as_deref());
-        let sums = match (&self.data, self.family) {
+        // The one fold of the per-test-point families: rank each test point
+        // of `range`, let `fill(j, ranking, out)` write its per-test values
+        // densely into the zeroed `out`, and accumulate exactly.
+        let per_test =
+            |prefix,
+             sums: &mut ExactVec,
+             fill: &(dyn Fn(usize, &[Neighbor], &mut [f64]) + Sync)| {
+                fold_dense_into(
+                    sums,
+                    range.clone(),
+                    threads,
+                    kept,
+                    RankScratch::new,
+                    |j, window, st, out| fill(j, ranks.rank(j, window.end, prefix, st), out),
+                )
+            };
+        match (&self.data, self.family) {
             (Data::Class { train, test }, Family::Exact) if uniform => {
-                per_test_sums(ranks, range, threads, None, |j, r, out| {
+                per_test(None, sums, &|j, r, out| {
                     crate::exact_unweighted::fill_ranked(train, r, test.y[j], k, out)
                 })
             }
             (Data::Reg { train, test }, Family::Exact) if uniform => {
-                per_test_sums(ranks, range, threads, None, |j, r, out| {
+                per_test(None, sums, &|j, r, out| {
                     crate::exact_regression::fill_ranked(train, r, test.y[j], k, out)
                 })
             }
-            (Data::Class { train, test }, Family::Exact) => {
-                per_test_sums(ranks, range, threads, None, |j, r, out| {
-                    crate::exact_weighted::fill_class_ranked(
-                        train,
-                        r,
-                        test.y[j],
-                        k,
-                        self.weight,
-                        out,
-                    )
-                })
-            }
-            (Data::Reg { train, test }, Family::Exact) => {
-                per_test_sums(ranks, range, threads, None, |j, r, out| {
-                    crate::exact_weighted::fill_reg_ranked(train, r, test.y[j], k, self.weight, out)
-                })
-            }
+            (Data::Class { train, test }, Family::Exact) => per_test(None, sums, &|j, r, out| {
+                crate::exact_weighted::fill_class_ranked(train, r, test.y[j], k, self.weight, out)
+            }),
+            (Data::Reg { train, test }, Family::Exact) => per_test(None, sums, &|j, r, out| {
+                crate::exact_weighted::fill_reg_ranked(train, r, test.y[j], k, self.weight, out)
+            }),
             (Data::Class { train, test }, Family::Truncated { eps }) => {
                 let ks = crate::truncated::k_star(k, eps);
-                per_test_sums(ranks, range, threads, Some(ks), |j, r, out| {
+                per_test(Some(ks), sums, &|j, r, out| {
                     crate::truncated::fill_ranked(r, &train.y, test.y[j], k, ks, out)
                 })
             }
             (Data::Reg { .. }, Family::Truncated { .. }) => unreachable!("rejected by new()"),
             (_, Family::McBaseline { seed, .. }) => {
-                crate::mc::baseline_sums(self.utility(), seed, range, threads)
+                crate::mc::baseline_sums(self.utility(), seed, range, threads, sums)
             }
             (_, Family::McImproved { seed, .. }) => {
-                crate::mc::improved_sums(self.inc(), seed, range, threads)
+                crate::mc::improved_sums(self.inc(), seed, range, threads, sums)
             }
             (_, Family::GroupTesting { seed, .. }) => {
-                let u = self.utility();
-                let (point, shared) = crate::group_testing::gt_sums(u, seed, range, threads);
-                return (point, Some((u.grand(), shared)));
+                let mut acc = (std::mem::replace(sums, ExactVec::zeros(0)), ExactSum::new());
+                crate::group_testing::gt_sums(self.utility(), seed, range, threads, &mut acc);
+                *sums = acc.0;
+                shared.merge_scalar(0, &acc.1);
             }
-        };
-        (sums, None)
+        }
     }
 
     /// The Monte Carlo distance matrix: rebuilt from the graph's lists when
@@ -550,6 +626,87 @@ impl<'a> Estimator<'a> {
     }
 }
 
+/// One shard of an [`Estimator`]'s item space, folded a chunk at a time —
+/// what a checkpointing job worker runs: [`extend`](Self::extend) folds the
+/// next chunk into one running partial, which is at every step the partial
+/// of the prefix covered so far, byte for byte what
+/// [`Estimator::compute`] returns for that range.
+///
+/// Its chunks share one fold state: the running accumulator (also when the
+/// fold continues a checkpoint), and, for the per-test families, each
+/// participant's ranking buffers and dense scratch, so a chunk allocates,
+/// zeroes and merges no per-training-point state of its own. At one
+/// thread a query tile may also reach past the chunk into the rest of the
+/// shard: the distance rows a tile computes for the next chunk's test
+/// points are the ones that chunk reads.
+///
+/// ```
+/// use knnshap_core::estimator::{Data, Estimator, Family};
+/// use knnshap_core::sharding::{ShardPartial, ShardSpec};
+/// use knnshap_datasets::synth::blobs::{self, BlobConfig};
+/// use knnshap_knn::weights::WeightFn;
+///
+/// let cfg = BlobConfig { n: 40, dim: 3, n_classes: 2, ..Default::default() };
+/// let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 9, 2));
+/// let est = Estimator::new(Data::class(&train, &test), 2, WeightFn::Uniform, Family::Exact, None)
+///     .unwrap();
+/// let mut fold = est.shard_fold(0..9, None).unwrap();
+/// fold.extend(0..4, 1).unwrap();
+/// // A checkpoint of the prefix, continued by another fold.
+/// let checkpoint = ShardPartial::from_bytes(&fold.partial().to_bytes()).unwrap();
+/// let mut resumed = est.shard_fold(0..9, Some(checkpoint)).unwrap();
+/// resumed.extend(4..9, 1).unwrap();
+/// let whole = est.compute(ShardSpec::full(), 1);
+/// assert_eq!(resumed.partial().to_bytes(), whole.to_bytes());
+/// ```
+pub struct ShardFold<'e, 'a> {
+    estimator: &'e Estimator<'a>,
+    /// The shard's end: a serial fold's query tiles may reach it.
+    end: usize,
+    /// The prefix covered so far.
+    partial: ShardPartial,
+    /// The per-test families' ranking buffers and dense scratch.
+    participants: Participants<RankScratch>,
+}
+
+impl ShardFold<'_, '_> {
+    /// Fold the items `items`, which must start where the covered prefix
+    /// ends and stay inside the shard ([`ShardError::Coverage`] otherwise).
+    /// An empty range is a no-op.
+    pub fn extend(&mut self, items: Range<usize>, threads: usize) -> Result<(), ShardError> {
+        let (lo, hi) = (self.partial.meta.item_lo, self.partial.meta.item_hi);
+        if items.start as u64 != hi || items.end < items.start || items.end > self.end {
+            return Err(ShardError::Coverage(format!(
+                "items {}..{} do not extend {lo}..{hi} inside the shard's end {}",
+                items.start, items.end, self.end
+            )));
+        }
+        let p = &mut self.partial;
+        let kept = Some(&self.participants);
+        self.estimator
+            .fold_into(&mut p.sums, &mut p.aux, items.clone(), threads, kept);
+        p.meta.item_hi = items.end as u64;
+        Ok(())
+    }
+
+    /// The partial of the prefix covered so far.
+    pub fn partial(&self) -> &ShardPartial {
+        &self.partial
+    }
+
+    /// The partial of the prefix covered so far, dropping the fold state.
+    pub fn into_partial(self) -> ShardPartial {
+        self.partial
+    }
+
+    /// The distance passes over the training set this fold has run: one per
+    /// query tile its ranking buffers computed. A graph-backed or truncated
+    /// fold runs none.
+    pub fn distance_passes(&self) -> usize {
+        self.participants.total(|st| st.rows.passes())
+    }
+}
+
 /// The checks every valuation entry point runs before any work: `k ≥ 1`,
 /// both sets non-empty, matching dimensions, finite features, and an
 /// attached graph built from exactly these features.
@@ -591,6 +748,16 @@ pub fn check_eps(eps: f64) -> Result<(), PipelineError> {
         Ok(())
     } else {
         Err(PipelineError::BadEps(eps))
+    }
+}
+
+/// δ must lie in (0, 1): the LSH recipe sizes its tables for a failure
+/// probability δ (§6.1).
+pub fn check_delta(delta: f64) -> Result<(), PipelineError> {
+    if delta > 0.0 && delta < 1.0 {
+        Ok(())
+    } else {
+        Err(PipelineError::BadDelta(delta))
     }
 }
 
@@ -654,8 +821,8 @@ impl RankScratch {
 impl Ranks<'_> {
     /// Test point `j`'s full ranking, or its first `m` ranks when `prefix`
     /// is `Some(m)`. A full brute-force ranking ranks `j`'s row of the
-    /// query tile starting at `j` and stopping before `end` (the end of the
-    /// fold unit holding `j`) — computed on the tile's first query by the
+    /// query tile starting at `j` and stopping before `end` (the end of
+    /// `j`'s fold window) — computed on the tile's first query by the
     /// query-lane kernel, bit for bit the per-pair distances. A graph
     /// list is exactly the argsort a distance pass computes, and its
     /// `[..m]` prefix exactly what [`partial_k_nearest`] retrieves, so both
@@ -684,37 +851,6 @@ impl Ranks<'_> {
             }
         }
     }
-
-    fn n_train(&self) -> usize {
-        match self {
-            Ranks::Brute { train, .. } => train.len(),
-            Ranks::Graph(g) => g.n_train(),
-        }
-    }
-}
-
-/// The one fold of the per-test-point families: rank each test point of
-/// `range` from `ranks`, let `fill(j, ranking, out)` write its per-test
-/// values densely into the zeroed `out`, and accumulate exactly. The dense
-/// deposit walks the accumulator linearly and deposits the same `f64`s a
-/// per-contribution sink would, so the bits are the same.
-fn per_test_sums<F>(
-    ranks: Ranks<'_>,
-    range: Range<usize>,
-    threads: usize,
-    prefix: Option<usize>,
-    fill: F,
-) -> ExactVec
-where
-    F: Fn(usize, &[Neighbor], &mut [f64]) + Sync,
-{
-    crate::sharding::exact_sums_over_dense(
-        ranks.n_train(),
-        range,
-        threads,
-        RankScratch::new,
-        |j, unit, st, out| fill(j, ranks.rank(j, unit.end, prefix, st), out),
-    )
 }
 
 #[cfg(test)]
@@ -779,6 +915,139 @@ mod tests {
             Family::GroupTesting { tests: 0, seed: 1 },
         ] {
             assert_eq!(f.check(Task::Reg, 1, inverse), Ok(()), "{}", f.name());
+        }
+    }
+
+    fn blobs(queries: usize) -> (ClassDataset, ClassDataset) {
+        use knnshap_datasets::synth::blobs::{self, BlobConfig};
+        let cfg = BlobConfig {
+            n: 50,
+            dim: 4,
+            n_classes: 2,
+            cluster_std: 0.6,
+            center_scale: 3.0,
+            seed: 8,
+        };
+        (blobs::generate(&cfg), blobs::queries(&cfg, queries, 5))
+    }
+
+    /// Folding a shard chunk by chunk — empty chunks included, at 1, 2 and
+    /// 8 threads, and continued from the bytes of every checkpoint —
+    /// leaves the bytes one `compute` of the shard gives, in every branch
+    /// of the fold.
+    #[test]
+    fn shard_fold_chunks_reproduce_single_range_bytes() {
+        let (train, test) = blobs(11);
+        for family in [
+            Family::Exact,
+            Family::Truncated { eps: 0.3 },
+            Family::McBaseline { perms: 11, seed: 4 },
+            Family::McImproved { perms: 11, seed: 4 },
+            Family::GroupTesting { tests: 11, seed: 4 },
+        ] {
+            let data = Data::class(&train, &test);
+            let est = Estimator::new(data, 2, WeightFn::Uniform, family, None).unwrap();
+            let spec = ShardSpec::new(1, 2);
+            let shard = spec.range(est.items());
+            let want = est.compute(spec, 1).to_bytes();
+            let cuts = [
+                shard.start,
+                shard.start,
+                shard.start + 2,
+                shard.start + 3,
+                shard.end,
+            ];
+            for threads in [1usize, 2, 8] {
+                let mut fold = est.shard_fold(shard.clone(), None).unwrap();
+                let mut checkpoints = Vec::new();
+                for w in cuts.windows(2) {
+                    fold.extend(w[0]..w[1], threads).unwrap();
+                    checkpoints.push(fold.partial().to_bytes());
+                }
+                let what = format!("{} at {threads} threads", family.name());
+                assert_eq!(fold.partial().to_bytes(), want, "{what}");
+                for (c, bytes) in checkpoints.iter().enumerate() {
+                    let from = ShardPartial::from_bytes(bytes).unwrap();
+                    let covered = from.meta.item_hi as usize;
+                    let mut resumed = est.shard_fold(shard.clone(), Some(from)).unwrap();
+                    resumed.extend(covered..shard.end, threads).unwrap();
+                    assert_eq!(resumed.into_partial().to_bytes(), want, "{what}, from {c}");
+                }
+            }
+        }
+    }
+
+    /// A fold continues only a prefix of its own shard of its own job, and
+    /// extends only by the chunk that starts where its prefix ends and
+    /// stays inside the shard.
+    #[test]
+    fn shard_fold_rejects_gaps_overlaps_and_mixed_jobs() {
+        let (train, test) = blobs(11);
+        let est = |k| {
+            Estimator::new(
+                Data::class(&train, &test),
+                k,
+                WeightFn::Uniform,
+                Family::Exact,
+                None,
+            )
+            .unwrap()
+        };
+        let (two, three) = (est(2), est(3));
+        let coverage = |r: Result<(), ShardError>| matches!(r, Err(ShardError::Coverage(_)));
+        let mut fold = two.shard_fold(0..6, None).unwrap();
+        assert!(coverage(fold.extend(2..5, 1)), "a gap");
+        fold.extend(0..4, 1).unwrap();
+        assert!(coverage(fold.extend(2..6, 1)), "an overlap");
+        assert!(coverage(fold.extend(4..7, 1)), "past the shard's end");
+        #[allow(clippy::reversed_empty_ranges)]
+        let backwards = 4..3;
+        assert!(coverage(fold.extend(backwards, 1)), "a reversed range");
+        fold.extend(4..4, 1).unwrap();
+        assert_eq!(fold.partial().meta.item_hi, 4, "an empty chunk is a no-op");
+
+        // Another job's partial (K differs ⇒ fingerprint differs).
+        let other = three.compute(ShardSpec::new(0, 2), 1);
+        let err = two.shard_fold(0..5, Some(other)).err().unwrap();
+        assert!(matches!(err, ShardError::Incompatible(_)), "{err}");
+        // This job's partials that are no prefix of the shard.
+        let later = two.compute(ShardSpec::new(1, 2), 1);
+        let err = two.shard_fold(0..5, Some(later)).err().unwrap();
+        assert!(matches!(err, ShardError::Coverage(_)), "{err}");
+        let longer = two.compute(ShardSpec::new(0, 1), 1);
+        let err = two.shard_fold(0..5, Some(longer)).err().unwrap();
+        assert!(matches!(err, ShardError::Coverage(_)), "{err}");
+    }
+
+    /// At one thread a shard's query tiles cross its chunk boundaries: 8
+    /// test points in 4 chunks of 2 run 2 distance passes, where a fresh
+    /// fold per chunk runs 4. At more threads a fold never runs more passes
+    /// than fresh folds of its chunks do.
+    #[test]
+    fn a_serial_shard_fold_runs_one_distance_pass_per_tile() {
+        let (train, test) = blobs(8);
+        let data = Data::class(&train, &test);
+        let est = Estimator::new(data, 2, WeightFn::Uniform, Family::Exact, None).unwrap();
+        let chunks = [0..2, 2..4, 4..6, 6..8];
+        let passes = |threads: usize, fresh: bool| {
+            let mut total = 0;
+            let mut fold = est.shard_fold(0..8, None).unwrap();
+            for c in &chunks {
+                if fresh {
+                    let mut once = est.shard_fold(c.start..8, None).unwrap();
+                    once.extend(c.clone(), threads).unwrap();
+                    total += once.distance_passes();
+                } else {
+                    fold.extend(c.clone(), threads).unwrap();
+                }
+            }
+            total + fold.distance_passes()
+        };
+        assert_eq!(passes(1, false), 2);
+        assert_eq!(passes(1, true), 4);
+        for threads in [2usize, 8] {
+            let (kept, fresh) = (passes(threads, false), passes(threads, true));
+            assert!(kept <= fresh, "{threads} threads: {kept} vs {fresh} passes");
         }
     }
 

@@ -134,13 +134,15 @@ pub fn group_testing_shapley_with_threads<U: Utility + ?Sized>(
     threads: usize,
 ) -> GroupTestingResult {
     assert!(tests >= 1, "need at least one test");
-    let (point, shared) = gt_sums(u, seed, 0..tests, threads);
-    let values = recover_values(u.grand(), tests, point.values(), shared.value());
+    let mut sums = (ExactVec::zeros(u.n()), ExactSum::new());
+    gt_sums(u, seed, 0..tests, threads, &mut sums);
+    let values = recover_values(u.grand(), tests, sums.0.values(), sums.1.value());
     GroupTestingResult { values, tests }
 }
 
-/// The fold over coalition-test streams `range` — shared by the
-/// fixed-budget estimator and [`crate::estimator::Estimator`]: exact per-point/shared accumulators in
+/// The fold over coalition-test streams `range` into `sums`, the exact
+/// per-point and shared accumulators — shared by the fixed-budget
+/// estimator and [`crate::estimator::Estimator`], in
 /// [`crate::sharding::static_fold_block`] units. The tiling is bitwise-free:
 /// accumulators are exact, so every block partition deposits the same
 /// multiset of summands.
@@ -149,7 +151,8 @@ pub(crate) fn gt_sums<U: Utility + ?Sized>(
     seed: u64,
     range: std::ops::Range<usize>,
     threads: usize,
-) -> (ExactVec, ExactSum) {
+    sums: &mut (ExactVec, ExactSum),
+) {
     let n = u.n();
     assert!(n >= 2, "need at least two players");
     let streams = RngStreams::new(seed);
@@ -160,6 +163,7 @@ pub(crate) fn gt_sums<U: Utility + ?Sized>(
     // members of test t pick up u_t (= u_t·N/N), every point owes the
     // `u_t·k_t/N` share, tracked once as a scalar instead of N subtractions.
     crate::sharding::exact_fold(
+        sums,
         range.len(),
         threads,
         crate::sharding::static_fold_block(range.len(), threads),

@@ -119,32 +119,26 @@ pub struct McResult {
 /// Fan-out drive shared by the a-priori-budget estimators and the shard
 /// entry points: run permutation streams `range` (of a job whose full
 /// stream space is `0..total`) in [`crate::sharding::static_fold_block`]
-/// claim units, depositing every marginal-contribution vector into one
-/// exact accumulator shared by the workers, each holding its own
+/// claim units, depositing every marginal-contribution vector into the
+/// exact accumulator `sums`, shared by the workers, each holding its own
 /// permutation worker and contribution scratch
-/// ([`crate::sharding::exact_sums_over_dense`]). The returned partial state
-/// is a pure function of `(job, range)` — never of `threads` or of how the
-/// rest of the job is sharded.
+/// ([`crate::sharding::fold_dense_into`]). What the range deposits is a
+/// pure function of `(job, range)` — never of `threads` or of how the rest
+/// of the job is sharded.
 fn run_fanout<W, F>(
-    n: usize,
+    sums: &mut ExactVec,
     range: std::ops::Range<usize>,
     threads: usize,
     make_worker: F,
-) -> ExactVec
-where
-    W: FnMut(usize, &mut [f64]),
+) where
+    W: FnMut(usize, &mut [f64]) + Send,
     F: Fn() -> W + Sync,
 {
     let perms = range.len() as u64;
-    let sums = crate::sharding::exact_sums_over_dense(
-        n,
-        range,
-        threads,
-        make_worker,
-        |t, _, worker, phi| worker(t, phi),
-    );
+    crate::sharding::fold_dense_into(sums, range, threads, None, make_worker, |t, _, w, phi| {
+        w(t, phi)
+    });
     MC_PERMS.add(perms);
-    sums
 }
 
 /// Round-path drive of both estimators (heuristic stopping and/or
@@ -319,7 +313,8 @@ pub fn mc_shapley_baseline_with_threads<U: Utility + ?Sized>(
         });
     }
     let budget = rule.budget(n);
-    let sums = baseline_sums(u, seed, 0..budget, threads);
+    let mut sums = ExactVec::zeros(n);
+    baseline_sums(u, seed, 0..budget, threads, &mut sums);
     McResult {
         values: crate::sharding::finalize_mean(&sums, budget as u64, threads),
         permutations: budget,
@@ -351,20 +346,21 @@ fn baseline_worker<'a, U: Utility + ?Sized>(
     }
 }
 
-/// Baseline-MC exact partial sums over permutation streams `range` — the
-/// one fold behind the fixed-budget estimator and
+/// Baseline-MC exact partial sums over permutation streams `range`, into
+/// `sums` — the one fold behind the fixed-budget estimator and
 /// [`crate::estimator::Estimator`].
 pub(crate) fn baseline_sums<U: Utility + ?Sized>(
     u: &U,
     seed: u64,
     range: std::ops::Range<usize>,
     threads: usize,
-) -> ExactVec {
+    sums: &mut ExactVec,
+) {
     let streams = RngStreams::new(seed);
     let nu_empty = u.eval(&[]);
-    run_fanout(u.n(), range, threads, || {
+    run_fanout(sums, range, threads, || {
         baseline_worker(u, streams, nu_empty)
-    })
+    });
 }
 
 /// The immutable half of [`IncKnnUtility`], shared (via `Arc`) by every fork
@@ -636,7 +632,8 @@ pub fn mc_shapley_improved_with_threads(
         });
     }
     let budget = rule.budget(n);
-    let sums = improved_sums(u, seed, 0..budget, threads);
+    let mut sums = ExactVec::zeros(n);
+    improved_sums(u, seed, 0..budget, threads, &mut sums);
     McResult {
         values: crate::sharding::finalize_mean(&sums, budget as u64, threads),
         permutations: budget,
@@ -670,16 +667,17 @@ fn improved_worker<'a>(
     }
 }
 
-/// Improved-MC exact partial sums over permutation streams `range` (see
-/// [`baseline_sums`]).
+/// Improved-MC exact partial sums over permutation streams `range`, into
+/// `sums` (see [`baseline_sums`]).
 pub(crate) fn improved_sums(
     u: &IncKnnUtility,
     seed: u64,
     range: std::ops::Range<usize>,
     threads: usize,
-) -> ExactVec {
+    sums: &mut ExactVec,
+) {
     let streams = RngStreams::new(seed);
-    run_fanout(u.n(), range, threads, || improved_worker(u, streams))
+    run_fanout(sums, range, threads, || improved_worker(u, streams));
 }
 
 /// Empirical "ground truth" permutation demand (Fig. 11): the first `t` at

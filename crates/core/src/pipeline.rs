@@ -25,7 +25,7 @@
 
 use crate::composite::GameForm;
 use crate::curator::{curator_class_shapley, Ownership};
-use crate::estimator::{check_data, check_eps, Data, Estimator, Family};
+use crate::estimator::{check_data, check_delta, check_eps, Data, Estimator, Family};
 use crate::mc::StoppingRule;
 use crate::types::ShapleyValues;
 use knnshap_datasets::{contrast, ClassDataset};
@@ -116,6 +116,8 @@ pub enum PipelineError {
     TooFewTrainPoints { method: &'static str, min: usize },
     /// The approximation error ε is NaN, infinite or not positive.
     BadEps(f64),
+    /// The LSH failure probability δ is NaN or outside (0, 1).
+    BadDelta(f64),
 }
 
 impl std::fmt::Display for PipelineError {
@@ -142,6 +144,7 @@ impl std::fmt::Display for PipelineError {
                 write!(f, "{method} needs at least {min} training points")
             }
             PipelineError::BadEps(eps) => write!(f, "eps must be finite and > 0 (got {eps})"),
+            PipelineError::BadDelta(delta) => write!(f, "delta must lie in (0, 1) (got {delta})"),
         }
     }
 }
@@ -321,6 +324,7 @@ impl<'a> KnnShapley<'a> {
             } => {
                 let (train, test) = self.class_data("Lsh")?;
                 check_eps(eps)?;
+                check_delta(delta)?;
                 if !uniform {
                     return Err(PipelineError::WeightedUnsupported("Lsh"));
                 }
@@ -603,6 +607,19 @@ mod tests {
         ] {
             let err = KnnShapley::new(&train, &test).method(method).run();
             assert!(matches!(err, Err(PipelineError::BadEps(_))), "{method:?}");
+        }
+        // δ must lie in (0, 1).
+        for delta in [f64::NAN, 0.0, 1.0, 2.0, -0.5] {
+            let method = Method::Lsh {
+                eps: 0.1,
+                delta,
+                max_tables: 8,
+            };
+            let err = KnnShapley::new(&train, &test).method(method).run();
+            assert!(
+                matches!(err, Err(PipelineError::BadDelta(d)) if d.to_bits() == delta.to_bits()),
+                "{delta}"
+            );
         }
     }
 

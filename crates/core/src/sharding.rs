@@ -70,7 +70,7 @@
 use crate::types::ShapleyValues;
 use knnshap_datasets::{ClassDataset, RegDataset};
 use knnshap_knn::weights::WeightFn;
-use knnshap_numerics::exact::{ExactBlock, ExactSum, ExactVec};
+use knnshap_numerics::exact::{ExactBlock, ExactVec};
 use std::sync::Mutex;
 
 /// On-disk format version written/required by
@@ -296,11 +296,10 @@ impl ShardPartial {
     }
 
     /// Attach group testing's finalization state: `ν(I)` as the one
-    /// header constant, the shared term as the one `aux` accumulator.
-    pub(crate) fn with_shared(mut self, grand: f64, shared: &ExactSum) -> Self {
+    /// header constant, and a zeroed `aux` accumulator for the shared term.
+    pub(crate) fn with_shared(mut self, grand: f64) -> Self {
         self.meta.extras = vec![grand];
         self.aux = ExactVec::zeros(1);
-        self.aux.merge_scalar(0, shared);
         self
     }
 
@@ -406,65 +405,48 @@ impl ShardPartial {
         })
     }
 
-    /// Fold the **adjacent** partial `next` into this one, extending the
-    /// covered item range to `self.item_lo .. next.item_hi` — the
-    /// incremental form of [`merge_partials`] used by the job-orchestration
-    /// runtime's checkpointing workers (`knnshap_runtime`): a shard's range
-    /// is computed chunk by chunk, each finished chunk absorbed and the
-    /// accumulated partial checkpointed, so a killed worker resumes from the
-    /// last checkpoint instead of restarting the shard.
-    ///
-    /// Validates the same job-identity invariants as [`merge_partials`]
-    /// (kind, fingerprint, sizes, finalization constants) plus exact
-    /// adjacency (`next.item_lo == self.item_hi`). Because the accumulators
-    /// are exact, absorbing chunks one at a time leaves state — and
-    /// serialized bytes — bitwise-identical to computing the whole range in
-    /// one call.
-    pub fn absorb_adjacent(&mut self, next: &ShardPartial) -> Result<(), ShardError> {
-        let (a, b) = (&self.meta, &next.meta);
-        if a.kind != b.kind {
+    /// Check that `other` belongs to this partial's job: the same kind,
+    /// fingerprint, sizes and finalization constants, with payloads as long
+    /// as the headers say. [`merge_partials`] runs it on every shard, and
+    /// [`crate::estimator::Estimator::shard_fold`] on a checkpoint it is
+    /// asked to continue.
+    pub(crate) fn check_same_job(&self, other: &ShardPartial) -> Result<(), ShardError> {
+        let (m0, m) = (&self.meta, &other.meta);
+        if m.kind != m0.kind {
             return Err(ShardError::Incompatible(format!(
                 "kind {} vs {}",
-                b.kind.name(),
-                a.kind.name()
+                m.kind.name(),
+                m0.kind.name()
             )));
         }
-        if a.fingerprint != b.fingerprint {
+        if m.fingerprint != m0.fingerprint {
             return Err(ShardError::Incompatible(format!(
-                "job fingerprint {:016x} vs {:016x}",
-                b.fingerprint, a.fingerprint
+                "job fingerprint {:016x} vs {:016x} (different datasets, seeds or \
+                 parameters)",
+                m.fingerprint, m0.fingerprint
             )));
         }
-        if a.n_train != b.n_train || a.total_items != b.total_items {
+        if m.n_train != m0.n_train || m.total_items != m0.total_items {
             return Err(ShardError::Incompatible(format!(
                 "sizes differ: {} train / {} items vs {} train / {} items",
-                b.n_train, b.total_items, a.n_train, a.total_items
+                m.n_train, m.total_items, m0.n_train, m0.total_items
             )));
         }
-        if a.extras.len() != b.extras.len()
-            || a.extras
+        if m.extras.len() != m0.extras.len()
+            || m.extras
                 .iter()
-                .zip(&b.extras)
-                .any(|(x, y)| x.to_bits() != y.to_bits())
+                .zip(&m0.extras)
+                .any(|(a, b)| a.to_bits() != b.to_bits())
         {
             return Err(ShardError::Incompatible(
-                "finalization constants differ between chunks".into(),
+                "finalization constants differ between shards".into(),
             ));
         }
-        if next.sums.len() as u64 != b.n_train || next.aux.len() != self.aux.len() {
+        if other.sums.len() as u64 != m.n_train || other.aux.len() != self.aux.len() {
             return Err(ShardError::Incompatible(
                 "payload lengths disagree with headers".into(),
             ));
         }
-        if b.item_lo != a.item_hi {
-            return Err(ShardError::Coverage(format!(
-                "chunk {}..{} is not adjacent to accumulated {}..{}",
-                b.item_lo, b.item_hi, a.item_lo, a.item_hi
-            )));
-        }
-        self.sums.merge(&next.sums);
-        self.aux.merge(&next.aux);
-        self.meta.item_hi = next.meta.item_hi;
         Ok(())
     }
 }
@@ -536,9 +518,8 @@ const FOLD_BLOCKS_PER_THREAD: usize = 4;
 /// first claim) over each unit's item range, depositing into an
 /// accumulator `A`:
 ///
-/// - a serial fold (one participant) deposits straight into the total
-///   (from `zero`, allocated on the caller): exactly one accumulator, no
-///   merge;
+/// - a serial fold (one participant) deposits straight into `total` (the
+///   caller's): no accumulator of its own, no merge;
 /// - otherwise every participant deposits into its own `zero()`
 ///   accumulator, `merge`s it into the caller's total once, after its last
 ///   unit, and drops it on its own thread. (Depositing the caller's share
@@ -566,7 +547,11 @@ const FOLD_BLOCKS_PER_THREAD: usize = 4;
 /// (per-worker state is scratch, never carried from one item into the next
 /// one's value). Never route rounded (f64/Neumaier) partials through this
 /// helper.
+// The fold's inputs are independent knobs; bundling them would only
+// rename them.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn exact_fold<A, W>(
+    total: &mut A,
     count: usize,
     threads: usize,
     block: usize,
@@ -574,13 +559,12 @@ pub(crate) fn exact_fold<A, W>(
     make: impl Fn() -> W + Sync,
     step: impl Fn(&mut W, &mut A, std::ops::Range<usize>) + Sync,
     merge: impl Fn(&mut A, &A) + Sync,
-) -> A
-where
+) where
     A: Send,
 {
     let block = block.clamp(1, count.max(1));
     let items = |unit: usize| unit * block..((unit + 1) * block).min(count);
-    let total = Mutex::new(zero());
+    let total = Mutex::new(total);
     knnshap_parallel::par_claim(count.div_ceil(block), threads, |claims| {
         // A participant that finds the counter drained builds nothing.
         let Some(first) = claims.next() else { return };
@@ -599,7 +583,6 @@ where
             merge(&mut total.lock().expect("fold poisoned"), &own);
         }
     });
-    total.into_inner().expect("fold poisoned")
 }
 
 /// The claim-unit size of [`exact_fold`] and [`exact_sums_over_dense`]:
@@ -618,14 +601,14 @@ pub(crate) fn static_fold_block(count: usize, threads: usize) -> usize {
 
 /// The exact fold for fills that touch (nearly) every training point per
 /// item — the exact recursions do, one contribution per rank, and so does
-/// every Monte Carlo permutation: `fill(j, unit, state, scratch)` writes
+/// every Monte Carlo permutation: `fill(j, window, state, scratch)` writes
 /// item `j`'s contributions into a zeroed dense `f64` scratch
-/// (`scratch[i] = contribution of train point i`). It also gets the
-/// absolute item range of the claim unit holding `j` — work batched over
-/// several items, such as distance rows computed a query tile at a time,
-/// must not reach past it into another worker's unit — and a per-worker
-/// state from `state`, built once per worker and reused across every item
-/// it claims (ranking buffers, a permutation worker).
+/// (`scratch[i] = contribution of train point i`). It also gets a window:
+/// the absolute item range of the claim unit holding `j` — work batched
+/// over several items, such as distance rows computed a query tile at a
+/// time, must not reach past it into another worker's unit — and a
+/// per-worker state from `state`, built once per worker and reused across
+/// every item it claims (ranking buffers, a permutation worker).
 ///
 /// Every participant deposits into **one** [`ExactVec`], shared by all of
 /// them: after filling its scratch for one item, it deposits the scratch
@@ -653,42 +636,81 @@ pub(crate) fn exact_sums_over_dense<T, M, F>(
     fill: F,
 ) -> ExactVec
 where
+    T: Send,
     M: Fn() -> T + Sync,
     F: Fn(usize, &std::ops::Range<usize>, &mut T, &mut [f64]) + Sync,
 {
-    shared_dense_fold(range, threads, || ExactVec::zeros(n_train), state, fill)
+    let mut total = ExactVec::zeros(n_train);
+    fold_dense_into(&mut total, range, threads, None, state, fill);
+    total
 }
 
-/// [`exact_sums_over_dense`] with its one accumulator built by `zero`,
-/// which runs once, on the caller.
-fn shared_dense_fold<T, M, F>(
+/// The participant states a dense fold keeps from one call to the next,
+/// for a shard folded a chunk at a time
+/// ([`crate::estimator::ShardFold`]): each entry is one participant's dense
+/// scratch and fill state, taken by a participant on its first claim and
+/// put back after its last, so consecutive chunks reuse the ranking
+/// buffers, the distance rows already computed and the scratch instead of
+/// building them again.
+pub(crate) struct Participants<T> {
+    states: Mutex<Vec<(Vec<f64>, T)>>,
+    /// How far a serial fold's batched work may reach: the shard's end.
+    reach: usize,
+}
+
+impl<T> Participants<T> {
+    pub(crate) fn new(reach: usize) -> Self {
+        Self {
+            states: Mutex::new(Vec::new()),
+            reach,
+        }
+    }
+
+    /// `count` summed over the kept states.
+    pub(crate) fn total(&self, count: impl Fn(&T) -> usize) -> usize {
+        let states = self.states.lock().expect("fold poisoned");
+        states.iter().map(|(_, st)| count(st)).sum()
+    }
+}
+
+/// [`exact_sums_over_dense`] into the accumulator `total`, which the caller
+/// built. With `kept`, participants take their state and scratch from it
+/// and put them back, and a serial fold's window runs from its unit's
+/// start to `kept`'s reach instead of stopping at the unit's end: the
+/// items past `range` are the ones the next call folds, on this same
+/// state. Without it, each participant builds its own and drops it on its
+/// own thread, as a one-off fold does.
+pub(crate) fn fold_dense_into<T, M, F>(
+    total: &mut ExactVec,
     range: std::ops::Range<usize>,
     threads: usize,
-    zero: impl Fn() -> ExactVec,
+    kept: Option<&Participants<T>>,
     state: M,
     fill: F,
-) -> ExactVec
-where
+) where
+    T: Send,
     M: Fn() -> T + Sync,
     F: Fn(usize, &std::ops::Range<usize>, &mut T, &mut [f64]) + Sync,
 {
     let (count, start) = (range.len(), range.start);
     let block = static_fold_block(count, threads);
     let units = count.div_ceil(block);
-    let mut total = zero();
     let n = total.len();
     let blocks: Vec<Mutex<&mut ExactBlock>> =
         total.blocks_mut().iter_mut().map(Mutex::new).collect();
     knnshap_parallel::par_claim(units, threads, |claims| {
         // A participant that finds the counter drained builds nothing.
         let Some(first) = claims.next() else { return };
-        let (mut scratch, mut st) = (vec![0.0f64; n], state());
+        let taken = kept.and_then(|k| k.states.lock().expect("fold poisoned").pop());
+        let (mut scratch, mut st) = taken.unwrap_or_else(|| (vec![0.0f64; n], state()));
+        let reach = kept.filter(|_| claims.solo()).map(|k| k.reach);
         let lead = first * blocks.len() / units;
         for u in std::iter::once(first).chain(&mut *claims) {
             let unit = start + u * block..start + ((u + 1) * block).min(count);
-            for j in unit.clone() {
+            let window = unit.start..reach.unwrap_or(unit.end);
+            for j in unit {
                 scratch.fill(0.0);
-                fill(j, &unit, &mut st, &mut scratch);
+                fill(j, &window, &mut st, &mut scratch);
                 for b in (lead..blocks.len()).chain(0..lead) {
                     let rows = b * ExactVec::BLOCK..((b + 1) * ExactVec::BLOCK).min(n);
                     let mut acc = blocks[b].lock().expect("fold poisoned");
@@ -696,9 +718,10 @@ where
                 }
             }
         }
+        if let Some(k) = kept {
+            k.states.lock().expect("fold poisoned").push((scratch, st));
+        }
     });
-    drop(blocks);
-    total
 }
 
 /// Merge shard partials into the job's final valuation.
@@ -719,42 +742,7 @@ pub fn merge_partials(parts: &[ShardPartial]) -> Result<MergedValuation, ShardEr
     let first = parts.first().ok_or(ShardError::Empty)?;
     let m0 = &first.meta;
     for p in parts {
-        let m = &p.meta;
-        if m.kind != m0.kind {
-            return Err(ShardError::Incompatible(format!(
-                "kind {} vs {}",
-                m.kind.name(),
-                m0.kind.name()
-            )));
-        }
-        if m.fingerprint != m0.fingerprint {
-            return Err(ShardError::Incompatible(format!(
-                "job fingerprint {:016x} vs {:016x} (different datasets, seeds or \
-                 parameters)",
-                m.fingerprint, m0.fingerprint
-            )));
-        }
-        if m.n_train != m0.n_train || m.total_items != m0.total_items {
-            return Err(ShardError::Incompatible(format!(
-                "sizes differ: {} train / {} items vs {} train / {} items",
-                m.n_train, m.total_items, m0.n_train, m0.total_items
-            )));
-        }
-        if m.extras.len() != m0.extras.len()
-            || m.extras
-                .iter()
-                .zip(&m0.extras)
-                .any(|(a, b)| a.to_bits() != b.to_bits())
-        {
-            return Err(ShardError::Incompatible(
-                "finalization constants differ between shards".into(),
-            ));
-        }
-        if p.sums.len() as u64 != m.n_train || p.aux.len() != first.aux.len() {
-            return Err(ShardError::Incompatible(
-                "payload lengths disagree with headers".into(),
-            ));
-        }
+        first.check_same_job(p)?;
     }
 
     // Fixed shard order; verify the non-empty ranges tile 0..total exactly.
@@ -1114,51 +1102,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_adjacent_chunks_reproduce_single_range_bytes() {
-        // Computing a shard as many adjacent micro-chunks and absorbing them
-        // one by one must leave byte-identical state to the one-shot
-        // computation — the invariant the runtime's checkpoint/resume path
-        // rests on.
-        let fine = parts(6); // chunk boundaries refine the 2-shard partition
-        let coarse = parts(2);
-        for (s, coarse_part) in coarse.iter().enumerate() {
-            let mut acc: Option<ShardPartial> = None;
-            for chunk in fine.iter().skip(s * 3).take(3) {
-                match &mut acc {
-                    None => acc = Some(chunk.clone()),
-                    Some(a) => a.absorb_adjacent(chunk).unwrap(),
-                }
-            }
-            assert_eq!(acc.unwrap().to_bytes(), coarse_part.to_bytes(), "shard {s}");
-        }
-    }
-
-    #[test]
-    fn absorb_adjacent_rejects_gaps_and_mixed_jobs() {
-        let ps = parts(3);
-        // Non-adjacent (gap).
-        let mut a = ps[0].clone();
-        let err = a.absorb_adjacent(&ps[2]).unwrap_err();
-        assert!(matches!(err, ShardError::Coverage(_)), "{err}");
-        // Self-absorb = overlap, also non-adjacent.
-        let mut a = ps[1].clone();
-        let err = a.absorb_adjacent(&ps[1].clone()).unwrap_err();
-        assert!(matches!(err, ShardError::Coverage(_)), "{err}");
-        // Different job (different K ⇒ fingerprint).
-        let (train, test) = data();
-        let other = crate::exact_unweighted::knn_class_shapley_shard(
-            &train,
-            &test,
-            3,
-            ShardSpec::new(1, 3),
-            1,
-        );
-        let mut a = ps[0].clone();
-        let err = a.absorb_adjacent(&other).unwrap_err();
-        assert!(matches!(err, ShardError::Incompatible(_)), "{err}");
-    }
-
-    #[test]
     fn fingerprint_is_order_and_content_sensitive() {
         let a = Fingerprint::new("t").u64(1).u64(2).finish();
         let b = Fingerprint::new("t").u64(2).u64(1).finish();
@@ -1174,7 +1117,8 @@ mod tests {
     /// Every item is stepped exactly once, inside a unit of at most `block`
     /// items; worker state and accumulators are built once per
     /// participating worker, never per claim unit; and a serial fold builds
-    /// one of each and merges nothing.
+    /// one state, deposits straight into the caller's total and merges
+    /// nothing.
     #[test]
     fn exact_fold_builds_state_once_per_worker() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1186,7 +1130,9 @@ mod tests {
                         AtomicUsize::new(0),
                         AtomicUsize::new(0),
                     );
-                    let seen = exact_fold(
+                    let mut seen = vec![0usize; count];
+                    exact_fold(
+                        &mut seen,
                         count,
                         threads,
                         block,
@@ -1213,8 +1159,8 @@ mod tests {
                         makes >= 1 && makes <= threads.min(units),
                         "{what}: {makes} makes"
                     );
-                    // The total, plus one accumulator per worker that merges.
-                    assert_eq!(zeros, 1 + merges, "{what}");
+                    // One accumulator per worker that merges into the total.
+                    assert_eq!(zeros, merges, "{what}");
                     let pool = knnshap_parallel::ThreadPool::global().threads();
                     if threads.min(pool).min(units) == 1 {
                         assert_eq!((makes, merges), (1, 0), "{what}");
@@ -1229,11 +1175,10 @@ mod tests {
     /// The dense fold keeps the static partition (so a fold over few items
     /// still spreads over `min(threads, items)` workers), builds each
     /// worker's state once, hands `fill` the claim unit holding each item,
-    /// and deposits every item into the one accumulator it builds — at
+    /// and deposits every item into the caller's one accumulator — at
     /// every thread count, over lengths of one and several exact blocks.
     #[test]
     fn dense_fold_builds_state_once_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         /// A worker's state: the units it saw, logged when the worker drops it.
         struct Seen<'a> {
             units: Vec<std::ops::Range<usize>>,
@@ -1257,14 +1202,12 @@ mod tests {
             for (lo, hi) in ranges {
                 for threads in [1usize, 2, 3, 8] {
                     let log = Mutex::new(Vec::new());
-                    let vecs = AtomicUsize::new(0);
-                    let sums = shared_dense_fold(
+                    let mut sums = ExactVec::zeros(n_train);
+                    fold_dense_into(
+                        &mut sums,
                         lo..hi,
                         threads,
-                        || {
-                            vecs.fetch_add(1, Ordering::Relaxed);
-                            ExactVec::zeros(n_train)
-                        },
+                        None,
                         || Seen {
                             units: Vec::new(),
                             log: &log,
@@ -1279,7 +1222,6 @@ mod tests {
                         },
                     );
                     let what = format!("{lo}..{hi} at {threads} threads, n_train {n_train}");
-                    assert_eq!(vecs.into_inner(), 1, "{what}: one accumulator");
                     assert_eq!(
                         sums.values().iter().sum::<f64>(),
                         1.5 * (hi - lo) as f64,
@@ -1305,6 +1247,57 @@ mod tests {
                     assert_eq!(all, want, "{what}");
                 }
             }
+        }
+    }
+
+    /// A fold carried over consecutive chunks on kept participants builds
+    /// each state once for the whole shard — one at 1 thread — lets a
+    /// serial fold's window reach the shard's end, and deposits exactly
+    /// what one fold over the whole range deposits, empty chunks included.
+    #[test]
+    fn kept_participants_carry_state_across_chunks() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let n_train = 2 * ExactVec::BLOCK + 3;
+        let fill = |j: usize, out: &mut [f64]| {
+            out[j % n_train] = 1.0 + j as f64;
+            out[(j * 7 + 2) % n_train] -= 0.25;
+        };
+        let bytes = |v: &ExactVec| {
+            let mut out = Vec::new();
+            v.encode_into(&mut out);
+            out
+        };
+        let whole = exact_sums_over_dense(n_train, 3..20, 1, || (), |j, _, _, out| fill(j, out));
+        for threads in [1usize, 2, 3, 8] {
+            let built = AtomicUsize::new(0);
+            let kept = Participants::new(20);
+            let mut sums = ExactVec::zeros(n_train);
+            for chunk in [3..3, 3..7, 7..8, 8..8, 8..20] {
+                fold_dense_into(
+                    &mut sums,
+                    chunk,
+                    threads,
+                    Some(&kept),
+                    || built.fetch_add(1, Ordering::Relaxed),
+                    |j, window, _, out| {
+                        assert!(window.contains(&j), "{j} outside {window:?}");
+                        if threads == 1 {
+                            assert_eq!(window.end, 20, "a serial window reaches the end");
+                        }
+                        fill(j, out);
+                    },
+                );
+            }
+            let built = built.into_inner();
+            assert!(
+                (1..=threads).contains(&built),
+                "{threads} threads: {built} states"
+            );
+            if threads == 1 {
+                assert_eq!(built, 1);
+            }
+            assert_eq!(kept.states.lock().unwrap().len(), built, "every state kept");
+            assert!(bytes(&sums) == bytes(&whole), "{threads} threads");
         }
     }
 

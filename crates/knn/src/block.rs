@@ -123,6 +123,8 @@ pub struct TileRows {
     rows: Vec<f32>,
     /// The queries whose rows `rows` holds.
     tile: Range<usize>,
+    /// Tiles computed so far: one pass over `train` each.
+    passes: usize,
 }
 
 thread_local! {
@@ -136,7 +138,14 @@ impl TileRows {
         Self {
             rows: ROWS.take(),
             tile: 0..0,
+            passes: 0,
         }
+    }
+
+    /// The distance passes over `train` this `TileRows` has run, one per
+    /// tile computed.
+    pub fn passes(&self) -> usize {
+        self.passes
     }
 
     /// Query `j`'s squared distance to every row of `train`. When `j`'s row
@@ -151,6 +160,7 @@ impl TileRows {
             self.rows.resize(tile.len() * n, 0.0);
             QueryTile::new(queries, tile.clone()).distances(train, &mut self.rows);
             self.tile = tile;
+            self.passes += 1;
         }
         let lane = j - self.tile.start;
         &self.rows[lane * n..(lane + 1) * n]

@@ -53,8 +53,12 @@
 //! summands to a sparse per-point `f64` table, so exactness never depends
 //! on the window: a point's state is its plane row plus its spill plus its
 //! special. Deposits, merges and the rounding in [`ExactVec::value`] walk
-//! each plane linearly; only spilled points and windows near the top of the
-//! register take the slower path through `ExactSum`. Blocks are laid out,
+//! each plane linearly. In a block without spills or specials, a row whose
+//! limbs fold into one `i128` — every row of a valuation sum — rounds with
+//! one `as f64` and an exact exponent shift, and encodes its digits
+//! straight from the `i128`; other rows go through their canonical digits,
+//! and only spilled points and windows near the top of the register take
+//! the slower path through `ExactSum`. Blocks are laid out,
 //! widened, spilled and swept independently, so threads can deposit into
 //! one shared vector block by block ([`ExactVec::blocks_mut`]), as
 //! `knnshap_core::sharding`'s dense fold does, instead of each holding a
@@ -240,6 +244,55 @@ fn round_magnitude(sign: i8, mag: &[i64], base: usize) -> f64 {
     }
     let bits = ((sign < 0) as u64) << 63 | (biased as u64) << 52 | (mantissa & ((1u64 << 52) - 1));
     f64::from_bits(bits)
+}
+
+/// `v · 2^(32·limb − 1074)` rounded to the nearest `f64` (ties to even),
+/// when that is zero or a normal `f64`: `v as f64` rounds the 53 leading
+/// bits once, and moving its exponent by the limb's weight is exact in the
+/// normal range. `None` when the result would be subnormal or overflow —
+/// those need the general [`round_magnitude`].
+#[inline]
+fn round_i128(v: i128, limb: usize) -> Option<f64> {
+    if v == 0 {
+        return Some(0.0);
+    }
+    let bits = (v as f64).to_bits();
+    let biased = ((bits >> 52) & 0x7FF) as i64 + LIMB_BITS as i64 * limb as i64 - 1074;
+    (1..0x7FF)
+        .contains(&biased)
+        .then(|| f64::from_bits(bits & !(0x7FF << 52) | (biased as u64) << 52))
+}
+
+/// Append the canonical record of `v · 2^(32·limb − 1074)` with no special
+/// (the format [`write_record`] writes): `|v|`'s base-2³² digits from its
+/// lowest nonzero one to its highest. `false`, with nothing written, when a
+/// digit would lie past the register.
+#[inline]
+fn write_i128(out: &mut Vec<u8>, v: i128, limb: usize) -> bool {
+    let mag = v.unsigned_abs();
+    if mag == 0 {
+        out.extend_from_slice(&[0; 5]);
+        return true;
+    }
+    let (lo, hi) = (
+        mag.trailing_zeros() / LIMB_BITS,
+        (127 - mag.leading_zeros()) / LIMB_BITS,
+    );
+    let (start, len) = (limb + lo as usize, (hi - lo + 1) as usize);
+    if start + len > LIMBS {
+        return false;
+    }
+    // The little-endian bytes of `mag >> 32·lo` are its digits, lowest
+    // first: append a whole record of four digits, then cut the ones past
+    // the highest (they are zero).
+    let mut record = [0u8; 5 + 16];
+    record[0] = v.signum() as u8;
+    record[1..3].copy_from_slice(&(start as u16).to_le_bytes());
+    record[3..5].copy_from_slice(&(len as u16).to_le_bytes());
+    record[5..].copy_from_slice(&(mag >> (LIMB_BITS * lo)).to_le_bytes());
+    out.extend_from_slice(&record);
+    out.truncate(out.len() - 4 * (4 - len));
+    true
 }
 
 /// Append one canonical record (format in [`ExactSum::encode_into`]) for a
@@ -1069,6 +1122,35 @@ impl ExactBlock {
         self.pending = 0;
     }
 
+    /// Whether the rows take the `i128` path ([`row_i128`](Self::row_i128)):
+    /// the block holds no spill and no special.
+    #[inline]
+    fn plain(&self) -> bool {
+        self.spill.is_empty() && self.special.is_empty()
+    }
+
+    /// Row `r` of a [`plain`](Self::plain) block as `(v, limb)` with value
+    /// `v · 2^(32·limb − 1074)`, when the row's limbs from its lowest
+    /// nonzero one up fold into an `i128` — which the 4–5 limb windows of
+    /// valuation sums do. `None` sends the row to the general path.
+    #[inline]
+    fn row_i128(&self, r: usize) -> Option<(i128, usize)> {
+        let row = &self.plane[r * self.width..(r + 1) * self.width];
+        let Some(first) = row.iter().position(|&l| l != 0) else {
+            return Some((0, 0));
+        };
+        // Below 2⁹⁴ before each shift, so `v · 2³² + l` stays below 2¹²⁷.
+        const LIMIT: i128 = 1 << 94;
+        let mut v = 0i128;
+        for &l in row[first..].iter().rev() {
+            if !(-LIMIT..LIMIT).contains(&v) {
+                return None;
+            }
+            v = (v << LIMB_BITS) + l as i128;
+        }
+        Some((v, self.start + first))
+    }
+
     /// Row `r`'s canonical digits straight from its plane row, or `None`
     /// when the row has a spill or the widened row would run past the
     /// register — those round through [`point_sum`](Self::point_sum).
@@ -1105,9 +1187,20 @@ impl ExactBlock {
         s
     }
 
-    /// Rounded total of row `r`.
+    /// Rounded total of row `r`: through [`round_i128`] when the row folds
+    /// into an `i128` and its value is a normal `f64`, else
+    /// [`value_slow`](Self::value_slow).
     #[inline]
     fn value(&self, r: usize) -> f64 {
+        let fast = self.plain().then(|| self.row_i128(r)).flatten();
+        match fast.and_then(|(v, limb)| round_i128(v, limb)) {
+            Some(x) => x,
+            None => self.value_slow(r),
+        }
+    }
+
+    /// Rounded total of row `r` from its canonical digits.
+    fn value_slow(&self, r: usize) -> f64 {
         let Some(d) = self.row_digits(r) else {
             return self.point_sum(r).value();
         };
@@ -1128,17 +1221,29 @@ impl ExactBlock {
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
+        let plain = self.plain();
         for r in 0..self.rows {
-            match self.row_digits(r) {
-                Some(d) => write_record(
-                    out,
-                    d.sign,
-                    &d.mag[..d.len],
-                    self.start,
-                    self.special.get(&r).copied(),
-                ),
-                None => self.point_sum(r).encode_into(out),
+            let fast = plain
+                && self
+                    .row_i128(r)
+                    .is_some_and(|(v, limb)| write_i128(out, v, limb));
+            if !fast {
+                self.encode_row_slow(r, out);
             }
+        }
+    }
+
+    /// Row `r`'s record from its canonical digits.
+    fn encode_row_slow(&self, r: usize, out: &mut Vec<u8>) {
+        match self.row_digits(r) {
+            Some(d) => write_record(
+                out,
+                d.sign,
+                &d.mag[..d.len],
+                self.start,
+                self.special.get(&r).copied(),
+            ),
+            None => self.point_sum(r).encode_into(out),
         }
     }
 

@@ -560,3 +560,156 @@ fn a_block_widens_after_the_other_blocks_are_laid_out() {
     assert_matches(&flat, &oracle, "widened block merged");
     assert!(encode(&fresh) == encode(&flat));
 }
+
+// ---------------------------------------------------------------------------
+// The `i128` row path of `ExactBlock::{value, encode_into}` against the
+// general one (canonical digits, or the row's whole state as an `ExactSum`).
+// ---------------------------------------------------------------------------
+
+/// A hand-laid block: `rows` plane rows over a window of 1–8 limbs placed
+/// at the bottom of the register (subnormal rescales), at its top (huge
+/// ones), at valuation magnitudes or anywhere. Each row is zero, a swept
+/// row of signed residues, a negative one, a sparse one, or an un-swept
+/// one whose limbs reach the `PENDING_MAX · 2³²` bound; a fifth of the rows
+/// get a top limb of exactly ±2³⁰. With `odd`, a few rows also get a spill
+/// or a special, which sends the whole block down the general path.
+fn laid_out_block(rng: &mut StdRng, odd: bool) -> ExactBlock {
+    let rows = rng.gen_range(1..24);
+    let width = [1, 2, 3, 4, 4, 4, 5, 5, 5, 6, 8][rng.gen_range(0..11usize)];
+    let start = match rng.gen_range(0..4) {
+        0 => 0,
+        1 => LIMBS - width,
+        2 => rng.gen_range(28..34),
+        _ => rng.gen_range(0..=LIMBS - width),
+    };
+    let top = start + width == LIMBS;
+    let residue = |rng: &mut StdRng| rng.gen_range(-(1i64 << 31) + 1..=1i64 << 31);
+    let unswept = (PENDING_MAX as i64) << LIMB_BITS;
+    let mut plane = vec![0i64; rows * width];
+    for row in plane.chunks_exact_mut(width) {
+        let class = rng.gen_range(0..6);
+        for l in row.iter_mut() {
+            *l = match class {
+                0 => 0,
+                1 => residue(rng),
+                2 => -residue(rng).abs(),
+                3 if rng.gen_range(0..3) == 0 => residue(rng),
+                3 => 0,
+                // A window at the register's top keeps its carries inside.
+                _ if top => residue(rng),
+                _ => rng.gen_range(-unswept + 1..unswept),
+            };
+        }
+        if rng.gen_range(0..5) == 0 {
+            row[width - 1] = if rng.gen::<bool>() {
+                1 << 30
+            } else {
+                -(1 << 30)
+            };
+        }
+    }
+    let mut b = ExactBlock::zeros(rows);
+    b.start = start;
+    b.width = width;
+    b.plane = plane;
+    b.pending = PENDING_MAX - 1;
+    if odd {
+        for _ in 0..rng.gen_range(1..4) {
+            let r = rng.gen_range(0..rows);
+            if rng.gen::<bool>() {
+                let mut s = ExactSum::new();
+                s.add(rng.gen_range(-1.0..1.0) * pow2(rng.gen_range(-1000..1000)));
+                b.spill.insert(r, s);
+            } else {
+                let x = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.gen_range(0..3usize)];
+                b.fold_special(r, x);
+            }
+        }
+    }
+    b
+}
+
+/// Every row of `b`: `value` bits and record bytes equal the general path's
+/// and those of the row's whole state as one `ExactSum`; only a block
+/// holding no spill and no special takes the `i128` path. Returns how many
+/// rows took it.
+fn check_row_paths(b: &ExactBlock, what: &str) -> Result<usize, TestCaseError> {
+    let mut fast = 0;
+    let mut block_bytes = Vec::new();
+    b.encode_into(&mut block_bytes);
+    let mut slow_bytes = Vec::new();
+    for r in 0..b.rows {
+        let oracle = b.point_sum(r);
+        let value = b.value(r);
+        prop_assert_eq!(
+            value.to_bits(),
+            b.value_slow(r).to_bits(),
+            "{}: row {}",
+            what,
+            r
+        );
+        prop_assert_eq!(
+            value.to_bits(),
+            oracle.value().to_bits(),
+            "{}: row {}",
+            what,
+            r
+        );
+        let mut slow = Vec::new();
+        b.encode_row_slow(r, &mut slow);
+        let mut sum = Vec::new();
+        oracle.encode_into(&mut sum);
+        prop_assert!(slow == sum, "{}: row {} general record", what, r);
+        slow_bytes.extend_from_slice(&slow);
+        if !b.plain() {
+            continue;
+        }
+        let Some((v, limb)) = b.row_i128(r) else {
+            continue;
+        };
+        let mut quick = Vec::new();
+        if write_i128(&mut quick, v, limb) {
+            prop_assert!(quick == slow, "{}: row {} i128 record", what, r);
+        }
+        if round_i128(v, limb).is_some() {
+            fast += 1;
+        }
+    }
+    prop_assert!(block_bytes == slow_bytes, "{}: block records", what);
+    Ok(fast)
+}
+
+proptest! {
+    /// Hand-laid blocks: zero, negative and sparse rows, top limbs at
+    /// ±2³⁰, un-swept limbs near `PENDING_MAX`, 4- and 5-limb windows at
+    /// both ends of the register, and blocks holding spills or specials.
+    #[test]
+    fn i128_rows_match_the_general_path(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for odd in [false, true] {
+            let b = laid_out_block(&mut rng, odd);
+            let what = format!("start {} width {} odd {odd}", b.start, b.width);
+            prop_assert_eq!(b.plain(), !odd, "{}", what);
+            check_row_paths(&b, &what)?;
+        }
+    }
+}
+
+/// Valuation-scale vectors — dense unit deposits, their negations, merges —
+/// take the `i128` path on every row, and agree with the general path.
+#[test]
+fn valuation_rows_take_the_i128_path() {
+    for n in [1, 13, ExactVec::BLOCK + 1] {
+        let (mut flat, _) = unit_vec(n, &[]);
+        let neg: Vec<f64> = (0..n).map(|i| -(i as f64) * 1e-3).collect();
+        flat.add_dense(&neg);
+        for (i, b) in flat.blocks.iter().enumerate() {
+            let fast = check_row_paths(b, &format!("n={n} block {i}")).unwrap();
+            assert_eq!(fast, b.rows, "n={n} block {i}: every row folds");
+        }
+    }
+    // One spill or special anywhere in a block sends all its rows down the
+    // general path, with the same bits.
+    let (flat, _) = unit_vec(6, &[(2, 1e300), (4, f64::NAN)]);
+    assert_eq!(check_row_paths(only(&flat), "odd").unwrap(), 0);
+}

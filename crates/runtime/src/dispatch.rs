@@ -11,8 +11,8 @@ use crate::layout::{JobDirs, Staged};
 use crate::snapshot::{self, Miss, Stamp, TrainSet};
 use crate::spec::{JobPlan, JobSpec};
 use crate::JobError;
-use knnshap_core::estimator::{Data, Estimator, Task};
-use knnshap_core::sharding::{ShardPartial, ShardSpec};
+use knnshap_core::estimator::{Data, Estimator, ShardFold, Task};
+use knnshap_core::sharding::{ShardError, ShardPartial, ShardSpec};
 use knnshap_datasets::io::{load_class_csv_from_reader, load_reg_csv_from_reader, IoError};
 use knnshap_knn::graph::KnnGraph;
 use knnshap_numerics::fingerprint::DigestReader;
@@ -225,5 +225,18 @@ impl PreparedJob {
     /// range only, per the `knnshap_core::sharding` determinism contract.
     pub fn compute_chunk(&self, chunk: ShardSpec, threads: usize) -> ShardPartial {
         self.estimator.compute(chunk, threads)
+    }
+
+    /// Start folding shard `shard` chunk by chunk, from its start or on
+    /// from `from`, a checkpoint of this job covering a prefix of it (see
+    /// `Estimator::shard_fold`: a checkpoint of another job, or one that
+    /// is no prefix of the shard, is an error).
+    pub fn shard_fold(
+        &self,
+        shard: usize,
+        from: Option<ShardPartial>,
+    ) -> Result<ShardFold<'_, 'static>, ShardError> {
+        self.estimator
+            .shard_fold(self.plan.shard_range(shard), from)
     }
 }

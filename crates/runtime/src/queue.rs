@@ -25,7 +25,7 @@
 //!
 //! A worker that dies leaves its lease and last checkpoint behind; the
 //! checkpoint is precisely what lets its successor **resume mid-shard**
-//! ([`read_checkpoint`] + `ShardPartial::absorb_adjacent`).
+//! ([`read_checkpoint`] + `Estimator::shard_fold`).
 
 use crate::layout::{write_atomic, JobDirs};
 use knnshap_core::sharding::ShardPartial;
@@ -122,14 +122,15 @@ pub fn expire_stale(dirs: &JobDirs, shards: usize, ttl: Duration) -> std::io::Re
     Ok(reclaimed)
 }
 
-/// Atomically publish the finished partial of shard `i`.
-pub fn publish_shard(dirs: &JobDirs, i: usize, part: &ShardPartial) -> std::io::Result<()> {
-    write_atomic(&dirs.shard_path(i), &part.to_bytes())
+/// Atomically publish the finished partial of shard `i`, encoded as
+/// `bytes` (`ShardPartial::to_bytes`).
+pub fn publish_shard(dirs: &JobDirs, i: usize, bytes: &[u8]) -> std::io::Result<()> {
+    write_atomic(&dirs.shard_path(i), bytes)
 }
 
-/// Atomically write shard `i`'s mid-shard checkpoint.
-pub fn write_checkpoint(dirs: &JobDirs, i: usize, part: &ShardPartial) -> std::io::Result<()> {
-    write_atomic(&dirs.checkpoint_path(i), &part.to_bytes())
+/// Atomically write shard `i`'s mid-shard checkpoint, encoded as `bytes`.
+pub fn write_checkpoint(dirs: &JobDirs, i: usize, bytes: &[u8]) -> std::io::Result<()> {
+    write_atomic(&dirs.checkpoint_path(i), bytes)
 }
 
 /// Read shard `i`'s checkpoint, if one exists and parses. A missing,

@@ -56,8 +56,8 @@
 //! balanced partition is *nested* — the cut points of the `S`-way split are
 //! exactly the cut points `⌊j·C·T/(S·C)⌋` of the `(S·C)`-way split at
 //! multiples of `C` — the chunks of shard `i` tile the shard's range
-//! exactly, and absorbing them in order reproduces the one-shot shard
-//! partial bit for bit (`ShardPartial::absorb_adjacent`).
+//! exactly, and folding them in order reproduces the one-shot shard
+//! partial bit for bit (`knnshap_core::estimator::ShardFold`).
 
 use crate::layout::JobDirs;
 use crate::{io_err, JobError};

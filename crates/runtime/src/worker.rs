@@ -5,12 +5,14 @@
 //!
 //! A shard's range is the ordered concatenation of its canonical
 //! micro-chunks ([`JobPlan::micro_spec`](crate::spec::JobPlan::micro_spec)).
-//! The worker folds finished chunks into an accumulated partial with
-//! `ShardPartial::absorb_adjacent` and checkpoints the accumulation after
-//! every chunk — each checkpoint is itself a valid `KNNSHARD` file covering
-//! `shard_lo .. chunk_end`. On claim, a worker first looks for a
-//! checkpoint; if it belongs to this job (fingerprint), starts at the
-//! shard's start, and ends **exactly on a chunk boundary**, the covered
+//! The worker folds the chunks one after another into one running fold
+//! (`Estimator::shard_fold`: one accumulator, one set of ranking buffers
+//! and scratch for the whole shard) and checkpoints the fold after every
+//! chunk — each checkpoint is itself a valid `KNNSHARD` file covering
+//! `shard_lo .. chunk_end`, and the last one's bytes are the published
+//! shard's. On claim, a worker first looks for a checkpoint; if it belongs
+//! to this job (fingerprint), starts at the shard's start, and ends
+//! **exactly on a chunk boundary**, the fold continues it and the covered
 //! chunks are skipped. Anything else (corrupt bytes, stale job, different
 //! chunk geometry) is discarded and the shard recomputes from scratch —
 //! always sound, because exact accumulation makes the final bytes a pure
@@ -32,7 +34,6 @@ use crate::dispatch::PreparedJob;
 use crate::layout::JobDirs;
 use crate::queue;
 use crate::{io_err, JobError};
-use knnshap_core::sharding::ShardPartial;
 
 /// Where a fault hook is consulted (both are "between checkpoint writes").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,7 +152,8 @@ pub fn run_worker(dirs: &JobDirs, mut opts: WorkerOptions) -> Result<WorkerRepor
     }
 }
 
-/// Compute shard `i` chunk by chunk, resuming from a valid checkpoint.
+/// Compute shard `i` chunk by chunk on one running fold, resuming from a
+/// valid checkpoint.
 fn compute_shard(
     dirs: &JobDirs,
     prepared: &PreparedJob,
@@ -163,44 +165,44 @@ fn compute_shard(
 ) -> Result<(), JobError> {
     let plan = prepared.plan();
     let chunks = plan.spec.checkpoint_chunks;
-    let shard_range = plan.shard_range(i);
     let total = plan.total_items as usize;
+    let chunk_range = |c| plan.micro_spec(i, c).range(total);
 
     // Adopt a checkpoint only if it provably covers a chunk-aligned prefix
     // of this shard of this job.
-    let mut acc: Option<ShardPartial> = queue::read_checkpoint(dirs, i).filter(|p| {
-        p.meta.fingerprint == plan.fingerprint
-            && p.meta.kind == plan.kind
-            && p.meta.item_lo as usize == shard_range.start
-            && p.meta.item_hi as usize <= shard_range.end
-            && (0..chunks)
-                .any(|c| plan.micro_spec(i, c).range(total).end == p.meta.item_hi as usize)
-    });
-    if acc.is_some() {
+    let adopted = queue::read_checkpoint(dirs, i)
+        .filter(|p| (0..chunks).any(|c| chunk_range(c).end == p.meta.item_hi as usize))
+        .and_then(|p| prepared.shard_fold(i, Some(p)).ok());
+    let mut started = adopted.is_some();
+    if started {
         report.resumed += 1;
     }
+    let mut fold = match adopted {
+        Some(fold) => fold,
+        None => prepared.shard_fold(i, None)?,
+    };
 
+    // The last checkpoint's bytes are the bytes the shard is published with.
+    let mut bytes = None;
+    let mut passes = 0;
     for c in 0..chunks {
-        let chunk_range = plan.micro_spec(i, c).range(total);
-        if let Some(p) = &acc {
-            if chunk_range.end <= p.meta.item_hi as usize {
-                continue; // covered by the checkpoint
-            }
+        let range = chunk_range(c);
+        if started && range.end <= fold.partial().meta.item_hi as usize {
+            continue; // checkpointed, or an empty chunk after the first
         }
-        let part = prepared.compute_chunk(plan.micro_spec(i, c), threads);
+        fold.extend(range, threads)?;
+        started = true;
         report.chunks_computed += 1;
-        match &mut acc {
-            None => acc = Some(part),
-            Some(a) => a.absorb_adjacent(&part)?,
-        }
         lease.heartbeat().ok();
         if crash(fault, FaultPoint::AfterChunk { shard: i, chunk: c }) {
             return Err(JobError::Crashed(format!(
                 "injected fault after computing chunk {c} of shard {i}"
             )));
         }
-        let a = acc.as_ref().expect("accumulated above");
-        queue::write_checkpoint(dirs, i, a).map_err(|e| io_err(&dirs.checkpoint_path(i), e))?;
+        let encoded = fold.partial().to_bytes();
+        queue::write_checkpoint(dirs, i, &encoded)
+            .map_err(|e| io_err(&dirs.checkpoint_path(i), e))?;
+        let now = fold.distance_passes();
         crate::progress::append_event(
             dirs,
             "chunk",
@@ -208,19 +210,24 @@ fn compute_shard(
                 ("shard", i.into()),
                 ("chunk", c.into()),
                 ("chunks", chunks.into()),
-                ("item_hi", (a.meta.item_hi as usize).into()),
+                ("item_hi", (fold.partial().meta.item_hi as usize).into()),
+                ("passes", (now - passes).into()),
             ],
         );
+        passes = now;
+        bytes = Some(encoded);
         if crash(fault, FaultPoint::AfterCheckpoint { shard: i, chunk: c }) {
             return Err(JobError::Crashed(format!(
                 "injected fault after checkpointing chunk {c} of shard {i}"
             )));
         }
     }
-    let done = acc.expect("checkpoint_chunks >= 1 always computes at least one chunk");
-    debug_assert_eq!(done.meta.item_lo as usize, shard_range.start);
-    debug_assert_eq!(done.meta.item_hi as usize, shard_range.end);
-    queue::publish_shard(dirs, i, &done).map_err(|e| io_err(&dirs.shard_path(i), e))
+    let (done, shard) = (fold.partial(), plan.shard_range(i));
+    debug_assert_eq!(done.meta.item_lo, shard.start as u64);
+    debug_assert_eq!(done.meta.item_hi, shard.end as u64);
+    // Nothing left to compute after a checkpoint that covered the shard.
+    let bytes = bytes.unwrap_or_else(|| done.to_bytes());
+    queue::publish_shard(dirs, i, &bytes).map_err(|e| io_err(&dirs.shard_path(i), e))
 }
 
 fn crash(fault: &mut Option<FaultHook>, at: FaultPoint) -> bool {

@@ -9,7 +9,7 @@
 
 use knnshap_core::estimator::{Family, Task};
 use knnshap_core::mc::{IncKnnUtility, StoppingRule};
-use knnshap_core::sharding::ShardKind;
+use knnshap_core::sharding::{ShardKind, ShardPartial, ShardSpec};
 use knnshap_core::utility::KnnClassUtility;
 use knnshap_core::ShapleyValues;
 use knnshap_datasets::synth::blobs::{self, BlobConfig};
@@ -25,6 +25,7 @@ use knnshap_runtime::worker::{run_worker, FaultPoint, WorkerOptions};
 use knnshap_runtime::JobError;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const K: usize = 2;
@@ -367,6 +368,132 @@ fn crash_and_resume_at_every_kill_point(ws: &Workspace, name: &str, spec: &JobSp
             &want,
             &format!("{name}, kill point {kill:?}"),
         );
+    }
+}
+
+/// The partial of a shard's chunk prefix: the chunks' sums merged, covering
+/// the first chunk's start to the last chunk's end.
+fn prefix(chunks: &[ShardPartial]) -> ShardPartial {
+    let mut acc = chunks[0].clone();
+    for c in &chunks[1..] {
+        acc.sums.merge(&c.sums);
+        acc.aux.merge(&c.aux);
+        acc.meta.item_hi = c.meta.item_hi;
+    }
+    acc
+}
+
+/// Every fault point a worker passes, with the checkpoint bytes on disk
+/// right after each `AfterCheckpoint`; the worker never crashes.
+fn recorded(dirs: &JobDirs, threads: usize) -> Vec<(FaultPoint, Option<Vec<u8>>)> {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let (log, at_dirs) = (seen.clone(), dirs.clone());
+    let hook = move |at: FaultPoint| {
+        let bytes = match at {
+            FaultPoint::AfterCheckpoint { shard, .. } => {
+                Some(std::fs::read(at_dirs.checkpoint_path(shard)).unwrap())
+            }
+            FaultPoint::AfterChunk { .. } => None,
+        };
+        log.lock().unwrap().push((at, bytes));
+        false
+    };
+    let opts = WorkerOptions {
+        threads,
+        fault: Some(Box::new(hook)),
+        ..Default::default()
+    };
+    run_worker(dirs, opts).unwrap();
+    let seen = std::mem::take(&mut *seen.lock().unwrap());
+    seen
+}
+
+/// A shard's bytes do not depend on how it is chunked. At chunk counts
+/// {1, 2, 4, items, items + 2} per shard (the last with empty chunks) and
+/// worker threads {1, 2, 8}, every checkpoint a worker writes is byte for
+/// byte the merge of its chunk prefix, and every published shard is one
+/// `compute` of the shard's range. For the exact and group-testing kinds, a
+/// worker killed at each fault point of shard 0 leaves what its successor
+/// resumes to the same bytes.
+#[test]
+fn shard_bytes_do_not_depend_on_chunking() {
+    let ws = Workspace::new("chunking");
+    let chosen = [
+        "exact-class",
+        "exact-reg-weighted",
+        "truncated",
+        "mc-improved",
+        "group-testing",
+    ];
+    for (name, base) in families(&ws) {
+        if !chosen.contains(&name) {
+            continue;
+        }
+        let base = JobSpec { shards: 2, ..base };
+        let kills = matches!(name, "exact-class" | "group-testing");
+        let items = plan_with_snapshot(&base, &ws.job_dirs(&format!("{name}-items")))
+            .shard_range(0)
+            .len();
+        for chunks in [1, 2, 4, items, items + 2] {
+            let spec = JobSpec {
+                checkpoint_chunks: chunks,
+                ..base.clone()
+            };
+            for threads in [1usize, 2, 8] {
+                let what = format!("{name}, {chunks} chunks, {threads} threads");
+                let dirs = ws.job_dirs(&format!("{name}-{chunks}-{threads}"));
+                let plan = plan_with_snapshot(&spec, &dirs);
+                let oracle = PreparedJob::load(&dirs, 1, "oracle").unwrap();
+                let compute = |shard| {
+                    let spec = ShardSpec::new(shard, spec.shards);
+                    oracle.compute_chunk(spec, 1).to_bytes()
+                };
+                let points = recorded(&dirs, threads);
+                for (at, bytes) in &points {
+                    let (FaultPoint::AfterCheckpoint { shard, chunk }, Some(bytes)) = (at, bytes)
+                    else {
+                        continue;
+                    };
+                    let parts: Vec<_> = (0..=*chunk)
+                        .map(|c| oracle.compute_chunk(plan.micro_spec(*shard, c), 1))
+                        .collect();
+                    assert!(*bytes == prefix(&parts).to_bytes(), "{what}: {at:?}");
+                }
+                for shard in 0..spec.shards {
+                    let published = std::fs::read(dirs.shard_path(shard)).unwrap();
+                    assert!(published == compute(shard), "{what}: shard {shard}");
+                }
+                if !kills {
+                    continue;
+                }
+                let shard0 = points.iter().map(|p| p.0).filter(|at| {
+                    matches!(
+                        at,
+                        FaultPoint::AfterChunk { shard: 0, .. }
+                            | FaultPoint::AfterCheckpoint { shard: 0, .. }
+                    )
+                });
+                for (ki, kill) in shard0.enumerate() {
+                    let dirs = ws.job_dirs(&format!("{name}-{chunks}-{threads}-kill-{ki}"));
+                    plan_with_snapshot(&spec, &dirs);
+                    let victim = WorkerOptions {
+                        threads,
+                        fault: Some(Box::new(move |at| at == kill)),
+                        ..Default::default()
+                    };
+                    let err = run_worker(&dirs, victim).unwrap_err();
+                    assert!(matches!(err, JobError::Crashed(_)), "{what}: {err}");
+                    queue::expire_stale(&dirs, spec.shards, Duration::ZERO).unwrap();
+                    let successor = WorkerOptions {
+                        threads,
+                        ..Default::default()
+                    };
+                    run_worker(&dirs, successor).unwrap();
+                    let published = std::fs::read(dirs.shard_path(0)).unwrap();
+                    assert!(published == compute(0), "{what}: killed at {kill:?}");
+                }
+            }
+        }
     }
 }
 
