@@ -30,6 +30,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let delta = parse_delta(args)?;
     let seed = args.u64_or("seed", 17)?;
     let max_tables = args.usize_or("max-tables", 64)?;
+    // Normalizing samples distances between pairs of training points.
+    if train.len() < 2 {
+        return Err(CliError::Pipeline(PipelineError::TooFewTrainPoints {
+            method: "contrast",
+            min: 2,
+        }));
+    }
     let ks = k_star(k, eps).min(train.len());
 
     // The theory assumes D_mean = 1; normalize a working copy.

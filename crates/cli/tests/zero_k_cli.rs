@@ -1,6 +1,7 @@
 //! `--k 0` must stop every command that takes a `K` with a one-line typed
 //! error and a non-zero exit — never a panic (exit 101) from an assertion
-//! deeper down.
+//! deeper down. So must a one-row training set, for the commands that
+//! sample distances between training points.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -8,8 +9,8 @@ use std::process::{Command, Output};
 struct Scratch(PathBuf);
 
 impl Scratch {
-    fn new() -> Self {
-        let p = std::env::temp_dir().join(format!("knnshap-zero-k-{}", std::process::id()));
+    fn new(tag: &str) -> Self {
+        let p = std::env::temp_dir().join(format!("knnshap-zero-k-{}-{tag}", std::process::id()));
         std::fs::remove_dir_all(&p).ok();
         std::fs::create_dir_all(&p).unwrap();
         Scratch(p)
@@ -35,7 +36,7 @@ fn knnshap(args: &[&str]) -> Output {
 
 #[test]
 fn k_zero_is_a_typed_error_on_every_command() {
-    let ws = Scratch::new();
+    let ws = Scratch::new("k0");
     let (train, test) = (ws.path("train.csv"), ws.path("test.csv"));
     let out = knnshap(&[
         "synth",
@@ -102,6 +103,31 @@ fn k_zero_is_a_typed_error_on_every_command() {
         assert!(
             stderr.to_lowercase().contains("k must be at least 1"),
             "{what}: error does not name K:\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_one_row_training_set_is_a_typed_error_where_pairs_are_sampled() {
+    let ws = Scratch::new("one-row");
+    let (train, test, values) = (ws.path("one.csv"), ws.path("q.csv"), ws.path("v.csv"));
+    std::fs::write(&train, "0.5,1.25,-2,1\n").unwrap();
+    std::fs::write(&test, "0.25,1,-1.5,1\n3,0,0.5,0\n").unwrap();
+    let data = ["--train", &train, "--test", &test, "--k", "1"];
+    let commands: [&[&str]; 2] = [
+        &["value", "--method", "lsh", "--out", &values],
+        &["contrast"],
+    ];
+    for cmd in commands {
+        let args: Vec<&str> = cmd.iter().copied().chain(data).collect();
+        let out = knnshap(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = cmd.join(" ");
+        assert_eq!(out.status.code(), Some(1), "{what}: exit code\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{what} panicked:\n{stderr}");
+        assert!(
+            stderr.contains("needs at least 2 training points"),
+            "{what}: error does not name the training set:\n{stderr}"
         );
     }
 }

@@ -168,12 +168,19 @@ impl<'a> Data<'a> {
         }
     }
 
-    /// Content hashes of the train and test sets, labels or targets
-    /// included.
-    fn hashes(&self) -> (u64, u64) {
+    /// Content hash of the training set, labels or targets included.
+    fn train_hash(&self) -> u64 {
         match self {
-            Data::Class { train, test } => (hash_class_dataset(train), hash_class_dataset(test)),
-            Data::Reg { train, test } => (hash_reg_dataset(train), hash_reg_dataset(test)),
+            Data::Class { train, .. } => hash_class_dataset(train),
+            Data::Reg { train, .. } => hash_reg_dataset(train),
+        }
+    }
+
+    /// Content hash of the test set, labels or targets included.
+    fn test_hash(&self) -> u64 {
+        match self {
+            Data::Class { test, .. } => hash_class_dataset(test),
+            Data::Reg { test, .. } => hash_reg_dataset(test),
         }
     }
 }
@@ -280,6 +287,9 @@ pub struct Estimator<'a> {
     family: Family,
     graph: Option<Cow<'a, KnnGraph>>,
     identity: OnceLock<(ShardKind, u64)>,
+    /// The training set's content hash, computed on first use or seeded by
+    /// [`with_train_hash`](Self::with_train_hash).
+    train_hash: OnceLock<u64>,
     /// The baseline-MC / group-testing game, built on first use.
     utility: OnceLock<Box<dyn Utility + Send>>,
     /// The improved-MC game, built on first use.
@@ -316,9 +326,27 @@ impl<'a> Estimator<'a> {
             family,
             graph: graph.map(Cow::Borrowed),
             identity: OnceLock::new(),
+            train_hash: OnceLock::new(),
             utility: OnceLock::new(),
             inc: OnceLock::new(),
         })
+    }
+
+    /// The same job, with the training set's content hash (what
+    /// [`train_hash`](Self::train_hash) returns) already known: a caller
+    /// that recorded it when it first bound these rows saves hashing every
+    /// feature again. The test set, `K`, the weight and the family still
+    /// enter the [`identity`](Self::identity) as always. Debug builds
+    /// re-derive the hash and check it.
+    pub fn with_train_hash(self, hash: u64) -> Self {
+        debug_assert_eq!(
+            hash,
+            self.data.train_hash(),
+            "a seeded training hash must be the training set's"
+        );
+        // A fresh estimator has no hash yet, so the seed always lands.
+        let _ = self.train_hash.set(hash);
+        self
     }
 
     /// Attach an owned precomputed graph after construction, validated as
@@ -336,6 +364,18 @@ impl<'a> Estimator<'a> {
     /// The bound datasets.
     pub fn data(&self) -> &Data<'a> {
         &self.data
+    }
+
+    /// The bound datasets, without the estimator.
+    pub fn into_data(self) -> Data<'a> {
+        self.data
+    }
+
+    /// The training set's content hash (`hash_class_dataset` or
+    /// `hash_reg_dataset`), which the [`identity`](Self::identity) ends
+    /// with. Computed on first use, then cached.
+    pub fn train_hash(&self) -> u64 {
+        *self.train_hash.get_or_init(|| self.data.train_hash())
     }
 
     /// Training points (the length of every value vector).
@@ -472,8 +512,9 @@ impl<'a> Estimator<'a> {
         let (wtag, wparam) = weight_code(weight);
         // Every hash ends with the datasets' content hashes.
         let with_data = |fp: Fingerprint| {
-            let (train, test) = self.data.hashes();
-            fp.u64(train).u64(test).finish()
+            fp.u64(self.train_hash())
+                .u64(self.data.test_hash())
+                .finish()
         };
         // The per-test families hash under their kind's name: `K`, then
         // what the family adds (a non-uniform weight, ε), then the datasets.
@@ -1085,5 +1126,75 @@ mod tests {
             id(&train, 2, Family::McImproved { perms: 4, seed: 7 }),
             "baseline and improved never merge"
         );
+    }
+
+    /// A seeded training hash is the one the data derives, and binds the
+    /// identity the unseeded estimator derives, for every family and both
+    /// tasks; the test set, `K` and the family still enter it.
+    #[test]
+    fn a_seeded_train_hash_binds_the_same_identity() {
+        use knnshap_datasets::synth::regression::{self, RegressionConfig};
+        let (train, test) = blobs(5);
+        let cfg = RegressionConfig {
+            n: 30,
+            ..Default::default()
+        };
+        let (rtrain, rtest) = (regression::generate(&cfg), regression::queries(&cfg, 4));
+        let (_, other_test) = blobs(6);
+        let jobs = [
+            (Data::class(&train, &test), Family::Exact),
+            (Data::class(&train, &test), Family::Truncated { eps: 0.2 }),
+            (
+                Data::class(&train, &test),
+                Family::McImproved { perms: 4, seed: 1 },
+            ),
+            (
+                Data::class(&train, &test),
+                Family::GroupTesting { tests: 4, seed: 1 },
+            ),
+            (Data::reg(&rtrain, &rtest), Family::Exact),
+            (
+                Data::reg(&rtrain, &rtest),
+                Family::McBaseline { perms: 4, seed: 1 },
+            ),
+        ];
+        fn bind(data: Data<'_>, k: usize, family: Family) -> Estimator<'_> {
+            Estimator::new(data, k, WeightFn::Uniform, family, None).unwrap()
+        }
+        for (data, family) in jobs {
+            let fresh = bind(data.reborrow(), 2, family);
+            let hash = fresh.train_hash();
+            let want = match &data {
+                Data::Class { train, .. } => hash_class_dataset(train),
+                Data::Reg { train, .. } => hash_reg_dataset(train),
+            };
+            assert_eq!(hash, want, "{}", family.name());
+            let seeded = bind(data.reborrow(), 2, family).with_train_hash(hash);
+            assert_eq!(seeded.identity(), fresh.identity(), "{}", family.name());
+            let k3 = bind(data.reborrow(), 3, family).with_train_hash(hash);
+            assert_ne!(k3.identity(), fresh.identity(), "{}: K", family.name());
+        }
+        let fresh = bind(Data::class(&train, &test), 2, Family::Exact);
+        let other = bind(Data::class(&train, &other_test), 2, Family::Exact)
+            .with_train_hash(fresh.train_hash());
+        assert_ne!(other.identity(), fresh.identity(), "the test set");
+    }
+
+    /// Debug builds refuse a seeded hash the training set does not derive.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a seeded training hash must be the training set's")]
+    fn debug_builds_check_a_seeded_train_hash() {
+        let (train, test) = blobs(3);
+        let est = Estimator::new(
+            Data::class(&train, &test),
+            2,
+            WeightFn::Uniform,
+            Family::Exact,
+            None,
+        )
+        .unwrap();
+        let wrong = est.train_hash() ^ 1;
+        let _ = est.with_train_hash(wrong);
     }
 }

@@ -112,7 +112,8 @@ pub enum PipelineError {
     /// `K` is zero: a KNN utility needs at least one neighbor.
     ZeroK,
     /// The selected method needs more training points than the set has
-    /// (group testing samples coalitions of at least two players).
+    /// (group testing samples coalitions of at least two players; LSH
+    /// sizes its index from distances between training points).
     TooFewTrainPoints { method: &'static str, min: usize },
     /// The approximation error ε is NaN, infinite or not positive.
     BadEps(f64),
@@ -330,6 +331,13 @@ impl<'a> KnnShapley<'a> {
                 }
                 if self.graph.is_some() {
                     return Err(PipelineError::GraphUnsupported("Lsh"));
+                }
+                // The index is sized from distances between training points.
+                if train.len() < 2 {
+                    return Err(PipelineError::TooFewTrainPoints {
+                        method: "LSH",
+                        min: 2,
+                    });
                 }
                 let ks = crate::truncated::k_star(self.k, eps).min(train.len());
                 let est =

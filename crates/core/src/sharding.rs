@@ -739,6 +739,15 @@ pub(crate) fn fold_dense_into<T, M, F>(
 /// bitwise-identical to the unsharded estimator's output (which accumulates
 /// through the same [`ExactVec`] and finalizes with the same code path).
 pub fn merge_partials(parts: &[ShardPartial]) -> Result<MergedValuation, ShardError> {
+    merge_partials_with_threads(parts, 1)
+}
+
+/// [`merge_partials`], finalizing on `threads` workers: the same bits at
+/// every thread count.
+pub fn merge_partials_with_threads(
+    parts: &[ShardPartial],
+    threads: usize,
+) -> Result<MergedValuation, ShardError> {
     let first = parts.first().ok_or(ShardError::Empty)?;
     let m0 = &first.meta;
     for p in parts {
@@ -802,7 +811,7 @@ pub fn merge_partials(parts: &[ShardPartial]) -> Result<MergedValuation, ShardEr
         _ => None,
     };
     Ok(MergedValuation {
-        values: finalize(&sums, m0.total_items, group_testing, 1),
+        values: finalize(&sums, m0.total_items, group_testing, threads),
         items: m0.total_items,
     })
 }

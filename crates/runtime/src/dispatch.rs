@@ -44,33 +44,50 @@ fn read_train(spec: &JobSpec, threads: usize, r: impl Read + Send) -> Result<Tra
     })
 }
 
-/// Load a planned job's datasets and hand them to `check`, which verifies
-/// them against the plan: from the job's training-set snapshot when it is
-/// current, otherwise — or when `check` rejects the snapshot's rows — from
-/// the CSVs. Appends one `load` event to `events.jsonl`: its `source`
-/// (`snapshot` or `csv`), the `reason` the snapshot missed, the `secs`
-/// spent loading and checking, and the loading `worker`, if any.
-pub(crate) fn load_checked<T>(
+/// Load a planned job's datasets and bind them to an estimator verified
+/// against the plan ([`check_identity`]): from the job's training-set
+/// snapshot when it is current, bound with the content hash the snapshot
+/// recorded, otherwise — or when the snapshot's rows fail the check — from
+/// the CSVs, hashed in full. Appends one `load` event to `events.jsonl`:
+/// its `source` (`snapshot` or `csv`), the `reason` the snapshot missed,
+/// the `secs` spent loading and checking, and the loading `worker`, if
+/// any.
+pub(crate) fn load_checked(
     dirs: &JobDirs,
     plan: &JobPlan,
     threads: usize,
     worker: Option<&str>,
-    check: impl Fn(Data<'static>) -> Result<T, JobError>,
-) -> Result<T, JobError> {
+) -> Result<Estimator<'static>, JobError> {
     let start = Instant::now();
-    let miss = match snapshot::read(dirs, &plan.spec) {
-        Ok(train) => match check(train.with_test(&plan.spec, threads)?) {
-            Ok(t) => {
+    let miss = match snapshot::read(dirs, &plan.spec, threads) {
+        Ok((train, hash)) => match bind(plan, train.with_test(&plan.spec, threads)?, Some(hash)) {
+            Ok(estimator) => {
                 log_load(dirs, worker, None, start);
-                return Ok(t);
+                return Ok(estimator);
             }
             Err(_) => Miss::Identity,
         },
         Err(miss) => miss,
     };
-    let t = check(load_data(&plan.spec, threads)?)?;
+    let estimator = bind(plan, load_data(&plan.spec, threads)?, None)?;
     log_load(dirs, worker, Some(miss), start);
-    Ok(t)
+    Ok(estimator)
+}
+
+/// Bind `plan` to `data`, whose training set has content hash `train_hash`
+/// if known, and verify the identity the data derives.
+fn bind(
+    plan: &JobPlan,
+    data: Data<'static>,
+    train_hash: Option<u64>,
+) -> Result<Estimator<'static>, JobError> {
+    let s = &plan.spec;
+    let mut estimator = Estimator::new(data, s.k, s.weight, s.family, None)?;
+    if let Some(hash) = train_hash {
+        estimator = estimator.with_train_hash(hash);
+    }
+    check_identity(plan, &estimator)?;
+    Ok(estimator)
 }
 
 fn log_load(dirs: &JobDirs, worker: Option<&str>, miss: Option<Miss>, start: Instant) {
@@ -105,7 +122,7 @@ pub(crate) fn derive_plan(spec: &JobSpec, estimator: &Estimator) -> JobPlan {
 /// Compare the plan `estimator` derives from the datasets actually loaded
 /// with `plan`: the fingerprint, then the kind and the counts, which also
 /// catches a hand-edited plan file. Workers and the merge both run it.
-pub(crate) fn check_identity(plan: &JobPlan, estimator: &Estimator) -> Result<(), JobError> {
+fn check_identity(plan: &JobPlan, estimator: &Estimator) -> Result<(), JobError> {
     let derived = derive_plan(&plan.spec, estimator);
     if derived.fingerprint != plan.fingerprint {
         return Err(JobError::FingerprintMismatch {
@@ -148,11 +165,13 @@ impl PreparedJob {
     /// them, for `shard-plan`: the training CSV's bytes are digested as the
     /// parse (on `threads` workers) reads them, and the training set's
     /// snapshot is staged in `dirs` on a second thread while the job
-    /// identity is hashed. The caller publishes the snapshot once the plan
-    /// is saved; a snapshot that could not be written is only a cache the
-    /// job goes without. `shard-plan --auto` first times chunks on the
-    /// bound estimator, then keeps the plan with its shard count set — the
-    /// identity and counts do not depend on it.
+    /// identity is hashed; the snapshot's header, written last, records
+    /// the training set's content hash that identity took. The caller
+    /// publishes the snapshot once the plan is saved; a snapshot that could
+    /// not be written is only a cache the job goes without. `shard-plan
+    /// --auto` first times chunks on the bound estimator, then keeps the
+    /// plan with its shard count set — the identity and counts do not
+    /// depend on it.
     pub fn from_spec_with_snapshot(
         spec: &JobSpec,
         threads: usize,
@@ -165,27 +184,18 @@ impl PreparedJob {
         let estimator = Estimator::new(data, spec.k, spec.weight, spec.family, None)?;
         let staged = std::thread::scope(|s| {
             let data = estimator.data();
+            let (hash_tx, hash_rx) = std::sync::mpsc::channel();
             let staged = s.spawn(move || {
                 dirs.create()?;
-                snapshot::stage(dirs, data, stamp)
+                snapshot::stage(dirs, data, stamp, || hash_rx.recv().ok())
             });
             estimator.identity();
+            // The writer may have gone already; then it has no use for it.
+            hash_tx.send(estimator.train_hash()).ok();
             staged.join().expect("snapshot writer panicked")
         });
         let plan = derive_plan(spec, &estimator);
         Ok((Self { plan, estimator }, staged))
-    }
-
-    /// Bind `plan` to `data`, verifying the identity the data derives
-    /// ([`check_identity`]).
-    fn verified(plan: &JobPlan, data: Data<'static>) -> Result<Self, JobError> {
-        let s = &plan.spec;
-        let estimator = Estimator::new(data, s.k, s.weight, s.family, None)?;
-        check_identity(plan, &estimator)?;
-        Ok(Self {
-            plan: plan.clone(),
-            estimator,
-        })
     }
 
     /// Load the plan from a job directory and bind it to its verified
@@ -193,9 +203,8 @@ impl PreparedJob {
     /// snapshot), logging the load as `worker`'s.
     pub fn load(dirs: &JobDirs, threads: usize, worker: &str) -> Result<Self, JobError> {
         let plan = JobPlan::load(dirs)?;
-        load_checked(dirs, &plan, threads, Some(worker), |data| {
-            Self::verified(&plan, data)
-        })
+        let estimator = load_checked(dirs, &plan, threads, Some(worker))?;
+        Ok(Self { plan, estimator })
     }
 
     /// Attach a precomputed KNN graph. The graph's dataset-content

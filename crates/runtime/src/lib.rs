@@ -22,9 +22,10 @@
 //!   renames**, so a reader never observes a half-written shard or
 //!   checkpoint.
 //! * [`snapshot`] — the training set `shard-plan` parsed, in binary
-//!   (`KNNDATA`), stamped with the length and digest of its CSV: workers
-//!   and the merge read it instead of parsing the CSV again while the CSV
-//!   is unchanged, and fall back to the CSV on any miss.
+//!   (`KNNDATA`), stamped with the length and digest of its CSV and with
+//!   its content hash, and sealed: workers and the merge read it instead of
+//!   parsing and re-hashing the CSV while the CSV is unchanged, and fall
+//!   back to the CSV on any miss.
 //! * [`queue`] — a coordination-free **file-based work queue** over a shared
 //!   filesystem. A worker claims shard `i` by exclusively creating
 //!   `leases/s<i>.lease` (`O_CREAT|O_EXCL` — first writer wins, every other

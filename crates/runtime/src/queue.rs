@@ -147,18 +147,20 @@ pub fn clear_checkpoint(dirs: &JobDirs, i: usize) {
     std::fs::remove_file(dirs.checkpoint_path(i)).ok();
 }
 
-/// Read and parse every published shard of the job, in shard order.
+/// Read and parse every published shard of the job, in shard order, on
+/// `threads` workers.
 pub fn read_all_shards(
     dirs: &JobDirs,
     shards: usize,
+    threads: usize,
 ) -> Result<Vec<ShardPartial>, crate::JobError> {
-    let mut parts = Vec::with_capacity(shards);
-    for i in 0..shards {
+    knnshap_parallel::par_map(shards, threads, |i| {
         let path = dirs.shard_path(i);
         let bytes = std::fs::read(&path).map_err(|e| crate::io_err(&path, e))?;
-        parts.push(ShardPartial::from_bytes(&bytes)?);
-    }
-    Ok(parts)
+        Ok(ShardPartial::from_bytes(&bytes)?)
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]

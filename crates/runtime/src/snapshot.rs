@@ -1,41 +1,57 @@
 //! The job's training-set snapshot, `train.knndata`: the rows `shard-plan`
-//! parsed and verified, in binary, so that every worker and the merge tail
-//! read them instead of parsing the training CSV again.
+//! parsed and verified, in binary, with their content hash, so that every
+//! worker and the merge tail read them instead of parsing the training CSV
+//! again, and bind them without hashing every feature again.
 //!
-//! ## Format
+//! ## Format (version 2)
 //!
-//! A 48-byte header, then the payload; every number is little-endian.
+//! A 64-byte header, then the payload; every number is little-endian.
 //!
 //! ```text
 //! offset  bytes  field
 //!      0      8  magic  b"KNNDATA\0"
-//!      8      4  version (1)
+//!      8      4  version (2)
 //!     12      4  task: 0 = classification, 1 = regression
 //!     16      8  n     rows
 //!     24      8  dim   features per row
 //!     32      8  byte length of the training CSV the rows were parsed from
 //!     40      8  ByteDigest of that CSV's bytes
-//!     48         n·dim f32 features (row-major), then n u32 labels or
+//!     48      8  content hash of the rows (hash_class_dataset or
+//!                hash_reg_dataset), as the plan's fingerprint took it
+//!     56      8  seal: ByteDigest of the payload, then of bytes 0..56
+//!     64         n·dim f32 features (row-major), then n u32 labels or
 //!                n f64 targets
 //! ```
 //!
-//! The header holds no content hash: the plan's job fingerprint covers
-//! every payload bit, and a loaded snapshot is held to it.
+//! The writer streams the payload first, folding the seal as it goes, and
+//! seeks back to write the header last, once `shard-plan` has hashed the
+//! rows for the plan: planning neither hashes twice nor waits on the hash
+//! to start writing. A version-1 file (48-byte header, no hash) is a
+//! decode miss.
 //!
 //! ## When it is used
 //!
-//! [`read`] returns the training set when the file exists, its header
-//! decodes for the plan's task, the file length is exactly what `n` and
-//! `dim` make it, and the training CSV still has the recorded length and
-//! digest. Anything else is a [`Miss`], never an error: the caller parses
-//! the CSV instead, exactly as without a snapshot. The caller then verifies
-//! the loaded data against the plan's fingerprint and, if that fails, also
-//! falls back to the CSV — so a corrupt payload is only a miss, and a
-//! drifted CSV fails with `FingerprintMismatch` as it always did.
+//! [`read`] returns the training set and its content hash when the file
+//! exists, its header decodes for the plan's task, the file length is
+//! exactly what `n` and `dim` make it, the training CSV still has the
+//! recorded length and digest, and the seal matches the bytes read.
+//! Anything else is a [`Miss`], never an error: the caller parses the CSV
+//! instead, exactly as without a snapshot. The caller binds the rows with
+//! the recorded hash and verifies the plan's fingerprint, which still
+//! hashes `K`, the weight, the family and the freshly parsed test set; if
+//! that fails it also falls back to the CSV, so a drifted CSV or a
+//! hand-edited plan fails with the error it always did.
+//!
+//! Skipping the re-hash is safe because the hash is only trusted together
+//! with the bytes it was taken from: the CSV digest ties the snapshot to
+//! the CSV the plan parsed, and the seal covers every payload byte and the
+//! hash itself, so a damaged row, a damaged hash or a snapshot spliced from
+//! another file reads as a miss.
 //!
 //! The payload is read 64 KiB ([`WINDOW`]) at a time into buffers sized
 //! from the header once the file length has confirmed that size: a decode
-//! never allocates more than the file holds.
+//! never allocates more than the file holds. On two or more threads the
+//! CSV digest runs on a second thread while the payload is read.
 
 use crate::layout::{JobDirs, Staged};
 use crate::spec::JobSpec;
@@ -46,15 +62,17 @@ use knnshap_datasets::{ClassDataset, Features, RegDataset};
 use knnshap_numerics::fingerprint::ByteDigest;
 use std::borrow::Cow;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// The first eight bytes of every snapshot.
 const MAGIC: &[u8; 8] = b"KNNDATA\0";
 /// The format version this build reads and writes.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 /// Bytes before the payload.
-pub const HEADER_LEN: usize = 48;
+pub const HEADER_LEN: usize = 64;
+/// The header bytes the seal covers: all but the seal itself.
+const SEALED: usize = 56;
 
 /// The length and [`ByteDigest`] of a training CSV's bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +113,7 @@ pub enum Miss {
     Absent,
     /// The training CSV's bytes changed since the snapshot was written.
     Digest,
-    /// The file is not a whole snapshot of this job's task.
+    /// The file is not a whole, sealed snapshot of this job's task.
     Decode,
     /// The snapshot's rows did not derive the plan's job identity.
     Identity,
@@ -146,19 +164,34 @@ impl TrainSet {
 
 /// Write the snapshot of `data`'s training set, parsed from a CSV with
 /// stamp `csv`, under a temporary name next to the job's snapshot path;
-/// [`Staged::publish`] puts it in place.
-pub(crate) fn stage(dirs: &JobDirs, data: &Data<'_>, csv: Stamp) -> io::Result<Staged> {
-    crate::layout::stage(&dirs.snapshot_path(), |w| match data {
-        Data::Class { train, .. } => {
-            write_header(w, Task::Class, &train.x, csv)?;
-            write_le(w, train.x.as_slice(), f32::to_le_bytes)?;
-            write_le(w, &train.y, u32::to_le_bytes)
-        }
-        Data::Reg { train, .. } => {
-            write_header(w, Task::Reg, &train.x, csv)?;
-            write_le(w, train.x.as_slice(), f32::to_le_bytes)?;
-            write_le(w, &train.y, f64::to_le_bytes)
-        }
+/// [`Staged::publish`] puts it in place. The payload is written first;
+/// then `train_hash` is asked for the training set's content hash (`None`
+/// fails the write) and the header goes in front.
+pub(crate) fn stage(
+    dirs: &JobDirs,
+    data: &Data<'_>,
+    csv: Stamp,
+    train_hash: impl FnOnce() -> Option<u64>,
+) -> io::Result<Staged> {
+    crate::layout::stage(&dirs.snapshot_path(), |w| {
+        w.write_all(&[0; HEADER_LEN])?;
+        let mut seal = ByteDigest::new();
+        let (task, x) = match data {
+            Data::Class { train, .. } => {
+                write_le(w, &mut seal, train.x.as_slice(), f32::to_le_bytes)?;
+                write_le(w, &mut seal, &train.y, u32::to_le_bytes)?;
+                (Task::Class, &train.x)
+            }
+            Data::Reg { train, .. } => {
+                write_le(w, &mut seal, train.x.as_slice(), f32::to_le_bytes)?;
+                write_le(w, &mut seal, &train.y, f64::to_le_bytes)?;
+                (Task::Reg, &train.x)
+            }
+        };
+        let hash = train_hash()
+            .ok_or_else(|| io::Error::other("the training set's content hash never came"))?;
+        w.seek(SeekFrom::Start(0))?;
+        w.write_all(&header(task, x, csv, hash, seal))
     })
 }
 
@@ -169,20 +202,38 @@ fn task_code(task: Task) -> u32 {
     }
 }
 
-fn write_header(w: &mut impl Write, task: Task, x: &Features, csv: Stamp) -> io::Result<()> {
-    let mut head = Vec::with_capacity(HEADER_LEN);
-    head.extend_from_slice(MAGIC);
-    head.extend_from_slice(&VERSION.to_le_bytes());
-    head.extend_from_slice(&task_code(task).to_le_bytes());
-    for v in [x.len() as u64, x.dim() as u64, csv.len, csv.digest] {
-        head.extend_from_slice(&v.to_le_bytes());
+/// The header of a snapshot whose payload `seal` has folded.
+fn header(
+    task: Task,
+    x: &Features,
+    csv: Stamp,
+    train_hash: u64,
+    mut seal: ByteDigest,
+) -> [u8; HEADER_LEN] {
+    let mut head = [0u8; HEADER_LEN];
+    head[..8].copy_from_slice(MAGIC);
+    head[8..12].copy_from_slice(&VERSION.to_le_bytes());
+    head[12..16].copy_from_slice(&task_code(task).to_le_bytes());
+    let fields = [
+        x.len() as u64,
+        x.dim() as u64,
+        csv.len,
+        csv.digest,
+        train_hash,
+    ];
+    for (at, v) in (16..).step_by(8).zip(fields) {
+        head[at..at + 8].copy_from_slice(&v.to_le_bytes());
     }
-    w.write_all(&head)
+    seal.update(&head[..SEALED]);
+    head[SEALED..].copy_from_slice(&seal.finish().to_le_bytes());
+    head
 }
 
-/// Write `vals` little-endian, one 64 KiB piece at a time.
+/// Write `vals` little-endian, one 64 KiB piece at a time, folding each
+/// piece into `seal`.
 fn write_le<T: Copy, const W: usize>(
     w: &mut impl Write,
+    seal: &mut ByteDigest,
     vals: &[T],
     to: fn(T) -> [u8; W],
 ) -> io::Result<()> {
@@ -192,6 +243,7 @@ fn write_le<T: Copy, const W: usize>(
         for &v in chunk {
             piece.extend_from_slice(&to(v));
         }
+        seal.update(&piece);
         w.write_all(&piece)?;
     }
     Ok(())
@@ -202,6 +254,8 @@ struct Header {
     n: usize,
     dim: usize,
     csv: Stamp,
+    train_hash: u64,
+    seal: u64,
 }
 
 impl Header {
@@ -222,6 +276,8 @@ impl Header {
                 len: u64_at(32),
                 digest: u64_at(40),
             },
+            train_hash: u64_at(48),
+            seal: u64_at(SEALED),
         })
     }
 
@@ -235,9 +291,11 @@ impl Header {
 }
 
 /// Read the job's snapshot for `spec`'s task, if it is current (see the
-/// [module docs](self)). Never panics on a bad file, and allocates no more
-/// than the file's length.
-pub fn read(dirs: &JobDirs, spec: &JobSpec) -> Result<TrainSet, Miss> {
+/// [module docs](self)): the training set and its content hash. On two or
+/// more `threads` the training CSV is digested on a second thread while the
+/// payload is read. Never panics on a bad file, and allocates no more than
+/// the file's length.
+pub fn read(dirs: &JobDirs, spec: &JobSpec, threads: usize) -> Result<(TrainSet, u64), Miss> {
     let mut f = match File::open(dirs.snapshot_path()) {
         Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(Miss::Absent),
@@ -254,20 +312,43 @@ pub fn read(dirs: &JobDirs, spec: &JobSpec) -> Result<TrainSet, Miss> {
     if h.file_len(final_width) != Some(file_len) {
         return Err(Miss::Decode);
     }
-    if Stamp::of_file(&spec.train).ok() != Some(h.csv) {
-        return Err(Miss::Digest);
-    }
+    let current = || Stamp::of_file(&spec.train).ok() == Some(h.csv);
+    let train = if threads >= 2 {
+        let (current, train) = std::thread::scope(|s| {
+            let current = s.spawn(current);
+            let train = read_payload(&mut f, &head, &h, spec.task);
+            (current.join().expect("the CSV digest panicked"), train)
+        });
+        if !current {
+            return Err(Miss::Digest);
+        }
+        train
+    } else {
+        if !current() {
+            return Err(Miss::Digest);
+        }
+        read_payload(&mut f, &head, &h, spec.task)
+    }?;
+    Ok((train, h.train_hash))
+}
+
+/// Read the payload after `head`, decoded as `h`, and check its seal.
+fn read_payload(
+    f: &mut File,
+    head: &[u8; HEADER_LEN],
+    h: &Header,
+    task: Task,
+) -> Result<TrainSet, Miss> {
     let cells = h.n.checked_mul(h.dim).ok_or(Miss::Decode)?;
     let mut piece = vec![0u8; WINDOW];
-    let feats = read_le(&mut f, &mut piece, cells, f32::from_le_bytes)?;
-    // The CSV loader refuses non-finite features; so does the snapshot.
-    if !feats.iter().all(|v| v.is_finite()) {
-        return Err(Miss::Decode);
-    }
-    let x = Features::new(feats, h.dim);
-    Ok(match spec.task {
+    let mut seal = ByteDigest::new();
+    let x = Features::new(
+        read_le(f, &mut piece, &mut seal, cells, f32::from_le_bytes)?,
+        h.dim,
+    );
+    let train = match task {
         Task::Class => {
-            let y = read_le(&mut f, &mut piece, h.n, u32::from_le_bytes)?;
+            let y = read_le(f, &mut piece, &mut seal, h.n, u32::from_le_bytes)?;
             let max = y.iter().copied().max().unwrap_or(0);
             if max > ClassDataset::MAX_LABEL {
                 return Err(Miss::Decode);
@@ -276,16 +357,22 @@ pub fn read(dirs: &JobDirs, spec: &JobSpec) -> Result<TrainSet, Miss> {
         }
         Task::Reg => TrainSet::Reg(RegDataset::new(
             x,
-            read_le(&mut f, &mut piece, h.n, f64::from_le_bytes)?,
+            read_le(f, &mut piece, &mut seal, h.n, f64::from_le_bytes)?,
         )),
-    })
+    };
+    seal.update(&head[..SEALED]);
+    if seal.finish() != h.seal {
+        return Err(Miss::Decode);
+    }
+    Ok(train)
 }
 
 /// Read `count` little-endian values of `W` bytes each, one `piece` at a
-/// time.
+/// time, folding each piece into `seal`.
 fn read_le<T, const W: usize>(
     r: &mut impl Read,
     piece: &mut [u8],
+    seal: &mut ByteDigest,
     count: usize,
     from: fn([u8; W]) -> T,
 ) -> Result<Vec<T>, Miss> {
@@ -294,6 +381,7 @@ fn read_le<T, const W: usize>(
     while out.len() < count {
         let bytes = &mut piece[..(count - out.len()).min(per_piece) * W];
         r.read_exact(bytes).map_err(|_| Miss::Decode)?;
+        seal.update(bytes);
         out.extend(
             bytes
                 .chunks_exact(W)

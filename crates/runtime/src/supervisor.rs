@@ -13,11 +13,12 @@
 //! Each worker is watched by a thread of its own, which wakes the
 //! supervisor the moment the worker exits; the poll tick
 //! only bounds the wait for progress in other processes and drives lease
-//! expiry. The merge tail then loads each dataset once — the training set
-//! from the job's snapshot while its CSV is unchanged, otherwise by parsing
-//! it on the threads the fleet held ([`tail_threads`]): it verifies the
-//! fingerprint, keeps the one column the outputs need ([`Column`]) and
-//! drops the features before it reads and merges the shards.
+//! expiry. The merge tail then loads each dataset once on the threads the
+//! fleet held ([`tail_threads`]) — the training set from the job's
+//! snapshot while its CSV is unchanged, otherwise by parsing it: it
+//! verifies the fingerprint, keeps the one column the outputs need
+//! ([`Column`]) and drops the features before it decodes, merges and
+//! finalizes the shards on those threads.
 //!
 //! Crash-tolerance invariants worth internalizing:
 //!
@@ -35,8 +36,8 @@ use crate::queue;
 use crate::spec::JobPlan;
 use crate::worker::{run_worker, FaultHook, WorkerOptions};
 use crate::JobError;
-use knnshap_core::estimator::{Data, Estimator};
-use knnshap_core::sharding::{merge_partials, MergedValuation};
+use knnshap_core::estimator::Data;
+use knnshap_core::sharding::{merge_partials_with_threads, MergedValuation};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -322,22 +323,17 @@ fn merge_tail(
     // so this is the only place that catches CSVs edited after planning —
     // without it the report would pair stale values with drifted labels.
     // Dataset-content fingerprints make this O(dataset), not O(N · N_test).
-    // The training set comes from the job's snapshot while its CSV is
-    // unchanged.
+    // The training set comes from the job's snapshot, with its recorded
+    // content hash, while its CSV is unchanged.
     // The check is the one workers run: fingerprint, kind and counts.
-    let data = crate::dispatch::load_checked(dirs, plan, threads, None, |data| {
-        let s = &plan.spec;
-        let estimator = Estimator::new(data.reborrow(), s.k, s.weight, s.family, None)?;
-        crate::dispatch::check_identity(plan, &estimator)?;
-        Ok(data)
-    })?;
+    let data = crate::dispatch::load_checked(dirs, plan, threads, None)?.into_data();
     // The features go before the shards are read: the merge's peak memory
     // holds the partials and one column, never a dataset.
     let (column, n_test) = match data {
         Data::Class { train, test } => (Column::Labels(train.into_owned().y), test.len()),
         Data::Reg { train, test } => (Column::Targets(train.into_owned().y), test.len()),
     };
-    let parts = queue::read_all_shards(dirs, plan.spec.shards)?;
+    let parts = queue::read_all_shards(dirs, plan.spec.shards, threads)?;
     if let Some(p) = parts.first() {
         if p.meta.fingerprint != plan.fingerprint || p.meta.kind != plan.kind {
             return Err(JobError::Plan(format!(
@@ -350,7 +346,11 @@ fn merge_tail(
             )));
         }
     }
-    Ok((merge_partials(&parts)?, column, n_test))
+    Ok((
+        merge_partials_with_threads(&parts, threads)?,
+        column,
+        n_test,
+    ))
 }
 
 #[cfg(test)]

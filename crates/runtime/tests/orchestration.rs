@@ -9,7 +9,7 @@
 
 use knnshap_core::estimator::{Family, Task};
 use knnshap_core::mc::{IncKnnUtility, StoppingRule};
-use knnshap_core::sharding::{ShardKind, ShardPartial, ShardSpec};
+use knnshap_core::sharding::{hash_reg_dataset, ShardKind, ShardPartial, ShardSpec};
 use knnshap_core::utility::KnnClassUtility;
 use knnshap_core::ShapleyValues;
 use knnshap_datasets::synth::blobs::{self, BlobConfig};
@@ -1021,25 +1021,35 @@ fn exact_reg_jobs_round_trip_bit_exactly_through_the_snapshot() {
         };
         let dirs = ws.job_dirs(name);
         plan_with_snapshot(&spec, &dirs);
-        let Ok(TrainSet::Reg(snap)) = snapshot::read(&dirs, &spec) else {
-            panic!("{name}: the fresh snapshot must be a hit");
-        };
-        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits32(snap.x.as_slice()), bits32(parsed.x.as_slice()));
-        assert_eq!(bits64(&snap.y), bits64(&parsed.y));
+        for threads in [1, 2] {
+            let Ok((TrainSet::Reg(snap), hash)) = snapshot::read(&dirs, &spec, threads) else {
+                panic!("{name}: the fresh snapshot must be a hit at {threads} threads");
+            };
+            let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits32(snap.x.as_slice()), bits32(parsed.x.as_slice()));
+            assert_eq!(bits64(&snap.y), bits64(&parsed.y));
+            assert_eq!(
+                hash,
+                hash_reg_dataset(&parsed),
+                "{name}: the recorded content hash"
+            );
+        }
         let (values, loads) = rerun(&dirs);
         assert_bitwise(&values, &reference(&spec), name);
         assert_eq!(loads, vec![("snapshot".to_string(), None); 2], "{name}");
     }
 }
 
-/// Every kind of damage to the snapshot — any truncation, a wrong magic,
-/// version or task, `n · dim` that disagrees with the file length, an
-/// inflated `n`, any flipped payload byte — is a miss: the worker and the
-/// merge parse the CSV instead and the job merges to the same bits. None
-/// panics, and an inflated `n` allocates nothing (`n = 2^61` rows would
-/// abort the process if it were trusted).
+/// Every kind of damage to the snapshot — any truncation, any flipped
+/// header byte (the recorded CSV stamp is a `digest` miss, every other
+/// field, the content hash and the seal included, a `decode` miss), a
+/// wrong magic, version or task, a file an earlier build wrote in format
+/// version 1, `n · dim` that disagrees with the file length, an inflated
+/// `n`, any flipped payload byte — is a miss: the worker and the merge
+/// parse the CSV instead and the job merges to the same bits. None panics,
+/// and an inflated `n` allocates nothing (`n = 2^61` rows would abort the
+/// process if it were trusted).
 #[test]
 fn a_damaged_snapshot_is_a_miss_that_falls_back_to_the_csv() {
     let ws = Workspace::new("snap-decode");
@@ -1094,12 +1104,30 @@ fn a_damaged_snapshot_is_a_miss_that_falls_back_to_the_csv() {
         b[at..at + field.len()].copy_from_slice(field);
         b
     };
+    for at in 0..snapshot::HEADER_LEN {
+        let mut b = good.clone();
+        b[at] ^= 0xFF;
+        // Bytes 32..48 hold the training CSV's length and digest.
+        let reason = if (32..48).contains(&at) {
+            "digest"
+        } else {
+            "decode"
+        };
+        check(&b, &format!("header byte {at} flipped"), &[reason]);
+    }
     check(&patched(0, b"KNNDATB"), "wrong magic", &["decode"]);
-    check(
-        &patched(8, &2u32.to_le_bytes()),
-        "wrong version",
-        &["decode"],
-    );
+    for version in [1u32, 3] {
+        check(
+            &patched(8, &version.to_le_bytes()),
+            &format!("version {version}"),
+            &["decode"],
+        );
+    }
+    // The file a version-1 build writes for this job: a 48-byte header
+    // without the content hash and the seal, then the same payload.
+    let mut v1 = patched(8, &1u32.to_le_bytes())[..48].to_vec();
+    v1.extend_from_slice(&good[snapshot::HEADER_LEN..]);
+    check(&v1, "a version-1 snapshot", &["decode"]);
     check(&patched(12, &1u32.to_le_bytes()), "wrong task", &["decode"]);
     check(
         &patched(16, &9u64.to_le_bytes()),
@@ -1125,11 +1153,7 @@ fn a_damaged_snapshot_is_a_miss_that_falls_back_to_the_csv() {
     for at in snapshot::HEADER_LEN..good.len() {
         let mut b = good.clone();
         b[at] ^= 0xFF;
-        check(
-            &b,
-            &format!("payload byte {at} flipped"),
-            &["identity", "decode"],
-        );
+        check(&b, &format!("payload byte {at} flipped"), &["decode"]);
     }
     let mut longer = good.clone();
     longer.push(0);
