@@ -23,7 +23,6 @@ const ALLOWED: &[&str] = &[
     "weight",
     "weight-param",
     "threads",
-    "shards",
     "perms",
     "inspect",
     "flagged",

@@ -4,9 +4,10 @@
 //! writes a versioned `KNNGRAPH` file: per-test-point neighbor lists in
 //! argsort-identical tie-broken order, stamped with dataset-content
 //! fingerprints. Every consumer (`value --graph`, `shard --graph`,
-//! `worker --graph`, `serve --graph`) skips its distance pass and produces
-//! byte-identical output to the brute-force run, because the graph stores
-//! the exact bits the brute-force path would have computed.
+//! `worker --graph`, `run-job --graph`, `serve --graph`) skips its
+//! distance pass and produces byte-identical output to the brute-force
+//! run, because the graph stores the exact bits the brute-force path would
+//! have computed.
 //!
 //! The graph is **label-free** (features only), so one artifact serves both
 //! classification and regression valuation over the same feature matrix —
@@ -163,6 +164,8 @@ mod tests {
         std::fs::remove_file(&gpath).ok();
     }
 
+    /// A sharded job whose worker loads the graph (`worker --graph`)
+    /// merges (`run-job`) to `value`'s CSV byte for byte.
     #[test]
     fn sharded_value_with_graph_matches_plain_value() {
         let (t, q) = csv_pair("graphshards", 30, 7);
@@ -170,32 +173,37 @@ mod tests {
         let pid = std::process::id();
         let gpath = dir.join(format!("knnshap-cli-{pid}-gs.knngraph"));
         crate::run(build_argv(&t, &q, &gpath)).unwrap();
-        let plain = crate::run([
-            "value",
-            "--train",
+        let (plain_csv, job_csv, job) = (
+            dir.join(format!("knnshap-cli-{pid}-gs-plain.csv")),
+            dir.join(format!("knnshap-cli-{pid}-gs-job.csv")),
+            dir.join(format!("knnshap-cli-{pid}-gs-job")),
+        );
+        std::fs::remove_dir_all(&job).ok();
+        let (t, q, g) = (
             t.to_str().unwrap(),
-            "--test",
             q.to_str().unwrap(),
-            "--k",
-            "2",
-        ])
-        .unwrap();
-        let sharded = crate::run([
-            "value",
-            "--train",
-            t.to_str().unwrap(),
-            "--test",
-            q.to_str().unwrap(),
-            "--k",
-            "2",
-            "--shards",
-            "3",
-            "--graph",
             gpath.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert_eq!(plain, sharded);
-        std::fs::remove_file(&gpath).ok();
+        );
+        let (plain, merged, job) = (
+            plain_csv.to_str().unwrap(),
+            job_csv.to_str().unwrap(),
+            job.to_str().unwrap(),
+        );
+        let data = ["--train", t, "--test", q, "--k", "2"];
+        crate::run([&["value", "--out", plain][..], &data].concat()).unwrap();
+        crate::run([&["shard-plan", "--shards", "3", "--job", job][..], &data].concat()).unwrap();
+        let report = crate::run(["worker", "--job", job, "--graph", g]).unwrap();
+        assert!(report.contains("completed 3 shard(s)"), "{report}");
+        crate::run(["run-job", "--job", job, "--workers", "1", "--out", merged]).unwrap();
+        assert_eq!(
+            std::fs::read(plain).unwrap(),
+            std::fs::read(merged).unwrap(),
+            "a graph-backed job must reproduce value byte for byte"
+        );
+        for p in [&gpath, &plain_csv, &job_csv] {
+            std::fs::remove_file(p).ok();
+        }
+        std::fs::remove_dir_all(job).ok();
     }
 
     #[test]

@@ -28,25 +28,56 @@ use knnshap_core::estimator::Family;
 use knnshap_runtime::dispatch::PreparedJob;
 use knnshap_runtime::layout::JobDirs;
 use knnshap_runtime::spec::{absolutize, JobPlan, JobSpec};
-use knnshap_runtime::supervisor::{run_job, tail_threads, Column, Launcher, SupervisorOptions};
+use knnshap_runtime::supervisor::{run_job, tail_threads, Launcher, SupervisorOptions};
 use knnshap_runtime::worker::{run_worker, FaultHook, FaultPoint, WorkerOptions};
 use knnshap_runtime::JobError;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Parse `--method` for job planning through the family table. Unlike
+/// Why `--method lsh` is rejected by `shard`, `merge`, `shard-plan` and
+/// the job runtime — the full explanation, not a generic "unsupported"
+/// line, because the obvious workaround (build a per-shard index) silently
+/// breaks the determinism contract. The planned sharding design for LSH is
+/// documented in `docs/sharding.md` ("Why LSH does not shard yet").
+pub(crate) const LSH_UNSHARDABLE: &str =
+    "the LSH method cannot shard by test range: its index needs whole-test-set \
+     statistics (the relative-contrast estimate that picks hash width, table \
+     count and probe schedule), so independently built per-shard indexes would \
+     answer queries differently and the merged values would not match the \
+     unsharded run. Planned design: build the index once, then stream query \
+     ranges through OnlineValuator workers — see docs/sharding.md";
+
+/// Parse `--method` for sharded work through the family table. Unlike
 /// `value`'s parser this knows `group-testing`, and it rejects `lsh` with
 /// the full explanation (the satellite of `docs/sharding.md`'s "Why LSH
 /// does not shard yet").
 fn parse_family(args: &Args) -> Result<Family, CliError> {
     let name = args.str("method").unwrap_or("exact");
     if name == "lsh" {
-        return Err(CliError::Invalid(super::shard::LSH_UNSHARDABLE.into()));
+        return Err(CliError::Invalid(LSH_UNSHARDABLE.into()));
     }
     let eps = parse_eps(args)?;
     let perms = args.usize_or("perms", 0)?;
     let seed = args.u64_or("seed", 42)?;
     Family::parse(name, eps, perms, seed).map_err(CliError::Invalid)
+}
+
+/// The job `--train`, `--test`, `--task`, `--k`, `--weight`,
+/// `--weight-param`, `--method` (with `--eps`, `--perms`, `--seed`) and
+/// `--checkpoint-chunks` describe, over `shards` shards: the one reading
+/// of a sharded job's arguments, behind `shard-plan`, `shard` and `merge`.
+/// Not yet validated ([`JobSpec::validate`]).
+pub(crate) fn job_spec(args: &Args, shards: usize) -> Result<JobSpec, CliError> {
+    Ok(JobSpec {
+        task: parse_task(args)?,
+        train: absolutize(Path::new(args.require("train")?)),
+        test: absolutize(Path::new(args.require("test")?)),
+        k: args.usize_or("k", 1)?,
+        weight: parse_weight(args)?,
+        family: parse_family(args)?,
+        shards,
+        checkpoint_chunks: args.usize_or("checkpoint-chunks", 4)?,
+    })
 }
 
 const SHARD_PLAN_ALLOWED: &[&str] = &[
@@ -127,16 +158,7 @@ pub fn run_shard_plan(args: &Args) -> Result<String, CliError> {
     let requested = args.usize_or("shards", 0)?;
     // shard-plan takes no --threads: it parses on the default budget.
     let threads = knnshap_parallel::current_threads();
-    let spec = JobSpec {
-        task: parse_task(args)?,
-        train: absolutize(Path::new(args.require("train")?)),
-        test: absolutize(Path::new(args.require("test")?)),
-        k: args.usize_or("k", 1)?,
-        weight: parse_weight(args)?,
-        family: parse_family(args)?,
-        shards: if auto { 1 } else { requested },
-        checkpoint_chunks: args.usize_or("checkpoint-chunks", 4)?,
-    };
+    let spec = job_spec(args, if auto { 1 } else { requested })?;
     let dirs = JobDirs::new(&job);
     let t0 = std::time::Instant::now();
     let (prepared, snapshot) =
@@ -384,71 +406,19 @@ pub fn run_run_job(args: &Args) -> Result<String, CliError> {
          worker failure(s)) in {secs:.3} s\n\n",
         plan.spec.shards, workers, outcome.spawned, outcome.reassigned, outcome.worker_failures,
     );
-    let sv = outcome.values;
-    let top = args.usize_or("top", 10)?;
-    let payout = match args.f64_opt("revenue")? {
-        Some(revenue) => {
-            let base = args.f64_or("base-fee", 0.0)?;
-            Some(knnshap_core::analysis::monetary_payout(&sv, revenue, base))
-        }
-        None => None,
-    };
-
     // The supervisor kept the one dataset column the outputs need, so
     // nothing is parsed again; the CSV is written on the fleet's cores.
-    let threads = tail_threads(workers, threads);
-    match &outcome.column {
-        Column::Labels(labels) => {
-            // Same renderer and CSV writer as `value`/`merge`: the report
-            // tail and the --out CSV are byte-identical to the unsharded run
-            // (for the deterministic methods; MC reports differ only in the
-            // wall-clock throughput line `value` prints).
-            if let Some(path) = args.str("out") {
-                super::value::write_csv(
-                    Path::new(path),
-                    "label",
-                    labels,
-                    &sv,
-                    payout.as_deref(),
-                    threads,
-                )
-                .map_err(knnshap_datasets::io::IoError::Io)?;
-            }
-            out.push_str(&super::value::render(
-                labels,
-                outcome.n_test,
-                plan.spec.k,
-                &sv,
-                payout.as_deref(),
-                top,
-                None,
-                plan.spec.family.name(),
-                args.str("out"),
-            ));
-        }
-        Column::Targets(targets) => {
-            out.push_str(&format!(
-                "Valued {} training points against {} test points (K = {}, method = \
-                 exact-reg).\ntotal value: {}\n",
-                plan.n_train,
-                plan.total_items,
-                plan.spec.k,
-                crate::report::fmt_f64(sv.total()),
-            ));
-            if let Some(path) = args.str("out") {
-                super::value::write_csv(
-                    Path::new(path),
-                    "target",
-                    targets,
-                    &sv,
-                    payout.as_deref(),
-                    threads,
-                )
-                .map_err(knnshap_datasets::io::IoError::Io)?;
-                out.push_str(&format!("\nfull values written to {path}\n"));
-            }
-        }
-    }
+    // The report tail and the --out CSV are `value`'s, byte for byte.
+    out += &super::value::report(
+        args,
+        &outcome.column,
+        outcome.n_test,
+        plan.spec.k,
+        &outcome.values,
+        None,
+        plan.spec.family.name(),
+        tail_threads(workers, threads),
+    )?;
     Ok(out)
 }
 

@@ -20,7 +20,7 @@ use knnshap_knn::graph::KnnGraph;
 use knnshap_knn::weights::WeightFn;
 use std::path::Path;
 
-/// Loads the `--train`/`--test` CSV pair shared by value/audit/serve/shard/
+/// Loads the `--train`/`--test` CSV pair shared by value/audit/serve/
 /// contrast, parsing on the command's `--threads` budget (the default
 /// thread count where the command takes no `--threads`).
 pub(crate) fn load_pair(args: &Args) -> Result<(ClassDataset, ClassDataset), CliError> {
@@ -42,9 +42,7 @@ pub(crate) fn load_pair(args: &Args) -> Result<(ClassDataset, ClassDataset), Cli
 
 /// Resolves `--method`/`--eps`/`--delta`/`--seed`/`--perms` into a pipeline
 /// [`Method`]. The MC methods default to the §6.2.2 heuristic stop; an
-/// explicit `--perms N` pins a fixed N-permutation budget instead — the
-/// form the sharded runtime requires (a shard cannot evaluate a sequential
-/// stopping criterion).
+/// explicit `--perms N` pins a fixed N-permutation budget instead.
 pub(crate) fn parse_method(args: &Args) -> Result<Method, CliError> {
     let eps = parse_eps(args)?;
     let delta = parse_delta(args)?;
@@ -96,10 +94,9 @@ pub(crate) fn parse_delta(args: &Args) -> Result<f64, CliError> {
 }
 
 /// The valuation behind `value` and `audit`: resolves `--method`,
-/// `--weight`, `--shards` and `--graph`, then merges `--shards N`
-/// in-process shards or runs the builder. Returns the values, the Monte
-/// Carlo permutation count and the valuation's wall-clock seconds (the
-/// CSV loads and argument parsing excluded).
+/// `--weight` and `--graph`, then runs the builder. Returns the values, the
+/// Monte Carlo permutation count and the valuation's wall-clock seconds
+/// (the CSV loads and argument parsing excluded).
 pub(crate) fn valuate(
     args: &Args,
     train: &ClassDataset,
@@ -109,25 +106,17 @@ pub(crate) fn valuate(
 ) -> Result<(Valuation, f64), CliError> {
     let method = parse_method(args)?;
     let weight = parse_weight(args)?;
-    let shards = args.usize_or("shards", 0)?;
     let graph = load_graph(args, &train.x, &test.x)?;
     let started = std::time::Instant::now();
-    let valuation = if shards > 0 {
-        // In-process sharded run: N partials through the wire format, then
-        // the deterministic merge — bitwise-identical to the unsharded path.
-        let graph = graph.as_ref();
-        shard::run_sharded(train, test, k, method, weight, graph, shards, threads)?
-    } else {
-        let mut builder = KnnShapley::new(train, test)
-            .k(k)
-            .weight(weight)
-            .method(method)
-            .threads(threads);
-        if let Some(g) = &graph {
-            builder = builder.graph(g);
-        }
-        builder.run_report()?
-    };
+    let mut builder = KnnShapley::new(train, test)
+        .k(k)
+        .weight(weight)
+        .method(method)
+        .threads(threads);
+    if let Some(g) = &graph {
+        builder = builder.graph(g);
+    }
+    let valuation = builder.run_report()?;
     Ok((valuation, started.elapsed().as_secs_f64()))
 }
 

@@ -1,14 +1,19 @@
-//! `knnshap shard` / `knnshap merge` — the out-of-process half of the
-//! sharded valuation runtime.
+//! `knnshap shard` / `knnshap merge` — a sharded valuation job by hand,
+//! one shard file per invocation.
 //!
 //! `shard` computes one canonical shard of a valuation job and writes its
 //! partial sums to a self-describing binary file
 //! (`knnshap_core::sharding::ShardPartial::to_bytes`; format spec in
-//! `docs/sharding.md`). `merge` reads a full set of shard files, validates
-//! that they belong to one job and tile it exactly, and prints the same
-//! report `value` would — **byte-identical** to an unsharded `value` run
-//! for the deterministic methods, because the partial sums are exact and
-//! finalized once.
+//! `docs/sharding.md`). `merge` reads a full set of shard files, checks
+//! that they belong to the job its own arguments describe and tile it
+//! exactly, and prints the same report `value` would — **byte-identical**
+//! to an unsharded `value` run for the deterministic methods, because the
+//! partial sums are exact and finalized once.
+//!
+//! Both read the job as `shard-plan` does (`job::job_spec`) and bind it as
+//! a job worker does (`knnshap_runtime::dispatch`), so a shard file is byte
+//! for byte the one a `run-job` of the same job publishes, and `merge`
+//! runs the merge tail's identity check (`supervisor::merge_shards`).
 //!
 //! ```text
 //! knnshap shard --train t.csv --test q.csv --k 3 --shard-index 0 --shard-count 3 --out s0.shard
@@ -18,95 +23,31 @@
 //! ```
 
 use crate::args::Args;
-use crate::commands::{load_pair, parse_method, parse_weight};
+use crate::commands::job::job_spec;
 use crate::CliError;
-use knnshap_core::estimator::{Data, Estimator};
-use knnshap_core::mc::StoppingRule;
-use knnshap_core::pipeline::{Method, Valuation};
-use knnshap_core::sharding::{merge_partials, ShardKind, ShardPartial, ShardSpec};
-use knnshap_datasets::ClassDataset;
-use knnshap_knn::graph::KnnGraph;
-use knnshap_knn::weights::WeightFn;
+use knnshap_core::estimator::Estimator;
+use knnshap_core::sharding::{ShardPartial, ShardSpec};
+use knnshap_datasets::io::IoError;
+use knnshap_runtime::dispatch::{attach_graph, load_data};
+use knnshap_runtime::spec::JobSpec;
+use knnshap_runtime::supervisor::{merge_shards, Column};
+use knnshap_runtime::JobError;
 use std::path::Path;
 
-/// Binds a classification valuation job to the estimator seam — the single
-/// dispatch behind `shard`, `merge`, `value --shards` and `audit --shards`,
-/// so in-process and multi-process sharding cannot diverge. When a
-/// precomputed `graph` is given the shards skip the distance pass; their
-/// kind, fingerprint and bytes are identical either way, so graph-backed
-/// and brute-force shards of one job inter-merge freely.
-fn estimator<'a>(
-    train: &'a ClassDataset,
-    test: &'a ClassDataset,
-    k: usize,
-    method: Method,
-    weight: WeightFn,
-    graph: Option<&'a KnnGraph>,
-) -> Result<Estimator<'a>, CliError> {
-    if let Method::McBaseline { rule, .. } | Method::McImproved { rule, .. } = method {
-        require_fixed_budget(rule)?;
-    }
-    // LSH is the one method `parse_method` returns that is not a family.
-    let Some(family) = method.family(train.len()) else {
-        return Err(CliError::Invalid(LSH_UNSHARDABLE.into()));
-    };
-    let data = Data::class(train, test);
-    Ok(Estimator::new(data, k, weight, family, graph)?)
-}
-
-/// Why `--method lsh` is rejected by `shard`, `shard-plan` and the job
-/// runtime — the full explanation, not a generic "unsupported" line, because
-/// the obvious workaround (build a per-shard index) silently breaks the
-/// determinism contract. The planned sharding design for LSH is documented
-/// in `docs/sharding.md` ("Why LSH does not shard yet").
-pub(crate) const LSH_UNSHARDABLE: &str =
-    "the LSH method cannot shard by test range: its index needs whole-test-set \
-     statistics (the relative-contrast estimate that picks hash width, table \
-     count and probe schedule), so independently built per-shard indexes would \
-     answer queries differently and the merged values would not match the \
-     unsharded run. Planned design: build the index once, then stream query \
-     ranges through OnlineValuator workers — see docs/sharding.md";
-
-/// Sharded Monte Carlo needs an a-priori stream budget: the heuristic rule
-/// stops on a *sequential* criterion no shard can evaluate alone. The CLI
-/// builds `Fixed` rules whenever `--perms N` is given.
-fn require_fixed_budget(rule: StoppingRule) -> Result<(), CliError> {
-    match rule {
-        StoppingRule::Fixed(_) => Ok(()),
-        _ => Err(CliError::Invalid(
-            "sharded Monte Carlo needs a fixed permutation budget: pass --perms N \
-             (the §6.2.2 heuristic stop is sequential and cannot be sharded)"
-                .into(),
-        )),
-    }
-}
-
-/// In-process sharded run for `value --shards N` / `audit --shards N`:
-/// computes each shard (round-tripping it through the wire format so the
-/// in-process path exercises exactly what lands on disk) and merges.
-/// Returns the values plus the consumed permutation count for MC methods.
-pub(crate) fn run_sharded(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    method: Method,
-    weight: WeightFn,
-    graph: Option<&KnnGraph>,
-    shards: usize,
+/// Bind `spec` to the datasets it names, parsed on `threads` workers, with
+/// the `KNNGRAPH` artifact at `graph` attached: a job worker's binding,
+/// without a plan to check it against.
+fn bind(
+    spec: &JobSpec,
     threads: usize,
-) -> Result<Valuation, CliError> {
-    let est = estimator(train, test, k, method, weight, graph)?;
-    let parts: Vec<ShardPartial> = (0..shards)
-        .map(|i| {
-            let p = est.compute(ShardSpec::new(i, shards), threads);
-            ShardPartial::from_bytes(&p.to_bytes()).map_err(CliError::Shard)
-        })
-        .collect::<Result<_, _>>()?;
-    let merged = merge_partials(&parts).map_err(CliError::Shard)?;
-    Ok(Valuation {
-        values: merged.values,
-        permutations: est.is_monte_carlo().then_some(merged.items as usize),
-    })
+    graph: Option<&str>,
+) -> Result<Estimator<'static>, CliError> {
+    let data = load_data(spec, threads)?;
+    let mut estimator = Estimator::new(data, spec.k, spec.weight, spec.family, None)?;
+    if let Some(path) = graph {
+        attach_graph(&mut estimator, Path::new(path))?;
+    }
+    Ok(estimator)
 }
 
 const SHARD_ALLOWED: &[&str] = &[
@@ -115,7 +56,6 @@ const SHARD_ALLOWED: &[&str] = &[
     "k",
     "method",
     "eps",
-    "delta",
     "weight",
     "weight-param",
     "threads",
@@ -130,8 +70,6 @@ const SHARD_ALLOWED: &[&str] = &[
 /// `knnshap shard`: compute one shard and write it to `--out`.
 pub fn run_shard(args: &Args) -> Result<String, CliError> {
     args.expect_only(SHARD_ALLOWED)?;
-    let (train, test) = load_pair(args)?;
-    let k = args.usize_or("k", 1)?;
     args.require("shard-index")?;
     args.require("shard-count")?;
     let index = args.usize_or("shard-index", 0)?;
@@ -141,16 +79,14 @@ pub fn run_shard(args: &Args) -> Result<String, CliError> {
             "--shard-index {index} / --shard-count {count}: need 0 <= index < count"
         )));
     }
-    let out = args.require("out")?.to_string();
+    let out = args.require("out")?;
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
-    let method = parse_method(args)?;
-    let weight = parse_weight(args)?;
-    let graph = super::load_graph(args, &train.x, &test.x)?;
-
-    let est = estimator(&train, &test, k, method, weight, graph.as_ref())?;
-    let partial = est.compute(ShardSpec::new(index, count), threads);
+    let spec = job_spec(args, count)?;
+    spec.validate()?;
+    let partial =
+        bind(&spec, threads, args.str("graph"))?.compute(ShardSpec::new(index, count), threads);
     let bytes = partial.to_bytes();
-    std::fs::write(Path::new(&out), &bytes).map_err(knnshap_datasets::io::IoError::Io)?;
+    std::fs::write(Path::new(out), &bytes).map_err(IoError::Io)?;
 
     let m = &partial.meta;
     Ok(format!(
@@ -166,28 +102,6 @@ pub fn run_shard(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// The shard kind and job fingerprint the given datasets + arguments WOULD
-/// produce — `merge` compares this against what the shard files claim.
-/// `None` for methods that cannot shard (their kind check would already have
-/// failed at shard time). The identity ignores the stream budget, so a
-/// Monte Carlo `merge` need not repeat `--perms`; it hashes dataset
-/// contents, never rebuilding the O(N · N_test) distance matrix.
-fn expected_job(
-    train: &ClassDataset,
-    test: &ClassDataset,
-    k: usize,
-    method: Method,
-    weight: WeightFn,
-) -> Result<Option<(ShardKind, u64)>, CliError> {
-    let Some(family) = method.family(train.len()) else {
-        return Ok(None);
-    };
-    let data = Data::class(train, test);
-    Ok(Some(
-        Estimator::new(data, k, weight, family, None)?.identity(),
-    ))
-}
-
 const MERGE_ALLOWED: &[&str] = &[
     "inputs",
     "train",
@@ -195,7 +109,6 @@ const MERGE_ALLOWED: &[&str] = &[
     "k",
     "method",
     "eps",
-    "delta",
     "weight",
     "weight-param",
     "threads",
@@ -207,107 +120,40 @@ const MERGE_ALLOWED: &[&str] = &[
     "base-fee",
 ];
 
-/// `knnshap merge`: read `--inputs a,b,c`, merge, and print the `value`
-/// report (byte-identical to an unsharded `value` run for the deterministic
-/// methods).
+/// `knnshap merge`: read `--inputs a,b,c`, check them against the job this
+/// invocation's datasets and arguments describe, merge, and print the
+/// `value` report (byte-identical to an unsharded `value` run for the
+/// deterministic methods). The job's identity ignores the stream budget,
+/// so the job is bound without `JobSpec::validate`: a Monte Carlo merge
+/// need not repeat `--perms`.
 pub fn run_merge(args: &Args) -> Result<String, CliError> {
     args.expect_only(MERGE_ALLOWED)?;
-    let (train, test) = load_pair(args)?;
-    let k = args.usize_or("k", 1)?;
-    let top = args.usize_or("top", 10)?;
-
     let inputs = args.require("inputs")?;
-    let mut parts = Vec::new();
-    for path in inputs.split(',').filter(|p| !p.is_empty()) {
-        let bytes = std::fs::read(Path::new(path)).map_err(knnshap_datasets::io::IoError::Io)?;
-        parts.push(ShardPartial::from_bytes(&bytes).map_err(CliError::Shard)?);
-    }
-    if let Some(p) = parts.first() {
-        if p.meta.n_train != train.len() as u64 {
-            return Err(CliError::Invalid(format!(
-                "shards value {} training points but --train has {}",
-                p.meta.n_train,
-                train.len()
-            )));
-        }
-        let per_test = matches!(
-            p.meta.kind,
-            ShardKind::ExactClass | ShardKind::ExactReg | ShardKind::Truncated
-        );
-        if per_test && p.meta.total_items != test.len() as u64 {
-            return Err(CliError::Invalid(format!(
-                "shards cover {} test points but --test has {}",
-                p.meta.total_items,
-                test.len()
-            )));
-        }
-        // Recompute the job identity from THIS invocation's datasets and
-        // arguments and require it to match the shards', so a `merge` run
-        // with a different --k/--method/--seed/--weight (or a swapped CSV of
-        // the same size) fails loudly instead of rendering a mislabeled
-        // report over someone else's numbers.
-        if let Some((kind, fingerprint)) =
-            expected_job(&train, &test, k, parse_method(args)?, parse_weight(args)?)?
-        {
-            if p.meta.kind != kind {
-                return Err(CliError::Invalid(format!(
-                    "shards were produced by the {} estimator but merge was invoked \
-                     for {} — pass the same --method the shards were built with",
-                    p.meta.kind.name(),
-                    kind.name(),
-                )));
-            }
-            if p.meta.fingerprint != fingerprint {
-                return Err(CliError::Invalid(format!(
-                    "shards carry job fingerprint {:016x} but these datasets and \
-                     arguments produce {fingerprint:016x} — the merge invocation \
-                     disagrees with the shard invocations on --k, --seed, --eps, \
-                     --weight, or the train/test CSV contents",
-                    p.meta.fingerprint,
-                )));
-            }
-        }
-    }
-    let is_mc = parts
-        .first()
-        .is_some_and(|p| matches!(p.meta.kind, ShardKind::McBaseline | ShardKind::McImproved));
-    let started = std::time::Instant::now();
-    let merged = merge_partials(&parts).map_err(CliError::Shard)?;
-    let secs = started.elapsed().as_secs_f64();
-    let sv = merged.values;
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
-    let mc_line =
-        is_mc.then(|| crate::commands::mc_throughput_line(merged.items as usize, secs, threads));
-
-    let payout = match args.f64_opt("revenue")? {
-        Some(revenue) => {
-            let base = args.f64_or("base-fee", 0.0)?;
-            Some(knnshap_core::analysis::monetary_payout(&sv, revenue, base))
-        }
-        None => None,
-    };
-    if let Some(out) = args.str("out") {
-        super::value::write_csv(
-            Path::new(out),
-            "label",
-            &train.y,
-            &sv,
-            payout.as_deref(),
-            threads,
-        )
-        .map_err(knnshap_datasets::io::IoError::Io)?;
-    }
-    Ok(super::value::render(
-        &train.y,
-        test.len(),
-        k,
-        &sv,
-        payout.as_deref(),
-        top,
-        mc_line.as_deref(),
-        args.str("method").unwrap_or("exact"),
-        args.str("out"),
-    ))
+    let spec = job_spec(args, 1)?;
+    let estimator = bind(&spec, threads, None)?;
+    let (job, n_train) = (estimator.identity(), estimator.n_train() as u64);
+    // The features go before the shards are read, as in the merge tail.
+    let (column, n_test) = Column::of(estimator.into_data());
+    let parts = inputs
+        .split(',')
+        .filter(|p| !p.is_empty())
+        .map(|path| {
+            let bytes = std::fs::read(Path::new(path)).map_err(IoError::Io)?;
+            ShardPartial::from_bytes(&bytes).map_err(|e| CliError::Runtime(JobError::Shard(e)))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let merged = merge_shards(&parts, job, n_train, threads)?;
+    super::value::report(
+        args,
+        &column,
+        n_test,
+        spec.k,
+        &merged.values,
+        None,
+        spec.family.name(),
+        threads,
+    )
 }
 
 #[cfg(test)]
@@ -423,6 +269,23 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.to_string().contains("fingerprint"), "{err}");
+        // LSH does not shard, so no LSH job owns these shards: `merge`
+        // refuses the method before it renders any report over them.
+        let err = crate::run([
+            "merge",
+            "--train",
+            t.to_str().unwrap(),
+            "--test",
+            q.to_str().unwrap(),
+            "--method",
+            "lsh",
+            "--k",
+            "5",
+            "--inputs",
+            &format!("{},{}", s0.to_str().unwrap(), s1.to_str().unwrap()),
+        ])
+        .unwrap_err();
+        assert_eq!(err.to_string(), crate::commands::job::LSH_UNSHARDABLE);
         // Version tampering fails loudly.
         let mut bytes = std::fs::read(&s1).unwrap();
         bytes[8] = 42;
@@ -455,6 +318,76 @@ mod tests {
             crate::run(shard_argv(&t, &q, &out, 0, 2, &["--method", "mc-improved"])).unwrap_err();
         assert!(err.to_string().contains("--perms"), "{err}");
         std::fs::remove_file(&out).ok();
+    }
+
+    /// `shard` ×2 + `merge` of a stream job writes the `--out` CSV a
+    /// `shard-plan` + `run-job` of the same job writes, from the same shard
+    /// bytes, and reports no throughput of its own.
+    #[test]
+    fn stream_shard_merge_matches_run_job_csv() {
+        let (t, q) = csv_pair("shardjob", 30, 4);
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let (t, q) = (t.to_str().unwrap(), q.to_str().unwrap());
+        for method in ["group-testing", "mc-improved"] {
+            let args = ["--method", method, "--perms", "50", "--seed", "5"];
+            let tmp = |name: &str| dir.join(format!("knnshap-cli-{pid}-{method}-{name}"));
+            let paths: Vec<_> = (0..2).map(|i| tmp(&format!("s{i}.shard"))).collect();
+            for (i, p) in paths.iter().enumerate() {
+                crate::run(shard_argv(Path::new(t), Path::new(q), p, i, 2, &args)).unwrap();
+            }
+            let (merged_csv, job_csv, job) = (tmp("merged.csv"), tmp("job.csv"), tmp("job"));
+            let (merged_csv, job_csv, job) = (
+                merged_csv.to_str().unwrap(),
+                job_csv.to_str().unwrap(),
+                job.to_str().unwrap(),
+            );
+            std::fs::remove_dir_all(job).ok();
+            let inputs = format!(
+                "{},{}",
+                paths[0].to_str().unwrap(),
+                paths[1].to_str().unwrap()
+            );
+            let mut merge = vec![
+                "merge", "--train", t, "--test", q, "--inputs", &inputs, "--out", merged_csv,
+            ];
+            merge.extend(&args[..2]);
+            merge.extend(&args[4..]);
+            let report = crate::run(merge).unwrap();
+            assert!(!report.contains("permutations/s"), "{method}: {report}");
+            let mut plan = vec![
+                "shard-plan",
+                "--train",
+                t,
+                "--test",
+                q,
+                "--shards",
+                "2",
+                "--job",
+                job,
+            ];
+            plan.extend(args);
+            crate::run(plan).unwrap();
+            crate::run(["worker", "--job", job]).unwrap();
+            crate::run(["run-job", "--job", job, "--workers", "1", "--out", job_csv]).unwrap();
+            assert_eq!(
+                std::fs::read(merged_csv).unwrap(),
+                std::fs::read(job_csv).unwrap(),
+                "{method}"
+            );
+            let dirs = knnshap_runtime::layout::JobDirs::new(job);
+            for (i, p) in paths.iter().enumerate() {
+                assert_eq!(
+                    std::fs::read(p).unwrap(),
+                    std::fs::read(dirs.shard_path(i)).unwrap(),
+                    "{method}: shard {i}"
+                );
+                std::fs::remove_file(p).ok();
+            }
+            std::fs::remove_file(merged_csv).ok();
+            std::fs::remove_file(job_csv).ok();
+            std::fs::remove_dir_all(job).ok();
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::CliError;
 use knnshap_core::analysis::monetary_payout;
 use knnshap_core::ShapleyValues;
 use knnshap_numerics::stats::Summary;
+use knnshap_runtime::supervisor::Column;
 use std::io::Write;
 use std::path::Path;
 
@@ -21,7 +22,6 @@ const ALLOWED: &[&str] = &[
     "weight",
     "weight-param",
     "threads",
-    "shards",
     "perms",
     "top",
     "out",
@@ -36,47 +36,22 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let (train, test) = load_pair(args)?;
     let k = args.usize_or("k", 1)?;
     let threads = args.usize_or("threads", knnshap_parallel::current_threads())?;
-    let top = args.usize_or("top", 10)?;
     let (valuation, secs) = super::valuate(args, &train, &test, k, threads)?;
-    let sv = valuation.values;
-
     // Per-permutation throughput of the (parallel) MC paths — the number to
     // watch when tuning --threads.
     let mc_line = valuation
         .permutations
         .map(|perms| crate::commands::mc_throughput_line(perms, secs, threads));
-
-    let payout = match args.f64_opt("revenue")? {
-        Some(revenue) => {
-            let base = args.f64_or("base-fee", 0.0)?;
-            Some(monetary_payout(&sv, revenue, base))
-        }
-        None => None,
-    };
-
-    if let Some(out) = args.str("out") {
-        write_csv(
-            Path::new(out),
-            "label",
-            &train.y,
-            &sv,
-            payout.as_deref(),
-            threads,
-        )
-        .map_err(knnshap_datasets::io::IoError::Io)?;
-    }
-
-    Ok(render(
-        &train.y,
+    report(
+        args,
+        &Column::Labels(train.y),
         test.len(),
         k,
-        &sv,
-        payout.as_deref(),
-        top,
+        &valuation.values,
         mc_line.as_deref(),
         args.str("method").unwrap_or("exact"),
-        args.str("out"),
-    ))
+        threads,
+    )
 }
 
 /// Rows per block of [`write_csv`]. With [`ROW_BYTES`] reserved per row,
@@ -142,22 +117,54 @@ pub(crate) fn write_csv<L: std::fmt::Display + Sync>(
     }
 }
 
-/// Renders the `value` report from the training labels and the test-set
-/// size. Also used verbatim by `merge` and `run-job`, so a sharded run's
-/// report is byte-identical to the unsharded one (for the deterministic
-/// methods — the MC throughput line carries wall-clock time).
+/// The tail `value`, `merge` and `run-job` share, so a sharded run's
+/// report and `--out` CSV are byte-identical to the unsharded one (for the
+/// deterministic methods: `value`'s MC throughput line, `mc_line`, carries
+/// wall-clock time). It prices the values (`--revenue`/`--base-fee`),
+/// writes the `--out` CSV on `threads` workers, and renders the report
+/// over `column`: the `value` report with its `--top` table for class
+/// labels, a one-line total for regression targets.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn render(
-    labels: &[u32],
+pub(crate) fn report(
+    args: &Args,
+    column: &Column,
     n_test: usize,
     k: usize,
     sv: &ShapleyValues,
-    payout: Option<&[f64]>,
-    top: usize,
     mc_line: Option<&str>,
     method_label: &str,
-    out_path: Option<&str>,
-) -> String {
+    threads: usize,
+) -> Result<String, CliError> {
+    let top = args.usize_or("top", 10)?;
+    let payout = match args.f64_opt("revenue")? {
+        Some(revenue) => Some(monetary_payout(sv, revenue, args.f64_or("base-fee", 0.0)?)),
+        None => None,
+    };
+    let payout = payout.as_deref();
+    let out_path = args.str("out");
+    if let Some(path) = out_path {
+        let path = Path::new(path);
+        match column {
+            Column::Labels(labels) => write_csv(path, "label", labels, sv, payout, threads),
+            Column::Targets(targets) => write_csv(path, "target", targets, sv, payout, threads),
+        }
+        .map_err(knnshap_datasets::io::IoError::Io)?;
+    }
+    let labels = match column {
+        Column::Labels(labels) => labels,
+        Column::Targets(targets) => {
+            let mut out = format!(
+                "Valued {} training points against {n_test} test points (K = {k}, method = \
+                 exact-reg).\ntotal value: {}\n",
+                targets.len(),
+                fmt_f64(sv.total()),
+            );
+            if let Some(path) = out_path {
+                out.push_str(&format!("\nfull values written to {path}\n"));
+            }
+            return Ok(out);
+        }
+    };
     let mut out = String::new();
     out.push_str(&format!(
         "Valued {} training points against {n_test} test points (K = {k}, method = \
@@ -206,7 +213,7 @@ pub(crate) fn render(
     if let Some(path) = out_path {
         out.push_str(&format!("\nfull values written to {path}\n"));
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -346,6 +353,20 @@ mod tests {
         let (v, p) = (-1.2345678901234567e-6, -123.45678901234567);
         let widest = format!("{},{},{v},{p}\n", 9_999_999, 999);
         assert!(widest.len() <= ROW_BYTES, "{} bytes", widest.len());
+    }
+
+    /// Sharding is `shard`/`merge`'s and the job runtime's: `value` and
+    /// `audit` refuse `--shards` as they refuse any unknown option.
+    #[test]
+    fn shards_is_an_unknown_option_of_value_and_audit() {
+        let (t, q) = csv_pair("value-shards", 20, 3);
+        for command in ["value", "audit"] {
+            let mut args = argv(&t, &q, &["--shards", "3"]);
+            args[0] = command.into();
+            let err = crate::run(args).unwrap_err();
+            assert!(matches!(err, CliError::Args(_)), "{command}: {err}");
+            assert!(err.to_string().contains("--shards"), "{command}: {err}");
+        }
     }
 
     #[test]

@@ -33,9 +33,7 @@ pub enum CliError {
     Io(knnshap_datasets::io::IoError),
     /// Valuation pipeline configuration problems.
     Pipeline(knnshap_core::pipeline::PipelineError),
-    /// Shard-file or shard-merge problems (`shard`/`merge`/`--shards`).
-    Shard(knnshap_core::sharding::ShardError),
-    /// Job-orchestration problems (`shard-plan`/`worker`/`run-job`).
+    /// Sharded-job problems (`shard`/`merge`/`shard-plan`/`worker`/`run-job`).
     Runtime(knnshap_runtime::JobError),
     /// Daemon/client problems (`serve`/`client`: bind, connect, protocol).
     Serve(String),
@@ -56,7 +54,6 @@ impl std::fmt::Display for CliError {
             }
             CliError::Io(e) => write!(f, "{e}"),
             CliError::Pipeline(e) => write!(f, "{e}"),
-            CliError::Shard(e) => write!(f, "{e}"),
             CliError::Runtime(e) => write!(f, "{e}"),
             CliError::Serve(m) => write!(f, "{m}"),
             CliError::Invalid(m) => write!(f, "{m}"),
@@ -102,14 +99,14 @@ COMMANDS
             --train FILE --test FILE [--k 1] [--method exact|truncated|lsh|
             mc-baseline|mc-improved] [--eps 0.1] [--delta 0.1]
             [--weight uniform|inverse|exponential] [--weight-param X]
-            [--threads N] [--shards N] [--perms N] [--top 10] [--out FILE]
+            [--threads N] [--perms N] [--top 10] [--out FILE]
             [--graph FILE]               (skip the distance pass; bitwise-
                                           identical output — see build-graph)
             [--revenue A --base-fee B]   (affine §7 payout mapping)
   audit     rank suspicious (lowest-value) points; optionally score the
             ranking against known-bad indices
             --train FILE --test FILE [--k 1] [--method ...] [--eps 0.1]
-            [--shards N] [--perms N] [--inspect 20] [--flagged FILE]
+            [--perms N] [--inspect 20] [--flagged FILE]
             [--graph FILE]
   build-graph  precompute the KNN graph artifact every other command can
             reuse via --graph: per-test-point neighbor lists in the exact
@@ -122,15 +119,17 @@ COMMANDS
             to a self-describing binary file (see docs/sharding.md)
             --train FILE --test FILE --shard-index I --shard-count N
             --out FILE [--k 1] [--method exact|truncated|mc-baseline|
-            mc-improved] [--perms N] [--seed 42] [--eps 0.1] [--threads N]
-            [--graph FILE]
+            mc-improved|group-testing] [--perms N] [--seed 42] [--eps 0.1]
+            [--weight uniform|inverse|exponential] [--weight-param X]
+            [--threads N] [--graph FILE]
   merge     merge a full set of shard files; bitwise-identical to the
             unsharded `value` run (same report, same --out CSV). Repeat the
             job-defining options the shards were built with — the merge
             cross-checks them against the shard headers
-            --inputs A,B,C --train FILE --test FILE [--k 1] [--method ...]
-            [--seed 42] [--eps 0.1] [--weight ...] [--top 10] [--out FILE]
-            [--revenue A --base-fee B]
+            --inputs A,B,C --train FILE --test FILE [--k 1] [--method exact|
+            truncated|mc-baseline|mc-improved|group-testing] [--seed 42]
+            [--eps 0.1] [--weight ...] [--weight-param X] [--threads N]
+            [--top 10] [--out FILE] [--revenue A --base-fee B]
   shard-plan  plan a multi-process valuation job: write the versioned job
             plan + directory a worker fleet executes (docs/operations.md)
             --train FILE --test FILE --shards N --job DIR [--task class|reg]

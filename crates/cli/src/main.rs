@@ -1,3 +1,4 @@
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -12,8 +13,17 @@ fn main() -> ExitCode {
     knnshap_obs::flush();
     match result {
         Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{report}").and_then(|()| stdout.flush()) {
+                // A reader that closed the pipe early (`| head`) has all it
+                // wanted: no message, no panic.
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: writing the report: {e}");
+                    ExitCode::FAILURE
+                }
+            }
         }
         Err(e) => {
             // The full usage text only helps when the command line itself

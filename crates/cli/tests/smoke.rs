@@ -1,7 +1,8 @@
 //! End-to-end smoke tests for the `knnshap` CLI: `synth` a tiny dataset to
 //! CSV, `value` it back through the exact pipeline, and check that the
 //! emitted Shapley values are non-empty and finite. Everything runs through
-//! `knnshap_cli::run` (the same code path as `main`), no subprocess needed.
+//! `knnshap_cli::run` (the same code path as `main`), except the one case
+//! about `main` itself: a report written into a closed pipe.
 
 use std::path::PathBuf;
 
@@ -150,23 +151,16 @@ fn bad_flags_are_rejected_not_ignored() {
 #[test]
 fn sharded_value_round_trip_is_byte_identical() {
     // The full operator workflow from docs/sharding.md, end to end through
-    // the public CLI: synth → unsharded value → `--shards 3` → per-process
-    // shard/merge — every route must produce the same bytes.
+    // the public CLI: synth → unsharded value → per-process shard/merge —
+    // both routes must produce the same bytes.
     let train = temp_path("sh_train.csv");
     let test = temp_path("sh_test.csv");
     let direct = temp_path("sh_direct.csv");
-    let inproc = temp_path("sh_inproc.csv");
     let merged = temp_path("sh_merged.csv");
     let shards: Vec<_> = (0..3)
         .map(|i| temp_path(&format!("sh_{i}.shard")))
         .collect();
-    let mut cleanup = vec![
-        train.clone(),
-        test.clone(),
-        direct.clone(),
-        inproc.clone(),
-        merged.clone(),
-    ];
+    let mut cleanup = vec![train.clone(), test.clone(), direct.clone(), merged.clone()];
     cleanup.extend(shards.iter().cloned());
     let _cleanup = TempFiles(cleanup);
 
@@ -204,26 +198,11 @@ fn sharded_value_round_trip_is_byte_identical() {
         ]
     };
 
-    let direct_report = knnshap_cli::run(base(&direct)).expect("unsharded value");
-    let mut sharded_args = base(&inproc);
-    sharded_args.extend(["--shards".into(), "3".into()]);
-    let sharded_report = knnshap_cli::run(sharded_args).expect("value --shards 3");
+    knnshap_cli::run(base(&direct)).expect("unsharded value");
 
-    // `value --shards 3` is indistinguishable from the unsharded run:
-    // same report text, byte-identical CSV (full-precision round-trip
-    // formatting makes CSV equality bitwise Shapley equality).
-    assert_eq!(
-        direct_report.replace(direct.to_str().unwrap(), "X"),
-        sharded_report.replace(inproc.to_str().unwrap(), "X"),
-        "reports differ only in the --out path"
-    );
-    assert_eq!(
-        std::fs::read(&direct).unwrap(),
-        std::fs::read(&inproc).unwrap(),
-        "value --shards 3 CSV must match unsharded CSV byte for byte"
-    );
-
-    // Multi-process style: one `shard` invocation per shard file, then `merge`.
+    // Multi-process style: one `shard` invocation per shard file, then
+    // `merge` (full-precision round-trip formatting makes CSV equality
+    // bitwise Shapley equality).
     for (i, p) in shards.iter().enumerate() {
         knnshap_cli::run([
             "shard",
@@ -266,4 +245,51 @@ fn sharded_value_round_trip_is_byte_identical() {
         std::fs::read(&merged).unwrap(),
         "shard/merge CSV must match unsharded CSV byte for byte"
     );
+}
+
+/// `knnshap value … | head -1`: the reader takes one line and closes the
+/// pipe while the report is still being written. The binary ends quietly
+/// instead of panicking (exit 101) on the broken pipe.
+#[test]
+fn a_closed_stdout_is_no_panic() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+
+    let train = temp_path("pipe_train.csv");
+    let test = temp_path("pipe_test.csv");
+    let _cleanup = TempFiles(vec![train.clone(), test.clone()]);
+    let (train, test) = (train.to_str().unwrap(), test.to_str().unwrap());
+    knnshap_cli::run([
+        "synth",
+        "--kind",
+        "blobs",
+        "--n",
+        "4000",
+        "--dim",
+        "4",
+        "--out",
+        train,
+        "--queries",
+        "4",
+        "--queries-out",
+        test,
+    ])
+    .expect("synth should succeed");
+    // A --top table of every point makes a report far larger than a pipe
+    // buffer, so the write is still going when the reader leaves.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_knnshap"))
+        .args(["value", "--train", train, "--test", test, "--top", "4000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn knnshap");
+    let mut line = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert!(line.starts_with("Valued 4000 training points"), "{line}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -17,11 +17,26 @@ use knnshap_datasets::io::{load_class_csv_from_reader, load_reg_csv_from_reader,
 use knnshap_knn::graph::KnnGraph;
 use knnshap_numerics::fingerprint::DigestReader;
 use std::io::Read;
+use std::path::Path;
 use std::time::Instant;
 
 /// Load the CSVs a spec names on `threads` parse workers.
 pub fn load_data(spec: &JobSpec, threads: usize) -> Result<Data<'static>, JobError> {
     read_train(spec, threads, open_train(spec)?)?.with_test(spec, threads)
+}
+
+/// Load the `KNNGRAPH` artifact at `path` and attach it to `estimator`.
+/// Its dataset-content fingerprints must match the datasets the estimator
+/// bound — a graph built from drifted CSVs is refused here, before any
+/// chunk is computed, for the same reason a worker verifies the job
+/// fingerprint. With a graph every chunk skips the distance pass; the
+/// partials' bytes are identical either way.
+pub fn attach_graph(estimator: &mut Estimator, path: &Path) -> Result<(), JobError> {
+    let graph =
+        KnnGraph::load(path).map_err(|e| JobError::Dataset(format!("{}: {e}", path.display())))?;
+    estimator
+        .attach_graph(graph)
+        .map_err(|e| JobError::Dataset(format!("precomputed graph rejected: {e}")))
 }
 
 fn open_train(spec: &JobSpec) -> Result<std::fs::File, JobError> {
@@ -207,16 +222,9 @@ impl PreparedJob {
         Ok(Self { plan, estimator })
     }
 
-    /// Attach a precomputed KNN graph. The graph's dataset-content
-    /// fingerprints must match the datasets this job actually loaded — a
-    /// graph built from drifted CSVs is refused here, before any chunk is
-    /// computed, for the same reason `load` verifies the job
-    /// fingerprint. With a graph every chunk skips the distance pass; the
-    /// published bytes are identical either way.
-    pub fn attach_graph(&mut self, graph: KnnGraph) -> Result<(), JobError> {
-        self.estimator
-            .attach_graph(graph)
-            .map_err(|e| JobError::Dataset(format!("precomputed graph rejected: {e}")))
+    /// Attach the precomputed KNN graph at `path` ([`attach_graph`]).
+    pub fn attach_graph(&mut self, path: &Path) -> Result<(), JobError> {
+        attach_graph(&mut self.estimator, path)
     }
 
     pub fn plan(&self) -> &JobPlan {

@@ -37,7 +37,9 @@ use crate::spec::JobPlan;
 use crate::worker::{run_worker, FaultHook, WorkerOptions};
 use crate::JobError;
 use knnshap_core::estimator::Data;
-use knnshap_core::sharding::{merge_partials_with_threads, MergedValuation};
+use knnshap_core::sharding::{
+    merge_partials_with_threads, MergedValuation, ShardError, ShardKind, ShardPartial,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -124,6 +126,17 @@ pub enum Column {
     Labels(Vec<u32>),
     /// Targets of a regression job.
     Targets(Vec<f64>),
+}
+
+impl Column {
+    /// The column of `data`'s training set and its test-set size, without
+    /// the features.
+    pub fn of(data: Data) -> (Column, usize) {
+        match data {
+            Data::Class { train, test } => (Column::Labels(train.into_owned().y), test.len()),
+            Data::Reg { train, test } => (Column::Targets(train.into_owned().y), test.len()),
+        }
+    }
 }
 
 /// Threads the merge tail runs on once every worker has exited: the cores
@@ -326,31 +339,45 @@ fn merge_tail(
     // The training set comes from the job's snapshot, with its recorded
     // content hash, while its CSV is unchanged.
     // The check is the one workers run: fingerprint, kind and counts.
-    let data = crate::dispatch::load_checked(dirs, plan, threads, None)?.into_data();
     // The features go before the shards are read: the merge's peak memory
     // holds the partials and one column, never a dataset.
-    let (column, n_test) = match data {
-        Data::Class { train, test } => (Column::Labels(train.into_owned().y), test.len()),
-        Data::Reg { train, test } => (Column::Targets(train.into_owned().y), test.len()),
-    };
+    let estimator = crate::dispatch::load_checked(dirs, plan, threads, None)?;
+    let (column, n_test) = Column::of(estimator.into_data());
     let parts = queue::read_all_shards(dirs, plan.spec.shards, threads)?;
-    if let Some(p) = parts.first() {
-        if p.meta.fingerprint != plan.fingerprint || p.meta.kind != plan.kind {
-            return Err(JobError::Plan(format!(
-                "shard files carry {} job {:016x} but the plan says {} job {:016x} — \
-                 the job directory holds another job's shards",
-                p.meta.kind.name(),
-                p.meta.fingerprint,
-                plan.kind.name(),
-                plan.fingerprint,
-            )));
-        }
-    }
+    let job = (plan.kind, plan.fingerprint);
     Ok((
-        merge_partials_with_threads(&parts, threads)?,
+        merge_shards(&parts, job, plan.n_train, threads)?,
         column,
         n_test,
     ))
+}
+
+/// Merge `parts`, finalizing on `threads` workers, once they are checked
+/// to be shards of the job `(kind, fingerprint)` over `n_train` training
+/// points: the check the merge tail and `knnshap merge` share, so neither
+/// prints a report over another job's shards. (`merge_partials` holds
+/// every part to the first one's job.)
+pub fn merge_shards(
+    parts: &[ShardPartial],
+    (kind, fingerprint): (ShardKind, u64),
+    n_train: u64,
+    threads: usize,
+) -> Result<MergedValuation, JobError> {
+    if let Some(m) = parts.first().map(|p| &p.meta) {
+        if (m.kind, m.fingerprint, m.n_train) != (kind, fingerprint, n_train) {
+            return Err(JobError::Shard(ShardError::Incompatible(format!(
+                "the shard files carry {} job fingerprint {:016x} over {} training points, \
+                 but this job is {} {fingerprint:016x} over {n_train}: they belong to \
+                 another job (other datasets, or another --k, --method, --seed, --eps or \
+                 --weight)",
+                m.kind.name(),
+                m.fingerprint,
+                m.n_train,
+                kind.name(),
+            ))));
+        }
+    }
+    Ok(merge_partials_with_threads(parts, threads)?)
 }
 
 #[cfg(test)]
@@ -385,6 +412,38 @@ mod tests {
                 );
             }
             assert_eq!(h.reap(), clean);
+        }
+    }
+
+    /// `merge_shards` merges a job's own shards and refuses shards whose
+    /// kind, fingerprint or training-set size is another job's.
+    #[test]
+    fn merge_shards_checks_the_job_identity() {
+        use knnshap_core::estimator::{Estimator, Family};
+        use knnshap_core::sharding::ShardSpec;
+        use knnshap_datasets::synth::blobs::{self, BlobConfig};
+        let cfg = BlobConfig {
+            n: 20,
+            dim: 3,
+            ..Default::default()
+        };
+        let (train, test) = (blobs::generate(&cfg), blobs::queries(&cfg, 4, 1));
+        let data = Data::class(&train, &test);
+        let uniform = knnshap_knn::weights::WeightFn::Uniform;
+        let est = Estimator::new(data, 2, uniform, Family::Exact, None).unwrap();
+        let parts: Vec<_> = (0..2)
+            .map(|i| est.compute(ShardSpec::new(i, 2), 1))
+            .collect();
+        let ((kind, fp), n) = (est.identity(), est.n_train() as u64);
+        let merged = merge_shards(&parts, (kind, fp), n, 1).unwrap();
+        assert_eq!(merged.values.as_slice(), est.run(1).values.as_slice());
+        for (job, n_train) in [
+            ((kind, fp ^ 1), n),
+            ((ShardKind::Truncated, fp), n),
+            ((kind, fp), n + 1),
+        ] {
+            let err = merge_shards(&parts, job, n_train, 1).unwrap_err();
+            assert!(err.to_string().contains("another job"), "{err}");
         }
     }
 

@@ -93,9 +93,7 @@ pub fn run_worker(dirs: &JobDirs, mut opts: WorkerOptions) -> Result<WorkerRepor
     let threads = crate::resolve_threads(opts.threads);
     let mut prepared = PreparedJob::load(dirs, threads, &opts.worker_id)?;
     if let Some(path) = &opts.graph {
-        let graph = knnshap_knn::graph::KnnGraph::load(path)
-            .map_err(|e| JobError::Dataset(format!("{}: {e}", path.display())))?;
-        prepared.attach_graph(graph)?;
+        prepared.attach_graph(path)?;
     }
     let shards = prepared.plan().spec.shards;
     let mut report = WorkerReport::default();
