@@ -23,7 +23,7 @@ use knnshap_obs::json::{self, Value};
 use knnshap_runtime::layout::JobDirs;
 use knnshap_runtime::progress::{self, EventCursor};
 use knnshap_runtime::spec::JobPlan;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -164,8 +164,20 @@ impl WatchState {
     }
 }
 
+/// Print `line` on stdout, through one lock. `false` once the reader has
+/// closed the pipe (`| head`): it has all it wanted, so the caller stops,
+/// quietly, as `main` does with a report. Other write errors are ignored:
+/// progress lines are advisory.
+fn emit(line: &str) -> bool {
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{line}").and_then(|()| out.flush()) {
+        Err(e) => e.kind() != ErrorKind::BrokenPipe,
+        Ok(()) => true,
+    }
+}
+
 /// Tail a job's event stream, printing a progress line on every change,
-/// until the job completes or `stop` is raised. In-process appends (the
+/// until the job completes, `stop` is raised or stdout's reader leaves. In-process appends (the
 /// supervisor of `run-job --watch`) wake the loop instantly via the
 /// `progress` notifier; out-of-process workers are covered by the bounded
 /// `poll` sleep. Returns the final state.
@@ -184,11 +196,8 @@ pub fn stream_progress(
         for line in cursor.read_new() {
             changed |= state.apply(&line);
         }
-        if changed {
-            println!("{}", state.render(started.elapsed()));
-            std::io::stdout().flush().ok();
-        }
-        if state.job_done || stop.load(Ordering::SeqCst) {
+        let open = !changed || emit(&state.render(started.elapsed()));
+        if !open || state.job_done || stop.load(Ordering::SeqCst) {
             return state;
         }
         seen = progress::wait_for_event(seen, poll);
@@ -203,13 +212,16 @@ pub fn run_watch(args: &Args) -> Result<String, CliError> {
     let poll = Duration::from_millis(args.u64_or("poll", 200)?.max(10));
     let timeout = args.f64_or("timeout", 0.0)?;
 
-    println!(
+    // A reader that left gets no more lines, and an empty report.
+    if !emit(&format!(
         "watching {} job {:016x}: {} shards x {} checkpoint chunks",
         plan.kind.name(),
         plan.fingerprint,
         plan.spec.shards,
         plan.spec.checkpoint_chunks,
-    );
+    )) {
+        return Ok(String::new());
+    }
     let mut state = WatchState::new(&plan);
     let mut cursor = EventCursor::new(&dirs);
     let started = Instant::now();
@@ -219,9 +231,8 @@ pub fn run_watch(args: &Args) -> Result<String, CliError> {
         for line in cursor.read_new() {
             changed |= state.apply(&line);
         }
-        if changed {
-            println!("{}", state.render(started.elapsed()));
-            std::io::stdout().flush().ok();
+        if changed && !emit(&state.render(started.elapsed())) {
+            return Ok(String::new());
         }
         if state.job_done {
             return Ok(format!(

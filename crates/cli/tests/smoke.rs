@@ -293,3 +293,74 @@ fn a_closed_stdout_is_no_panic() {
     assert_ne!(out.status.code(), Some(101), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// `knnshap run-job --watch … | head -1`: the reader takes the first
+/// progress line and leaves while the job runs. The watcher stops printing
+/// quietly, the job completes, and nothing panics on the closed pipe.
+#[test]
+fn a_closed_stdout_stops_run_job_watch_quietly() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+
+    let train = temp_path("watch_train.csv");
+    let test = temp_path("watch_test.csv");
+    let job = temp_path("watch_job");
+    let _cleanup = TempFiles(vec![train.clone(), test.clone()]);
+    let (train, test, job_dir) = (
+        train.to_str().unwrap(),
+        test.to_str().unwrap(),
+        job.to_str().unwrap(),
+    );
+    let _ = std::fs::remove_dir_all(&job);
+    knnshap_cli::run([
+        "synth",
+        "--kind",
+        "blobs",
+        "--n",
+        "20000",
+        "--dim",
+        "8",
+        "--out",
+        train,
+        "--queries",
+        "64",
+        "--queries-out",
+        test,
+    ])
+    .expect("synth should succeed");
+    knnshap_cli::run([
+        "shard-plan",
+        "--train",
+        train,
+        "--test",
+        test,
+        "--k",
+        "3",
+        "--shards",
+        "8",
+        "--checkpoint-chunks",
+        "4",
+        "--job",
+        job_dir,
+    ])
+    .expect("shard-plan should succeed");
+    // Progress lines keep coming after the reader leaves: one per chunk of
+    // 32, over several worker processes.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_knnshap"))
+        .args(["run-job", "--job", job_dir, "--workers", "2"])
+        .args(["--threads", "1", "--watch"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn knnshap");
+    let mut line = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert!(line.starts_with("progress: "), "{line}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    std::fs::remove_dir_all(&job).ok();
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

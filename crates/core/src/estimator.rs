@@ -53,12 +53,13 @@
 //!
 //! [`merge_partials`]: crate::sharding::merge_partials
 
+use crate::exact_unweighted::Head;
 use crate::mc::IncKnnUtility;
 use crate::pipeline::PipelineError;
 use crate::sharding::{
-    finalize, fold_dense_into, hash_class_dataset, hash_reg_dataset, stream_fingerprint,
-    weight_code, Fingerprint, MergedValuation, Participants, ShardError, ShardKind, ShardPartial,
-    ShardSpec,
+    finalize, fold_scratch_into, hash_class_dataset, hash_reg_dataset, stream_fingerprint,
+    weight_code, Fingerprint, MergedValuation, Participants, Scratch, ShardError, ShardKind,
+    ShardPartial, ShardSpec,
 };
 use crate::utility::{DistMatrix, KnnClassUtility, KnnRegUtility, Utility};
 use knnshap_datasets::{ClassDataset, Features, RegDataset};
@@ -550,7 +551,7 @@ impl<'a> Estimator<'a> {
     /// and group testing's shared term into `shared`, its one aux entry.
     /// With `kept`, the per-test families take their ranking buffers and
     /// dense scratch from it and put them back (see
-    /// [`fold_dense_into`]).
+    /// [`fold_scratch_into`]).
     fn fold_into(
         &self,
         sums: &mut ExactVec,
@@ -563,42 +564,48 @@ impl<'a> Estimator<'a> {
         let uniform = matches!(self.weight, WeightFn::Uniform);
         let ranks = ranks(&self.data, self.graph.as_deref());
         // The one fold of the per-test-point families: rank each test point
-        // of `range`, let `fill(j, ranking, out)` write its per-test values
-        // densely into the zeroed `out`, and accumulate exactly.
-        let per_test =
-            |prefix,
-             sums: &mut ExactVec,
-             fill: &(dyn Fn(usize, &[Neighbor], &mut [f64]) + Sync)| {
-                fold_dense_into(
-                    sums,
-                    range.clone(),
-                    threads,
-                    kept,
-                    RankScratch::new,
-                    |j, window, st, out| fill(j, ranks.rank(j, window.end, prefix, st), out),
-                )
-            };
+        // of `range` as far as `reach`, let `fill(j, ranking, out)` write its
+        // per-test values into the zeroed `out` (and say which rows, when
+        // not all), and accumulate exactly.
+        let per_test = |reach: Reach<'_>, sums: &mut ExactVec, fill: &Fill<'_>| {
+            fold_scratch_into(
+                sums,
+                range.clone(),
+                threads,
+                kept,
+                RankScratch::new,
+                |j, window, st, out| fill(j, ranks.rank(j, window.end, reach, st), out),
+            )
+        };
+        // A fill of the whole ranking that may write every training row.
+        let dense = |sums: &mut ExactVec, fill: &DenseFill<'_>| {
+            per_test(Reach::All, sums, &|j, r, out| fill(j, r, out.values()))
+        };
         match (&self.data, self.family) {
             (Data::Class { train, test }, Family::Exact) if uniform => {
-                per_test(None, sums, &|j, r, out| {
-                    crate::exact_unweighted::fill_ranked(train, r, test.y[j], k, out)
+                let reach = Reach::ZeroTail {
+                    train: &train.y,
+                    test: &test.y,
+                };
+                per_test(reach, sums, &|j, r, out| {
+                    let head =
+                        crate::exact_unweighted::fill_ranked(train, r, test.y[j], k, out.values());
+                    out.only(head);
                 })
             }
-            (Data::Reg { train, test }, Family::Exact) if uniform => {
-                per_test(None, sums, &|j, r, out| {
-                    crate::exact_regression::fill_ranked(train, r, test.y[j], k, out)
-                })
-            }
-            (Data::Class { train, test }, Family::Exact) => per_test(None, sums, &|j, r, out| {
+            (Data::Reg { train, test }, Family::Exact) if uniform => dense(sums, &|j, r, out| {
+                crate::exact_regression::fill_ranked(train, r, test.y[j], k, out)
+            }),
+            (Data::Class { train, test }, Family::Exact) => dense(sums, &|j, r, out| {
                 crate::exact_weighted::fill_class_ranked(train, r, test.y[j], k, self.weight, out)
             }),
-            (Data::Reg { train, test }, Family::Exact) => per_test(None, sums, &|j, r, out| {
+            (Data::Reg { train, test }, Family::Exact) => dense(sums, &|j, r, out| {
                 crate::exact_weighted::fill_reg_ranked(train, r, test.y[j], k, self.weight, out)
             }),
             (Data::Class { train, test }, Family::Truncated { eps }) => {
                 let ks = crate::truncated::k_star(k, eps);
-                per_test(Some(ks), sums, &|j, r, out| {
-                    crate::truncated::fill_ranked(r, &train.y, test.y[j], k, ks, out)
+                per_test(Reach::First(ks), sums, &|j, r, out| {
+                    crate::truncated::fill_ranked(r, &train.y, test.y[j], k, ks, out.values())
                 })
             }
             (Data::Reg { .. }, Family::Truncated { .. }) => unreachable!("rejected by new()"),
@@ -817,6 +824,13 @@ fn check_graph(graph: &KnnGraph, train: &Features, test: &Features) -> Result<()
         .map_err(|e| PipelineError::GraphMismatch(e.to_string()))
 }
 
+/// A per-test fill: test point `j`'s values from its ranking, written into
+/// the zeroed scratch, which it tells what it wrote.
+type Fill<'f> = dyn Fn(usize, &[Neighbor], &mut Scratch) + Sync + 'f;
+
+/// A per-test fill that may write every training row.
+type DenseFill<'f> = dyn Fn(usize, &[Neighbor], &mut [f64]) + Sync + 'f;
+
 /// Where each test point's ascending distance ranking comes from.
 #[derive(Clone, Copy)]
 enum Ranks<'a> {
@@ -827,6 +841,19 @@ enum Ranks<'a> {
     },
     /// The stored lists of a precomputed graph.
     Graph(&'a KnnGraph),
+}
+
+/// How much of each test point's ranking a family reads.
+#[derive(Clone, Copy)]
+enum Reach<'a> {
+    /// Every rank.
+    All,
+    /// The first `m` ranks (truncation's `K*`).
+    First(usize),
+    /// Every rank through one past the farthest training row whose label
+    /// (in `train`) is the test point's (in `test`): Theorem 1's values
+    /// past it are its zero tail.
+    ZeroTail { train: &'a [u32], test: &'a [u32] },
 }
 
 /// A graph's stored lists when one is attached, else a distance pass.
@@ -860,33 +887,44 @@ impl RankScratch {
 }
 
 impl Ranks<'_> {
-    /// Test point `j`'s full ranking, or its first `m` ranks when `prefix`
-    /// is `Some(m)`. A full brute-force ranking ranks `j`'s row of the
-    /// query tile starting at `j` and stopping before `end` (the end of
-    /// `j`'s fold window) — computed on the tile's first query by the
-    /// query-lane kernel, bit for bit the per-pair distances. A graph
-    /// list is exactly the argsort a distance pass computes, and its
-    /// `[..m]` prefix exactly what [`partial_k_nearest`] retrieves, so both
-    /// sources feed the families identical bits.
+    /// Test point `j`'s ranking as far as `reach` asks. A brute-force
+    /// ranking ranks `j`'s row of the query tile starting at `j` and
+    /// stopping before `end` (the end of `j`'s fold window) — computed on
+    /// the tile's first query by the query-lane kernel, bit for bit the
+    /// per-pair distances — in full, or, for the zero tail, only through
+    /// one rank past the farthest same-label row (an empty list when there
+    /// is none). A graph list is exactly the argsort a distance pass
+    /// computes, and its `[..m]` prefix exactly what [`partial_k_nearest`]
+    /// retrieves; for the zero tail it is the whole stored list, which the
+    /// fill cuts itself. Both sources feed the families identical bits.
     fn rank<'s>(
         &'s self,
         j: usize,
         end: usize,
-        prefix: Option<usize>,
+        reach: Reach<'_>,
         st: &'s mut RankScratch,
     ) -> &'s [Neighbor] {
-        match (*self, prefix) {
-            (Ranks::Brute { train, test }, None) => {
+        match (*self, reach) {
+            (Ranks::Brute { train, test }, Reach::All) => {
                 let row = st.rows.row(train, test, j, end);
                 st.ranker.rank(row, &mut st.list);
                 &st.list
             }
-            (Ranks::Brute { train, test }, Some(m)) => {
+            (Ranks::Brute { train, test }, Reach::ZeroTail { train: y, test: ty }) => {
+                let row = st.rows.row(train, test, j, end);
+                match crate::exact_unweighted::head(row, y, ty[j]) {
+                    Head::Empty => st.list.clear(),
+                    Head::Full => st.ranker.rank(row, &mut st.list),
+                    Head::Through(cut) => st.ranker.rank_through(row, cut, &mut st.list),
+                }
+                &st.list
+            }
+            (Ranks::Brute { train, test }, Reach::First(m)) => {
                 st.list = partial_k_nearest(train, test.row(j), m, Metric::SquaredL2);
                 &st.list
             }
-            (Ranks::Graph(g), None) => g.list(j),
-            (Ranks::Graph(g), Some(m)) => {
+            (Ranks::Graph(g), Reach::All | Reach::ZeroTail { .. }) => g.list(j),
+            (Ranks::Graph(g), Reach::First(m)) => {
                 let list = g.list(j);
                 &list[..m.min(list.len())]
             }

@@ -17,11 +17,38 @@
 //! takes a stop rank, so a caller that needs the value at one rank skips
 //! the ranks below it.
 //!
+//! ### The zero tail
+//!
+//! Let `f` be the rank of the test point's farthest same-label training
+//! point. Every rank past `f` holds exactly `+0.0`: the base is
+//! `0.0 · min(K, N)/(N·K) = +0.0` when rank `N − 1` has the wrong label,
+//! and no increment is evaluated before the indicator first flips, at `f`.
+//! So the batch fold, the serving engine and the what-if run the loop only
+//! over ranks `0 ..= min(f + 1, N − 1)` (`theorem1_head`), and the dense
+//! scratch they deposit holds `+0.0` at every other row:
+//!
+//! * rank `f + 1`, when it exists, has the wrong label, so the shortened
+//!   loop starts there with base `0.0 · min(K, N)/(N·K) = +0.0` and
+//!   indicator `0.0` — exactly the state the full loop reaches at that
+//!   rank — and every later float operation is the same one on the same
+//!   operands;
+//! * a test point with no same-label row writes nothing, and the rows past
+//!   `f + 1` are never written: they keep the scratch's `+0.0`, which is
+//!   what the full loop writes there, so the fold deposits the same `f64`s
+//!   and only the ranking, recursion and re-zeroing of those rows are
+//!   saved. (A what-if deposits only the candidate's value.)
+//!
+//! The brute-force fold (`head`, then
+//! [`knnshap_knn::neighbors::Ranker::rank_through`]) also sorts only that
+//! prefix. What it saves is the share of ranks past `f`, measured per test
+//! point; a test point whose farthest row overall shares its label is
+//! ranked in full and costs one extra pass over its distances.
+//!
 //! The multi-test value (utility eq. 8) is the average of per-test values by
 //! the additivity axiom (Algorithm 1 lines 8–10). The multi-test drivers
 //! run through [`crate::estimator`], whose per-test fold hands each ranking
-//! to `fill_ranked`; each fixed block of test points folds into a private
-//! accumulator (the hot recursion never touches shared state).
+//! to `fill_ranked` and deposits its dense scratch into one shared exact
+//! accumulator, block by block.
 //!
 //! ### Determinism contract
 //!
@@ -112,11 +139,123 @@ where
     C: Fn(usize) -> f64,
     S: FnMut(usize, f64),
 {
+    theorem1_head(n, n, k, stop, correct, sink)
+}
+
+/// [`theorem1_until`] over the first `len` ranks of an `n`-point ranking
+/// whose ranks `len ..` hold the zero tail (see the [module docs](self)):
+/// `sink` sees ranks `len − 1` down to `stop`, each with the bits the full
+/// loop gives it. Needs `correct(r) == 0.0` for every rank `r ≥ len − 1`
+/// unless `len == n`; `len` is [`head_len`] of the farthest correct rank.
+///
+/// # Panics
+///
+/// Panics when `n`, `len` or `k` is zero, `len > n`, or `stop >= len`.
+pub(crate) fn theorem1_head<C, S>(
+    n: usize,
+    len: usize,
+    k: usize,
+    stop: usize,
+    correct: C,
+    sink: S,
+) -> f64
+where
+    C: Fn(usize) -> f64,
+    S: FnMut(usize, f64),
+{
     assert!(n >= 1, "need at least one training point");
     assert!(k >= 1, "K must be at least 1");
-    let base = correct(n - 1) * k.min(n) as f64 / (n as f64 * k as f64);
-    switch_points(n, stop, k, base, correct, sink)
+    assert!(len <= n, "head {len} longer than the ranking {n}");
+    let base = correct(len - 1) * k.min(n) as f64 / (n as f64 * k as f64);
+    switch_points(len, stop, k, base, correct, sink)
 }
+
+/// The ranks [`theorem1_head`] runs over for an `n`-point ranking whose
+/// farthest same-label row sits at rank `far`: through one rank past it,
+/// none without one.
+pub(crate) fn head_len(n: usize, far: Option<usize>) -> usize {
+    far.map_or(0, |f| (f + 2).min(n))
+}
+
+/// How much of a test point's ranking Theorem 1 reads: none of it (no row
+/// has its label), all of it (its farthest row overall has its label), or
+/// the ranks through one past its farthest same-label row, the cut
+/// [`Ranker::rank_through`] takes.
+///
+/// [`Ranker::rank_through`]: knnshap_knn::neighbors::Ranker::rank_through
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Head {
+    Empty,
+    Full,
+    Through(Neighbor),
+}
+
+/// The [`Head`] of a test point labelled `label`, with `dists[i]` the
+/// distance of training row `i` and `labels[i]` its label: one pass
+/// that finds the farthest row labelled `label` and the farthest row
+/// overall, each in `(distance, index)` order — the largest distance, the
+/// largest index among equal ones. The pass runs in [`LANES`] interleaved
+/// lanes, each keeping its own two maxima, so no compare waits on the one
+/// before it; the lanes are merged at the end.
+pub(crate) fn head(dists: &[f32], labels: &[u32], label: u32) -> Head {
+    // Per lane: the farthest distance labelled `label` and the chunk it
+    // was seen in (`u32::MAX`: none yet), then the same over every row.
+    // (Separate arrays, not pairs: the loop then keeps each in registers.)
+    let mut same = [f32::NEG_INFINITY; LANES];
+    let mut same_at = [u32::MAX; LANES];
+    let mut all = [f32::NEG_INFINITY; LANES];
+    let mut all_at = [0u32; LANES];
+    let chunks = dists.chunks_exact(LANES).zip(labels.chunks_exact(LANES));
+    for (c, (ds, ys)) in (0u32..).zip(chunks) {
+        for l in 0..LANES {
+            let d = ds[l];
+            // `>=` on ascending indices: ties go to the larger index.
+            let hit = (ys[l] == label) & (d >= same[l]);
+            same[l] = if hit { d } else { same[l] };
+            same_at[l] = if hit { c } else { same_at[l] };
+            let top = d >= all[l];
+            all[l] = if top { d } else { all[l] };
+            all_at[l] = if top { c } else { all_at[l] };
+        }
+    }
+    // Merge the lanes' bests, as `(distance, row)`, then the rows past the
+    // last whole chunk, whose indices are larger than every lane's.
+    let later = |a: (f32, usize), b: (f32, usize)| {
+        if b.0 > a.0 || (b.0 == a.0 && b.1 > a.1) {
+            b
+        } else {
+            a
+        }
+    };
+    let row = |l: usize, d: f32, c: u32| (d, c as usize * LANES + l);
+    let tail = dists.len() - dists.len() % LANES;
+    let mut far: Option<(f32, usize)> = None;
+    let mut last = (f32::NEG_INFINITY, 0);
+    for l in (0..LANES).filter(|_| tail > 0) {
+        if same_at[l] != u32::MAX {
+            let r = row(l, same[l], same_at[l]);
+            far = Some(far.map_or(r, |f| later(f, r)));
+        }
+        last = later(last, row(l, all[l], all_at[l]));
+    }
+    for (i, (&d, &y)) in dists.iter().zip(labels).enumerate().skip(tail) {
+        if y == label {
+            far = Some(far.map_or((d, i), |f| later(f, (d, i))));
+        }
+        last = later(last, (d, i));
+    }
+    match far {
+        None => Head::Empty,
+        Some((_, i)) if i == last.1 => Head::Full,
+        Some((dist, i)) => Head::Through(Neighbor {
+            index: i as u32,
+            dist,
+        }),
+    }
+}
+
+/// The lanes of [`head`]'s pass.
+const LANES: usize = 8;
 
 /// The one Theorem 1 loop: value `base` at rank `len − 1`, then each rank
 /// down to `stop` by the paper's step, its increment evaluated only where
@@ -151,51 +290,75 @@ where
     s
 }
 
-/// Runs the Theorem 1 recursion for one test point, handing each
-/// `(train index, value)` pair to `sink`.
+/// Runs the Theorem 1 recursion for one test point over its full ranking,
+/// handing each `(train index, value)` pair to `sink` — the zero tail
+/// included. The single-test entry keeps this path, and the tests hold the
+/// zero-tail fold ([`fill_ranked`]) to it bit for bit.
 fn accumulate_single<S: FnMut(usize, f64)>(
     train: &ClassDataset,
     query: &[f32],
     test_label: u32,
     k: usize,
-    sink: S,
+    mut sink: S,
 ) {
     assert!(train.len() >= 1, "need at least one training point");
     let ranked = argsort_by_distance(&train.x, query, Metric::SquaredL2);
-    accumulate_ranked(train, &ranked, test_label, k, sink);
-}
-
-/// The recursion over an already-computed distance ranking — the seam both
-/// the single-test path above and the multi-test fold
-/// ([`fill_ranked`]) enter through, so they execute the identical float
-/// sequence whatever produced the ranking.
-fn accumulate_ranked<S: FnMut(usize, f64)>(
-    train: &ClassDataset,
-    ranked: &[Neighbor],
-    test_label: u32,
-    k: usize,
-    mut sink: S,
-) {
-    let n = train.len();
-    assert!(n >= 1, "need at least one training point");
     theorem1_recurrence(
-        n,
+        train.len(),
         k,
         |rank| f64::from(train.y[ranked[rank].index as usize] == test_label),
         |rank, s| sink(ranked[rank].index as usize, s),
     );
 }
 
-/// One test point's Theorem 1 values over `ranked`, written densely into
-/// `out` (the recursion assigns every training point exactly one value).
-pub(crate) fn fill_ranked(
+/// One test point's Theorem 1 values over `ranked` — the full ranking, or a
+/// prefix that runs one rank past its farthest row labelled `test_label`
+/// ([`Ranker::rank_through`]) — written into `out` for the rows of the
+/// returned head of `ranked`. Every other row's value is the zero tail's
+/// `+0.0` (see the [module docs](self)), and `out` keeps it unwritten.
+///
+/// [`Ranker::rank_through`]: knnshap_knn::neighbors::Ranker::rank_through
+pub(crate) fn fill_ranked<'r>(
     train: &ClassDataset,
-    ranked: &[Neighbor],
+    ranked: &'r [Neighbor],
+    test_label: u32,
+    k: usize,
+    out: &mut [f64],
+) -> &'r [Neighbor] {
+    let far = farthest_rank(ranked, &train.y, test_label);
+    let head = &ranked[..head_len(train.len(), far)];
+    fill_head(train.len(), head, &train.y, test_label, k, out);
+    head
+}
+
+/// The last rank of `ranked` whose training row is labelled `label`.
+pub(crate) fn farthest_rank(ranked: &[Neighbor], labels: &[u32], label: u32) -> Option<usize> {
+    ranked
+        .iter()
+        .rposition(|nb| labels[nb.index as usize] == label)
+}
+
+/// Theorem 1's values over `head`, the first [`head_len`] ranks of an
+/// `n`-point ranking, written into `out` at the rows of `head`.
+pub(crate) fn fill_head(
+    n: usize,
+    head: &[Neighbor],
+    labels: &[u32],
     test_label: u32,
     k: usize,
     out: &mut [f64],
 ) {
-    accumulate_ranked(train, ranked, test_label, k, |i, s| out[i] = s);
+    if head.is_empty() {
+        return;
+    }
+    theorem1_head(
+        n,
+        head.len(),
+        k,
+        0,
+        |r| f64::from(labels[head[r].index as usize] == test_label),
+        |r, s| out[head[r].index as usize] = s,
+    );
 }
 
 /// Exact partial sums over one canonical shard of the test range, folded
@@ -317,6 +480,44 @@ mod tests {
                     fast.as_slice(),
                     truth.as_slice()
                 );
+            }
+        }
+    }
+
+    /// `head` is read off the full ranking: empty without a same-label
+    /// row, full when the last rank has the label, else through the last
+    /// same-label rank — over lengths below, at and past whole lanes, with
+    /// ties (also between `−0.0` and `+0.0`) inside and across lanes.
+    #[test]
+    fn head_is_the_full_rankings_last_same_label_rank() {
+        let mut ranker = knnshap_knn::neighbors::Ranker::new();
+        let mut ranked = Vec::new();
+        for seed in 0..2000u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n: usize = rng.gen_range(0..(if seed % 4 == 0 { 70 } else { 20 }));
+            let spread = [1u32, 3, 50][rng.gen_range(0..3usize)];
+            let dists: Vec<f32> = (0..n)
+                .map(|_| match rng.gen_range(0..spread) {
+                    0 if rng.gen::<bool>() => -0.0,
+                    d => d as f32,
+                })
+                .collect();
+            let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3)).collect();
+            ranker.rank(&dists, &mut ranked);
+            for label in 0..4 {
+                let far = ranked
+                    .iter()
+                    .rposition(|nb| labels[nb.index as usize] == label);
+                let want = match far {
+                    None => Head::Empty,
+                    Some(f) if f == n - 1 => Head::Full,
+                    Some(f) => Head::Through(ranked[f]),
+                };
+                let got = head(&dists, &labels, label);
+                assert_eq!(got, want, "seed {seed} n {n} label {label}");
+                if let (Head::Through(a), Head::Through(b)) = (got, want) {
+                    assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "seed {seed}");
+                }
             }
         }
     }

@@ -7,8 +7,11 @@
 //! state resident — one rank list per test point — so that inserting or
 //! deleting a single training point only perturbs each rank list locally
 //! (a binary search + splice per test point) and revaluation reruns just
-//! the O(N) Theorem 1 recursion per test point, with no distance
-//! computation and no sorting. An M-mutation replay therefore costs
+//! the Theorem 1 recursion per test point, with no distance computation
+//! and no sorting — and only through one rank past the test point's
+//! farthest same-label training point, which each list keeps up to date:
+//! the ranks past it hold the recursion's zero tail (see
+//! [`crate::exact_unweighted`]). An M-mutation replay therefore costs
 //! M · O(N_test · N) cheap arithmetic instead of M cold
 //! O(N_test · (N·d + N)) rebuilds (`bench_serve_incremental`
 //! quantifies the gap).
@@ -29,8 +32,9 @@
 //!    the deleted point shift down by one) preserves it still — so the
 //!    maintained list equals a fresh argsort of the mutated dataset entry
 //!    for entry, duplicate distances included.
-//! 2. **One recursion.** Both paths run the identical
-//!    [`theorem1_recurrence`] arithmetic over those (equal) rank lists.
+//! 2. **One recursion.** Both paths run the identical switch-point
+//!    Theorem 1 loop over those (equal) rank lists, through the same
+//!    zero-tail cut (see [`crate::exact_unweighted`]).
 //!    That loop evaluates its increment only at ranks where the indicator
 //!    `correct(r)` flips: elsewhere the increment is `+0.0`, and adding
 //!    `+0.0` to a running value that is never `−0.0` leaves its bits alone.
@@ -63,11 +67,13 @@
 //! trust. `tests/serve_batching.rs` holds batched-vs-sequential to bitwise
 //! equality over random groups.
 
-use crate::exact_unweighted::{theorem1_recurrence, theorem1_until};
+use crate::exact_unweighted::{farthest_rank, fill_head, head_len, theorem1_head};
+use crate::sharding::{fold_scratch_into, Scratch};
 use crate::types::ShapleyValues;
 use knnshap_datasets::ClassDataset;
 use knnshap_knn::distance::Metric;
 use knnshap_knn::neighbors::Neighbor;
+use knnshap_numerics::exact::ExactVec;
 
 /// Everything a mutation or query on resident state can reject.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,8 +150,12 @@ pub struct Applied {
 /// in the batch — everything the splice pass needs without re-touching the
 /// (already mutated) training set.
 enum ResolvedOp {
-    /// The new point's features and the index it was assigned.
-    Insert { row: Vec<f32>, index: u32 },
+    /// The new point's features, label and the index it was assigned.
+    Insert {
+        row: Vec<f32>,
+        label: u32,
+        index: u32,
+    },
     /// The index that was removed (as numbered when the delete applied).
     Delete { index: usize },
 }
@@ -183,8 +193,9 @@ pub struct ResidentValuator {
     threads: usize,
     /// One canonical `(distance, index)`-sorted rank list per test point —
     /// always equal to a fresh `argsort_by_distance` of the current train
-    /// set (the invariant every mutation maintains).
-    ranked: Vec<Vec<Neighbor>>,
+    /// set (the invariant every mutation maintains) — with its farthest
+    /// same-label rank.
+    ranked: Vec<Ranked>,
     /// Dataset version: 0 for the loaded dataset, +1 per committed mutation.
     version: u64,
 }
@@ -214,7 +225,8 @@ impl ResidentValuator {
         if train.x.first_non_finite_row().is_some() || test.x.first_non_finite_row().is_some() {
             return Err(ResidentError::NonFinite);
         }
-        let ranked = knnshap_knn::block::argsort_all(&train.x, &test.x, threads);
+        let lists = knnshap_knn::block::argsort_all(&train.x, &test.x, threads);
+        let ranked = Ranked::all(lists, &train, &test);
         Ok(Self {
             train,
             test,
@@ -257,12 +269,13 @@ impl ResidentValuator {
             .map_err(|e| ResidentError::GraphMismatch {
                 detail: e.to_string(),
             })?;
+        let ranked = Ranked::all(graph.lists().to_vec(), &train, &test);
         Ok(Self {
             train,
             test,
             k,
             threads,
-            ranked: graph.lists().to_vec(),
+            ranked,
             version: 0,
         })
     }
@@ -386,6 +399,7 @@ impl ResidentValuator {
                     self.train.n_classes = self.train.n_classes.max(label + 1);
                     ops.push(ResolvedOp::Insert {
                         row: features.clone(),
+                        label: *label,
                         index: new_idx as u32,
                     });
                     self.version += 1;
@@ -424,13 +438,18 @@ impl ResidentValuator {
         // Pass 2 (parallel, once per batch): replay the accepted splices
         // in order on every rank list. Distances and splice positions are
         // computed by the same expressions the sequential path used, so
-        // the lists come out entry-for-entry identical.
-        let test = &self.test;
+        // the lists come out entry-for-entry identical. Each splice also
+        // moves the list's farthest same-label rank; deleting that entry
+        // leaves it to be found again once the batch is spliced, when the
+        // list's indices are the final training set's.
+        let (train, test) = (&self.train, &self.test);
         knnshap_parallel::par_chunks(&mut self.ranked, 1, self.threads, |j, lists| {
-            let list = &mut lists[0];
+            let Ranked { list, far } = &mut lists[0];
+            let y = test.y[j];
+            let mut lost = false;
             for op in &ops {
                 match op {
-                    ResolvedOp::Insert { row, index } => {
+                    ResolvedOp::Insert { row, label, index } => {
                         let d = Metric::SquaredL2.eval(test.x.row(j), row);
                         let pos = list.partition_point(|nb| nb.dist <= d);
                         list.insert(
@@ -440,16 +459,35 @@ impl ResidentValuator {
                                 dist: d,
                             },
                         );
+                        *far = match *far {
+                            Some(f) if pos <= f => Some(f + 1),
+                            _ if *label == y => Some(pos),
+                            f => f,
+                        };
                     }
                     ResolvedOp::Delete { index } => {
                         let index = u32::try_from(*index).expect("train indices fit u32");
+                        let mut rank = 0;
+                        let mut at = 0;
                         list.retain_mut(|nb| {
                             let keep = nb.index != index;
+                            if !keep {
+                                at = rank;
+                            }
+                            rank += 1;
                             nb.index -= u32::from(nb.index > index);
                             keep
                         });
+                        match *far {
+                            Some(f) if at < f => *far = Some(f - 1),
+                            Some(f) if at == f => lost = true,
+                            _ => {}
+                        }
                     }
                 }
+            }
+            if lost {
+                *far = farthest_rank(list, &train.y, y);
             }
         });
         acks
@@ -461,24 +499,23 @@ impl ResidentValuator {
     /// from the resident rank lists (no distances, no sorting).
     pub fn values(&self) -> ShapleyValues {
         let n = self.train.len();
-        // Dense fill, like the batch path: one contribution per training
-        // point per test point, deposited linearly (same bits — see
-        // `exact_sums_over_dense`). This is what keeps per-mutation
-        // revaluation fast: the recursion's rank order would otherwise do a
-        // random walk over the `n` rows of the exact limb plane.
-        let sums = crate::sharding::exact_sums_over_dense(
-            n,
+        // Dense fill, like the batch path, deposited linearly block by
+        // block; each test point writes only the head of its list — every
+        // rank past its farthest same-label one is Theorem 1's zero tail,
+        // the `+0.0` the scratch already holds — and only those rows are
+        // zeroed again (see `crate::exact_unweighted`).
+        let mut sums = ExactVec::zeros(n);
+        fold_scratch_into(
+            &mut sums,
             0..self.test.len(),
             self.threads,
+            None,
             || (),
-            |j, _, _, scratch| {
-                let (list, y) = (&self.ranked[j], self.test.y[j]);
-                theorem1_recurrence(
-                    list.len(),
-                    self.k,
-                    |r| f64::from(self.train.y[list[r].index as usize] == y),
-                    |r, s| scratch[list[r].index as usize] = s,
-                );
+            |j, _, _, out: &mut Scratch| {
+                let (ranked, y) = (&self.ranked[j], self.test.y[j]);
+                let head = &ranked.list[..head_len(n, ranked.far)];
+                fill_head(n, head, &self.train.y, y, self.k, out.values());
+                out.only(head);
             },
         );
         crate::sharding::finalize_mean(&sums, self.test.len() as u64, self.threads)
@@ -489,9 +526,11 @@ impl ResidentValuator {
     /// `insert(row, label)` followed by `values()[new index]` — without
     /// committing anything. The candidate is spliced *virtually* into each
     /// rank list (an index remap around its insertion position `pos`), and
-    /// each per-test recursion stops at `pos` ([`theorem1_until`]): the ranks
-    /// nearer than the candidate never feed its value, so a what-if costs
-    /// O(N − pos) per test point instead of O(N).
+    /// each per-test recursion runs from one rank past `max(pos, far′)`,
+    /// where `far′` is the farthest same-label rank of the spliced list,
+    /// down to `pos`: the ranks nearer than the candidate never feed its
+    /// value, and the ranks past `far′ + 1` are the zero tail, so a what-if
+    /// costs O(max(pos, far′) − pos) per test point.
     pub fn what_if(&self, row: &[f32], label: u32) -> Result<f64, ResidentError> {
         self.check_point(row, label)?;
         let n = self.train.len();
@@ -501,16 +540,20 @@ impl ResidentValuator {
             self.threads,
             || (),
             |j, _, _, scratch| {
-                let (list, y) = (&self.ranked[j], self.test.y[j]);
+                let (Ranked { list, far }, y) = (&self.ranked[j], self.test.y[j]);
                 let d = Metric::SquaredL2.eval(self.test.x.row(j), row);
                 let pos = list.partition_point(|nb| nb.dist <= d);
                 let cand = f64::from(label == y);
                 // The spliced list has the candidate at `pos` and the
                 // incumbent of rank `r - 1` at every rank `r > pos`; ranks
                 // below `pos` never feed the value at `pos`, so the pass
-                // stops there.
-                let s = theorem1_until(
+                // stops there, and it starts past the farthest same-label
+                // rank of the spliced list (or past `pos`).
+                let spliced = far.map(|f| f + usize::from(f >= pos));
+                let top = spliced.map_or(pos, |f| f.max(pos));
+                let s = theorem1_head(
                     n + 1,
+                    (top + 2).min(n + 1),
                     self.k,
                     pos,
                     |r| {
@@ -526,6 +569,30 @@ impl ResidentValuator {
             },
         );
         Ok(crate::sharding::finalize_mean(&sums, self.test.len() as u64, self.threads).get(0))
+    }
+}
+
+/// One test point's rank list and the rank of its farthest training point
+/// with the test point's label (`None` when it has none): the last rank
+/// whose Theorem 1 value can be nonzero.
+#[derive(Debug)]
+struct Ranked {
+    list: Vec<Neighbor>,
+    far: Option<usize>,
+}
+
+impl Ranked {
+    /// The rank lists of every test point, each with its farthest
+    /// same-label rank.
+    fn all(lists: Vec<Vec<Neighbor>>, train: &ClassDataset, test: &ClassDataset) -> Vec<Ranked> {
+        lists
+            .into_iter()
+            .zip(&test.y)
+            .map(|(list, &y)| Ranked {
+                far: farthest_rank(&list, &train.y, y),
+                list,
+            })
+            .collect()
     }
 }
 
@@ -625,6 +692,55 @@ mod tests {
         }
     }
 
+    /// The tracked farthest same-label rank is every list's last rank with
+    /// its test point's label, after single mutations and after batches
+    /// that delete it and splice on, at 1 and 2 threads. (An over-estimate
+    /// would keep the values' bits and only cost zero-tail work, so the
+    /// value batteries cannot see it.)
+    #[test]
+    fn tracked_farthest_rank_is_the_last_same_label_rank() {
+        let (train, test) = data(30, 6, 19);
+        for threads in [1usize, 2] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut engine =
+                ResidentValuator::new(train.clone(), test.clone(), 2, threads).unwrap();
+            let check = |engine: &ResidentValuator, what: &str| {
+                for (j, ranked) in engine.ranked.iter().enumerate() {
+                    let want = farthest_rank(&ranked.list, &engine.train.y, engine.test.y[j]);
+                    assert_eq!(ranked.far, want, "{what}: test point {j}");
+                }
+            };
+            check(&engine, "fresh");
+            for step in 0..40 {
+                let len = engine.n_train();
+                // Delete some test point's farthest same-label row, then
+                // splice on in the same batch.
+                let j = rng.gen_range(0..engine.n_test());
+                let far = engine.ranked[j]
+                    .far
+                    .map(|f| engine.ranked[j].list[f].index as usize);
+                let mut batch = vec![Mutation::Insert {
+                    features: (0..5).map(|_| rng.gen_range(-9.0..9.0)).collect(),
+                    label: rng.gen_range(0..3),
+                }];
+                if let Some(i) = far.filter(|_| len > 3) {
+                    batch.insert(0, Mutation::Delete { index: i });
+                    batch.push(Mutation::Delete {
+                        index: rng.gen_range(0..len - 1),
+                    });
+                }
+                if step % 2 == 0 {
+                    for m in batch {
+                        assert!(engine.apply_batch(&[m])[0].is_ok());
+                    }
+                } else {
+                    assert!(engine.apply_batch(&batch).iter().all(Result::is_ok));
+                }
+                check(&engine, &format!("threads {threads} step {step}"));
+            }
+        }
+    }
+
     #[test]
     fn what_if_matches_committed_insert_bitwise() {
         let (train, test) = data(35, 6, 7);
@@ -648,7 +764,7 @@ mod tests {
     /// The candidate's rank in test point 0's list, as `what_if` splices it.
     fn splice_rank(engine: &ResidentValuator, row: &[f32]) -> usize {
         let d = Metric::SquaredL2.eval(engine.test().x.row(0), row);
-        engine.ranked[0].partition_point(|nb| nb.dist <= d)
+        engine.ranked[0].list.partition_point(|nb| nb.dist <= d)
     }
 
     #[test]
@@ -666,7 +782,11 @@ mod tests {
                     ResidentValuator::new(train.clone(), test.clone(), k, threads).unwrap();
                 let d_dup = Metric::SquaredL2.eval(&q, &dup);
                 let tie = splice_rank(&engine, &dup);
-                assert_eq!(engine.ranked[0][tie - 1].dist, d_dup, "a tie splices after");
+                assert_eq!(
+                    engine.ranked[0].list[tie - 1].dist,
+                    d_dup,
+                    "a tie splices after"
+                );
                 assert_eq!(splice_rank(&engine, &q), 0);
                 assert_eq!(splice_rank(&engine, &far), 30);
                 for (row, what) in [(&q, "rank 0"), (&far, "rank N"), (&dup, "tie")] {

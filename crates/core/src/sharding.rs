@@ -69,6 +69,7 @@
 
 use crate::types::ShapleyValues;
 use knnshap_datasets::{ClassDataset, RegDataset};
+use knnshap_knn::neighbors::Neighbor;
 use knnshap_knn::weights::WeightFn;
 use knnshap_numerics::exact::{ExactBlock, ExactVec};
 use std::sync::Mutex;
@@ -653,7 +654,7 @@ where
 /// buffers, the distance rows already computed and the scratch instead of
 /// building them again.
 pub(crate) struct Participants<T> {
-    states: Mutex<Vec<(Vec<f64>, T)>>,
+    states: Mutex<Vec<(Scratch, T)>>,
     /// How far a serial fold's batched work may reach: the shard's end.
     reach: usize,
 }
@@ -670,6 +671,64 @@ impl<T> Participants<T> {
     pub(crate) fn total(&self, count: impl Fn(&T) -> usize) -> usize {
         let states = self.states.lock().expect("fold poisoned");
         states.iter().map(|(_, st)| count(st)).sum()
+    }
+}
+
+/// One participant's dense scratch: a value per training point, all zero
+/// between items, for a fill to write an item's contributions into. A fill
+/// that writes only some rows says which ([`only`](Self::only)), and only
+/// those are zeroed again after the deposit.
+pub(crate) struct Scratch {
+    values: Vec<f64>,
+    /// The rows the item wrote, when `sparse`.
+    rows: Vec<u32>,
+    sparse: bool,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Self {
+            values: vec![0.0; n],
+            rows: Vec::new(),
+            sparse: false,
+        }
+    }
+
+    /// The values to write, one per training point, zero on entry.
+    pub(crate) fn values(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
+    /// Declare that the item wrote only the entries of `rows`: every other
+    /// entry is still zero — Theorem 1 writes a ranking's head and leaves
+    /// its zero tail (see [`crate::exact_unweighted`]). A head of every row
+    /// is zeroed whole, as a dense fill is.
+    pub(crate) fn only(&mut self, rows: &[Neighbor]) {
+        if rows.len() < self.values.len() {
+            self.rows.clear();
+            self.rows.extend(rows.iter().map(|nb| nb.index));
+            self.sparse = true;
+        }
+    }
+
+    /// Deposit the item just filled, one [`ExactBlock`] at a time from
+    /// block `lead` on, wrapping around (a zero entry costs a branch and
+    /// moves no bit), and leave the scratch all zero again.
+    fn deposit(&mut self, blocks: &[Mutex<&mut ExactBlock>], lead: usize) {
+        let n = self.values.len();
+        for b in (lead..blocks.len()).chain(0..lead) {
+            let rows = b * ExactVec::BLOCK..((b + 1) * ExactVec::BLOCK).min(n);
+            let mut acc = blocks[b].lock().expect("fold poisoned");
+            acc.add_dense(&self.values[rows]);
+        }
+        if self.sparse {
+            for &i in &self.rows {
+                self.values[i as usize] = 0.0;
+            }
+        } else {
+            self.values.fill(0.0);
+        }
+        self.sparse = false;
     }
 }
 
@@ -692,6 +751,26 @@ pub(crate) fn fold_dense_into<T, M, F>(
     M: Fn() -> T + Sync,
     F: Fn(usize, &std::ops::Range<usize>, &mut T, &mut [f64]) + Sync,
 {
+    fold_scratch_into(total, range, threads, kept, state, |j, window, st, out| {
+        fill(j, window, st, out.values())
+    })
+}
+
+/// [`fold_dense_into`] with the fill handed the [`Scratch`] itself, so it
+/// can say which rows it wrote ([`Scratch::only`]), and only those are
+/// zeroed again.
+pub(crate) fn fold_scratch_into<T, M, F>(
+    total: &mut ExactVec,
+    range: std::ops::Range<usize>,
+    threads: usize,
+    kept: Option<&Participants<T>>,
+    state: M,
+    fill: F,
+) where
+    T: Send,
+    M: Fn() -> T + Sync,
+    F: Fn(usize, &std::ops::Range<usize>, &mut T, &mut Scratch) + Sync,
+{
     let (count, start) = (range.len(), range.start);
     let block = static_fold_block(count, threads);
     let units = count.div_ceil(block);
@@ -702,20 +781,15 @@ pub(crate) fn fold_dense_into<T, M, F>(
         // A participant that finds the counter drained builds nothing.
         let Some(first) = claims.next() else { return };
         let taken = kept.and_then(|k| k.states.lock().expect("fold poisoned").pop());
-        let (mut scratch, mut st) = taken.unwrap_or_else(|| (vec![0.0f64; n], state()));
+        let (mut scratch, mut st) = taken.unwrap_or_else(|| (Scratch::new(n), state()));
         let reach = kept.filter(|_| claims.solo()).map(|k| k.reach);
         let lead = first * blocks.len() / units;
         for u in std::iter::once(first).chain(&mut *claims) {
             let unit = start + u * block..start + ((u + 1) * block).min(count);
             let window = unit.start..reach.unwrap_or(unit.end);
             for j in unit {
-                scratch.fill(0.0);
                 fill(j, &window, &mut st, &mut scratch);
-                for b in (lead..blocks.len()).chain(0..lead) {
-                    let rows = b * ExactVec::BLOCK..((b + 1) * ExactVec::BLOCK).min(n);
-                    let mut acc = blocks[b].lock().expect("fold poisoned");
-                    acc.add_dense(&scratch[rows]);
-                }
+                scratch.deposit(&blocks, lead);
             }
         }
         if let Some(k) = kept {

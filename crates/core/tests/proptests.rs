@@ -309,6 +309,83 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// A zero-tail instance: `n` training rows on a small integer grid — so
+/// distances tie, across each query's farthest same-label row too — with
+/// `−0.0` for about half the zero coordinates, and queries on the same
+/// grid. `mode` picks the labels:
+///
+/// * 0 — random, and queries may carry a label no training row has (no
+///   same-label row, so nothing is deposited);
+/// * 1 — one training label, so a query with it has its farthest row at
+///   rank `N − 1`, and one without it has none;
+/// * 2 — random, then query 0's farthest row (by distance, then index)
+///   takes query 0's label: its prefix is the whole ranking.
+fn zero_tail_instance(
+    n: usize,
+    n_test: usize,
+    mode: u8,
+    seed: u64,
+) -> (ClassDataset, ClassDataset) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dim: usize = rng.gen_range(1..=3);
+    let reach: i32 = if rng.gen_range(0..2u32) == 0 { 1 } else { 3 };
+    let classes = 3u32;
+    let coord = |rng: &mut StdRng| match rng.gen_range(-reach..=reach) {
+        0 if rng.gen_range(0..2u32) == 0 => -0.0f32,
+        v => v as f32,
+    };
+    let feats: Vec<f32> = (0..n * dim).map(|_| coord(&mut rng)).collect();
+    let qfeats: Vec<f32> = (0..n_test * dim).map(|_| coord(&mut rng)).collect();
+    let mut labels: Vec<u32> = match mode {
+        1 => vec![0; n],
+        _ => (0..n).map(|_| rng.gen_range(0..classes)).collect(),
+    };
+    let qlabels: Vec<u32> = match mode {
+        0 => (0..n_test).map(|_| rng.gen_range(0..=classes)).collect(),
+        1 => (0..n_test).map(|_| rng.gen_range(0..2)).collect(),
+        _ => (0..n_test).map(|_| rng.gen_range(0..classes)).collect(),
+    };
+    let train_x = Features::new(feats, dim);
+    let test_x = Features::new(qfeats, dim);
+    if mode == 2 {
+        let ranked = knnshap_knn::neighbors::argsort_by_distance(
+            &train_x,
+            test_x.row(0),
+            knnshap_knn::distance::Metric::SquaredL2,
+        );
+        labels[ranked[n - 1].index as usize] = qlabels[0];
+    }
+    (
+        ClassDataset::new(train_x, labels, classes + 1),
+        ClassDataset::new(test_x, qlabels, classes + 1),
+    )
+}
+
+/// The full-ranking oracle over test points `range`: each point's values
+/// from `knn_class_shapley_single` (the Theorem 1 loop over every rank,
+/// the zero tail included), deposited densely.
+fn full_ranking_sums(
+    train: &ClassDataset,
+    test: &ClassDataset,
+    k: usize,
+    range: std::ops::Range<usize>,
+) -> knnshap_numerics::exact::ExactVec {
+    use knnshap_core::exact_unweighted::knn_class_shapley_single;
+    let mut sums = knnshap_numerics::exact::ExactVec::zeros(train.len());
+    for j in range {
+        sums.add_dense(knn_class_shapley_single(train, test.x.row(j), test.y[j], k).as_slice());
+    }
+    sums
+}
+
+fn encoded(v: &knnshap_numerics::exact::ExactVec) -> Vec<u8> {
+    let mut out = Vec::new();
+    v.encode_into(&mut out);
+    out
+}
+
 proptest! {
     /// `theorem1_recurrence` hands `sink` every rank, farthest first, with
     /// the per-step loop's bits; `theorem1_until` at every stop rank hands
@@ -377,6 +454,60 @@ proptest! {
         }
         let got = truncated_recursion(&neighbors, &labels, 2, k, k_star, n);
         prop_assert!(same_bits(got.as_slice(), &want), "n={} k={} K*={}", n, k, k_star);
+    }
+
+    /// The uniform exact fold, which ranks, recurses and deposits each test
+    /// point only through one rank past its farthest same-label row, is bit
+    /// for bit the full-ranking oracle: values at 1/2/3/8 threads,
+    /// brute-force and graph-backed, and the exact sums of a shard folded
+    /// in chunks. Inputs tie distances across the cut, put the farthest row
+    /// at rank `N − 1`, leave queries with no same-label row, take `K ≥ N`
+    /// and `N = 1`, use `−0.0` coordinates and cross `ExactVec` blocks.
+    #[test]
+    fn recursion_zero_tail_fold_matches_the_full_ranking(
+        pick in any::<u64>(),
+        kpick in any::<u64>(),
+        mode in 0u8..3,
+        n_test in 1usize..9,
+        seed in any::<u64>(),
+        cuts in prop::collection::vec(any::<u64>(), 3),
+    ) {
+        use knnshap_core::estimator::{Data, Estimator, Family};
+        use knnshap_knn::graph::KnnGraph;
+        use knnshap_knn::weights::WeightFn;
+        let n = match pick % 8 {
+            0 => 1,
+            1 => 1000 + (pick >> 8) as usize % 1200,
+            _ => 1 + (pick >> 8) as usize % 40,
+        };
+        let k = 1 + (kpick % (n as u64 + 3)) as usize;
+        let (train, test) = zero_tail_instance(n, n_test, mode, seed);
+        let oracle = full_ranking_sums(&train, &test, k, 0..n_test);
+        let want: Vec<u64> =
+            (0..n).map(|i| (oracle.value(i) / n_test as f64).to_bits()).collect();
+        let graph = KnnGraph::build(&train.x, &test.x, 1);
+        for g in [None, Some(&graph)] {
+            let data = Data::class(&train, &test);
+            let est = Estimator::new(data, k, WeightFn::Uniform, Family::Exact, g).unwrap();
+            for threads in [1usize, 2, 3, 8] {
+                let got = est.run(threads).values;
+                let bits: Vec<u64> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+                prop_assert!(bits == want, "n={} k={} mode={} threads={} graph={}",
+                    n, k, mode, threads, g.is_some());
+            }
+            // A shard folded in chunks, at each thread count.
+            let mut at: Vec<usize> = cuts.iter().map(|c| *c as usize % (n_test + 1)).collect();
+            at.sort_unstable();
+            let (lo, hi) = (at[0], at[2]);
+            let shard = full_ranking_sums(&train, &test, k, lo..hi);
+            for threads in [1usize, 2, 3, 8] {
+                let mut fold = est.shard_fold(lo..hi, None).unwrap();
+                fold.extend(lo..at[1], threads).unwrap();
+                fold.extend(at[1]..hi, threads).unwrap();
+                prop_assert!(encoded(&fold.partial().sums) == encoded(&shard),
+                    "shard {}..{} n={} k={} threads={}", lo, hi, n, k, threads);
+            }
+        }
     }
 
     /// A what-if is bitwise the committed insert's value, for candidates at

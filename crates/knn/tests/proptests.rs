@@ -338,6 +338,50 @@ proptest! {
             }
         }
     }
+    /// `Ranker::rank_through` is the matching slice of the full `rank`: cut
+    /// at any row — the first, the last (the whole ranking) or anywhere,
+    /// ties with its distance included — it returns the full ranking's
+    /// first `rank(cut) + 2` entries (all of them past the end), over a
+    /// query tile's distance row and over raw distances that stress the
+    /// key mapping (±0, subnormals, ±inf, heavy duplicates) at row counts
+    /// around the radix histogram width.
+    #[test]
+    fn query_lane_prefix_rankings_match_the_full_ranking(
+        sel in prop::collection::vec(any::<u32>(), 41 * 37),
+        bits in prop::collection::vec(any::<u32>(), 41 * 37),
+        qsel in prop::collection::vec(any::<u32>(), 37),
+        qbits in prop::collection::vec(any::<u32>(), 37),
+        raw in prop::collection::vec((any::<u32>(), any::<u32>()), 2049..2600),
+        dim in 1usize..38,
+        pick in 0usize..23,
+        rpick in 0usize..9,
+        random in 3usize..2600,
+        cuts in prop::collection::vec(any::<usize>(), 3),
+    ) {
+        let n = kernel_train_size(pick);
+        let train = edge_features(n, dim, &sel, &bits);
+        let query = edge_features(1, dim, &qsel, &qbits);
+        let tile = TileRows::new().row(&train, &query, 0, 1).to_vec();
+        let m = rank_size(rpick, random).min(raw.len());
+        let dists: Vec<f32> = raw[..m].iter().map(|&(s, b)| edge_dist(s, b)).collect();
+        let mut ranker = Ranker::new();
+        for row in [&tile, &dists] {
+            if row.is_empty() {
+                continue;
+            }
+            let mut full = Vec::new();
+            ranker.rank(row, &mut full);
+            let last = full[row.len() - 1].index as usize;
+            let at = [0, last, cuts[0] % row.len(), cuts[1] % row.len(), cuts[2] % row.len()];
+            for c in at {
+                let cut = Neighbor { index: c as u32, dist: row[c] };
+                let mut got = vec![Neighbor { index: 9, dist: 9.0 }; 3];
+                ranker.rank_through(row, cut, &mut got);
+                let rank = full.iter().position(|nb| nb.index == cut.index).unwrap();
+                same_ranking(&got, &full[..(rank + 2).min(row.len())])?;
+            }
+        }
+    }
 }
 
 #[test]

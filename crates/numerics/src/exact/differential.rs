@@ -713,3 +713,93 @@ fn valuation_rows_take_the_i128_path() {
     let (flat, _) = unit_vec(6, &[(2, 1e300), (4, f64::NAN)]);
     assert_eq!(check_row_paths(only(&flat), "odd").unwrap(), 0);
 }
+
+// ---------------------------------------------------------------------------
+// Zeros are neutral: what lets a fold skip the rows an item left at zero.
+// ---------------------------------------------------------------------------
+
+/// A vector of a length from `SHORT_SIZES` or `BLOCKED_SIZES` after a
+/// random call stream (or none) at valuation magnitudes (`narrow`) or over
+/// the full exponent range.
+fn random_vec(g: &mut Summands, narrow: bool) -> ExactVec {
+    let n = if g.rng.gen::<bool>() {
+        SHORT_SIZES[g.rng.gen_range(0..SHORT_SIZES.len())]
+    } else {
+        BLOCKED_SIZES[g.rng.gen_range(0..BLOCKED_SIZES.len())]
+    };
+    let base = if narrow {
+        g.rng.gen_range(-60..4)
+    } else {
+        g.rng.gen_range(-1070..1021)
+    };
+    let (mut flat, mut oracle) = (ExactVec::zeros(n), OracleVec::zeros(n));
+    for _ in 0..g.rng.gen_range(0..16) {
+        let op = g.op(n, base);
+        apply(&op, &mut flat, &mut oracle);
+    }
+    flat
+}
+
+/// Set every block's `pending` count to one of the values around a sweep.
+fn set_pending(v: &mut ExactVec, rng: &mut StdRng) {
+    for b in &mut v.blocks {
+        b.pending = [
+            0,
+            1,
+            PENDING_MAX - 2,
+            PENDING_MAX - 1,
+            rng.gen_range(0..PENDING_MAX),
+        ][rng.gen_range(0..5usize)];
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.min(256)))]
+
+    /// Depositing `±0.0` — through `add`, `add_dense`, or a `merge` of a
+    /// vector that received only zeros — changes no value and no encoded
+    /// byte, whatever the blocks' pending counts (a deposit that reaches
+    /// the threshold sweeps carries); and a vector that received only
+    /// zeros encodes like `ExactVec::zeros`, with no limb laid out.
+    #[test]
+    fn zeros_are_neutral_at_any_pending_count(seed in any::<u64>(), narrow in any::<bool>()) {
+        let wild = if narrow { 0 } else { 12 };
+        let mut g = Summands { rng: StdRng::seed_from_u64(seed), history: Vec::new(), wild };
+        let built = random_vec(&mut g, narrow);
+        let n = built.len();
+        let rng = &mut g.rng;
+        let zero = |rng: &mut StdRng| if rng.gen::<bool>() { 0.0 } else { -0.0 };
+        let mut zeros_only = ExactVec::zeros(n);
+        for (what, mut v) in [("built", built.clone()), ("fresh", ExactVec::zeros(n))] {
+            let (want, values) = if what == "built" {
+                (encode(&built), built.values())
+            } else {
+                (encode(&ExactVec::zeros(n)), vec![0.0; n])
+            };
+            for step in 0..12 {
+                set_pending(&mut v, rng);
+                match rng.gen_range(0..4u32) {
+                    0 => v.add(rng.gen_range(0..n), zero(rng)),
+                    1 => {
+                        let xs: Vec<f64> = (0..n).map(|_| zero(rng)).collect();
+                        v.add_dense(&xs);
+                        zeros_only.add_dense(&xs);
+                    }
+                    2 => v.merge(&zeros_only),
+                    _ => {
+                        set_pending(&mut zeros_only, rng);
+                        v.merge(&zeros_only);
+                    }
+                }
+                prop_assert!(encode(&v) == want, "{}: step {} records", what, step);
+                for (i, x) in values.iter().enumerate() {
+                    prop_assert_eq!(v.value(i).to_bits(), x.to_bits(), "{}: step {} point {}", what, step, i);
+                }
+            }
+            if what == "fresh" {
+                prop_assert_eq!(v.window_limbs(), 0, "zeros lay out no limb");
+            }
+        }
+        prop_assert_eq!(zeros_only.window_limbs(), 0);
+    }
+}

@@ -28,9 +28,14 @@
 //! and duplicate points); deterministic tests pin the named edge cases.
 
 use knnshap::datasets::{ClassDataset, Features};
+use knnshap::knn::distance::Metric;
+use knnshap::knn::neighbors::argsort_by_distance;
+use knnshap::numerics::exact::ExactVec;
 use knnshap::serve::{Request, Response, ValuationServer};
-use knnshap::valuation::exact_unweighted::knn_class_shapley_with_threads;
-use knnshap::valuation::resident::ResidentValuator;
+use knnshap::valuation::exact_unweighted::{
+    knn_class_shapley_single, knn_class_shapley_with_threads,
+};
+use knnshap::valuation::resident::{Mutation as Op, ResidentValuator};
 use knnshap::valuation::types::ShapleyValues;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -361,5 +366,169 @@ fn oracle_agrees_with_batch_path_on_fresh_datasets() {
         let test = grid_dataset(&mut rng, 5, 2);
         let batch = knn_class_shapley_with_threads(&train, &test, k, 1);
         assert_close_to_oracle(&batch, &train, &test, k);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The farthest same-label point: past it every value is Theorem 1's zero
+// tail, and the engine recurses only through it, tracking its rank
+// through every splice.
+// ---------------------------------------------------------------------------
+
+/// The full-ranking oracle: each test point's Theorem 1 loop over every
+/// rank (`knn_class_shapley_single`), summed exactly and averaged as the
+/// batch path does.
+fn full_ranking_values(train: &ClassDataset, test: &ClassDataset, k: usize) -> ShapleyValues {
+    let mut sums = ExactVec::zeros(train.len());
+    for j in 0..test.len() {
+        sums.add_dense(knn_class_shapley_single(train, test.x.row(j), test.y[j], k).as_slice());
+    }
+    let d = test.len() as f64;
+    ShapleyValues::new((0..train.len()).map(|i| sums.value(i) / d).collect())
+}
+
+/// The training index of test point `j`'s farthest same-label row, if any.
+fn farthest_same_label(engine: &ResidentValuator, j: usize) -> Option<usize> {
+    let (train, test) = (engine.train(), engine.test());
+    let ranked = argsort_by_distance(&train.x, test.x.row(j), Metric::SquaredL2);
+    ranked
+        .iter()
+        .rev()
+        .find(|nb| train.y[nb.index as usize] == test.y[j])
+        .map(|nb| nb.index as usize)
+}
+
+/// Served values equal the cold batch run and the full-ranking oracle.
+fn assert_matches_full_ranking(engine: &ResidentValuator, what: &str) {
+    let (train, test, k) = (engine.train(), engine.test(), engine.k());
+    let served = engine.values();
+    assert_bitwise(&full_ranking_values(train, test, k), &served, what);
+    assert_bitwise(
+        &knn_class_shapley_with_threads(train, test, k, 1),
+        &served,
+        what,
+    );
+}
+
+/// A dataset on the grid whose test points carry labels 0 and 1, and a
+/// third test label no training row has.
+fn far_fixture(seed: u64) -> (ClassDataset, ClassDataset) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let train = grid_dataset(&mut rng, 24, 2);
+    let mut test = grid_dataset(&mut rng, 3, 2);
+    test.y = vec![0, 1, CLASSES];
+    test.n_classes = CLASSES + 1;
+    (train, test)
+}
+
+/// Inserts beyond, at and before each test point's farthest same-label
+/// point, of either label; deletes of that point (its rank walks back),
+/// of points before it, and of the only point with a label — one at a
+/// time and inside batches, where a delete of the farthest point is
+/// followed by more splices — all stay bitwise on the full-ranking oracle.
+#[test]
+fn churn_around_the_farthest_same_label_point_stays_bitwise() {
+    for (seed, k, threads) in [(3u64, 1usize, 1usize), (5, 3, 2), (8, 30, 8)] {
+        let (train, test) = far_fixture(seed);
+        let mut engine = ResidentValuator::new(train, test, k, threads).unwrap();
+        assert_matches_full_ranking(&engine, "fresh");
+        // Each step's far points lie past every earlier one.
+        let far_away = |step: usize| [50.0 + 30.0 * step as f32, 50.0];
+        for step in 0..6 {
+            let what = |m: &str| format!("seed {seed} k {k} step {step}: {m}");
+            for j in 0..2 {
+                let y = engine.test().y[j];
+                // Past every row, with the label: the farthest moves there.
+                let far = far_away(2 * step + j);
+                let idx = engine.insert(&far, y).unwrap();
+                assert_eq!(farthest_same_label(&engine, j), Some(idx));
+                assert_matches_full_ranking(&engine, &what("same label past far"));
+                // Past it again, with another label: nothing moves.
+                engine.insert(&[far[0] + 10.0, 50.0], y ^ 1).unwrap();
+                assert_eq!(farthest_same_label(&engine, j), Some(idx));
+                assert_matches_full_ranking(&engine, &what("other label past far"));
+                // Delete the farthest: it walks back to the previous one.
+                engine.delete(idx).unwrap();
+                assert_matches_full_ranking(&engine, &what("delete far"));
+                if let Some(f) = farthest_same_label(&engine, j) {
+                    // A duplicate of it ties its distance and splices after.
+                    let row = engine.train().x.row(f).to_vec();
+                    let dup = engine.insert(&row, y).unwrap();
+                    assert_eq!(farthest_same_label(&engine, j), Some(dup));
+                    assert_matches_full_ranking(&engine, &what("tie at far"));
+                    engine.delete(f).unwrap();
+                    assert_matches_full_ranking(&engine, &what("delete the tied one"));
+                }
+                // Near the query: before the farthest, either label.
+                let near = engine.test().x.row(j).to_vec();
+                engine.insert(&near, y ^ (step as u32 & 1)).unwrap();
+                assert_matches_full_ranking(&engine, &what("insert before far"));
+                engine.delete(0).unwrap();
+                assert_matches_full_ranking(&engine, &what("delete row 0"));
+            }
+            // The third test point's label appears, then goes again.
+            let idx = engine.insert(&[1.0, -1.0], CLASSES).unwrap();
+            assert_matches_full_ranking(&engine, &what("first point of a label"));
+            engine.delete(idx).unwrap();
+            assert_matches_full_ranking(&engine, &what("last point of a label"));
+
+            // One batch: delete test 0's farthest, then splice on.
+            let f = farthest_same_label(&engine, 0).expect("label 0 present");
+            let n = engine.n_train();
+            let acks = engine.apply_batch(&[
+                Op::Delete { index: f },
+                Op::Insert {
+                    features: vec![-500.0, 0.0],
+                    label: 1,
+                },
+                Op::Insert {
+                    features: vec![0.0, 0.0],
+                    label: 0,
+                },
+                Op::Delete { index: n - 1 },
+                Op::Insert {
+                    features: vec![-40.0, 40.0],
+                    label: 0,
+                },
+                Op::Delete { index: 0 },
+            ]);
+            assert!(acks.iter().all(Result::is_ok), "{}", what("batch acks"));
+            assert_matches_full_ranking(&engine, &what("batch"));
+        }
+    }
+}
+
+/// A what-if before, at (tied with) and past each test point's farthest
+/// same-label point, with its label and with another, equals the
+/// committed insert's value; so does one for a label no row has.
+#[test]
+fn what_if_around_the_farthest_same_label_point() {
+    for (seed, k) in [(11u64, 1usize), (12, 2), (13, 5), (14, 40)] {
+        let (train, test) = far_fixture(seed);
+        let engine = ResidentValuator::new(train.clone(), test.clone(), k, 2).unwrap();
+        let mut rows: Vec<Vec<f32>> = vec![vec![50.0, 50.0], vec![0.0, 0.0]];
+        for j in 0..2 {
+            rows.push(test.x.row(j).to_vec());
+            let f = farthest_same_label(&engine, j).expect("label present");
+            let at = train.x.row(f).to_vec();
+            rows.push(at.iter().map(|v| v * 0.5).collect());
+            rows.push(at.iter().map(|v| v * 1.5).collect());
+            rows.push(at);
+        }
+        for row in &rows {
+            for label in 0..=CLASSES {
+                let preview = engine.what_if(row, label).unwrap();
+                let mut committed =
+                    ResidentValuator::new(train.clone(), test.clone(), k, 2).unwrap();
+                let idx = committed.insert(row, label).unwrap();
+                let full = full_ranking_values(committed.train(), &test, k);
+                assert_eq!(
+                    preview.to_bits(),
+                    full.get(idx).to_bits(),
+                    "seed {seed} k {k} row {row:?} label {label}"
+                );
+                assert_eq!(preview.to_bits(), committed.values().get(idx).to_bits());
+            }
+        }
     }
 }
