@@ -11,10 +11,17 @@
 //! and no sorting — and only through one rank past the test point's
 //! farthest same-label training point, which each list keeps up to date:
 //! the ranks past it hold the recursion's zero tail (see
-//! [`crate::exact_unweighted`]). An M-mutation replay therefore costs
-//! M · O(N_test · N) cheap arithmetic instead of M cold
-//! O(N_test · (N·d + N)) rebuilds (`bench_serve_incremental`
-//! quantifies the gap).
+//! [`crate::exact_unweighted`]). The exact per-point sums of every test
+//! point's values stay resident too, with their finalized vector: the
+//! multi-test value is the mean of per-test games, so a mutation re-folds
+//! only the test points whose head it can touch — those whose head it
+//! enters, whose label it inserts, or whose head is the whole ranking —
+//! taking their old head values out and putting their new ones in, and
+//! rounds again only the rows those heads hold. A mutation therefore
+//! costs the rank-list splices (O(N_test · N) moves) plus
+//! O(touched · N) re-fold, instead of a cold O(N_test · (N·d + N))
+//! rebuild (`bench_serve_incremental` quantifies the gap), and reading
+//! the values is a copy.
 //!
 //! ### Determinism contract
 //!
@@ -42,9 +49,12 @@
 //!    a label comparison does.
 //! 3. **Exact accumulation.** Per-test vectors fold into
 //!    [`knnshap_numerics::exact::ExactVec`] and finalize through the same
-//!    `sharding::finalize_mean` as the batch estimator, so the
+//!    `sharding::finalize_mean` rounding as the batch estimator, so the
 //!    cross-test reduction is a pure function of the test multiset — never
-//!    of threads.
+//!    of threads. Taking a test point's old head values out (deposited
+//!    negated) and its new ones in leaves each row the same real sum a
+//!    fresh fold gives, so the rounded row keeps a fresh fold's bits, and
+//!    a row no touched head holds keeps its sum and its rounded value.
 //!
 //! `tests/serve_incremental.rs` (workspace root) holds the engine to this
 //! with randomized mutation interleavings, cross-checked against an
@@ -56,9 +66,9 @@
 //! [`apply_batch`](ResidentValuator::apply_batch) applies a whole group of
 //! mutations with **one** rank-list splice pass (each test point's list is
 //! updated once, walking the group's splices in order) instead of one
-//! parallel pass per mutation — and, because revaluation is a separate
-//! step ([`values`](ResidentValuator::values)), a caller that coalesces M
-//! mutations pays for **one** recursion instead of M. The per-test-point
+//! parallel pass per mutation — and one re-fold of the touched test
+//! points, so a caller that coalesces M mutations pays for **one**
+//! recursion per touched test point instead of M. The per-test-point
 //! splice operations are the identical ones the one-at-a-time path runs in
 //! the identical order, so the resulting rank lists — and therefore the
 //! bits of every vector computed from them — are the same as sequential
@@ -156,8 +166,9 @@ enum ResolvedOp {
         label: u32,
         index: u32,
     },
-    /// The index that was removed (as numbered when the delete applied).
-    Delete { index: usize },
+    /// The index that was removed (as numbered when the delete applied)
+    /// and the removed point's features.
+    Delete { index: usize, row: Vec<f32> },
 }
 
 /// Resident distance/rank state over `(train, test, K)` supporting
@@ -196,6 +207,12 @@ pub struct ResidentValuator {
     /// set (the invariant every mutation maintains) — with its farthest
     /// same-label rank.
     ranked: Vec<Ranked>,
+    /// Every test point's Theorem 1 head values, summed exactly per
+    /// training point — the batch estimator's fold, kept across mutations
+    /// and re-folded only for the test points a mutation touches.
+    sums: ExactVec,
+    /// `sums` finalized: each point's mean over the test points.
+    values: Vec<f64>,
     /// Dataset version: 0 for the loaded dataset, +1 per committed mutation.
     version: u64,
 }
@@ -227,14 +244,7 @@ impl ResidentValuator {
         }
         let lists = knnshap_knn::block::argsort_all(&train.x, &test.x, threads);
         let ranked = Ranked::all(lists, &train, &test);
-        Ok(Self {
-            train,
-            test,
-            k,
-            threads,
-            ranked,
-            version: 0,
-        })
+        Ok(Self::seeded(train, test, k, threads, ranked))
     }
 
     /// [`ResidentValuator::new`] seeded from a precomputed graph: the
@@ -270,14 +280,35 @@ impl ResidentValuator {
                 detail: e.to_string(),
             })?;
         let ranked = Ranked::all(graph.lists().to_vec(), &train, &test);
-        Ok(Self {
+        Ok(Self::seeded(train, test, k, threads, ranked))
+    }
+
+    /// The engine over the rank lists `ranked`, its exact sums folded from
+    /// every test point's head and finalized.
+    fn seeded(
+        train: ClassDataset,
+        test: ClassDataset,
+        k: usize,
+        threads: usize,
+        ranked: Vec<Ranked>,
+    ) -> Self {
+        let mut engine = Self {
             train,
             test,
             k,
             threads,
             ranked,
+            sums: ExactVec::zeros(0),
+            values: Vec::new(),
             version: 0,
-        })
+        };
+        let mut sums = ExactVec::zeros(engine.train.len());
+        let every: Vec<usize> = (0..engine.test.len()).collect();
+        engine.deposit_heads(&mut sums, &engine.train.y, &every, false);
+        engine.values =
+            crate::sharding::finalize_mean(&sums, every.len() as u64, threads).into_vec();
+        engine.sums = sums;
+        engine
     }
 
     /// Current dataset version (0 = as loaded; each committed mutation
@@ -372,12 +403,23 @@ impl ResidentValuator {
     /// point's list undergoes the identical splice operations in the
     /// identical order — the batch only fuses M parallel passes into one.
     ///
-    /// What a batch **saves** is everything downstream of the lists: a
-    /// caller coalescing M mutations runs [`values`](Self::values) (the
-    /// recursion + exact accumulation, the dominant cost) once instead of
-    /// M times, plus M−1 fork/join barriers. `bench_serve_incremental`
-    /// measures the gap; `KNNSHAP_SERVE_BATCH_FLOOR` gates it.
+    /// The batch also brings the resident exact sums up to date, for the
+    /// test points whose Theorem 1 head it touches only (see
+    /// [`touched`](Self::touched)): their pre-batch head values are
+    /// deposited negated at the pre-batch indices, the exact rows move with
+    /// the batch (a delete removes its row, an insert appends a zero one),
+    /// their post-batch head values are deposited, and only the rows those
+    /// deposits reached are rounded again. Exact accumulation makes
+    /// −old + new the same real sum a fresh fold over every test point
+    /// gives, so every value keeps the bits a cold run gives.
+    ///
+    /// What a batch **saves** is one re-fold and one re-rounding for M
+    /// mutations instead of M, plus M−1 fork/join barriers.
+    /// `bench_serve_incremental` measures the gap;
+    /// `KNNSHAP_SERVE_BATCH_FLOOR` gates it.
     pub fn apply_batch(&mut self, muts: &[Mutation]) -> Vec<Result<Applied, ResidentError>> {
+        // The pre-batch labels: the touched heads' old values read them.
+        let labels = self.train.y.clone();
         // Pass 1 (serial): validate each mutation against the evolving
         // dataset, mutate the dataset, and resolve the splice ops.
         let mut acks = Vec::with_capacity(muts.len());
@@ -421,9 +463,10 @@ impl ResidentValuator {
                         acks.push(Err(ResidentError::LastPoint));
                         continue;
                     }
+                    let row = self.train.x.row(index).to_vec();
                     self.train.x.remove_row(index);
                     self.train.y.remove(index);
-                    ops.push(ResolvedOp::Delete { index });
+                    ops.push(ResolvedOp::Delete { index, row });
                     self.version += 1;
                     acks.push(Ok(Applied {
                         index,
@@ -434,6 +477,33 @@ impl ResidentValuator {
         }
         if ops.is_empty() {
             return acks; // nothing accepted — rank lists are untouched
+        }
+        // Take the touched test points' pre-batch head values back out of
+        // the sums, then move the exact rows, the finalized values and the
+        // marks of the rows to round again with the batch.
+        let touched = self.touched(labels.len(), &ops);
+        let mut sums = std::mem::replace(&mut self.sums, ExactVec::zeros(0));
+        self.deposit_heads(&mut sums, &labels, &touched, true);
+        let mut moved = vec![false; labels.len()];
+        self.mark_heads(&mut moved, &touched);
+        for op in &ops {
+            match op {
+                ResolvedOp::Insert { .. } => {
+                    sums.push_zero_row();
+                    self.values.push(0.0);
+                    moved.push(false);
+                }
+                ResolvedOp::Delete { index, .. } => {
+                    // Every head holding the row took its value back.
+                    debug_assert!(
+                        sums.is_zero(*index),
+                        "deleted row {index} still holds value"
+                    );
+                    sums.remove_row(*index);
+                    self.values.remove(*index);
+                    moved.remove(*index);
+                }
+            }
         }
         // Pass 2 (parallel, once per batch): replay the accepted splices
         // in order on every rank list. Distances and splice positions are
@@ -465,7 +535,7 @@ impl ResidentValuator {
                             f => f,
                         };
                     }
-                    ResolvedOp::Delete { index } => {
+                    ResolvedOp::Delete { index, .. } => {
                         let index = u32::try_from(*index).expect("train indices fit u32");
                         let mut rank = 0;
                         let mut at = 0;
@@ -490,35 +560,106 @@ impl ResidentValuator {
                 *far = farthest_rank(list, &train.y, y);
             }
         });
+        // Deposit the touched heads' post-batch values and round again
+        // every row either deposit reached.
+        self.deposit_heads(&mut sums, &self.train.y, &touched, false);
+        self.mark_heads(&mut moved, &touched);
+        let n_test = self.test.len() as u64;
+        crate::sharding::finalize_mean_into(
+            &sums,
+            n_test,
+            self.threads,
+            &mut self.values,
+            Some(&moved),
+        );
+        self.sums = sums;
         acks
+    }
+
+    /// The test points whose Theorem 1 head the resolved batch `ops` can
+    /// change, judged on the pre-batch rank lists of `n` training points:
+    /// a head that is the whole ranking (its base term depends on N), and
+    /// a head an op reaches — an insert with the test point's label, or an
+    /// insert or delete of a row no farther than the head's last row, the
+    /// one at rank `far + 1` (a distance tie with it counts as reaching
+    /// it). Any other head keeps its rows, their order and their labels
+    /// through the batch, and its values keep their bits.
+    fn touched(&self, n: usize, ops: &[ResolvedOp]) -> Vec<usize> {
+        (0..self.test.len())
+            .filter(|&j| {
+                let (Ranked { list, far }, y) = (&self.ranked[j], self.test.y[j]);
+                let len = head_len(n, *far);
+                if len == n {
+                    return true;
+                }
+                let query = self.test.x.row(j);
+                let reaches = |row: &[f32]| {
+                    len > 0 && Metric::SquaredL2.eval(query, row) <= list[len - 1].dist
+                };
+                ops.iter().any(|op| match op {
+                    ResolvedOp::Insert { row, label, .. } => *label == y || reaches(row),
+                    ResolvedOp::Delete { row, .. } => reaches(row),
+                })
+            })
+            .collect()
+    }
+
+    /// Deposit the Theorem 1 head values of the test points `tests` into
+    /// `sums` — negated when `negate` — with `labels` the labels of the
+    /// training points the rank lists index. Dense fill, like the batch
+    /// path, deposited linearly block by block; each test point writes
+    /// only the head of its list — every rank past its farthest same-label
+    /// one is Theorem 1's zero tail, the `+0.0` the scratch already holds
+    /// — and only those rows are zeroed again (see
+    /// [`crate::exact_unweighted`]).
+    fn deposit_heads(&self, sums: &mut ExactVec, labels: &[u32], tests: &[usize], negate: bool) {
+        let n = labels.len();
+        fold_scratch_into(
+            sums,
+            0..tests.len(),
+            self.threads,
+            None,
+            || (),
+            |t, _, _, out: &mut Scratch| {
+                let j = tests[t];
+                let head = self.head(j, n);
+                let values = out.values();
+                fill_head(n, head, labels, self.test.y[j], self.k, values);
+                if negate {
+                    for nb in head {
+                        let v = &mut values[nb.index as usize];
+                        *v = -*v;
+                    }
+                }
+                out.only(head);
+            },
+        );
+    }
+
+    /// Mark in `rows` the training points in the heads of the test points
+    /// `tests`.
+    fn mark_heads(&self, rows: &mut [bool], tests: &[usize]) {
+        for &j in tests {
+            for nb in self.head(j, rows.len()) {
+                rows[nb.index as usize] = true;
+            }
+        }
+    }
+
+    /// Test point `j`'s head: the ranks of its list Theorem 1 reads, with
+    /// `n` training points.
+    fn head(&self, j: usize, n: usize) -> &[Neighbor] {
+        let ranked = &self.ranked[j];
+        &ranked.list[..head_len(n, ranked.far)]
     }
 
     /// The Shapley vector of the current training set — bitwise-identical
     /// to a cold [`crate::exact_unweighted::knn_class_shapley_with_threads`]
-    /// run on [`train`](Self::train), at every thread count, but computed
-    /// from the resident rank lists (no distances, no sorting).
+    /// run on [`train`](Self::train), at every thread count. A copy of the
+    /// vector [`apply_batch`](Self::apply_batch) keeps up to date: no
+    /// recursion, no fold and no rounding happen here.
     pub fn values(&self) -> ShapleyValues {
-        let n = self.train.len();
-        // Dense fill, like the batch path, deposited linearly block by
-        // block; each test point writes only the head of its list — every
-        // rank past its farthest same-label one is Theorem 1's zero tail,
-        // the `+0.0` the scratch already holds — and only those rows are
-        // zeroed again (see `crate::exact_unweighted`).
-        let mut sums = ExactVec::zeros(n);
-        fold_scratch_into(
-            &mut sums,
-            0..self.test.len(),
-            self.threads,
-            None,
-            || (),
-            |j, _, _, out: &mut Scratch| {
-                let (ranked, y) = (&self.ranked[j], self.test.y[j]);
-                let head = &ranked.list[..head_len(n, ranked.far)];
-                fill_head(n, head, &self.train.y, y, self.k, out.values());
-                out.only(head);
-            },
-        );
-        crate::sharding::finalize_mean(&sums, self.test.len() as u64, self.threads)
+        ShapleyValues::new(self.values.clone())
     }
 
     /// What-if valuation: the Shapley value the candidate point **would**
@@ -739,6 +880,44 @@ mod tests {
                 check(&engine, &format!("threads {threads} step {step}"));
             }
         }
+    }
+
+    /// A mutation in every list's zero tail — past each farthest
+    /// same-label row and the row after it — with a label no test point
+    /// has re-folds no test point; the same insert with a test point's
+    /// label re-folds that one. Values stay bitwise on a cold run.
+    #[test]
+    fn a_zero_tail_mutation_of_an_unseen_label_refolds_no_test_point() {
+        let (train, test) = data(40, 6, 23);
+        let mut engine = ResidentValuator::new(train, test.clone(), 3, 2).unwrap();
+        // Past every row with a label no test point has: no head is the
+        // whole ranking any more.
+        engine.insert(&[1e3; 5], 7).unwrap();
+        let n = engine.n_train();
+        assert!((0..6).all(|j| engine.head(j, n).len() < n));
+        let far = vec![2e3f32; 5];
+        let insert = |label| ResolvedOp::Insert {
+            row: far.clone(),
+            label,
+            index: n as u32,
+        };
+        assert!(engine.touched(n, &[insert(7)]).is_empty());
+        let delete = ResolvedOp::Delete {
+            index: n - 1,
+            row: vec![1e3; 5],
+        };
+        assert!(engine.touched(n, &[delete]).is_empty());
+        let y = engine.test().y[0];
+        let own: Vec<usize> = (0..6).filter(|&j| test.y[j] == y).collect();
+        assert_eq!(engine.touched(n, &[insert(y)]), own);
+        for (row, label) in [(far.clone(), 7), (far, y)] {
+            engine.insert(&row, label).unwrap();
+            let cold = knn_class_shapley_with_threads(engine.train(), &test, 3, 1);
+            assert_bitwise(&engine.values(), &cold, &format!("label {label}"));
+        }
+        engine.delete(n - 1).unwrap();
+        let cold = knn_class_shapley_with_threads(engine.train(), &test, 3, 1);
+        assert_bitwise(&engine.values(), &cold, "tail delete");
     }
 
     #[test]

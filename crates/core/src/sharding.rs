@@ -467,19 +467,34 @@ const FINALIZE_CHUNK: usize = 4096;
 /// function of its own plane row, so the result does not depend on
 /// `threads`.
 pub(crate) fn finalize_mean(sums: &ExactVec, total_items: u64, threads: usize) -> ShapleyValues {
-    let d = (total_items.max(1)) as f64;
     let mut out = vec![0.0f64; sums.len()];
+    finalize_mean_into(sums, total_items, threads, &mut out, None);
+    ShapleyValues::new(out)
+}
+
+/// [`finalize_mean`] into `out`, rounding only the points `only` marks
+/// (every point without it); the others keep their values. The serving
+/// engine re-rounds just the points a mutation moved.
+pub(crate) fn finalize_mean_into(
+    sums: &ExactVec,
+    total_items: u64,
+    threads: usize,
+    out: &mut [f64],
+    only: Option<&[bool]>,
+) {
+    let d = (total_items.max(1)) as f64;
     let round = |lo: usize, chunk: &mut [f64]| {
         for (i, v) in (lo..).zip(chunk.iter_mut()) {
-            *v = sums.value(i) / d;
+            if only.is_none_or(|marked| marked[i]) {
+                *v = sums.value(i) / d;
+            }
         }
     };
     if threads <= 1 || out.len() <= FINALIZE_CHUNK {
-        round(0, &mut out);
+        round(0, out);
     } else {
-        knnshap_parallel::par_chunks(&mut out, FINALIZE_CHUNK, threads, round);
+        knnshap_parallel::par_chunks(out, FINALIZE_CHUNK, threads, round);
     }
-    ShapleyValues::new(out)
 }
 
 /// The job finalization [`merge_partials`] and

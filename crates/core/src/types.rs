@@ -1,5 +1,7 @@
 //! Shapley value containers.
 
+use std::cmp::Ordering;
+
 /// Shapley values of the `N` training points (or `M` sellers), in
 /// training-set order.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -87,7 +89,7 @@ impl ShapleyValues {
     }
 
     /// The ranking's total order: descending value, then ascending index.
-    fn rank_order(&self, i: usize, j: usize) -> std::cmp::Ordering {
+    fn rank_order(&self, i: usize, j: usize) -> Ordering {
         self.values[j]
             .partial_cmp(&self.values[i])
             .expect("NaN Shapley value")
@@ -95,15 +97,45 @@ impl ShapleyValues {
     }
 
     /// The `k` first indices under the total order `cmp`, in that order:
-    /// a selection, then a sort of only the `k` selected.
-    fn first_k(&self, k: usize, cmp: impl Fn(usize, usize) -> std::cmp::Ordering) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        if k < idx.len() {
-            idx.select_nth_unstable_by(k, |&i, &j| cmp(i, j));
-            idx.truncate(k);
+    /// one pass that keeps the first `k` seen so far in a heap whose root
+    /// is the last of them under `cmp`, then a sort of only those — no
+    /// index of every point.
+    fn first_k(&self, k: usize, cmp: impl Fn(usize, usize) -> Ordering) -> Vec<usize> {
+        let k = k.min(self.len());
+        let mut heap: Vec<usize> = Vec::with_capacity(k);
+        for i in 0..self.len() {
+            if heap.len() < k {
+                heap.push(i);
+                let mut c = heap.len() - 1;
+                while c > 0 && cmp(heap[(c - 1) / 2], heap[c]) == Ordering::Less {
+                    heap.swap(c, (c - 1) / 2);
+                    c = (c - 1) / 2;
+                }
+            } else if k > 0 && cmp(i, heap[0]) == Ordering::Less {
+                heap[0] = i;
+                let mut p = 0;
+                loop {
+                    let last =
+                        [2 * p + 1, 2 * p + 2]
+                            .into_iter()
+                            .filter(|&c| c < k)
+                            .fold(p, |a, c| {
+                                if cmp(heap[a], heap[c]) == Ordering::Less {
+                                    c
+                                } else {
+                                    a
+                                }
+                            });
+                    if last == p {
+                        break;
+                    }
+                    heap.swap(p, last);
+                    p = last;
+                }
+            }
         }
-        idx.sort_unstable_by(|&i, &j| cmp(i, j));
-        idx
+        heap.sort_unstable_by(|&i, &j| cmp(i, j));
+        heap
     }
 
     /// `‖self − other‖_∞`, the error metric of (ε, δ)-approximation.
@@ -143,6 +175,29 @@ mod tests {
         assert_eq!(sv.ranking(), vec![1, 0, 2, 3]);
         assert_eq!(sv.top_k(2), vec![1, 0]);
         assert_eq!(sv.bottom_k(2), vec![3, 2]);
+    }
+
+    /// The bounded selection against the full ranking on ties: all-equal
+    /// values, `±0.0` (equal under the order, so index decides) and
+    /// `k ≥ N`.
+    #[test]
+    fn top_and_bottom_k_keep_ties_in_index_order() {
+        let all_equal = ShapleyValues::new(vec![0.25; 7]);
+        let zeros = ShapleyValues::new(vec![0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0]);
+        let mixed = ShapleyValues::new(vec![3.0, -2.0, 3.0, 0.5, -2.0, 0.5]);
+        for sv in [all_equal, zeros, mixed] {
+            let ranking = sv.ranking();
+            for k in 0..=sv.len() + 2 {
+                let top: Vec<usize> = ranking.iter().copied().take(k).collect();
+                let bottom: Vec<usize> = ranking.iter().rev().copied().take(k).collect();
+                assert_eq!(sv.top_k(k), top, "{sv:?} top {k}");
+                assert_eq!(sv.bottom_k(k), bottom, "{sv:?} bottom {k}");
+            }
+        }
+        let zeros = ShapleyValues::new(vec![0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0]);
+        assert_eq!(zeros.top_k(3), vec![2, 0, 1]);
+        assert_eq!(zeros.bottom_k(3), vec![5, 6, 4]);
+        assert_eq!(ShapleyValues::new(vec![]).top_k(4), Vec::<usize>::new());
     }
 
     #[test]

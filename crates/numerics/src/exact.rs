@@ -824,6 +824,44 @@ impl ExactVec {
         b.merge_scalar(r, s);
     }
 
+    /// Remove accumulator `i`: accumulators above it move down by one, as a
+    /// `Vec::remove` would move them. Each block keeps its own window, so a
+    /// row crossing into the block below is merged into that block's
+    /// window, or its spill when the window cannot cover it, with its spill
+    /// and special. Every remaining accumulator keeps its exact sum.
+    pub fn remove_row(&mut self, i: usize) {
+        let (b, r) = self.locate_mut(i);
+        b.remove_row(r);
+        for b in i / Self::BLOCK + 1..self.blocks.len() {
+            let (below, above) = self.blocks.split_at_mut(b);
+            below[b - 1].push_row_from(&above[0], 0);
+            above[0].remove_row(0);
+        }
+        if self.blocks.last().is_some_and(ExactBlock::is_empty) {
+            self.blocks.pop();
+        }
+        self.n -= 1;
+    }
+
+    /// Append one zeroed accumulator.
+    pub fn push_zero_row(&mut self) {
+        match self.blocks.last_mut() {
+            Some(b) if b.rows < Self::BLOCK => {
+                b.rows += 1;
+                b.plane.resize(b.rows * b.width, 0);
+            }
+            _ => self.blocks.push(ExactBlock::zeros(1)),
+        }
+        self.n += 1;
+    }
+
+    /// Whether accumulator `i` holds exactly zero: its deposits cancel and
+    /// none was nonfinite.
+    pub fn is_zero(&self, i: usize) -> bool {
+        let (b, r) = self.locate(i);
+        b.point_sum(r).is_zero()
+    }
+
     /// Element-wise exact merge. Panics on length mismatch.
     pub fn merge(&mut self, other: &ExactVec) {
         assert_eq!(self.len(), other.len(), "length mismatch");
@@ -1042,6 +1080,38 @@ impl ExactBlock {
             self.fold_special(r, s.special);
         }
         self.bump_pending(s.pending.saturating_add(1));
+    }
+
+    /// Drop row `r`; the rows above it, their spills and specials move down
+    /// by one.
+    fn remove_row(&mut self, r: usize) {
+        let w = self.width;
+        self.plane.copy_within((r + 1) * w.., r * w);
+        self.plane.truncate((self.rows - 1) * w);
+        shift_down(&mut self.spill, r);
+        shift_down(&mut self.special, r);
+        self.rows -= 1;
+    }
+
+    /// Append a copy of `other`'s row `r` (plane row, spill and special)
+    /// as this block's new last row. The copied limbs are bounded by
+    /// `other`'s pending count, so this block's count becomes the larger
+    /// of the two.
+    fn push_row_from(&mut self, other: &ExactBlock, r: usize) {
+        let row = self.rows;
+        self.rows += 1;
+        self.plane.resize(self.rows * self.width, 0);
+        if other.width > 0 {
+            let limbs = &other.plane[r * other.width..(r + 1) * other.width];
+            self.merge_row(row, other.start, limbs, other.pending);
+        }
+        if let Some(s) = other.spill.get(&r) {
+            self.spill.insert(row, s.clone());
+        }
+        if let Some(&x) = other.special.get(&r) {
+            self.special.insert(row, x);
+        }
+        self.bump_pending(other.pending.saturating_sub(self.pending));
     }
 
     /// Row-wise exact merge of a block of the same length.
@@ -1283,6 +1353,14 @@ impl ExactBlock {
         }
         Ok(b)
     }
+}
+
+/// Drop row `r`'s entry of a per-row table; the entries above it move down
+/// by one.
+fn shift_down<T>(table: &mut BTreeMap<usize, T>, r: usize) {
+    table.remove(&r);
+    let above = table.split_off(&r);
+    table.extend(above.into_iter().map(|(row, v)| (row - 1, v)));
 }
 
 #[cfg(test)]

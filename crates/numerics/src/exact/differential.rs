@@ -803,3 +803,173 @@ proptest! {
         prop_assert_eq!(zeros_only.window_limbs(), 0);
     }
 }
+
+/// One call of a row-op stream.
+#[derive(Debug, Clone, Copy)]
+enum RowOp {
+    Add,
+    AddDense,
+    /// Deposit the negation of every finite summand the row holds.
+    Cancel,
+    Remove,
+    PushZero,
+}
+
+/// A random stream of `add`, `add_dense`, row removals and zero-row
+/// appends on one vector, with each row's deposits logged and moved with
+/// it; rows driven back to zero are checked on the spot. At the end a
+/// fresh vector fed each surviving row's log in order must round and
+/// encode like the one that moved.
+fn run_row_ops(
+    seed: u64,
+    wild: u32,
+    base_range: std::ops::Range<i32>,
+    sizes: &[usize],
+    max_ops: usize,
+) -> Result<(), TestCaseError> {
+    let mut g = Summands {
+        rng: StdRng::seed_from_u64(seed),
+        history: Vec::new(),
+        wild,
+    };
+    let n = sizes[g.rng.gen_range(0..sizes.len())];
+    let base = g.rng.gen_range(base_range);
+    let mut flat = ExactVec::zeros(n);
+    let mut logs: Vec<Vec<f64>> = vec![Vec::new(); n];
+    for step in 0..g.rng.gen_range(0..max_ops) {
+        let op = [
+            RowOp::Add,
+            RowOp::Add,
+            RowOp::Add,
+            RowOp::AddDense,
+            RowOp::Cancel,
+            RowOp::Cancel,
+            RowOp::Remove,
+            RowOp::Remove,
+            RowOp::Remove,
+            RowOp::PushZero,
+        ][g.rng.gen_range(0..10usize)];
+        let n = flat.len();
+        let i = g.rng.gen_range(0..n.max(1));
+        match op {
+            RowOp::PushZero => {
+                flat.push_zero_row();
+                logs.push(Vec::new());
+            }
+            _ if n == 0 => continue,
+            RowOp::Add => {
+                let x = g.draw(base);
+                flat.add(i, x);
+                logs[i].push(x);
+            }
+            RowOp::AddDense => {
+                let xs: Vec<f64> = (0..n)
+                    .map(|_| {
+                        if g.rng.gen::<f64>() < 0.3 {
+                            g.draw(base)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                flat.add_dense(&xs);
+                for (log, &x) in logs.iter_mut().zip(&xs) {
+                    log.push(x);
+                }
+            }
+            RowOp::Cancel => {
+                let negated: Vec<f64> = logs[i]
+                    .iter()
+                    .filter(|x| x.is_finite())
+                    .map(|x| -x)
+                    .collect();
+                for &x in &negated {
+                    flat.add(i, x);
+                }
+                logs[i].extend(negated);
+                if logs[i].iter().all(|x| x.is_finite()) {
+                    prop_assert!(flat.is_zero(i), "step {}: row {} is not zero", step, i);
+                    prop_assert_eq!(flat.value(i).to_bits(), 0, "step {}: row {}", step, i);
+                }
+            }
+            RowOp::Remove => {
+                flat.remove_row(i);
+                logs.remove(i);
+            }
+        }
+        if g.rng.gen_range(0..20) == 0 {
+            set_pending(&mut flat, &mut g.rng);
+        }
+        prop_assert_eq!(flat.len(), logs.len());
+    }
+    let mut fresh = ExactVec::zeros(logs.len());
+    for (i, log) in logs.iter().enumerate() {
+        for &x in log {
+            fresh.add(i, x);
+        }
+    }
+    for i in 0..fresh.len() {
+        prop_assert_eq!(
+            flat.value(i).to_bits(),
+            fresh.value(i).to_bits(),
+            "row {}: moved {:?} fresh {:?}",
+            i,
+            flat.value(i),
+            fresh.value(i)
+        );
+        prop_assert_eq!(flat.is_zero(i), fresh.is_zero(i), "row {}", i);
+    }
+    prop_assert!(encode(&flat) == encode(&fresh), "records differ");
+    Ok(())
+}
+
+proptest! {
+    /// Row ops on one block, full exponent range and valuation
+    /// magnitudes: rows that spill, hold specials, widen the window, or
+    /// return to zero move down with every removal.
+    #[test]
+    fn row_ops_match_a_fresh_vector_short(seed in any::<u64>(), narrow in any::<bool>()) {
+        let (wild, bases) = if narrow { (0, -60..4) } else { (12, -1070..1021) };
+        run_row_ops(seed, wild, bases, &SHORT_SIZES, 160)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.min(256)))]
+
+    /// Row ops around and past one block: each removal carries a row from
+    /// every later block into the one below, across windows, spills and
+    /// specials that differ block to block; appends open a new block at a
+    /// block boundary, and emptied last blocks go.
+    #[test]
+    fn row_ops_match_a_fresh_vector_blocked(seed in any::<u64>(), narrow in any::<bool>()) {
+        let (wild, bases) = if narrow { (0, -60..4) } else { (12, -1070..1021) };
+        run_row_ops(seed, wild, bases, &BLOCKED_SIZES, 48)?;
+    }
+}
+
+/// Removing every row, from the front, the back and the middle of a
+/// multi-block vector, then appending it back to a block boundary.
+#[test]
+fn rows_move_across_every_block_boundary() {
+    let n = 2 * ExactVec::BLOCK + 3;
+    let (mut flat, _) = unit_vec(n, &[(5, 1e300), (ExactVec::BLOCK, f64::INFINITY)]);
+    let mut want: Vec<u64> = flat.values().iter().map(|x| x.to_bits()).collect();
+    let mut rng = StdRng::seed_from_u64(3);
+    while !flat.is_empty() {
+        let i = [0, flat.len() - 1, rng.gen_range(0..flat.len())][rng.gen_range(0..3usize)];
+        flat.remove_row(i);
+        want.remove(i);
+        assert_eq!(flat.blocks.len(), flat.len().div_ceil(ExactVec::BLOCK));
+        if flat.len() % 97 == 0 {
+            let got: Vec<u64> = flat.values().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "at length {}", flat.len());
+        }
+    }
+    for len in 1..=ExactVec::BLOCK + 1 {
+        flat.push_zero_row();
+        assert_eq!(flat.len(), len);
+        assert_eq!(flat.blocks.len(), len.div_ceil(ExactVec::BLOCK));
+    }
+    assert!(encode(&flat) == encode(&ExactVec::zeros(ExactVec::BLOCK + 1)));
+}

@@ -443,3 +443,53 @@ fn served_batch_respects_admission_control() {
         Response::Vector { .. }
     ));
 }
+
+/// The resident exact sums under long batched churn: random groups of up
+/// to 7 mutations — some inserting a point and deleting it in the same
+/// group, some shrinking N to 1 (K ≥ N) before growing it again — for at
+/// least 400 mutations at 1, 2 and 8 threads, against a cold run each
+/// time the count passes a multiple of 50.
+#[test]
+fn long_batched_churn_matches_cold_runs_every_50_mutations() {
+    for threads in [1usize, 2, 8] {
+        let mut rng = StdRng::seed_from_u64(67);
+        let train = grid_dataset(&mut rng, 24, 2);
+        let test = grid_dataset(&mut rng, 4, 2);
+        let k = 4;
+        let mut engine = ResidentValuator::new(train, test.clone(), k, threads).unwrap();
+        let mut applied = 0usize;
+        let mut group_no = 0usize;
+        while applied < 420 {
+            let n = engine.n_train();
+            let group = match group_no % 5 {
+                // Insert a point and delete it again, in one group.
+                0 => vec![
+                    Mutation::Insert {
+                        features: grid_row(&mut rng, 2),
+                        label: rng.gen_range(0..CLASSES),
+                    },
+                    Mutation::Delete { index: n },
+                ],
+                // Shrink to one point, once per thread count.
+                1 if group_no == 31 => (1..n).map(|i| Mutation::Delete { index: n - i }).collect(),
+                _ => random_group(&mut rng, &engine, 7),
+            };
+            group_no += 1;
+            let acks = engine.apply_batch(&group);
+            assert!(
+                acks.iter().all(Result::is_ok),
+                "threads {threads}: group {group_no}"
+            );
+            let before = applied;
+            applied += group.len();
+            if engine.n_train() == 1 || applied / 50 > before / 50 {
+                let cold = knn_class_shapley_with_threads(engine.train(), &test, k, 1);
+                assert_bitwise(
+                    &cold,
+                    &engine.values(),
+                    &format!("threads {threads}: after {applied} mutations"),
+                );
+            }
+        }
+    }
+}

@@ -532,3 +532,114 @@ fn what_if_around_the_farthest_same_label_point() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The resident exact sums: a mutation re-folds only the test points whose
+// head it touches, so a long script is held to cold runs at every phase
+// where the touched set is easy to get wrong.
+// ---------------------------------------------------------------------------
+
+/// Test point `j`'s rank `far + 1` row, when its head stops short of the
+/// whole ranking: the last row whose distance decides whether an insert or
+/// delete reaches the head.
+fn row_past_far(engine: &ResidentValuator, j: usize) -> Option<usize> {
+    let (train, test) = (engine.train(), engine.test());
+    let ranked = argsort_by_distance(&train.x, test.x.row(j), Metric::SquaredL2);
+    let far = ranked
+        .iter()
+        .rposition(|nb| train.y[nb.index as usize] == test.y[j])?;
+    ranked.get(far + 1).map(|nb| nb.index as usize)
+}
+
+/// A 420-mutation script at 1, 2 and 8 threads, against a cold run every
+/// 50 steps and after each phase: deletes of a list's farthest same-label
+/// row, inserts tied exactly with the row at `far + 1` and deletes of that
+/// row, one batch that inserts a point and deletes it, inserts past every
+/// row with a test point's label (a head that is the whole ranking), and a
+/// phase that shrinks N to 1 (K ≥ N) and grows it again.
+#[test]
+fn long_churn_matches_cold_runs_every_50_steps() {
+    for threads in [1usize, 2, 8] {
+        let mut rng = StdRng::seed_from_u64(61);
+        let train = grid_dataset(&mut rng, 30, 2);
+        let test = grid_dataset(&mut rng, 4, 2);
+        let k = 3;
+        let mut engine = ResidentValuator::new(train, test.clone(), k, threads).unwrap();
+        let check = |engine: &ResidentValuator, what: &str| {
+            let cold = knn_class_shapley_with_threads(engine.train(), &test, k, 1);
+            assert_bitwise(
+                &cold,
+                &engine.values(),
+                &format!("threads {threads}: {what}"),
+            );
+        };
+        for step in 0..420usize {
+            let n = engine.n_train();
+            let j = step % test.len();
+            match step % 6 {
+                _ if (200..230).contains(&step) => {
+                    // Shrink to one point, then grow again.
+                    if n > 1 {
+                        engine.delete(rng.gen_range(0..n)).unwrap();
+                    }
+                    if n == 2 {
+                        assert_eq!(engine.n_train(), 1);
+                        check(&engine, "N = 1");
+                    }
+                }
+                0 => match farthest_same_label(&engine, j) {
+                    Some(f) if n > 1 => engine.delete(f).unwrap(),
+                    _ => {
+                        engine.insert(&grid_row(&mut rng, 2), test.y[j]).unwrap();
+                    }
+                },
+                1 => match row_past_far(&engine, j) {
+                    // A tie exactly with the row at `far + 1`: it splices
+                    // after it, past the head.
+                    Some(r) => {
+                        let row = engine.train().x.row(r).to_vec();
+                        let label = rng.gen_range(0..CLASSES);
+                        engine.insert(&row, label).unwrap();
+                        if rng.gen_range(0..2) == 0 && engine.n_train() > 1 {
+                            engine.delete(r).unwrap();
+                        }
+                    }
+                    None => {
+                        engine.insert(&grid_row(&mut rng, 2), 0).unwrap();
+                    }
+                },
+                2 => {
+                    let acks = engine.apply_batch(&[
+                        Op::Insert {
+                            features: grid_row(&mut rng, 2),
+                            label: rng.gen_range(0..CLASSES),
+                        },
+                        Op::Delete { index: n },
+                    ]);
+                    assert!(acks.iter().all(Result::is_ok));
+                }
+                3 => {
+                    // Past every row, with the test point's label.
+                    let far = [40.0 + step as f32, 40.0];
+                    engine.insert(&far, test.y[j]).unwrap();
+                }
+                _ if n > 2 && rng.gen_range(0..2) == 0 => {
+                    engine.delete(rng.gen_range(0..n)).unwrap();
+                }
+                _ => {
+                    let src = rng.gen_range(0..n);
+                    let row = if rng.gen_range(0..2) == 0 {
+                        engine.train().x.row(src).to_vec()
+                    } else {
+                        grid_row(&mut rng, 2)
+                    };
+                    engine.insert(&row, rng.gen_range(0..CLASSES)).unwrap();
+                }
+            }
+            if step % 50 == 49 || step == 230 {
+                check(&engine, &format!("step {step}"));
+            }
+        }
+        check(&engine, "end");
+    }
+}
