@@ -1106,7 +1106,9 @@ impl ExactBlock {
             self.merge_row(row, other.start, limbs, other.pending);
         }
         if let Some(s) = other.spill.get(&r) {
-            self.spill.insert(row, s.clone());
+            // The plane row may have spilled here already, when this
+            // window could not cover it.
+            self.spill.entry(row).or_default().merge(s);
         }
         if let Some(&x) = other.special.get(&r) {
             self.special.insert(row, x);
