@@ -129,6 +129,11 @@ impl Args {
             .unwrap_or(default))
     }
 
+    /// Optional `u64` (present/absent matters, e.g. `--index`).
+    pub fn u64_opt(&self, key: &str) -> Result<Option<u64>, ArgError> {
+        self.typed::<u64>(key, "an unsigned integer")
+    }
+
     /// `f64` option with a default.
     pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, ArgError> {
         Ok(self.typed::<f64>(key, "a number")?.unwrap_or(default))

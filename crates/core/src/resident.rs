@@ -217,6 +217,26 @@ pub struct ResidentValuator {
     version: u64,
 }
 
+/// The input checks of both engine constructors, in their order: panics
+/// on an empty dataset, then `ZeroK`, `DimMismatch` and `NonFinite`.
+fn check_inputs(train: &ClassDataset, test: &ClassDataset, k: usize) -> Result<(), ResidentError> {
+    assert!(!train.is_empty(), "training set is empty");
+    assert!(!test.is_empty(), "test set is empty");
+    if k == 0 {
+        return Err(ResidentError::ZeroK);
+    }
+    if train.dim() != test.dim() {
+        return Err(ResidentError::DimMismatch {
+            expected: train.dim(),
+            got: test.dim(),
+        });
+    }
+    if train.x.first_non_finite_row().is_some() || test.x.first_non_finite_row().is_some() {
+        return Err(ResidentError::NonFinite);
+    }
+    Ok(())
+}
+
 impl ResidentValuator {
     /// Builds resident rank state for `(train, test)` with `threads`
     /// workers. Panics on an empty dataset; returns a typed
@@ -228,20 +248,7 @@ impl ResidentValuator {
         k: usize,
         threads: usize,
     ) -> Result<Self, ResidentError> {
-        assert!(!train.is_empty(), "training set is empty");
-        assert!(!test.is_empty(), "test set is empty");
-        if k == 0 {
-            return Err(ResidentError::ZeroK);
-        }
-        if train.dim() != test.dim() {
-            return Err(ResidentError::DimMismatch {
-                expected: train.dim(),
-                got: test.dim(),
-            });
-        }
-        if train.x.first_non_finite_row().is_some() || test.x.first_non_finite_row().is_some() {
-            return Err(ResidentError::NonFinite);
-        }
+        check_inputs(&train, &test, k)?;
         let lists = knnshap_knn::block::argsort_all(&train.x, &test.x, threads);
         let ranked = Ranked::all(lists, &train, &test);
         Ok(Self::seeded(train, test, k, threads, ranked))
@@ -260,20 +267,7 @@ impl ResidentValuator {
         threads: usize,
         graph: &knnshap_knn::graph::KnnGraph,
     ) -> Result<Self, ResidentError> {
-        assert!(!train.is_empty(), "training set is empty");
-        assert!(!test.is_empty(), "test set is empty");
-        if k == 0 {
-            return Err(ResidentError::ZeroK);
-        }
-        if train.dim() != test.dim() {
-            return Err(ResidentError::DimMismatch {
-                expected: train.dim(),
-                got: test.dim(),
-            });
-        }
-        if train.x.first_non_finite_row().is_some() || test.x.first_non_finite_row().is_some() {
-            return Err(ResidentError::NonFinite);
-        }
+        check_inputs(&train, &test, k)?;
         graph
             .validate_against(&train.x, &test.x)
             .map_err(|e| ResidentError::GraphMismatch {

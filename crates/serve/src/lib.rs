@@ -58,4 +58,4 @@ pub use protocol::{
     PROTOCOL_VERSION,
 };
 pub use server::{bind, BoundServer, Endpoint, ValuationServer, DEFAULT_QUEUE_BOUND};
-pub use store::{Snapshot, VersionedStore, WhatIfCache, WhatIfStats, DEFAULT_WHATIF_CAPACITY};
+pub use store::{Snapshot, VersionedStore};

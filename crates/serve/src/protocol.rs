@@ -28,7 +28,7 @@
 //! * **v3** — strict superset of v2: adds [`Request::Metrics`] (`0x0B`)
 //!   and [`Response::Metrics`] (`0x8A`), the daemon's operational
 //!   telemetry (uptime, request count, latency and batch-size histograms,
-//!   mutation-queue depth, what-if cache counters). Read-only: asking for
+//!   mutation-queue depth, what-if counters). Read-only: asking for
 //!   metrics never touches the engine lock or any served value.
 //! * **v4** — strict superset of v3: adds the streamed training-set export.
 //!   [`Request::TrainCsvStream`] (`0x0C`) is answered by
@@ -270,7 +270,7 @@ pub enum Request {
     /// (v4)
     TrainCsvStream,
     /// The daemon's operational telemetry (uptime, request latency,
-    /// batch sizes, queue depth, what-if cache counters). Read-only:
+    /// batch sizes, queue depth, what-ifs evaluated). Read-only:
     /// never touches the engine lock. (v3)
     Metrics,
     /// Stop accepting connections and exit the accept loop.
@@ -352,8 +352,11 @@ pub enum Response {
         queue_depth: u64,
         /// The admission bound those mutations are checked against.
         queue_bound: u64,
-        /// What-if cache counters (see `WhatIfStats`).
+        /// What-ifs are not cached: a v4 daemon always sends 0 here, in
+        /// `whatif_evictions` and in `whatif_len`.
         whatif_hits: u64,
+        /// What-ifs evaluated over the daemon's lifetime, rejected ones
+        /// included.
         whatif_misses: u64,
         whatif_evictions: u64,
         whatif_len: u64,

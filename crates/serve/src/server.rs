@@ -24,10 +24,9 @@
 //!   with an [`ErrorCode::Busy`] error — the daemon's state is untouched
 //!   and a retry is always safe. Bound 0 makes the daemon read-only.
 //! * **`WhatIf`** takes the engine's *read* lock (it needs the rank lists,
-//!   not the snapshot) and consults a version-keyed LRU
-//!   [`WhatIfCache`] first: the lookup and any
-//!   fill happen under the read lock, so the version cannot move between
-//!   them, and a hit is byte-identical to the cold evaluation it stored.
+//!   not the snapshot) and answers with `ResidentValuator::what_if` and
+//!   the version it read under that lock. Concurrent what-ifs share the
+//!   read lock and run side by side.
 //! * **Training-set export** (`TrainCsv`, `TrainCsvStream`) copies the
 //!   training set's binary features and labels under the engine's *read*
 //!   lock — a memory copy of N·(4d + 4) bytes — then releases it and
@@ -54,7 +53,7 @@ use crate::protocol::{
     ErrorCode, MetricsHistogram, ProtocolError, Request, Response, MAX_FRAME, PART_MAX,
     PROTOCOL_VERSION, TRAIN_CSV_MAX,
 };
-use crate::store::{Snapshot, VersionedStore, WhatIfCache, WhatIfStats, DEFAULT_WHATIF_CAPACITY};
+use crate::store::{Snapshot, VersionedStore};
 use knnshap_core::resident::{Applied, Mutation, ResidentError, ResidentValuator};
 use knnshap_datasets::io::WINDOW;
 use knnshap_datasets::ClassDataset;
@@ -212,6 +211,8 @@ impl LocalHistogram {
 struct ServerMetrics {
     started: Instant,
     requests: AtomicU64,
+    /// What-ifs evaluated, rejected ones included.
+    whatifs: AtomicU64,
     latency_micros: LocalHistogram,
     batch_sizes: LocalHistogram,
 }
@@ -221,6 +222,7 @@ impl ServerMetrics {
         Self {
             started: Instant::now(),
             requests: AtomicU64::new(0),
+            whatifs: AtomicU64::new(0),
             latency_micros: LocalHistogram::new(),
             batch_sizes: LocalHistogram::new(),
         }
@@ -232,7 +234,6 @@ pub struct ValuationServer {
     engine: RwLock<ResidentValuator>,
     store: VersionedStore,
     queue: MutationQueue,
-    whatif: Mutex<WhatIfCache>,
     metrics: ServerMetrics,
     shutdown: AtomicBool,
     // Immutable once loaded; served by `Stat` without touching any lock.
@@ -289,7 +290,6 @@ impl ValuationServer {
             engine: RwLock::new(engine),
             store: VersionedStore::new(initial),
             queue: MutationQueue::new(DEFAULT_QUEUE_BOUND),
-            whatif: Mutex::new(WhatIfCache::new(DEFAULT_WHATIF_CAPACITY)),
             metrics: ServerMetrics::new(),
             shutdown: AtomicBool::new(false),
             n_test: n_test as u64,
@@ -307,22 +307,6 @@ impl ValuationServer {
     /// The current admission bound.
     pub fn queue_bound(&self) -> usize {
         self.queue.bound.load(Ordering::SeqCst)
-    }
-
-    /// Replace the what-if cache capacity (0 disables caching).
-    pub fn set_whatif_capacity(&self, capacity: usize) {
-        self.whatif
-            .lock()
-            .expect("what-if cache lock poisoned")
-            .set_capacity(capacity);
-    }
-
-    /// Hit/miss/occupancy counters of the what-if cache.
-    pub fn whatif_stats(&self) -> WhatIfStats {
-        self.whatif
-            .lock()
-            .expect("what-if cache lock poisoned")
-            .stats()
     }
 
     /// Has a `Shutdown` request been accepted?
@@ -426,27 +410,13 @@ impl ValuationServer {
                 }
             }
             Request::WhatIf { features, label } => {
-                // Hold the read lock across lookup, compute and fill: the
-                // version cannot move in between, so a cached answer is
-                // always from exactly the version we report.
+                self.metrics.whatifs.fetch_add(1, Ordering::Relaxed);
                 let engine = self.engine.read().expect("engine lock poisoned");
-                let version = engine.version();
-                if let Some(value) = self
-                    .whatif
-                    .lock()
-                    .expect("what-if cache lock poisoned")
-                    .get(version, features, *label)
-                {
-                    return Response::Value { version, value };
-                }
                 match engine.what_if(features, *label) {
-                    Ok(value) => {
-                        self.whatif
-                            .lock()
-                            .expect("what-if cache lock poisoned")
-                            .put(version, features, *label, value);
-                        Response::Value { version, value }
-                    }
+                    Ok(value) => Response::Value {
+                        version: engine.version(),
+                        value,
+                    },
                     Err(e) => rejected_err(e),
                 }
             }
@@ -550,11 +520,12 @@ impl ValuationServer {
     }
 
     /// The daemon's operational telemetry as a [`Response::Metrics`].
-    /// Reads the snapshot pointer and the queue/cache mutexes — never the
-    /// engine lock, so metrics stay answerable while a mutation drains.
+    /// Reads the snapshot pointer, the queue mutex and the counters —
+    /// never the engine lock, so metrics stay answerable while a mutation
+    /// drains. What-ifs are not cached: every one counts in
+    /// `whatif_misses`, and the other what-if slots are always 0.
     pub fn metrics_response(&self) -> Response {
         let s = self.store.load();
-        let w = self.whatif_stats();
         Response::Metrics {
             protocol: PROTOCOL_VERSION,
             version: s.version,
@@ -562,10 +533,10 @@ impl ValuationServer {
             requests: self.metrics.requests.load(Ordering::Relaxed),
             queue_depth: self.queue.depth() as u64,
             queue_bound: self.queue_bound() as u64,
-            whatif_hits: w.hits,
-            whatif_misses: w.misses,
-            whatif_evictions: w.evictions,
-            whatif_len: w.len as u64,
+            whatif_hits: 0,
+            whatif_misses: self.metrics.whatifs.load(Ordering::Relaxed),
+            whatif_evictions: 0,
+            whatif_len: 0,
             latency_micros: self.metrics.latency_micros.to_wire(),
             batch_sizes: self.metrics.batch_sizes.to_wire(),
         }
@@ -581,10 +552,7 @@ impl ValuationServer {
             requests,
             queue_depth,
             queue_bound,
-            whatif_hits,
             whatif_misses,
-            whatif_evictions,
-            whatif_len,
             latency_micros,
             batch_sizes,
             ..
@@ -602,10 +570,7 @@ impl ValuationServer {
                 ("requests", requests.into()),
                 ("queue_depth", queue_depth.into()),
                 ("queue_bound", queue_bound.into()),
-                ("whatif_hits", whatif_hits.into()),
-                ("whatif_misses", whatif_misses.into()),
-                ("whatif_evictions", whatif_evictions.into()),
-                ("whatif_len", whatif_len.into()),
+                ("whatifs", whatif_misses.into()),
                 ("latency_count", latency_micros.count.into()),
                 ("latency_mean_micros", latency_micros.mean().into()),
                 ("latency_max_micros", latency_micros.max.into()),
@@ -1409,37 +1374,28 @@ mod tests {
     }
 
     #[test]
-    fn whatif_cache_hits_are_bitwise_and_die_with_the_version() {
+    fn whatifs_are_the_engines_answer_at_each_version() {
         let s = server();
-        let ask = |srv: &ValuationServer| match srv.handle(&Request::WhatIf {
-            features: vec![0.25; 4],
-            label: 1,
-        }) {
-            Response::Value { version, value } => (version, value),
-            other => panic!("wrong response: {other:?}"),
+        let check = |version: u64| {
+            let (v, served) = match s.handle(&Request::WhatIf {
+                features: vec![0.25; 4],
+                label: 1,
+            }) {
+                Response::Value { version, value } => (version, value),
+                other => panic!("wrong response: {other:?}"),
+            };
+            let engine = s.engine.read().unwrap();
+            assert_eq!((v, engine.version()), (version, version));
+            let expect = engine.what_if(&[0.25; 4], 1).unwrap();
+            assert_eq!(served.to_bits(), expect.to_bits(), "version {version}");
         };
-        let (v0, cold) = ask(&s);
-        assert_eq!(v0, 0);
-        let (_, warm) = ask(&s);
-        assert_eq!(warm.to_bits(), cold.to_bits(), "hit must be byte-equal");
-        let stats = s.whatif_stats();
-        assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
-
-        // A version bump invalidates wholesale; the recomputed answer
-        // matches a cold engine at the new version.
+        check(0);
         assert!(matches!(
             s.handle(&Request::Delete { index: 7 }),
             Response::Mutated { version: 1, .. }
         ));
-        let (v1, fresh) = ask(&s);
-        assert_eq!(v1, 1);
-        let engine = s.engine.read().unwrap();
-        let expect = engine.what_if(&[0.25; 4], 1).unwrap();
-        assert_eq!(fresh.to_bits(), expect.to_bits());
-        let stats = s.whatif_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
-        assert_eq!(stats.version, 1);
-        // Rejected what-ifs are not cached.
+        check(1);
+        // A rejected what-if is an error response, not a value.
         assert!(matches!(
             s.handle(&Request::WhatIf {
                 features: vec![1.0],
@@ -1450,14 +1406,13 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(s.whatif_stats().len, 1);
     }
 
     #[test]
     fn metrics_count_requests_and_batch_sizes_without_touching_values() {
         let s = server();
         let before = s.snapshot();
-        // Generate traffic: reads, a what-if pair (miss + hit), one batch.
+        // Generate traffic: reads, a what-if pair, one batch.
         assert!(matches!(s.handle(&Request::Stat), Response::Stat { .. }));
         assert!(matches!(s.handle(&Request::Dump), Response::Vector { .. }));
         for _ in 0..2 {
@@ -1493,7 +1448,7 @@ mod tests {
                 assert_eq!(requests, 6, "5 prior requests + this Metrics one");
                 assert_eq!(queue_depth, 0, "nothing queued at rest");
                 assert_eq!(queue_bound, DEFAULT_QUEUE_BOUND as u64);
-                assert_eq!((whatif_hits, whatif_misses), (1, 1));
+                assert_eq!((whatif_hits, whatif_misses), (0, 2));
                 assert_eq!(latency_micros.count, 5, "timed before this request");
                 assert_eq!(
                     latency_micros.buckets.iter().sum::<u64>(),
@@ -1520,6 +1475,7 @@ mod tests {
         let v = knnshap_obs::json::parse(&line).unwrap();
         assert_eq!(v.get("ev").and_then(|x| x.as_str()), Some("metrics"));
         assert_eq!(v.get("requests").and_then(|x| x.as_f64()), Some(1.0));
+        assert_eq!(v.get("whatifs").and_then(|x| x.as_f64()), Some(0.0));
     }
 
     #[test]

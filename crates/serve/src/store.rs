@@ -15,17 +15,9 @@
 //! values)`, which lets clients — and the concurrency stress test — verify
 //! end-to-end that what arrived over the socket is one coherent snapshot,
 //! not a torn interleaving.
-//!
-//! The module also hosts the [`WhatIfCache`]: a version-keyed LRU over
-//! what-if answers. A what-if is a pure function of `(dataset version,
-//! candidate features, label)`, so a cached answer is byte-identical to
-//! recomputing — and the whole cache is invalidated wholesale the moment
-//! the version moves, which makes staleness structurally impossible
-//! rather than a matter of careful bookkeeping.
 
 use knnshap_core::sharding::Fingerprint;
 use knnshap_core::types::ShapleyValues;
-use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 /// One immutable published valuation state.
@@ -105,152 +97,6 @@ impl VersionedStore {
     }
 }
 
-// ---------------------------------------------------------------------------
-// What-if cache.
-// ---------------------------------------------------------------------------
-
-/// Default [`WhatIfCache`] capacity (entries).
-pub const DEFAULT_WHATIF_CAPACITY: usize = 1024;
-
-/// Cache key: the candidate's feature *bits* plus its label. Keying on
-/// `f32::to_bits` keeps the lookup exact — two floats hash equal iff the
-/// engine would compute the identical distances for them.
-type WhatIfKey = (Vec<u32>, u32);
-
-/// Observability counters for the cache (served to tests and `stat`-style
-/// tooling; never part of the wire contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WhatIfStats {
-    pub hits: u64,
-    pub misses: u64,
-    /// Entries evicted to make room (LRU pressure; wholesale version
-    /// invalidations are *not* counted — they discard, not evict).
-    pub evictions: u64,
-    /// Entries currently cached (all from the same dataset version).
-    pub len: usize,
-    /// The dataset version the cached entries belong to.
-    pub version: u64,
-}
-
-/// A version-keyed LRU cache of what-if answers.
-///
-/// Invariant: every cached entry was computed at `self.version`. Any
-/// access at a different version clears the map wholesale before touching
-/// it — there is no per-entry staleness to reason about, and a hit is
-/// byte-identical to a cold evaluation *by construction* (the answer is a
-/// deterministic function of `(version, features, label)` and the cache
-/// only ever stores what the engine returned at this exact version).
-///
-/// Eviction is least-recently-used via a monotone access tick; the scan is
-/// `O(len)`, which is fine at the default capacity and keeps the structure
-/// dependency-free.
-#[derive(Debug)]
-pub struct WhatIfCache {
-    capacity: usize,
-    version: u64,
-    tick: u64,
-    map: HashMap<WhatIfKey, (f64, u64)>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl WhatIfCache {
-    /// An empty cache holding at most `capacity` entries (0 disables
-    /// caching entirely — every lookup misses, nothing is stored).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            version: 0,
-            tick: 0,
-            map: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    fn key(features: &[f32], label: u32) -> WhatIfKey {
-        (features.iter().map(|f| f.to_bits()).collect(), label)
-    }
-
-    fn roll_to(&mut self, version: u64) {
-        if self.version != version {
-            self.map.clear();
-            self.version = version;
-        }
-    }
-
-    /// Look up a cached answer for `(version, features, label)`. A lookup
-    /// at a version other than the cache's clears it first (wholesale
-    /// invalidation), so a `Some` is always an answer computed at exactly
-    /// `version`. Counts a hit or a miss.
-    pub fn get(&mut self, version: u64, features: &[f32], label: u32) -> Option<f64> {
-        self.roll_to(version);
-        let key = Self::key(features, label);
-        match self.map.get_mut(&key) {
-            Some((value, tick)) => {
-                self.tick += 1;
-                *tick = self.tick;
-                self.hits += 1;
-                Some(*value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Store an answer computed at `version`. Evicts the least-recently
-    /// used entry when full; a no-op at capacity 0.
-    pub fn put(&mut self, version: u64, features: &[f32], label: u32, value: f64) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.roll_to(version);
-        let key = Self::key(features, label);
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            if let Some(evict) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&evict);
-                self.evictions += 1;
-            }
-        }
-        self.tick += 1;
-        self.map.insert(key, (value, self.tick));
-    }
-
-    /// Replace the capacity, evicting LRU entries if the cache shrank.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        while self.map.len() > capacity {
-            let evict = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map");
-            self.map.remove(&evict);
-            self.evictions += 1;
-        }
-    }
-
-    pub fn stats(&self) -> WhatIfStats {
-        WhatIfStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            len: self.map.len(),
-            version: self.version,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,59 +142,5 @@ mod tests {
     fn publication_rejects_version_regression() {
         let store = VersionedStore::new(snap(3, vec![1.0]));
         store.publish(snap(2, vec![1.0]));
-    }
-
-    #[test]
-    fn whatif_cache_hits_only_at_the_same_version() {
-        let mut c = WhatIfCache::new(8);
-        assert_eq!(c.get(0, &[1.0, 2.0], 1), None);
-        c.put(0, &[1.0, 2.0], 1, 0.125);
-        assert_eq!(c.get(0, &[1.0, 2.0], 1), Some(0.125));
-        // Different label or features: distinct keys.
-        assert_eq!(c.get(0, &[1.0, 2.0], 0), None);
-        assert_eq!(c.get(0, &[1.0, 2.5], 1), None);
-        // Version bump: wholesale invalidation.
-        assert_eq!(c.get(1, &[1.0, 2.0], 1), None);
-        assert_eq!(c.stats().len, 0);
-        assert_eq!(c.stats().version, 1);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 4));
-    }
-
-    #[test]
-    fn whatif_cache_keys_are_bit_exact() {
-        let mut c = WhatIfCache::new(8);
-        c.put(0, &[0.0], 0, 1.0);
-        // -0.0 has different bits than 0.0: a distinct key, conservatively.
-        assert_eq!(c.get(0, &[-0.0], 0), None);
-        assert_eq!(c.get(0, &[0.0], 0), Some(1.0));
-    }
-
-    #[test]
-    fn whatif_cache_evicts_least_recently_used() {
-        let mut c = WhatIfCache::new(2);
-        c.put(0, &[1.0], 0, 1.0);
-        c.put(0, &[2.0], 0, 2.0);
-        assert_eq!(c.get(0, &[1.0], 0), Some(1.0)); // refresh [1.0]
-        c.put(0, &[3.0], 0, 3.0); // evicts [2.0], the LRU entry
-        assert_eq!(c.get(0, &[2.0], 0), None);
-        assert_eq!(c.get(0, &[1.0], 0), Some(1.0));
-        assert_eq!(c.get(0, &[3.0], 0), Some(3.0));
-        assert_eq!(c.stats().evictions, 1);
-        c.set_capacity(1); // shrink: keeps only the most recent
-        assert_eq!(c.get(0, &[1.0], 0), None);
-        assert_eq!(c.get(0, &[3.0], 0), Some(3.0));
-        assert_eq!(c.stats().evictions, 2, "shrink evictions are counted");
-        // A version roll discards wholesale — not an eviction.
-        assert_eq!(c.get(9, &[3.0], 0), None);
-        assert_eq!(c.stats().evictions, 2);
-    }
-
-    #[test]
-    fn whatif_cache_capacity_zero_disables_storage() {
-        let mut c = WhatIfCache::new(0);
-        c.put(0, &[1.0], 0, 1.0);
-        assert_eq!(c.get(0, &[1.0], 0), None);
-        assert_eq!(c.stats().len, 0);
     }
 }
