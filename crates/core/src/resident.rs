@@ -18,10 +18,25 @@
 //! enters, whose label it inserts, or whose head is the whole ranking —
 //! taking their old head values out and putting their new ones in, and
 //! rounds again only the rows those heads hold. A mutation therefore
-//! costs the rank-list splices (O(N_test · N) moves) plus
+//! costs one splice per rank list (a binary search and one memmove) plus
 //! O(touched · N) re-fold, instead of a cold O(N_test · (N·d + N))
 //! rebuild (`bench_serve_incremental` quantifies the gap), and reading
-//! the values is a copy.
+//! the values is a gather.
+//!
+//! ### Stable row slots
+//!
+//! Every training row lives in a **slot** that never moves while the row
+//! lives: the rank lists, the labels, the features, the exact sums and the
+//! finalized values are all indexed by slot. An insert takes a fresh slot
+//! past every other; a delete leaves its slot behind as a tombstone, so no
+//! other row is renumbered and no rank-list entry but the deleted one is
+//! touched. The live slots in ascending order map a served index to its
+//! slot, so indices keep their meaning outside the engine: the `i`-th live
+//! row is training point `i`, and a delete shifts the points above it down
+//! by one, as reloading the shrunk dataset would. Once tombstones outnumber
+//! the live rows, the engine **compacts**: each live row moves down to its
+//! served index, every list entry is renumbered once (a monotone map, so
+//! each list keeps its order) and every test point's head is folded afresh.
 //!
 //! ### Determinism contract
 //!
@@ -33,12 +48,13 @@
 //!
 //! 1. **Rank lists stay canonical.** The batch path ranks by
 //!    `(distance, train index)` (ties broken toward the smaller index).
-//!    An inserted point takes the *largest* index, so splicing it after all
-//!    equal-distance entries reproduces the cold sort; deletion preserves
-//!    the relative order of the survivors, and renumbering (indices above
-//!    the deleted point shift down by one) preserves it still — so the
-//!    maintained list equals a fresh argsort of the mutated dataset entry
-//!    for entry, duplicate distances included.
+//!    The lists rank by `(distance, slot)`, and slots ascend with the
+//!    served index, so the two orders agree. An inserted point takes the
+//!    *largest* slot, so splicing it after all equal-distance entries
+//!    reproduces the cold sort; a delete finds its entry by the same
+//!    `(distance, slot)` key and removes it, leaving the survivors' order
+//!    alone — so the maintained list equals a fresh argsort of the mutated
+//!    dataset entry for entry, duplicate distances included.
 //! 2. **One recursion.** Both paths run the identical switch-point
 //!    Theorem 1 loop over those (equal) rank lists, through the same
 //!    zero-tail cut (see [`crate::exact_unweighted`]).
@@ -54,7 +70,9 @@
 //!    of threads. Taking a test point's old head values out (deposited
 //!    negated) and its new ones in leaves each row the same real sum a
 //!    fresh fold gives, so the rounded row keeps a fresh fold's bits, and
-//!    a row no touched head holds keeps its sum and its rounded value.
+//!    a row no touched head holds keeps its sum and its rounded value. A
+//!    tombstone's sum is zero: every head that held the row took its value
+//!    back.
 //!
 //! `tests/serve_incremental.rs` (workspace root) holds the engine to this
 //! with randomized mutation interleavings, cross-checked against an
@@ -80,10 +98,11 @@
 use crate::exact_unweighted::{farthest_rank, fill_head, head_len, theorem1_head};
 use crate::sharding::{fold_scratch_into, Scratch};
 use crate::types::ShapleyValues;
-use knnshap_datasets::ClassDataset;
+use knnshap_datasets::{ClassDataset, Features};
 use knnshap_knn::distance::Metric;
 use knnshap_knn::neighbors::Neighbor;
 use knnshap_numerics::exact::ExactVec;
+use std::sync::OnceLock;
 
 /// Everything a mutation or query on resident state can reject.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,19 +175,13 @@ pub struct Applied {
     pub version: u64,
 }
 
-/// An accepted mutation, resolved against the dataset state at its point
-/// in the batch — everything the splice pass needs without re-touching the
-/// (already mutated) training set.
-enum ResolvedOp {
-    /// The new point's features, label and the index it was assigned.
-    Insert {
-        row: Vec<f32>,
-        label: u32,
-        index: u32,
-    },
-    /// The index that was removed (as numbered when the delete applied)
-    /// and the removed point's features.
-    Delete { index: usize, row: Vec<f32> },
+/// An accepted mutation, resolved to the slot it fills or retires. The
+/// slot's features and label stay in place through the batch, so the
+/// splice pass reads them there.
+#[derive(Debug, Clone, Copy)]
+enum SlotOp {
+    Insert(u32),
+    Delete(u32),
 }
 
 /// Resident distance/rank state over `(train, test, K)` supporting
@@ -198,23 +211,38 @@ enum ResolvedOp {
 /// ```
 #[derive(Debug)]
 pub struct ResidentValuator {
-    train: ClassDataset,
     test: ClassDataset,
     k: usize,
     threads: usize,
-    /// One canonical `(distance, index)`-sorted rank list per test point —
-    /// always equal to a fresh `argsort_by_distance` of the current train
-    /// set (the invariant every mutation maintains) — with its farthest
-    /// same-label rank.
+    dim: usize,
+    /// Every slot's features, row-major. A deleted row stays until the
+    /// next compaction.
+    features: Vec<f32>,
+    /// Every slot's label.
+    labels: Vec<u32>,
+    /// The live slots in ascending order: training point `i` is slot
+    /// `order[i]`.
+    order: Vec<u32>,
+    /// The class count the training set reports: one past the largest
+    /// label it has held.
+    n_classes: u32,
+    /// One canonical `(distance, slot)`-sorted rank list of the live slots
+    /// per test point — always equal to a fresh `argsort_by_distance` of
+    /// the current train set, slots read as training indices (the
+    /// invariant every mutation maintains) — with its farthest same-label
+    /// rank.
     ranked: Vec<Ranked>,
-    /// Every test point's Theorem 1 head values, summed exactly per
-    /// training point — the batch estimator's fold, kept across mutations
-    /// and re-folded only for the test points a mutation touches.
+    /// Every test point's Theorem 1 head values, summed exactly per slot —
+    /// the batch estimator's fold, kept across mutations and re-folded
+    /// only for the test points a mutation touches.
     sums: ExactVec,
-    /// `sums` finalized: each point's mean over the test points.
+    /// `sums` finalized: each slot's mean over the test points.
     values: Vec<f64>,
     /// Dataset version: 0 for the loaded dataset, +1 per committed mutation.
     version: u64,
+    /// The live rows as a dataset, built by the first
+    /// [`train`](Self::train) after a mutation and dropped by the next.
+    dense: OnceLock<ClassDataset>,
 }
 
 /// The input checks of both engine constructors, in their order: panics
@@ -250,8 +278,7 @@ impl ResidentValuator {
     ) -> Result<Self, ResidentError> {
         check_inputs(&train, &test, k)?;
         let lists = knnshap_knn::block::argsort_all(&train.x, &test.x, threads);
-        let ranked = Ranked::all(lists, &train, &test);
-        Ok(Self::seeded(train, test, k, threads, ranked))
+        Ok(Self::seeded(train, test, k, threads, lists))
     }
 
     /// [`ResidentValuator::new`] seeded from a precomputed graph: the
@@ -273,35 +300,44 @@ impl ResidentValuator {
             .map_err(|e| ResidentError::GraphMismatch {
                 detail: e.to_string(),
             })?;
-        let ranked = Ranked::all(graph.lists().to_vec(), &train, &test);
-        Ok(Self::seeded(train, test, k, threads, ranked))
+        let lists = graph.lists().to_vec();
+        Ok(Self::seeded(train, test, k, threads, lists))
     }
 
-    /// The engine over the rank lists `ranked`, its exact sums folded from
-    /// every test point's head and finalized.
+    /// The engine over the rank lists `lists`, row `i` in slot `i`, its
+    /// exact sums folded from every test point's head and finalized.
     fn seeded(
         train: ClassDataset,
         test: ClassDataset,
         k: usize,
         threads: usize,
-        ranked: Vec<Ranked>,
+        lists: Vec<Vec<Neighbor>>,
     ) -> Self {
+        let n = train.len();
+        let ranked = lists
+            .into_iter()
+            .zip(&test.y)
+            .map(|(list, &y)| Ranked {
+                far: farthest_rank(&list, &train.y, y),
+                list,
+            })
+            .collect();
         let mut engine = Self {
-            train,
             test,
             k,
             threads,
+            dim: train.dim(),
+            features: train.x.into_vec(),
+            labels: train.y,
+            order: (0..n as u32).collect(),
+            n_classes: train.n_classes,
             ranked,
             sums: ExactVec::zeros(0),
             values: Vec::new(),
             version: 0,
+            dense: OnceLock::new(),
         };
-        let mut sums = ExactVec::zeros(engine.train.len());
-        let every: Vec<usize> = (0..engine.test.len()).collect();
-        engine.deposit_heads(&mut sums, &engine.train.y, &every, false);
-        engine.values =
-            crate::sharding::finalize_mean(&sums, every.len() as u64, threads).into_vec();
-        engine.sums = sums;
+        engine.refold_all();
         engine
     }
 
@@ -311,9 +347,31 @@ impl ResidentValuator {
         self.version
     }
 
-    /// The current (mutated) training set.
+    /// The current (mutated) training set, built from the live slots on
+    /// the first call after a mutation and kept until the next one.
     pub fn train(&self) -> &ClassDataset {
-        &self.train
+        self.dense.get_or_init(|| {
+            let mut x = Vec::with_capacity(self.order.len() * self.dim);
+            for (row, _) in self.rows() {
+                x.extend_from_slice(row);
+            }
+            ClassDataset::new(Features::new(x, self.dim), self.labels(), self.n_classes)
+        })
+    }
+
+    /// Every training point's features and label, in training order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (&[f32], u32)> + '_ {
+        self.order
+            .iter()
+            .map(|&s| (self.row(s), self.labels[s as usize]))
+    }
+
+    /// Every training point's label, in training order.
+    pub fn labels(&self) -> Vec<u32> {
+        self.order
+            .iter()
+            .map(|&s| self.labels[s as usize])
+            .collect()
     }
 
     /// The resident test set (immutable for the engine's lifetime).
@@ -322,7 +380,14 @@ impl ResidentValuator {
     }
 
     pub fn n_train(&self) -> usize {
-        self.train.len()
+        self.order.len()
+    }
+
+    /// Row slots held: the training points plus the deleted rows the next
+    /// compaction drops. Never more than twice the training points once a
+    /// batch is applied.
+    pub fn slots(&self) -> usize {
+        self.labels.len()
     }
 
     pub fn n_test(&self) -> usize {
@@ -337,10 +402,16 @@ impl ResidentValuator {
         self.threads
     }
 
+    /// Slot `slot`'s features.
+    fn row(&self, slot: u32) -> &[f32] {
+        let at = slot as usize * self.dim;
+        &self.features[at..at + self.dim]
+    }
+
     fn check_point(&self, row: &[f32], label: u32) -> Result<(), ResidentError> {
-        if row.len() != self.train.dim() {
+        if row.len() != self.dim {
             return Err(ResidentError::DimMismatch {
-                expected: self.train.dim(),
+                expected: self.dim,
                 got: row.len(),
             });
         }
@@ -373,8 +444,7 @@ impl ResidentValuator {
 
     /// Deletes training point `index`. Surviving points renumber down by
     /// one above `index` (matching what reloading the shrunk dataset would
-    /// produce); renumbering preserves the survivors' relative order, so
-    /// each rank list just drops one entry.
+    /// produce); their slots stay, so each rank list just drops one entry.
     ///
     /// A one-element [`apply_batch`](Self::apply_batch), like `insert`.
     pub fn delete(&mut self, index: usize) -> Result<(), ResidentError> {
@@ -399,175 +469,99 @@ impl ResidentValuator {
     ///
     /// The batch also brings the resident exact sums up to date, for the
     /// test points whose Theorem 1 head it can touch only (see
-    /// `touched`): their pre-batch head values are
-    /// deposited negated at the pre-batch indices, the exact rows move with
-    /// the batch (a delete removes its row, an insert appends a zero one),
-    /// their post-batch head values are deposited, and only the rows those
-    /// deposits reached are rounded again. Exact accumulation makes
+    /// `touched`): their pre-batch head values are deposited negated,
+    /// their post-batch head values are deposited, and only the slots
+    /// those deposits reached are rounded again. Slots do not move, so
+    /// both deposits land on the same rows. Exact accumulation makes
     /// −old + new the same real sum a fresh fold over every test point
     /// gives, so every value keeps the bits a cold run gives. A batch that
-    /// touches more than half the test points folds every test point into
-    /// zero sums once it is spliced instead: the same sums, for less work.
+    /// touches more than half the test points, or that leaves more
+    /// tombstones than live rows and so compacts the slots, folds every
+    /// test point into zero sums once it is spliced instead: the same
+    /// sums, for less work.
     ///
     /// What a batch **saves** is one re-fold and one re-rounding for M
     /// mutations instead of M, plus M−1 fork/join barriers.
     /// `bench_serve_incremental` measures the gap;
     /// `KNNSHAP_SERVE_BATCH_FLOOR` gates it.
     pub fn apply_batch(&mut self, muts: &[Mutation]) -> Vec<Result<Applied, ResidentError>> {
-        // The pre-batch labels: the touched heads' old values read them.
-        let labels = self.train.y.clone();
         // Pass 1 (serial): validate each mutation against the evolving
-        // dataset, mutate the dataset, and resolve the splice ops.
+        // dataset and resolve it to a slot — a fresh one for an insert,
+        // the deleted row's for a delete.
         let mut acks = Vec::with_capacity(muts.len());
         let mut ops = Vec::with_capacity(muts.len());
         for m in muts {
-            match m {
+            let index = match m {
                 Mutation::Insert { features, label } => {
-                    if let Err(e) = self.check_point(features, *label) {
-                        acks.push(Err(e));
-                        continue;
-                    }
-                    let new_idx = self.train.len();
-                    assert!(
-                        new_idx < u32::MAX as usize,
-                        "training set exceeds u32 indices"
-                    );
-                    self.train.x.push_row(features);
-                    self.train.y.push(*label);
-                    self.train.n_classes = self.train.n_classes.max(label + 1);
-                    ops.push(ResolvedOp::Insert {
-                        row: features.clone(),
-                        label: *label,
-                        index: new_idx as u32,
-                    });
-                    self.version += 1;
-                    acks.push(Ok(Applied {
-                        index: new_idx,
-                        version: self.version,
-                    }));
+                    self.check_point(features, *label).map(|()| {
+                        let slot = self.labels.len();
+                        assert!(slot < u32::MAX as usize, "training set exceeds u32 slots");
+                        self.features.extend_from_slice(features);
+                        self.labels.push(*label);
+                        self.n_classes = self.n_classes.max(label + 1);
+                        self.order.push(slot as u32);
+                        self.sums.push_zero_row();
+                        self.values.push(0.0);
+                        ops.push(SlotOp::Insert(slot as u32));
+                        self.order.len() - 1
+                    })
                 }
                 Mutation::Delete { index } => {
-                    let index = *index;
-                    if index >= self.train.len() {
-                        acks.push(Err(ResidentError::OutOfRange {
-                            index,
-                            len: self.train.len(),
-                        }));
-                        continue;
+                    let (index, len) = (*index, self.order.len());
+                    if index >= len {
+                        Err(ResidentError::OutOfRange { index, len })
+                    } else if len == 1 {
+                        Err(ResidentError::LastPoint)
+                    } else {
+                        ops.push(SlotOp::Delete(self.order.remove(index)));
+                        Ok(index)
                     }
-                    if self.train.len() == 1 {
-                        acks.push(Err(ResidentError::LastPoint));
-                        continue;
-                    }
-                    let row = self.train.x.row(index).to_vec();
-                    self.train.x.remove_row(index);
-                    self.train.y.remove(index);
-                    ops.push(ResolvedOp::Delete { index, row });
-                    self.version += 1;
-                    acks.push(Ok(Applied {
-                        index,
-                        version: self.version,
-                    }));
                 }
-            }
+            };
+            acks.push(index.map(|index| {
+                self.version += 1;
+                Applied {
+                    index,
+                    version: self.version,
+                }
+            }));
         }
         if ops.is_empty() {
             return acks; // nothing accepted — rank lists are untouched
         }
-        // Take the touched test points' pre-batch head values back out of
-        // the sums, then move the exact rows, the finalized values and the
-        // marks of the rows to round again with the batch.
+        self.dense = OnceLock::new();
+        let live = self.order.len();
+        let compact = self.slots() - live > live;
         // Past half the test points, taking the old values out and putting
         // the new ones in costs more than folding every test point into
         // zero sums once the batch is spliced; both give the same sums.
-        let mut touched = self.touched(labels.len(), &ops);
-        let refold_all = 2 * touched.len() > self.test.len();
+        let touched = self.touched(&ops);
+        if compact || 2 * touched.len() > self.test.len() {
+            self.splice(&ops);
+            if compact {
+                self.compact();
+            }
+            self.refold_all();
+            return acks;
+        }
+        // Take the touched test points' pre-batch head values back out of
+        // the sums, splice, put their post-batch values in, and round
+        // again every slot either deposit reached.
         let mut sums = std::mem::replace(&mut self.sums, ExactVec::zeros(0));
-        let mut moved = vec![refold_all; labels.len()];
-        if refold_all {
-            touched = (0..self.test.len()).collect();
-            sums = ExactVec::zeros(labels.len());
-        } else {
-            self.deposit_heads(&mut sums, &labels, &touched, true);
-            self.mark_heads(&mut moved, &touched);
-        }
+        let mut moved = vec![false; self.slots()];
+        self.deposit_heads(&mut sums, &touched, true);
+        self.mark_heads(&mut moved, &touched);
         for op in &ops {
-            match op {
-                ResolvedOp::Insert { .. } => {
-                    sums.push_zero_row();
-                    self.values.push(0.0);
-                    moved.push(refold_all);
-                }
-                ResolvedOp::Delete { index, .. } => {
-                    // Every head holding the row took its value back.
-                    debug_assert!(
-                        sums.is_zero(*index),
-                        "deleted row {index} still holds value"
-                    );
-                    sums.remove_row(*index);
-                    self.values.remove(*index);
-                    moved.remove(*index);
-                }
+            if let SlotOp::Delete(slot) = *op {
+                // Every head holding the row took its value back.
+                debug_assert!(
+                    sums.is_zero(slot as usize),
+                    "deleted slot {slot} holds value"
+                );
             }
         }
-        // Pass 2 (parallel, once per batch): replay the accepted splices
-        // in order on every rank list. Distances and splice positions are
-        // computed by the same expressions the sequential path used, so
-        // the lists come out entry-for-entry identical. Each splice also
-        // moves the list's farthest same-label rank; deleting that entry
-        // leaves it to be found again once the batch is spliced, when the
-        // list's indices are the final training set's.
-        let (train, test) = (&self.train, &self.test);
-        knnshap_parallel::par_chunks(&mut self.ranked, 1, self.threads, |j, lists| {
-            let Ranked { list, far } = &mut lists[0];
-            let y = test.y[j];
-            let mut lost = false;
-            for op in &ops {
-                match op {
-                    ResolvedOp::Insert { row, label, index } => {
-                        let d = Metric::SquaredL2.eval(test.x.row(j), row);
-                        let pos = list.partition_point(|nb| nb.dist <= d);
-                        list.insert(
-                            pos,
-                            Neighbor {
-                                index: *index,
-                                dist: d,
-                            },
-                        );
-                        *far = match *far {
-                            Some(f) if pos <= f => Some(f + 1),
-                            _ if *label == y => Some(pos),
-                            f => f,
-                        };
-                    }
-                    ResolvedOp::Delete { index, .. } => {
-                        let index = u32::try_from(*index).expect("train indices fit u32");
-                        let mut rank = 0;
-                        let mut at = 0;
-                        list.retain_mut(|nb| {
-                            let keep = nb.index != index;
-                            if !keep {
-                                at = rank;
-                            }
-                            rank += 1;
-                            nb.index -= u32::from(nb.index > index);
-                            keep
-                        });
-                        match *far {
-                            Some(f) if at < f => *far = Some(f - 1),
-                            Some(f) if at == f => lost = true,
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            if lost {
-                *far = farthest_rank(list, &train.y, y);
-            }
-        });
-        // Deposit the touched heads' post-batch values and round again
-        // every row either deposit reached.
-        self.deposit_heads(&mut sums, &self.train.y, &touched, false);
+        self.splice(&ops);
+        self.deposit_heads(&mut sums, &touched, false);
         self.mark_heads(&mut moved, &touched);
         let n_test = self.test.len() as u64;
         crate::sharding::finalize_mean_into(
@@ -581,44 +575,109 @@ impl ResidentValuator {
         acks
     }
 
+    /// Pass 2 (parallel, once per batch): replay the accepted splices in
+    /// order on every rank list. Distances and splice positions are
+    /// computed by the same expressions the sequential path used, so the
+    /// lists come out entry-for-entry identical.
+    fn splice(&mut self, ops: &[SlotOp]) {
+        let mut ranked = std::mem::take(&mut self.ranked);
+        let this = &*self;
+        knnshap_parallel::par_chunks(&mut ranked, 1, this.threads, |j, lists| {
+            let (query, y) = (this.test.x.row(j), this.test.y[j]);
+            for &op in ops {
+                match op {
+                    SlotOp::Insert(slot) => {
+                        let d = Metric::SquaredL2.eval(query, this.row(slot));
+                        lists[0].insert(slot, d, this.labels[slot as usize] == y);
+                    }
+                    SlotOp::Delete(slot) => {
+                        let d = Metric::SquaredL2.eval(query, this.row(slot));
+                        lists[0].remove(slot, d, &this.labels, y);
+                    }
+                }
+            }
+        });
+        self.ranked = ranked;
+    }
+
+    /// Drop the tombstones: each live row moves down to the slot of its
+    /// training index (never up, since `order` ascends), and every rank
+    /// list entry takes its row's new slot — a map that keeps the slots'
+    /// order, so each list keeps its order and its farthest same-label
+    /// rank. The sums and values are left for [`refold_all`](Self::refold_all).
+    fn compact(&mut self) {
+        let dim = self.dim;
+        let mut renumber = vec![0u32; self.slots()];
+        for (i, &slot) in self.order.iter().enumerate() {
+            let s = slot as usize;
+            renumber[s] = i as u32;
+            self.features.copy_within(s * dim..(s + 1) * dim, i * dim);
+            self.labels[i] = self.labels[s];
+        }
+        let live = self.order.len();
+        self.features.truncate(live * dim);
+        self.labels.truncate(live);
+        for (i, slot) in self.order.iter_mut().enumerate() {
+            *slot = i as u32;
+        }
+        knnshap_parallel::par_chunks(&mut self.ranked, 1, self.threads, |_, lists| {
+            for nb in &mut lists[0].list {
+                nb.index = renumber[nb.index as usize];
+            }
+        });
+    }
+
+    /// Fold every test point's head into fresh zero sums and finalize
+    /// every slot.
+    fn refold_all(&mut self) {
+        self.sums = ExactVec::zeros(0);
+        let mut sums = ExactVec::zeros(self.slots());
+        let every: Vec<usize> = (0..self.test.len()).collect();
+        self.deposit_heads(&mut sums, &every, false);
+        self.values.resize(self.slots(), 0.0);
+        let n_test = self.test.len() as u64;
+        crate::sharding::finalize_mean_into(&sums, n_test, self.threads, &mut self.values, None);
+        self.sums = sums;
+    }
+
     /// The test points whose Theorem 1 head the resolved batch `ops` can
-    /// change, judged on the pre-batch rank lists of `n` training points:
-    /// a head that is the whole ranking (its base term depends on N), and
-    /// a head an op reaches — an insert with the test point's label, or an
-    /// insert or delete of a row no farther than the head's last row, the
-    /// one at rank `far + 1` (a distance tie with it counts as reaching
-    /// it). Any other head keeps its rows, their order and their labels
-    /// through the batch, and its values keep their bits.
-    fn touched(&self, n: usize, ops: &[ResolvedOp]) -> Vec<usize> {
+    /// change, judged on the pre-batch rank lists: a head that is the
+    /// whole ranking (its base term depends on N), and a head an op
+    /// reaches — an insert with the test point's label, or an insert or
+    /// delete of a row no farther than the head's last row, the one at
+    /// rank `far + 1` (a distance tie with it counts as reaching it). Any
+    /// other head keeps its rows, their order and their labels through the
+    /// batch, and its values keep their bits.
+    fn touched(&self, ops: &[SlotOp]) -> Vec<usize> {
         (0..self.test.len())
             .filter(|&j| {
-                let (Ranked { list, far }, y) = (&self.ranked[j], self.test.y[j]);
-                let len = head_len(n, *far);
-                if len == n {
+                let (ranked, y) = (&self.ranked[j], self.test.y[j]);
+                let head = ranked.head();
+                if head.len() == ranked.list.len() {
                     return true;
                 }
                 let query = self.test.x.row(j);
-                let reaches = |row: &[f32]| {
-                    len > 0 && Metric::SquaredL2.eval(query, row) <= list[len - 1].dist
+                let reaches = |slot: u32| {
+                    head.last().is_some_and(|last| {
+                        Metric::SquaredL2.eval(query, self.row(slot)) <= last.dist
+                    })
                 };
-                ops.iter().any(|op| match op {
-                    ResolvedOp::Insert { row, label, .. } => *label == y || reaches(row),
-                    ResolvedOp::Delete { row, .. } => reaches(row),
+                ops.iter().any(|&op| match op {
+                    SlotOp::Insert(slot) => self.labels[slot as usize] == y || reaches(slot),
+                    SlotOp::Delete(slot) => reaches(slot),
                 })
             })
             .collect()
     }
 
     /// Deposit the Theorem 1 head values of the test points `tests` into
-    /// `sums` — negated when `negate` — with `labels` the labels of the
-    /// training points the rank lists index. Dense fill, like the batch
-    /// path, deposited linearly block by block; each test point writes
-    /// only the head of its list — every rank past its farthest same-label
-    /// one is Theorem 1's zero tail, the `+0.0` the scratch already holds
-    /// — and only those rows are zeroed again (see
-    /// [`crate::exact_unweighted`]).
-    fn deposit_heads(&self, sums: &mut ExactVec, labels: &[u32], tests: &[usize], negate: bool) {
-        let n = labels.len();
+    /// `sums` — negated when `negate` — at the slots their rank lists
+    /// hold. Dense fill, like the batch path, deposited linearly block by
+    /// block; each test point writes only the head of its list — every
+    /// rank past its farthest same-label one is Theorem 1's zero tail, the
+    /// `+0.0` the scratch already holds — and only those rows are zeroed
+    /// again (see [`crate::exact_unweighted`]).
+    fn deposit_heads(&self, sums: &mut ExactVec, tests: &[usize], negate: bool) {
         fold_scratch_into(
             sums,
             0..tests.len(),
@@ -627,9 +686,17 @@ impl ResidentValuator {
             || (),
             |t, _, _, out: &mut Scratch| {
                 let j = tests[t];
-                let head = self.head(j, n);
+                let ranked = &self.ranked[j];
+                let head = ranked.head();
                 let values = out.values();
-                fill_head(n, head, labels, self.test.y[j], self.k, values);
+                fill_head(
+                    ranked.list.len(),
+                    head,
+                    &self.labels,
+                    self.test.y[j],
+                    self.k,
+                    values,
+                );
                 if negate {
                     for nb in head {
                         let v = &mut values[nb.index as usize];
@@ -641,30 +708,27 @@ impl ResidentValuator {
         );
     }
 
-    /// Mark in `rows` the training points in the heads of the test points
-    /// `tests`.
-    fn mark_heads(&self, rows: &mut [bool], tests: &[usize]) {
+    /// Mark in `slots` the slots in the heads of the test points `tests`.
+    fn mark_heads(&self, slots: &mut [bool], tests: &[usize]) {
         for &j in tests {
-            for nb in self.head(j, rows.len()) {
-                rows[nb.index as usize] = true;
+            for nb in self.ranked[j].head() {
+                slots[nb.index as usize] = true;
             }
         }
     }
 
-    /// Test point `j`'s head: the ranks of its list Theorem 1 reads, with
-    /// `n` training points.
-    fn head(&self, j: usize, n: usize) -> &[Neighbor] {
-        let ranked = &self.ranked[j];
-        &ranked.list[..head_len(n, ranked.far)]
-    }
-
     /// The Shapley vector of the current training set — bitwise-identical
     /// to a cold [`crate::exact_unweighted::knn_class_shapley_with_threads`]
-    /// run on [`train`](Self::train), at every thread count. A copy of the
-    /// vector [`apply_batch`](Self::apply_batch) keeps up to date: no
+    /// run on [`train`](Self::train), at every thread count. A gather of
+    /// the vector [`apply_batch`](Self::apply_batch) keeps up to date: no
     /// recursion, no fold and no rounding happen here.
     pub fn values(&self) -> ShapleyValues {
-        ShapleyValues::new(self.values.clone())
+        ShapleyValues::new(
+            self.order
+                .iter()
+                .map(|&s| self.values[s as usize])
+                .collect(),
+        )
     }
 
     /// What-if valuation: the Shapley value the candidate point **would**
@@ -679,7 +743,7 @@ impl ResidentValuator {
     /// costs O(max(pos, far′) − pos) per test point.
     pub fn what_if(&self, row: &[f32], label: u32) -> Result<f64, ResidentError> {
         self.check_point(row, label)?;
-        let n = self.train.len();
+        let n = self.order.len();
         let sums = crate::sharding::exact_sums_over_dense(
             1,
             0..self.test.len(),
@@ -706,7 +770,7 @@ impl ResidentValuator {
                         if r == pos {
                             cand
                         } else {
-                            f64::from(self.train.y[list[r - 1].index as usize] == y)
+                            f64::from(self.labels[list[r - 1].index as usize] == y)
                         }
                     },
                     |_, _| {},
@@ -721,24 +785,56 @@ impl ResidentValuator {
 /// One test point's rank list and the rank of its farthest training point
 /// with the test point's label (`None` when it has none): the last rank
 /// whose Theorem 1 value can be nonzero.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Ranked {
     list: Vec<Neighbor>,
     far: Option<usize>,
 }
 
 impl Ranked {
-    /// The rank lists of every test point, each with its farthest
+    /// The ranks Theorem 1 reads: through one past the farthest
     /// same-label rank.
-    fn all(lists: Vec<Vec<Neighbor>>, train: &ClassDataset, test: &ClassDataset) -> Vec<Ranked> {
-        lists
-            .into_iter()
-            .zip(&test.y)
-            .map(|(list, &y)| Ranked {
-                far: farthest_rank(&list, &train.y, y),
-                list,
-            })
-            .collect()
+    fn head(&self) -> &[Neighbor] {
+        &self.list[..head_len(self.list.len(), self.far)]
+    }
+
+    /// Splice in `slot` at distance `dist`, after every entry at that
+    /// distance (the slot is the largest yet), with `same_label` whether
+    /// its label is the test point's.
+    fn insert(&mut self, slot: u32, dist: f32, same_label: bool) {
+        let pos = self.list.partition_point(|nb| nb.dist <= dist);
+        self.list.insert(pos, Neighbor { index: slot, dist });
+        self.far = match self.far {
+            Some(f) if pos <= f => Some(f + 1),
+            _ if same_label => Some(pos),
+            f => f,
+        };
+    }
+
+    /// Remove `slot`'s entry, found by its `(distance, slot)` key with
+    /// `dist` the distance [`insert`](Self::insert) or the startup ranking
+    /// gave it; a list whose stored distance differs (a graph artifact
+    /// ranked by another kernel) is searched entry by entry. Deleting the
+    /// farthest row labelled `label` walks that rank back to the previous
+    /// such row, read through `labels`.
+    fn remove(&mut self, slot: u32, dist: f32, labels: &[u32], label: u32) {
+        let at = self
+            .list
+            .partition_point(|nb| (nb.dist, nb.index) < (dist, slot));
+        let at = if self.list.get(at).is_some_and(|nb| nb.index == slot) {
+            at
+        } else {
+            self.list
+                .iter()
+                .position(|nb| nb.index == slot)
+                .expect("a live slot is in every rank list")
+        };
+        self.list.remove(at);
+        self.far = match self.far {
+            Some(f) if at < f => Some(f - 1),
+            Some(f) if at == f => farthest_rank(&self.list[..at], labels, label),
+            f => f,
+        };
     }
 }
 
@@ -852,7 +948,7 @@ mod tests {
                 ResidentValuator::new(train.clone(), test.clone(), 2, threads).unwrap();
             let check = |engine: &ResidentValuator, what: &str| {
                 for (j, ranked) in engine.ranked.iter().enumerate() {
-                    let want = farthest_rank(&ranked.list, &engine.train.y, engine.test.y[j]);
+                    let want = farthest_rank(&ranked.list, &engine.labels, engine.test.y[j]);
                     assert_eq!(ranked.far, want, "{what}: test point {j}");
                 }
             };
@@ -862,9 +958,10 @@ mod tests {
                 // Delete some test point's farthest same-label row, then
                 // splice on in the same batch.
                 let j = rng.gen_range(0..engine.n_test());
-                let far = engine.ranked[j]
-                    .far
-                    .map(|f| engine.ranked[j].list[f].index as usize);
+                let far = engine.ranked[j].far.map(|f| {
+                    let slot = engine.ranked[j].list[f].index;
+                    engine.order.binary_search(&slot).unwrap()
+                });
                 let mut batch = vec![Mutation::Insert {
                     features: (0..5).map(|_| rng.gen_range(-9.0..9.0)).collect(),
                     label: rng.gen_range(0..3),
@@ -899,22 +996,24 @@ mod tests {
         // whole ranking any more.
         engine.insert(&[1e3; 5], 7).unwrap();
         let n = engine.n_train();
-        assert!((0..6).all(|j| engine.head(j, n).len() < n));
+        assert!((0..6).all(|j| engine.ranked[j].head().len() < n));
         let far = vec![2e3f32; 5];
-        let insert = |label| ResolvedOp::Insert {
-            row: far.clone(),
-            label,
-            index: n as u32,
+        // An insert's row and label sit in their slot before the lists
+        // are spliced, which is all `touched` reads.
+        let touched_by_insert = |engine: &mut ResidentValuator, label| {
+            engine.features.extend_from_slice(&far);
+            engine.labels.push(label);
+            let touched = engine.touched(&[SlotOp::Insert(n as u32)]);
+            engine.features.truncate(n * 5);
+            engine.labels.truncate(n);
+            touched
         };
-        assert!(engine.touched(n, &[insert(7)]).is_empty());
-        let delete = ResolvedOp::Delete {
-            index: n - 1,
-            row: vec![1e3; 5],
-        };
-        assert!(engine.touched(n, &[delete]).is_empty());
+        assert!(touched_by_insert(&mut engine, 7).is_empty());
+        let delete = SlotOp::Delete(engine.order[n - 1]);
+        assert!(engine.touched(&[delete]).is_empty());
         let y = engine.test().y[0];
         let own: Vec<usize> = (0..6).filter(|&j| test.y[j] == y).collect();
-        assert_eq!(engine.touched(n, &[insert(y)]), own);
+        assert_eq!(touched_by_insert(&mut engine, y), own);
         for (row, label) in [(far.clone(), 7), (far, y)] {
             engine.insert(&row, label).unwrap();
             let cold = knn_class_shapley_with_threads(engine.train(), &test, 3, 1);

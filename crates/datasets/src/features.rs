@@ -72,17 +72,15 @@ impl Features {
         self.data.extend_from_slice(row);
     }
 
-    /// Remove row `i` in place; later rows shift down by one. Panics if
-    /// `i` is out of range.
-    pub fn remove_row(&mut self, i: usize) {
-        assert!(i < self.len(), "row {i} out of range 0..{}", self.len());
-        self.data.drain(i * self.dim..(i + 1) * self.dim);
-    }
-
     /// The raw row-major buffer.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
         &self.data
+    }
+
+    /// The raw row-major buffer, by value.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
     }
 
     /// Mutable raw buffer access (used by in-place normalization).
@@ -155,10 +153,7 @@ mod tests {
         assert_eq!(g.row(0), &[5.0, 6.0]);
         assert_eq!(g.row(1), &[1.0, 2.0]);
         assert_eq!(g.row(2), &[5.0, 6.0]);
-        f.remove_row(0);
-        assert_eq!(f.len(), 2);
-        assert_eq!(f.row(0), &[3.0, 4.0]);
-        assert_eq!(f.row(1), &[5.0, 6.0]);
+        assert_eq!(f.into_vec(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

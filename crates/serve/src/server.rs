@@ -27,10 +27,10 @@
 //!   not the snapshot) and answers with `ResidentValuator::what_if` and
 //!   the version it read under that lock. Concurrent what-ifs share the
 //!   read lock and run side by side.
-//! * **Training-set export** (`TrainCsv`, `TrainCsvStream`) copies the
-//!   training set's binary features and labels under the engine's *read*
-//!   lock — a memory copy of N·(4d + 4) bytes — then releases it and
-//!   formats CSV from the copy. The lock is never held while formatting
+//! * **Training-set export** (`TrainCsv`, `TrainCsvStream`) gathers the
+//!   engine's live rows — binary features and labels — under its *read*
+//!   lock into a copy of N·(4d + 4) bytes, then releases it and formats
+//!   CSV from the copy. The lock is never held while formatting
 //!   or during a socket write. The streamed export sends the CSV in parts
 //!   of at most [`PART_MAX`] bytes, so its only other buffer is one part.
 //!
@@ -285,7 +285,7 @@ impl ValuationServer {
         engine: ResidentValuator,
         k: usize,
     ) -> Result<Arc<Self>, ResidentError> {
-        let initial = Snapshot::new(engine.version(), engine.train().y.clone(), engine.values());
+        let initial = Snapshot::new(engine.version(), engine.labels(), engine.values());
         Ok(Arc::new(Self {
             engine: RwLock::new(engine),
             store: VersionedStore::new(initial),
@@ -354,7 +354,7 @@ impl ValuationServer {
     /// lock; the lock is released on return.
     fn copy_train(&self) -> TrainCopy {
         let engine = self.engine.read().expect("engine lock poisoned");
-        TrainCopy::new(engine.version(), engine.train())
+        TrainCopy::new(engine.version(), self.dim as usize, engine.rows())
     }
 
     fn dispatch(&self, req: &Request) -> Response {
@@ -368,7 +368,7 @@ impl ValuationServer {
                     n_test: self.n_test,
                     k: self.k,
                     dim: self.dim,
-                    checksum: s.checksum,
+                    checksum: s.checksum(),
                 }
             }
             Request::Get { index } => {
@@ -388,7 +388,7 @@ impl ValuationServer {
                 let s = self.store.load();
                 Response::Vector {
                     version: s.version,
-                    checksum: s.checksum,
+                    checksum: s.checksum(),
                     labels: s.labels.clone(),
                     values: s.values.as_slice().to_vec(),
                 }
@@ -637,13 +637,14 @@ impl ValuationServer {
         Ok(rx.recv().expect("every drained group is acked"))
     }
 
-    /// Recompute + publish under the engine's write lock, so published
-    /// versions are monotone and a reader can never observe version V
-    /// while the engine is already past V+1.
+    /// Publish under the engine's write lock, so published versions are
+    /// monotone and a reader can never observe version V while the engine
+    /// is already past V+1. The snapshot's checksum waits for its first
+    /// `Stat` or `Dump`, off the lock.
     fn publish_from(&self, engine: &ResidentValuator) {
         self.store.publish(Snapshot::new(
             engine.version(),
-            engine.train().y.clone(),
+            engine.labels(),
             engine.values(),
         ));
     }
@@ -669,10 +670,10 @@ fn rejected_err(e: ResidentError) -> Response {
     rejected(e.to_string())
 }
 
-/// A copy of the training set taken under the engine read lock: row-major
-/// features and labels, N·(4d + 4) bytes, held in row blocks whose feature
-/// part is at most [`WINDOW`] (64 KiB) bytes. The CSV export formats from
-/// it after the lock is gone.
+/// A copy of the training set gathered under the engine read lock:
+/// row-major features and labels, N·(4d + 4) bytes, held in row blocks
+/// whose feature part is at most [`WINDOW`] (64 KiB) bytes. The CSV
+/// export formats from it after the lock is gone.
 ///
 /// The blocks keep every allocation below glibc's 128 KiB mmap threshold.
 /// A single N·4d-byte buffer would be mmapped, and freeing it raises that
@@ -688,20 +689,28 @@ struct TrainCopy {
 }
 
 impl TrainCopy {
-    fn new(version: u64, train: &ClassDataset) -> Self {
-        let dim = train.dim();
+    /// Copy `rows`, each `dim` features and a label, in order.
+    fn new<'a>(
+        version: u64,
+        dim: usize,
+        rows: impl ExactSizeIterator<Item = (&'a [f32], u32)>,
+    ) -> Self {
         let per_block = (WINDOW / (4 * dim)).max(1);
-        let blocks = train
-            .x
-            .as_slice()
-            .chunks(per_block * dim)
-            .zip(train.y.chunks(per_block))
-            .map(|(x, y)| (x.to_vec(), y.to_vec()))
-            .collect();
+        let len = rows.len();
+        let mut blocks: Vec<(Vec<f32>, Vec<u32>)> = Vec::with_capacity(len.div_ceil(per_block));
+        for (i, (x, y)) in rows.enumerate() {
+            if i % per_block == 0 {
+                let block = per_block.min(len - i);
+                blocks.push((Vec::with_capacity(block * dim), Vec::with_capacity(block)));
+            }
+            let (xs, ys) = blocks.last_mut().expect("a block per row");
+            xs.extend_from_slice(x);
+            ys.push(y);
+        }
         TrainCopy {
             version,
             dim,
-            rows: train.len(),
+            rows: len,
             blocks,
         }
     }
@@ -951,6 +960,7 @@ fn session(server: &ValuationServer, mut conn: Box<dyn Conn>, endpoint: &Endpoin
 mod tests {
     use super::*;
     use knnshap_core::exact_unweighted::knn_class_shapley_with_threads;
+    use knnshap_core::types::ShapleyValues;
     use knnshap_datasets::synth::blobs::{self, BlobConfig};
 
     fn server() -> Arc<ValuationServer> {
@@ -989,10 +999,59 @@ mod tests {
                 values,
             } => {
                 let snap = Snapshot::new(version, labels, values.into());
-                assert_eq!(snap.checksum, checksum, "served checksum must verify");
+                assert_eq!(snap.checksum(), checksum, "served checksum must verify");
             }
             other => panic!("wrong response: {other:?}"),
         }
+    }
+
+    /// After a churn of inserts and deletes, `Stat` and `Dump` both report
+    /// the checksum of the bytes `Dump` serves, computed by the first of
+    /// them to read the version.
+    #[test]
+    fn stat_and_dump_after_churn_report_the_checksum_of_the_served_bytes() {
+        let s = server();
+        for req in [
+            Request::Delete { index: 0 },
+            Request::Insert {
+                features: vec![0.5; 4],
+                label: 1,
+            },
+            Request::Delete { index: 29 },
+            Request::Delete { index: 12 },
+            Request::Batch {
+                mutations: vec![
+                    BatchMutation::Insert {
+                        features: vec![-0.5; 4],
+                        label: 0,
+                    },
+                    BatchMutation::Delete { index: 3 },
+                ],
+            },
+        ] {
+            assert!(!matches!(s.handle(&req), Response::Error { .. }), "{req:?}");
+        }
+        let Response::Stat {
+            version: stat_version,
+            checksum: stat_checksum,
+            ..
+        } = s.handle(&Request::Stat)
+        else {
+            panic!("Stat answers with Stat");
+        };
+        let Response::Vector {
+            version,
+            checksum,
+            labels,
+            values,
+        } = s.handle(&Request::Dump)
+        else {
+            panic!("Dump answers with a vector");
+        };
+        assert_eq!((stat_version, version), (6, 6));
+        let want = Snapshot::checksum_of(version, &labels, &ShapleyValues::new(values));
+        assert_eq!((stat_checksum, checksum), (want, want));
+        assert_eq!(labels, s.engine.read().unwrap().train().y);
     }
 
     #[test]
@@ -1210,7 +1269,12 @@ mod tests {
             ..Default::default()
         };
         let train = blobs::generate(&cfg);
-        let copy = TrainCopy::new(4, &train);
+        let rows = train
+            .x
+            .as_slice()
+            .chunks_exact(7)
+            .zip(train.y.iter().copied());
+        let copy = TrainCopy::new(4, 7, rows);
         assert_eq!((copy.version, copy.rows()), (4, 5000));
         assert!(copy.blocks.len() > 1, "{} blocks", copy.blocks.len());
         for (x, y) in &copy.blocks {

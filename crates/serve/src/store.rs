@@ -14,11 +14,14 @@
 //! The [`checksum`](Snapshot::checksum) commits to `(version, labels,
 //! values)`, which lets clients — and the concurrency stress test — verify
 //! end-to-end that what arrived over the socket is one coherent snapshot,
-//! not a torn interleaving.
+//! not a torn interleaving. Only `Stat` and `Dump` report it, so it is
+//! computed once per snapshot, by its first reader, inside the snapshot's
+//! `Arc`: a publish under the engine's write lock hashes nothing, and
+//! every reader of one version sees the same bytes.
 
 use knnshap_core::sharding::Fingerprint;
 use knnshap_core::types::ShapleyValues;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// One immutable published valuation state.
 #[derive(Debug)]
@@ -30,20 +33,29 @@ pub struct Snapshot {
     pub labels: Vec<u32>,
     /// The exact Shapley vector of that dataset version.
     pub values: ShapleyValues,
-    /// Commitment to `(version, labels, values)` — see [`Snapshot::checksum_of`].
-    pub checksum: u64,
+    /// Commitment to `(version, labels, values)`, set by the first
+    /// [`checksum`](Snapshot::checksum) call.
+    checksum: OnceLock<u64>,
 }
 
 impl Snapshot {
-    /// Build a snapshot, computing its checksum.
+    /// Build a snapshot; its checksum waits for its first reader.
     pub fn new(version: u64, labels: Vec<u32>, values: ShapleyValues) -> Self {
-        let checksum = Self::checksum_of(version, &labels, &values);
         Self {
             version,
             labels,
             values,
-            checksum,
+            checksum: OnceLock::new(),
         }
+    }
+
+    /// The commitment to `(version, labels, values)` — see
+    /// [`Snapshot::checksum_of`]. Computed by the first call, which later
+    /// and concurrent calls wait for and share.
+    pub fn checksum(&self) -> u64 {
+        *self
+            .checksum
+            .get_or_init(|| Self::checksum_of(self.version, &self.labels, &self.values))
     }
 
     /// The canonical checksum: any party holding `(version, labels,
@@ -56,10 +68,11 @@ impl Snapshot {
             .finish()
     }
 
-    /// Recompute the checksum from the carried data and compare. `false`
-    /// means the snapshot is internally inconsistent (torn or corrupted).
+    /// Recompute the checksum from the carried data and compare with the
+    /// one [`checksum`](Snapshot::checksum) reports. `false` means the data
+    /// changed after the checksum was taken (torn or corrupted).
     pub fn verify(&self) -> bool {
-        Self::checksum_of(self.version, &self.labels, &self.values) == self.checksum
+        Self::checksum_of(self.version, &self.labels, &self.values) == self.checksum()
     }
 }
 
@@ -111,17 +124,46 @@ mod tests {
         let s = snap(1, vec![0.5, -0.25]);
         assert!(s.verify());
 
+        // Each torn copy has its checksum taken before it is tampered with.
         let mut torn = snap(1, vec![0.5, -0.25]);
+        torn.checksum();
         torn.version = 2; // version drifted from the vector
         assert!(!torn.verify());
 
         let mut torn = snap(1, vec![0.5, -0.25]);
+        torn.checksum();
         torn.values.as_mut_slice()[1] = -0.2500000001;
         assert!(!torn.verify());
 
         let mut torn = snap(1, vec![0.5, -0.25]);
+        torn.checksum();
         torn.labels[0] = 1;
         assert!(!torn.verify());
+    }
+
+    #[test]
+    fn racing_first_readers_share_one_checksum() {
+        let n = 200_000;
+        let values: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        let labels: Vec<u32> = (0..n as u32).map(|i| i % 3).collect();
+        let want = Snapshot::checksum_of(7, &labels, &ShapleyValues::new(values.clone()));
+        for _ in 0..4 {
+            let s = Snapshot::new(7, labels.clone(), ShapleyValues::new(values.clone()));
+            let start = std::sync::Barrier::new(2);
+            let got: Vec<u64> = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            s.checksum()
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert_eq!(got, [want, want]);
+            assert!(s.verify());
+        }
     }
 
     #[test]

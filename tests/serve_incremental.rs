@@ -643,3 +643,87 @@ fn long_churn_matches_cold_runs_every_50_steps() {
         check(&engine, "end");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Deletes on stable row slots: a delete leaves its slot behind, and the
+// engine compacts once those outnumber the live rows.
+// ---------------------------------------------------------------------------
+
+/// The training indices of the largest group of rows tied at one distance
+/// from test point `j`, in rank order, when any distance is shared.
+fn largest_tie(engine: &ResidentValuator, j: usize) -> Option<Vec<usize>> {
+    let (train, test) = (engine.train(), engine.test());
+    let ranked = argsort_by_distance(&train.x, test.x.row(j), Metric::SquaredL2);
+    ranked
+        .chunk_by(|a, b| a.dist == b.dist)
+        .filter(|group| group.len() > 1)
+        .max_by_key(|group| group.len())
+        .map(|group| group.iter().map(|nb| nb.index as usize).collect())
+}
+
+/// A delete-heavy script at 1, 2 and 8 threads: deletes of index 0, of the
+/// last index, of each test point's farthest same-label row and of a row
+/// inside a distance tie, until the slots have compacted twice. After each
+/// compaction, duplicates of live rows are reinserted, each first valued as
+/// a what-if and checked against its committed insert. The values equal a
+/// cold run bit for bit after every step.
+#[test]
+fn delete_heavy_churn_compacts_and_stays_bitwise() {
+    for threads in [1usize, 2, 8] {
+        let mut rng = StdRng::seed_from_u64(83);
+        let train = grid_dataset(&mut rng, 40, 2);
+        let test = grid_dataset(&mut rng, 4, 2);
+        let k = 3;
+        let mut engine = ResidentValuator::new(train, test.clone(), k, threads).unwrap();
+        let check = |engine: &ResidentValuator, what: &str| {
+            let cold = knn_class_shapley_with_threads(engine.train(), &test, k, 1);
+            assert_bitwise(
+                &cold,
+                &engine.values(),
+                &format!("threads {threads}: {what}"),
+            );
+        };
+        let mut compactions = 0;
+        for step in 0..100usize {
+            let n = engine.n_train();
+            let j = step % test.len();
+            let index = match step % 4 {
+                0 => 0,
+                1 => n - 1,
+                2 => farthest_same_label(&engine, j).unwrap_or(n / 2),
+                _ => largest_tie(&engine, j).map_or(n / 2, |tie| tie[tie.len() / 2]),
+            };
+            let slots = engine.slots();
+            engine.delete(index).unwrap();
+            check(&engine, &format!("step {step}: delete {index} of {n}"));
+            assert!(
+                engine.slots() <= 2 * engine.n_train(),
+                "step {step}: {} slots for {} rows",
+                engine.slots(),
+                engine.n_train()
+            );
+            if engine.slots() >= slots {
+                continue;
+            }
+            compactions += 1;
+            assert_eq!(engine.slots(), engine.n_train(), "step {step}: compacted");
+            for dup in 0..3 {
+                let src = rng.gen_range(0..engine.n_train());
+                let row = engine.train().x.row(src).to_vec();
+                let label = rng.gen_range(0..CLASSES);
+                let preview = engine.what_if(&row, label).unwrap();
+                let idx = engine.insert(&row, label).unwrap();
+                assert_eq!(
+                    preview.to_bits(),
+                    engine.values().get(idx).to_bits(),
+                    "threads {threads} step {step}: what-if of duplicate {dup}"
+                );
+                check(&engine, &format!("step {step}: duplicate {dup}"));
+            }
+            if compactions == 2 {
+                break;
+            }
+        }
+        assert_eq!(compactions, 2, "threads {threads}");
+    }
+}
